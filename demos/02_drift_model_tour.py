@@ -12,7 +12,7 @@ import numpy as np
 from innovlab import RandomStream, TimeGrid, list_models, make_model, simulate, simulate_ensemble
 
 for desc in list_models():
-    print(f"{desc['name']:16s} kind={desc['kind']:14s} aux={desc['aux_dimension']} "
+    print(f"{desc['name']:18s} kind={desc['kind']:14s} aux={desc['aux_dimension']} "
           f"adapted-to-observation={desc['observation_adapted']}")
 
 grid = TimeGrid(steps=256)

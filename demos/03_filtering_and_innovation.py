@@ -2,15 +2,22 @@
 
 The filtered drift is the conditional expectation of the drift rate given
 the observation so far.  The hidden Ornstein-Uhlenbeck model has an exact
-Kalman recursion; a generic hidden scenario can be filtered by particles
-with causal Girsanov weights; subtracting the filtered primitive from the
-observation leaves the innovation process, a Brownian motion in its own
-filtration.
+Kalman recursion and a single hidden Gaussian factor a conjugate closed
+form; subtracting the filtered primitive from the observation leaves the
+innovation process, a Brownian motion in its own filtration.
 """
 
 import numpy as np
 
-from innovlab import RandomStream, TimeGrid, kalman_bucy_filter, make_model, particle_conditional_drift, simulate
+from innovlab import (
+    RandomStream,
+    TimeGrid,
+    ensemble_conditional_drift,
+    kalman_bucy_filter,
+    make_model,
+    simulate,
+    simulate_ensemble,
+)
 from innovlab.filtering import innovation, riccati_sequence
 
 grid = TimeGrid(steps=128)
@@ -22,12 +29,12 @@ exact = kalman_bucy_filter(out.observation, beta=1.0, sigma=1.0)
 P = riccati_sequence(1.0, 1.0, grid)
 print(f"Riccati stationary variance: {P[-1]:.5f} (sqrt(2)-1 = {np.sqrt(2)-1:.5f})")
 
-# Particle filter on the same path: prior scenarios + causal reweighting.
-part = particle_conditional_drift(model, out.observation, particles=5_000,
-                                  stream=RandomStream(seed=42, substream=0))
-gap = np.max(np.abs(part.values.values - exact.values.values))
-print(f"particle vs exact filter sup-gap at 5000 particles: {gap:.4f}")
-print(f"min effective sample size along the path: {part.ess.min():.0f}")
+# Over an ensemble, the filter's mean-square error is the Riccati variance.
+sim = simulate_ensemble(model, grid, 5_000, RandomStream(seed=42))
+filt = ensemble_conditional_drift(model, sim)
+mse = np.mean((sim.drift[:, -1, 0] - filt.values[:, -1, 0]) ** 2)
+print(f"filter mean-square error at the last step over 5000 paths: {mse:.5f} "
+      f"(Riccati {P[grid.steps - 1]:.5f})")
 
 # The innovation: observation minus the integrated filtered drift.
 Z = innovation(out.observation, exact)
@@ -47,8 +54,9 @@ print(f"innovation increment variance / dt over {M} paths: {zvar.var() / grid.dt
 
 # For a single hidden Gaussian the posterior mean is conjugate and exact.
 ind = make_model("independent")
-o = simulate(ind, grid, RandomStream(seed=9, substream=0))
-part = particle_conditional_drift(ind, o.observation, 5_000, RandomStream(seed=10))
-closed = o.observation.values[:-1, 0] / (1.0 + grid.left_times)
-print(f"independent model: particle vs conjugate posterior sup-gap "
-      f"{np.max(np.abs(part.values.values[:, 0] - closed)):.4f}")
+o = simulate_ensemble(ind, grid, 1, RandomStream(seed=9))
+post = ensemble_conditional_drift(ind, o)
+closed = o.U[0, :-1, 0] / (1.0 + grid.left_times)
+gap = np.max(np.abs(post.values[0, :, 0] - closed))
+print(f"independent model ({post.method}): filter vs posterior mean "
+      f"U_t/(1+t) sup-gap {gap:.2e}")

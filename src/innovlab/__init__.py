@@ -11,7 +11,7 @@ Module map:
 
 * ``core``      -- grids, paths, counter-based random streams, Ito sums
 * ``models``    -- the drift-model registry and the shared Euler recursion
-* ``filtering`` -- exact and particle filters, innovations, regressions
+* ``filtering`` -- exact filters, innovations, second-level regressions
 * ``girsanov``  -- log-weights, stopping-time localization, reweighting
 * ``criterion`` -- entropy and energy estimators, verdicts, exact KL
 * ``lingauss``  -- closed-form Gaussian path laws for the linear family
@@ -47,7 +47,6 @@ from .filtering import (
     ensemble_conditional_drift,
     innovation,
     kalman_bucy_filter,
-    particle_conditional_drift,
 )
 from .girsanov import (
     StoppingRule,
@@ -76,7 +75,7 @@ __all__ = [
     "EQUALITY_CONSISTENT", "INCONCLUSIVE", "POSITIVE_GAP",
     "LevelReport", "criterion_levels", "criterion_verdict", "gaussian_path_kl",
     "BasisSpec", "FilterEstimate", "ensemble_conditional_drift",
-    "innovation", "kalman_bucy_filter", "particle_conditional_drift",
+    "innovation", "kalman_bucy_filter",
     "StoppingRule", "WeightedEnsemble", "girsanov_log_weight",
     "localize", "normalization_diagnostic", "reweight",
     "ExperimentConfig", "report", "run_experiment", "suite",

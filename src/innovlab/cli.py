@@ -65,7 +65,7 @@ def main(argv=None) -> int:
         if args.command == "list-models":
             for d in list_models():
                 params = ", ".join(f"{k}={v}" for k, v in d["parameters"].items()) or "-"
-                print(f"{d['name']:16s} kind={d['kind']:14s} aux={d['aux_dimension']} "
+                print(f"{d['name']:18s} kind={d['kind']:14s} aux={d['aux_dimension']} "
                       f"params: {params}")
             return 0
     except UsageError as exc:

@@ -17,6 +17,7 @@ workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -30,15 +31,16 @@ __all__ = [
     "sample_brownian",
     "ito_integral",
     "energy",
+    "path_energies",
     "primitive",
     "cumsum0",
 ]
 
-# Lane indices carving one substream into independent channels.
+# Lane indices carving one substream into independent channels.  Lane 3 is
+# unused; renumbering would move every quantized draw.
 LANE_AUX = 0
 LANE_BROWNIAN = 1
 LANE_HIDDEN = 2
-LANE_PARTICLE = 3
 LANE_NOISE = 4
 _LANES = 16
 
@@ -187,6 +189,16 @@ def ito_integral(integrand: AdaptedSamples, integrator: Path) -> float:
 def energy(drift: AdaptedSamples) -> float:
     """Discrete Cameron-Martin energy  sum_k |a_k|^2 dt."""
     return float(np.sum(drift.values**2) * drift.grid.dt)
+
+
+def path_energies(x: np.ndarray, dt: float, mask: Optional[np.ndarray] = None) -> np.ndarray:
+    """Per-member energy  sum_k |x_k|^2 dt  of stacked integrands (m, N, d).
+
+    mask, when given, is a boolean (m, N) array selecting the steps that count.
+    """
+    if mask is None:
+        return np.einsum("mkd,mkd->m", x, x) * dt
+    return np.einsum("mkd,mkd,mk->m", x, x, mask.astype(float)) * dt
 
 
 def primitive(drift: AdaptedSamples) -> Path:

@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import TimeGrid
+from .core import TimeGrid, path_energies
 from .errors import UsageError
 from .filtering import BasisSpec, FeatureBuilder, weighted_ridge_fit
 from .girsanov import (
@@ -42,8 +42,6 @@ __all__ = [
     "INCONCLUSIVE",
     "GAP_FLOOR",
     "LevelReport",
-    "energy_under_nu",
-    "entropy_jensen_estimator",
     "inequality_check",
     "classify_level",
     "criterion_verdict",
@@ -89,38 +87,6 @@ def _weighted_mean_se(weights: np.ndarray, values: np.ndarray) -> tuple[float, f
     return mean, se
 
 
-def energy_under_nu(weights: np.ndarray, uhat_localized: np.ndarray,
-                    dt: float) -> tuple[float, float]:
-    """Half the weighted mean localized drift energy, with standard error."""
-    if len(weights) != uhat_localized.shape[0]:
-        raise UsageError("weights and ensemble sizes disagree")
-    e = np.einsum("mkd,mkd->m", uhat_localized, uhat_localized) * dt
-    mean, se = _weighted_mean_se(weights, 0.5 * e)
-    return mean, se
-
-
-def entropy_jensen_estimator(weights: np.ndarray, fits: Optional[np.ndarray],
-                             dt: float, mask: Optional[np.ndarray] = None
-                             ) -> tuple[float, float]:
-    """Half the weighted mean energy of the second-level fits.
-
-    fits: per-member fitted conditional drifts, shape (m, N, d); mask, when
-    given, zeroes the steps at and beyond each member's stopping index
-    (the indicator is itself an innovation-history functional, so masking
-    the fit *is* the fit of the masked response).
-    """
-    if fits is None or fits.ndim != 3:
-        raise UsageError("second-level fits for all steps are required")
-    if len(weights) != fits.shape[0]:
-        raise UsageError("weights and ensemble sizes disagree")
-    if mask is not None:
-        q = np.einsum("mkd,mkd,mk->m", fits, fits, mask.astype(float)) * dt
-    else:
-        q = np.einsum("mkd,mkd->m", fits, fits) * dt
-    mean, se = _weighted_mean_se(weights, 0.5 * q)
-    return mean, se
-
-
 def inequality_check(entropy: float, entropy_se: float, energy: float,
                      energy_se: float) -> bool:
     """Entropy below energy within three combined standard errors.
@@ -159,21 +125,11 @@ def criterion_verdict(reports: Sequence[LevelReport]) -> str:
     return INCONCLUSIVE
 
 
-def gaussian_path_kl(model: DriftModel, grid: TimeGrid,
-                     target: str = "innovation") -> float:
-    """Exact relative entropy for the linear family.
-
-    target "innovation": law of the innovation increments under the tilted
-    measure against independent N(0, dt) increments.  target "observation":
-    law of the observation increments under the sampling measure against
-    the same reference.
+def gaussian_path_kl(model: DriftModel, grid: TimeGrid) -> float:
+    """Exact relative entropy of the innovation-increment law under the
+    tilted measure against independent N(0, dt) increments (linear family).
     """
-    s = linear_gaussian_summary(model, grid)
-    if target == "innovation":
-        return s.innovation_kl
-    if target == "observation":
-        return s.observation_kl
-    raise UsageError(f"unknown target {target!r}")
+    return linear_gaussian_summary(model, grid).innovation_kl
 
 
 def criterion_levels(Z: np.ndarray, uhat: np.ndarray, grid: TimeGrid,
@@ -249,7 +205,7 @@ def criterion_levels(Z: np.ndarray, uhat: np.ndarray, grid: TimeGrid,
     for i, lv in enumerate(levels):
         w = weight_sets[i]
         mask = masks[i]
-        e = np.einsum("mkd,mkd,mk->m", uhat, uhat, mask.astype(float)) * dt
+        e = path_energies(uhat, dt, mask)
         qi = q[slot_of[i]]
         energy, energy_se = _weighted_mean_se(w, 0.5 * e)
         entropy, entropy_se = _weighted_mean_se(w, 0.5 * qi)

@@ -5,8 +5,7 @@ the observation history.  Models whose drift already reads only the
 observation get it for free; the linear-Gaussian hidden model has an exact
 Kalman filter; a single Gaussian factor has a conjugate closed form; the
 uniform-seed head of the iterated-fractional-part model has a truncated
-normal posterior; everything else with exogenous hidden randomness can be
-filtered by a particle method with causal Girsanov weights.
+normal posterior.  Every built-in model has one of these exact filters.
 
 The second-level machinery regresses filtered drift values on features of
 the innovation history under ensemble weights.  Projecting on a feature
@@ -23,13 +22,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import ndtr
 
-from .core import (
-    LANE_PARTICLE,
-    AdaptedSamples,
-    Path,
-    RandomStream,
-    TimeGrid,
-)
+from .core import AdaptedSamples, Path, TimeGrid
 from .errors import (
     ConfigurationError,
     DegeneracyError,
@@ -48,7 +41,6 @@ __all__ = [
     "SecondLevelFit",
     "riccati_sequence",
     "kalman_bucy_filter",
-    "particle_conditional_drift",
     "identity_feedback",
     "ensemble_conditional_drift",
     "innovation",
@@ -63,15 +55,11 @@ __all__ = [
 class FilterEstimate:
     """Estimated conditional drift for one path.
 
-    values row k depends only on the observation up to t_k.  `ess` holds
-    the per-step effective sample size for particle estimates (None for
-    exact methods, whose particle_count is 0).
+    values row k depends only on the observation up to t_k.
     """
 
     values: AdaptedSamples
     method: str
-    particle_count: int = 0
-    ess: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -81,15 +69,13 @@ class EnsembleFilter:
     grid: TimeGrid
     values: np.ndarray
     method: str
-    particle_count: int = 0
 
     @property
     def size(self) -> int:
         return self.values.shape[0]
 
     def path(self, i: int) -> FilterEstimate:
-        return FilterEstimate(AdaptedSamples(self.grid, self.values[i]),
-                              self.method, self.particle_count)
+        return FilterEstimate(AdaptedSamples(self.grid, self.values[i]), self.method)
 
 
 def riccati_sequence(beta: float, sigma: float, grid: TimeGrid,
@@ -187,77 +173,8 @@ def identity_feedback(record: AdaptedSamples) -> FilterEstimate:
     return FilterEstimate(record, "identity-feedback")
 
 
-def particle_conditional_drift(model: DriftModel, U: Path, particles: int,
-                               stream: RandomStream) -> FilterEstimate:
-    """Particle estimate of the conditional drift given the observation.
-
-    Particles are prior drift scenarios (aux and hidden randomness only;
-    the model must not read the observation).  Particle j carries the
-    causal Girsanov log-weight  sum_k u'_k(j) dU_k - 1/2 sum_k u'_k(j)^2 dt
-    accumulated over the increments already seen; the estimate at step k is
-    the weighted mean of the particle drift values using weights known at
-    t_k.  Systematic resampling fires when the effective sample size drops
-    below half the cloud.
-    """
-    if model.reads_observation:
-        raise UsageError(
-            f"model {model.name} reads the observation; use identity_feedback "
-            "or an exact filter instead of a prior-scenario particle cloud"
-        )
-    if particles < 100:
-        raise UsageError(f"particle filter needs at least 100 particles, got {particles}")
-    grid = U.grid
-    if U.dimension != model.d:
-        raise ShapeError("observation dimension does not match the model")
-    N, d, J = grid.steps, model.d, int(particles)
-    dt = grid.dt
-    rng = stream.lane(LANE_PARTICLE).generator()
-
-    aux = model.sample_aux(rng, J) if model.aux_dim else np.empty((J, 0))
-    hidden = model.sample_hidden(rng, grid, J) if model.needs_hidden() else None
-    # prior drift scenarios never read U, so a zero history is fine
-    zeros = np.zeros((J, N + 1, d))
-    u_part = np.empty((J, N, d))
-    state = model.start(grid, aux, hidden)
-    for k in range(N):
-        u_part[:, k, :] = model.drift(k, grid, zeros, zeros, aux, hidden, state)
-
-    dU = U.increments()
-    logw = np.zeros(J)
-    out = np.empty((N, d))
-    ess = np.empty(N)
-    for k in range(N):
-        w = _normalized_weights(logw, step=k)
-        out[k] = w @ u_part[:, k, :]
-        uk = u_part[:, k, :]
-        logw = logw + uk @ dU[k] - 0.5 * np.einsum("jd,jd->j", uk, uk) * dt
-        w = _normalized_weights(logw, step=k)
-        ess[k] = 1.0 / np.sum(w**2)
-        if ess[k] < J / 2:
-            idx = _systematic_resample(w, rng)
-            u_part = u_part[idx]
-            logw = np.zeros(J)
-    return FilterEstimate(AdaptedSamples(grid, out), "particle", J, ess)
-
-
-def _normalized_weights(logw: np.ndarray, step: int) -> np.ndarray:
-    top = np.max(logw)
-    if not np.isfinite(top):
-        raise DegeneracyError("all particle weights underflowed", step=step)
-    w = np.exp(logw - top)
-    return w / w.sum()
-
-
-def _systematic_resample(w: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    J = len(w)
-    positions = (np.arange(J) + rng.uniform()) / J
-    return np.searchsorted(np.cumsum(w), positions)
-
-
-def ensemble_conditional_drift(model: DriftModel, sim: EnsembleSimulation,
-                               particles: int = 0,
-                               stream: Optional[RandomStream] = None) -> EnsembleFilter:
-    """Filtered drift for a whole ensemble, via the best method available."""
+def ensemble_conditional_drift(model: DriftModel, sim: EnsembleSimulation) -> EnsembleFilter:
+    """Filtered drift for a whole ensemble, via the model's exact filter."""
     if model.observation_adapted:
         return EnsembleFilter(sim.grid, sim.drift, "identity-feedback")
     if isinstance(model, KalmanBucy):
@@ -270,15 +187,7 @@ def ensemble_conditional_drift(model: DriftModel, sim: EnsembleSimulation,
         return EnsembleFilter(sim.grid, vals[:, :, None], "exact-gaussian")
     if isinstance(model, Tsirelson):
         return EnsembleFilter(sim.grid, _tsirelson_values(model, sim), "exact-head")
-    if particles and stream is not None:
-        vals = np.empty_like(sim.drift)
-        for i in range(sim.size):
-            est = particle_conditional_drift(
-                model, Path(sim.grid, sim.U[i]), particles,
-                RandomStream(stream.seed, stream.substream + i))
-            vals[i] = est.values.values
-        return EnsembleFilter(sim.grid, vals, "particle", particles)
-    raise UsageError(f"no exact filter for model {model.name}; pass a particle count")
+    raise UsageError(f"no exact filter for model {model.name}")
 
 
 def innovation_values(U: np.ndarray, uhat: np.ndarray, dt: float) -> np.ndarray:

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import AdaptedSamples, Path
+from .core import AdaptedSamples, Path, path_energies
 from .errors import DegeneracyError, NumericalError, ShapeError, UsageError
 from .filtering import FilterEstimate
 
@@ -104,7 +104,7 @@ def log_weights_ensemble(uhat: np.ndarray, Z: np.ndarray, dt: float) -> np.ndarr
     with np.errstate(invalid="ignore", over="ignore"):
         dZ = np.diff(Z, axis=1)
         ito = np.einsum("mkd,mkd->m", uhat, dZ)
-        en = np.einsum("mkd,mkd->m", uhat, uhat) * dt
+        en = path_energies(uhat, dt)
         out = -ito - 0.5 * en
     if not np.all(np.isfinite(out)):
         raise NumericalError("non-finite log-weight encountered")
@@ -149,8 +149,7 @@ def localize(filtered: FilterEstimate, rule: StoppingRule) -> FilterEstimate:
     vals = filtered.values.values[None]
     idx = stop_indices(vals, filtered.values.grid.dt, rule.threshold)
     out = localize_values(vals, idx)[0]
-    return FilterEstimate(AdaptedSamples(filtered.values.grid, out),
-                          filtered.method, filtered.particle_count, filtered.ess)
+    return FilterEstimate(AdaptedSamples(filtered.values.grid, out), filtered.method)
 
 
 def normalization_diagnostic(log_weights: np.ndarray) -> NormalizationDiagnostic:

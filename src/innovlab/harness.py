@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .core import RandomStream, TimeGrid
+from .core import RandomStream, TimeGrid, path_energies
 from .criterion import (
     DEFAULT_LEVELS,
     GAP_FLOOR,
@@ -38,21 +38,20 @@ from .criterion import (
     classify_level,
     criterion_levels,
     criterion_verdict,
-    gaussian_path_kl,
     inequality_check,
 )
 from .errors import ConfigurationError, InnovlabError, StageError, UsageError
 from .filtering import BasisSpec, ensemble_conditional_drift, innovation_values
 from .girsanov import log_weights_ensemble, normalization_diagnostic, reweight
-from .lingauss import is_linear_model
+from .lingauss import is_linear_model, linear_gaussian_summary
 from .models import (
     DriftModel,
     EnsembleSimulation,
+    WitnessDrift,
     make_model,
     simulate_ensemble,
 )
 from .oracle import (
-    WitnessDrift,
     base_entropy_mc,
     canonical_labels,
     conditional_energy_by_grouping,
@@ -93,7 +92,6 @@ class ExperimentConfig:
     grid_n: int = 128
     horizon: float = 1.0
     paths: int = 20000
-    particles: int = 0
     levels: tuple = DEFAULT_LEVELS
     basis_window: int = 8
     basis_squares: bool = True
@@ -156,7 +154,7 @@ def _fmt(v) -> str:
 
 
 _LIST_FIELDS = {"levels": float, "basis_ema": float, "aux_values": float, "aux_probs": float}
-_INT_FIELDS = {"grid_n", "paths", "particles", "basis_window", "seed", "noise_nodes", "workers"}
+_INT_FIELDS = {"grid_n", "paths", "basis_window", "seed", "noise_nodes", "workers"}
 _FLOAT_FIELDS = {"horizon", "ridge", "gap_floor", "crosscheck_tol"}
 _BOOL_FIELDS = {"basis_squares", "basis_cubes", "write_paths"}
 _STR_FIELDS = {"model", "outdir", "mode", "erasure"}
@@ -253,8 +251,6 @@ class ResultRecord:
 
 
 def resolve_model(name: str, params: dict) -> DriftModel:
-    if name == WitnessDrift.name:
-        return WitnessDrift(**params)
     return make_model(name, **params)
 
 
@@ -330,8 +326,7 @@ def run_experiment(config: ExperimentConfig, persist: bool = True) -> ResultReco
 def _run_continuous(config, model, grid) -> ResultRecord:
     sim = _stage("simulate", _simulate_chunked, model, grid, config.paths,
                  config.seed, config.workers)
-    filt = _stage("filter", ensemble_conditional_drift, model, sim,
-                  config.particles, RandomStream(seed=config.seed + 1))
+    filt = _stage("filter", ensemble_conditional_drift, model, sim)
     Z = _stage("innovation", innovation_values, sim.U, filt.values, grid.dt)
     reports = _stage("criterion", criterion_levels, Z, filt.values, grid,
                      config.levels, config.basis(), config.gap_floor,
@@ -346,18 +341,16 @@ def _run_continuous(config, model, grid) -> ResultRecord:
         "workers": config.workers,
     }
     if is_linear_model(model):
-        diagnostics["gaussian_path_kl"] = gaussian_path_kl(model, grid)
-        diagnostics["gaussian_observation_kl"] = gaussian_path_kl(model, grid, "observation")
+        exact = linear_gaussian_summary(model, grid)
+        diagnostics["gaussian_path_kl"] = exact.innovation_kl
+        diagnostics["gaussian_observation_kl"] = exact.observation_kl
 
     rows = [_level_row(r, config.model) for r in reports]
     if config.write_paths:
         diagnostics["paths_file"] = "paths.csv"
-    record = ResultRecord(config.digest(), config.model, config.mode, verdict,
-                          rows, diagnostics, 0.0)
-    if config.write_paths:
-        record = replace(record, diagnostics=diagnostics)
         _write_paths_csv(config, sim, filt, Z, grid)
-    return record
+    return ResultRecord(config.digest(), config.model, config.mode, verdict,
+                        rows, diagnostics, 0.0)
 
 
 def _discrete_parts(config, model, grid):
@@ -397,7 +390,7 @@ def _run_discrete(config, model, grid) -> ResultRecord:
     gap_se = float(np.hypot(base_se, push_se))
     ens = reweight(lw)
     diag = normalization_diagnostic(lw)
-    e_terms = np.einsum("mkd,mkd->m", uhat, uhat) * grid.dt
+    e_terms = path_energies(uhat, grid.dt)
     energy_mc = 0.5 * float(ens.weights @ e_terms)
     verdict = classify_level(gap, gap_se, config.gap_floor)
 
@@ -472,7 +465,7 @@ def _persist(config: ExperimentConfig, record: ResultRecord) -> None:
 def _write_paths_csv(config, sim, filt, Z, grid):
     outdir = resolve_outdir(config)
     outdir.mkdir(parents=True, exist_ok=True)
-    e = np.einsum("mkd,mkd->m", filt.values, filt.values) * grid.dt
+    e = path_energies(filt.values, grid.dt)
     lw = log_weights_ensemble(filt.values, Z, grid.dt)
     with (outdir / "paths.csv").open("w") as fh:
         fh.write("path,log_weight,drift_energy,terminal_innovation\n")

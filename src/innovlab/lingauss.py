@@ -9,9 +9,12 @@ sampling measure and under the tilted measure, and relative entropies
 against the reference law of independent N(0, dt) increments reduce to
 finite-dimensional Gaussian algebra.
 
-Everything here mirrors the *discrete* recursions of `models` and
-`filtering` (same Euler steps, same filter gains), so the numbers are exact
-for the simulated system rather than for its continuous-time limit.
+The affine maps are not re-derived here: they are read off by running the
+pipeline's own Euler recursion (`models.run_euler`) and filter
+(`filtering.ensemble_conditional_drift`) on the zero vector and the unit
+vectors of the primitive basis.  The numbers are therefore exact for the
+simulated system rather than for its continuous-time limit, and a change
+to a filter changes the oracle with it.
 """
 
 from __future__ import annotations
@@ -19,11 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from .core import TimeGrid
 from .errors import NumericalError, UnsupportedModelError
-from .filtering import riccati_sequence
+from .filtering import ensemble_conditional_drift
 from .models import (
     DeterministicDrift,
     DriftModel,
@@ -31,6 +34,7 @@ from .models import (
     KalmanBucy,
     LinearFeedback,
     ZeroDrift,
+    run_euler,
 )
 
 __all__ = ["LinearGaussianSummary", "linear_gaussian_summary", "is_linear_model"]
@@ -73,139 +77,35 @@ def _require_linear(model):
         raise UnsupportedModelError("linear Gaussian oracle handles dimension 1")
 
 
-def _filter_rows(model, grid, dU_rows, dU_const):
-    """Filtered drift as affine functions of whatever basis dU lives in.
+def _affine_rows(model, grid):
+    """Every pipeline quantity as an affine function of the primitive vector.
 
-    dU_rows: (N, n) coefficient rows of the observation increments over the
-    basis; dU_const: (N,) constant offsets.  Mirrors the discrete filters
-    of `filtering` gain for gain.
+    A linear model is affine in G = (aux draws, hidden noise, dB), whose
+    coordinates are independent with variances (1, dt, dt).  Pushing G = 0
+    and each unit vector through `run_euler` and `ensemble_conditional_drift`
+    as one ensemble gives, per quantity, the constant (member 0) and the
+    coefficient rows (member j minus member 0) over G.
+
+    Returns the (rows (N, n), const (N,)) pairs of the observation
+    increments, the drift and the filtered drift, the variances of G, and
+    the slice of G holding the Brownian increments.
     """
-    N, n = dU_rows.shape
-    dt = grid.dt
-    rows = np.zeros((N, n))
-    const = np.zeros(N)
-    if isinstance(model, ZeroDrift):
-        return rows, const
-    if isinstance(model, DeterministicDrift):
-        const[:] = model.h(grid.left_times)
-        return rows, const
-    if isinstance(model, LinearFeedback):
-        U_row, U_c = np.zeros(n), 0.0
-        for k in range(N):
-            rows[k] = -model.a * U_row
-            const[k] = -model.a * U_c
-            U_row = U_row + dU_rows[k]
-            U_c = U_c + dU_const[k]
-        return rows, const
-    if isinstance(model, IndependentDrift):
-        g = model.g(grid.left_times)
-        num_row, num_c, den = np.zeros(n), 0.0, 1.0
-        for k in range(N):
-            rows[k] = g[k] * num_row / den
-            const[k] = g[k] * num_c / den
-            num_row = num_row + g[k] * dU_rows[k]
-            num_c = num_c + g[k] * dU_const[k]
-            den = den + g[k] ** 2 * dt
-        return rows, const
-    # KalmanBucy
-    P = riccati_sequence(model.beta, model.sigma, grid, p0=model.x0_var)
-    x_row, x_c = np.zeros(n), 0.0
-    for k in range(N):
-        rows[k] = x_row
-        const[k] = x_c
-        x_row = x_row * (1.0 - model.beta * dt - P[k] * dt) + P[k] * dU_rows[k]
-        x_c = x_c * (1.0 - model.beta * dt - P[k] * dt) + P[k] * dU_const[k]
-    return rows, const
+    N, dt = grid.steps, grid.dt
+    hidden_n = N if model.needs_hidden() else 0
+    n = model.aux_dim + hidden_n + N
+    basis = np.vstack([np.zeros(n), np.eye(n)])
+    aux = basis[:, :model.aux_dim]
+    hidden = basis[:, model.aux_dim:model.aux_dim + hidden_n] if hidden_n else None
+    iB = slice(model.aux_dim + hidden_n, n)
+    sim = run_euler(model, grid, basis[:, iB, None], aux, hidden)
+    filt = ensemble_conditional_drift(model, sim)
+    var = np.concatenate([np.ones(model.aux_dim), np.full(hidden_n + N, dt)])
 
+    def split(values):
+        x = values[:, :, 0]
+        return (x[1:] - x[0]).T, x[0]
 
-def _primitive_rows(model, grid):
-    """Drift and observation increments over the primitive Gaussian basis.
-
-    The primitive vector G concatenates, depending on the model, auxiliary
-    standard Gaussians, hidden driving noise, and the Brownian increments.
-    Returns (dU_rows, dU_const, drift_rows, drift_const, variances).
-    """
-    N = grid.steps
-    dt = grid.dt
-    if isinstance(model, (ZeroDrift, DeterministicDrift, LinearFeedback)):
-        n, iB = N, 0  # G = dB
-        var = np.full(N, dt)
-    elif isinstance(model, IndependentDrift):
-        n, iB = 1 + N, 1  # G = (theta, dB)
-        var = np.concatenate([[1.0], np.full(N, dt)])
-    else:  # KalmanBucy
-        n, iB = 1 + 2 * N, 1 + N  # G = (x0 unit, dV, dB)
-        var = np.concatenate([[1.0], np.full(2 * N, dt)])
-
-    drift_rows = np.zeros((N, n))
-    drift_const = np.zeros(N)
-    if isinstance(model, DeterministicDrift):
-        drift_const[:] = model.h(grid.left_times)
-    elif isinstance(model, IndependentDrift):
-        drift_rows[:, 0] = model.g(grid.left_times)
-    elif isinstance(model, KalmanBucy):
-        x_row = np.zeros(n)
-        x_row[0] = np.sqrt(model.x0_var)
-        for k in range(N):
-            drift_rows[k] = x_row
-            x_row = x_row * (1.0 - model.beta * dt)
-            x_row[1 + k] += model.sigma  # sigma * dV_k enters X_{k+1}
-    elif isinstance(model, LinearFeedback):
-        U_row = np.zeros(n)
-        for k in range(N):
-            drift_rows[k] = -model.a * U_row
-            dU_row = drift_rows[k] * dt
-            dU_row[iB + k] += 1.0
-            U_row = U_row + dU_row
-
-    dU_rows = drift_rows * dt
-    dU_rows[:, iB:iB + N] += np.eye(N)
-    dU_const = drift_const * dt
-    return dU_rows, dU_const, drift_rows, drift_const, var
-
-
-def _filter_rows_in_z(model, grid):
-    """Filtered drift as affine functions of the innovation increments.
-
-    Uses the triangular relation dU_k = dZ_k + uhat_k dt, where uhat_k
-    depends only on earlier observation increments; the filter recursion is
-    replayed with basis rows in place of numbers.
-    """
-    N = grid.steps
-    dt = grid.dt
-    if isinstance(model, (ZeroDrift, DeterministicDrift)):
-        b = np.zeros(N)
-        if isinstance(model, DeterministicDrift):
-            b[:] = model.h(grid.left_times)
-        return np.zeros((N, N)), b
-    a_rows = np.zeros((N, N))
-    if isinstance(model, LinearFeedback):
-        U_row = np.zeros(N)
-        for k in range(N):
-            a_rows[k] = -model.a * U_row
-            dU_row = a_rows[k] * dt
-            dU_row[k] += 1.0
-            U_row = U_row + dU_row
-        return a_rows, np.zeros(N)
-    if isinstance(model, IndependentDrift):
-        g = model.g(grid.left_times)
-        num_row, den = np.zeros(N), 1.0
-        for k in range(N):
-            a_rows[k] = g[k] * num_row / den
-            dU_row = a_rows[k] * dt
-            dU_row[k] += 1.0
-            num_row = num_row + g[k] * dU_row
-            den = den + g[k] ** 2 * dt
-        return a_rows, np.zeros(N)
-    # KalmanBucy
-    P = riccati_sequence(model.beta, model.sigma, grid, p0=model.x0_var)
-    x_row = np.zeros(N)
-    for k in range(N):
-        a_rows[k] = x_row
-        dU_row = a_rows[k] * dt
-        dU_row[k] += 1.0
-        x_row = x_row * (1.0 - model.beta * dt) + P[k] * (dU_row - x_row * dt)
-    return a_rows, np.zeros(N)
+    return split(sim.dU), split(sim.drift), split(filt.values), var, iB
 
 
 def _expected_square(rows, const, cov, mean):
@@ -221,8 +121,8 @@ def linear_gaussian_summary(model: DriftModel, grid: TimeGrid) -> LinearGaussian
     N = grid.steps
     dt = grid.dt
 
-    dU_rows, dU_const, drift_rows, drift_const, var = _primitive_rows(model, grid)
-    uhat_rows, uhat_const = _filter_rows(model, grid, dU_rows, dU_const)
+    ((dU_rows, dU_const), (drift_rows, drift_const), (uhat_rows, uhat_const),
+     var, iB) = _affine_rows(model, grid)
     dZ_rows = dU_rows - dt * uhat_rows
     dZ_const = dU_const - dt * uhat_const
 
@@ -231,7 +131,12 @@ def linear_gaussian_summary(model: DriftModel, grid: TimeGrid) -> LinearGaussian
     C = 0.5 * (C + C.T)
     mean0 = dZ_const  # identically zero for the built-in linear models
 
-    a_rows, b = _filter_rows_in_z(model, grid)
+    # the filtered drift reads only the observation, which the innovation
+    # determines through a unit lower-triangular map: on the Brownian block
+    # uhat_B = a dZ_B, so the rows in terms of the innovation are a
+    a_rows = solve_triangular(dZ_rows[:, iB], uhat_rows[:, iB].T, trans="T",
+                              lower=True, unit_diagonal=True).T
+    b = uhat_const - a_rows @ dZ_const
 
     # tilt: -log rho = 1/2 S'AS + c'S + r over S = innovation increments
     M = a_rows.T

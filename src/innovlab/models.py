@@ -288,6 +288,32 @@ class Tsirelson(DriftModel):
         return state["slope"][:, None].copy()
 
 
+class WitnessDrift(DriftModel):
+    """One-sided feedback: no drift on the first step, a unit kick on the
+    second step when the first observed increment was positive.
+
+    Observation-adapted, so the filtered drift is the drift itself and the
+    tilt density is a function of the observation path.
+    """
+
+    name = "witness-one-sided"
+    kind = "feedback"
+    reads_observation = True
+    observation_adapted = True
+
+    def __init__(self, kick=1.0):
+        self.kick = float(kick)
+
+    def parameters(self):
+        return {"kick": self.kick}
+
+    def drift(self, k, grid, U, B, aux, hidden, state):
+        m = U.shape[0]
+        if k == 0:
+            return np.zeros((m, 1))
+        return self.kick * (U[:, 1, 0] > 0).astype(float)[:, None]
+
+
 @dataclass(frozen=True)
 class SimulationOutput:
     """One simulated path of the pair (B, U) with its drift record.
@@ -410,6 +436,7 @@ _REGISTRY = {
     "kalman-bucy": KalmanBucy,
     "independent": IndependentDrift,
     "tsirelson": Tsirelson,
+    WitnessDrift.name: WitnessDrift,
 }
 
 MODEL_NAMES = tuple(_REGISTRY)

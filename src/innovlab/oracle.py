@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import LANE_AUX, LANE_NOISE, RandomStream, TimeGrid
+from .core import LANE_AUX, LANE_NOISE, RandomStream, TimeGrid, path_energies
 from .errors import (
     AbsoluteContinuityError,
     ConfigurationError,
@@ -34,7 +34,7 @@ from .errors import (
 )
 from .filtering import EnsembleFilter
 from .girsanov import log_weights_ensemble
-from .models import DriftModel, EnsembleSimulation, run_euler
+from .models import DriftModel, EnsembleSimulation, WitnessDrift, run_euler
 
 __all__ = [
     "ROUND_DECIMALS",
@@ -176,7 +176,7 @@ class AtomSpace:
         return len(self.probs)
 
     def energy_terms(self) -> np.ndarray:
-        return np.einsum("akd,akd->a", self.uhat, self.uhat) * self.grid.dt
+        return path_energies(self.uhat, self.grid.dt)
 
     def system(self, relabel: Optional[Callable[[np.ndarray], np.ndarray]] = None,
                tag: str = "") -> FiniteSystem:
@@ -527,32 +527,6 @@ def estimator_crosscheck(space: AtomSpace, sim: EnsembleSimulation,
 
 
 # --------------------------------------------------------------------- witness
-
-class WitnessDrift(DriftModel):
-    """One-sided feedback: no drift on the first step, a unit kick on the
-    second step when the first observed increment was positive.
-
-    Observation-adapted, so the filtered drift is the drift itself and the
-    tilt density is a function of the observation path.
-    """
-
-    name = "witness-one-sided"
-    kind = "feedback"
-    reads_observation = True
-    observation_adapted = True
-
-    def __init__(self, kick=1.0):
-        self.kick = float(kick)
-
-    def parameters(self):
-        return {"kick": self.kick}
-
-    def drift(self, k, grid, U, B, aux, hidden, state):
-        m = U.shape[0]
-        if k == 0:
-            return np.zeros((m, 1))
-        return self.kick * (U[:, 1, 0] > 0).astype(float)[:, None]
-
 
 def witness_labels(Z: np.ndarray) -> np.ndarray:
     """Information-erasing observation: keep only |Z(1)|, forget its sign."""

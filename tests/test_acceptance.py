@@ -118,13 +118,13 @@ def test_criterion_3_equality_iff_measurability():
                      f"(equality {equal_cnt}, strict {strict_cnt})")
 
 
-def test_criterion_4_positive_gap_witness():
+def test_criterion_4_positive_gap_witness(tmp_path):
     t0 = time.time()
     _, system = witness_space()
     exact = dpi_verdict(system)
     cfg = ExperimentConfig(model=WitnessDrift.name, mode="discrete", grid_n=2,
                            paths=100_000, noise_nodes=2, erasure="sign-terminal",
-                           seed=SEED, outdir="runs/acceptance/witness")
+                           seed=SEED, outdir=str(tmp_path))
     rec = run_experiment(cfg)
     gap_mc = rec.levels[0]["gap"]
     rel = abs(gap_mc - exact.gap) / exact.gap

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from innovlab.core import RandomStream, TimeGrid
+from innovlab.core import RandomStream, TimeGrid, path_energies
 from innovlab.criterion import (
     EQUALITY_CONSISTENT,
     INCONCLUSIVE,
@@ -10,8 +10,6 @@ from innovlab.criterion import (
     classify_level,
     criterion_levels,
     criterion_verdict,
-    energy_under_nu,
-    entropy_jensen_estimator,
     gaussian_path_kl,
     inequality_check,
 )
@@ -23,6 +21,19 @@ from innovlab.models import make_model, simulate_ensemble
 # frozen reference: exact innovation-law relative entropy of the discretized
 # hidden Ornstein-Uhlenbeck model (beta = sigma = 1) on 128 steps
 KB_KL_N128 = 0.0245120405313628
+
+# frozen references: every exact functional of two more linear models on 128
+# steps (independent with constant g = 1, linear-feedback with a = 1)
+FROZEN_SUMMARIES_N128 = {
+    "independent": ({}, dict(
+        innovation_kl=0.09829150165535339, observation_kl=0.15342640972005483,
+        energy_under_nu=0.09651769391159695, energy_under_p=0.152447939885946,
+        drift_energy_under_p=0.5, rho_mean=1.0004886316490118)),
+    "linear-feedback": ({"a": 1.0}, dict(
+        innovation_kl=0.248046875, observation_kl=0.14191455446882628,
+        energy_under_nu=0.24804687500000022, energy_under_p=0.14191455446880596,
+        drift_energy_under_p=0.14191455446880596, rho_mean=1.0000000000000009)),
+}
 
 
 def _pipeline(name, N, M, seed=11, **params):
@@ -36,36 +47,48 @@ def _pipeline(name, N, M, seed=11, **params):
 
 # ------------------------------------------------------------------ estimators
 
+def _random_innovation(m, N, seed=0):
+    inc = np.random.default_rng(seed).normal(0.0, np.sqrt(1.0 / N), size=(m, N, 1))
+    return np.concatenate([np.zeros((m, 1, 1)), np.cumsum(inc, axis=1)], axis=1)
+
+
+def test_path_energies_masked_and_unmasked():
+    x = np.arange(6.0).reshape(2, 3, 1)
+    assert np.array_equal(path_energies(x, 0.5), [2.5, 25.0])
+    mask = np.array([[True, False, True], [False, True, False]])
+    assert np.array_equal(path_energies(x, 0.5, mask), [2.0, 8.0])
+
+
 def test_energy_under_nu_zero_drift():
-    w = np.full(10, 0.1)
-    e, se = energy_under_nu(w, np.zeros((10, 4, 1)), dt=0.25)
-    assert e == 0.0 and se == 0.0
+    grid = TimeGrid(steps=4)
+    r = criterion_levels(_random_innovation(100, 4), np.zeros((100, 4, 1)), grid,
+                         levels=(np.inf,))[0]
+    assert r.energy == 0.0 and r.energy_se == 0.0
 
 
 def test_energy_under_nu_unit_drift_is_half_regardless_of_weights():
-    rng = np.random.default_rng(0)
-    w = rng.uniform(0.1, 1.0, size=50)
-    w /= w.sum()
-    e, se = energy_under_nu(w, np.ones((50, 8, 1)), dt=1 / 8)
-    assert e == pytest.approx(0.5, abs=1e-12)
-    assert se == pytest.approx(0.0, abs=1e-12)
+    # the unit drift tilts the weights away from uniform; its energy does not
+    # depend on them
+    grid = TimeGrid(steps=8)
+    r = criterion_levels(_random_innovation(200, 8), np.ones((200, 8, 1)), grid,
+                         levels=(np.inf,))[0]
+    assert r.ess < 200 - 1
+    assert r.energy == pytest.approx(0.5, abs=1e-12)
+    assert r.energy_se == pytest.approx(0.0, abs=1e-12)
 
 
 def test_energy_under_nu_matches_gaussian_oracle_for_kalman():
     # closed-form Gaussian moments are the oracle for the tilted energy
     grid, model, sim, filt, Z = _pipeline("kalman-bucy", 64, 20000, seed=3)
-    from innovlab.girsanov import log_weights_ensemble, reweight
-
-    lw = log_weights_ensemble(filt.values, Z, grid.dt)
-    ens = reweight(lw)
-    e, se = energy_under_nu(ens.weights, filt.values, grid.dt)
+    r = criterion_levels(Z, filt.values, grid, levels=(np.inf,))[0]
     exact = linear_gaussian_summary(model, grid).energy_under_nu
-    assert abs(e - exact) <= 3 * se
+    assert abs(r.energy - exact) <= 3 * r.energy_se
 
 
 def test_entropy_jensen_zero_and_exact_deterministic():
-    w = np.full(100, 0.01)
-    h, se = entropy_jensen_estimator(w, np.zeros((100, 4, 1)), dt=0.25)
+    grid = TimeGrid(steps=4)
+    h = criterion_levels(_random_innovation(100, 4), np.zeros((100, 4, 1)), grid,
+                         levels=(np.inf,))[0].entropy
     assert h == 0.0
     # unit-energy deterministic drift: fits reproduce the constant exactly
     grid, model, sim, filt, Z = _pipeline("deterministic", 128, 500)
@@ -76,22 +99,25 @@ def test_entropy_jensen_zero_and_exact_deterministic():
     assert r.entropy_se == pytest.approx(0.0, abs=1e-12)
 
 
-def test_entropy_jensen_requires_fits():
-    with pytest.raises(UsageError):
-        entropy_jensen_estimator(np.ones(4) / 4, None, dt=0.5)
-
-
 def test_jensen_estimator_tracks_enumeration_kl_on_quantized_instance():
     # quantized deterministic instance: the regression reproduces the
     # constant drift, so the estimate is half the energy; enumeration gives
     # the exact quantized relative entropy, within 5% of it
-    from innovlab.oracle import dpi_verdict, enumerate_atoms, gauss_quantized
+    from innovlab.oracle import (
+        dpi_verdict,
+        enumerate_atoms,
+        gauss_quantized,
+        sample_quantized_ensemble,
+    )
 
     g3 = TimeGrid(steps=3)
     model = make_model("deterministic", shape="constant", value=1.0)
-    space = enumerate_atoms(model, g3, gauss_quantized(3, g3.dt))
+    noise = gauss_quantized(3, g3.dt)
+    space = enumerate_atoms(model, g3, noise)
     exact_kl = dpi_verdict(space.system()).pushforward_entropy
-    jensen = 0.5  # exact output of the estimator for a unit constant drift
+    sim = sample_quantized_ensemble(model, g3, 2000, RandomStream(seed=5), noise)
+    Z = innovation_values(sim.U, sim.drift, g3.dt)
+    jensen = criterion_levels(Z, sim.drift, g3, levels=(np.inf,))[0].entropy
     assert abs(jensen - exact_kl) / exact_kl < 0.05
 
 
@@ -112,6 +138,14 @@ def test_gaussian_path_kl_deterministic_exact(value):
 def test_gaussian_path_kl_kalman_frozen_constant():
     got = gaussian_path_kl(make_model("kalman-bucy", beta=1.0, sigma=1.0), TimeGrid(steps=128))
     assert got == pytest.approx(KB_KL_N128, abs=1e-10)
+
+
+@pytest.mark.parametrize("name", FROZEN_SUMMARIES_N128)
+def test_linear_gaussian_summary_frozen_fields(name):
+    params, expected = FROZEN_SUMMARIES_N128[name]
+    got = linear_gaussian_summary(make_model(name, **params), TimeGrid(steps=128))
+    for field, value in expected.items():
+        assert getattr(got, field) == pytest.approx(value, abs=1e-10), field
 
 
 def test_gaussian_path_kl_rejects_nonlinear():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from innovlab.core import AdaptedSamples, Path, RandomStream, TimeGrid, cumsum0
+from innovlab.core import AdaptedSamples, Path, RandomStream, TimeGrid
 from innovlab.errors import DegeneracyError, ShapeError, StabilityError, UsageError
 from innovlab.filtering import (
     BasisSpec,
@@ -9,7 +9,6 @@ from innovlab.filtering import (
     identity_feedback,
     innovation,
     kalman_bucy_filter,
-    particle_conditional_drift,
     riccati_sequence,
     second_level_conditional,
     step_features,
@@ -53,72 +52,6 @@ def test_kalman_filter_mse_matches_riccati():
     err = sim.drift[:, N - 1, 0] - filt.values[:, N - 1, 0]
     P = riccati_sequence(1.0, 1.0, g)
     assert np.mean(err**2) == pytest.approx(P[N - 1], rel=0.05)
-
-
-# ---------------------------------------------------------------- particle
-
-def test_particle_filter_is_exact_for_deterministic_drift():
-    g = TimeGrid(steps=8)
-    model = make_model("deterministic", shape="linear", intercept=0.3, slope=0.5)
-    out = simulate(model, g, STREAM)
-    est = particle_conditional_drift(model, out.observation, 200, STREAM)
-    assert np.allclose(est.values.values, out.drift.values, atol=1e-12)
-    assert est.particle_count == 200
-    assert np.all(est.ess > 0) and np.all(est.ess <= 200)
-
-
-def test_particle_filter_matches_exact_kalman():
-    # exact filter is the oracle: sup-norm gap below 0.05 at 1e4 particles
-    g = TimeGrid(steps=128)
-    model = make_model("kalman-bucy", beta=1.0, sigma=1.0)
-    out = simulate(model, g, RandomStream(seed=77, substream=0))
-    exact = kalman_bucy_filter(out.observation, 1.0, 1.0)
-    part = particle_conditional_drift(model, out.observation, 10_000,
-                                      RandomStream(seed=78, substream=0))
-    gap = np.max(np.abs(part.values.values - exact.values.values))
-    assert gap < 0.05
-
-
-def test_particle_filter_error_shrinks_with_more_particles():
-    g = TimeGrid(steps=64)
-    model = make_model("kalman-bucy", beta=1.0, sigma=1.0)
-    errs = {J: [] for J in (500, 2000, 8000)}
-    for seed in range(4):
-        out = simulate(model, g, RandomStream(seed=100 + seed, substream=0))
-        exact = kalman_bucy_filter(out.observation, 1.0, 1.0).values.values
-        for J in errs:
-            part = particle_conditional_drift(model, out.observation, J,
-                                              RandomStream(seed=500 + seed, substream=0))
-            errs[J].append(np.max(np.abs(part.values.values - exact)))
-    means = [np.mean(errs[J]) for J in (500, 2000, 8000)]
-    assert means[0] > means[1] > means[2]
-
-
-def test_particle_filter_matches_conjugate_posterior():
-    g = TimeGrid(steps=32)
-    model = make_model("independent")
-    out = simulate(model, g, RandomStream(seed=5, substream=0))
-    est = particle_conditional_drift(model, out.observation, 20_000,
-                                     RandomStream(seed=6, substream=0))
-    t = g.left_times
-    closed = out.observation.values[:-1, 0] / (1.0 + t)
-    assert np.max(np.abs(est.values.values[:, 0] - closed)) < 0.05
-
-
-def test_particle_filter_rejects_feedback_models():
-    g = TimeGrid(steps=8)
-    model = make_model("linear-feedback")
-    out = simulate(model, g, STREAM)
-    with pytest.raises(UsageError):
-        particle_conditional_drift(model, out.observation, 200, STREAM)
-
-
-def test_particle_filter_requires_minimum_cloud():
-    g = TimeGrid(steps=8)
-    model = make_model("independent")
-    out = simulate(model, g, STREAM)
-    with pytest.raises(UsageError):
-        particle_conditional_drift(model, out.observation, 50, STREAM)
 
 
 # ---------------------------------------------------------------- exact filters
@@ -206,7 +139,6 @@ def test_innovation_shape_mismatch():
 
 def _toy_paths(m, N, seed):
     rng = np.random.default_rng(seed)
-    Z = cumsum0(rng.normal(0, 0.1, size=(m, N)).T).T  # not used; see below
     # build (m, N+1, 1) innovation-like paths
     inc = rng.normal(0.0, 0.3, size=(m, N, 1))
     Z = np.concatenate([np.zeros((m, 1, 1)), np.cumsum(inc, axis=1)], axis=1)

@@ -91,6 +91,16 @@ def test_results_csv_byte_identical_across_worker_counts(tmp_path):
     assert ra == rb
 
 
+def test_results_csv_byte_identical_across_same_process_reruns(tmp_path):
+    cfg = dict(model="kalman-bucy", model_params={"beta": 1.0, "sigma": 1.0},
+               grid_n=32, paths=400, seed=7)
+    run_experiment(ExperimentConfig(**cfg, outdir=str(tmp_path / "first")))
+    run_experiment(ExperimentConfig(**cfg, outdir=str(tmp_path / "second")))
+    first = (tmp_path / "first" / "results.csv").read_bytes()
+    second = (tmp_path / "second" / "results.csv").read_bytes()
+    assert first == second
+
+
 def test_outdir_env_override(tmp_path, monkeypatch):
     target = tmp_path / "envdir"
     monkeypatch.setenv(OUTDIR_ENV, str(target))

@@ -31,6 +31,8 @@ def test_registry_contains_expected_names():
     names = {m["name"] for m in list_models()}
     assert {"zero", "kalman-bucy", "tsirelson"} <= names
     assert {"deterministic", "linear-feedback", "independent"} <= names
+    assert "witness-one-sided" in names
+    assert make_model("witness-one-sided", kick=2.0).kick == 2.0
 
 
 def test_unknown_model_rejected():
