@@ -1,45 +1,51 @@
 """Discretized Wiener space in five minutes.
 
 Grids, Brownian paths from reproducible counter-based streams, left-point
-Ito sums, and the Cameron-Martin energy functional.
+Ito sums, and the Cameron-Martin energy functional.  Paths are stacked
+ensembles: values (m, N+1, d), rates (m, N, d); a single path is m = 1.
 """
 
 import numpy as np
 
-from innovlab import AdaptedSamples, RandomStream, TimeGrid, energy, ito_integral, primitive, sample_brownian
+from innovlab import RandomStream, TimeGrid, make_model, simulate_ensemble
+from innovlab.core import path_energies
+from innovlab.filtering import innovation_values
+from innovlab.girsanov import log_weights_ensemble
 
 # A grid is just [0, horizon] cut into N steps.
 grid = TimeGrid(steps=256)
 print(f"grid: N={grid.steps}, dt={grid.dt:.5f}, t_N={grid.times[-1]}")
 
-# Streams are pure functions of (seed, substream): same pair, same path.
+# Brownian paths are the observations of the zero-drift model.  Streams are
+# pure functions of (seed, substream): same pair, same path.
+zero = make_model("zero")
 stream = RandomStream(seed=2024, substream=0)
-B = sample_brownian(grid, d=1, stream=stream)
-B_again = sample_brownian(grid, d=1, stream=stream)
-print("bit-identical resampling:", np.array_equal(B.values, B_again.values))
+B = simulate_ensemble(zero, grid, 2, stream).U
+B_again = simulate_ensemble(zero, grid, 2, stream).U
+print("bit-identical resampling:", np.array_equal(B, B_again))
 
-# Distinct substreams are independent; that is what makes ensembles
-# reproducible no matter how they are chunked over workers.
-B1 = sample_brownian(grid, d=1, stream=RandomStream(seed=2024, substream=1))
-corr = np.corrcoef(B.increments()[:, 0], B1.increments()[:, 0])[0, 1]
-print(f"cross-substream increment correlation: {corr:+.4f}")
+# Row i of an ensemble draws from substream i, and substreams are independent;
+# that is what makes ensembles reproducible no matter how they are chunked
+# over workers.
+dB = np.diff(B[:, :, 0], axis=1)
+print(f"cross-substream increment correlation: {np.corrcoef(dB)[0, 1]:+.4f}")
 
 # The Ito sum uses the left endpoint of each step:  sum a_k (X_{k+1} - X_k).
-ones = AdaptedSamples(grid, np.ones((grid.steps, 1)))
-print(f"int 1 dB = {ito_integral(ones, B):+.5f} vs B(1) = {B.terminal()[0]:+.5f}")
+# It is the stochastic part of the Girsanov log-weight
+# log rho = -sum a_k dX_k - 1/2 sum |a_k|^2 dt.
+ones = np.ones((1, grid.steps, 1))
+ito = -(log_weights_ensemble(ones, B[:1], grid.dt) + 0.5 * path_energies(ones, grid.dt))
+print(f"int 1 dB = {ito[0]:+.5f} vs B(1) = {B[0, -1, 0]:+.5f}")
 
 # Energy is the squared Cameron-Martin norm of the primitive.
-ramp = AdaptedSamples(grid, grid.left_times[:, None])  # a'(t) = t
-print(f"energy of a'(t)=t: {energy(ramp):.5f} (continuum value 1/3)")
+ramp = grid.left_times[None, :, None]  # a'(t) = t
+print(f"energy of a'(t)=t: {path_energies(ramp, grid.dt)[0]:.5f} (continuum value 1/3)")
 
-# primitive() integrates a rate back into a path.
-path = primitive(ramp)
-print(f"primitive terminal: {path.terminal()[0]:.5f} (continuum value 1/2)")
+# The innovation subtracts the integrated rate from a path: Z = X - int a ds.
+Z = innovation_values(B[:1], ramp, grid.dt)
+print(f"X(1) - Z(1) = int_0^1 t dt: {B[0, -1, 0] - Z[0, -1, 0]:.5f} (continuum value 1/2)")
 
 # Monte Carlo sanity: terminal variance equals the horizon.
 M = 20_000
-terminal = np.array([
-    sample_brownian(grid, 1, RandomStream(seed=7, substream=i)).terminal()[0]
-    for i in range(M)
-])
+terminal = simulate_ensemble(zero, grid, M, RandomStream(seed=7)).U[:, -1, 0]
 print(f"terminal variance over {M} paths: {terminal.var():.4f} (expect 1.0)")

@@ -9,7 +9,8 @@ fractional-part construction with an independent uniform seed.
 
 import numpy as np
 
-from innovlab import RandomStream, TimeGrid, list_models, make_model, simulate, simulate_ensemble
+from innovlab import RandomStream, TimeGrid, list_models, make_model, simulate_ensemble
+from innovlab.core import path_energies
 
 for desc in list_models():
     print(f"{desc['name']:18s} kind={desc['kind']:14s} aux={desc['aux_dimension']} "
@@ -27,10 +28,10 @@ for name, params in [
     ("independent", {}),
     ("tsirelson", {"levels": 4}),
 ]:
-    out = simulate(make_model(name, **params), grid, stream)
-    drift_energy = float(np.sum(out.drift.values**2) * grid.dt)
-    print(f"  {name:16s} U(1)={out.observation.terminal()[0]:+.4f} "
-          f"B(1)={out.brownian.terminal()[0]:+.4f} |u|_H^2={drift_energy:.4f}")
+    out = simulate_ensemble(make_model(name, **params), grid, 1, stream)
+    drift_energy = path_energies(out.drift, grid.dt)[0]
+    print(f"  {name:16s} U(1)={out.U[0, -1, 0]:+.4f} "
+          f"B(1)={out.dB[0, :, 0].sum():+.4f} |u|_H^2={drift_energy:.4f}")
 
 # The defining identity holds bit-exactly on the stored increments.
 sim = simulate_ensemble(make_model("kalman-bucy"), grid, 100, stream)

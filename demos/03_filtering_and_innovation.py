@@ -13,19 +13,17 @@ from innovlab import (
     RandomStream,
     TimeGrid,
     ensemble_conditional_drift,
-    kalman_bucy_filter,
     make_model,
-    simulate,
     simulate_ensemble,
 )
-from innovlab.filtering import innovation, riccati_sequence
+from innovlab.filtering import innovation_values, riccati_sequence
 
 grid = TimeGrid(steps=128)
 model = make_model("kalman-bucy", beta=1.0, sigma=1.0)
-out = simulate(model, grid, RandomStream(seed=41, substream=0))
+one = simulate_ensemble(model, grid, 1, RandomStream(seed=41, substream=0))
 
 # Exact filter: Euler Riccati gains, started from the stationary prior.
-exact = kalman_bucy_filter(out.observation, beta=1.0, sigma=1.0)
+exact = ensemble_conditional_drift(model, one)
 P = riccati_sequence(1.0, 1.0, grid)
 print(f"Riccati stationary variance: {P[-1]:.5f} (sqrt(2)-1 = {np.sqrt(2)-1:.5f})")
 
@@ -37,19 +35,16 @@ print(f"filter mean-square error at the last step over 5000 paths: {mse:.5f} "
       f"(Riccati {P[grid.steps - 1]:.5f})")
 
 # The innovation: observation minus the integrated filtered drift.
-Z = innovation(out.observation, exact)
+Z = innovation_values(one.U, exact.values, grid.dt)
 print(f"hidden-state path vs filter estimate at t=1: "
-      f"X={out.drift.values[-1, 0]:+.4f}, Xhat={exact.values.values[-1, 0]:+.4f}")
-print(f"innovation terminal: {Z.values[-1, 0]:+.4f}")
+      f"X={one.drift[0, -1, 0]:+.4f}, Xhat={exact.values[0, -1, 0]:+.4f}")
+print(f"innovation terminal: {Z[0, -1, 0]:+.4f}")
 
 # Statistically the innovation increments look like fresh Brownian noise.
 M = 3000
-zvar = []
-for i in range(M):
-    o = simulate(model, grid, RandomStream(seed=100, substream=i))
-    est = kalman_bucy_filter(o.observation, 1.0, 1.0)
-    zvar.append(np.diff(innovation(o.observation, est).values[:, 0]))
-zvar = np.asarray(zvar)
+ens = simulate_ensemble(model, grid, M, RandomStream(seed=100))
+Z = innovation_values(ens.U, ensemble_conditional_drift(model, ens).values, grid.dt)
+zvar = np.diff(Z[:, :, 0], axis=1)
 print(f"innovation increment variance / dt over {M} paths: {zvar.var() / grid.dt:.4f}")
 
 # For a single hidden Gaussian the posterior mean is conjugate and exact.

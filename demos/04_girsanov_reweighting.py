@@ -8,8 +8,9 @@ stopping-time localization caps the filtered energy and restores it.
 
 import numpy as np
 
-from innovlab import RandomStream, StoppingRule, TimeGrid, localize, make_model, normalization_diagnostic, reweight, simulate_ensemble
-from innovlab.filtering import ensemble_conditional_drift, identity_feedback, innovation_values
+from innovlab import RandomStream, TimeGrid, make_model, normalization_diagnostic, reweight, simulate_ensemble
+from innovlab.core import path_energies
+from innovlab.filtering import ensemble_conditional_drift, innovation_values
 from innovlab.girsanov import localize_values, log_weights_ensemble, stop_indices
 
 grid = TimeGrid(steps=128)
@@ -39,8 +40,8 @@ for n in (0.5, 2.0, 8.0):
     print(f"n={n:4}: stopped {stopped:5d} paths, norm mean {d.mean:.4f} +- {d.se:.4f} "
           f"pass={d.passed}")
 
-# The one-path view of the same thing.
-one = identity_feedback(sim.path(0).drift)
-capped = localize(one, StoppingRule(threshold=0.5))
-print(f"one path: raw energy {np.sum(one.values.values**2) * grid.dt:.3f}, "
-      f"localized {np.sum(capped.values.values**2) * grid.dt:.3f}")
+# The one-path view of the same thing: an ensemble of size 1.
+one = filt.values[:1]
+capped = localize_values(one, stop_indices(one, grid.dt, 0.5))
+print(f"one path: raw energy {path_energies(one, grid.dt)[0]:.3f}, "
+      f"localized {path_energies(capped, grid.dt)[0]:.3f}")

@@ -9,8 +9,9 @@ reference values for every estimator.
 
 Module map:
 
-* ``core``      -- grids, paths, counter-based random streams, Ito sums
-* ``models``    -- the drift-model registry and the shared Euler recursion
+* ``core``      -- grids, counter-based random streams, path energies
+* ``models``    -- the drift-model registry, the shared Euler recursion and
+                   the stacked ensemble (m paths; a single path is m = 1)
 * ``filtering`` -- exact filters, innovations, second-level regressions
 * ``girsanov``  -- log-weights, stopping-time localization, reweighting
 * ``criterion`` -- entropy and energy estimators, verdicts, exact KL
@@ -22,16 +23,7 @@ Module map:
 
 __version__ = "0.1.0"
 
-from .core import (
-    AdaptedSamples,
-    Path,
-    RandomStream,
-    TimeGrid,
-    energy,
-    ito_integral,
-    primitive,
-    sample_brownian,
-)
+from .core import RandomStream, TimeGrid
 from .criterion import (
     EQUALITY_CONSISTENT,
     INCONCLUSIVE,
@@ -41,23 +33,10 @@ from .criterion import (
     criterion_verdict,
     gaussian_path_kl,
 )
-from .filtering import (
-    BasisSpec,
-    FilterEstimate,
-    ensemble_conditional_drift,
-    innovation,
-    kalman_bucy_filter,
-)
-from .girsanov import (
-    StoppingRule,
-    WeightedEnsemble,
-    girsanov_log_weight,
-    localize,
-    normalization_diagnostic,
-    reweight,
-)
+from .filtering import BasisSpec, ensemble_conditional_drift
+from .girsanov import WeightedEnsemble, normalization_diagnostic, reweight
 from .harness import ExperimentConfig, report, run_experiment, suite
-from .models import list_models, make_model, simulate, simulate_ensemble
+from .models import list_models, make_model, simulate_ensemble
 from .oracle import (
     AtomSpace,
     QuantizedNoise,
@@ -70,16 +49,13 @@ from .oracle import (
 
 __all__ = [
     "__version__",
-    "AdaptedSamples", "Path", "RandomStream", "TimeGrid",
-    "energy", "ito_integral", "primitive", "sample_brownian",
+    "RandomStream", "TimeGrid",
     "EQUALITY_CONSISTENT", "INCONCLUSIVE", "POSITIVE_GAP",
     "LevelReport", "criterion_levels", "criterion_verdict", "gaussian_path_kl",
-    "BasisSpec", "FilterEstimate", "ensemble_conditional_drift",
-    "innovation", "kalman_bucy_filter",
-    "StoppingRule", "WeightedEnsemble", "girsanov_log_weight",
-    "localize", "normalization_diagnostic", "reweight",
+    "BasisSpec", "ensemble_conditional_drift",
+    "WeightedEnsemble", "normalization_diagnostic", "reweight",
     "ExperimentConfig", "report", "run_experiment", "suite",
-    "list_models", "make_model", "simulate", "simulate_ensemble",
+    "list_models", "make_model", "simulate_ensemble",
     "AtomSpace", "QuantizedNoise", "dpi_verdict", "enumerate_atoms",
     "exact_relative_entropy", "gauss_quantized", "witness_space",
 ]

@@ -1,11 +1,12 @@
-"""Discretized Wiener space: grids, paths, random streams, Ito sums.
+"""Discretized Wiener space: grids, counter-based random streams, energies.
 
 Conventions used throughout the package:
 
 * uniform grids on [0, horizon] with N steps, t_k = k * horizon / N;
-* paths carry one value per grid point, (N+1, d) arrays starting at 0;
-* adapted integrands carry one value per subinterval, (N, d) arrays,
-  row k being the value on [t_k, t_{k+1}) (left-point convention);
+* an ensemble of m paths is stacked: path values are (m, N+1, d) arrays
+  whose column 0 is 0, one value per grid point; a single path is m = 1;
+* adapted integrands are (m, N, d) arrays, one value per subinterval,
+  column k being the value on [t_k, t_{k+1}) (left-point convention);
 * every stochastic integral is the non-anticipating left-point sum.
 
 Randomness follows a counter-based contract: a (seed, substream) pair maps
@@ -21,19 +22,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, ShapeError
+from .errors import ConfigurationError
 
 __all__ = [
     "TimeGrid",
-    "Path",
-    "AdaptedSamples",
     "RandomStream",
-    "sample_brownian",
-    "ito_integral",
-    "energy",
     "path_energies",
-    "primitive",
-    "cumsum0",
 ]
 
 # Lane indices carving one substream into independent channels.  Lane 3 is
@@ -74,62 +68,6 @@ class TimeGrid:
 
 
 @dataclass(frozen=True)
-class Path:
-    """Grid values of a continuous path started at 0; shape (N+1, d)."""
-
-    grid: TimeGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim == 1:
-            v = v[:, None]
-        if v.shape[0] != self.grid.steps + 1:
-            raise ShapeError(
-                f"path needs {self.grid.steps + 1} grid values, got {v.shape[0]}"
-            )
-        object.__setattr__(self, "values", v)
-
-    @property
-    def dimension(self) -> int:
-        return self.values.shape[1]
-
-    def increments(self) -> np.ndarray:
-        """Per-step increments, shape (N, d)."""
-        return np.diff(self.values, axis=0)
-
-    def terminal(self) -> np.ndarray:
-        return self.values[-1]
-
-
-@dataclass(frozen=True)
-class AdaptedSamples:
-    """Left-point samples of an adapted process; shape (N, d).
-
-    Row k may depend only on information available at t_k; that property is
-    guaranteed by the constructors in `models` and `filtering`, not checked
-    here.
-    """
-
-    grid: TimeGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim == 1:
-            v = v[:, None]
-        if v.shape[0] != self.grid.steps:
-            raise ShapeError(
-                f"adapted samples need {self.grid.steps} rows, got {v.shape[0]}"
-            )
-        object.__setattr__(self, "values", v)
-
-    @property
-    def dimension(self) -> int:
-        return self.values.shape[1]
-
-
-@dataclass(frozen=True)
 class RandomStream:
     """Pure (seed, substream) -> byte stream map built on Philox counters.
 
@@ -153,44 +91,6 @@ class RandomStream:
         return np.random.Generator(bg.jumped(self.substream * _LANES + self.lane_index))
 
 
-def cumsum0(increments: np.ndarray) -> np.ndarray:
-    """Prefix sums with a leading zero row: increments (N, d) -> values (N+1, d)."""
-    inc = np.asarray(increments, dtype=float)
-    out = np.zeros((inc.shape[0] + 1,) + inc.shape[1:])
-    np.cumsum(inc, axis=0, out=out[1:])
-    return out
-
-
-def sample_brownian(grid: TimeGrid, d: int, stream: RandomStream) -> Path:
-    """Sample a d-dimensional Brownian path on the grid.
-
-    Increments are independent N(0, dt) per coordinate; the path starts at 0.
-    """
-    if d < 1:
-        raise ConfigurationError(f"dimension must be >= 1, got {d}")
-    rng = stream.lane(LANE_BROWNIAN).generator()
-    dB = rng.normal(0.0, np.sqrt(grid.dt), size=(grid.steps, d))
-    return Path(grid, cumsum0(dB))
-
-
-def _check_same_grid(a, b):
-    if a.grid != b.grid:
-        raise ShapeError(f"grid mismatch: {a.grid} vs {b.grid}")
-    if a.dimension != b.dimension:
-        raise ShapeError(f"dimension mismatch: {a.dimension} vs {b.dimension}")
-
-
-def ito_integral(integrand: AdaptedSamples, integrator: Path) -> float:
-    """Left-point stochastic sum  sum_k <a_k, X_{t_{k+1}} - X_{t_k}>."""
-    _check_same_grid(integrand, integrator)
-    return float(np.sum(integrand.values * integrator.increments()))
-
-
-def energy(drift: AdaptedSamples) -> float:
-    """Discrete Cameron-Martin energy  sum_k |a_k|^2 dt."""
-    return float(np.sum(drift.values**2) * drift.grid.dt)
-
-
 def path_energies(x: np.ndarray, dt: float, mask: Optional[np.ndarray] = None) -> np.ndarray:
     """Per-member energy  sum_k |x_k|^2 dt  of stacked integrands (m, N, d).
 
@@ -200,7 +100,3 @@ def path_energies(x: np.ndarray, dt: float, mask: Optional[np.ndarray] = None) -
         return np.einsum("mkd,mkd->m", x, x) * dt
     return np.einsum("mkd,mkd,mk->m", x, x, mask.astype(float)) * dt
 
-
-def primitive(drift: AdaptedSamples) -> Path:
-    """Cumulative left-point integral t -> int_0^t a ds as a Path."""
-    return Path(drift.grid, cumsum0(drift.values * drift.grid.dt))

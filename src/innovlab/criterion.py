@@ -26,7 +26,6 @@ from .core import TimeGrid, path_energies
 from .errors import UsageError
 from .filtering import BasisSpec, FeatureBuilder, weighted_ridge_fit
 from .girsanov import (
-    UNLOCALIZED,
     active_mask,
     log_weights_ensemble,
     normalization_diagnostic,
@@ -58,7 +57,7 @@ INCONCLUSIVE = "INCONCLUSIVE"
 # absorbs discretization and feature-projection bias at desk scale
 GAP_FLOOR = 0.02
 
-DEFAULT_LEVELS = (0.5, 1.0, 2.0, 4.0, 8.0, UNLOCALIZED)
+DEFAULT_LEVELS = (0.5, 1.0, 2.0, 4.0, 8.0, math.inf)
 
 
 @dataclass(frozen=True)
@@ -168,7 +167,7 @@ def criterion_levels(Z: np.ndarray, uhat: np.ndarray, grid: TimeGrid,
         loc = uhat * mask[:, :, None]
         lw = log_weights_ensemble(loc, Z, dt)
         diag = normalization_diagnostic(lw) if m >= 100 else None
-        ens = reweight(lw, level=lv)
+        ens = reweight(lw)
         if mask.all():
             unlocalized_slot = len(masks)
         masks.append(mask)

@@ -22,44 +22,19 @@ from typing import Optional
 import numpy as np
 from scipy.special import ndtr
 
-from .core import AdaptedSamples, Path, TimeGrid
-from .errors import (
-    ConfigurationError,
-    DegeneracyError,
-    NumericalError,
-    ShapeError,
-    StabilityError,
-    UsageError,
-)
+from .core import TimeGrid
+from .errors import ConfigurationError, NumericalError, ShapeError, StabilityError, UsageError
 from .models import DriftModel, EnsembleSimulation, IndependentDrift, KalmanBucy, Tsirelson
 
 __all__ = [
-    "FilterEstimate",
     "EnsembleFilter",
     "BasisSpec",
     "FeatureBuilder",
-    "SecondLevelFit",
     "riccati_sequence",
-    "kalman_bucy_filter",
-    "identity_feedback",
     "ensemble_conditional_drift",
-    "innovation",
     "innovation_values",
-    "step_features",
     "weighted_ridge_fit",
-    "second_level_conditional",
 ]
-
-
-@dataclass(frozen=True)
-class FilterEstimate:
-    """Estimated conditional drift for one path.
-
-    values row k depends only on the observation up to t_k.
-    """
-
-    values: AdaptedSamples
-    method: str
 
 
 @dataclass(frozen=True)
@@ -73,9 +48,6 @@ class EnsembleFilter:
     @property
     def size(self) -> int:
         return self.values.shape[0]
-
-    def path(self, i: int) -> FilterEstimate:
-        return FilterEstimate(AdaptedSamples(self.grid, self.values[i]), self.method)
 
 
 def riccati_sequence(beta: float, sigma: float, grid: TimeGrid,
@@ -119,21 +91,6 @@ def _kalman_values(dU: np.ndarray, beta: float, sigma: float, grid: TimeGrid,
     return out
 
 
-def kalman_bucy_filter(U: Path, beta: float, sigma: float,
-                       p0: Optional[float] = None) -> FilterEstimate:
-    """Exact conditional drift for the hidden Ornstein-Uhlenbeck model.
-
-    Valid when U was generated by the kalman-bucy family with matching
-    parameters (the caller's responsibility).
-    """
-    if beta < 0:
-        raise ConfigurationError(f"beta must be >= 0, got {beta}")
-    if U.dimension != 1:
-        raise ShapeError("kalman_bucy_filter handles one-dimensional observations")
-    vals = _kalman_values(U.increments()[:, 0][None, :], beta, sigma, U.grid, p0)
-    return FilterEstimate(AdaptedSamples(U.grid, vals[0]), "exact-kalman")
-
-
 def _independent_values(dU: np.ndarray, g_left: np.ndarray, dt: float) -> np.ndarray:
     """Posterior-mean drift for u' = theta g(t), theta ~ N(0,1): stacked (m, N)."""
     num = np.concatenate([np.zeros((dU.shape[0], 1)), np.cumsum(g_left * dU, axis=1)], axis=1)
@@ -168,11 +125,6 @@ def _tsirelson_values(model: Tsirelson, sim: EnsembleSimulation) -> np.ndarray:
     return out[:, :, None]
 
 
-def identity_feedback(record: AdaptedSamples) -> FilterEstimate:
-    """Conditional drift of an observation-adapted drift is the drift itself."""
-    return FilterEstimate(record, "identity-feedback")
-
-
 def ensemble_conditional_drift(model: DriftModel, sim: EnsembleSimulation) -> EnsembleFilter:
     """Filtered drift for a whole ensemble, via the model's exact filter."""
     if model.observation_adapted:
@@ -191,20 +143,14 @@ def ensemble_conditional_drift(model: DriftModel, sim: EnsembleSimulation) -> En
 
 
 def innovation_values(U: np.ndarray, uhat: np.ndarray, dt: float) -> np.ndarray:
-    """Innovation paths Z = U - int uhat ds over stacked arrays."""
+    """Innovation paths Z = U - int uhat ds: U (m, N+1, d), uhat (m, N, d)."""
     m = U.shape[0]
+    if uhat.shape != (m, U.shape[1] - 1) + U.shape[2:]:
+        raise ShapeError(f"filtered drift {uhat.shape} does not fit observation {U.shape}")
     prim = np.concatenate(
         [np.zeros((m, 1) + U.shape[2:]), np.cumsum(uhat * dt, axis=1)], axis=1
     )
     return U - prim
-
-
-def innovation(U: Path, filtered: FilterEstimate) -> Path:
-    """Innovation process Z = U - int_0^. filtered drift ds."""
-    fv = filtered.values
-    if fv.grid != U.grid or fv.dimension != U.dimension:
-        raise ShapeError("observation and filtered drift live on different grids")
-    return Path(U.grid, innovation_values(U.values[None], fv.values[None], U.grid.dt)[0])
 
 
 @dataclass(frozen=True)
@@ -289,25 +235,6 @@ class FeatureBuilder:
         return np.concatenate(feats, axis=1)
 
 
-@dataclass(frozen=True)
-class SecondLevelFit:
-    """One step of the second-level regression under ensemble weights."""
-
-    step: int
-    basis: str
-    coefficients: np.ndarray
-    fitted: np.ndarray
-
-
-def step_features(Z: np.ndarray, k: int, spec: BasisSpec, dt: float = 1.0) -> np.ndarray:
-    """Feature matrix (m, p) built from the innovation history up to t_k.
-
-    Z is the stacked innovation array (m, N+1, d).  One-shot convenience
-    around FeatureBuilder; pass dt when the spec carries EMA rates.
-    """
-    return FeatureBuilder(Z, dt, spec).features_at(k)
-
-
 def weighted_ridge_fit(F: np.ndarray, y: np.ndarray, weights: np.ndarray,
                        ridge: float) -> tuple[np.ndarray, np.ndarray]:
     """Weighted least squares with a relative ridge on non-intercept terms.
@@ -335,32 +262,3 @@ def weighted_ridge_fit(F: np.ndarray, y: np.ndarray, weights: np.ndarray,
         lam *= 100.0
     raise NumericalError("normal equations singular beyond ridge rescue")
 
-
-def second_level_conditional(z_paths: np.ndarray, uhat_values: np.ndarray,
-                             weights: np.ndarray, k: int,
-                             basis: BasisSpec = BasisSpec(),
-                             dt: float = 1.0) -> SecondLevelFit:
-    """Weighted regression of the filtered drift at step k on innovation features.
-
-    z_paths: stacked innovation values (m, N+1, d); uhat_values: stacked
-    filtered drift (m, N, d); weights: nonnegative ensemble weights.  The
-    fitted values estimate the second-level conditional expectation of the
-    filtered drift given the innovation history, under the weighted law.
-    """
-    m = z_paths.shape[0]
-    if uhat_values.shape[0] != m or len(weights) != m:
-        raise UsageError("ensemble sizes disagree")
-    if np.any(weights < 0) or not np.any(weights > 0):
-        raise DegeneracyError("weights must be nonnegative and not all zero")
-    F = step_features(z_paths, k, basis, dt)
-    if m < 10 * F.shape[1]:
-        raise UsageError(
-            f"ensemble of {m} too small for {F.shape[1]} basis functions "
-            "(need at least a factor 10)"
-        )
-    d = uhat_values.shape[2]
-    coefs = np.empty((F.shape[1], d))
-    fitted = np.empty((m, d))
-    for j in range(d):
-        coefs[:, j], fitted[:, j] = weighted_ridge_fit(F, uhat_values[:, k, j], weights, basis.ridge)
-    return SecondLevelFit(k, basis.describe(), coefs, fitted)

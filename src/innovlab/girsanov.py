@@ -19,55 +19,23 @@ hundreds of nats on fine grids.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AdaptedSamples, Path, path_energies
+from .core import path_energies
 from .errors import DegeneracyError, NumericalError, ShapeError, UsageError
-from .filtering import FilterEstimate
 
 __all__ = [
-    "LogWeight",
-    "StoppingRule",
     "WeightedEnsemble",
     "NormalizationDiagnostic",
-    "girsanov_log_weight",
     "log_weights_ensemble",
     "stop_indices",
     "localize_values",
     "active_mask",
-    "localize",
     "normalization_diagnostic",
     "reweight",
 ]
-
-UNLOCALIZED = math.inf
-
-
-@dataclass(frozen=True)
-class LogWeight:
-    """Log Radon-Nikodym factor of the tilted measure on one path."""
-
-    value: float
-    level: float = UNLOCALIZED
-
-    def __post_init__(self):
-        if not np.isfinite(self.value):
-            raise NumericalError(f"log-weight must be finite, got {self.value}")
-
-
-@dataclass(frozen=True)
-class StoppingRule:
-    """First grid index whose preceding cumulative filtered energy exceeds n."""
-
-    threshold: float
-
-    def __post_init__(self):
-        if not self.threshold > 0:
-            raise UsageError(f"stopping threshold must be positive, got {self.threshold}")
 
 
 @dataclass(frozen=True)
@@ -91,8 +59,6 @@ class WeightedEnsemble:
     log_weights: np.ndarray
     weights: np.ndarray
     ess: float
-    level: float = UNLOCALIZED
-    members: dict = field(default_factory=dict)
 
     @property
     def size(self) -> int:
@@ -101,6 +67,9 @@ class WeightedEnsemble:
 
 def log_weights_ensemble(uhat: np.ndarray, Z: np.ndarray, dt: float) -> np.ndarray:
     """Stacked log rho over an ensemble: uhat (m, N, d), Z (m, N+1, d)."""
+    m, N = uhat.shape[:2]
+    if Z.shape != (m, N + 1) + uhat.shape[2:]:
+        raise ShapeError(f"filtered drift {uhat.shape} does not fit innovation {Z.shape}")
     with np.errstate(invalid="ignore", over="ignore"):
         dZ = np.diff(Z, axis=1)
         ito = np.einsum("mkd,mkd->m", uhat, dZ)
@@ -109,15 +78,6 @@ def log_weights_ensemble(uhat: np.ndarray, Z: np.ndarray, dt: float) -> np.ndarr
     if not np.all(np.isfinite(out)):
         raise NumericalError("non-finite log-weight encountered")
     return out
-
-
-def girsanov_log_weight(filtered: AdaptedSamples, Z: Path,
-                        level: float = UNLOCALIZED) -> LogWeight:
-    """Log drift-removal factor for one path."""
-    if filtered.grid != Z.grid or filtered.dimension != Z.dimension:
-        raise ShapeError("filtered drift and innovation live on different grids")
-    val = log_weights_ensemble(filtered.values[None], Z.values[None], Z.grid.dt)[0]
-    return LogWeight(float(val), level)
 
 
 def stop_indices(uhat: np.ndarray, dt: float, threshold: float) -> np.ndarray:
@@ -144,14 +104,6 @@ def localize_values(uhat: np.ndarray, stop_idx: np.ndarray) -> np.ndarray:
     return uhat * mask[:, :, None]
 
 
-def localize(filtered: FilterEstimate, rule: StoppingRule) -> FilterEstimate:
-    """Freeze the filtered drift at the stopping time (zero rate afterwards)."""
-    vals = filtered.values.values[None]
-    idx = stop_indices(vals, filtered.values.grid.dt, rule.threshold)
-    out = localize_values(vals, idx)[0]
-    return FilterEstimate(AdaptedSamples(filtered.values.grid, out), filtered.method)
-
-
 def normalization_diagnostic(log_weights: np.ndarray) -> NormalizationDiagnostic:
     """Check the unit-mean property of the raw Girsanov exponential."""
     lw = np.asarray(log_weights, dtype=float)
@@ -165,8 +117,7 @@ def normalization_diagnostic(log_weights: np.ndarray) -> NormalizationDiagnostic
     return NormalizationDiagnostic(mean, se, passed)
 
 
-def reweight(log_weights: np.ndarray, level: float = UNLOCALIZED,
-             members: Optional[dict] = None) -> WeightedEnsemble:
+def reweight(log_weights: np.ndarray) -> WeightedEnsemble:
     """Self-normalized weights w_i = exp(l_i - max l) / sum_j exp(l_j - max l)."""
     lw = np.asarray(log_weights, dtype=float)
     if lw.size < 2:
@@ -179,4 +130,4 @@ def reweight(log_weights: np.ndarray, level: float = UNLOCALIZED,
     w = np.exp(lw - top)
     w = w / w.sum()
     ess = float(1.0 / np.sum(w**2))
-    return WeightedEnsemble(lw, w, ess, level, members or {})
+    return WeightedEnsemble(lw, w, ess)

@@ -279,7 +279,7 @@ def _simulate_chunked(model, grid, size, seed, workers) -> EnsembleSimulation:
     return EnsembleSimulation(
         model_name=model.name, grid=grid,
         dB=cat(lambda p: p.dB), dU=cat(lambda p: p.dU), drift=cat(lambda p: p.drift),
-        aux=cat(lambda p: p.aux), U=cat(lambda p: p.U), B=cat(lambda p: p.B),
+        aux=cat(lambda p: p.aux), U=cat(lambda p: p.U),
         hidden=None if parts[0].hidden is None else cat(lambda p: p.hidden),
     )
 

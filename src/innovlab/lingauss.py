@@ -110,7 +110,7 @@ def _affine_rows(model, grid):
 
 def _expected_square(rows, const, cov, mean):
     """E[(rows G + const)^2] rowwise for G ~ N(mean, cov)."""
-    quad = np.einsum("ki,ij,kj->k", rows, cov, rows)
+    quad = np.einsum("ki,ki->k", rows @ cov, rows)
     lin = rows @ mean + const
     return quad + lin**2
 

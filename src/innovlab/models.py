@@ -1,8 +1,8 @@
 """Drift models defining adapted perturbations of identity U = B + int u' ds.
 
 Each model produces, step by step, the drift rate u'_k from the histories
-available at the left endpoint t_k (observation and Brownian values up to
-and including t_k, auxiliary randomness independent of B, and any hidden
+available at the left endpoint t_k (observation values up to and
+including t_k, auxiliary randomness independent of B, and any hidden
 state).  One Euler recursion
 
     U_{k+1} = U_k + u'_k dt + dB_k
@@ -23,8 +23,6 @@ from .core import (
     LANE_AUX,
     LANE_BROWNIAN,
     LANE_HIDDEN,
-    AdaptedSamples,
-    Path,
     RandomStream,
     TimeGrid,
 )
@@ -32,12 +30,9 @@ from .errors import ConfigurationError
 
 __all__ = [
     "DriftModel",
-    "SimulationOutput",
     "EnsembleSimulation",
-    "simulate",
     "simulate_ensemble",
     "run_euler",
-    "drift_given_histories",
     "make_model",
     "list_models",
     "time_function",
@@ -102,12 +97,13 @@ class DriftModel:
         """Initialize the per-ensemble mutable state for the Euler loop."""
         return {}
 
-    def drift(self, k: int, grid: TimeGrid, U: np.ndarray, B: np.ndarray,
-              aux: np.ndarray, hidden: Optional[np.ndarray], state: dict) -> np.ndarray:
+    def drift(self, k: int, grid: TimeGrid, U: np.ndarray, aux: np.ndarray,
+              hidden: Optional[np.ndarray], state: dict) -> np.ndarray:
         """Drift rate on [t_k, t_{k+1}), shape (m, d).
 
-        U and B are the value arrays (m, N+1, d); only columns 0..k may be
-        read (adaptedness by construction).
+        U is the observation value array (m, N+1, d); only columns 0..k may
+        be read (adaptedness by construction).  The Brownian path is not
+        passed: a drift may depend on it only through U.
         """
         raise NotImplementedError
 
@@ -119,7 +115,7 @@ class ZeroDrift(DriftModel):
     kind = "exogenous"
     observation_adapted = True
 
-    def drift(self, k, grid, U, B, aux, hidden, state):
+    def drift(self, k, grid, U, aux, hidden, state):
         return np.zeros((U.shape[0], self.d))
 
 
@@ -141,7 +137,7 @@ class DeterministicDrift(DriftModel):
     def h(self, t):
         return self._h(t)
 
-    def drift(self, k, grid, U, B, aux, hidden, state):
+    def drift(self, k, grid, U, aux, hidden, state):
         return np.full((U.shape[0], self.d), self._h(grid.left_times[k]))
 
 
@@ -159,7 +155,7 @@ class LinearFeedback(DriftModel):
     def parameters(self):
         return {"a": self.a}
 
-    def drift(self, k, grid, U, B, aux, hidden, state):
+    def drift(self, k, grid, U, aux, hidden, state):
         return -self.a * U[:, k, :]
 
 
@@ -202,7 +198,7 @@ class KalmanBucy(DriftModel):
         x0 = np.sqrt(self.x0_var) * aux[:, 0]
         return {"X": x0.copy()}
 
-    def drift(self, k, grid, U, B, aux, hidden, state):
+    def drift(self, k, grid, U, aux, hidden, state):
         u = state["X"][:, None].copy()
         # propagate the hidden signal past t_k once its drift value is out
         state["X"] = state["X"] * (1.0 - self.beta * grid.dt) + self.sigma * hidden[:, k]
@@ -230,7 +226,7 @@ class IndependentDrift(DriftModel):
     def sample_aux(self, rng, m):
         return rng.normal(size=(m, 1))
 
-    def drift(self, k, grid, U, B, aux, hidden, state):
+    def drift(self, k, grid, U, aux, hidden, state):
         return aux[:, :1] * self._g(grid.left_times[k])
 
 
@@ -277,7 +273,7 @@ class Tsirelson(DriftModel):
         bounds = [0] + [round(t * grid.steps) for t in self.level_times()]
         return {"bounds": bounds, "slope": np.mod(aux[:, 0], 1.0)}
 
-    def drift(self, k, grid, U, B, aux, hidden, state):
+    def drift(self, k, grid, U, aux, hidden, state):
         bounds = state["bounds"]
         # entering a new segment: refresh the slope from the finished one
         if k in bounds[1:-1]:
@@ -307,7 +303,7 @@ class WitnessDrift(DriftModel):
     def parameters(self):
         return {"kick": self.kick}
 
-    def drift(self, k, grid, U, B, aux, hidden, state):
+    def drift(self, k, grid, U, aux, hidden, state):
         m = U.shape[0]
         if k == 0:
             return np.zeros((m, 1))
@@ -315,25 +311,11 @@ class WitnessDrift(DriftModel):
 
 
 @dataclass(frozen=True)
-class SimulationOutput:
-    """One simulated path of the pair (B, U) with its drift record.
-
-    The identity dU_k = drift_k * dt + dB_k holds bit-exactly on the stored
-    increment arrays; the Path values are prefix sums of exactly those
-    increments.
-    """
-
-    brownian: Path
-    observation: Path
-    drift: AdaptedSamples
-    aux: np.ndarray
-    brownian_increments: np.ndarray
-    observation_increments: np.ndarray
-
-
-@dataclass(frozen=True)
 class EnsembleSimulation:
-    """Stacked simulation of m paths: arrays indexed (path, step, coord)."""
+    """Stacked simulation of m paths: arrays indexed (path, step, coord).
+
+    The Brownian path is not stored; it is the prefix sum of dB.
+    """
 
     model_name: str
     grid: TimeGrid
@@ -342,23 +324,11 @@ class EnsembleSimulation:
     drift: np.ndarray
     aux: np.ndarray
     U: np.ndarray
-    B: np.ndarray
     hidden: Optional[np.ndarray] = None
 
     @property
     def size(self) -> int:
         return self.dB.shape[0]
-
-    def path(self, i: int) -> SimulationOutput:
-        g = self.grid
-        return SimulationOutput(
-            brownian=Path(g, self.B[i]),
-            observation=Path(g, self.U[i]),
-            drift=AdaptedSamples(g, self.drift[i]),
-            aux=self.aux[i],
-            brownian_increments=self.dB[i],
-            observation_increments=self.dU[i],
-        )
 
 
 def run_euler(model: DriftModel, grid: TimeGrid, dB: np.ndarray,
@@ -376,38 +346,23 @@ def run_euler(model: DriftModel, grid: TimeGrid, dB: np.ndarray,
         raise ConfigurationError(f"model {model.name} needs hidden driving noise")
     dt = grid.dt
     U = np.zeros((m, N + 1, d))
-    B = np.zeros((m, N + 1, d))
     drift = np.empty((m, N, d))
     dU = np.empty((m, N, d))
     state = model.start(grid, aux, hidden)
     for k in range(N):
-        u = model.drift(k, grid, U, B, aux, hidden, state)
+        u = model.drift(k, grid, U, aux, hidden, state)
         drift[:, k, :] = u
         dU[:, k, :] = u * dt + dB[:, k, :]
         U[:, k + 1, :] = U[:, k, :] + dU[:, k, :]
-        B[:, k + 1, :] = B[:, k, :] + dB[:, k, :]
-    return EnsembleSimulation(model.name, grid, dB, dU, drift, aux, U, B, hidden)
-
-
-def drift_given_histories(model: DriftModel, grid: TimeGrid, U: np.ndarray,
-                          B: np.ndarray, aux: np.ndarray,
-                          hidden: Optional[np.ndarray] = None) -> np.ndarray:
-    """Replay the drift rule against externally supplied histories.
-
-    Used to check adaptedness: for models that never read the observation,
-    tampering with U must leave the drift record unchanged.
-    """
-    m, _, d = U.shape
-    drift = np.empty((m, grid.steps, d))
-    state = model.start(grid, aux, hidden)
-    for k in range(grid.steps):
-        drift[:, k, :] = model.drift(k, grid, U, B, aux, hidden, state)
-    return drift
+    return EnsembleSimulation(model.name, grid, dB, dU, drift, aux, U, hidden)
 
 
 def simulate_ensemble(model: DriftModel, grid: TimeGrid, size: int,
                       stream: RandomStream) -> EnsembleSimulation:
-    """Simulate `size` paths; path i draws from substream stream.substream + i."""
+    """Simulate `size` paths; path i draws from substream stream.substream + i.
+
+    A single path is the ensemble of size 1.
+    """
     model.validate(grid)
     N, d = grid.steps, model.d
     dB = np.empty((size, N, d))
@@ -422,11 +377,6 @@ def simulate_ensemble(model: DriftModel, grid: TimeGrid, size: int,
         if hidden is not None:
             hidden[i] = model.sample_hidden(s.lane(LANE_HIDDEN).generator(), grid)
     return run_euler(model, grid, dB, aux, hidden)
-
-
-def simulate(model: DriftModel, grid: TimeGrid, stream: RandomStream) -> SimulationOutput:
-    """Simulate a single path driven by the given stream."""
-    return simulate_ensemble(model, grid, 1, stream).path(0)
 
 
 _REGISTRY = {

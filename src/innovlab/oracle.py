@@ -32,7 +32,7 @@ from .errors import (
     DegeneracyError,
     UsageError,
 )
-from .filtering import EnsembleFilter
+from .filtering import EnsembleFilter, innovation_values
 from .girsanov import log_weights_ensemble
 from .models import DriftModel, EnsembleSimulation, WitnessDrift, run_euler
 
@@ -208,11 +208,17 @@ def _refine_labels(labels: np.ndarray, column: np.ndarray) -> np.ndarray:
     return out
 
 
-def _group_mean(labels: np.ndarray, weights: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Probability-weighted group means, broadcast back onto members."""
+def _group_mean_safe(labels: np.ndarray, weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Probability-weighted group means, broadcast back onto members.
+
+    A group without weight gets mean 0.
+    """
     wsum = np.bincount(labels, weights=weights)
     vsum = np.bincount(labels, weights=weights * values)
-    return (vsum / wsum)[labels]
+    out = np.zeros_like(wsum)
+    good = wsum > 0
+    out[good] = vsum[good] / wsum[good]
+    return out[labels]
 
 
 def enumerate_atoms(model: DriftModel, grid: TimeGrid, noise: QuantizedNoise,
@@ -262,9 +268,8 @@ def enumerate_atoms(model: DriftModel, grid: TimeGrid, noise: QuantizedNoise,
     labels = np.zeros(atoms, dtype=np.int64)  # U_0 = 0 for all atoms
     for k in range(N):
         labels = _refine_labels(labels, sim.U[:, k, 0]) if k > 0 else labels
-        uhat[:, k, 0] = _group_mean(labels, probs, sim.drift[:, k, 0])
-    Z = sim.U - np.concatenate(
-        [np.zeros((atoms, 1, 1)), np.cumsum(uhat * grid.dt, axis=1)], axis=1)
+        uhat[:, k, 0] = _group_mean_safe(labels, probs, sim.drift[:, k, 0])
+    Z = innovation_values(sim.U, uhat, grid.dt)
 
     log_density = log_weights_ensemble(uhat, Z, grid.dt)
     raw = np.exp(log_density)
@@ -347,15 +352,6 @@ def conditional_energy_by_grouping(space: AtomSpace) -> float:
     return 0.5 * total
 
 
-def _group_mean_safe(labels, weights, values):
-    wsum = np.bincount(labels, weights=weights)
-    vsum = np.bincount(labels, weights=weights * values)
-    out = np.zeros_like(wsum)
-    good = wsum > 0
-    out[good] = vsum[good] / wsum[good]
-    return out[labels]
-
-
 # --------------------------------------------------------------------- MC side
 
 def sample_quantized_ensemble(model: DriftModel, grid: TimeGrid, size: int,
@@ -408,7 +404,7 @@ def finite_bayes_filter(model: DriftModel, sim: EnsembleSimulation,
     state = model.start(grid, aux_values[:, None], None)
     hypo = np.empty((n_aux, N))
     for k in range(N):
-        hypo[:, k] = model.drift(k, grid, zeros, zeros, aux_values[:, None], None, state)[:, 0]
+        hypo[:, k] = model.drift(k, grid, zeros, aux_values[:, None], None, state)[:, 0]
 
     log_pmf = {round(float(n), ROUND_DECIMALS): math.log(p)
                for n, p in zip(noise.nodes, noise.probs)}

@@ -3,18 +3,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from innovlab.core import (
-    AdaptedSamples,
-    Path,
-    RandomStream,
-    TimeGrid,
-    cumsum0,
-    energy,
-    ito_integral,
-    primitive,
-    sample_brownian,
-)
+from innovlab.core import RandomStream, TimeGrid, path_energies
 from innovlab.errors import ConfigurationError, ShapeError
+from innovlab.filtering import innovation_values
+from innovlab.girsanov import log_weights_ensemble
+from innovlab.models import make_model, simulate_ensemble
+
+ZERO = make_model("zero")
+
+
+def _brownian(grid, size, stream):
+    """Brownian paths (size, N+1, 1): the observation of the zero-drift model."""
+    return simulate_ensemble(ZERO, grid, size, stream).U
+
+
+def _path(increments):
+    """Stacked path (m, N+1, d) started at 0 with the given increments."""
+    inc = np.asarray(increments, dtype=float)
+    return np.concatenate([np.zeros((inc.shape[0], 1) + inc.shape[2:]), np.cumsum(inc, axis=1)],
+                          axis=1)
+
+
+def _ito(a, x, dt):
+    """Left-point sums  sum_k <a_k, x_{k+1} - x_k>, read off the log-weight."""
+    return -(log_weights_ensemble(a, x, dt) + 0.5 * path_energies(a, dt))
+
+
+def _primitive(a, dt):
+    """Cumulative left-point integrals of stacked rates: innovation of U = 0."""
+    m, N = a.shape[:2]
+    return -innovation_values(np.zeros((m, N + 1) + a.shape[2:]), a, dt)
 
 
 def test_grid_points_strictly_increasing_and_end_at_horizon():
@@ -33,24 +51,24 @@ def test_grid_rejects_zero_steps():
 
 def test_brownian_single_step_definition():
     g = TimeGrid(steps=1, horizon=1.0)
-    p = sample_brownian(g, 1, RandomStream(seed=7, substream=0))
-    assert p.values[0, 0] == 0.0
-    assert p.values.shape == (2, 1)
-    assert np.isfinite(p.values[1, 0])
+    p = _brownian(g, 1, RandomStream(seed=7, substream=0))[0]
+    assert p[0, 0] == 0.0
+    assert p.shape == (2, 1)
+    assert np.isfinite(p[1, 0])
 
 
 def test_brownian_same_stream_is_bit_identical():
     g = TimeGrid(steps=64)
-    a = sample_brownian(g, 2, RandomStream(seed=123, substream=5))
-    b = sample_brownian(g, 2, RandomStream(seed=123, substream=5))
-    assert np.array_equal(a.values, b.values)
+    a = _brownian(g, 2, RandomStream(seed=123, substream=5))
+    b = _brownian(g, 2, RandomStream(seed=123, substream=5))
+    assert np.array_equal(a, b)
 
 
 def test_brownian_distinct_substreams_differ():
     g = TimeGrid(steps=64)
-    a = sample_brownian(g, 1, RandomStream(seed=123, substream=0))
-    b = sample_brownian(g, 1, RandomStream(seed=123, substream=1))
-    assert not np.array_equal(a.values, b.values)
+    a = _brownian(g, 1, RandomStream(seed=123, substream=0))
+    b = _brownian(g, 1, RandomStream(seed=123, substream=1))
+    assert not np.array_equal(a, b)
 
 
 def test_brownian_moments_lln():
@@ -59,12 +77,9 @@ def test_brownian_moments_lln():
     # variance within 2% of the horizon.
     M, N = 100_000, 4
     g = TimeGrid(steps=N)
-    inc = np.empty((M, N))
-    term = np.empty(M)
-    for i in range(M):
-        p = sample_brownian(g, 1, RandomStream(seed=2024, substream=i))
-        inc[i] = p.increments()[:, 0]
-        term[i] = p.values[-1, 0]
+    B = _brownian(g, M, RandomStream(seed=2024, substream=0))[:, :, 0]
+    inc = np.diff(B, axis=1)
+    term = B[:, -1]
     dt = g.dt
     assert np.all(np.abs(inc.mean(axis=0)) < 4 * np.sqrt(dt / M))
     assert np.all(np.abs(inc.var(axis=0) - dt) < 0.02 * dt)
@@ -73,31 +88,34 @@ def test_brownian_moments_lln():
 
 def test_ito_zero_integrand():
     g = TimeGrid(steps=8)
-    x = sample_brownian(g, 1, RandomStream(seed=1))
-    a = AdaptedSamples(g, np.zeros((8, 1)))
-    assert ito_integral(a, x) == 0.0
+    x = _brownian(g, 1, RandomStream(seed=1))
+    assert _ito(np.zeros((1, 8, 1)), x, g.dt)[0] == 0.0
 
 
 def test_ito_unit_integrand_telescopes():
     g = TimeGrid(steps=16)
-    x = sample_brownian(g, 1, RandomStream(seed=3))
-    a = AdaptedSamples(g, np.ones((16, 1)))
-    assert ito_integral(a, x) == pytest.approx(x.values[-1, 0] - x.values[0, 0], abs=1e-12)
+    x = _brownian(g, 1, RandomStream(seed=3))
+    got = _ito(np.ones((1, 16, 1)), x, g.dt)[0]
+    assert got == pytest.approx(x[0, -1, 0] - x[0, 0, 0], abs=1e-12)
 
 
 def test_ito_direct_sum():
     # integrand (0, 1, 2) against unit increments: 0 + 1 + 2 = 3
     g = TimeGrid(steps=3)
-    x = Path(g, cumsum0(np.ones((3, 1))))
-    a = AdaptedSamples(g, np.arange(3.0)[:, None])
-    assert ito_integral(a, x) == 3.0
+    x = _path(np.ones((1, 3, 1)))
+    a = np.arange(3.0)[None, :, None]
+    assert _ito(a, x, g.dt)[0] == 3.0
 
 
 def test_ito_grid_mismatch_raises():
-    a = AdaptedSamples(TimeGrid(steps=4), np.ones((4, 1)))
-    x = sample_brownian(TimeGrid(steps=5), 1, RandomStream(seed=1))
+    a = np.ones((1, 4, 1))
+    x = _brownian(TimeGrid(steps=5), 1, RandomStream(seed=1))
     with pytest.raises(ShapeError):
-        ito_integral(a, x)
+        log_weights_ensemble(a, x, 0.25)
+    with pytest.raises(ShapeError):  # member counts disagree
+        log_weights_ensemble(np.ones((2, 5, 1)), x, 0.2)
+    with pytest.raises(ShapeError):  # dimensions disagree
+        log_weights_ensemble(np.ones((1, 5, 2)), x, 0.2)
 
 
 @settings(max_examples=50, deadline=None)
@@ -105,40 +123,40 @@ def test_ito_grid_mismatch_raises():
 def test_ito_linearity(n, seed):
     g = TimeGrid(steps=n)
     rng = np.random.default_rng(seed)
-    a = AdaptedSamples(g, rng.normal(size=(n, 1)))
-    b = AdaptedSamples(g, rng.normal(size=(n, 1)))
-    x = Path(g, cumsum0(rng.normal(size=(n, 1))))
-    lhs = ito_integral(AdaptedSamples(g, a.values + b.values), x)
-    rhs = ito_integral(a, x) + ito_integral(b, x)
+    a = rng.normal(size=(1, n, 1))
+    b = rng.normal(size=(1, n, 1))
+    x = _path(rng.normal(size=(1, n, 1)))
+    lhs = _ito(a + b, x, g.dt)[0]
+    rhs = _ito(a, x, g.dt)[0] + _ito(b, x, g.dt)[0]
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
 def test_energy_examples():
     g1 = TimeGrid(steps=4)
-    assert energy(AdaptedSamples(g1, np.zeros((4, 1)))) == 0.0
-    assert energy(AdaptedSamples(g1, np.ones((4, 1)))) == pytest.approx(1.0)
+    assert path_energies(np.zeros((1, 4, 1)), g1.dt)[0] == 0.0
+    assert path_energies(np.ones((1, 4, 1)), g1.dt)[0] == pytest.approx(1.0)
     g2 = TimeGrid(steps=2)
-    assert energy(AdaptedSamples(g2, np.array([[1.0], [2.0]]))) == pytest.approx(2.5)
+    assert path_energies(np.array([[[1.0], [2.0]]]), g2.dt)[0] == pytest.approx(2.5)
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.floats(-8, 8), st.integers(1, 10), st.integers(0, 1000))
 def test_energy_quadratic_scaling(c, n, seed):
     g = TimeGrid(steps=n)
-    v = np.random.default_rng(seed).normal(size=(n, 1))
-    assert energy(AdaptedSamples(g, c * v)) == pytest.approx(
-        c * c * energy(AdaptedSamples(g, v)), rel=1e-12, abs=1e-12
+    v = np.random.default_rng(seed).normal(size=(1, n, 1))
+    assert path_energies(c * v, g.dt)[0] == pytest.approx(
+        c * c * path_energies(v, g.dt)[0], rel=1e-12, abs=1e-12
     )
 
 
 def test_primitive_examples():
     g = TimeGrid(steps=2)
-    zero = primitive(AdaptedSamples(g, np.zeros((2, 1))))
-    assert np.array_equal(zero.values, np.zeros((3, 1)))
-    const = primitive(AdaptedSamples(g, 3.0 * np.ones((2, 1))))
-    assert const.values[:, 0] == pytest.approx([0.0, 1.5, 3.0])
-    updown = primitive(AdaptedSamples(g, np.array([[2.0], [-2.0]])))
-    assert updown.values[:, 0] == pytest.approx([0.0, 1.0, 0.0], abs=0)
+    zero = _primitive(np.zeros((1, 2, 1)), g.dt)[0]
+    assert np.array_equal(zero, np.zeros((3, 1)))
+    const = _primitive(3.0 * np.ones((1, 2, 1)), g.dt)[0]
+    assert const[:, 0] == pytest.approx([0.0, 1.5, 3.0])
+    updown = _primitive(np.array([[[2.0], [-2.0]]]), g.dt)[0]
+    assert updown[:, 0] == pytest.approx([0.0, 1.0, 0.0], abs=0)
 
 
 @settings(max_examples=50, deadline=None)
@@ -147,24 +165,24 @@ def test_primitive_then_difference_recovers_drift_exactly_on_dyadics(n, seed):
     # dyadic drift values and a dyadic step keep every product and partial
     # sum exactly representable, so recovery must be bit-exact
     g = TimeGrid(steps=n, horizon=float(n) / 8.0)
-    v = np.random.default_rng(seed).integers(-(2**20), 2**20, size=(n, 1)) / 2.0**10
-    p = primitive(AdaptedSamples(g, v))
-    assert np.array_equal(np.diff(p.values, axis=0), v * g.dt)
+    v = np.random.default_rng(seed).integers(-(2**20), 2**20, size=(1, n, 1)) / 2.0**10
+    p = _primitive(v, g.dt)[0]
+    assert np.array_equal(np.diff(p, axis=0), v[0] * g.dt)
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(1, 16), st.integers(0, 1000))
 def test_primitive_then_difference_recovers_drift_general(n, seed):
     g = TimeGrid(steps=n, horizon=float(n) / 8.0)
-    v = np.random.default_rng(seed).normal(size=(n, 1))
-    p = primitive(AdaptedSamples(g, v))
-    assert np.allclose(np.diff(p.values, axis=0), v * g.dt, rtol=0, atol=1e-13)
+    v = np.random.default_rng(seed).normal(size=(1, n, 1))
+    p = _primitive(v, g.dt)[0]
+    assert np.allclose(np.diff(p, axis=0), v[0] * g.dt, rtol=0, atol=1e-13)
 
 
 def test_substream_independence_rough():
     # increments from neighbouring substreams should be uncorrelated
     g = TimeGrid(steps=256)
-    a = sample_brownian(g, 1, RandomStream(seed=9, substream=0)).increments()[:, 0]
-    b = sample_brownian(g, 1, RandomStream(seed=9, substream=1)).increments()[:, 0]
+    B = _brownian(g, 2, RandomStream(seed=9, substream=0))[:, :, 0]
+    a, b = np.diff(B, axis=1)
     r = np.corrcoef(a, b)[0, 1]
     assert abs(r) < 4 / np.sqrt(len(a))

@@ -1,20 +1,18 @@
 import numpy as np
 import pytest
 
-from innovlab.core import AdaptedSamples, Path, RandomStream, TimeGrid
-from innovlab.errors import DegeneracyError, ShapeError, StabilityError, UsageError
+from innovlab.core import RandomStream, TimeGrid
+from innovlab.errors import ShapeError, StabilityError
 from innovlab.filtering import (
     BasisSpec,
+    FeatureBuilder,
     ensemble_conditional_drift,
-    identity_feedback,
-    innovation,
-    kalman_bucy_filter,
+    innovation_values,
     riccati_sequence,
-    second_level_conditional,
-    step_features,
+    weighted_ridge_fit,
     _truncnorm_mean01,
 )
-from innovlab.models import make_model, simulate, simulate_ensemble
+from innovlab.models import EnsembleSimulation, make_model, simulate_ensemble
 
 STREAM = RandomStream(seed=909, substream=0)
 
@@ -35,9 +33,11 @@ def test_riccati_negative_iterate_raises():
 
 def test_kalman_zero_observation_gives_zero_estimate():
     g = TimeGrid(steps=16)
-    U = Path(g, np.zeros((17, 1)))
-    est = kalman_bucy_filter(U, beta=1.0, sigma=1.0)
-    assert np.array_equal(est.values.values, np.zeros((16, 1)))
+    flat = np.zeros((1, 16, 1))
+    sim = EnsembleSimulation("kalman-bucy", g, dB=flat, dU=flat, drift=flat,
+                             aux=np.zeros((1, 1)), U=np.zeros((1, 17, 1)))
+    est = ensemble_conditional_drift(make_model("kalman-bucy", beta=1.0, sigma=1.0), sim)
+    assert np.array_equal(est.values, np.zeros((1, 16, 1)))
     assert est.method == "exact-kalman"
 
 
@@ -100,9 +100,6 @@ def test_identity_feedback_for_adapted_models():
     g = TimeGrid(steps=16)
     for name in ["zero", "deterministic", "linear-feedback"]:
         model = make_model(name)
-        out = simulate(model, g, STREAM)
-        est = identity_feedback(out.drift)
-        assert np.array_equal(est.values.values, out.drift.values)
         sim = simulate_ensemble(model, g, 4, STREAM)
         filt = ensemble_conditional_drift(model, sim)
         assert filt.method == "identity-feedback"
@@ -111,28 +108,35 @@ def test_identity_feedback_for_adapted_models():
 
 # ---------------------------------------------------------------- innovation
 
+def _innovation(name, g):
+    """One simulated path of the model and its innovation, through the pipeline."""
+    model = make_model(name)
+    sim = simulate_ensemble(model, g, 1, STREAM)
+    return sim, innovation_values(sim.U, ensemble_conditional_drift(model, sim).values, g.dt)
+
+
 def test_innovation_zero_drift_is_observation():
-    g = TimeGrid(steps=16)
-    out = simulate(make_model("zero"), g, STREAM)
-    Z = innovation(out.observation, identity_feedback(out.drift))
-    assert np.array_equal(Z.values, out.observation.values)
-    assert Z.values[0, 0] == 0.0
+    sim, Z = _innovation("zero", TimeGrid(steps=16))
+    assert np.array_equal(Z, sim.U)
+    assert Z[0, 0, 0] == 0.0
 
 
 @pytest.mark.parametrize("name", ["deterministic", "linear-feedback"])
 def test_innovation_recovers_brownian_for_adapted_models(name):
-    g = TimeGrid(steps=64)
-    out = simulate(make_model(name), g, STREAM)
-    Z = innovation(out.observation, identity_feedback(out.drift))
-    assert np.allclose(Z.values, out.brownian.values, atol=1e-12)
+    sim, Z = _innovation(name, TimeGrid(steps=64))
+    brownian = np.concatenate([np.zeros((1, 1, 1)), np.cumsum(sim.dB, axis=1)], axis=1)
+    assert np.allclose(Z, brownian, atol=1e-12)
 
 
 def test_innovation_shape_mismatch():
     g = TimeGrid(steps=8)
-    out = simulate(make_model("zero"), g, STREAM)
-    bad = identity_feedback(AdaptedSamples(TimeGrid(steps=4), np.zeros((4, 1))))
+    sim = simulate_ensemble(make_model("zero"), g, 1, STREAM)
     with pytest.raises(ShapeError):
-        innovation(out.observation, bad)
+        innovation_values(sim.U, np.zeros((1, 4, 1)), g.dt)
+    with pytest.raises(ShapeError):  # member counts disagree
+        innovation_values(sim.U, np.zeros((2, 8, 1)), g.dt)
+    with pytest.raises(ShapeError):  # dimensions disagree
+        innovation_values(sim.U, np.zeros((1, 8, 2)), g.dt)
 
 
 # ---------------------------------------------------------------- regression
@@ -145,12 +149,18 @@ def _toy_paths(m, N, seed):
     return Z, rng
 
 
+def _fit(Z, y, w, k, basis):
+    """The weighted second-level fit of y at step k, as criterion_levels runs it."""
+    F = FeatureBuilder(Z, 1.0, basis).features_at(k)
+    return weighted_ridge_fit(F, y[:, k, 0], w, basis.ridge)[1]
+
+
 def test_second_level_reproduces_constants():
     Z, rng = _toy_paths(400, 6, seed=1)
     y = np.full((400, 6, 1), 3.25)
     w = rng.uniform(0.5, 1.5, size=400)
-    fit = second_level_conditional(Z, y, w, k=4, basis=BasisSpec(window=3))
-    assert np.allclose(fit.fitted, 3.25, atol=1e-10)
+    fitted = _fit(Z, y, w, k=4, basis=BasisSpec(window=3))
+    assert np.allclose(fitted, 3.25, atol=1e-10)
 
 
 def test_second_level_is_fixed_point_on_linear_responses():
@@ -159,8 +169,8 @@ def test_second_level_is_fixed_point_on_linear_responses():
     k = 4
     y[:, k, 0] = 2.0 + 3.0 * (Z[:, k, 0] - Z[:, k - 1, 0]) + 0.5 * Z[:, k, 0]
     w = rng.uniform(0.5, 1.5, size=2000)
-    fit = second_level_conditional(Z, y, w, k=k, basis=BasisSpec(window=3))
-    assert np.max(np.abs(fit.fitted[:, 0] - y[:, k, 0])) < 1e-4
+    fitted = _fit(Z, y, w, k=k, basis=BasisSpec(window=3))
+    assert np.max(np.abs(fitted - y[:, k, 0])) < 1e-4
 
 
 def test_second_level_tower_property_and_jensen_ordering():
@@ -169,22 +179,14 @@ def test_second_level_tower_property_and_jensen_ordering():
     w = rng.uniform(0.1, 2.0, size=3000)
     wn = w / w.sum()
     for k in [0, 2, 7]:
-        fit = second_level_conditional(Z, y, w, k=k, basis=BasisSpec(window=4))
-        assert wn @ fit.fitted[:, 0] == pytest.approx(wn @ y[:, k, 0], abs=1e-10)
-        assert wn @ fit.fitted[:, 0] ** 2 <= wn @ y[:, k, 0] ** 2 + 1e-10
-
-
-def test_second_level_guards():
-    Z, rng = _toy_paths(50, 4, seed=4)
-    y = np.zeros((50, 4, 1))
-    with pytest.raises(UsageError):
-        second_level_conditional(Z, y, np.ones(50), k=3, basis=BasisSpec(window=8))
-    with pytest.raises(DegeneracyError):
-        second_level_conditional(Z, y, np.zeros(50), k=0, basis=BasisSpec(window=1))
+        fitted = _fit(Z, y, w, k=k, basis=BasisSpec(window=4))
+        assert wn @ fitted == pytest.approx(wn @ y[:, k, 0], abs=1e-10)
+        assert wn @ fitted**2 <= wn @ y[:, k, 0] ** 2 + 1e-10
 
 
 def test_step_features_shapes():
     Z = np.zeros((10, 5, 1))
     spec = BasisSpec(window=3, include_squares=True)
-    assert step_features(Z, 0, spec).shape == (10, 1 + 2 * 1)  # intercept, level, level^2
-    assert step_features(Z, 4, spec).shape == (10, 1 + 2 * 4)  # + 3 increments
+    fb = FeatureBuilder(Z, 1.0, spec)
+    assert fb.features_at(0).shape == (10, 1 + 2 * 1)  # intercept, level, level^2
+    assert fb.features_at(4).shape == (10, 1 + 2 * 4)  # + 3 increments

@@ -5,49 +5,55 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from innovlab.core import AdaptedSamples, Path, RandomStream, TimeGrid, cumsum0
+from innovlab.core import RandomStream, TimeGrid
 from innovlab.errors import DegeneracyError, NumericalError, UsageError
-from innovlab.filtering import ensemble_conditional_drift, identity_feedback
+from innovlab.filtering import ensemble_conditional_drift, innovation_values
 from innovlab.girsanov import (
-    StoppingRule,
     active_mask,
-    girsanov_log_weight,
-    localize,
     localize_values,
     log_weights_ensemble,
     normalization_diagnostic,
     reweight,
     stop_indices,
 )
-from innovlab.models import make_model, simulate, simulate_ensemble
+from innovlab.models import make_model, simulate_ensemble
 
 
 def _const_drift(grid, c):
-    return AdaptedSamples(grid, np.full((grid.steps, 1), float(c)))
+    return np.full((1, grid.steps, 1), float(c))
+
+
+def _zero_model_path(grid, stream):
+    return simulate_ensemble(make_model("zero"), grid, 1, stream).U
+
+
+def _localize(uhat, dt, threshold):
+    return localize_values(uhat, stop_indices(uhat, dt, threshold))
 
 
 # ---------------------------------------------------------------- log weight
 
 def test_zero_drift_gives_zero_log_weight():
     g = TimeGrid(steps=8)
-    Z = simulate(make_model("zero"), g, RandomStream(seed=1)).observation
-    lw = girsanov_log_weight(_const_drift(g, 0.0), Z)
-    assert lw.value == 0.0
+    Z = _zero_model_path(g, RandomStream(seed=1))
+    lw = log_weights_ensemble(_const_drift(g, 0.0), Z, g.dt)
+    assert lw[0] == 0.0
 
 
 def test_unit_drift_log_weight_formula():
     g = TimeGrid(steps=16)
-    Z = simulate(make_model("zero"), g, RandomStream(seed=2)).observation
-    z1 = Z.values[-1, 0]
-    lw = girsanov_log_weight(_const_drift(g, 1.0), Z)
-    assert lw.value == pytest.approx(-z1 - 0.5, abs=1e-12)
+    Z = _zero_model_path(g, RandomStream(seed=2))
+    z1 = Z[0, -1, 0]
+    lw = log_weights_ensemble(_const_drift(g, 1.0), Z, g.dt)
+    assert lw[0] == pytest.approx(-z1 - 0.5, abs=1e-12)
 
 
 def test_log_weight_rejects_nonfinite():
     g = TimeGrid(steps=4)
-    Z = Path(g, cumsum0(np.full((4, 1), np.inf)))
+    Z = np.concatenate([np.zeros((1, 1, 1)), np.cumsum(np.full((1, 4, 1), np.inf), axis=1)],
+                       axis=1)
     with pytest.raises(NumericalError):
-        girsanov_log_weight(_const_drift(g, 1.0), Z)
+        log_weights_ensemble(_const_drift(g, 1.0), Z, g.dt)
 
 
 def test_exponential_has_unit_mean_under_zero_model():
@@ -80,25 +86,23 @@ def test_reweighting_shifts_terminal_mean_by_drift_integral():
 
 def test_localize_noop_when_threshold_above_total_energy():
     g = TimeGrid(steps=4)
-    est = identity_feedback(_const_drift(g, 1.0))
-    out = localize(est, StoppingRule(threshold=2.0))
-    assert np.array_equal(out.values.values, est.values.values)
+    est = _const_drift(g, 1.0)
+    out = _localize(est, g.dt, 2.0)
+    assert np.array_equal(out, est)
 
 
 def test_localize_hand_example():
     # constant unit drift, dt = 0.25, n = 0.4: cumulative energy before
     # step 2 is 0.5 > 0.4, so rows 2.. are zeroed
     g = TimeGrid(steps=4)
-    est = identity_feedback(_const_drift(g, 1.0))
-    out = localize(est, StoppingRule(threshold=0.4))
-    assert out.values.values[:, 0] == pytest.approx([1.0, 1.0, 0.0, 0.0])
+    out = _localize(_const_drift(g, 1.0), g.dt, 0.4)
+    assert out[0, :, 0] == pytest.approx([1.0, 1.0, 0.0, 0.0])
 
 
 def test_localize_zero_drift_unchanged():
     g = TimeGrid(steps=4)
-    est = identity_feedback(_const_drift(g, 0.0))
-    out = localize(est, StoppingRule(threshold=0.1))
-    assert np.array_equal(out.values.values, np.zeros((4, 1)))
+    out = _localize(_const_drift(g, 0.0), g.dt, 0.1)
+    assert np.array_equal(out, np.zeros((1, 4, 1)))
 
 
 def test_stop_indices_and_mask():
@@ -120,7 +124,7 @@ def test_localized_energy_monotone_in_threshold(seed):
         if math.isinf(n):
             loc = u
         else:
-            loc = localize_values(u, stop_indices(u, g.dt, n))
+            loc = _localize(u, g.dt, n)
         energies.append(float(np.sum(loc**2) * g.dt))
     assert all(a <= b + 1e-12 for a, b in zip(energies, energies[1:]))
     total = float(np.sum(u**2) * g.dt)
@@ -135,10 +139,8 @@ def test_localized_weights_normalize_on_bounded_drift():
     model = make_model("tsirelson", levels=3)
     sim = simulate_ensemble(model, g, M, RandomStream(seed=11))
     filt = ensemble_conditional_drift(model, sim)
-    idx = stop_indices(filt.values, g.dt, 1.0)
-    loc = localize_values(filt.values, idx)
-    Z = sim.U - np.concatenate(
-        [np.zeros((M, 1, 1)), np.cumsum(filt.values * g.dt, axis=1)], axis=1)
+    loc = _localize(filt.values, g.dt, 1.0)
+    Z = innovation_values(sim.U, filt.values, g.dt)
     lw = log_weights_ensemble(loc, Z, g.dt)
     diag = normalization_diagnostic(lw)
     assert diag.passed

@@ -3,16 +3,14 @@ import pytest
 
 from innovlab.core import RandomStream, TimeGrid
 from innovlab.errors import ConfigurationError
-from innovlab.models import (
-    drift_given_histories,
-    list_models,
-    make_model,
-    run_euler,
-    simulate,
-    simulate_ensemble,
-)
+from innovlab.models import list_models, make_model, run_euler, simulate_ensemble
 
 STREAM = RandomStream(seed=606, substream=0)
+
+
+def brownian(sim):
+    """Brownian paths (m, N+1, d): prefix sums of the stored increments."""
+    return np.concatenate([np.zeros_like(sim.dB[:, :1]), np.cumsum(sim.dB, axis=1)], axis=1)
 
 
 def all_models():
@@ -41,14 +39,14 @@ def test_unknown_model_rejected():
 
 
 def test_zero_drift_observation_equals_brownian():
-    out = simulate(make_model("zero"), TimeGrid(steps=32), STREAM)
-    assert np.array_equal(out.observation.values, out.brownian.values)
+    out = simulate_ensemble(make_model("zero"), TimeGrid(steps=32), 1, STREAM)
+    assert np.array_equal(out.U, brownian(out))
 
 
 def test_deterministic_unit_drift_shifts_by_time():
     g = TimeGrid(steps=16)
-    out = simulate(make_model("deterministic", shape="constant", value=1.0), g, STREAM)
-    shift = out.observation.values[:, 0] - out.brownian.values[:, 0]
+    out = simulate_ensemble(make_model("deterministic", shape="constant", value=1.0), g, 1, STREAM)
+    shift = out.U[0, :, 0] - brownian(out)[0, :, 0]
     assert shift == pytest.approx(g.times, abs=1e-12)
 
 
@@ -71,9 +69,9 @@ def test_consistency_identity_bit_exact_for_every_model(seed):
 def test_simulation_is_reproducible():
     g = TimeGrid(steps=16)
     for model in all_models():
-        a = simulate(model, g, RandomStream(seed=42, substream=3))
-        b = simulate(model, g, RandomStream(seed=42, substream=3))
-        assert np.array_equal(a.observation.values, b.observation.values), model.name
+        a = simulate_ensemble(model, g, 1, RandomStream(seed=42, substream=3))
+        b = simulate_ensemble(model, g, 1, RandomStream(seed=42, substream=3))
+        assert np.array_equal(a.U, b.U), model.name
         assert np.array_equal(a.aux, b.aux), model.name
 
 
@@ -83,30 +81,32 @@ def test_ensemble_paths_match_single_path_runs():
     g = TimeGrid(steps=8)
     for model in all_models():
         ens = simulate_ensemble(model, g, 5, RandomStream(seed=11, substream=0))
-        lone = simulate(model, g, RandomStream(seed=11, substream=3))
-        assert np.array_equal(ens.path(3).observation.values, lone.observation.values), model.name
-        assert np.array_equal(ens.path(3).drift.values, lone.drift.values), model.name
+        lone = simulate_ensemble(model, g, 1, RandomStream(seed=11, substream=3))
+        assert np.array_equal(ens.U[3], lone.U[0]), model.name
+        assert np.array_equal(ens.drift[3], lone.drift[0]), model.name
 
 
 def test_exogenous_models_ignore_observation_history():
+    # same aux and hidden inputs, different observation noise: a drift that
+    # never reads the observation cannot tell the two runs apart
     g = TimeGrid(steps=8)
     rng = np.random.default_rng(5)
     for model in all_models():
         if model.reads_observation:
             continue
         out = simulate_ensemble(model, g, 3, STREAM)
-        tampered = out.U + rng.normal(size=out.U.shape)
-        replay = drift_given_histories(model, g, tampered, out.B, out.aux, out.hidden)
-        assert np.array_equal(replay, out.drift), model.name
+        tampered = out.dB + rng.normal(size=out.dB.shape)
+        replay = run_euler(model, g, tampered, out.aux, out.hidden)
+        assert not np.array_equal(replay.U, out.U), model.name
+        assert np.array_equal(replay.drift, out.drift), model.name
 
 
 def test_feedback_models_do_read_observation_history():
     g = TimeGrid(steps=8)
     model = make_model("linear-feedback", a=1.0)
     out = simulate_ensemble(model, g, 3, STREAM)
-    tampered = out.U + 1.0
-    replay = drift_given_histories(model, g, tampered, out.B, out.aux, out.hidden)
-    assert not np.array_equal(replay, out.drift)
+    replay = run_euler(model, g, out.dB + 1.0, out.aux, out.hidden)
+    assert not np.array_equal(replay.drift, out.drift)
 
 
 def test_tsirelson_drift_lies_in_unit_interval():
@@ -119,9 +119,9 @@ def test_tsirelson_drift_lies_in_unit_interval():
 def test_tsirelson_rejects_incompatible_grid():
     model = make_model("tsirelson", levels=4)
     with pytest.raises(ConfigurationError):
-        simulate(model, TimeGrid(steps=100), STREAM)
+        simulate_ensemble(model, TimeGrid(steps=100), 1, STREAM)
     with pytest.raises(ConfigurationError):
-        simulate(model, TimeGrid(steps=32, horizon=2.0), STREAM)
+        simulate_ensemble(model, TimeGrid(steps=32, horizon=2.0), 1, STREAM)
 
 
 def test_tsirelson_slope_refresh_matches_definition():

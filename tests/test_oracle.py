@@ -20,6 +20,7 @@ from innovlab.oracle import (
     exact_relative_entropy,
     finite_bayes_filter,
     gauss_quantized,
+    match_atoms,
     pushforward_entropy_mc,
     sample_quantized_ensemble,
     system_battery,
@@ -75,7 +76,7 @@ class SignFeedback(DriftModel):
     reads_observation = True
     observation_adapted = True
 
-    def drift(self, k, grid, U, B, aux, hidden, state):
+    def drift(self, k, grid, U, aux, hidden, state):
         m = U.shape[0]
         if k == 0:
             return np.zeros((m, 1))
@@ -226,10 +227,7 @@ def test_finite_bayes_filter_matches_enumeration_exactly():
     sim = sample_quantized_ensemble(model, g, 200, RandomStream(seed=8), noise, aux)
     filt = finite_bayes_filter(model, sim, noise, aux)
     # locate each sampled path's atom and compare the conditional drift
-    order = np.argsort(noise.nodes)
-    node_idx = order[np.searchsorted(np.sort(noise.nodes), sim.dB[:, :, 0])]
-    powers = noise.count ** np.arange(g.steps - 1, -1, -1)
-    atom = (node_idx * powers).sum(axis=1) * 2 + np.searchsorted(aux, sim.aux[:, 0])
+    atom = match_atoms(space, sim, aux)
     assert np.max(np.abs(filt.values - space.uhat[atom])) < 1e-12
 
 
@@ -287,10 +285,7 @@ def test_regression_fit_tracks_exact_conditional_expectation():
     filt = finite_bayes_filter(model, sim, noise, aux)
     Z = innovation_values(sim.U, filt.values, g.dt)
     ens = reweight(log_weights_ensemble(filt.values, Z, g.dt))
-    order = np.argsort(noise.nodes)
-    node_idx = order[np.searchsorted(np.sort(noise.nodes), sim.dB[:, :, 0])]
-    powers = noise.count ** np.arange(2, -1, -1)
-    atom = (node_idx * powers).sum(axis=1) * 2 + np.searchsorted(aux, sim.aux[:, 0])
+    atom = match_atoms(space, sim, aux)
 
     basis = BasisSpec(include_cubes=True)
     fb = FeatureBuilder(Z, g.dt, basis)
