@@ -30,8 +30,8 @@ for name, params in [
 ]:
     out = simulate_ensemble(make_model(name, **params), grid, 1, stream)
     drift_energy = path_energies(out.drift, grid.dt)[0]
-    print(f"  {name:16s} U(1)={out.U[0, -1, 0]:+.4f} "
-          f"B(1)={out.dB[0, :, 0].sum():+.4f} |u|_H^2={drift_energy:.4f}")
+    print(f"  {name:16s} U(1)={out.U[0, -1]:+.4f} "
+          f"B(1)={out.dB[0].sum():+.4f} |u|_H^2={drift_energy:.4f}")
 
 # The defining identity holds bit-exactly on the stored increments.
 sim = simulate_ensemble(make_model("kalman-bucy"), grid, 100, stream)
@@ -42,4 +42,4 @@ print(f"\ndU = u' dt + dB bit-exact over an ensemble: {exact}")
 for a in (0.0, 1.0, 4.0):
     model = make_model("linear-feedback", a=a)
     ens = simulate_ensemble(model, grid, 4000, RandomStream(seed=11))
-    print(f"feedback a={a}: Var U(1) = {ens.U[:, -1, 0].var():.4f}")
+    print(f"feedback a={a}: Var U(1) = {ens.U[:, -1].var():.4f}")

@@ -11,11 +11,12 @@ Module map:
 
 * ``core``      -- grids, counter-based random streams, path energies
 * ``models``    -- the drift-model registry, the shared Euler recursion and
-                   the stacked ensemble (m paths; a single path is m = 1)
+                   the stacked ensemble (m scalar paths; a single path is m = 1)
 * ``filtering`` -- exact filters, innovations, second-level regressions
 * ``girsanov``  -- log-weights, stopping-time localization, reweighting
-* ``criterion`` -- entropy and energy estimators, verdicts, exact KL
-* ``lingauss``  -- closed-form Gaussian path laws for the linear family
+* ``criterion`` -- entropy and energy estimators, verdicts
+* ``lingauss``  -- closed-form Gaussian path laws and exact KL for the
+                   linear family
 * ``oracle``    -- quantized enumeration, entropy identities, the witness
 * ``harness``   -- configs, experiment runs, persistence, suites
 * ``cli``       -- the ``innovlab`` command (run, report, suite, list-models)
@@ -31,7 +32,6 @@ from .criterion import (
     LevelReport,
     criterion_levels,
     criterion_verdict,
-    gaussian_path_kl,
 )
 from .filtering import BasisSpec, ensemble_conditional_drift
 from .girsanov import WeightedEnsemble, normalization_diagnostic, reweight
@@ -51,7 +51,7 @@ __all__ = [
     "__version__",
     "RandomStream", "TimeGrid",
     "EQUALITY_CONSISTENT", "INCONCLUSIVE", "POSITIVE_GAP",
-    "LevelReport", "criterion_levels", "criterion_verdict", "gaussian_path_kl",
+    "LevelReport", "criterion_levels", "criterion_verdict",
     "BasisSpec", "ensemble_conditional_drift",
     "WeightedEnsemble", "normalization_diagnostic", "reweight",
     "ExperimentConfig", "report", "run_experiment", "suite",

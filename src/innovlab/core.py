@@ -3,9 +3,10 @@
 Conventions used throughout the package:
 
 * uniform grids on [0, horizon] with N steps, t_k = k * horizon / N;
-* an ensemble of m paths is stacked: path values are (m, N+1, d) arrays
-  whose column 0 is 0, one value per grid point; a single path is m = 1;
-* adapted integrands are (m, N, d) arrays, one value per subinterval,
+* observations are scalar, and an ensemble of m paths is stacked: path
+  values are (m, N+1) arrays whose column 0 is 0, one value per grid
+  point; a single path is m = 1;
+* adapted integrands are (m, N) arrays, one value per subinterval,
   column k being the value on [t_k, t_{k+1}) (left-point convention);
 * every stochastic integral is the non-anticipating left-point sum.
 
@@ -92,11 +93,11 @@ class RandomStream:
 
 
 def path_energies(x: np.ndarray, dt: float, mask: Optional[np.ndarray] = None) -> np.ndarray:
-    """Per-member energy  sum_k |x_k|^2 dt  of stacked integrands (m, N, d).
+    """Per-member energy  sum_k x_k^2 dt  of stacked integrands (m, N).
 
     mask, when given, is a boolean (m, N) array selecting the steps that count.
     """
     if mask is None:
-        return np.einsum("mkd,mkd->m", x, x) * dt
-    return np.einsum("mkd,mkd,mk->m", x, x, mask.astype(float)) * dt
+        return np.einsum("mk,mk->m", x, x) * dt
+    return np.einsum("mk,mk,mk->m", x, x, mask.astype(float)) * dt
 

@@ -11,7 +11,8 @@ When the filtered drift is measurable with respect to the innovation
 history the two agree (up to the feature-projection bias, whose direction
 is downward on the entropy side, making equality verdicts conservative);
 an information gap shows up as energy strictly above entropy.  Exact
-reference values for the linear family come from `lingauss`.
+reference values for the linear family come from `lingauss`, which the
+estimators here do not depend on.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ from .girsanov import (
     reweight,
     stop_indices,
 )
-from .lingauss import linear_gaussian_summary
-from .models import DriftModel
 
 __all__ = [
     "EQUALITY_CONSISTENT",
@@ -44,7 +43,6 @@ __all__ = [
     "inequality_check",
     "classify_level",
     "criterion_verdict",
-    "gaussian_path_kl",
     "criterion_levels",
     "DEFAULT_LEVELS",
 ]
@@ -124,13 +122,6 @@ def criterion_verdict(reports: Sequence[LevelReport]) -> str:
     return INCONCLUSIVE
 
 
-def gaussian_path_kl(model: DriftModel, grid: TimeGrid) -> float:
-    """Exact relative entropy of the innovation-increment law under the
-    tilted measure against independent N(0, dt) increments (linear family).
-    """
-    return linear_gaussian_summary(model, grid).innovation_kl
-
-
 def criterion_levels(Z: np.ndarray, uhat: np.ndarray, grid: TimeGrid,
                      levels: Sequence[float] = DEFAULT_LEVELS,
                      basis: BasisSpec = BasisSpec(),
@@ -138,19 +129,19 @@ def criterion_levels(Z: np.ndarray, uhat: np.ndarray, grid: TimeGrid,
                      method: str = "") -> list[LevelReport]:
     """Run the per-level criterion over a filtered ensemble.
 
-    Z: stacked innovation values (m, N+1, d); uhat: stacked filtered drift
-    (m, N, d).  For each level the filtered drift is localized, weights are
+    Z: stacked innovation values (m, N+1); uhat: stacked filtered drift
+    (m, N).  For each level the filtered drift is localized, weights are
     rebuilt, and the second-level regression is re-solved under those
     weights (the response is the unlocalized drift; the localization
     indicator, being an innovation functional, multiplies the fit).
     """
-    m, N, d = uhat.shape
+    m, N = uhat.shape
     dt = grid.dt
     levels = list(levels)
     if not levels:
         raise UsageError("need at least one localization level")
 
-    masks, weight_sets, diags, ensembles = [], [], [], []
+    masks, weight_sets, diags, ess = [], [], [], []
     unlocalized_slot = None
     for lv in levels:
         if math.isinf(lv):
@@ -162,9 +153,9 @@ def criterion_levels(Z: np.ndarray, uhat: np.ndarray, grid: TimeGrid,
             masks.append(masks[unlocalized_slot])
             weight_sets.append(weight_sets[unlocalized_slot])
             diags.append(diags[unlocalized_slot])
-            ensembles.append(ensembles[unlocalized_slot])
+            ess.append(ess[unlocalized_slot])
             continue
-        loc = uhat * mask[:, :, None]
+        loc = uhat * mask
         lw = log_weights_ensemble(loc, Z, dt)
         diag = normalization_diagnostic(lw) if m >= 100 else None
         ens = reweight(lw)
@@ -173,7 +164,7 @@ def criterion_levels(Z: np.ndarray, uhat: np.ndarray, grid: TimeGrid,
         masks.append(mask)
         weight_sets.append(ens.weights)
         diags.append(diag)
-        ensembles.append(ens)
+        ess.append(ens.ess)
 
     # one regression per step per distinct weight set, features shared
     L = len(levels)
@@ -193,12 +184,8 @@ def criterion_levels(Z: np.ndarray, uhat: np.ndarray, grid: TimeGrid,
     for k in range(N):
         F = builder.features_at(k)
         for s, i in enumerate(distinct):
-            w = weight_sets[i]
-            fitted = np.empty((m, d))
-            for j in range(d):
-                _, fitted[:, j] = weighted_ridge_fit(F, uhat[:, k, j], w, basis.ridge)
-            contrib = np.einsum("md,md->m", fitted, fitted) * dt
-            q[s] += contrib * masks[i][:, k]
+            _, fitted = weighted_ridge_fit(F, uhat[:, k], weight_sets[i], basis.ridge)
+            q[s] += fitted * fitted * dt * masks[i][:, k]
 
     reports = []
     for i, lv in enumerate(levels):
@@ -219,7 +206,7 @@ def criterion_levels(Z: np.ndarray, uhat: np.ndarray, grid: TimeGrid,
                 energy_se=energy_se,
                 gap=gap,
                 gap_se=gap_se,
-                ess=ensembles[i].ess,
+                ess=ess[i],
                 norm_mean=diag.mean if diag else float("nan"),
                 norm_se=diag.se if diag else float("nan"),
                 norm_passed=diag.passed if diag else False,

@@ -39,15 +39,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EnsembleFilter:
-    """Stacked filtered drift for an ensemble: values shape (m, N, d)."""
+    """Stacked filtered drift for an ensemble: values shape (m, N)."""
 
-    grid: TimeGrid
     values: np.ndarray
     method: str
-
-    @property
-    def size(self) -> int:
-        return self.values.shape[0]
 
 
 def riccati_sequence(beta: float, sigma: float, grid: TimeGrid,
@@ -116,40 +111,35 @@ def _tsirelson_values(model: Tsirelson, sim: EnsembleSimulation) -> np.ndarray:
     segment, the drift itself afterwards (it is observation-adapted there)."""
     grid = sim.grid
     n0 = round(model.level_times()[0] * grid.steps)
-    out = sim.drift[:, :, 0].copy()
-    U = sim.U[:, :, 0]
+    out = sim.drift.copy()
     out[:, 0] = 0.5
     for k in range(1, n0):
         t = k * grid.dt
-        out[:, k] = _truncnorm_mean01(U[:, k] / t, 1.0 / np.sqrt(t))
-    return out[:, :, None]
+        out[:, k] = _truncnorm_mean01(sim.U[:, k] / t, 1.0 / np.sqrt(t))
+    return out
 
 
 def ensemble_conditional_drift(model: DriftModel, sim: EnsembleSimulation) -> EnsembleFilter:
     """Filtered drift for a whole ensemble, via the model's exact filter."""
     if model.observation_adapted:
-        return EnsembleFilter(sim.grid, sim.drift, "identity-feedback")
+        return EnsembleFilter(sim.drift, "identity-feedback")
     if isinstance(model, KalmanBucy):
-        vals = _kalman_values(sim.dU[:, :, 0], model.beta, model.sigma, sim.grid,
-                              p0=model.x0_var)
-        return EnsembleFilter(sim.grid, vals[:, :, None], "exact-kalman")
+        vals = _kalman_values(sim.dU, model.beta, model.sigma, sim.grid, p0=model.x0_var)
+        return EnsembleFilter(vals, "exact-kalman")
     if isinstance(model, IndependentDrift):
         g_left = model.g(sim.grid.left_times)
-        vals = _independent_values(sim.dU[:, :, 0], g_left, sim.grid.dt)
-        return EnsembleFilter(sim.grid, vals[:, :, None], "exact-gaussian")
+        return EnsembleFilter(_independent_values(sim.dU, g_left, sim.grid.dt), "exact-gaussian")
     if isinstance(model, Tsirelson):
-        return EnsembleFilter(sim.grid, _tsirelson_values(model, sim), "exact-head")
+        return EnsembleFilter(_tsirelson_values(model, sim), "exact-head")
     raise UsageError(f"no exact filter for model {model.name}")
 
 
 def innovation_values(U: np.ndarray, uhat: np.ndarray, dt: float) -> np.ndarray:
-    """Innovation paths Z = U - int uhat ds: U (m, N+1, d), uhat (m, N, d)."""
+    """Innovation paths Z = U - int uhat ds: U (m, N+1), uhat (m, N)."""
     m = U.shape[0]
-    if uhat.shape != (m, U.shape[1] - 1) + U.shape[2:]:
+    if U.ndim != 2 or uhat.shape != (m, U.shape[1] - 1):
         raise ShapeError(f"filtered drift {uhat.shape} does not fit observation {U.shape}")
-    prim = np.concatenate(
-        [np.zeros((m, 1) + U.shape[2:]), np.cumsum(uhat * dt, axis=1)], axis=1
-    )
+    prim = np.concatenate([np.zeros((m, 1)), np.cumsum(uhat * dt, axis=1)], axis=1)
     return U - prim
 
 
@@ -202,8 +192,8 @@ class FeatureBuilder:
         self._reset()
 
     def _reset(self):
-        m, _, d = self.Z.shape
-        self._ema = [np.zeros((m, d)) for _ in self.spec.ema_rates]
+        m = self.Z.shape[0]
+        self._ema = [np.zeros(m) for _ in self.spec.ema_rates]
         self._next = 0
 
     def _advance_to(self, k: int):
@@ -213,20 +203,15 @@ class FeatureBuilder:
             for ema, rate in zip(self._ema, self.spec.ema_rates):
                 lam = 1.0 - rate * self.dt
                 ema *= lam
-                ema += self.dZ[:, j, :]
+                ema += self.dZ[:, j]
         self._next = k
 
     def features_at(self, k: int) -> np.ndarray:
         spec = self.spec
         self._advance_to(k)
-        m, _, d = self.Z.shape
+        m = self.Z.shape[0]
         w = min(k, spec.window)
-        blocks = []
-        if w > 0:
-            blocks.append(self.dZ[:, k - w: k, :].reshape(m, w * d))
-        blocks.append(self.Z[:, k, :])
-        blocks.extend(e.copy() for e in self._ema)
-        base = np.concatenate(blocks, axis=1)
+        base = np.column_stack([self.dZ[:, k - w: k], self.Z[:, k], *self._ema])
         feats = [np.ones((m, 1)), base]
         if spec.include_squares:
             feats.append(base**2)

@@ -2,7 +2,7 @@
 
 The drift-removal exponential of a filtered drift against the innovation,
 
-    log rho = - sum_k <uhat_k, dZ_k> - 1/2 sum_k |uhat_k|^2 dt,
+    log rho = - sum_k uhat_k dZ_k - 1/2 sum_k uhat_k^2 dt,
 
 defines the tilted measure under which the observation plays the role of
 the driving noise.  Because the exponential need not integrate to one
@@ -31,7 +31,6 @@ __all__ = [
     "NormalizationDiagnostic",
     "log_weights_ensemble",
     "stop_indices",
-    "localize_values",
     "active_mask",
     "normalization_diagnostic",
     "reweight",
@@ -56,7 +55,6 @@ class NormalizationDiagnostic:
 class WeightedEnsemble:
     """Self-normalized importance weights over ensemble members."""
 
-    log_weights: np.ndarray
     weights: np.ndarray
     ess: float
 
@@ -66,13 +64,12 @@ class WeightedEnsemble:
 
 
 def log_weights_ensemble(uhat: np.ndarray, Z: np.ndarray, dt: float) -> np.ndarray:
-    """Stacked log rho over an ensemble: uhat (m, N, d), Z (m, N+1, d)."""
-    m, N = uhat.shape[:2]
-    if Z.shape != (m, N + 1) + uhat.shape[2:]:
+    """Stacked log rho over an ensemble: uhat (m, N), Z (m, N+1)."""
+    if uhat.ndim != 2 or Z.shape != (uhat.shape[0], uhat.shape[1] + 1):
         raise ShapeError(f"filtered drift {uhat.shape} does not fit innovation {Z.shape}")
     with np.errstate(invalid="ignore", over="ignore"):
         dZ = np.diff(Z, axis=1)
-        ito = np.einsum("mkd,mkd->m", uhat, dZ)
+        ito = np.einsum("mk,mk->m", uhat, dZ)
         en = path_energies(uhat, dt)
         out = -ito - 0.5 * en
     if not np.all(np.isfinite(out)):
@@ -81,12 +78,12 @@ def log_weights_ensemble(uhat: np.ndarray, Z: np.ndarray, dt: float) -> np.ndarr
 
 
 def stop_indices(uhat: np.ndarray, dt: float, threshold: float) -> np.ndarray:
-    """Per-member stopping index: first k with sum_{j<k} |uhat_j|^2 dt > n.
+    """Per-member stopping index: first k with sum_{j<k} uhat_j^2 dt > n.
 
     Returns N when the running energy never exceeds the threshold.
     """
-    m, N = uhat.shape[0], uhat.shape[1]
-    step_energy = np.einsum("mkd,mkd->mk", uhat, uhat) * dt
+    m, N = uhat.shape
+    step_energy = np.einsum("mk,mk->mk", uhat, uhat) * dt
     before = np.concatenate([np.zeros((m, 1)), np.cumsum(step_energy, axis=1)], axis=1)
     exceeded = before[:, :-1] > threshold  # energy before step k, k = 0..N-1
     idx = np.where(exceeded.any(axis=1), exceeded.argmax(axis=1), N)
@@ -96,12 +93,6 @@ def stop_indices(uhat: np.ndarray, dt: float, threshold: float) -> np.ndarray:
 def active_mask(stop_idx: np.ndarray, steps: int) -> np.ndarray:
     """Boolean (m, N) mask of steps strictly before each stopping index."""
     return np.arange(steps)[None, :] < stop_idx[:, None]
-
-
-def localize_values(uhat: np.ndarray, stop_idx: np.ndarray) -> np.ndarray:
-    """Zero the filtered drift from each member's stopping index onward."""
-    mask = active_mask(stop_idx, uhat.shape[1])
-    return uhat * mask[:, :, None]
 
 
 def normalization_diagnostic(log_weights: np.ndarray) -> NormalizationDiagnostic:
@@ -130,4 +121,4 @@ def reweight(log_weights: np.ndarray) -> WeightedEnsemble:
     w = np.exp(lw - top)
     w = w / w.sum()
     ess = float(1.0 / np.sum(w**2))
-    return WeightedEnsemble(lw, w, ess)
+    return WeightedEnsemble(w, ess)

@@ -277,8 +277,7 @@ def _simulate_chunked(model, grid, size, seed, workers) -> EnsembleSimulation:
         parts = list(pool.map(lambda j: work(*j), jobs))
     cat = lambda sel: np.concatenate([sel(p) for p in parts], axis=0)
     return EnsembleSimulation(
-        model_name=model.name, grid=grid,
-        dB=cat(lambda p: p.dB), dU=cat(lambda p: p.dU), drift=cat(lambda p: p.drift),
+        grid=grid, dB=cat(lambda p: p.dB), dU=cat(lambda p: p.dU), drift=cat(lambda p: p.drift),
         aux=cat(lambda p: p.aux), U=cat(lambda p: p.U),
         hidden=None if parts[0].hidden is None else cat(lambda p: p.hidden),
     )
@@ -376,7 +375,7 @@ def _discrete_parts(config, model, grid):
     if config.erasure == "sign-terminal":
         labels = canonical_labels(witness_labels(Z))
     else:
-        labels = canonical_labels(Z[:, 1:, 0])
+        labels = canonical_labels(Z[:, 1:])
     return noise, space, system, exact, sim, uhat, Z, lw, labels, method
 
 
@@ -471,7 +470,7 @@ def _write_paths_csv(config, sim, filt, Z, grid):
         fh.write("path,log_weight,drift_energy,terminal_innovation\n")
         for i in range(sim.size):
             fh.write(f"{i},{_fmt_cell(float(lw[i]))},{_fmt_cell(float(e[i]))},"
-                     f"{_fmt_cell(float(Z[i, -1, 0]))}\n")
+                     f"{_fmt_cell(float(Z[i, -1]))}\n")
 
 
 # ------------------------------------------------------------------- reporting

@@ -70,13 +70,6 @@ class LinearGaussianSummary:
     rho_mean: float
 
 
-def _require_linear(model):
-    if not is_linear_model(model):
-        raise UnsupportedModelError(f"model {model.name} is not in the linear family")
-    if getattr(model, "d", 1) != 1:
-        raise UnsupportedModelError("linear Gaussian oracle handles dimension 1")
-
-
 def _affine_rows(model, grid):
     """Every pipeline quantity as an affine function of the primitive vector.
 
@@ -97,12 +90,11 @@ def _affine_rows(model, grid):
     aux = basis[:, :model.aux_dim]
     hidden = basis[:, model.aux_dim:model.aux_dim + hidden_n] if hidden_n else None
     iB = slice(model.aux_dim + hidden_n, n)
-    sim = run_euler(model, grid, basis[:, iB, None], aux, hidden)
+    sim = run_euler(model, grid, basis[:, iB], aux, hidden)
     filt = ensemble_conditional_drift(model, sim)
     var = np.concatenate([np.ones(model.aux_dim), np.full(hidden_n + N, dt)])
 
-    def split(values):
-        x = values[:, :, 0]
+    def split(x):
         return (x[1:] - x[0]).T, x[0]
 
     return split(sim.dU), split(sim.drift), split(filt.values), var, iB
@@ -117,7 +109,8 @@ def _expected_square(rows, const, cov, mean):
 
 def linear_gaussian_summary(model: DriftModel, grid: TimeGrid) -> LinearGaussianSummary:
     """Exact Gaussian functionals of the discretized linear model."""
-    _require_linear(model)
+    if not is_linear_model(model):
+        raise UnsupportedModelError(f"model {model.name} is not in the linear family")
     N = grid.steps
     dt = grid.dt
 

@@ -26,7 +26,7 @@ from .core import (
     RandomStream,
     TimeGrid,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ShapeError
 
 __all__ = [
     "DriftModel",
@@ -62,7 +62,6 @@ class DriftModel:
     Attributes:
         name: registry identifier.
         kind: one of "exogenous", "feedback", "hidden-signal".
-        d: state dimension.
         aux_dim: number of auxiliary draws independent of B (0 if none).
         reads_observation: whether the drift rule looks at U's history.
         observation_adapted: whether u' is a function of U's history alone,
@@ -71,7 +70,6 @@ class DriftModel:
 
     name = "abstract"
     kind = "exogenous"
-    d = 1
     aux_dim = 0
     reads_observation = False
     observation_adapted = False
@@ -89,8 +87,8 @@ class DriftModel:
     def needs_hidden(self) -> bool:
         return False
 
-    def sample_hidden(self, rng: np.random.Generator, grid: TimeGrid, m: Optional[int] = None) -> np.ndarray:
-        """Hidden driving noise, shape (N,) or (m, N); only if needs_hidden."""
+    def sample_hidden(self, rng: np.random.Generator, grid: TimeGrid) -> np.ndarray:
+        """Hidden driving noise of one path, shape (N,); only if needs_hidden."""
         raise NotImplementedError
 
     def start(self, grid: TimeGrid, aux: np.ndarray, hidden: Optional[np.ndarray]) -> dict:
@@ -99,9 +97,9 @@ class DriftModel:
 
     def drift(self, k: int, grid: TimeGrid, U: np.ndarray, aux: np.ndarray,
               hidden: Optional[np.ndarray], state: dict) -> np.ndarray:
-        """Drift rate on [t_k, t_{k+1}), shape (m, d).
+        """Drift rate on [t_k, t_{k+1}), shape (m,).
 
-        U is the observation value array (m, N+1, d); only columns 0..k may
+        U is the observation value array (m, N+1); only columns 0..k may
         be read (adaptedness by construction).  The Brownian path is not
         passed: a drift may depend on it only through U.
         """
@@ -116,7 +114,7 @@ class ZeroDrift(DriftModel):
     observation_adapted = True
 
     def drift(self, k, grid, U, aux, hidden, state):
-        return np.zeros((U.shape[0], self.d))
+        return np.zeros(U.shape[0])
 
 
 class DeterministicDrift(DriftModel):
@@ -138,7 +136,7 @@ class DeterministicDrift(DriftModel):
         return self._h(t)
 
     def drift(self, k, grid, U, aux, hidden, state):
-        return np.full((U.shape[0], self.d), self._h(grid.left_times[k]))
+        return np.full(U.shape[0], self._h(grid.left_times[k]))
 
 
 class LinearFeedback(DriftModel):
@@ -156,7 +154,7 @@ class LinearFeedback(DriftModel):
         return {"a": self.a}
 
     def drift(self, k, grid, U, aux, hidden, state):
-        return -self.a * U[:, k, :]
+        return -self.a * U[:, k]
 
 
 class KalmanBucy(DriftModel):
@@ -190,16 +188,14 @@ class KalmanBucy(DriftModel):
     def needs_hidden(self):
         return True
 
-    def sample_hidden(self, rng, grid, m=None):
-        shape = grid.steps if m is None else (m, grid.steps)
-        return rng.normal(0.0, np.sqrt(grid.dt), size=shape)
+    def sample_hidden(self, rng, grid):
+        return rng.normal(0.0, np.sqrt(grid.dt), size=grid.steps)
 
     def start(self, grid, aux, hidden):
-        x0 = np.sqrt(self.x0_var) * aux[:, 0]
-        return {"X": x0.copy()}
+        return {"X": np.sqrt(self.x0_var) * aux[:, 0]}
 
     def drift(self, k, grid, U, aux, hidden, state):
-        u = state["X"][:, None].copy()
+        u = state["X"]
         # propagate the hidden signal past t_k once its drift value is out
         state["X"] = state["X"] * (1.0 - self.beta * grid.dt) + self.sigma * hidden[:, k]
         return u
@@ -227,7 +223,7 @@ class IndependentDrift(DriftModel):
         return rng.normal(size=(m, 1))
 
     def drift(self, k, grid, U, aux, hidden, state):
-        return aux[:, :1] * self._g(grid.left_times[k])
+        return aux[:, 0] * self._g(grid.left_times[k])
 
 
 class Tsirelson(DriftModel):
@@ -280,8 +276,8 @@ class Tsirelson(DriftModel):
             j = bounds.index(k)
             lo, hi = bounds[j - 1], bounds[j]
             span = (hi - lo) * grid.dt
-            state["slope"] = np.mod((U[:, hi, 0] - U[:, lo, 0]) / span, 1.0)
-        return state["slope"][:, None].copy()
+            state["slope"] = np.mod((U[:, hi] - U[:, lo]) / span, 1.0)
+        return state["slope"]
 
 
 class WitnessDrift(DriftModel):
@@ -304,20 +300,20 @@ class WitnessDrift(DriftModel):
         return {"kick": self.kick}
 
     def drift(self, k, grid, U, aux, hidden, state):
-        m = U.shape[0]
         if k == 0:
-            return np.zeros((m, 1))
-        return self.kick * (U[:, 1, 0] > 0).astype(float)[:, None]
+            return np.zeros(U.shape[0])
+        return self.kick * (U[:, 1] > 0).astype(float)
 
 
 @dataclass(frozen=True)
 class EnsembleSimulation:
-    """Stacked simulation of m paths: arrays indexed (path, step, coord).
+    """Stacked simulation of m scalar paths: arrays indexed (path, step).
 
-    The Brownian path is not stored; it is the prefix sum of dB.
+    U is (m, N+1); dB, dU and drift are (m, N); aux is (m, aux_dim) and
+    hidden, when the model has it, (m, N).  The Brownian path is not
+    stored; it is the prefix sum of dB.
     """
 
-    model_name: str
     grid: TimeGrid
     dB: np.ndarray
     dU: np.ndarray
@@ -335,26 +331,26 @@ def run_euler(model: DriftModel, grid: TimeGrid, dB: np.ndarray,
               aux: np.ndarray, hidden: Optional[np.ndarray] = None) -> EnsembleSimulation:
     """Integrate U = B + int u' ds for given noise increments and aux draws.
 
-    dB has shape (m, N, d); aux has shape (m, aux_dim); hidden, when the
+    dB has shape (m, N); aux has shape (m, aux_dim); hidden, when the
     model needs it, has shape (m, N).
     """
     model.validate(grid)
-    m, N, d = dB.shape
-    if d != model.d:
-        raise ConfigurationError(f"model {model.name} has dimension {model.d}, noise has {d}")
+    if dB.ndim != 2:
+        raise ShapeError(f"noise increments must be (m, N), got shape {dB.shape}")
     if model.needs_hidden() and hidden is None:
         raise ConfigurationError(f"model {model.name} needs hidden driving noise")
+    m, N = dB.shape
     dt = grid.dt
-    U = np.zeros((m, N + 1, d))
-    drift = np.empty((m, N, d))
-    dU = np.empty((m, N, d))
+    U = np.zeros((m, N + 1))
+    drift = np.empty((m, N))
+    dU = np.empty((m, N))
     state = model.start(grid, aux, hidden)
     for k in range(N):
         u = model.drift(k, grid, U, aux, hidden, state)
-        drift[:, k, :] = u
-        dU[:, k, :] = u * dt + dB[:, k, :]
-        U[:, k + 1, :] = U[:, k, :] + dU[:, k, :]
-    return EnsembleSimulation(model.name, grid, dB, dU, drift, aux, U, hidden)
+        drift[:, k] = u
+        dU[:, k] = u * dt + dB[:, k]
+        U[:, k + 1] = U[:, k] + dU[:, k]
+    return EnsembleSimulation(grid, dB, dU, drift, aux, U, hidden)
 
 
 def simulate_ensemble(model: DriftModel, grid: TimeGrid, size: int,
@@ -364,14 +360,14 @@ def simulate_ensemble(model: DriftModel, grid: TimeGrid, size: int,
     A single path is the ensemble of size 1.
     """
     model.validate(grid)
-    N, d = grid.steps, model.d
-    dB = np.empty((size, N, d))
+    N = grid.steps
+    dB = np.empty((size, N))
     aux = np.empty((size, model.aux_dim))
     hidden = np.empty((size, N)) if model.needs_hidden() else None
     root = np.sqrt(grid.dt)
     for i in range(size):
         s = RandomStream(stream.seed, stream.substream + i)
-        dB[i] = root * s.lane(LANE_BROWNIAN).generator().standard_normal((N, d))
+        dB[i] = root * s.lane(LANE_BROWNIAN).generator().standard_normal(N)
         if model.aux_dim:
             aux[i] = model.sample_aux(s.lane(LANE_AUX).generator(), 1)[0]
         if hidden is not None:
@@ -406,12 +402,11 @@ def list_models() -> list[dict]:
     """Descriptors of the built-in models (name, kind, default parameters)."""
     out = []
     for name, cls in _REGISTRY.items():
-        inst = cls() if name != "kalman-bucy" else cls(beta=1.0, sigma=1.0)
+        inst = cls()
         out.append(
             {
                 "name": name,
                 "kind": inst.kind,
-                "dimension": inst.d,
                 "aux_dimension": inst.aux_dim,
                 "observation_adapted": inst.observation_adapted,
                 "parameters": inst.parameters(),

@@ -150,10 +150,6 @@ class DiscreteVerdict:
     def gap(self) -> float:
         return self.base_entropy - self.pushforward_entropy
 
-    @property
-    def equality(self) -> bool:
-        return abs(self.gap) <= 1e-12
-
 
 @dataclass(frozen=True)
 class AtomSpace:
@@ -182,7 +178,7 @@ class AtomSpace:
                tag: str = "") -> FiniteSystem:
         """View as a FiniteSystem, optionally through a lossy observation map.
 
-        relabel receives the stacked innovation values (atoms, N+1, d) and
+        relabel receives the stacked innovation values (atoms, N+1) and
         returns one label per atom; the default keeps the full innovation
         trajectory classes.
         """
@@ -192,9 +188,8 @@ class AtomSpace:
 
 
 def canonical_labels(keys: np.ndarray) -> np.ndarray:
+    """Class index per row of keys (atoms, ...) after rounding; 1-D keys are one column."""
     keys = np.asarray(keys)
-    if keys.ndim == 1:
-        keys = keys[:, None]
     _, labels = np.unique(np.round(keys.reshape(len(keys), -1), ROUND_DECIMALS),
                           axis=0, return_inverse=True)
     return labels
@@ -235,8 +230,6 @@ def enumerate_atoms(model: DriftModel, grid: TimeGrid, noise: QuantizedNoise,
     if model.needs_hidden():
         raise ConfigurationError(f"model {model.name} has a continuous hidden signal; "
                                  "enumeration needs finitely many scenarios")
-    if model.d != 1:
-        raise ConfigurationError("enumeration handles dimension 1")
     if model.aux_dim and aux_values is None:
         raise ConfigurationError(f"model {model.name} needs finite aux values to enumerate")
     n_aux = len(aux_values) if model.aux_dim else 1
@@ -246,7 +239,7 @@ def enumerate_atoms(model: DriftModel, grid: TimeGrid, noise: QuantizedNoise,
         raise ConfigurationError(f"{atoms} atoms exceed the bound {max_atoms}")
 
     node_grids = np.meshgrid(*([noise.nodes] * N), indexing="ij")
-    dB = np.stack([g.reshape(-1) for g in node_grids], axis=1)[:, :, None]
+    dB = np.stack([g.reshape(-1) for g in node_grids], axis=1)
     prob_grids = np.meshgrid(*([noise.probs] * N), indexing="ij")
     p_noise = np.prod([g.reshape(-1) for g in prob_grids], axis=0)
 
@@ -264,19 +257,19 @@ def enumerate_atoms(model: DriftModel, grid: TimeGrid, noise: QuantizedNoise,
     sim = run_euler(model, grid, dB, aux)
 
     # exact filtered drift by observation-prefix grouping
-    uhat = np.empty((atoms, N, 1))
+    uhat = np.empty((atoms, N))
     labels = np.zeros(atoms, dtype=np.int64)  # U_0 = 0 for all atoms
     for k in range(N):
-        labels = _refine_labels(labels, sim.U[:, k, 0]) if k > 0 else labels
-        uhat[:, k, 0] = _group_mean_safe(labels, probs, sim.drift[:, k, 0])
+        labels = _refine_labels(labels, sim.U[:, k]) if k > 0 else labels
+        uhat[:, k] = _group_mean_safe(labels, probs, sim.drift[:, k])
     Z = innovation_values(sim.U, uhat, grid.dt)
 
     log_density = log_weights_ensemble(uhat, Z, grid.dt)
     raw = np.exp(log_density)
     density = raw / math.fsum(probs * raw)
 
-    z_labels = canonical_labels(Z[:, 1:, 0])
-    u_labels = canonical_labels(sim.U[:, 1:, 0])
+    z_labels = canonical_labels(Z[:, 1:])
+    u_labels = canonical_labels(sim.U[:, 1:])
     return AtomSpace(grid, noise, model.name, probs, sim, uhat, Z,
                      log_density, density, z_labels, u_labels)
 
@@ -344,10 +337,10 @@ def conditional_energy_by_grouping(space: AtomSpace) -> float:
     total = 0.0
     labels = np.zeros(space.atoms, dtype=np.int64)
     for k in range(N):
-        labels = _refine_labels(labels, space.Z[:, k, 0]) if k > 0 else labels
+        labels = _refine_labels(labels, space.Z[:, k]) if k > 0 else labels
         if nu.sum() <= 0:
             raise DegeneracyError("tilted measure has no mass")
-        cond = _group_mean_safe(labels, nu, space.uhat[:, k, 0])
+        cond = _group_mean_safe(labels, nu, space.uhat[:, k])
         total += float(math.fsum(nu * cond**2)) * space.grid.dt
     return 0.5 * total
 
@@ -361,7 +354,7 @@ def sample_quantized_ensemble(model: DriftModel, grid: TimeGrid, size: int,
                               ) -> EnsembleSimulation:
     """Monte Carlo sampling of the quantized pipeline (same Euler recursion)."""
     N = grid.steps
-    dB = np.empty((size, N, 1))
+    dB = np.empty((size, N))
     aux = np.empty((size, model.aux_dim))
     cum_noise = np.cumsum(noise.probs)
     if model.aux_dim:
@@ -374,7 +367,7 @@ def sample_quantized_ensemble(model: DriftModel, grid: TimeGrid, size: int,
     for i in range(size):
         s = RandomStream(stream.seed, stream.substream + i)
         u = s.lane(LANE_NOISE).generator().random(N)
-        dB[i, :, 0] = noise.nodes[np.searchsorted(cum_noise, u)]
+        dB[i] = noise.nodes[np.searchsorted(cum_noise, u)]
         if model.aux_dim:
             ua = s.lane(LANE_AUX).generator().random()
             aux[i] = aux_values[np.searchsorted(cum_aux, ua)]
@@ -400,11 +393,11 @@ def finite_bayes_filter(model: DriftModel, sim: EnsembleSimulation,
                  else np.asarray(aux_probs, dtype=float))
 
     # hypothesis drift tables (n_aux, N): exogenous, so path-independent
-    zeros = np.zeros((n_aux, N + 1, 1))
+    zeros = np.zeros((n_aux, N + 1))
     state = model.start(grid, aux_values[:, None], None)
     hypo = np.empty((n_aux, N))
     for k in range(N):
-        hypo[:, k] = model.drift(k, grid, zeros, aux_values[:, None], None, state)[:, 0]
+        hypo[:, k] = model.drift(k, grid, zeros, aux_values[:, None], None, state)
 
     log_pmf = {round(float(n), ROUND_DECIMALS): math.log(p)
                for n, p in zip(noise.nodes, noise.probs)}
@@ -417,16 +410,16 @@ def finite_bayes_filter(model: DriftModel, sim: EnsembleSimulation,
         return out
 
     post = np.tile(np.log(aux_probs), (m, 1))  # log posterior per path
-    out = np.empty((m, N, 1))
+    out = np.empty((m, N))
     for k in range(N):
         w = np.exp(post - post.max(axis=1, keepdims=True))
         w /= w.sum(axis=1, keepdims=True)
-        out[:, k, 0] = w @ hypo[:, k]
-        residual = sim.dU[:, k, 0][:, None] - hypo[:, k][None, :] * grid.dt
+        out[:, k] = w @ hypo[:, k]
+        residual = sim.dU[:, k][:, None] - hypo[:, k][None, :] * grid.dt
         post = post + loglik(residual)
         if not np.all(np.isfinite(post.max(axis=1))):
             raise DegeneracyError("no aux hypothesis explains an observed increment", step=k)
-    return EnsembleFilter(grid, out, "finite-bayes")
+    return EnsembleFilter(out, "finite-bayes")
 
 
 def base_entropy_mc(log_weights: np.ndarray) -> tuple[float, float]:
@@ -477,7 +470,7 @@ def match_atoms(space: AtomSpace, sim: EnsembleSimulation,
     """Atom index of each sampled quantized path (exact lattice lookup)."""
     noise = space.noise
     order = np.argsort(noise.nodes)
-    node_idx = order[np.searchsorted(np.sort(noise.nodes), sim.dB[:, :, 0])]
+    node_idx = order[np.searchsorted(np.sort(noise.nodes), sim.dB)]
     powers = noise.count ** np.arange(space.grid.steps - 1, -1, -1)
     flat = (node_idx * powers).sum(axis=1)
     if aux_values is not None and sim.aux.shape[1]:
@@ -526,7 +519,7 @@ def estimator_crosscheck(space: AtomSpace, sim: EnsembleSimulation,
 
 def witness_labels(Z: np.ndarray) -> np.ndarray:
     """Information-erasing observation: keep only |Z(1)|, forget its sign."""
-    return np.abs(Z[:, -1, 0])
+    return np.abs(Z[:, -1])
 
 
 def witness_grid() -> TimeGrid:
@@ -566,7 +559,7 @@ def random_finite_system(rng: np.random.Generator, kind: str) -> FiniteSystem:
         sign_blind = bool(rng.integers(0, 2))
 
         def relabel(Z, keep=keep, sign_blind=sign_blind):
-            vals = Z[:, keep, 0]
+            vals = Z[:, keep]
             return np.abs(vals) if sign_blind else np.round(vals, 1)
 
         return space.system(relabel=relabel, tag="erasure")

@@ -17,10 +17,10 @@ from innovlab.criterion import (
     POSITIVE_GAP,
     criterion_levels,
     criterion_verdict,
-    gaussian_path_kl,
 )
 from innovlab.filtering import BasisSpec, ensemble_conditional_drift, innovation_values
 from innovlab.harness import ExperimentConfig, run_experiment
+from innovlab.lingauss import linear_gaussian_summary
 from innovlab.models import make_model, simulate_ensemble
 from innovlab.oracle import WitnessDrift, dpi_verdict, system_battery, witness_space
 
@@ -70,7 +70,7 @@ def test_criterion_1_cameron_martin_exactness():
     filt = ensemble_conditional_drift(model, sim)
     Z = innovation_values(sim.U, filt.values, grid.dt)
     r = criterion_levels(Z, filt.values, grid, levels=(math.inf,))[0]
-    kl = gaussian_path_kl(model, grid)
+    kl = linear_gaussian_summary(model, grid).innovation_kl
     elapsed = time.time() - t0
     ok = (
         abs(r.entropy - 0.5) <= max(3 * r.entropy_se, 1e-12)
@@ -149,7 +149,7 @@ def test_criterion_5_filtration_equality_models(paper_runs):
     r = criterion_levels(kb["Z"], kb["filt"].values, kb["grid"],
                          levels=(math.inf,), basis=EMA_BASIS)[0]
     elapsed += time.time() - t0
-    kl = gaussian_path_kl(kb["model"], kb["grid"])
+    kl = linear_gaussian_summary(kb["model"], kb["grid"]).innovation_kl
     kb_ok = abs(r.entropy - kl) <= 3 * r.entropy_se
 
     ok = all(v == EQUALITY_CONSISTENT for v in verdicts.values()) and kb_ok and elapsed < 900
@@ -181,7 +181,7 @@ def test_criterion_7_innovation_brownianity(paper_runs):
     detail = []
     for name, _, _ in EQUALITY_MODELS:
         run = paper_runs[name]
-        dZ = np.diff(run["Z"][:, :, 0], axis=1)
+        dZ = np.diff(run["Z"], axis=1)
         dt = run["grid"].dt
         var_rel = abs(dZ.var() - dt) / dt
         x, y = dZ[:, :-1].ravel(), dZ[:, 1:].ravel()

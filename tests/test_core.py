@@ -13,26 +13,25 @@ ZERO = make_model("zero")
 
 
 def _brownian(grid, size, stream):
-    """Brownian paths (size, N+1, 1): the observation of the zero-drift model."""
+    """Brownian paths (size, N+1): the observation of the zero-drift model."""
     return simulate_ensemble(ZERO, grid, size, stream).U
 
 
 def _path(increments):
-    """Stacked path (m, N+1, d) started at 0 with the given increments."""
+    """Stacked path (m, N+1) started at 0 with the given increments."""
     inc = np.asarray(increments, dtype=float)
-    return np.concatenate([np.zeros((inc.shape[0], 1) + inc.shape[2:]), np.cumsum(inc, axis=1)],
-                          axis=1)
+    return np.concatenate([np.zeros((inc.shape[0], 1)), np.cumsum(inc, axis=1)], axis=1)
 
 
 def _ito(a, x, dt):
-    """Left-point sums  sum_k <a_k, x_{k+1} - x_k>, read off the log-weight."""
+    """Left-point sums  sum_k a_k (x_{k+1} - x_k), read off the log-weight."""
     return -(log_weights_ensemble(a, x, dt) + 0.5 * path_energies(a, dt))
 
 
 def _primitive(a, dt):
     """Cumulative left-point integrals of stacked rates: innovation of U = 0."""
-    m, N = a.shape[:2]
-    return -innovation_values(np.zeros((m, N + 1) + a.shape[2:]), a, dt)
+    m, N = a.shape
+    return -innovation_values(np.zeros((m, N + 1)), a, dt)
 
 
 def test_grid_points_strictly_increasing_and_end_at_horizon():
@@ -52,9 +51,9 @@ def test_grid_rejects_zero_steps():
 def test_brownian_single_step_definition():
     g = TimeGrid(steps=1, horizon=1.0)
     p = _brownian(g, 1, RandomStream(seed=7, substream=0))[0]
-    assert p[0, 0] == 0.0
-    assert p.shape == (2, 1)
-    assert np.isfinite(p[1, 0])
+    assert p[0] == 0.0
+    assert p.shape == (2,)
+    assert np.isfinite(p[1])
 
 
 def test_brownian_same_stream_is_bit_identical():
@@ -77,7 +76,7 @@ def test_brownian_moments_lln():
     # variance within 2% of the horizon.
     M, N = 100_000, 4
     g = TimeGrid(steps=N)
-    B = _brownian(g, M, RandomStream(seed=2024, substream=0))[:, :, 0]
+    B = _brownian(g, M, RandomStream(seed=2024, substream=0))
     inc = np.diff(B, axis=1)
     term = B[:, -1]
     dt = g.dt
@@ -89,33 +88,35 @@ def test_brownian_moments_lln():
 def test_ito_zero_integrand():
     g = TimeGrid(steps=8)
     x = _brownian(g, 1, RandomStream(seed=1))
-    assert _ito(np.zeros((1, 8, 1)), x, g.dt)[0] == 0.0
+    assert _ito(np.zeros((1, 8)), x, g.dt)[0] == 0.0
 
 
 def test_ito_unit_integrand_telescopes():
     g = TimeGrid(steps=16)
     x = _brownian(g, 1, RandomStream(seed=3))
-    got = _ito(np.ones((1, 16, 1)), x, g.dt)[0]
-    assert got == pytest.approx(x[0, -1, 0] - x[0, 0, 0], abs=1e-12)
+    got = _ito(np.ones((1, 16)), x, g.dt)[0]
+    assert got == pytest.approx(x[0, -1] - x[0, 0], abs=1e-12)
 
 
 def test_ito_direct_sum():
     # integrand (0, 1, 2) against unit increments: 0 + 1 + 2 = 3
     g = TimeGrid(steps=3)
-    x = _path(np.ones((1, 3, 1)))
-    a = np.arange(3.0)[None, :, None]
+    x = _path(np.ones((1, 3)))
+    a = np.arange(3.0)[None, :]
     assert _ito(a, x, g.dt)[0] == 3.0
 
 
 def test_ito_grid_mismatch_raises():
-    a = np.ones((1, 4, 1))
+    a = np.ones((1, 4))
     x = _brownian(TimeGrid(steps=5), 1, RandomStream(seed=1))
     with pytest.raises(ShapeError):
         log_weights_ensemble(a, x, 0.25)
     with pytest.raises(ShapeError):  # member counts disagree
-        log_weights_ensemble(np.ones((2, 5, 1)), x, 0.2)
-    with pytest.raises(ShapeError):  # dimensions disagree
-        log_weights_ensemble(np.ones((1, 5, 2)), x, 0.2)
+        log_weights_ensemble(np.ones((2, 5)), x, 0.2)
+    with pytest.raises(ShapeError):  # dimensions disagree: a trailing axis
+        log_weights_ensemble(np.ones((1, 5, 1)), x, 0.2)
+    with pytest.raises(ShapeError):
+        log_weights_ensemble(np.ones((1, 5)), x[:, :, None], 0.2)
 
 
 @settings(max_examples=50, deadline=None)
@@ -123,9 +124,9 @@ def test_ito_grid_mismatch_raises():
 def test_ito_linearity(n, seed):
     g = TimeGrid(steps=n)
     rng = np.random.default_rng(seed)
-    a = rng.normal(size=(1, n, 1))
-    b = rng.normal(size=(1, n, 1))
-    x = _path(rng.normal(size=(1, n, 1)))
+    a = rng.normal(size=(1, n))
+    b = rng.normal(size=(1, n))
+    x = _path(rng.normal(size=(1, n)))
     lhs = _ito(a + b, x, g.dt)[0]
     rhs = _ito(a, x, g.dt)[0] + _ito(b, x, g.dt)[0]
     assert lhs == pytest.approx(rhs, abs=1e-12)
@@ -133,17 +134,17 @@ def test_ito_linearity(n, seed):
 
 def test_energy_examples():
     g1 = TimeGrid(steps=4)
-    assert path_energies(np.zeros((1, 4, 1)), g1.dt)[0] == 0.0
-    assert path_energies(np.ones((1, 4, 1)), g1.dt)[0] == pytest.approx(1.0)
+    assert path_energies(np.zeros((1, 4)), g1.dt)[0] == 0.0
+    assert path_energies(np.ones((1, 4)), g1.dt)[0] == pytest.approx(1.0)
     g2 = TimeGrid(steps=2)
-    assert path_energies(np.array([[[1.0], [2.0]]]), g2.dt)[0] == pytest.approx(2.5)
+    assert path_energies(np.array([[1.0, 2.0]]), g2.dt)[0] == pytest.approx(2.5)
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.floats(-8, 8), st.integers(1, 10), st.integers(0, 1000))
 def test_energy_quadratic_scaling(c, n, seed):
     g = TimeGrid(steps=n)
-    v = np.random.default_rng(seed).normal(size=(1, n, 1))
+    v = np.random.default_rng(seed).normal(size=(1, n))
     assert path_energies(c * v, g.dt)[0] == pytest.approx(
         c * c * path_energies(v, g.dt)[0], rel=1e-12, abs=1e-12
     )
@@ -151,12 +152,12 @@ def test_energy_quadratic_scaling(c, n, seed):
 
 def test_primitive_examples():
     g = TimeGrid(steps=2)
-    zero = _primitive(np.zeros((1, 2, 1)), g.dt)[0]
-    assert np.array_equal(zero, np.zeros((3, 1)))
-    const = _primitive(3.0 * np.ones((1, 2, 1)), g.dt)[0]
-    assert const[:, 0] == pytest.approx([0.0, 1.5, 3.0])
-    updown = _primitive(np.array([[[2.0], [-2.0]]]), g.dt)[0]
-    assert updown[:, 0] == pytest.approx([0.0, 1.0, 0.0], abs=0)
+    zero = _primitive(np.zeros((1, 2)), g.dt)[0]
+    assert np.array_equal(zero, np.zeros(3))
+    const = _primitive(3.0 * np.ones((1, 2)), g.dt)[0]
+    assert const == pytest.approx([0.0, 1.5, 3.0])
+    updown = _primitive(np.array([[2.0, -2.0]]), g.dt)[0]
+    assert updown == pytest.approx([0.0, 1.0, 0.0], abs=0)
 
 
 @settings(max_examples=50, deadline=None)
@@ -165,7 +166,7 @@ def test_primitive_then_difference_recovers_drift_exactly_on_dyadics(n, seed):
     # dyadic drift values and a dyadic step keep every product and partial
     # sum exactly representable, so recovery must be bit-exact
     g = TimeGrid(steps=n, horizon=float(n) / 8.0)
-    v = np.random.default_rng(seed).integers(-(2**20), 2**20, size=(1, n, 1)) / 2.0**10
+    v = np.random.default_rng(seed).integers(-(2**20), 2**20, size=(1, n)) / 2.0**10
     p = _primitive(v, g.dt)[0]
     assert np.array_equal(np.diff(p, axis=0), v[0] * g.dt)
 
@@ -174,7 +175,7 @@ def test_primitive_then_difference_recovers_drift_exactly_on_dyadics(n, seed):
 @given(st.integers(1, 16), st.integers(0, 1000))
 def test_primitive_then_difference_recovers_drift_general(n, seed):
     g = TimeGrid(steps=n, horizon=float(n) / 8.0)
-    v = np.random.default_rng(seed).normal(size=(1, n, 1))
+    v = np.random.default_rng(seed).normal(size=(1, n))
     p = _primitive(v, g.dt)[0]
     assert np.allclose(np.diff(p, axis=0), v[0] * g.dt, rtol=0, atol=1e-13)
 
@@ -182,7 +183,7 @@ def test_primitive_then_difference_recovers_drift_general(n, seed):
 def test_substream_independence_rough():
     # increments from neighbouring substreams should be uncorrelated
     g = TimeGrid(steps=256)
-    B = _brownian(g, 2, RandomStream(seed=9, substream=0))[:, :, 0]
+    B = _brownian(g, 2, RandomStream(seed=9, substream=0))
     a, b = np.diff(B, axis=1)
     r = np.corrcoef(a, b)[0, 1]
     assert abs(r) < 4 / np.sqrt(len(a))

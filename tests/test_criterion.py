@@ -10,7 +10,6 @@ from innovlab.criterion import (
     classify_level,
     criterion_levels,
     criterion_verdict,
-    gaussian_path_kl,
     inequality_check,
 )
 from innovlab.errors import UnsupportedModelError, UsageError
@@ -48,12 +47,12 @@ def _pipeline(name, N, M, seed=11, **params):
 # ------------------------------------------------------------------ estimators
 
 def _random_innovation(m, N, seed=0):
-    inc = np.random.default_rng(seed).normal(0.0, np.sqrt(1.0 / N), size=(m, N, 1))
-    return np.concatenate([np.zeros((m, 1, 1)), np.cumsum(inc, axis=1)], axis=1)
+    inc = np.random.default_rng(seed).normal(0.0, np.sqrt(1.0 / N), size=(m, N))
+    return np.concatenate([np.zeros((m, 1)), np.cumsum(inc, axis=1)], axis=1)
 
 
 def test_path_energies_masked_and_unmasked():
-    x = np.arange(6.0).reshape(2, 3, 1)
+    x = np.arange(6.0).reshape(2, 3)
     assert np.array_equal(path_energies(x, 0.5), [2.5, 25.0])
     mask = np.array([[True, False, True], [False, True, False]])
     assert np.array_equal(path_energies(x, 0.5, mask), [2.0, 8.0])
@@ -61,7 +60,7 @@ def test_path_energies_masked_and_unmasked():
 
 def test_energy_under_nu_zero_drift():
     grid = TimeGrid(steps=4)
-    r = criterion_levels(_random_innovation(100, 4), np.zeros((100, 4, 1)), grid,
+    r = criterion_levels(_random_innovation(100, 4), np.zeros((100, 4)), grid,
                          levels=(np.inf,))[0]
     assert r.energy == 0.0 and r.energy_se == 0.0
 
@@ -70,7 +69,7 @@ def test_energy_under_nu_unit_drift_is_half_regardless_of_weights():
     # the unit drift tilts the weights away from uniform; its energy does not
     # depend on them
     grid = TimeGrid(steps=8)
-    r = criterion_levels(_random_innovation(200, 8), np.ones((200, 8, 1)), grid,
+    r = criterion_levels(_random_innovation(200, 8), np.ones((200, 8)), grid,
                          levels=(np.inf,))[0]
     assert r.ess < 200 - 1
     assert r.energy == pytest.approx(0.5, abs=1e-12)
@@ -87,7 +86,7 @@ def test_energy_under_nu_matches_gaussian_oracle_for_kalman():
 
 def test_entropy_jensen_zero_and_exact_deterministic():
     grid = TimeGrid(steps=4)
-    h = criterion_levels(_random_innovation(100, 4), np.zeros((100, 4, 1)), grid,
+    h = criterion_levels(_random_innovation(100, 4), np.zeros((100, 4)), grid,
                          levels=(np.inf,))[0].entropy
     assert h == 0.0
     # unit-energy deterministic drift: fits reproduce the constant exactly
@@ -124,7 +123,8 @@ def test_jensen_estimator_tracks_enumeration_kl_on_quantized_instance():
 # ------------------------------------------------------------------ exact KL
 
 def test_gaussian_path_kl_zero_model():
-    assert abs(gaussian_path_kl(make_model("zero"), TimeGrid(steps=64))) < 1e-10
+    kl = linear_gaussian_summary(make_model("zero"), TimeGrid(steps=64)).innovation_kl
+    assert abs(kl) < 1e-10
 
 
 @pytest.mark.parametrize("value", [1.0, 0.7])
@@ -132,11 +132,13 @@ def test_gaussian_path_kl_deterministic_exact(value):
     g = TimeGrid(steps=128)
     model = make_model("deterministic", shape="constant", value=value)
     discrete_energy = value**2 * g.horizon
-    assert gaussian_path_kl(model, g) == pytest.approx(discrete_energy / 2, abs=1e-10)
+    kl = linear_gaussian_summary(model, g).innovation_kl
+    assert kl == pytest.approx(discrete_energy / 2, abs=1e-10)
 
 
 def test_gaussian_path_kl_kalman_frozen_constant():
-    got = gaussian_path_kl(make_model("kalman-bucy", beta=1.0, sigma=1.0), TimeGrid(steps=128))
+    model = make_model("kalman-bucy", beta=1.0, sigma=1.0)
+    got = linear_gaussian_summary(model, TimeGrid(steps=128)).innovation_kl
     assert got == pytest.approx(KB_KL_N128, abs=1e-10)
 
 
@@ -150,7 +152,7 @@ def test_linear_gaussian_summary_frozen_fields(name):
 
 def test_gaussian_path_kl_rejects_nonlinear():
     with pytest.raises(UnsupportedModelError):
-        gaussian_path_kl(make_model("tsirelson", levels=2), TimeGrid(steps=4))
+        linear_gaussian_summary(make_model("tsirelson", levels=2), TimeGrid(steps=4))
 
 
 def test_observation_kl_matches_energy_for_adapted_drift():
@@ -226,5 +228,5 @@ def test_criterion_levels_oracle_agreement_with_ema_basis():
     grid, model, sim, filt, Z = _pipeline("linear-feedback", 64, 8000, seed=21)
     basis = BasisSpec(ema_rates=(0.5, 1.0, 2.0, 4.0))
     r = criterion_levels(Z, filt.values, grid, levels=(np.inf,), basis=basis)[0]
-    kl = gaussian_path_kl(model, grid)
+    kl = linear_gaussian_summary(model, grid).innovation_kl
     assert abs(r.entropy - kl) <= 3 * max(r.entropy_se, 1e-12)

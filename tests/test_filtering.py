@@ -33,11 +33,11 @@ def test_riccati_negative_iterate_raises():
 
 def test_kalman_zero_observation_gives_zero_estimate():
     g = TimeGrid(steps=16)
-    flat = np.zeros((1, 16, 1))
-    sim = EnsembleSimulation("kalman-bucy", g, dB=flat, dU=flat, drift=flat,
-                             aux=np.zeros((1, 1)), U=np.zeros((1, 17, 1)))
+    flat = np.zeros((1, 16))
+    sim = EnsembleSimulation(g, dB=flat, dU=flat, drift=flat,
+                             aux=np.zeros((1, 1)), U=np.zeros((1, 17)))
     est = ensemble_conditional_drift(make_model("kalman-bucy", beta=1.0, sigma=1.0), sim)
-    assert np.array_equal(est.values, np.zeros((1, 16, 1)))
+    assert np.array_equal(est.values, np.zeros((1, 16)))
     assert est.method == "exact-kalman"
 
 
@@ -49,7 +49,7 @@ def test_kalman_filter_mse_matches_riccati():
     model = make_model("kalman-bucy", beta=1.0, sigma=1.0)
     sim = simulate_ensemble(model, g, M, RandomStream(seed=31, substream=0))
     filt = ensemble_conditional_drift(model, sim)
-    err = sim.drift[:, N - 1, 0] - filt.values[:, N - 1, 0]
+    err = sim.drift[:, N - 1] - filt.values[:, N - 1]
     P = riccati_sequence(1.0, 1.0, g)
     assert np.mean(err**2) == pytest.approx(P[N - 1], rel=0.05)
 
@@ -63,8 +63,8 @@ def test_independent_closed_form_matches_sufficient_statistic():
     filt = ensemble_conditional_drift(model, sim)
     assert filt.method == "exact-gaussian"
     t = g.left_times
-    closed = sim.U[:, :-1, 0] / (1.0 + t)
-    assert np.allclose(filt.values[:, :, 0], closed, atol=1e-12)
+    closed = sim.U[:, :-1] / (1.0 + t)
+    assert np.allclose(filt.values, closed, atol=1e-12)
 
 
 def test_truncnorm_mean_against_quadrature():
@@ -84,16 +84,16 @@ def test_tsirelson_filter_head_and_tail():
     assert filt.method == "exact-head"
     n0 = round(model.level_times()[0] * g.steps)  # 4 steps on the seed segment
     # prior mean before any observation
-    assert np.all(filt.values[:, 0, 0] == 0.5)
+    assert np.all(filt.values[:, 0] == 0.5)
     # the seed segment estimate stays inside [0, 1]
-    assert np.all((filt.values[:, :n0, 0] >= 0) & (filt.values[:, :n0, 0] <= 1))
+    assert np.all((filt.values[:, :n0] >= 0) & (filt.values[:, :n0] <= 1))
     # beyond the seed segment the drift is observation-adapted: estimate == drift
-    assert np.array_equal(filt.values[:, n0:, :], sim.drift[:, n0:, :])
+    assert np.array_equal(filt.values[:, n0:], sim.drift[:, n0:])
     # head values against the truncated-normal posterior of the uniform seed
     for k in [1, 2, 3]:
         t = k * g.dt
-        want = _truncnorm_mean01(sim.U[:, k, 0] / t, 1.0 / np.sqrt(t))
-        assert np.allclose(filt.values[:, k, 0], want, atol=1e-12)
+        want = _truncnorm_mean01(sim.U[:, k] / t, 1.0 / np.sqrt(t))
+        assert np.allclose(filt.values[:, k], want, atol=1e-12)
 
 
 def test_identity_feedback_for_adapted_models():
@@ -118,13 +118,13 @@ def _innovation(name, g):
 def test_innovation_zero_drift_is_observation():
     sim, Z = _innovation("zero", TimeGrid(steps=16))
     assert np.array_equal(Z, sim.U)
-    assert Z[0, 0, 0] == 0.0
+    assert Z[0, 0] == 0.0
 
 
 @pytest.mark.parametrize("name", ["deterministic", "linear-feedback"])
 def test_innovation_recovers_brownian_for_adapted_models(name):
     sim, Z = _innovation(name, TimeGrid(steps=64))
-    brownian = np.concatenate([np.zeros((1, 1, 1)), np.cumsum(sim.dB, axis=1)], axis=1)
+    brownian = np.concatenate([np.zeros((1, 1)), np.cumsum(sim.dB, axis=1)], axis=1)
     assert np.allclose(Z, brownian, atol=1e-12)
 
 
@@ -132,32 +132,34 @@ def test_innovation_shape_mismatch():
     g = TimeGrid(steps=8)
     sim = simulate_ensemble(make_model("zero"), g, 1, STREAM)
     with pytest.raises(ShapeError):
-        innovation_values(sim.U, np.zeros((1, 4, 1)), g.dt)
+        innovation_values(sim.U, np.zeros((1, 4)), g.dt)
     with pytest.raises(ShapeError):  # member counts disagree
-        innovation_values(sim.U, np.zeros((2, 8, 1)), g.dt)
-    with pytest.raises(ShapeError):  # dimensions disagree
-        innovation_values(sim.U, np.zeros((1, 8, 2)), g.dt)
+        innovation_values(sim.U, np.zeros((2, 8)), g.dt)
+    with pytest.raises(ShapeError):  # dimensions disagree: a trailing axis
+        innovation_values(sim.U, np.zeros((1, 8, 1)), g.dt)
+    with pytest.raises(ShapeError):
+        innovation_values(sim.U[:, :, None], np.zeros((1, 8)), g.dt)
 
 
 # ---------------------------------------------------------------- regression
 
 def _toy_paths(m, N, seed):
     rng = np.random.default_rng(seed)
-    # build (m, N+1, 1) innovation-like paths
-    inc = rng.normal(0.0, 0.3, size=(m, N, 1))
-    Z = np.concatenate([np.zeros((m, 1, 1)), np.cumsum(inc, axis=1)], axis=1)
+    # build (m, N+1) innovation-like paths
+    inc = rng.normal(0.0, 0.3, size=(m, N))
+    Z = np.concatenate([np.zeros((m, 1)), np.cumsum(inc, axis=1)], axis=1)
     return Z, rng
 
 
 def _fit(Z, y, w, k, basis):
     """The weighted second-level fit of y at step k, as criterion_levels runs it."""
     F = FeatureBuilder(Z, 1.0, basis).features_at(k)
-    return weighted_ridge_fit(F, y[:, k, 0], w, basis.ridge)[1]
+    return weighted_ridge_fit(F, y[:, k], w, basis.ridge)[1]
 
 
 def test_second_level_reproduces_constants():
     Z, rng = _toy_paths(400, 6, seed=1)
-    y = np.full((400, 6, 1), 3.25)
+    y = np.full((400, 6), 3.25)
     w = rng.uniform(0.5, 1.5, size=400)
     fitted = _fit(Z, y, w, k=4, basis=BasisSpec(window=3))
     assert np.allclose(fitted, 3.25, atol=1e-10)
@@ -165,27 +167,27 @@ def test_second_level_reproduces_constants():
 
 def test_second_level_is_fixed_point_on_linear_responses():
     Z, rng = _toy_paths(2000, 6, seed=2)
-    y = np.zeros((2000, 6, 1))
+    y = np.zeros((2000, 6))
     k = 4
-    y[:, k, 0] = 2.0 + 3.0 * (Z[:, k, 0] - Z[:, k - 1, 0]) + 0.5 * Z[:, k, 0]
+    y[:, k] = 2.0 + 3.0 * (Z[:, k] - Z[:, k - 1]) + 0.5 * Z[:, k]
     w = rng.uniform(0.5, 1.5, size=2000)
     fitted = _fit(Z, y, w, k=k, basis=BasisSpec(window=3))
-    assert np.max(np.abs(fitted - y[:, k, 0])) < 1e-4
+    assert np.max(np.abs(fitted - y[:, k])) < 1e-4
 
 
 def test_second_level_tower_property_and_jensen_ordering():
     Z, rng = _toy_paths(3000, 8, seed=3)
-    y = np.sin(Z[:, :-1, :] * 2.0) + 0.2 * rng.normal(size=(3000, 8, 1))
+    y = np.sin(Z[:, :-1] * 2.0) + 0.2 * rng.normal(size=(3000, 8))
     w = rng.uniform(0.1, 2.0, size=3000)
     wn = w / w.sum()
     for k in [0, 2, 7]:
         fitted = _fit(Z, y, w, k=k, basis=BasisSpec(window=4))
-        assert wn @ fitted == pytest.approx(wn @ y[:, k, 0], abs=1e-10)
-        assert wn @ fitted**2 <= wn @ y[:, k, 0] ** 2 + 1e-10
+        assert wn @ fitted == pytest.approx(wn @ y[:, k], abs=1e-10)
+        assert wn @ fitted**2 <= wn @ y[:, k] ** 2 + 1e-10
 
 
 def test_step_features_shapes():
-    Z = np.zeros((10, 5, 1))
+    Z = np.zeros((10, 5))
     spec = BasisSpec(window=3, include_squares=True)
     fb = FeatureBuilder(Z, 1.0, spec)
     assert fb.features_at(0).shape == (10, 1 + 2 * 1)  # intercept, level, level^2

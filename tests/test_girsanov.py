@@ -10,7 +10,6 @@ from innovlab.errors import DegeneracyError, NumericalError, UsageError
 from innovlab.filtering import ensemble_conditional_drift, innovation_values
 from innovlab.girsanov import (
     active_mask,
-    localize_values,
     log_weights_ensemble,
     normalization_diagnostic,
     reweight,
@@ -20,7 +19,7 @@ from innovlab.models import make_model, simulate_ensemble
 
 
 def _const_drift(grid, c):
-    return np.full((1, grid.steps, 1), float(c))
+    return np.full((1, grid.steps), float(c))
 
 
 def _zero_model_path(grid, stream):
@@ -28,7 +27,8 @@ def _zero_model_path(grid, stream):
 
 
 def _localize(uhat, dt, threshold):
-    return localize_values(uhat, stop_indices(uhat, dt, threshold))
+    """The drift zeroed from each stopping index on, as criterion_levels does it."""
+    return uhat * active_mask(stop_indices(uhat, dt, threshold), uhat.shape[1])
 
 
 # ---------------------------------------------------------------- log weight
@@ -43,15 +43,14 @@ def test_zero_drift_gives_zero_log_weight():
 def test_unit_drift_log_weight_formula():
     g = TimeGrid(steps=16)
     Z = _zero_model_path(g, RandomStream(seed=2))
-    z1 = Z[0, -1, 0]
+    z1 = Z[0, -1]
     lw = log_weights_ensemble(_const_drift(g, 1.0), Z, g.dt)
     assert lw[0] == pytest.approx(-z1 - 0.5, abs=1e-12)
 
 
 def test_log_weight_rejects_nonfinite():
     g = TimeGrid(steps=4)
-    Z = np.concatenate([np.zeros((1, 1, 1)), np.cumsum(np.full((1, 4, 1), np.inf), axis=1)],
-                       axis=1)
+    Z = np.concatenate([np.zeros((1, 1)), np.cumsum(np.full((1, 4), np.inf), axis=1)], axis=1)
     with pytest.raises(NumericalError):
         log_weights_ensemble(_const_drift(g, 1.0), Z, g.dt)
 
@@ -62,7 +61,7 @@ def test_exponential_has_unit_mean_under_zero_model():
     M, N = 100_000, 16
     g = TimeGrid(steps=N)
     sim = simulate_ensemble(make_model("zero"), g, M, RandomStream(seed=42))
-    h = 0.7 * np.ones((M, N, 1))
+    h = 0.7 * np.ones((M, N))
     lw = log_weights_ensemble(h, sim.U, g.dt)
     diag = normalization_diagnostic(lw)
     assert abs(diag.mean - 1.0) <= 3 * diag.se
@@ -74,11 +73,11 @@ def test_reweighting_shifts_terminal_mean_by_drift_integral():
     M, N = 100_000, 16
     g = TimeGrid(steps=N)
     sim = simulate_ensemble(make_model("zero"), g, M, RandomStream(seed=47))
-    h = np.ones((M, N, 1))
+    h = np.ones((M, N))
     lw = log_weights_ensemble(h, sim.U, g.dt)
     ens = reweight(lw)
-    shifted = float(ens.weights @ sim.U[:, -1, 0]) + 1.0  # int_0^1 1 dt = 1
-    spread = float(np.sqrt(np.sum(ens.weights**2 * (sim.U[:, -1, 0] + 1.0 - shifted) ** 2)))
+    shifted = float(ens.weights @ sim.U[:, -1]) + 1.0  # int_0^1 1 dt = 1
+    spread = float(np.sqrt(np.sum(ens.weights**2 * (sim.U[:, -1] + 1.0 - shifted) ** 2)))
     assert abs(shifted) <= 3 * spread
 
 
@@ -96,18 +95,18 @@ def test_localize_hand_example():
     # step 2 is 0.5 > 0.4, so rows 2.. are zeroed
     g = TimeGrid(steps=4)
     out = _localize(_const_drift(g, 1.0), g.dt, 0.4)
-    assert out[0, :, 0] == pytest.approx([1.0, 1.0, 0.0, 0.0])
+    assert out[0] == pytest.approx([1.0, 1.0, 0.0, 0.0])
 
 
 def test_localize_zero_drift_unchanged():
     g = TimeGrid(steps=4)
     out = _localize(_const_drift(g, 0.0), g.dt, 0.1)
-    assert np.array_equal(out, np.zeros((1, 4, 1)))
+    assert np.array_equal(out, np.zeros((1, 4)))
 
 
 def test_stop_indices_and_mask():
     g = TimeGrid(steps=4)
-    uhat = np.ones((1, 4, 1))
+    uhat = np.ones((1, 4))
     idx = stop_indices(uhat, g.dt, 0.4)
     assert idx[0] == 2
     mask = active_mask(idx, 4)
@@ -118,7 +117,7 @@ def test_stop_indices_and_mask():
 @given(st.integers(0, 500))
 def test_localized_energy_monotone_in_threshold(seed):
     g = TimeGrid(steps=16)
-    u = np.random.default_rng(seed).normal(size=(1, 16, 1))
+    u = np.random.default_rng(seed).normal(size=(1, 16))
     energies = []
     for n in [0.25, 0.5, 1.0, 2.0, 4.0, 8.0, np.inf]:
         if math.isinf(n):

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from innovlab.core import RandomStream, TimeGrid
-from innovlab.errors import ConfigurationError
+from innovlab.errors import ConfigurationError, ShapeError
 from innovlab.models import list_models, make_model, run_euler, simulate_ensemble
 
 STREAM = RandomStream(seed=606, substream=0)
 
 
 def brownian(sim):
-    """Brownian paths (m, N+1, d): prefix sums of the stored increments."""
+    """Brownian paths (m, N+1): prefix sums of the stored increments."""
     return np.concatenate([np.zeros_like(sim.dB[:, :1]), np.cumsum(sim.dB, axis=1)], axis=1)
 
 
@@ -46,16 +46,22 @@ def test_zero_drift_observation_equals_brownian():
 def test_deterministic_unit_drift_shifts_by_time():
     g = TimeGrid(steps=16)
     out = simulate_ensemble(make_model("deterministic", shape="constant", value=1.0), g, 1, STREAM)
-    shift = out.U[0, :, 0] - brownian(out)[0, :, 0]
+    shift = out.U[0] - brownian(out)[0]
     assert shift == pytest.approx(g.times, abs=1e-12)
 
 
 def test_linear_feedback_two_step_hand_computation():
     g = TimeGrid(steps=2)
-    dB = np.array([[[1.0], [1.0]]])
+    dB = np.array([[1.0, 1.0]])
     out = run_euler(make_model("linear-feedback", a=1.0), g, dB, np.empty((1, 0)))
-    assert out.drift[0, :, 0] == pytest.approx([0.0, -1.0], abs=0)
-    assert out.U[0, :, 0] == pytest.approx([0.0, 1.0, 1.5], abs=0)
+    assert out.drift[0] == pytest.approx([0.0, -1.0], abs=0)
+    assert out.U[0] == pytest.approx([0.0, 1.0, 1.5], abs=0)
+
+
+def test_run_euler_rejects_noise_with_a_trailing_axis():
+    g = TimeGrid(steps=2)
+    with pytest.raises(ShapeError):
+        run_euler(make_model("linear-feedback", a=1.0), g, np.ones((1, 2, 1)), np.empty((1, 0)))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -129,13 +135,13 @@ def test_tsirelson_slope_refresh_matches_definition():
     model = make_model("tsirelson", levels=2)
     out = simulate_ensemble(model, g, 7, STREAM)
     # levels K=2: t_0 = 1/4 (step 2), t_1 = 1/2 (step 4), t_2 = 1 (step 8)
-    U = out.U[:, :, 0]
+    U = out.U
     slope1 = np.mod((U[:, 2] - U[:, 0]) / 0.25, 1.0)
     slope2 = np.mod((U[:, 4] - U[:, 2]) / 0.25, 1.0)
-    assert out.drift[:, 2, 0] == pytest.approx(slope1, abs=0)
-    assert out.drift[:, 3, 0] == pytest.approx(slope1, abs=0)
-    assert out.drift[:, 4, 0] == pytest.approx(slope2, abs=0)
-    assert out.drift[:, 7, 0] == pytest.approx(slope2, abs=0)
+    assert out.drift[:, 2] == pytest.approx(slope1, abs=0)
+    assert out.drift[:, 3] == pytest.approx(slope1, abs=0)
+    assert out.drift[:, 4] == pytest.approx(slope2, abs=0)
+    assert out.drift[:, 7] == pytest.approx(slope2, abs=0)
 
 
 def test_kalman_bucy_hidden_signal_independent_of_brownian():
@@ -144,7 +150,7 @@ def test_kalman_bucy_hidden_signal_independent_of_brownian():
     out = simulate_ensemble(make_model("kalman-bucy", beta=1.0, sigma=1.0), g, M, STREAM)
     # the drift record is the hidden path; correlate it with dB across paths
     for k in [0, 3, 7]:
-        r = np.corrcoef(out.drift[:, k, 0], out.dB[:, k, 0])[0, 1]
+        r = np.corrcoef(out.drift[:, k], out.dB[:, k])[0, 1]
         assert abs(r) < 4 / np.sqrt(M)
 
 

@@ -77,10 +77,9 @@ class SignFeedback(DriftModel):
     observation_adapted = True
 
     def drift(self, k, grid, U, aux, hidden, state):
-        m = U.shape[0]
         if k == 0:
-            return np.zeros((m, 1))
-        return np.sign(U[:, 1, 0])[:, None]
+            return np.zeros(U.shape[0])
+        return np.sign(U[:, 1])
 
 
 def test_enumerate_feedback_drift_is_its_own_conditional():
@@ -98,7 +97,7 @@ def test_enumerate_independent_prior_mean_before_observation():
     g = TimeGrid(steps=1)
     space = enumerate_atoms(make_model("independent"), g, gauss_quantized(2, g.dt),
                             aux_values=[-1.0, 1.0])
-    assert np.allclose(space.uhat[:, 0, 0], 0.0)
+    assert np.allclose(space.uhat[:, 0], 0.0)
 
 
 def test_enumerate_respects_atom_bound():
@@ -243,11 +242,11 @@ def test_plugin_estimators_converge_to_enumeration():
     Z = innovation_values(sim.U, filt.values, g.dt)
     lw = log_weights_ensemble(filt.values, Z, g.dt)
     base, base_se = base_entropy_mc(lw)
-    push, push_se = pushforward_entropy_mc(lw, canonical_labels(Z[:, 1:, 0]))
+    push, push_se = pushforward_entropy_mc(lw, canonical_labels(Z[:, 1:]))
     assert abs(base - v.base_entropy) < 5 * max(base_se, 1e-4)
     assert abs(push - v.pushforward_entropy) < 5 * max(push_se, 1e-4)
     ens = reweight(lw)
-    e = 0.5 * float(ens.weights @ (np.einsum("mkd,mkd->m", filt.values, filt.values) * g.dt))
+    e = 0.5 * float(ens.weights @ (np.einsum("mk,mk->m", filt.values, filt.values) * g.dt))
     assert abs(e - v.energy) / v.energy < 0.05
 
 
@@ -257,7 +256,7 @@ def test_plugin_estimators_exact_on_zero_drift():
     sim = sample_quantized_ensemble(make_model("zero"), g, 500, RandomStream(seed=2), noise)
     lw = log_weights_ensemble(sim.drift, sim.U, g.dt)
     base, _ = base_entropy_mc(lw)
-    push, _ = pushforward_entropy_mc(lw, canonical_labels(sim.U[:, 1:, 0]))
+    push, _ = pushforward_entropy_mc(lw, canonical_labels(sim.U[:, 1:]))
     assert base == pytest.approx(0.0, abs=1e-14)
     assert push == pytest.approx(0.0, abs=1e-14)
 
@@ -278,8 +277,8 @@ def test_regression_fit_tracks_exact_conditional_expectation():
     labels = np.zeros(space.atoms, dtype=np.int64)
     exact_cond = np.empty((space.atoms, 3))
     for k in range(3):
-        labels = _refine_labels(labels, space.Z[:, k, 0]) if k > 0 else labels
-        exact_cond[:, k] = _group_mean_safe(labels, nu, space.uhat[:, k, 0])
+        labels = _refine_labels(labels, space.Z[:, k]) if k > 0 else labels
+        exact_cond[:, k] = _group_mean_safe(labels, nu, space.uhat[:, k])
 
     sim = sample_quantized_ensemble(model, g, 20000, RandomStream(seed=5), noise, aux)
     filt = finite_bayes_filter(model, sim, noise, aux)
@@ -292,7 +291,7 @@ def test_regression_fit_tracks_exact_conditional_expectation():
     num = den = 0.0
     for k in range(3):
         F = fb.features_at(k)
-        _, fitted = weighted_ridge_fit(F, filt.values[:, k, 0], ens.weights, basis.ridge)
+        _, fitted = weighted_ridge_fit(F, filt.values[:, k], ens.weights, basis.ridge)
         exact = exact_cond[atom, k]
         num += float(ens.weights @ (fitted - exact) ** 2)
         den += float(ens.weights @ exact**2)
@@ -300,8 +299,8 @@ def test_regression_fit_tracks_exact_conditional_expectation():
 
 
 def test_witness_labels_group_by_magnitude():
-    Z = np.zeros((4, 3, 1))
-    Z[:, -1, 0] = [1.5, -1.5, 0.0, 0.3]
+    Z = np.zeros((4, 3))
+    Z[:, -1] = [1.5, -1.5, 0.0, 0.3]
     labels = canonical_labels(witness_labels(Z))
     assert labels[0] == labels[1]
     assert len(np.unique(labels)) == 3
