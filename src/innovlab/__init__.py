@@ -9,7 +9,8 @@ reference values for every estimator.
 
 Module map:
 
-* ``core``      -- grids, counter-based random streams, path energies
+* ``core``      -- grids, counter-based random streams (a vectorized
+                   Philox4x64-10 kernel for uniform lanes), path energies
 * ``models``    -- the drift-model registry, the shared Euler recursion and
                    the stacked ensemble (m scalar paths; a single path is m = 1)
 * ``filtering`` -- exact filters, innovations, second-level regressions

@@ -11,9 +11,23 @@ Conventions used throughout the package:
 * every stochastic integral is the non-anticipating left-point sum.
 
 Randomness follows a counter-based contract: a (seed, substream) pair maps
-to an independent Philox stream, substream index = path index, so ensembles
-are reproducible bit-for-bit regardless of how paths are partitioned over
-workers.
+to an independent Philox4x64-10 stream, substream index = path index, so
+ensembles are reproducible bit-for-bit regardless of how paths are
+partitioned over workers.  Lane l of substream s is the stream with key
+[seed, 0] and stream index j = 16*s + l held in counter words 2-3, i.e.
+`Philox(key=seed).jumped(j)`.  Like numpy's Philox, a stream increments
+counter word 0 before each block, so block b = 1, 2, ... is the Philox
+image of counter [b, 0, j mod 2^64, j >> 64]; its four output words are
+used in order.
+
+* Uniform lanes are computed for many paths at once by `philox4x64_10`
+  (`RandomStream.uniforms`): a uniform is (word >> 11) * 2^-53, numpy's
+  `Generator.random`.
+* Gaussian lanes keep numpy's ziggurat.  One generator per call is
+  re-seated (`RandomStream.seat`) before each draw to counter
+  [0, 0, j mod 2^64, j >> 64], key [seed, 0], with an empty buffer
+  (buffer_pos = 4, has_uint32 = 0), which is the state of a fresh
+  `Philox(key=seed).jumped(j)`.
 """
 
 from __future__ import annotations
@@ -28,6 +42,7 @@ from .errors import ConfigurationError
 __all__ = [
     "TimeGrid",
     "RandomStream",
+    "philox4x64_10",
     "path_energies",
 ]
 
@@ -68,6 +83,56 @@ class TimeGrid:
         return self.times[:-1]
 
 
+_WORD = 2**64
+# the stream index 16*s + l must fit counter words 2-3
+_SUBSTREAMS = 2**128 // _LANES
+
+_U64 = np.uint64
+_LO32 = _U64(0xFFFFFFFF)
+_PHILOX_M = (_U64(0xD2E7470EE14C6C93), _U64(0xCA5A826395121157))
+_PHILOX_W = (_U64(0x9E3779B97F4A7C15), _U64(0xBB67AE8584CAA73B))
+
+
+def _mulhilo(a, b):
+    """Low and high 64-bit words of the 128-bit product a * b (uint64)."""
+    a_lo, a_hi = a & _LO32, a >> _U64(32)
+    b_lo, b_hi = b & _LO32, b >> _U64(32)
+    ll = a_lo * b_lo
+    lh = a_lo * b_hi
+    # no overflow: the terms are < 2^32, < 2^32 and <= (2^32 - 1)^2
+    cross = (ll >> _U64(32)) + (lh & _LO32) + a_hi * b_lo
+    return a * b, a_hi * b_hi + (lh >> _U64(32)) + (cross >> _U64(32))
+
+
+def philox4x64_10(counter, key):
+    """Philox4x64-10 block function (Salmon et al., SC'11), vectorized.
+
+    counter is four uint64 arrays (or scalars) that broadcast together, key
+    two; returns the four output words.  Each round multiplies words 0 and 2
+    by the Philox constants and mixes the high halves with the key, which
+    the Weyl constants bump between rounds.  Bit-equal to numpy's Philox.
+    """
+    c0, c1, c2, c3 = (np.asarray(c, dtype=_U64) for c in counter)
+    k0, k1 = (_U64(k) for k in key)
+    with np.errstate(over="ignore"):
+        for r in range(10):
+            if r:
+                k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+            lo0, hi0 = _mulhilo(_PHILOX_M[0], c0)
+            lo1, hi1 = _mulhilo(_PHILOX_M[1], c2)
+            c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return c0, c1, c2, c3
+
+
+def _stream_index(substream: int, lane: int) -> int:
+    """Index j = 16*substream + lane of one lane; counter words 2-3 hold it."""
+    if not 0 <= lane < _LANES:
+        raise ConfigurationError(f"lane must be in [0, {_LANES}), got {lane}")
+    if not 0 <= substream < _SUBSTREAMS:
+        raise ConfigurationError(f"substream must be in [0, 2**124), got {substream}")
+    return substream * _LANES + lane
+
+
 @dataclass(frozen=True)
 class RandomStream:
     """Pure (seed, substream) -> byte stream map built on Philox counters.
@@ -75,21 +140,58 @@ class RandomStream:
     Substreams are mutually independent; `lane` splits one substream into
     independent channels (aux draws, Brownian increments, hidden noise, ...)
     so that the draw order inside one channel never perturbs another.
+
+    Lane l of substream s draws Philox4x64-10 blocks under key [seed, 0]
+    from counters [b, 0, j mod 2^64, j >> 64], b = 1, 2, ..., where
+    j = 16*s + l; this is `Philox(key=seed).jumped(j)`, which pre-increments
+    word 0 before each block.  `uniforms` computes uniform lanes of many
+    substreams at once; `seat` points one shared generator at a Gaussian
+    lane.  Both give the draws of `generator()` bit for bit.
     """
 
     seed: int
     substream: int = 0
     lane_index: int = LANE_BROWNIAN
 
+    def __post_init__(self):
+        if not 0 <= self.seed < _WORD:
+            raise ConfigurationError(f"seed must be in [0, 2**64), got {self.seed}")
+        _stream_index(self.substream, self.lane_index)  # raises when out of range
+
     def lane(self, lane_index: int) -> "RandomStream":
-        if not 0 <= lane_index < _LANES:
-            raise ConfigurationError(f"lane must be in [0, {_LANES}), got {lane_index}")
         return RandomStream(self.seed, self.substream, lane_index)
 
     def generator(self) -> np.random.Generator:
         """Fresh generator; same (seed, substream, lane) -> same draws."""
         bg = np.random.Philox(key=np.uint64(self.seed))
-        return np.random.Generator(bg.jumped(self.substream * _LANES + self.lane_index))
+        return np.random.Generator(bg.jumped(_stream_index(self.substream, self.lane_index)))
+
+    def seat(self, rng: np.random.Generator, lane: int, offset: int = 0) -> np.random.Generator:
+        """Re-seat a Philox-backed generator at the start of `lane` of substream
+        `substream + offset`; returns rng, which then draws exactly what
+        `RandomStream(seed, substream + offset).lane(lane).generator()` does.
+        """
+        j = _stream_index(self.substream + offset, lane)
+        rng.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, j % _WORD, j // _WORD], "key": [self.seed, 0]},
+            "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
+        return rng
+
+    def uniforms(self, lane: int, m: int, n: int) -> np.ndarray:
+        """(m, n) uniforms on [0, 1): row i equals, bit for bit,
+        `RandomStream(seed, substream + i).lane(lane).generator().random(n)`.
+        """
+        j = _stream_index(self.substream, lane)
+        _stream_index(self.substream + max(m - 1, 0), lane)  # the last row fits too
+        # stream index of each row as counter words 2 (low) and 3 (high, plus carry)
+        low = _U64(j % _WORD) + _U64(_LANES) * np.arange(m, dtype=_U64)
+        high = _U64(j // _WORD) + (low < _U64(j % _WORD))
+        blocks = -(-n // 4)
+        counter = (np.arange(1, blocks + 1, dtype=_U64), 0, low[:, None], high[:, None])
+        words = np.stack(np.broadcast_arrays(*philox4x64_10(counter, (self.seed, 0))), axis=-1)
+        return (words.reshape(m, 4 * blocks)[:, :n] >> _U64(11)) * 2.0**-53
 
 
 def path_energies(x: np.ndarray, dt: float, mask: Optional[np.ndarray] = None) -> np.ndarray:

@@ -21,6 +21,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -81,6 +82,10 @@ OUTDIR_ENV = "INNOVLAB_OUTDIR"
 
 RESULT_COLUMNS = ["model", "n", "H_hat", "H_se", "E_hat", "E_se", "gap",
                   "ess", "norm_mean", "norm_se", "verdict"]
+
+# pipeline stages in run order; `report` prints their timings in this order
+STAGES = ("configure", "enumerate", "simulate", "sample", "filter", "innovation",
+          "criterion")
 
 
 @dataclass(frozen=True)
@@ -259,19 +264,20 @@ def resolve_outdir(config: ExperimentConfig) -> FsPath:
     return FsPath(env) if env else FsPath(config.outdir)
 
 
-def _simulate_chunked(model, grid, size, seed, workers) -> EnsembleSimulation:
+def _simulate_chunked(model, grid, size, stream, workers) -> EnsembleSimulation:
     """Worker-count-independent ensemble simulation.
 
     Each path draws from its own substream, so chunk boundaries cannot
     change any number; chunks are reassembled in path order.
     """
     if workers <= 1:
-        return simulate_ensemble(model, grid, size, RandomStream(seed=seed))
+        return simulate_ensemble(model, grid, size, stream)
     bounds = np.linspace(0, size, workers + 1, dtype=int)
     jobs = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
 
     def work(lo, hi):
-        return simulate_ensemble(model, grid, hi - lo, RandomStream(seed=seed, substream=lo))
+        return simulate_ensemble(model, grid, hi - lo,
+                                 RandomStream(stream.seed, stream.substream + lo))
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         parts = list(pool.map(lambda j: work(*j), jobs))
@@ -283,11 +289,22 @@ def _simulate_chunked(model, grid, size, seed, workers) -> EnsembleSimulation:
     )
 
 
-def _stage(name, fn, *args, **kwargs):
+def _stage(stages, name, fn, *args, **kwargs):
+    """Run one pipeline stage; record its wall seconds and the process's
+    peak resident set size so far (MB) in `stages`."""
+    t0 = time.perf_counter()
     try:
-        return fn(*args, **kwargs)
+        out = fn(*args, **kwargs)
     except InnovlabError as exc:
         raise StageError(name, exc) from exc
+    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    stages[name] = {"seconds": time.perf_counter() - t0, "max_rss_mb": peak_kb * 1024 / 1e6}
+    return out
+
+
+def _configure(config):
+    return (resolve_model(config.model, config.model_params), config.grid(),
+            RandomStream(seed=config.seed))
 
 
 def _level_row(r: LevelReport, model: str) -> dict:
@@ -308,26 +325,27 @@ def _level_row(r: LevelReport, model: str) -> dict:
 def run_experiment(config: ExperimentConfig, persist: bool = True) -> ResultRecord:
     """Execute one experiment end to end and persist its records."""
     t0 = time.time()
-    model = _stage("configure", resolve_model, config.model, config.model_params)
-    grid = config.grid()
+    stages: dict = {}
+    model, grid, stream = _stage(stages, "configure", _configure, config)
 
     if config.mode == "continuous":
-        record = _run_continuous(config, model, grid)
+        record = _run_continuous(config, model, grid, stream, stages)
     else:
-        record = _run_discrete(config, model, grid)
+        record = _run_discrete(config, model, grid, stream, stages)
 
-    record = replace(record, wall_clock=time.time() - t0)
+    record = replace(record, wall_clock=time.time() - t0,
+                     diagnostics={**record.diagnostics, "stages": stages})
     if persist:
         _persist(config, record)
     return record
 
 
-def _run_continuous(config, model, grid) -> ResultRecord:
-    sim = _stage("simulate", _simulate_chunked, model, grid, config.paths,
-                 config.seed, config.workers)
-    filt = _stage("filter", ensemble_conditional_drift, model, sim)
-    Z = _stage("innovation", innovation_values, sim.U, filt.values, grid.dt)
-    reports = _stage("criterion", criterion_levels, Z, filt.values, grid,
+def _run_continuous(config, model, grid, stream, stages) -> ResultRecord:
+    sim = _stage(stages, "simulate", _simulate_chunked, model, grid, config.paths,
+                 stream, config.workers)
+    filt = _stage(stages, "filter", ensemble_conditional_drift, model, sim)
+    Z = _stage(stages, "innovation", innovation_values, sim.U, filt.values, grid.dt)
+    reports = _stage(stages, "criterion", criterion_levels, Z, filt.values, grid,
                      config.levels, config.basis(), config.gap_floor,
                      f"{filt.method}+jensen[{config.basis().describe()}]")
     verdict = criterion_verdict(reports)
@@ -352,25 +370,26 @@ def _run_continuous(config, model, grid) -> ResultRecord:
                         rows, diagnostics, 0.0)
 
 
-def _discrete_parts(config, model, grid):
+def _discrete_parts(config, model, grid, stream, stages):
     noise = gauss_quantized(config.noise_nodes, grid.dt)
     aux_values = list(config.aux_values) if model.aux_dim else None
     aux_probs = list(config.aux_probs) if config.aux_probs else None
-    space = _stage("enumerate", enumerate_atoms, model, grid, noise, aux_values, aux_probs)
+    space = _stage(stages, "enumerate", enumerate_atoms, model, grid, noise, aux_values,
+                   aux_probs)
     relabel = witness_labels if config.erasure == "sign-terminal" else None
     system = space.system(relabel=relabel, tag=config.erasure)
     exact = dpi_verdict(system)
 
-    sim = _stage("sample", sample_quantized_ensemble, model, grid, config.paths,
-                 RandomStream(seed=config.seed), noise, aux_values, aux_probs)
+    sim = _stage(stages, "sample", sample_quantized_ensemble, model, grid, config.paths,
+                 stream, noise, aux_values, aux_probs)
     if model.observation_adapted:
         uhat = sim.drift
         method = "identity-feedback"
     else:
-        filt = _stage("filter", finite_bayes_filter, model, sim, noise,
+        filt = _stage(stages, "filter", finite_bayes_filter, model, sim, noise,
                       aux_values, aux_probs)
         uhat, method = filt.values, filt.method
-    Z = innovation_values(sim.U, uhat, grid.dt)
+    Z = _stage(stages, "innovation", innovation_values, sim.U, uhat, grid.dt)
     lw = log_weights_ensemble(uhat, Z, grid.dt)
     if config.erasure == "sign-terminal":
         labels = canonical_labels(witness_labels(Z))
@@ -379,9 +398,9 @@ def _discrete_parts(config, model, grid):
     return noise, space, system, exact, sim, uhat, Z, lw, labels, method
 
 
-def _run_discrete(config, model, grid) -> ResultRecord:
+def _run_discrete(config, model, grid, stream, stages) -> ResultRecord:
     (noise, space, system, exact, sim, uhat, Z, lw, labels, method) = \
-        _discrete_parts(config, model, grid)
+        _discrete_parts(config, model, grid, stream, stages)
 
     base, base_se = base_entropy_mc(lw)
     push, push_se = pushforward_entropy_mc(lw, labels)
@@ -506,6 +525,8 @@ def report(in_dir, out_curves: Optional[str] = "curves.csv") -> str:
             vals = [float(v) if isinstance(v, (int, float)) else v for v in vals]
             out.append(" ".join(cell(v, w) for v, w in zip(vals, widths)))
             curve_rows.append(row)
+    for i, rec in enumerate(records):
+        out.append(f"stages[{i}] {rec['model']}: {_stage_line(rec['diagnostics'].get('stages'))}")
     text = "\n".join(out)
 
     if out_curves:
@@ -516,6 +537,15 @@ def report(in_dir, out_curves: Optional[str] = "curves.csv") -> str:
                                   else str(row.get(c)) for c in cols))
         (in_dir / out_curves).write_text("\n".join(lines) + "\n")
     return text
+
+
+def _stage_line(stages) -> str:
+    if not stages:
+        return "not recorded"
+    times = ", ".join(f"{name} {stages[name]['seconds']:.3f}s"
+                      for name in STAGES if name in stages)
+    peak = max(s["max_rss_mb"] for s in stages.values())
+    return f"{times}; peak RSS {peak:.0f} MB"
 
 
 def _as_float(v):

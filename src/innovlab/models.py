@@ -19,13 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (
-    LANE_AUX,
-    LANE_BROWNIAN,
-    LANE_HIDDEN,
-    RandomStream,
-    TimeGrid,
-)
+from .core import LANE_AUX, LANE_BROWNIAN, LANE_HIDDEN, RandomStream, TimeGrid
 from .errors import ConfigurationError, ShapeError
 
 __all__ = [
@@ -364,14 +358,16 @@ def simulate_ensemble(model: DriftModel, grid: TimeGrid, size: int,
     dB = np.empty((size, N))
     aux = np.empty((size, model.aux_dim))
     hidden = np.empty((size, N)) if model.needs_hidden() else None
-    root = np.sqrt(grid.dt)
+    # one generator, re-seated at each (path, lane): local to this call, so
+    # concurrent calls never share it
+    rng = stream.generator()
     for i in range(size):
-        s = RandomStream(stream.seed, stream.substream + i)
-        dB[i] = root * s.lane(LANE_BROWNIAN).generator().standard_normal(N)
+        stream.seat(rng, LANE_BROWNIAN, i).standard_normal(out=dB[i])
         if model.aux_dim:
-            aux[i] = model.sample_aux(s.lane(LANE_AUX).generator(), 1)[0]
+            aux[i] = model.sample_aux(stream.seat(rng, LANE_AUX, i), 1)[0]
         if hidden is not None:
-            hidden[i] = model.sample_hidden(s.lane(LANE_HIDDEN).generator(), grid)
+            hidden[i] = model.sample_hidden(stream.seat(rng, LANE_HIDDEN, i), grid)
+    dB *= np.sqrt(grid.dt)
     return run_euler(model, grid, dB, aux, hidden)
 
 

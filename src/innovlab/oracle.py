@@ -353,10 +353,7 @@ def sample_quantized_ensemble(model: DriftModel, grid: TimeGrid, size: int,
                               aux_probs: Optional[Sequence[float]] = None
                               ) -> EnsembleSimulation:
     """Monte Carlo sampling of the quantized pipeline (same Euler recursion)."""
-    N = grid.steps
-    dB = np.empty((size, N))
     aux = np.empty((size, model.aux_dim))
-    cum_noise = np.cumsum(noise.probs)
     if model.aux_dim:
         if aux_values is None:
             raise ConfigurationError("finite aux values required")
@@ -364,13 +361,9 @@ def sample_quantized_ensemble(model: DriftModel, grid: TimeGrid, size: int,
         aux_probs = (np.full(len(aux_values), 1.0 / len(aux_values))
                      if aux_probs is None else np.asarray(aux_probs, dtype=float))
         cum_aux = np.cumsum(aux_probs)
-    for i in range(size):
-        s = RandomStream(stream.seed, stream.substream + i)
-        u = s.lane(LANE_NOISE).generator().random(N)
-        dB[i] = noise.nodes[np.searchsorted(cum_noise, u)]
-        if model.aux_dim:
-            ua = s.lane(LANE_AUX).generator().random()
-            aux[i] = aux_values[np.searchsorted(cum_aux, ua)]
+        aux[:] = aux_values[np.searchsorted(cum_aux, stream.uniforms(LANE_AUX, size, 1))]
+    cum_noise = np.cumsum(noise.probs)
+    dB = noise.nodes[np.searchsorted(cum_noise, stream.uniforms(LANE_NOISE, size, grid.steps))]
     return run_euler(model, grid, dB, aux)
 
 

@@ -3,11 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from innovlab.core import RandomStream, TimeGrid, path_energies
+from innovlab.core import (
+    LANE_AUX,
+    LANE_BROWNIAN,
+    LANE_HIDDEN,
+    LANE_NOISE,
+    RandomStream,
+    TimeGrid,
+    path_energies,
+    philox4x64_10,
+)
 from innovlab.errors import ConfigurationError, ShapeError
 from innovlab.filtering import innovation_values
 from innovlab.girsanov import log_weights_ensemble
-from innovlab.models import make_model, simulate_ensemble
+from innovlab.models import make_model, run_euler, simulate_ensemble
+from innovlab.oracle import gauss_quantized, sample_quantized_ensemble
 
 ZERO = make_model("zero")
 
@@ -187,3 +197,154 @@ def test_substream_independence_rough():
     a, b = np.diff(B, axis=1)
     r = np.corrcoef(a, b)[0, 1]
     assert abs(r) < 4 / np.sqrt(len(a))
+
+
+# ------------------------------------------------------- counter-based streams
+
+KAT_SEEDS = [0, 1, 2**63, 2**64 - 1]
+KAT_SUBSTREAMS = [0, 5, 10**9]
+KAT_LANES = [0, 1, 2, 4, 15]
+KAT_LENGTHS = [1, 3, 4, 5, 512]  # one block, partial blocks, many blocks
+
+
+def test_philox_kernel_matches_numpy_raw_words():
+    for seed in KAT_SEEDS:
+        for sub in KAT_SUBSTREAMS:
+            for lane in KAT_LANES:
+                for n in KAT_LENGTHS:
+                    blocks = -(-n // 4)
+                    j = 16 * sub + lane
+                    counter = (np.arange(1, blocks + 1), 0, j % 2**64, j >> 64)
+                    words = np.stack(np.broadcast_arrays(*philox4x64_10(counter, (seed, 0))),
+                                     axis=-1).ravel()
+                    ref = np.random.Philox(key=np.uint64(seed)).jumped(j).random_raw(4 * blocks)
+                    assert np.array_equal(words, ref), (seed, sub, lane, n)
+
+
+@pytest.mark.parametrize("sub", KAT_SUBSTREAMS + [2**60 - 2])  # the last one carries into word 3
+def test_uniforms_match_fresh_generators_row_by_row(sub):
+    for seed in KAT_SEEDS:
+        for lane in KAT_LANES:
+            for n in KAT_LENGTHS:
+                u = RandomStream(seed, sub).uniforms(lane, 3, n)
+                assert u.shape == (3, n)
+                for i in range(3):
+                    ref = RandomStream(seed, sub + i).lane(lane).generator().random(n)
+                    assert np.array_equal(u[i], ref), (seed, sub, lane, n, i)
+
+
+def test_seat_draws_what_a_fresh_generator_draws():
+    stream = RandomStream(seed=2**64 - 1, substream=2**60 - 1)
+    rng = stream.generator()
+    for offset in range(3):
+        for lane in KAT_LANES:
+            # leave a half-spent block buffer and a spare 32-bit half behind
+            rng.random(7)
+            rng.integers(0, 2**32, dtype=np.uint32)
+            fresh = RandomStream(stream.seed, stream.substream + offset).lane(lane).generator()
+            seated = stream.seat(rng, lane, offset)
+            assert np.array_equal(seated.integers(0, 2**32, size=3, dtype=np.uint32),
+                                  fresh.integers(0, 2**32, size=3, dtype=np.uint32))
+            assert np.array_equal(seated.standard_normal(9), fresh.standard_normal(9))
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(seed=-1), dict(seed=2**64), dict(seed=1, substream=-1),
+    dict(seed=1, substream=2**124), dict(seed=1, lane_index=16), dict(seed=1, lane_index=-1),
+])
+def test_random_stream_rejects_out_of_range_values(kwargs):
+    with pytest.raises(ConfigurationError):
+        RandomStream(**kwargs)
+
+
+def test_random_stream_accepts_the_full_seed_range():
+    for seed in (0, 2**64 - 1):
+        assert RandomStream(seed=seed, substream=2**124 - 1).seed == seed
+    with pytest.raises(ConfigurationError):
+        RandomStream(seed=1).lane(16)
+    with pytest.raises(ConfigurationError):
+        RandomStream(seed=1).uniforms(16, 2, 3)
+    with pytest.raises(ConfigurationError):
+        RandomStream(seed=1).seat(RandomStream(seed=1).generator(), -1)
+
+
+def _reference_simulation(model, grid, size, stream):
+    """Per-path loop, one fresh generator per (path, lane): the sampler as it
+    was before the shared re-seated generator; returns (dB, aux, hidden)."""
+    N = grid.steps
+    dB = np.empty((size, N))
+    aux = np.empty((size, model.aux_dim))
+    hidden = np.empty((size, N)) if model.needs_hidden() else None
+    for i in range(size):
+        s = RandomStream(stream.seed, stream.substream + i)
+        dB[i] = np.sqrt(grid.dt) * s.lane(LANE_BROWNIAN).generator().standard_normal(N)
+        if model.aux_dim:
+            aux[i] = model.sample_aux(s.lane(LANE_AUX).generator(), 1)[0]
+        if hidden is not None:
+            hidden[i] = model.sample_hidden(s.lane(LANE_HIDDEN).generator(), grid)
+    return dB, aux, hidden
+
+
+def _reference_quantized(model, grid, size, stream, noise, aux_values=None):
+    """Per-path loop of the quantized sampler with fresh generators."""
+    dB = np.empty((size, grid.steps))
+    aux = np.empty((size, model.aux_dim))
+    for i in range(size):
+        s = RandomStream(stream.seed, stream.substream + i)
+        u = s.lane(LANE_NOISE).generator().random(grid.steps)
+        dB[i] = noise.nodes[np.searchsorted(np.cumsum(noise.probs), u)]
+        if model.aux_dim:
+            ua = s.lane(LANE_AUX).generator().random()
+            cum = np.cumsum(np.full(len(aux_values), 1.0 / len(aux_values)))
+            aux[i] = np.asarray(aux_values)[np.searchsorted(cum, ua)]
+    return dB, aux
+
+
+def _assert_concatenation(whole, head, tail):
+    """Every array of `whole` is head's followed by tail's."""
+    for name in ("dB", "aux", "hidden", "U", "dU", "drift"):
+        x, a, b = (getattr(sim, name) for sim in (whole, head, tail))
+        if x is None:
+            assert a is None and b is None, name
+        else:
+            assert np.array_equal(x, np.concatenate([a, b])), name
+
+
+@pytest.mark.parametrize("name, params, steps", [
+    ("kalman-bucy", {}, 16),             # Brownian, aux and hidden lanes
+    ("tsirelson", {"levels": 2}, 8),     # uniform aux drawn through the generator
+])
+def test_simulate_ensemble_matches_fresh_generator_loop(name, params, steps):
+    model = make_model(name, **params)
+    g = TimeGrid(steps=steps)
+    stream = RandomStream(seed=77, substream=123)
+    sim = simulate_ensemble(model, g, 40, stream)
+    dB, aux, hidden = _reference_simulation(model, g, 40, stream)
+    assert np.array_equal(sim.dB, dB)
+    assert np.array_equal(sim.aux, aux)
+    assert (hidden is None) == (sim.hidden is None)
+    if hidden is not None:
+        assert np.array_equal(sim.hidden, hidden)
+    assert np.array_equal(sim.U, run_euler(model, g, dB, aux, hidden).U)
+    # paths [0, m) are paths [0, a) followed by paths [a, m) of substream a
+    head = simulate_ensemble(model, g, 15, stream)
+    tail = simulate_ensemble(model, g, 25, RandomStream(77, 123 + 15))
+    _assert_concatenation(sim, head, tail)
+
+
+@pytest.mark.parametrize("name, aux_values", [("independent", [-1.5, 0.5, 1.5]),
+                                              ("zero", None)])
+def test_quantized_sampler_matches_fresh_generator_loop(name, aux_values):
+    model = make_model(name)
+    g = TimeGrid(steps=3)
+    noise = gauss_quantized(3, g.dt)
+    stream = RandomStream(seed=2**64 - 1, substream=2**60 - 20)  # word 2 wraps mid-batch
+    sim = sample_quantized_ensemble(model, g, 60, stream, noise, aux_values)
+    dB, aux = _reference_quantized(model, g, 60, stream, noise, aux_values)
+    assert np.array_equal(sim.dB, dB)
+    assert np.array_equal(sim.aux, aux)
+    assert np.array_equal(sim.U, run_euler(model, g, dB, aux).U)
+    head = sample_quantized_ensemble(model, g, 22, stream, noise, aux_values)
+    rest = RandomStream(stream.seed, stream.substream + 22)
+    tail = sample_quantized_ensemble(model, g, 38, rest, noise, aux_values)
+    _assert_concatenation(sim, head, tail)

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -213,3 +216,40 @@ def test_cli_run_and_report(tmp_path):
     cfg_file.write_text(CFG_TEXT.format(out=tmp_path / "run"))
     assert cli_main(["run", "--config", str(cfg_file), "--paths", "300"]) == 0
     assert cli_main(["report", "--in", str(tmp_path / "run")]) == 0
+
+
+@pytest.mark.parametrize("cfg, stages", [
+    (dict(model="kalman-bucy", grid_n=16, paths=200),
+     {"configure", "simulate", "filter", "innovation", "criterion"}),
+    (dict(model="independent", mode="crosscheck", grid_n=2, paths=500, noise_nodes=2,
+          aux_values=(-1.0, 1.0)),
+     {"configure", "enumerate", "sample", "filter", "innovation"}),
+    (dict(model=WitnessDrift.name, mode="discrete", grid_n=2, paths=500, noise_nodes=2),
+     {"configure", "enumerate", "sample", "innovation"}),  # adapted: no filter stage
+])
+def test_run_records_stage_timings(tmp_path, cfg, stages):
+    rec = run_experiment(ExperimentConfig(**cfg, outdir=str(tmp_path)))
+    payload = json.loads((tmp_path / "run.jsonl").read_text().splitlines()[0])
+    assert payload["diagnostics"]["stages"] == rec.diagnostics["stages"]
+    assert set(rec.diagnostics["stages"]) == stages
+    for entry in rec.diagnostics["stages"].values():
+        assert set(entry) == {"seconds", "max_rss_mb"}
+        assert entry["seconds"] >= 0 and entry["max_rss_mb"] > 0
+    line = report(tmp_path, out_curves=None).splitlines()[-1]
+    assert line.startswith(f"stages[0] {cfg['model']}: configure ")
+    assert all(f"{name} " in line for name in stages) and "peak RSS" in line
+
+
+def test_cli_run_rejects_out_of_range_seed(tmp_path):
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(CFG_TEXT.format(out=tmp_path / "run"))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    for seed in ("-1", str(2**64)):
+        proc = subprocess.run([sys.executable, "-m", "innovlab.cli", "run", "--config",
+                               str(cfg_file), "--seed", seed],
+                              cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "stage 'configure'" in proc.stderr and "seed must be in [0, 2**64)" in proc.stderr
+    assert not (tmp_path / "run").exists()
