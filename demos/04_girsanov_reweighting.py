@@ -32,8 +32,8 @@ model = make_model("linear-feedback", a=2.0)
 sim = simulate_ensemble(model, grid, 20_000, RandomStream(seed=23))
 filt = ensemble_conditional_drift(model, sim)
 Z = innovation_values(sim.U, filt.values, grid.dt)
-for n in (0.5, 2.0, 8.0):
-    idx = stop_indices(filt.values, grid.dt, n)
+levels = (0.5, 2.0, 8.0)
+for n, idx in zip(levels, stop_indices(filt.values, grid.dt, levels)):
     loc = filt.values * active_mask(idx, grid.steps)
     d = normalization_diagnostic(log_weights_ensemble(loc, Z, grid.dt))
     stopped = int((idx < grid.steps).sum())
@@ -42,6 +42,6 @@ for n in (0.5, 2.0, 8.0):
 
 # The one-path view of the same thing: an ensemble of size 1.
 one = filt.values[:1]
-capped = one * active_mask(stop_indices(one, grid.dt, 0.5), grid.steps)
+capped = one * active_mask(stop_indices(one, grid.dt, [0.5])[0], grid.steps)
 print(f"one path: raw energy {path_energies(one, grid.dt)[0]:.3f}, "
       f"localized {path_energies(capped, grid.dt)[0]:.3f}")

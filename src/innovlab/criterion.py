@@ -141,28 +141,32 @@ def criterion_levels(Z: np.ndarray, uhat: np.ndarray, grid: TimeGrid,
     if not levels:
         raise UsageError("need at least one localization level")
 
-    masks, weight_sets, diags, ess = [], [], [], []
+    # per level: (m,) stopping indices (N = never stopped); the (m, N)
+    # active mask is rebuilt from them where needed and never kept
+    finite = [lv for lv in levels if not math.isinf(lv)]
+    finite_stops = iter(stop_indices(uhat, dt, finite))
+    never = np.full(m, N)
+    stops = [never if math.isinf(lv) else next(finite_stops) for lv in levels]
+
+    weight_sets, energies, diags, ess = [], [], [], []
     unlocalized_slot = None
-    for lv in levels:
-        if math.isinf(lv):
-            mask = np.ones((m, N), dtype=bool)
-        else:
-            mask = active_mask(stop_indices(uhat, dt, lv), N)
-        if mask.all() and unlocalized_slot is not None:
+    for stop in stops:
+        unstopped = bool(np.all(stop == N))
+        if unstopped and unlocalized_slot is not None:
             # nothing stopped: identical to the unlocalized computation
-            masks.append(masks[unlocalized_slot])
             weight_sets.append(weight_sets[unlocalized_slot])
+            energies.append(energies[unlocalized_slot])
             diags.append(diags[unlocalized_slot])
             ess.append(ess[unlocalized_slot])
             continue
-        loc = uhat * mask
-        lw = log_weights_ensemble(loc, Z, dt)
+        mask = active_mask(stop, N)
+        lw = log_weights_ensemble(uhat * mask, Z, dt)
         diag = normalization_diagnostic(lw) if m >= 100 else None
         ens = reweight(lw)
-        if mask.all():
-            unlocalized_slot = len(masks)
-        masks.append(mask)
+        if unstopped:
+            unlocalized_slot = len(weight_sets)
         weight_sets.append(ens.weights)
+        energies.append(path_energies(uhat, dt, mask))
         diags.append(diag)
         ess.append(ens.ess)
 
@@ -185,13 +189,12 @@ def criterion_levels(Z: np.ndarray, uhat: np.ndarray, grid: TimeGrid,
         F = builder.features_at(k)
         for s, i in enumerate(distinct):
             _, fitted = weighted_ridge_fit(F, uhat[:, k], weight_sets[i], basis.ridge)
-            q[s] += fitted * fitted * dt * masks[i][:, k]
+            q[s] += fitted * fitted * dt * (k < stops[i])
 
     reports = []
     for i, lv in enumerate(levels):
         w = weight_sets[i]
-        mask = masks[i]
-        e = path_energies(uhat, dt, mask)
+        e = energies[i]
         qi = q[slot_of[i]]
         energy, energy_se = _weighted_mean_se(w, 0.5 * e)
         entropy, entropy_se = _weighted_mean_se(w, 0.5 * qi)

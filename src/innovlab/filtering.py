@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtr
 
 from .core import TimeGrid
 from .errors import ConfigurationError, NumericalError, ShapeError, StabilityError, UsageError
@@ -96,6 +95,10 @@ def _independent_values(dU: np.ndarray, g_left: np.ndarray, dt: float) -> np.nda
 
 def _truncnorm_mean01(mu: np.ndarray, sigma: float) -> np.ndarray:
     """Mean of N(mu, sigma^2) truncated to [0, 1]."""
+    # imported here: scipy.special is the largest part of importing the
+    # package, and only the tsirelson filter needs it
+    from scipy.special import ndtr
+
     a = (0.0 - mu) / sigma
     b = (1.0 - mu) / sigma
     phi = lambda x: np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)

@@ -20,6 +20,7 @@ hundreds of nats on fine grids.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -77,17 +78,22 @@ def log_weights_ensemble(uhat: np.ndarray, Z: np.ndarray, dt: float) -> np.ndarr
     return out
 
 
-def stop_indices(uhat: np.ndarray, dt: float, threshold: float) -> np.ndarray:
-    """Per-member stopping index: first k with sum_{j<k} uhat_j^2 dt > n.
+def stop_indices(uhat: np.ndarray, dt: float, thresholds: Sequence[float]) -> np.ndarray:
+    """Per-member stopping index for each threshold n: the first k with
+    sum_{j<k} uhat_j^2 dt > n, or N when the running energy never exceeds n.
 
-    Returns N when the running energy never exceeds the threshold.
+    Returns a (len(thresholds), m) array; the running energy is summed once
+    for all thresholds.
     """
     m, N = uhat.shape
     step_energy = np.einsum("mk,mk->mk", uhat, uhat) * dt
-    before = np.concatenate([np.zeros((m, 1)), np.cumsum(step_energy, axis=1)], axis=1)
-    exceeded = before[:, :-1] > threshold  # energy before step k, k = 0..N-1
-    idx = np.where(exceeded.any(axis=1), exceeded.argmax(axis=1), N)
-    return idx
+    before = np.zeros((m, N))  # energy before step k, k = 0..N-1
+    np.cumsum(step_energy[:, :-1], axis=1, out=before[:, 1:])
+    out = np.empty((len(thresholds), m), dtype=np.intp)
+    for i, threshold in enumerate(thresholds):
+        exceeded = before > threshold
+        out[i] = np.where(exceeded.any(axis=1), exceeded.argmax(axis=1), N)
+    return out
 
 
 def active_mask(stop_idx: np.ndarray, steps: int) -> np.ndarray:

@@ -285,7 +285,6 @@ def _simulate_chunked(model, grid, size, stream, workers) -> EnsembleSimulation:
     return EnsembleSimulation(
         grid=grid, dB=cat(lambda p: p.dB), dU=cat(lambda p: p.dU), drift=cat(lambda p: p.drift),
         aux=cat(lambda p: p.aux), U=cat(lambda p: p.U),
-        hidden=None if parts[0].hidden is None else cat(lambda p: p.hidden),
     )
 
 
@@ -344,7 +343,12 @@ def _run_continuous(config, model, grid, stream, stages) -> ResultRecord:
     sim = _stage(stages, "simulate", _simulate_chunked, model, grid, config.paths,
                  stream, config.workers)
     filt = _stage(stages, "filter", ensemble_conditional_drift, model, sim)
-    Z = _stage(stages, "innovation", innovation_values, sim.U, filt.values, grid.dt)
+    # both sides of the criterion read only Z and the filtered drift: let the
+    # rest of the simulation go before the innovation and criterion stages
+    U = sim.U
+    del sim
+    Z = _stage(stages, "innovation", innovation_values, U, filt.values, grid.dt)
+    del U
     reports = _stage(stages, "criterion", criterion_levels, Z, filt.values, grid,
                      config.levels, config.basis(), config.gap_floor,
                      f"{filt.method}+jensen[{config.basis().describe()}]")
@@ -365,7 +369,7 @@ def _run_continuous(config, model, grid, stream, stages) -> ResultRecord:
     rows = [_level_row(r, config.model) for r in reports]
     if config.write_paths:
         diagnostics["paths_file"] = "paths.csv"
-        _write_paths_csv(config, sim, filt, Z, grid)
+        _write_paths_csv(config, filt, Z, grid)
     return ResultRecord(config.digest(), config.model, config.mode, verdict,
                         rows, diagnostics, 0.0)
 
@@ -480,14 +484,14 @@ def _persist(config: ExperimentConfig, record: ResultRecord) -> None:
         fh.write(record.to_json() + "\n")
 
 
-def _write_paths_csv(config, sim, filt, Z, grid):
+def _write_paths_csv(config, filt, Z, grid):
     outdir = resolve_outdir(config)
     outdir.mkdir(parents=True, exist_ok=True)
     e = path_energies(filt.values, grid.dt)
     lw = log_weights_ensemble(filt.values, Z, grid.dt)
     with (outdir / "paths.csv").open("w") as fh:
         fh.write("path,log_weight,drift_energy,terminal_innovation\n")
-        for i in range(sim.size):
+        for i in range(len(Z)):
             fh.write(f"{i},{_fmt_cell(float(lw[i]))},{_fmt_cell(float(e[i]))},"
                      f"{_fmt_cell(float(Z[i, -1]))}\n")
 
@@ -505,7 +509,7 @@ def report(in_dir, out_curves: Optional[str] = "curves.csv") -> str:
         raise UsageError(f"run.jsonl under {in_dir} is empty")
 
     header = ["model", "n", "H_hat", "E_hat", "gap", "gap_se", "ess", "verdict"]
-    widths = [16, 6, 11, 11, 11, 11, 9, 20]
+    widths = [18, 6, 11, 11, 11, 11, 9, 20]
     out = [" ".join(h.ljust(w) for h, w in zip(header, widths))]
 
     def cell(v, w):

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from .core import TimeGrid
 from .errors import NumericalError, UnsupportedModelError
@@ -109,6 +108,10 @@ def _expected_square(rows, const, cov, mean):
 
 def linear_gaussian_summary(model: DriftModel, grid: TimeGrid) -> LinearGaussianSummary:
     """Exact Gaussian functionals of the discretized linear model."""
+    # imported here, like scipy.special in `filtering`, so that runs which
+    # never reach the Gaussian oracle do not pay for importing scipy
+    from scipy.linalg import cho_factor, cho_solve, solve_triangular
+
     if not is_linear_model(model):
         raise UnsupportedModelError(f"model {model.name} is not in the linear family")
     N = grid.steps

@@ -303,9 +303,11 @@ class WitnessDrift(DriftModel):
 class EnsembleSimulation:
     """Stacked simulation of m scalar paths: arrays indexed (path, step).
 
-    U is (m, N+1); dB, dU and drift are (m, N); aux is (m, aux_dim) and
-    hidden, when the model has it, (m, N).  The Brownian path is not
-    stored; it is the prefix sum of dB.
+    U is (m, N+1); dB, dU and drift are (m, N); aux is (m, aux_dim).  The
+    Brownian path is not stored; it is the prefix sum of dB.  Hidden
+    driving noise is an input of `run_euler` and is not stored either: no
+    later stage reads it, and a hidden-signal model's drift record already
+    holds the signal it drives.
     """
 
     grid: TimeGrid
@@ -314,7 +316,6 @@ class EnsembleSimulation:
     drift: np.ndarray
     aux: np.ndarray
     U: np.ndarray
-    hidden: Optional[np.ndarray] = None
 
     @property
     def size(self) -> int:
@@ -326,7 +327,8 @@ def run_euler(model: DriftModel, grid: TimeGrid, dB: np.ndarray,
     """Integrate U = B + int u' ds for given noise increments and aux draws.
 
     dB has shape (m, N); aux has shape (m, aux_dim); hidden, when the
-    model needs it, has shape (m, N).
+    model needs it, has shape (m, N).  hidden is read by the drift rule
+    only; the returned simulation does not keep it.
     """
     model.validate(grid)
     if dB.ndim != 2:
@@ -344,7 +346,7 @@ def run_euler(model: DriftModel, grid: TimeGrid, dB: np.ndarray,
         drift[:, k] = u
         dU[:, k] = u * dt + dB[:, k]
         U[:, k + 1] = U[:, k] + dU[:, k]
-    return EnsembleSimulation(grid, dB, dU, drift, aux, U, hidden)
+    return EnsembleSimulation(grid, dB, dU, drift, aux, U)
 
 
 def simulate_ensemble(model: DriftModel, grid: TimeGrid, size: int,

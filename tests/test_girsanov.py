@@ -28,7 +28,7 @@ def _zero_model_path(grid, stream):
 
 def _localize(uhat, dt, threshold):
     """The drift zeroed from each stopping index on, as criterion_levels does it."""
-    return uhat * active_mask(stop_indices(uhat, dt, threshold), uhat.shape[1])
+    return uhat * active_mask(stop_indices(uhat, dt, [threshold])[0], uhat.shape[1])
 
 
 # ---------------------------------------------------------------- log weight
@@ -107,9 +107,10 @@ def test_localize_zero_drift_unchanged():
 def test_stop_indices_and_mask():
     g = TimeGrid(steps=4)
     uhat = np.ones((1, 4))
-    idx = stop_indices(uhat, g.dt, 0.4)
-    assert idx[0] == 2
-    mask = active_mask(idx, 4)
+    # energy before steps 0..3 is 0, 0.25, 0.5, 0.75; N = 4 means never stopped
+    idx = stop_indices(uhat, g.dt, [0.4, 0.1, 2.0, 0.5])
+    assert idx.tolist() == [[2], [1], [4], [3]]
+    mask = active_mask(idx[0], 4)
     assert mask.tolist() == [[True, True, False, False]]
 
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -18,6 +19,7 @@ from innovlab.harness import (
     run_experiment,
     suite,
 )
+from innovlab.models import MODEL_NAMES
 from innovlab.oracle import WitnessDrift
 
 CFG_TEXT = """
@@ -194,6 +196,22 @@ def test_report_renders_missing_values_as_dash(tmp_path):
     assert "—" in text
 
 
+def test_report_columns_align_for_every_model_name(tmp_path):
+    records = []
+    for name in MODEL_NAMES:
+        row = {"model": name, "n": 1.0, "H_hat": 0.1, "E_hat": 0.1, "gap": 0.0,
+               "gap_se": 0.0, "ess": 10.0, "verdict": "INCONCLUSIVE"}
+        records.append(json.dumps({"config_digest": "d", "model": name, "mode": "discrete",
+                                   "verdict": "INCONCLUSIVE", "levels": [row],
+                                   "diagnostics": {}, "wall_clock": 0.0, "version": "0"}))
+    (tmp_path / "run.jsonl").write_text("\n".join(records) + "\n")
+    lines = report(tmp_path, out_curves=None).splitlines()
+    offset = lines[0].index(" n ") + 1
+    rows = lines[1:1 + len(MODEL_NAMES)]
+    assert [line[:offset].rstrip() for line in rows] == list(MODEL_NAMES)
+    assert all(line[offset:].startswith("1.000000 ") for line in rows)
+
+
 def test_report_needs_records(tmp_path):
     with pytest.raises(UsageError):
         report(tmp_path)
@@ -240,16 +258,52 @@ def test_run_records_stage_timings(tmp_path, cfg, stages):
     assert all(f"{name} " in line for name in stages) and "peak RSS" in line
 
 
+def _src_env():
+    """Environment for a child interpreter that imports this checkout's package."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    return dict(os.environ, PYTHONPATH=src)
+
+
 def test_cli_run_rejects_out_of_range_seed(tmp_path):
     cfg_file = tmp_path / "exp.cfg"
     cfg_file.write_text(CFG_TEXT.format(out=tmp_path / "run"))
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src)
     for seed in ("-1", str(2**64)):
         proc = subprocess.run([sys.executable, "-m", "innovlab.cli", "run", "--config",
-                               str(cfg_file), "--seed", seed],
-                              cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+                               str(cfg_file), "--seed", seed], cwd=tmp_path, env=_src_env(),
+                              capture_output=True, text=True, timeout=300)
         assert proc.returncode == 1, proc.stderr
         assert "Traceback" not in proc.stderr
         assert "stage 'configure'" in proc.stderr and "seed must be in [0, 2**64)" in proc.stderr
     assert not (tmp_path / "run").exists()
+
+
+def test_scipy_is_imported_only_by_the_stages_that_use_it(tmp_path):
+    # importing the package and a crosscheck run (no Gaussian oracle, no
+    # tsirelson filter) never load scipy, whose import costs more than the run
+    cfg = FROZEN_RESULTS_SHA256["crosscheck"][0]
+    code = (
+        "import sys, innovlab, innovlab.harness\n"
+        "assert 'scipy' not in sys.modules, 'loaded by import'\n"
+        "from innovlab.harness import ExperimentConfig, run_experiment\n"
+        f"run_experiment(ExperimentConfig(**{cfg!r}), persist=False)\n"
+        "assert 'scipy' not in sys.modules, 'loaded by the crosscheck run'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=_src_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_continuous_run_holds_at_most_six_ensemble_arrays():
+    # the Euler loop needs five (paths, grid_n) float64 arrays live (dB,
+    # hidden noise, U, drift, dU); no later stage may keep the simulation
+    # alive next to its own arrays
+    cfg = ExperimentConfig(model="kalman-bucy", model_params={"beta": 1.0, "sigma": 1.0},
+                           grid_n=256, paths=2000, seed=7)
+    run_experiment(cfg, persist=False)  # warm-up: imports and one-time caches
+    tracemalloc.start()
+    try:
+        run_experiment(cfg, persist=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * cfg.paths * cfg.grid_n * 8

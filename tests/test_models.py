@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from innovlab.core import RandomStream, TimeGrid
+from innovlab.core import LANE_HIDDEN, RandomStream, TimeGrid
 from innovlab.errors import ConfigurationError, ShapeError
 from innovlab.models import list_models, make_model, run_euler, simulate_ensemble
 
@@ -92,6 +92,16 @@ def test_ensemble_paths_match_single_path_runs():
         assert np.array_equal(ens.drift[3], lone.drift[0]), model.name
 
 
+def _hidden_draws(model, grid, size, stream):
+    """The hidden noise `simulate_ensemble` draws: path i from the hidden
+    lane of substream stream.substream + i."""
+    if not model.needs_hidden():
+        return None
+    rng = stream.generator()
+    return np.stack([model.sample_hidden(stream.seat(rng, LANE_HIDDEN, i), grid)
+                     for i in range(size)])
+
+
 def test_exogenous_models_ignore_observation_history():
     # same aux and hidden inputs, different observation noise: a drift that
     # never reads the observation cannot tell the two runs apart
@@ -102,7 +112,7 @@ def test_exogenous_models_ignore_observation_history():
             continue
         out = simulate_ensemble(model, g, 3, STREAM)
         tampered = out.dB + rng.normal(size=out.dB.shape)
-        replay = run_euler(model, g, tampered, out.aux, out.hidden)
+        replay = run_euler(model, g, tampered, out.aux, _hidden_draws(model, g, 3, STREAM))
         assert not np.array_equal(replay.U, out.U), model.name
         assert np.array_equal(replay.drift, out.drift), model.name
 
@@ -111,7 +121,7 @@ def test_feedback_models_do_read_observation_history():
     g = TimeGrid(steps=8)
     model = make_model("linear-feedback", a=1.0)
     out = simulate_ensemble(model, g, 3, STREAM)
-    replay = run_euler(model, g, out.dB + 1.0, out.aux, out.hidden)
+    replay = run_euler(model, g, out.dB + 1.0, out.aux)
     assert not np.array_equal(replay.drift, out.drift)
 
 

@@ -304,3 +304,21 @@ def test_witness_labels_group_by_magnitude():
     labels = canonical_labels(witness_labels(Z))
     assert labels[0] == labels[1]
     assert len(np.unique(labels)) == 3
+
+
+def test_class_labels_match_numpy_unique_rows():
+    from innovlab.oracle import ROUND_DECIMALS, _refine_labels
+
+    rng = np.random.default_rng(3)
+    keys = rng.integers(-2, 3, size=(400, 3)) * 0.5
+    keys[rng.random(keys.shape) < 0.2] = -0.0  # -0.0 and 0.0 are one value
+    keys[:50, 1] = 0.1 + 0.2                   # equal to 0.3 after rounding
+    keys[50:100, 1] = 0.3
+    for k in (keys, keys[:, :1], keys[:, 0]):  # ties, one column, 1-D keys
+        rounded = np.round(np.asarray(k).reshape(len(k), -1), ROUND_DECIMALS)
+        _, expected = np.unique(rounded, axis=0, return_inverse=True)
+        assert np.array_equal(canonical_labels(k), expected.reshape(-1))
+    coarse = canonical_labels(keys[:, 0])
+    _, expected = np.unique(np.stack([coarse.astype(float), np.round(keys[:, 2], ROUND_DECIMALS)], axis=1),
+                            axis=0, return_inverse=True)
+    assert np.array_equal(_refine_labels(coarse, keys[:, 2]), expected.reshape(-1))
