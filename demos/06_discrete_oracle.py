@@ -13,12 +13,18 @@ show up immediately:
 
 import numpy as np
 
-from innovlab import ExperimentConfig, RandomStream, TimeGrid, dpi_verdict, enumerate_atoms, gauss_quantized, make_model, run_experiment, witness_space
-from innovlab.oracle import WitnessDrift, system_battery
+from innovlab import ExperimentConfig, FiniteLaw, RandomStream, TimeGrid, dpi_verdict, enumerate_atoms, gauss_quantized, make_model, run_experiment, witness_space
+from innovlab.oracle import (
+    WitnessDrift,
+    finite_bayes_filter,
+    match_atoms,
+    sample_quantized_ensemble,
+    system_battery,
+)
 
 # A three-point quantization matches Gaussian moments up to order five.
 qn = gauss_quantized(3, dt=0.25)
-print("nodes:", np.round(qn.nodes, 4), "probs:", np.round(qn.probs, 4))
+print("nodes:", np.round(qn.values, 4), "probs:", np.round(qn.probs, 4))
 
 # Enumerate a feedback model: 2^N atoms, exact conditional drift by
 # grouping, and the equality holds exactly.
@@ -27,6 +33,18 @@ space = enumerate_atoms(make_model("linear-feedback", a=1.0), grid, gauss_quanti
 v = dpi_verdict(space.system())
 print(f"\nfeedback enumeration: {space.atoms} atoms, gap = {v.gap:.2e}, "
       f"density measurable: {v.density_z_measurable}")
+
+# A hidden Gaussian factor becomes a finite law too (values in any order,
+# uniform unless probabilities are given).  The Bayes filter of sampled
+# paths reproduces the enumerated conditional drift on their atoms.
+model = make_model("independent")
+noise, aux = gauss_quantized(3, grid.dt), FiniteLaw([1.5, -1.5], [0.25, 0.75])
+space = enumerate_atoms(model, grid, noise, aux)
+sim = sample_quantized_ensemble(model, grid, 2000, RandomStream(seed=1), noise, aux)
+filt = finite_bayes_filter(model, sim, noise, aux)
+dev = np.max(np.abs(filt.values - space.uhat[match_atoms(space, sim)]))
+print(f"independent model, aux {aux.values} w.p. {aux.probs}: {space.atoms} atoms, "
+      f"filter vs enumeration max deviation {dev:.1e}")
 
 # The witness: same machinery, but observed only through |Z(1)|.
 space, system = witness_space()

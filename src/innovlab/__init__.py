@@ -18,7 +18,8 @@ Module map:
 * ``criterion`` -- entropy and energy estimators, verdicts
 * ``lingauss``  -- closed-form Gaussian path laws and exact KL for the
                    linear family
-* ``oracle``    -- quantized enumeration, entropy identities, the witness
+* ``oracle``    -- finite laws (quantized noise, finite aux), exact atom
+                   enumeration, entropy identities, the witness
 * ``harness``   -- configs, experiment runs, persistence, suites
 * ``cli``       -- the ``innovlab`` command (run, report, suite, list-models)
 """
@@ -40,7 +41,7 @@ from .harness import ExperimentConfig, report, run_experiment, suite
 from .models import list_models, make_model, simulate_ensemble
 from .oracle import (
     AtomSpace,
-    QuantizedNoise,
+    FiniteLaw,
     dpi_verdict,
     enumerate_atoms,
     exact_relative_entropy,
@@ -57,6 +58,6 @@ __all__ = [
     "WeightedEnsemble", "normalization_diagnostic", "reweight",
     "ExperimentConfig", "report", "run_experiment", "suite",
     "list_models", "make_model", "simulate_ensemble",
-    "AtomSpace", "QuantizedNoise", "dpi_verdict", "enumerate_atoms",
+    "AtomSpace", "FiniteLaw", "dpi_verdict", "enumerate_atoms",
     "exact_relative_entropy", "gauss_quantized", "witness_space",
 ]

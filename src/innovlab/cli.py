@@ -6,7 +6,7 @@ import argparse
 import sys
 
 from .errors import InnovlabError, UsageError
-from .harness import load_config, report, run_experiment, suite
+from .harness import MODEL_COLUMN, load_config, report, run_experiment, suite
 from .models import list_models
 
 
@@ -53,7 +53,7 @@ def main(argv=None) -> int:
             cfg = load_config(args.config, **overrides)
             rec = run_experiment(cfg)
             for row in rec.levels:
-                print(f"{row['model']:16s} n={row['n']:>4} H={row['H_hat']:.6f} "
+                print(f"{row['model']:{MODEL_COLUMN}s} n={row['n']:>4} H={row['H_hat']:.6f} "
                       f"E={row['E_hat']:.6f} gap={row['gap']:+.6f} {row['verdict']}")
             print(f"verdict: {rec.verdict}  ({rec.wall_clock:.1f}s)")
             return 0
@@ -65,7 +65,7 @@ def main(argv=None) -> int:
         if args.command == "list-models":
             for d in list_models():
                 params = ", ".join(f"{k}={v}" for k, v in d["parameters"].items()) or "-"
-                print(f"{d['name']:18s} kind={d['kind']:14s} aux={d['aux_dimension']} "
+                print(f"{d['name']:{MODEL_COLUMN}s} kind={d['kind']:14s} aux={d['aux_dimension']} "
                       f"params: {params}")
             return 0
     except UsageError as exc:

@@ -141,65 +141,38 @@ def criterion_levels(Z: np.ndarray, uhat: np.ndarray, grid: TimeGrid,
     if not levels:
         raise UsageError("need at least one localization level")
 
-    # per level: (m,) stopping indices (N = never stopped); the (m, N)
-    # active mask is rebuilt from them where needed and never kept
-    finite = [lv for lv in levels if not math.isinf(lv)]
-    finite_stops = iter(stop_indices(uhat, dt, finite))
-    never = np.full(m, N)
-    stops = [never if math.isinf(lv) else next(finite_stops) for lv in levels]
+    # per level: (m,) stopping indices, N where never stopped (every path at
+    # level inf); levels with the same stops share weights and regressions
+    stops = stop_indices(uhat, dt, levels)
+    slots: dict = {}
+    slot_of = [slots.setdefault(stop.tobytes(), len(slots)) for stop in stops]
+    distinct = [stops[slot_of.index(s)] for s in range(len(slots))]
 
     weight_sets, energies, diags, ess = [], [], [], []
-    unlocalized_slot = None
-    for stop in stops:
-        unstopped = bool(np.all(stop == N))
-        if unstopped and unlocalized_slot is not None:
-            # nothing stopped: identical to the unlocalized computation
-            weight_sets.append(weight_sets[unlocalized_slot])
-            energies.append(energies[unlocalized_slot])
-            diags.append(diags[unlocalized_slot])
-            ess.append(ess[unlocalized_slot])
-            continue
-        mask = active_mask(stop, N)
+    for stop in distinct:
+        mask = active_mask(stop, N)  # (m, N), built and dropped per level
         lw = log_weights_ensemble(uhat * mask, Z, dt)
-        diag = normalization_diagnostic(lw) if m >= 100 else None
+        diags.append(normalization_diagnostic(lw) if m >= 100 else None)
         ens = reweight(lw)
-        if unstopped:
-            unlocalized_slot = len(weight_sets)
         weight_sets.append(ens.weights)
         energies.append(path_energies(uhat, dt, mask))
-        diags.append(diag)
         ess.append(ens.ess)
 
-    # one regression per step per distinct weight set, features shared
-    L = len(levels)
-    distinct = []
-    slot_of = []
-    for i in range(L):
-        for j, k in enumerate(distinct):
-            if weight_sets[k] is weight_sets[i]:
-                slot_of.append(j)
-                break
-        else:
-            slot_of.append(len(distinct))
-            distinct.append(i)
-
+    # one regression per step per distinct stop row, features shared
     q = np.zeros((len(distinct), m))
     builder = FeatureBuilder(Z, dt, basis)
     for k in range(N):
         F = builder.features_at(k)
-        for s, i in enumerate(distinct):
-            _, fitted = weighted_ridge_fit(F, uhat[:, k], weight_sets[i], basis.ridge)
-            q[s] += fitted * fitted * dt * (k < stops[i])
+        for s, stop in enumerate(distinct):
+            _, fitted = weighted_ridge_fit(F, uhat[:, k], weight_sets[s], basis.ridge)
+            q[s] += fitted * fitted * dt * (k < stop)
 
     reports = []
-    for i, lv in enumerate(levels):
-        w = weight_sets[i]
-        e = energies[i]
-        qi = q[slot_of[i]]
+    for lv, s in zip(levels, slot_of):
+        w, e, qi, diag = weight_sets[s], energies[s], q[s], diags[s]
         energy, energy_se = _weighted_mean_se(w, 0.5 * e)
         entropy, entropy_se = _weighted_mean_se(w, 0.5 * qi)
         gap, gap_se = _weighted_mean_se(w, 0.5 * (e - qi))
-        diag = diags[i]
         reports.append(
             LevelReport(
                 level=lv,
@@ -209,7 +182,7 @@ def criterion_levels(Z: np.ndarray, uhat: np.ndarray, grid: TimeGrid,
                 energy_se=energy_se,
                 gap=gap,
                 gap_se=gap_se,
-                ess=ess[i],
+                ess=ess[s],
                 norm_mean=diag.mean if diag else float("nan"),
                 norm_se=diag.se if diag else float("nan"),
                 norm_passed=diag.passed if diag else False,

@@ -86,11 +86,19 @@ def _kalman_values(dU: np.ndarray, beta: float, sigma: float, grid: TimeGrid,
 
 
 def _independent_values(dU: np.ndarray, g_left: np.ndarray, dt: float) -> np.ndarray:
-    """Posterior-mean drift for u' = theta g(t), theta ~ N(0,1): stacked (m, N)."""
-    num = np.concatenate([np.zeros((dU.shape[0], 1)), np.cumsum(g_left * dU, axis=1)], axis=1)
+    """Posterior-mean drift for u' = theta g(t), theta ~ N(0,1): stacked (m, N).
+
+    The running sums sum_{j<k} g_j dU_j are built in the output array
+    itself, so the filter needs no (m, N) temporary next to the simulation.
+    """
+    out = np.zeros(dU.shape)
+    num = out[:, 1:]
+    np.multiply(g_left[:-1], dU[:, :-1], out=num)
+    np.cumsum(num, axis=1, out=num)
     den = 1.0 + np.concatenate([[0.0], np.cumsum(g_left**2 * dt)])
-    theta_hat = num[:, :-1] / den[:-1]
-    return theta_hat * g_left
+    out /= den[:-1]
+    out *= g_left
+    return out
 
 
 def _truncnorm_mean01(mu: np.ndarray, sigma: float) -> np.ndarray:

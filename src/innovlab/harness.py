@@ -46,6 +46,7 @@ from .filtering import BasisSpec, ensemble_conditional_drift, innovation_values
 from .girsanov import log_weights_ensemble, normalization_diagnostic, reweight
 from .lingauss import is_linear_model, linear_gaussian_summary
 from .models import (
+    MODEL_NAMES,
     DriftModel,
     EnsembleSimulation,
     WitnessDrift,
@@ -53,6 +54,7 @@ from .models import (
     simulate_ensemble,
 )
 from .oracle import (
+    FiniteLaw,
     base_entropy_mc,
     canonical_labels,
     conditional_energy_by_grouping,
@@ -82,6 +84,9 @@ OUTDIR_ENV = "INNOVLAB_OUTDIR"
 
 RESULT_COLUMNS = ["model", "n", "H_hat", "H_se", "E_hat", "E_se", "gap",
                   "ess", "norm_mean", "norm_se", "verdict"]
+
+# width of the model column in printed tables: the longest name and a blank
+MODEL_COLUMN = max(len(name) for name in MODEL_NAMES) + 1
 
 # pipeline stages in run order; `report` prints their timings in this order
 STAGES = ("configure", "enumerate", "simulate", "sample", "filter", "innovation",
@@ -158,11 +163,20 @@ def _fmt(v) -> str:
     return str(v)
 
 
-_LIST_FIELDS = {"levels": float, "basis_ema": float, "aux_values": float, "aux_probs": float}
-_INT_FIELDS = {"grid_n", "paths", "basis_window", "seed", "noise_nodes", "workers"}
-_FLOAT_FIELDS = {"horizon", "ridge", "gap_floor", "crosscheck_tol"}
-_BOOL_FIELDS = {"basis_squares", "basis_cubes", "write_paths"}
-_STR_FIELDS = {"model", "outdir", "mode", "erasure"}
+def _converter(default):
+    """Parser of a config value, from the type of its field's default; None
+    for a field no key sets directly (model_params)."""
+    if isinstance(default, tuple):
+        return lambda val: tuple(float(x) for x in val.replace(",", " ").split())
+    if isinstance(default, bool):
+        return lambda val: val.lower() in ("true", "1", "yes")
+    if isinstance(default, (int, float, str)):
+        return type(default)
+    return None
+
+
+_CONVERTERS = {f.name: conv for f in fields(ExperimentConfig)
+               if (conv := _converter(f.default)) is not None}
 
 
 def parse_config(text: str, **overrides) -> ExperimentConfig:
@@ -177,18 +191,11 @@ def parse_config(text: str, **overrides) -> ExperimentConfig:
         key, val = (s.strip() for s in line.split("=", 1))
         if key.startswith("model."):
             values["model_params"][key[6:]] = _parse_scalar(val)
-        elif key in _LIST_FIELDS:
-            conv = _LIST_FIELDS[key]
-            items = tuple(conv(x) for x in val.replace(",", " ").split()) if val else ()
-            values[key] = items
-        elif key in _INT_FIELDS:
-            values[key] = int(val)
-        elif key in _FLOAT_FIELDS:
-            values[key] = float(val)
-        elif key in _BOOL_FIELDS:
-            values[key] = val.lower() in ("true", "1", "yes")
-        elif key in _STR_FIELDS:
-            values[key] = val
+        elif key in _CONVERTERS:
+            try:
+                values[key] = _CONVERTERS[key](val)
+            except ValueError:
+                raise ConfigurationError(f"line {lineno}: bad value for {key}: {val!r}") from None
         else:
             raise ConfigurationError(f"line {lineno}: unknown key {key!r}")
     cfg = ExperimentConfig(**values)
@@ -374,37 +381,24 @@ def _run_continuous(config, model, grid, stream, stages) -> ResultRecord:
                         rows, diagnostics, 0.0)
 
 
-def _discrete_parts(config, model, grid, stream, stages):
+def _run_discrete(config, model, grid, stream, stages) -> ResultRecord:
     noise = gauss_quantized(config.noise_nodes, grid.dt)
-    aux_values = list(config.aux_values) if model.aux_dim else None
-    aux_probs = list(config.aux_probs) if config.aux_probs else None
-    space = _stage(stages, "enumerate", enumerate_atoms, model, grid, noise, aux_values,
-                   aux_probs)
+    aux = FiniteLaw(config.aux_values, config.aux_probs or None) if model.aux_dim else None
+    space = _stage(stages, "enumerate", enumerate_atoms, model, grid, noise, aux)
     relabel = witness_labels if config.erasure == "sign-terminal" else None
-    system = space.system(relabel=relabel, tag=config.erasure)
-    exact = dpi_verdict(system)
+    exact = dpi_verdict(space.system(relabel=relabel, tag=config.erasure))
 
     sim = _stage(stages, "sample", sample_quantized_ensemble, model, grid, config.paths,
-                 stream, noise, aux_values, aux_probs)
+                 stream, noise, aux)
     if model.observation_adapted:
         uhat = sim.drift
         method = "identity-feedback"
     else:
-        filt = _stage(stages, "filter", finite_bayes_filter, model, sim, noise,
-                      aux_values, aux_probs)
+        filt = _stage(stages, "filter", finite_bayes_filter, model, sim, noise, aux)
         uhat, method = filt.values, filt.method
     Z = _stage(stages, "innovation", innovation_values, sim.U, uhat, grid.dt)
     lw = log_weights_ensemble(uhat, Z, grid.dt)
-    if config.erasure == "sign-terminal":
-        labels = canonical_labels(witness_labels(Z))
-    else:
-        labels = canonical_labels(Z[:, 1:])
-    return noise, space, system, exact, sim, uhat, Z, lw, labels, method
-
-
-def _run_discrete(config, model, grid, stream, stages) -> ResultRecord:
-    (noise, space, system, exact, sim, uhat, Z, lw, labels, method) = \
-        _discrete_parts(config, model, grid, stream, stages)
+    labels = canonical_labels(Z[:, 1:] if relabel is None else relabel(Z))
 
     base, base_se = base_entropy_mc(lw)
     push, push_se = pushforward_entropy_mc(lw, labels)
@@ -441,9 +435,8 @@ def _run_discrete(config, model, grid, stream, stages) -> ResultRecord:
     }
 
     if config.mode == "crosscheck":
-        aux_vals = list(config.aux_values) if model.aux_dim else None
-        cc = estimator_crosscheck(space, sim, uhat, base, push, energy_mc,
-                                  config.crosscheck_tol, aux_vals)
+        cc = estimator_crosscheck(space, exact, sim, uhat, base, push, energy_mc,
+                                  config.crosscheck_tol)
         diagnostics["crosscheck"] = {
             "entropy_rel_error": cc.entropy_rel_error,
             "base_entropy_rel_error": cc.base_entropy_rel_error,
@@ -509,7 +502,7 @@ def report(in_dir, out_curves: Optional[str] = "curves.csv") -> str:
         raise UsageError(f"run.jsonl under {in_dir} is empty")
 
     header = ["model", "n", "H_hat", "E_hat", "gap", "gap_se", "ess", "verdict"]
-    widths = [18, 6, 11, 11, 11, 11, 9, 20]
+    widths = [MODEL_COLUMN, 6, 11, 11, 11, 11, 9, 20]
     out = [" ".join(h.ljust(w) for h, w in zip(header, widths))]
 
     def cell(v, w):

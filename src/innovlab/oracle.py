@@ -1,10 +1,14 @@
-"""Exact finite oracle: quantized noise, atom enumeration, entropy identities.
+"""Exact finite oracle: finite laws, atom enumeration, entropy identities.
 
-Replacing Gaussian increments by a moment-matched finite quadrature makes
-the whole pipeline exactly enumerable: every (noise sequence, auxiliary
+Replacing Gaussian increments by a moment-matched finite quadrature, and
+the auxiliary variable by a finite one, makes the whole pipeline exactly
+enumerable.  Both are a `FiniteLaw` (distinct values, positive
+probabilities summing to one), which also draws from itself and maps
+sampled values back to their positions.  Every (noise sequence, auxiliary
 value) combination is an atom with a known probability, conditional
-expectations are probability-weighted group means, and relative entropies
-are finite sums.  The enumeration validates every Monte Carlo estimator.
+expectations are probability-weighted group means over shared prefixes,
+and relative entropies are finite sums.  The enumeration validates every
+Monte Carlo estimator.
 
 A structural fact shapes what the oracle can and cannot exhibit: on a
 discrete grid the map from the observation to its innovation is always
@@ -21,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -38,7 +42,7 @@ from .models import DriftModel, EnsembleSimulation, WitnessDrift, run_euler
 
 __all__ = [
     "ROUND_DECIMALS",
-    "QuantizedNoise",
+    "FiniteLaw",
     "AtomSpace",
     "FiniteSystem",
     "DiscreteVerdict",
@@ -69,40 +73,63 @@ MAX_ATOMS = 1_000_000
 
 
 @dataclass(frozen=True)
-class QuantizedNoise:
-    """Finite stand-in for a Wiener increment: nodes and probabilities.
+class FiniteLaw:
+    """A finite random variable: distinct values (in any order) with positive
+    probabilities summing to one; ``probs=None`` is the uniform law.
 
-    The default constructor matches Gaussian moments up to order 2m-1 via
-    Gauss-Hermite quadrature scaled by sqrt(dt).
+    Stands in for a Wiener increment (`gauss_quantized`) and for a model's
+    auxiliary variable.  A malformed law is a configuration error.
     """
 
-    nodes: np.ndarray
-    probs: np.ndarray
+    values: np.ndarray
+    probs: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        probs = np.asarray(self.probs, dtype=float)
-        if nodes.shape != probs.shape or nodes.ndim != 1:
-            raise ConfigurationError("nodes and probabilities must be equal-length vectors")
-        if np.any(probs <= 0):
-            raise ConfigurationError("node probabilities must be positive")
+        values = np.asarray(self.values, dtype=float)
+        if values.ndim != 1 or len(values) == 0:
+            raise ConfigurationError("a finite law needs a non-empty list of values")
+        n = len(values)
+        probs = (np.full(n, 1.0 / n) if self.probs is None
+                 else np.asarray(self.probs, dtype=float))
+        if probs.shape != values.shape:
+            raise ConfigurationError(f"{n} values but {probs.size} probabilities")
+        ordered = np.sort(values)
+        if not np.all(np.isfinite(values)) or np.any(ordered[1:] == ordered[:-1]):
+            raise ConfigurationError("the values of a finite law must be finite and distinct")
+        if not np.all(probs > 0):
+            raise ConfigurationError("probabilities must be positive")
         if abs(math.fsum(probs) - 1.0) > 1e-12:
-            raise ConfigurationError("node probabilities must sum to one")
-        object.__setattr__(self, "nodes", nodes)
+            raise ConfigurationError("probabilities must sum to one")
+        object.__setattr__(self, "values", values)
         object.__setattr__(self, "probs", probs)
 
     @property
     def count(self) -> int:
-        return len(self.nodes)
+        return len(self.values)
+
+    def draw(self, u: np.ndarray) -> np.ndarray:
+        """Inverse-CDF draw: the law's value for each uniform in u."""
+        return self.values[np.searchsorted(np.cumsum(self.probs), u)]
+
+    def index(self, x: np.ndarray) -> np.ndarray:
+        """Position in `values` of each entry of x, which must all be values."""
+        order = np.argsort(self.values)
+        ordered = self.values[order]
+        pos = np.minimum(np.searchsorted(ordered, x), self.count - 1)
+        if not np.array_equal(ordered[pos], x):
+            raise UsageError("a sampled value lies outside the finite law")
+        return order[pos]
 
 
-def gauss_quantized(m: int, dt: float) -> QuantizedNoise:
-    """Moment-matched m-point quantization of an N(0, dt) increment."""
+def gauss_quantized(m: int, dt: float) -> FiniteLaw:
+    """Moment-matched m-point quantization of an N(0, dt) increment: the
+    Gauss-Hermite nodes scaled by sqrt(dt) match Gaussian moments up to
+    order 2m-1."""
     if m < 2:
         raise ConfigurationError(f"need at least two nodes, got {m}")
     x, w = np.polynomial.hermite_e.hermegauss(m)
     probs = w / w.sum()
-    return QuantizedNoise(x * np.sqrt(dt), probs)
+    return FiniteLaw(x * np.sqrt(dt), probs)
 
 
 @dataclass(frozen=True)
@@ -153,16 +180,19 @@ class DiscreteVerdict:
 
 @dataclass(frozen=True)
 class AtomSpace:
-    """Exhaustive pipeline enumeration over (noise sequence, aux) atoms."""
+    """Exhaustive pipeline enumeration over (noise sequence, aux) atoms.
+
+    aux is the finite auxiliary law, None for a model without one.
+    """
 
     grid: TimeGrid
-    noise: QuantizedNoise
+    noise: FiniteLaw
+    aux: Optional[FiniteLaw]
     model_name: str
     probs: np.ndarray
     sim: EnsembleSimulation
     uhat: np.ndarray
     Z: np.ndarray
-    log_density: np.ndarray
     density: np.ndarray
     z_labels: np.ndarray
     u_labels: np.ndarray
@@ -229,62 +259,69 @@ def _group_mean_safe(labels: np.ndarray, weights: np.ndarray, values: np.ndarray
     return out[labels]
 
 
-def enumerate_atoms(model: DriftModel, grid: TimeGrid, noise: QuantizedNoise,
-                    aux_values: Optional[Sequence[float]] = None,
-                    aux_probs: Optional[Sequence[float]] = None,
+def _prefix_group_means(columns: np.ndarray, weights: np.ndarray,
+                        values: np.ndarray) -> np.ndarray:
+    """Exact conditional expectations given a growing prefix.
+
+    Column k of the result is the weighted mean of values[:, k] over the
+    atoms that agree on columns[:, 1..k] (rounded); at k = 0 every atom
+    shares the empty prefix.  columns is (atoms, N+1), values (atoms, N).
+    """
+    out = np.empty(values.shape)
+    labels = np.zeros(len(values), dtype=np.int64)
+    for k in range(values.shape[1]):
+        labels = _refine_labels(labels, columns[:, k]) if k > 0 else labels
+        out[:, k] = _group_mean_safe(labels, weights, values[:, k])
+    return out
+
+
+def enumerate_atoms(model: DriftModel, grid: TimeGrid, noise: FiniteLaw,
+                    aux: Optional[FiniteLaw] = None,
                     max_atoms: int = MAX_ATOMS) -> AtomSpace:
     """Enumerate the quantized pipeline exactly.
 
-    The model's auxiliary randomness, if any, is replaced by the finite
-    variable (aux_values, aux_probs).  The filtered drift is the exact
-    conditional expectation, computed by grouping atoms on identical
-    observation prefixes and probability-averaging the drift.
+    The model's auxiliary randomness, if any, is replaced by the finite law
+    aux.  The filtered drift is the exact conditional expectation, computed
+    by grouping atoms on identical observation prefixes and
+    probability-averaging the drift.
     """
     if model.needs_hidden():
         raise ConfigurationError(f"model {model.name} has a continuous hidden signal; "
                                  "enumeration needs finitely many scenarios")
-    if model.aux_dim and aux_values is None:
-        raise ConfigurationError(f"model {model.name} needs finite aux values to enumerate")
-    n_aux = len(aux_values) if model.aux_dim else 1
+    if not model.aux_dim:
+        aux = None
+    elif aux is None:
+        raise ConfigurationError(f"model {model.name} needs a finite aux law to enumerate")
+    n_aux = aux.count if aux is not None else 1
     N = grid.steps
     atoms = noise.count**N * n_aux
     if atoms > max_atoms:
         raise ConfigurationError(f"{atoms} atoms exceed the bound {max_atoms}")
 
-    node_grids = np.meshgrid(*([noise.nodes] * N), indexing="ij")
+    node_grids = np.meshgrid(*([noise.values] * N), indexing="ij")
     dB = np.stack([g.reshape(-1) for g in node_grids], axis=1)
     prob_grids = np.meshgrid(*([noise.probs] * N), indexing="ij")
     p_noise = np.prod([g.reshape(-1) for g in prob_grids], axis=0)
 
-    if model.aux_dim:
-        if aux_probs is None:
-            aux_probs = np.full(n_aux, 1.0 / n_aux)
-        aux_probs = np.asarray(aux_probs, dtype=float)
+    if aux is not None:
         dB = np.repeat(dB, n_aux, axis=0)
-        aux = np.tile(np.asarray(aux_values, dtype=float), noise.count**N)[:, None]
-        probs = np.repeat(p_noise, n_aux) * np.tile(aux_probs, noise.count**N)
+        aux_draws = np.tile(aux.values, noise.count**N)[:, None]
+        probs = np.repeat(p_noise, n_aux) * np.tile(aux.probs, noise.count**N)
     else:
-        aux = np.empty((atoms, 0))
+        aux_draws = np.empty((atoms, 0))
         probs = p_noise
 
-    sim = run_euler(model, grid, dB, aux)
-
-    # exact filtered drift by observation-prefix grouping
-    uhat = np.empty((atoms, N))
-    labels = np.zeros(atoms, dtype=np.int64)  # U_0 = 0 for all atoms
-    for k in range(N):
-        labels = _refine_labels(labels, sim.U[:, k]) if k > 0 else labels
-        uhat[:, k] = _group_mean_safe(labels, probs, sim.drift[:, k])
+    sim = run_euler(model, grid, dB, aux_draws)
+    uhat = _prefix_group_means(sim.U, probs, sim.drift)
     Z = innovation_values(sim.U, uhat, grid.dt)
 
-    log_density = log_weights_ensemble(uhat, Z, grid.dt)
-    raw = np.exp(log_density)
+    raw = np.exp(log_weights_ensemble(uhat, Z, grid.dt))
     density = raw / math.fsum(probs * raw)
 
     z_labels = canonical_labels(Z[:, 1:])
     u_labels = canonical_labels(sim.U[:, 1:])
-    return AtomSpace(grid, noise, model.name, probs, sim, uhat, Z,
-                     log_density, density, z_labels, u_labels)
+    return AtomSpace(grid, noise, aux, model.name, probs, sim, uhat, Z,
+                     density, z_labels, u_labels)
 
 
 def exact_relative_entropy(p: np.ndarray, q: np.ndarray) -> float:
@@ -346,43 +383,32 @@ def conditional_energy_by_grouping(space: AtomSpace) -> float:
     prefix on a discrete grid.
     """
     nu = space.probs * space.density
-    N = space.grid.steps
+    if nu.sum() <= 0:
+        raise DegeneracyError("tilted measure has no mass")
+    cond = _prefix_group_means(space.Z, nu, space.uhat)
     total = 0.0
-    labels = np.zeros(space.atoms, dtype=np.int64)
-    for k in range(N):
-        labels = _refine_labels(labels, space.Z[:, k]) if k > 0 else labels
-        if nu.sum() <= 0:
-            raise DegeneracyError("tilted measure has no mass")
-        cond = _group_mean_safe(labels, nu, space.uhat[:, k])
-        total += float(math.fsum(nu * cond**2)) * space.grid.dt
+    for k in range(space.grid.steps):
+        total += float(math.fsum(nu * cond[:, k]**2)) * space.grid.dt
     return 0.5 * total
 
 
 # --------------------------------------------------------------------- MC side
 
 def sample_quantized_ensemble(model: DriftModel, grid: TimeGrid, size: int,
-                              stream: RandomStream, noise: QuantizedNoise,
-                              aux_values: Optional[Sequence[float]] = None,
-                              aux_probs: Optional[Sequence[float]] = None
-                              ) -> EnsembleSimulation:
+                              stream: RandomStream, noise: FiniteLaw,
+                              aux: Optional[FiniteLaw] = None) -> EnsembleSimulation:
     """Monte Carlo sampling of the quantized pipeline (same Euler recursion)."""
-    aux = np.empty((size, model.aux_dim))
+    aux_draws = np.empty((size, model.aux_dim))
     if model.aux_dim:
-        if aux_values is None:
-            raise ConfigurationError("finite aux values required")
-        aux_values = np.asarray(aux_values, dtype=float)
-        aux_probs = (np.full(len(aux_values), 1.0 / len(aux_values))
-                     if aux_probs is None else np.asarray(aux_probs, dtype=float))
-        cum_aux = np.cumsum(aux_probs)
-        aux[:] = aux_values[np.searchsorted(cum_aux, stream.uniforms(LANE_AUX, size, 1))]
-    cum_noise = np.cumsum(noise.probs)
-    dB = noise.nodes[np.searchsorted(cum_noise, stream.uniforms(LANE_NOISE, size, grid.steps))]
-    return run_euler(model, grid, dB, aux)
+        if aux is None:
+            raise ConfigurationError(f"model {model.name} needs a finite aux law")
+        aux_draws[:] = aux.draw(stream.uniforms(LANE_AUX, size, 1))
+    dB = noise.draw(stream.uniforms(LANE_NOISE, size, grid.steps))
+    return run_euler(model, grid, dB, aux_draws)
 
 
 def finite_bayes_filter(model: DriftModel, sim: EnsembleSimulation,
-                        noise: QuantizedNoise, aux_values: Sequence[float],
-                        aux_probs: Optional[Sequence[float]] = None) -> EnsembleFilter:
+                        noise: FiniteLaw, aux: FiniteLaw) -> EnsembleFilter:
     """Exact per-path conditional drift for finite-aux exogenous models.
 
     The drift must be a function of (aux, time) alone; the posterior over
@@ -393,20 +419,16 @@ def finite_bayes_filter(model: DriftModel, sim: EnsembleSimulation,
         raise UsageError("finite Bayes filter needs an exogenous finite-aux drift")
     grid = sim.grid
     N, m = grid.steps, sim.size
-    aux_values = np.asarray(aux_values, dtype=float)
-    n_aux = len(aux_values)
-    aux_probs = (np.full(n_aux, 1.0 / n_aux) if aux_probs is None
-                 else np.asarray(aux_probs, dtype=float))
 
-    # hypothesis drift tables (n_aux, N): exogenous, so path-independent
-    zeros = np.zeros((n_aux, N + 1))
-    state = model.start(grid, aux_values[:, None], None)
-    hypo = np.empty((n_aux, N))
+    # hypothesis drift tables (aux.count, N): exogenous, so path-independent
+    zeros = np.zeros((aux.count, N + 1))
+    state = model.start(grid, aux.values[:, None], None)
+    hypo = np.empty((aux.count, N))
     for k in range(N):
-        hypo[:, k] = model.drift(k, grid, zeros, aux_values[:, None], None, state)
+        hypo[:, k] = model.drift(k, grid, zeros, aux.values[:, None], None, state)
 
     log_pmf = {round(float(n), ROUND_DECIMALS): math.log(p)
-               for n, p in zip(noise.nodes, noise.probs)}
+               for n, p in zip(noise.values, noise.probs)}
 
     def loglik(residual):
         key = np.round(residual, ROUND_DECIMALS)
@@ -415,7 +437,7 @@ def finite_bayes_filter(model: DriftModel, sim: EnsembleSimulation,
             out = np.where(np.isclose(key, node, rtol=0, atol=10.0**-ROUND_DECIMALS), lp, out)
         return out
 
-    post = np.tile(np.log(aux_probs), (m, 1))  # log posterior per path
+    post = np.tile(np.log(aux.probs), (m, 1))  # log posterior per path
     out = np.empty((m, N))
     for k in range(N):
         w = np.exp(post - post.max(axis=1, keepdims=True))
@@ -471,18 +493,14 @@ def pushforward_entropy_mc(log_weights: np.ndarray, labels: np.ndarray
     return est, se
 
 
-def match_atoms(space: AtomSpace, sim: EnsembleSimulation,
-                aux_values: Optional[Sequence[float]] = None) -> np.ndarray:
+def match_atoms(space: AtomSpace, sim: EnsembleSimulation) -> np.ndarray:
     """Atom index of each sampled quantized path (exact lattice lookup)."""
     noise = space.noise
-    order = np.argsort(noise.nodes)
-    node_idx = order[np.searchsorted(np.sort(noise.nodes), sim.dB)]
     powers = noise.count ** np.arange(space.grid.steps - 1, -1, -1)
-    flat = (node_idx * powers).sum(axis=1)
-    if aux_values is not None and sim.aux.shape[1]:
-        aux_values = np.asarray(aux_values, dtype=float)
-        return flat * len(aux_values) + np.searchsorted(aux_values, sim.aux[:, 0])
-    return flat
+    flat = (noise.index(sim.dB) * powers).sum(axis=1)
+    if space.aux is None:
+        return flat
+    return flat * space.aux.count + space.aux.index(sim.aux[:, 0])
 
 
 @dataclass(frozen=True)
@@ -497,19 +515,19 @@ class CrosscheckReport:
     passed: bool
 
 
-def estimator_crosscheck(space: AtomSpace, sim: EnsembleSimulation,
-                         uhat: np.ndarray, mc_base: float, mc_push: float,
-                         mc_energy: float, tolerance: float = 0.05,
-                         aux_values: Optional[Sequence[float]] = None
-                         ) -> CrosscheckReport:
+def estimator_crosscheck(space: AtomSpace, exact: DiscreteVerdict,
+                         sim: EnsembleSimulation, uhat: np.ndarray, mc_base: float,
+                         mc_push: float, mc_energy: float,
+                         tolerance: float = 0.05) -> CrosscheckReport:
     """Deviation report of a quantized Monte Carlo run against enumeration.
 
-    Compares the plug-in entropy estimates and the weighted energy with
-    their exact values, and the per-path filter values with the grouped
-    conditional expectations on matched atoms.
+    exact is the verdict of the observation the Monte Carlo estimates were
+    computed for (``space.system()``, or a lossy view of it).  Compares the
+    plug-in entropy estimates and the weighted energy with its values, and
+    the per-path filter values with the grouped conditional expectations
+    on matched atoms.
     """
-    exact = dpi_verdict(space.system())
-    atom = match_atoms(space, sim, aux_values)
+    atom = match_atoms(space, sim)
     filter_dev = float(np.max(np.abs(uhat - space.uhat[atom])))
     rel = lambda got, want: abs(got - want) / max(abs(want), 1e-12)
     base_rel = rel(mc_base, exact.base_entropy)

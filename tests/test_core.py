@@ -17,7 +17,7 @@ from innovlab.errors import ConfigurationError, ShapeError
 from innovlab.filtering import innovation_values
 from innovlab.girsanov import log_weights_ensemble
 from innovlab.models import make_model, run_euler, simulate_ensemble
-from innovlab.oracle import gauss_quantized, sample_quantized_ensemble
+from innovlab.oracle import FiniteLaw, gauss_quantized, sample_quantized_ensemble
 
 ZERO = make_model("zero")
 
@@ -292,7 +292,7 @@ def _reference_quantized(model, grid, size, stream, noise, aux_values=None):
     for i in range(size):
         s = RandomStream(stream.seed, stream.substream + i)
         u = s.lane(LANE_NOISE).generator().random(grid.steps)
-        dB[i] = noise.nodes[np.searchsorted(np.cumsum(noise.probs), u)]
+        dB[i] = noise.values[np.searchsorted(np.cumsum(noise.probs), u)]
         if model.aux_dim:
             ua = s.lane(LANE_AUX).generator().random()
             cum = np.cumsum(np.full(len(aux_values), 1.0 / len(aux_values)))
@@ -336,13 +336,14 @@ def test_quantized_sampler_matches_fresh_generator_loop(name, aux_values):
     model = make_model(name)
     g = TimeGrid(steps=3)
     noise = gauss_quantized(3, g.dt)
+    law = FiniteLaw(aux_values) if aux_values else None
     stream = RandomStream(seed=2**64 - 1, substream=2**60 - 20)  # word 2 wraps mid-batch
-    sim = sample_quantized_ensemble(model, g, 60, stream, noise, aux_values)
+    sim = sample_quantized_ensemble(model, g, 60, stream, noise, law)
     dB, aux = _reference_quantized(model, g, 60, stream, noise, aux_values)
     assert np.array_equal(sim.dB, dB)
     assert np.array_equal(sim.aux, aux)
     assert np.array_equal(sim.U, run_euler(model, g, dB, aux).U)
-    head = sample_quantized_ensemble(model, g, 22, stream, noise, aux_values)
+    head = sample_quantized_ensemble(model, g, 22, stream, noise, law)
     rest = RandomStream(stream.seed, stream.substream + 22)
-    tail = sample_quantized_ensemble(model, g, 38, rest, noise, aux_values)
+    tail = sample_quantized_ensemble(model, g, 38, rest, noise, law)
     _assert_concatenation(sim, head, tail)

@@ -84,6 +84,29 @@ def test_energy_under_nu_matches_gaussian_oracle_for_kalman():
     assert abs(r.energy - exact) <= 3 * r.energy_se
 
 
+def test_levels_with_equal_stops_share_one_regression(monkeypatch):
+    # levels whose stopping indices agree (here the repeated 0.2, and 50 and
+    # inf, which stop no path) are one computation: one ridge fit per step
+    # for each distinct stop row, and identical reports
+    import innovlab.criterion as criterion
+
+    grid, model, sim, filt, Z = _pipeline("linear-feedback", 16, 300, a=1.0)
+    calls, fit = [], criterion.weighted_ridge_fit
+
+    def counted(*args):
+        calls.append(1)
+        return fit(*args)
+
+    expected = criterion_levels(Z, filt.values, grid, levels=(0.2, 50.0))
+    monkeypatch.setattr(criterion, "weighted_ridge_fit", counted)
+    reports = criterion_levels(Z, filt.values, grid, levels=(0.2, 0.2, 50.0, np.inf))
+    assert len(calls) == 2 * grid.steps
+    assert reports[0] == reports[1] == expected[0]
+    for r in reports[2:]:
+        assert r.entropy == expected[1].entropy and r.energy == expected[1].energy
+        assert r.gap == expected[1].gap and r.ess == expected[1].ess
+
+
 def test_entropy_jensen_zero_and_exact_deterministic():
     grid = TimeGrid(steps=4)
     h = criterion_levels(_random_innovation(100, 4), np.zeros((100, 4)), grid,

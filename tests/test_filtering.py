@@ -67,6 +67,21 @@ def test_independent_closed_form_matches_sufficient_statistic():
     assert np.allclose(filt.values, closed, atol=1e-12)
 
 
+@pytest.mark.parametrize("params", [{}, {"g_shape": "linear", "intercept": 0.5},
+                                    {"g_shape": "sine", "frequency": 0.7}])
+def test_independent_filter_equals_posterior_mean_formula(params):
+    # theta_hat_k = sum_{j<k} g_j dU_j / (1 + sum_{j<k} g_j^2 dt), the filter
+    # is theta_hat_k g_k; built from whole-array temporaries here, bit-equal
+    g = TimeGrid(steps=16)
+    model = make_model("independent", **params)
+    sim = simulate_ensemble(model, g, 32, STREAM)
+    gl = model.g(g.left_times)
+    num = np.concatenate([np.zeros((32, 1)), np.cumsum(gl * sim.dU, axis=1)], axis=1)
+    den = 1.0 + np.concatenate([[0.0], np.cumsum(gl**2 * g.dt)])
+    expected = num[:, :-1] / den[:-1] * gl
+    assert np.array_equal(ensemble_conditional_drift(model, sim).values, expected)
+
+
 def test_truncnorm_mean_against_quadrature():
     xi = np.linspace(0.0, 1.0, 200_001)
     for mu, sigma in [(0.3, 1.7), (-0.4, 2.0), (1.8, 0.9), (0.5, 5.0)]:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import MISSING, fields
 
 import pytest
 
@@ -51,11 +52,22 @@ FROZEN_RESULTS_SHA256 = {
 
 
 def test_config_roundtrip():
-    cfg = ExperimentConfig(model="kalman-bucy", model_params={"beta": 1.0, "sigma": 2.0},
-                           grid_n=64, levels=(1.0, math.inf), basis_ema=(0.5, 1.0))
-    again = parse_config(cfg.to_text())
-    assert again == cfg
-    assert again.digest() == cfg.digest()
+    some = ExperimentConfig(model="kalman-bucy", model_params={"beta": 1.0, "sigma": 2.0},
+                            grid_n=64, levels=(1.0, math.inf), basis_ema=(0.5, 1.0))
+    every = ExperimentConfig(
+        model="independent", model_params={"g_shape": "sine", "amplitude": 0.5}, grid_n=7,
+        horizon=2.5, paths=333, levels=(0.25, 3.0), basis_window=3, basis_squares=False,
+        basis_cubes=True, basis_ema=(0.5,), ridge=1e-6, gap_floor=0.03, seed=11,
+        outdir="runs/every-field", mode="crosscheck", noise_nodes=2, aux_values=(1.5, -0.5),
+        aux_probs=(0.25, 0.75), erasure="sign-terminal", crosscheck_tol=0.1, workers=2,
+        write_paths=True)
+    for f in fields(ExperimentConfig):  # `every` moves each field off its default
+        default = f.default_factory() if f.default is MISSING else f.default
+        assert getattr(every, f.name) != default, f.name
+    for cfg in (some, every):
+        again = parse_config(cfg.to_text())
+        assert again == cfg
+        assert again.to_text() == cfg.to_text() and again.digest() == cfg.digest()
 
 
 def test_config_parsing_and_overrides(tmp_path):
@@ -73,6 +85,10 @@ def test_config_rejects_unknown_keys_and_bad_values():
         parse_config("mode = streaming")
     with pytest.raises(ConfigurationError):
         parse_config("model = zero\npaths = 10")  # continuous needs >= 100
+    with pytest.raises(ConfigurationError):
+        parse_config("model_params = a")  # model parameters are model.<name> keys
+    with pytest.raises(ConfigurationError):
+        parse_config("paths = many")
 
 
 def test_run_experiment_zero_model(tmp_path):
@@ -171,6 +187,23 @@ def test_crosscheck_mode_record(tmp_path):
     assert cc["filter_deviation"] < 1e-10
     assert cc["entropy_rel_error"] < 0.05
     assert cc["energy_rel_error"] < 0.05
+    assert cc["passed"]
+
+
+def test_crosscheck_compares_against_the_erased_observation():
+    # the Monte Carlo entropy of a sign-terminal run estimates the erased
+    # pushforward, so that is the exact value it must be checked against
+    cfg = ExperimentConfig(model=WitnessDrift.name, mode="crosscheck", grid_n=2,
+                           paths=20000, noise_nodes=2, erasure="sign-terminal", seed=3)
+    cc = run_experiment(cfg, persist=False).diagnostics["crosscheck"]
+    assert cc["entropy_rel_error"] < 0.05
+    assert cc["passed"]
+
+
+def test_crosscheck_accepts_aux_values_in_any_order():
+    cfg = ExperimentConfig(**{**FROZEN_RESULTS_SHA256["crosscheck"][0], "aux_values": (1.5, -1.5)})
+    cc = run_experiment(cfg, persist=False).diagnostics["crosscheck"]
+    assert cc["filter_deviation"] < 1e-10
     assert cc["passed"]
 
 
@@ -277,6 +310,33 @@ def test_cli_run_rejects_out_of_range_seed(tmp_path):
     assert not (tmp_path / "run").exists()
 
 
+def test_cli_run_rejects_a_malformed_aux_law(tmp_path):
+    cfg_file = tmp_path / "cc.cfg"
+    cfg_file.write_text("model = independent\nmode = crosscheck\ngrid_n = 3\npaths = 1000\n"
+                        "aux_values = -1.5, 1.5\naux_probs = 0.2, 0.3, 0.5\n"
+                        f"outdir = {tmp_path / 'run'}\n")
+    proc = subprocess.run([sys.executable, "-m", "innovlab.cli", "run", "--config",
+                           str(cfg_file)], cwd=tmp_path, env=_src_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "2 values but 3 probabilities" in proc.stderr
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_run_aligns_rows_for_every_model_name(tmp_path, capsys):
+    rows = []
+    for name, extra in [(WitnessDrift.name, "mode = discrete\nnoise_nodes = 2\n"),
+                        ("linear-feedback", "levels = inf\n")]:
+        cfg_file = tmp_path / f"{name}.cfg"
+        cfg_file.write_text(f"model = {name}\ngrid_n = 2\npaths = 200\n{extra}"
+                            f"outdir = {tmp_path / name}\n")
+        assert cli_main(["run", "--config", str(cfg_file)]) == 0
+        rows.append(capsys.readouterr().out.splitlines()[0])
+    assert rows[0].startswith(WitnessDrift.name) and rows[1].startswith("linear-feedback")
+    assert rows[0].index(" n=") == rows[1].index(" n=")
+
+
 def test_scipy_is_imported_only_by_the_stages_that_use_it(tmp_path):
     # importing the package and a crosscheck run (no Gaussian oracle, no
     # tsirelson filter) never load scipy, whose import costs more than the run
@@ -293,12 +353,16 @@ def test_scipy_is_imported_only_by_the_stages_that_use_it(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_continuous_run_holds_at_most_six_ensemble_arrays():
-    # the Euler loop needs five (paths, grid_n) float64 arrays live (dB,
-    # hidden noise, U, drift, dU); no later stage may keep the simulation
-    # alive next to its own arrays
-    cfg = ExperimentConfig(model="kalman-bucy", model_params={"beta": 1.0, "sigma": 1.0},
-                           grid_n=256, paths=2000, seed=7)
+@pytest.mark.parametrize("model, params", [
+    pytest.param("kalman-bucy", {"beta": 1.0, "sigma": 1.0}, id="kalman-bucy"),
+    pytest.param("independent", {}, id="independent"),
+])
+def test_continuous_run_holds_at_most_six_ensemble_arrays(model, params):
+    # kalman-bucy's Euler loop needs five (paths, grid_n) float64 arrays
+    # live (dB, hidden noise, U, drift, dU); independent's filter runs next
+    # to the four arrays of its simulation.  No later stage may keep the
+    # simulation alive next to its own arrays
+    cfg = ExperimentConfig(model=model, model_params=params, grid_n=256, paths=2000, seed=7)
     run_experiment(cfg, persist=False)  # warm-up: imports and one-time caches
     tracemalloc.start()
     try:

@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from innovlab.core import RandomStream, TimeGrid
-from innovlab.errors import AbsoluteContinuityError, ConfigurationError
+from innovlab.errors import AbsoluteContinuityError, ConfigurationError, UsageError
 from innovlab.filtering import innovation_values
 from innovlab.girsanov import log_weights_ensemble, reweight
 from innovlab.models import DriftModel, make_model
 from innovlab.oracle import (
+    FiniteLaw,
     FiniteSystem,
     base_entropy_mc,
     canonical_labels,
@@ -44,7 +45,7 @@ def test_quantized_noise_matches_gaussian_moments(m):
     assert abs(math.fsum(qn.probs) - 1.0) < 1e-12
     # Gaussian moments: odd vanish, even are (k-1)!! dt^(k/2)
     for k in range(1, 2 * m):
-        got = float(np.sum(qn.probs * qn.nodes**k))
+        got = float(np.sum(qn.probs * qn.values**k))
         want = 0.0 if k % 2 else math.prod(range(k - 1, 0, -2)) * dt ** (k // 2)
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -52,6 +53,28 @@ def test_quantized_noise_matches_gaussian_moments(m):
 def test_quantized_noise_guards():
     with pytest.raises(ConfigurationError):
         gauss_quantized(1, 0.5)
+
+
+def test_finite_law_defaults_to_uniform_and_looks_values_up():
+    law = FiniteLaw([1.5, -1.5, 0.5])
+    assert np.array_equal(law.probs, np.full(3, 1.0 / 3))
+    assert np.array_equal(law.index(np.array([[0.5, 1.5], [-1.5, 0.5]])), [[2, 0], [1, 2]])
+    assert np.array_equal(law.draw(np.array([0.1, 0.5, 0.9])), [1.5, -1.5, 0.5])
+    with pytest.raises(UsageError):
+        law.index(np.array([1.0]))
+
+
+@pytest.mark.parametrize("values, probs", [
+    ([-1.5, 1.5], [1.0]),           # lengths differ
+    ([], None),                      # empty
+    ([1.0, 0.5, 1.0], None),         # a repeated value
+    ([-1.0, 1.0], [1.5, -0.5]),      # a non-positive probability
+    ([-1.0, 1.0], [0.5, 0.25]),      # does not sum to one
+    ([[0.0, 1.0]], None),            # not one-dimensional
+])
+def test_finite_law_rejects_malformed_laws(values, probs):
+    with pytest.raises(ConfigurationError):
+        FiniteLaw(values, probs)
 
 
 # ------------------------------------------------------------------ enumeration
@@ -96,7 +119,7 @@ def test_enumerate_feedback_drift_is_its_own_conditional():
 def test_enumerate_independent_prior_mean_before_observation():
     g = TimeGrid(steps=1)
     space = enumerate_atoms(make_model("independent"), g, gauss_quantized(2, g.dt),
-                            aux_values=[-1.0, 1.0])
+                            FiniteLaw([-1.0, 1.0]))
     assert np.allclose(space.uhat[:, 0], 0.0)
 
 
@@ -211,22 +234,23 @@ def test_quantized_sampler_reproducible_and_on_lattice():
     g = TimeGrid(steps=3)
     noise = gauss_quantized(3, g.dt)
     model = make_model("independent")
-    a = sample_quantized_ensemble(model, g, 50, RandomStream(seed=5), noise, [-1.0, 1.0])
-    b = sample_quantized_ensemble(model, g, 50, RandomStream(seed=5), noise, [-1.0, 1.0])
+    aux = FiniteLaw([-1.0, 1.0])
+    a = sample_quantized_ensemble(model, g, 50, RandomStream(seed=5), noise, aux)
+    b = sample_quantized_ensemble(model, g, 50, RandomStream(seed=5), noise, aux)
     assert np.array_equal(a.dB, b.dB) and np.array_equal(a.aux, b.aux)
-    assert set(np.unique(a.dB)) <= set(noise.nodes)
+    assert set(np.unique(a.dB)) <= set(noise.values)
 
 
 def test_finite_bayes_filter_matches_enumeration_exactly():
     g = TimeGrid(steps=3)
     noise = gauss_quantized(3, g.dt)
     model = make_model("independent")
-    aux = [-1.5, 1.5]
-    space = enumerate_atoms(model, g, noise, aux_values=aux)
+    aux = FiniteLaw([-1.5, 1.5])
+    space = enumerate_atoms(model, g, noise, aux)
     sim = sample_quantized_ensemble(model, g, 200, RandomStream(seed=8), noise, aux)
     filt = finite_bayes_filter(model, sim, noise, aux)
     # locate each sampled path's atom and compare the conditional drift
-    atom = match_atoms(space, sim, aux)
+    atom = match_atoms(space, sim)
     assert np.max(np.abs(filt.values - space.uhat[atom])) < 1e-12
 
 
@@ -234,8 +258,8 @@ def test_plugin_estimators_converge_to_enumeration():
     g = TimeGrid(steps=3)
     noise = gauss_quantized(3, g.dt)
     model = make_model("independent")
-    aux = [-1.5, 1.5]
-    space = enumerate_atoms(model, g, noise, aux_values=aux)
+    aux = FiniteLaw([-1.5, 1.5])
+    space = enumerate_atoms(model, g, noise, aux)
     v = dpi_verdict(space.system())
     sim = sample_quantized_ensemble(model, g, 20000, RandomStream(seed=13), noise, aux)
     filt = finite_bayes_filter(model, sim, noise, aux)
@@ -266,25 +290,20 @@ def test_regression_fit_tracks_exact_conditional_expectation():
     # enumeration conditional expectation, on the overlapping-support
     # finite instance: weighted mean-square difference below 5%
     from innovlab.filtering import BasisSpec, FeatureBuilder, weighted_ridge_fit
-    from innovlab.oracle import _group_mean_safe, _refine_labels
+    from innovlab.oracle import _prefix_group_means
 
     g = TimeGrid(steps=3)
     noise = gauss_quantized(3, g.dt)
     model = make_model("independent")
-    aux = [-1.5, 1.5]
-    space = enumerate_atoms(model, g, noise, aux_values=aux)
-    nu = space.probs * space.density
-    labels = np.zeros(space.atoms, dtype=np.int64)
-    exact_cond = np.empty((space.atoms, 3))
-    for k in range(3):
-        labels = _refine_labels(labels, space.Z[:, k]) if k > 0 else labels
-        exact_cond[:, k] = _group_mean_safe(labels, nu, space.uhat[:, k])
+    aux = FiniteLaw([-1.5, 1.5])
+    space = enumerate_atoms(model, g, noise, aux)
+    exact_cond = _prefix_group_means(space.Z, space.probs * space.density, space.uhat)
 
     sim = sample_quantized_ensemble(model, g, 20000, RandomStream(seed=5), noise, aux)
     filt = finite_bayes_filter(model, sim, noise, aux)
     Z = innovation_values(sim.U, filt.values, g.dt)
     ens = reweight(log_weights_ensemble(filt.values, Z, g.dt))
-    atom = match_atoms(space, sim, aux)
+    atom = match_atoms(space, sim)
 
     basis = BasisSpec(include_cubes=True)
     fb = FeatureBuilder(Z, g.dt, basis)
