@@ -60,7 +60,11 @@ DEFAULT_LEVELS = (0.5, 1.0, 2.0, 4.0, 8.0, math.inf)
 
 @dataclass(frozen=True)
 class LevelReport:
-    """Both sides of the criterion at one localization level."""
+    """Both sides of the criterion at one localization level.
+
+    `ridge_escalations` counts how often the level's per-step fits had to
+    raise the ridge to solve a singular system.
+    """
 
     level: float
     entropy: float
@@ -75,6 +79,7 @@ class LevelReport:
     norm_passed: bool
     verdict: str
     method: str
+    ridge_escalations: int = 0
 
 
 def _weighted_mean_se(weights: np.ndarray, values: np.ndarray) -> tuple[float, float]:
@@ -158,14 +163,17 @@ def criterion_levels(Z: np.ndarray, uhat: np.ndarray, grid: TimeGrid,
         energies.append(path_energies(uhat, dt, mask))
         ess.append(ens.ess)
 
-    # one regression per step per distinct stop row, features shared
-    q = np.zeros((len(distinct), m))
+    # one regression call per step: features shared, weight sets stacked
+    stacked = np.stack(weight_sets)
+    stopped = np.stack(distinct)
+    q = np.zeros(stacked.shape)
+    escalations = np.zeros(len(distinct), dtype=int)
     builder = FeatureBuilder(Z, dt, basis)
     for k in range(N):
-        F = builder.features_at(k)
-        for s, stop in enumerate(distinct):
-            _, fitted = weighted_ridge_fit(F, uhat[:, k], weight_sets[s], basis.ridge)
-            q[s] += fitted * fitted * dt * (k < stop)
+        G = builder.features_at(k)
+        _, fitted, raised = weighted_ridge_fit(G, uhat[:, k], stacked, basis.ridge)
+        q += fitted * fitted * dt * (k < stopped)
+        escalations += raised
 
     reports = []
     for lv, s in zip(levels, slot_of):
@@ -188,6 +196,7 @@ def criterion_levels(Z: np.ndarray, uhat: np.ndarray, grid: TimeGrid,
                 norm_passed=diag.passed if diag else False,
                 verdict=classify_level(gap, gap_se, floor),
                 method=method or f"jensen[{basis.describe()}]",
+                ridge_escalations=int(escalations[s]),
             )
         )
     return reports

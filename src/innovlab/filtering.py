@@ -162,7 +162,8 @@ class BasisSpec:
     increments, the current innovation level, optionally exponential moving
     averages of past increments at the given per-unit-time decay rates, and
     (optionally) squares and cubes of all of those.  `ridge` is the relative
-    penalty on non-intercept coefficients.
+    penalty on non-intercept coefficients; it must be finite and positive,
+    since the singular-system rescue multiplies it.
 
     The default (window 8, level, squares) is deliberately lean: projecting
     on few features can only lower the entropy estimate.  The EMA rates are
@@ -176,6 +177,12 @@ class BasisSpec:
     ema_rates: tuple = ()
     ridge: float = 1e-8
 
+    def __post_init__(self):
+        if not (np.isfinite(self.ridge) and self.ridge > 0):
+            raise ConfigurationError(f"ridge must be finite and positive, got {self.ridge}")
+        if self.window < 0:
+            raise ConfigurationError(f"basis window must be >= 0, got {self.window}")
+
     def describe(self) -> str:
         parts = [f"intercept+{self.window} increments+level"]
         if self.ema_rates:
@@ -188,18 +195,29 @@ class BasisSpec:
 
 
 class FeatureBuilder:
-    """Streaming feature matrices over an innovation ensemble.
+    """Streaming feature matrices over an innovation ensemble, feature-major.
+
+    `features_at(k)` returns a C-contiguous (p, m) array: one row per
+    feature (intercept, increments, level, EMAs, then their squares and
+    cubes), one column per path.  The rows are filled from `Z` (m, N+1)
+    copied time-major BLOCK steps at a time (plus the window's history), so
+    a step reads contiguous memory and the builder holds no more than one
+    block next to the caller's `Z`.
 
     EMA features are accumulated recursively, so `features_at` must be
     called with nondecreasing step indices; going backwards resets the
     accumulators and replays (cheap for test-sized ensembles).
     """
 
+    BLOCK = 64
+
     def __init__(self, Z: np.ndarray, dt: float, spec: BasisSpec):
         self.Z = Z
-        self.dZ = np.diff(Z, axis=1)
         self.dt = dt
         self.spec = spec
+        self._history = max(spec.window, 1)
+        self._lo = self._hi = 0  # the block holds Z columns lo..hi-1
+        self._block = np.empty((0, Z.shape[0]))
         self._reset()
 
     def _reset(self):
@@ -207,54 +225,105 @@ class FeatureBuilder:
         self._ema = [np.zeros(m) for _ in self.spec.ema_rates]
         self._next = 0
 
+    def _load(self, k: int) -> int:
+        """Load the block holding Z columns k - max(window, 1) .. k; return k's row."""
+        if not (self._lo <= max(k - self._history, 0) and k < self._hi):
+            start = k - k % self.BLOCK
+            self._lo = max(start - self._history, 0)
+            self._hi = min(start + self.BLOCK, self.Z.shape[1])
+            self._block = np.ascontiguousarray(self.Z[:, self._lo:self._hi].T)
+        return k - self._lo
+
     def _advance_to(self, k: int):
         if k < self._next:
             self._reset()
-        for j in range(self._next, k):
-            for ema, rate in zip(self._ema, self.spec.ema_rates):
-                lam = 1.0 - rate * self.dt
-                ema *= lam
-                ema += self.dZ[:, j]
+        if self._ema:
+            for j in range(self._next, k):
+                i = self._load(j + 1)
+                inc = self._block[i] - self._block[i - 1]
+                for ema, rate in zip(self._ema, self.spec.ema_rates):
+                    lam = 1.0 - rate * self.dt
+                    ema *= lam
+                    ema += inc
         self._next = k
 
     def features_at(self, k: int) -> np.ndarray:
         spec = self.spec
         self._advance_to(k)
-        m = self.Z.shape[0]
+        i = self._load(k)
+        block = self._block
         w = min(k, spec.window)
-        base = np.column_stack([self.dZ[:, k - w: k], self.Z[:, k], *self._ema])
-        feats = [np.ones((m, 1)), base]
+        n_base = w + 1 + len(self._ema)
+        n_powers = 1 + spec.include_squares + spec.include_cubes
+        G = np.empty((1 + n_powers * n_base, block.shape[1]))
+        G[0] = 1.0
+        base = G[1:1 + n_base]
+        np.subtract(block[i - w + 1:i + 1], block[i - w:i], out=base[:w])
+        base[w] = block[i]
+        for r, ema in enumerate(self._ema):
+            base[w + 1 + r] = ema
+        row = 1 + n_base
         if spec.include_squares:
-            feats.append(base**2)
+            np.square(base, out=G[row:row + n_base])
+            row += n_base
         if spec.include_cubes:
-            feats.append(base**3)
-        return np.concatenate(feats, axis=1)
+            np.power(base, 3, out=G[row:row + n_base])
+        return G
 
 
-def weighted_ridge_fit(F: np.ndarray, y: np.ndarray, weights: np.ndarray,
-                       ridge: float) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted least squares with a relative ridge on non-intercept terms.
+def _ridge_solve(A: np.ndarray, b: np.ndarray, ridge: float) -> tuple[np.ndarray, int]:
+    """Solve (A + ridge diag(A)) x = b, intercept unpenalized.
 
-    Returns (coefficients, fitted values).  The intercept is unpenalized,
-    which preserves the weighted mean of the response exactly.
+    A singular or non-finite solve multiplies the ridge by 100 and retries,
+    at most three times; returns the solution and how many times the ridge
+    was raised.
     """
-    w = weights / weights.sum()
-    Fw = F * w[:, None]
-    A = F.T @ Fw
-    b = Fw.T @ y
+    diag = np.diag(A).copy()
+    scale = np.where(diag > 0, diag, 1.0)
+    inner = np.arange(1, len(diag))
     lam = ridge
-    for _ in range(4):
+    for escalations in range(4):
         Areg = A.copy()
-        diag = np.diag(A).copy()
-        scale = np.where(diag > 0, diag, 1.0)
-        Areg[np.arange(1, len(diag)), np.arange(1, len(diag))] += lam * scale[1:]
+        Areg[inner, inner] += lam * scale[1:]
         try:
             coef = np.linalg.solve(Areg, b)
         except np.linalg.LinAlgError:
             lam *= 100.0
             continue
         if np.all(np.isfinite(coef)):
-            return coef, F @ coef
+            return coef, escalations
         lam *= 100.0
     raise NumericalError("normal equations singular beyond ridge rescue")
 
+
+def weighted_ridge_fit(G: np.ndarray, y: np.ndarray, weights: np.ndarray,
+                       ridge: float) -> tuple[np.ndarray, np.ndarray, np.ndarray | int]:
+    """Weighted least squares with a relative ridge on non-intercept terms.
+
+    G: features, feature-major (p, m); y: response (m,); weights: one set
+    (m,) or S sets stacked (S, m).  The Gram matrices of all sets come from
+    one batched product G @ (G w_s)^T, which runs the same (p, m) x (m, p)
+    product for every set; a single (p, S p) product would not, since BLAS
+    picks its kernel by size, and a set's numbers would then depend on how
+    many sets share the call.  For the same reason the right-hand sides
+    and the fitted values are formed one set at a time.
+
+    Returns (coefficients, fitted values, ridge escalations), shaped
+    (S, p), (S, m), (S,) for stacked weights and (p,), (m,), int for one
+    set.  The intercept is unpenalized, which preserves the weighted mean
+    of the response exactly.
+    """
+    W = np.atleast_2d(weights)
+    W = W / W.sum(axis=1, keepdims=True)
+    S, (p, m) = len(W), G.shape
+    Gw = G * W[:, None, :]
+    A = G @ Gw.transpose(0, 2, 1)
+    coef = np.empty((S, p))
+    fitted = np.empty((S, m))
+    escalations = np.empty(S, dtype=int)
+    for s in range(S):
+        coef[s], escalations[s] = _ridge_solve(A[s], Gw[s] @ y, ridge)
+        fitted[s] = coef[s] @ G
+    if weights.ndim == 1:
+        return coef[0], fitted[0], int(escalations[0])
+    return coef, fitted, escalations

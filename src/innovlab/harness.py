@@ -129,6 +129,7 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown erasure {self.erasure!r}")
         if self.workers < 1:
             raise ConfigurationError("workers must be >= 1")
+        self.basis()  # a basis the regressions cannot use fails here, before sampling
 
     def basis(self) -> BasisSpec:
         return BasisSpec(window=self.basis_window, include_squares=self.basis_squares,
@@ -325,6 +326,7 @@ def _level_row(r: LevelReport, model: str) -> dict:
         "norm_passed": r.norm_passed,
         "verdict": r.verdict,
         "method": r.method,
+        "ridge_escalations": r.ridge_escalations,
     }
 
 

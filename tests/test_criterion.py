@@ -3,6 +3,7 @@ import pytest
 
 from innovlab.core import RandomStream, TimeGrid, path_energies
 from innovlab.criterion import (
+    DEFAULT_LEVELS,
     EQUALITY_CONSISTENT,
     INCONCLUSIVE,
     POSITIVE_GAP,
@@ -14,6 +15,7 @@ from innovlab.criterion import (
 )
 from innovlab.errors import UnsupportedModelError, UsageError
 from innovlab.filtering import BasisSpec, ensemble_conditional_drift, innovation_values
+from innovlab.girsanov import stop_indices
 from innovlab.lingauss import linear_gaussian_summary
 from innovlab.models import make_model, simulate_ensemble
 
@@ -86,25 +88,39 @@ def test_energy_under_nu_matches_gaussian_oracle_for_kalman():
 
 def test_levels_with_equal_stops_share_one_regression(monkeypatch):
     # levels whose stopping indices agree (here the repeated 0.2, and 50 and
-    # inf, which stop no path) are one computation: one ridge fit per step
-    # for each distinct stop row, and identical reports
+    # inf, which stop no path) are one computation: one ridge-fit call per
+    # step, stacking one weight row per distinct stop row, and identical
+    # reports
     import innovlab.criterion as criterion
 
     grid, model, sim, filt, Z = _pipeline("linear-feedback", 16, 300, a=1.0)
-    calls, fit = [], criterion.weighted_ridge_fit
+    weight_rows, fit = [], criterion.weighted_ridge_fit
 
-    def counted(*args):
-        calls.append(1)
-        return fit(*args)
+    def counted(G, y, weights, ridge):
+        weight_rows.append(weights.shape)
+        return fit(G, y, weights, ridge)
 
     expected = criterion_levels(Z, filt.values, grid, levels=(0.2, 50.0))
     monkeypatch.setattr(criterion, "weighted_ridge_fit", counted)
     reports = criterion_levels(Z, filt.values, grid, levels=(0.2, 0.2, 50.0, np.inf))
-    assert len(calls) == 2 * grid.steps
+    assert weight_rows == [(2, 300)] * grid.steps
     assert reports[0] == reports[1] == expected[0]
     for r in reports[2:]:
         assert r.entropy == expected[1].entropy and r.energy == expected[1].energy
         assert r.gap == expected[1].gap and r.ess == expected[1].ess
+
+
+def test_a_level_report_does_not_depend_on_the_other_levels():
+    # the 0.5 report alone equals the 0.5 report among all default levels,
+    # bit for bit, although the latter shares every step's fit with other
+    # weight sets
+    grid, model, sim, filt, Z = _pipeline("linear-feedback", 32, 1000, a=1.0)
+    stops = stop_indices(filt.values, grid.dt, DEFAULT_LEVELS)
+    assert 0 < np.count_nonzero(stops[0] < grid.steps) < 1000  # 0.5 stops some paths
+    assert len({row.tobytes() for row in stops}) > 2
+    alone = criterion_levels(Z, filt.values, grid, levels=(0.5,))[0]
+    assert DEFAULT_LEVELS[0] == 0.5
+    assert criterion_levels(Z, filt.values, grid)[0] == alone
 
 
 def test_entropy_jensen_zero_and_exact_deterministic():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from innovlab.core import RandomStream, TimeGrid
-from innovlab.errors import ShapeError, StabilityError
+from innovlab.errors import ConfigurationError, ShapeError, StabilityError
 from innovlab.filtering import (
     BasisSpec,
     FeatureBuilder,
@@ -202,8 +202,85 @@ def test_second_level_tower_property_and_jensen_ordering():
 
 
 def test_step_features_shapes():
+    # feature-major: one row per feature, one column per path
     Z = np.zeros((10, 5))
     spec = BasisSpec(window=3, include_squares=True)
     fb = FeatureBuilder(Z, 1.0, spec)
-    assert fb.features_at(0).shape == (10, 1 + 2 * 1)  # intercept, level, level^2
-    assert fb.features_at(4).shape == (10, 1 + 2 * 4)  # + 3 increments
+    assert fb.features_at(0).shape == (1 + 2 * 1, 10)  # intercept, level, level^2
+    assert fb.features_at(4).shape == (1 + 2 * 4, 10)  # + 3 increments
+
+
+def _path_major_features(Z, dt, spec, k):
+    """Features at step k as (m, p), straight from the definition: np.diff
+    columns, column_stack, powers, EMAs summed from step 0."""
+    m = Z.shape[0]
+    dZ = np.diff(Z, axis=1)
+    emas = []
+    for rate in spec.ema_rates:
+        ema = np.zeros(m)
+        for j in range(k):
+            ema *= 1.0 - rate * dt
+            ema += dZ[:, j]
+        emas.append(ema)
+    w = min(k, spec.window)
+    base = np.column_stack([dZ[:, k - w: k], Z[:, k], *emas])
+    feats = [np.ones((m, 1)), base]
+    if spec.include_squares:
+        feats.append(base**2)
+    if spec.include_cubes:
+        feats.append(base**3)
+    return np.concatenate(feats, axis=1)
+
+
+def test_feature_rows_equal_the_path_major_formula():
+    m, N = 300, 200
+    Z, _ = _toy_paths(m, N, seed=4)
+    spec = BasisSpec(window=5, include_cubes=True, ema_rates=(0.5, 3.0))
+    fb = FeatureBuilder(Z, 1.0 / N, spec)
+    # block edges at 63/64/65; the final 64 goes backwards and replays
+    for k in (0, 1, spec.window, 63, 64, 65, N - 1, 64):
+        G = fb.features_at(k)
+        assert G.flags.c_contiguous
+        assert np.array_equal(G, _path_major_features(Z, 1.0 / N, spec, k).T)
+        held = [a for v in vars(fb).values() for a in (v if isinstance(v, list) else [v])
+                if isinstance(a, np.ndarray) and a is not Z]
+        assert max(a.size for a in held) <= (FeatureBuilder.BLOCK + spec.window + 1) * m
+
+
+def test_stacked_weights_fit_like_separate_sets():
+    m = 2000
+    Z, rng = _toy_paths(m, 12, seed=5)
+    G = FeatureBuilder(Z, 1.0, BasisSpec(window=4, include_cubes=True)).features_at(10)
+    y = np.sin(2.0 * Z[:, 10]) + 0.1 * rng.normal(size=m)
+    W = rng.uniform(0.1, 2.0, size=(3, m))
+    for S in (1, 2, 3):
+        coef, fitted, escalations = weighted_ridge_fit(G, y, W[:S], 1e-8)
+        assert coef.shape == (S, G.shape[0]) and fitted.shape == (S, m)
+        for s in range(S):
+            one = weighted_ridge_fit(G, y, W[s], 1e-8)
+            assert np.array_equal(coef[s], one[0]) and np.array_equal(fitted[s], one[1])
+            assert escalations[s] == one[2] == 0
+
+
+def test_ridge_rescue_counts_its_escalations():
+    # an exact duplicate feature row makes the Gram matrix singular; every
+    # number here is exact in binary, so the outcome is too: a relative
+    # ridge of 1e-20 or 1e-18 on the diagonal 1.5625 is lost to rounding,
+    # 1e-16 is not
+    x = np.tile([1.25, -1.25], 4)
+    G = np.stack([np.ones(8), x, x])
+    y = 1.0 + 2.0 * x
+    coef, fitted, escalations = weighted_ridge_fit(G, y, np.ones(8), 1e-20)
+    assert escalations == 2
+    # the duplicate rows share the slope between them
+    assert coef[0] == pytest.approx(1.0) and coef[1] + coef[2] == pytest.approx(2.0)
+    assert np.allclose(fitted, y)
+
+
+def test_basis_rejects_a_ridge_or_window_the_fits_cannot_use():
+    for ridge in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ConfigurationError, match="ridge"):
+            BasisSpec(ridge=ridge)
+    with pytest.raises(ConfigurationError, match="window"):
+        BasisSpec(window=-1)
+    assert BasisSpec(window=0, ridge=1e-20).window == 0

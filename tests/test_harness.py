@@ -324,6 +324,24 @@ def test_cli_run_rejects_a_malformed_aux_law(tmp_path):
     assert not (tmp_path / "run").exists()
 
 
+def test_cli_run_rejects_a_ridge_the_rescue_cannot_use(tmp_path, capsys, monkeypatch):
+    # ridge = 0 would fail in the criterion stage after the whole
+    # simulation, ridge = -1 would pass unnoticed: both stop before sampling
+    import innovlab.harness as harness
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("paths were drawn")
+
+    monkeypatch.setattr(harness, "simulate_ensemble", no_sampling)
+    for ridge in ("0", "-1"):
+        cfg_file = tmp_path / "ridge.cfg"
+        cfg_file.write_text(f"model = kalman-bucy\ngrid_n = 8\npaths = 200\nridge = {ridge}\n"
+                            f"outdir = {tmp_path / 'run'}\n")
+        assert cli_main(["run", "--config", str(cfg_file)]) == 1
+        assert capsys.readouterr().err.startswith("error: ridge must be finite and positive")
+        assert not (tmp_path / "run").exists()
+
+
 def test_cli_run_aligns_rows_for_every_model_name(tmp_path, capsys):
     rows = []
     for name, extra in [(WitnessDrift.name, "mode = discrete\nnoise_nodes = 2\n"),

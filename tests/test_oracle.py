@@ -310,7 +310,7 @@ def test_regression_fit_tracks_exact_conditional_expectation():
     num = den = 0.0
     for k in range(3):
         F = fb.features_at(k)
-        _, fitted = weighted_ridge_fit(F, filt.values[:, k], ens.weights, basis.ridge)
+        _, fitted, _ = weighted_ridge_fit(F, filt.values[:, k], ens.weights, basis.ridge)
         exact = exact_cond[atom, k]
         num += float(ens.weights @ (fitted - exact) ** 2)
         den += float(ens.weights @ exact**2)
