@@ -27,6 +27,7 @@ from .core import TimeGrid, path_energies
 from .errors import UsageError
 from .filtering import BasisSpec, FeatureBuilder, weighted_ridge_fit
 from .girsanov import (
+    MIN_DIAGNOSTIC_MEMBERS,
     active_mask,
     log_weights_ensemble,
     normalization_diagnostic,
@@ -157,7 +158,7 @@ def criterion_levels(Z: np.ndarray, uhat: np.ndarray, grid: TimeGrid,
     for stop in distinct:
         mask = active_mask(stop, N)  # (m, N), built and dropped per level
         lw = log_weights_ensemble(uhat * mask, Z, dt)
-        diags.append(normalization_diagnostic(lw) if m >= 100 else None)
+        diags.append(normalization_diagnostic(lw) if m >= MIN_DIAGNOSTIC_MEMBERS else None)
         ens = reweight(lw)
         weight_sets.append(ens.weights)
         energies.append(path_energies(uhat, dt, mask))

@@ -35,7 +35,11 @@ __all__ = [
     "active_mask",
     "normalization_diagnostic",
     "reweight",
+    "MIN_DIAGNOSTIC_MEMBERS",
 ]
+
+# fewest ensemble members the normalization diagnostic accepts
+MIN_DIAGNOSTIC_MEMBERS = 100
 
 
 @dataclass(frozen=True)
@@ -104,8 +108,9 @@ def active_mask(stop_idx: np.ndarray, steps: int) -> np.ndarray:
 def normalization_diagnostic(log_weights: np.ndarray) -> NormalizationDiagnostic:
     """Check the unit-mean property of the raw Girsanov exponential."""
     lw = np.asarray(log_weights, dtype=float)
-    if lw.size < 100:
-        raise UsageError(f"normalization diagnostic needs >= 100 members, got {lw.size}")
+    if lw.size < MIN_DIAGNOSTIC_MEMBERS:
+        raise UsageError(f"normalization diagnostic needs >= {MIN_DIAGNOSTIC_MEMBERS} members, "
+                         f"got {lw.size}")
     top = np.max(lw)
     scaled = np.exp(lw - top)
     mean = float(np.exp(top) * scaled.mean())

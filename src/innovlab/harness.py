@@ -17,6 +17,8 @@ the Monte Carlo vs enumeration deviations.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import hashlib
 import json
 import math
@@ -24,6 +26,7 @@ import os
 import resource
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path as FsPath
 from typing import Optional
@@ -43,7 +46,12 @@ from .criterion import (
 )
 from .errors import ConfigurationError, InnovlabError, StageError, UsageError
 from .filtering import BasisSpec, ensemble_conditional_drift, innovation_values
-from .girsanov import log_weights_ensemble, normalization_diagnostic, reweight
+from .girsanov import (
+    MIN_DIAGNOSTIC_MEMBERS,
+    log_weights_ensemble,
+    normalization_diagnostic,
+    reweight,
+)
 from .lingauss import is_linear_model, linear_gaussian_summary
 from .models import (
     MODEL_NAMES,
@@ -123,8 +131,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in ("continuous", "discrete", "crosscheck"):
             raise ConfigurationError(f"unknown mode {self.mode!r}")
-        if self.mode == "continuous" and self.paths < 100:
-            raise ConfigurationError("continuous mode needs at least 100 paths")
+        if self.paths < MIN_DIAGNOSTIC_MEMBERS:  # every mode runs the diagnostic
+            raise ConfigurationError(f"{self.mode} mode needs at least "
+                                     f"{MIN_DIAGNOSTIC_MEMBERS} paths, got {self.paths}")
         if self.erasure not in ("none", "sign-terminal"):
             raise ConfigurationError(f"unknown erasure {self.erasure!r}")
         if self.workers < 1:
@@ -309,6 +318,43 @@ def _stage(stages, name, fn, *args, **kwargs):
     return out
 
 
+@functools.cache
+def _openblas_threads():
+    """The (get, set) thread-count functions of numpy's bundled OpenBLAS, or
+    None when numpy ships none (another BLAS, or a system build)."""
+    for lib in (FsPath(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"):
+        handle = ctypes.CDLL(str(lib))
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(handle, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(handle, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body with numpy's OpenBLAS on one thread, then set back the
+    count it had, also when the body raises.
+
+    Yields {"used", "restored"} thread counts, or None when no OpenBLAS is
+    found and nothing is changed.  The count is process-global.
+    """
+    api = _openblas_threads()
+    if api is None:
+        yield None
+        return
+    get, set_ = api
+    before = get()
+    set_(1)
+    try:
+        yield {"used": get(), "restored": before}
+    finally:
+        set_(before)
+
+
 def _configure(config):
     return (resolve_model(config.model, config.model_params), config.grid(),
             RandomStream(seed=config.seed))
@@ -331,18 +377,29 @@ def _level_row(r: LevelReport, model: str) -> dict:
 
 
 def run_experiment(config: ExperimentConfig, persist: bool = True) -> ResultRecord:
-    """Execute one experiment end to end and persist its records."""
+    """Execute one experiment end to end and persist its records.
+
+    The stages run with numpy's OpenBLAS limited to one thread: the
+    regressions' small Gram products gain nothing from a second thread,
+    whose spinning slows the single-threaded numpy passes next to them,
+    and OpenBLAS splits a product over its output, never over the summed
+    axis, so the thread count moves no bit.  The limit is process-global
+    and the previous count is set back when the run ends or raises; the
+    record's ``diagnostics["blas_threads"]`` holds both counts, or None
+    when no OpenBLAS was found.
+    """
     t0 = time.time()
     stages: dict = {}
-    model, grid, stream = _stage(stages, "configure", _configure, config)
-
-    if config.mode == "continuous":
-        record = _run_continuous(config, model, grid, stream, stages)
-    else:
-        record = _run_discrete(config, model, grid, stream, stages)
+    with _one_blas_thread() as blas_threads:
+        model, grid, stream = _stage(stages, "configure", _configure, config)
+        if config.mode == "continuous":
+            record = _run_continuous(config, model, grid, stream, stages)
+        else:
+            record = _run_discrete(config, model, grid, stream, stages)
 
     record = replace(record, wall_clock=time.time() - t0,
-                     diagnostics={**record.diagnostics, "stages": stages})
+                     diagnostics={**record.diagnostics, "stages": stages,
+                                  "blas_threads": blas_threads})
     if persist:
         _persist(config, record)
     return record
@@ -525,7 +582,7 @@ def report(in_dir, out_curves: Optional[str] = "curves.csv") -> str:
             out.append(" ".join(cell(v, w) for v, w in zip(vals, widths)))
             curve_rows.append(row)
     for i, rec in enumerate(records):
-        out.append(f"stages[{i}] {rec['model']}: {_stage_line(rec['diagnostics'].get('stages'))}")
+        out.append(f"stages[{i}] {rec['model']}: {_stage_line(rec['diagnostics'])}")
     text = "\n".join(out)
 
     if out_curves:
@@ -538,13 +595,17 @@ def report(in_dir, out_curves: Optional[str] = "curves.csv") -> str:
     return text
 
 
-def _stage_line(stages) -> str:
+def _stage_line(diagnostics) -> str:
+    stages = diagnostics.get("stages")
     if not stages:
         return "not recorded"
     times = ", ".join(f"{name} {stages[name]['seconds']:.3f}s"
                       for name in STAGES if name in stages)
     peak = max(s["max_rss_mb"] for s in stages.values())
-    return f"{times}; peak RSS {peak:.0f} MB"
+    blas = diagnostics.get("blas_threads")
+    threads = (f"BLAS threads {blas['used']} (restored {blas['restored']})" if blas
+               else "BLAS threads untouched")
+    return f"{times}; peak RSS {peak:.0f} MB; {threads}"
 
 
 def _as_float(v):

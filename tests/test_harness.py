@@ -10,7 +10,8 @@ from dataclasses import MISSING, fields
 import pytest
 
 from innovlab.cli import main as cli_main
-from innovlab.errors import ConfigurationError, UsageError
+import innovlab.harness as harness
+from innovlab.errors import ConfigurationError, NumericalError, StageError, UsageError
 from innovlab.harness import (
     OUTDIR_ENV,
     RESULT_COLUMNS,
@@ -342,6 +343,25 @@ def test_cli_run_rejects_a_ridge_the_rescue_cannot_use(tmp_path, capsys, monkeyp
         assert not (tmp_path / "run").exists()
 
 
+def test_cli_run_rejects_too_few_paths_in_every_mode(tmp_path, capsys, monkeypatch):
+    # the normalization diagnostic needs 100 members: a discrete or crosscheck
+    # run with fewer stops in configuration, before enumerating or sampling
+    def no_draws(*args, **kwargs):
+        raise AssertionError("atoms enumerated or paths drawn")
+
+    monkeypatch.setattr(harness, "enumerate_atoms", no_draws)
+    monkeypatch.setattr(harness, "sample_quantized_ensemble", no_draws)
+    for mode in ("discrete", "crosscheck"):
+        cfg_file = tmp_path / f"{mode}.cfg"
+        cfg_file.write_text(f"model = independent\nmode = {mode}\ngrid_n = 3\n"
+                            f"aux_values = -1.5, 1.5\noutdir = {tmp_path / 'run'}\n")
+        for paths in ("50", "99"):
+            assert cli_main(["run", "--config", str(cfg_file), "--paths", paths]) == 1
+            assert capsys.readouterr().err == (
+                f"error: {mode} mode needs at least 100 paths, got {paths}\n")
+    assert not (tmp_path / "run").exists()
+
+
 def test_cli_run_aligns_rows_for_every_model_name(tmp_path, capsys):
     rows = []
     for name, extra in [(WitnessDrift.name, "mode = discrete\nnoise_nodes = 2\n"),
@@ -389,3 +409,69 @@ def test_continuous_run_holds_at_most_six_ensemble_arrays(model, params):
     finally:
         tracemalloc.stop()
     assert peak <= 6 * cfg.paths * cfg.grid_n * 8
+
+
+@pytest.fixture
+def blas_threads():
+    """numpy's OpenBLAS thread-count functions, set to two threads for the
+    test so that a restored count differs from the one a run uses."""
+    api = harness._openblas_threads()
+    if api is None:
+        pytest.skip("numpy ships no OpenBLAS whose thread count can be set")
+    get, set_ = api
+    before = get()
+    set_(2)
+    try:
+        yield get
+    finally:
+        set_(before)
+
+
+def test_run_uses_one_blas_thread_and_restores_the_count(tmp_path, monkeypatch, blas_threads):
+    outer = blas_threads()
+    seen = []
+    innovation_values = harness.innovation_values
+
+    def counting_innovation(*args, **kwargs):
+        seen.append(blas_threads())
+        return innovation_values(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "innovation_values", counting_innovation)
+    cfg = ExperimentConfig(model="kalman-bucy", grid_n=16, paths=200, outdir=str(tmp_path))
+    rec = run_experiment(cfg)
+    assert seen == [1]
+    assert blas_threads() == outer
+    assert rec.diagnostics["blas_threads"] == {"used": 1, "restored": outer}
+    payload = json.loads((tmp_path / "run.jsonl").read_text().splitlines()[0])
+    assert payload["diagnostics"]["blas_threads"] == {"used": 1, "restored": outer}
+    line = report(tmp_path, out_curves=None).splitlines()[-1]
+    assert line.startswith("stages[0] kalman-bucy: ")
+    assert line.endswith(f"; BLAS threads 1 (restored {outer})")
+
+
+def test_failed_run_restores_the_blas_thread_count(monkeypatch, blas_threads):
+    outer = blas_threads()
+
+    def failing_filter(*args, **kwargs):
+        assert blas_threads() == 1
+        raise NumericalError("filter blew up")
+
+    monkeypatch.setattr(harness, "ensemble_conditional_drift", failing_filter)
+    cfg = ExperimentConfig(model="kalman-bucy", grid_n=16, paths=200)
+    with pytest.raises(StageError, match="stage 'filter'"):
+        run_experiment(cfg, persist=False)
+    assert blas_threads() == outer
+
+
+def test_results_csv_bytes_do_not_depend_on_the_blas_thread_limit(tmp_path, monkeypatch,
+                                                                  blas_threads):
+    cfg, digest = FROZEN_RESULTS_SHA256["kalman-bucy"]
+    run_experiment(ExperimentConfig(**cfg, outdir=str(tmp_path / "one")))
+    monkeypatch.setattr(harness, "_openblas_threads", lambda: None)
+    rec = run_experiment(ExperimentConfig(**cfg, outdir=str(tmp_path / "default")))
+    assert rec.diagnostics["blas_threads"] is None
+    one = (tmp_path / "one" / "results.csv").read_bytes()
+    assert (tmp_path / "default" / "results.csv").read_bytes() == one
+    assert hashlib.sha256(one).hexdigest() == digest
+    line = report(tmp_path / "default", out_curves=None).splitlines()[-1]
+    assert line.endswith("; BLAS threads untouched")

@@ -3,7 +3,7 @@ import pytest
 
 from innovlab.core import LANE_HIDDEN, RandomStream, TimeGrid
 from innovlab.errors import ConfigurationError, ShapeError
-from innovlab.models import list_models, make_model, run_euler, simulate_ensemble
+from innovlab.models import PATH_BLOCK, list_models, make_model, run_euler, simulate_ensemble
 
 STREAM = RandomStream(seed=606, substream=0)
 
@@ -62,6 +62,41 @@ def test_run_euler_rejects_noise_with_a_trailing_axis():
     g = TimeGrid(steps=2)
     with pytest.raises(ShapeError):
         run_euler(make_model("linear-feedback", a=1.0), g, np.ones((1, 2, 1)), np.empty((1, 0)))
+
+
+def unblocked_euler(model, grid, dB, aux, hidden):
+    """Reference Euler sweep: one `model.start` and one step loop over all rows."""
+    m, N = dB.shape
+    U = np.zeros((m, N + 1))
+    drift = np.empty((m, N))
+    dU = np.empty((m, N))
+    state = model.start(grid, aux, hidden)
+    for k in range(N):
+        u = model.drift(k, grid, U, aux, hidden, state)
+        drift[:, k] = u
+        dU[:, k] = u * grid.dt + dB[:, k]
+        U[:, k + 1] = U[:, k] + dU[:, k]
+    return U, drift, dU
+
+
+@pytest.mark.parametrize("m", [2 * PATH_BLOCK + 3, 37])
+def test_path_blocked_sweep_matches_the_unblocked_reference(m):
+    # two full blocks and a partial one, and a single partial block: each
+    # block starts its own state, and no number may move
+    g = TimeGrid(steps=16)
+    rng = np.random.default_rng(m)
+    for model in all_models() + [make_model("witness-one-sided")]:
+        dB = rng.normal(0.0, np.sqrt(g.dt), size=(m, g.steps))
+        aux = (rng.uniform(size=(m, model.aux_dim)) if model.name == "tsirelson"
+               else rng.normal(size=(m, model.aux_dim)))
+        hidden = (rng.normal(0.0, np.sqrt(g.dt), size=(m, g.steps)) if model.needs_hidden()
+                  else None)
+        out = run_euler(model, g, dB, aux, hidden)
+        U, drift, dU = unblocked_euler(model, g, dB, aux, hidden)
+        assert np.array_equal(out.U, U), model.name
+        assert np.array_equal(out.drift, drift), model.name
+        assert np.array_equal(out.dU, dU), model.name
+        assert out.dB is dB and out.aux is aux
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
