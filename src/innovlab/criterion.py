@@ -27,7 +27,6 @@ from .core import TimeGrid, path_energies
 from .errors import UsageError
 from .filtering import BasisSpec, FeatureBuilder, weighted_ridge_fit
 from .girsanov import (
-    MIN_DIAGNOSTIC_MEMBERS,
     active_mask,
     log_weights_ensemble,
     normalization_diagnostic,
@@ -139,9 +138,11 @@ def criterion_levels(Z: np.ndarray, uhat: np.ndarray, grid: TimeGrid,
     (m, N).  For each level the filtered drift is localized, weights are
     rebuilt, and the second-level regression is re-solved under those
     weights (the response is the unlocalized drift; the localization
-    indicator, being an innovation functional, multiplies the fit).
+    indicator, being an innovation functional, multiplies the fit).  Every
+    level runs the normalization diagnostic, so fewer than
+    `girsanov.MIN_DIAGNOSTIC_MEMBERS` paths is a usage error.
     """
-    m, N = uhat.shape
+    N = uhat.shape[1]
     dt = grid.dt
     levels = list(levels)
     if not levels:
@@ -158,7 +159,7 @@ def criterion_levels(Z: np.ndarray, uhat: np.ndarray, grid: TimeGrid,
     for stop in distinct:
         mask = active_mask(stop, N)  # (m, N), built and dropped per level
         lw = log_weights_ensemble(uhat * mask, Z, dt)
-        diags.append(normalization_diagnostic(lw) if m >= MIN_DIAGNOSTIC_MEMBERS else None)
+        diags.append(normalization_diagnostic(lw))
         ens = reweight(lw)
         weight_sets.append(ens.weights)
         energies.append(path_energies(uhat, dt, mask))
@@ -192,9 +193,9 @@ def criterion_levels(Z: np.ndarray, uhat: np.ndarray, grid: TimeGrid,
                 gap=gap,
                 gap_se=gap_se,
                 ess=ess[s],
-                norm_mean=diag.mean if diag else float("nan"),
-                norm_se=diag.se if diag else float("nan"),
-                norm_passed=diag.passed if diag else False,
+                norm_mean=diag.mean,
+                norm_se=diag.se,
+                norm_passed=diag.passed,
                 verdict=classify_level(gap, gap_se, floor),
                 method=method or f"jensen[{basis.describe()}]",
                 ridge_escalations=int(escalations[s]),

@@ -204,9 +204,8 @@ class FeatureBuilder:
     a step reads contiguous memory and the builder holds no more than one
     block next to the caller's `Z`.
 
-    EMA features are accumulated recursively, so `features_at` must be
-    called with nondecreasing step indices; going backwards resets the
-    accumulators and replays (cheap for test-sized ensembles).
+    EMA features are accumulated one increment per step, so the steps are
+    served in order: k = 0, 1, 2, ...; any other k is a usage error.
     """
 
     BLOCK = 64
@@ -218,11 +217,7 @@ class FeatureBuilder:
         self._history = max(spec.window, 1)
         self._lo = self._hi = 0  # the block holds Z columns lo..hi-1
         self._block = np.empty((0, Z.shape[0]))
-        self._reset()
-
-    def _reset(self):
-        m = self.Z.shape[0]
-        self._ema = [np.zeros(m) for _ in self.spec.ema_rates]
+        self._ema = [np.zeros(Z.shape[0]) for _ in spec.ema_rates]
         self._next = 0
 
     def _load(self, k: int) -> int:
@@ -234,24 +229,19 @@ class FeatureBuilder:
             self._block = np.ascontiguousarray(self.Z[:, self._lo:self._hi].T)
         return k - self._lo
 
-    def _advance_to(self, k: int):
-        if k < self._next:
-            self._reset()
-        if self._ema:
-            for j in range(self._next, k):
-                i = self._load(j + 1)
-                inc = self._block[i] - self._block[i - 1]
-                for ema, rate in zip(self._ema, self.spec.ema_rates):
-                    lam = 1.0 - rate * self.dt
-                    ema *= lam
-                    ema += inc
-        self._next = k
-
     def features_at(self, k: int) -> np.ndarray:
+        if k != self._next:
+            raise UsageError(f"features are built in step order: expected step "
+                             f"{self._next}, got {k}")
+        self._next = k + 1
         spec = self.spec
-        self._advance_to(k)
         i = self._load(k)
         block = self._block
+        if k and self._ema:
+            inc = block[i] - block[i - 1]
+            for ema, rate in zip(self._ema, spec.ema_rates):
+                ema *= 1.0 - rate * self.dt
+                ema += inc
         w = min(k, spec.window)
         n_base = w + 1 + len(self._ema)
         n_powers = 1 + spec.include_squares + spec.include_cubes
@@ -297,24 +287,23 @@ def _ridge_solve(A: np.ndarray, b: np.ndarray, ridge: float) -> tuple[np.ndarray
 
 
 def weighted_ridge_fit(G: np.ndarray, y: np.ndarray, weights: np.ndarray,
-                       ridge: float) -> tuple[np.ndarray, np.ndarray, np.ndarray | int]:
+                       ridge: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Weighted least squares with a relative ridge on non-intercept terms.
 
-    G: features, feature-major (p, m); y: response (m,); weights: one set
-    (m,) or S sets stacked (S, m).  The Gram matrices of all sets come from
-    one batched product G @ (G w_s)^T, which runs the same (p, m) x (m, p)
-    product for every set; a single (p, S p) product would not, since BLAS
-    picks its kernel by size, and a set's numbers would then depend on how
-    many sets share the call.  For the same reason the right-hand sides
-    and the fitted values are formed one set at a time.
+    G: features, feature-major (p, m); y: response (m,); weights: S sets
+    stacked (S, m), one row per set (S = 1 for a single set).  The Gram
+    matrices of all sets come from one batched product G @ (G w_s)^T, which
+    runs the same (p, m) x (m, p) product for every set; a single (p, S p)
+    product would not, since BLAS picks its kernel by size, and a set's
+    numbers would then depend on how many sets share the call.  For the
+    same reason the right-hand sides and the fitted values are formed one
+    set at a time.
 
     Returns (coefficients, fitted values, ridge escalations), shaped
-    (S, p), (S, m), (S,) for stacked weights and (p,), (m,), int for one
-    set.  The intercept is unpenalized, which preserves the weighted mean
-    of the response exactly.
+    (S, p), (S, m), (S,).  The intercept is unpenalized, which preserves
+    the weighted mean of the response exactly.
     """
-    W = np.atleast_2d(weights)
-    W = W / W.sum(axis=1, keepdims=True)
+    W = weights / weights.sum(axis=1, keepdims=True)
     S, (p, m) = len(W), G.shape
     Gw = G * W[:, None, :]
     A = G @ Gw.transpose(0, 2, 1)
@@ -324,6 +313,4 @@ def weighted_ridge_fit(G: np.ndarray, y: np.ndarray, weights: np.ndarray,
     for s in range(S):
         coef[s], escalations[s] = _ridge_solve(A[s], Gw[s] @ y, ridge)
         fitted[s] = coef[s] @ G
-    if weights.ndim == 1:
-        return coef[0], fitted[0], int(escalations[0])
     return coef, fitted, escalations

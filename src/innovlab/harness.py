@@ -138,6 +138,13 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown erasure {self.erasure!r}")
         if self.workers < 1:
             raise ConfigurationError("workers must be >= 1")
+        if not (self.levels and all(lv > 0 for lv in self.levels)):  # NaN fails `> 0`
+            raise ConfigurationError(f"levels must be a non-empty list of positive numbers "
+                                     f"(inf allowed), got {_fmt(self.levels) or 'none'}")
+        for name in ("gap_floor", "crosscheck_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigurationError(f"{name} must be finite and positive, got {value}")
         self.basis()  # a basis the regressions cannot use fails here, before sampling
 
     def basis(self) -> BasisSpec:
@@ -208,10 +215,9 @@ def parse_config(text: str, **overrides) -> ExperimentConfig:
                 raise ConfigurationError(f"line {lineno}: bad value for {key}: {val!r}") from None
         else:
             raise ConfigurationError(f"line {lineno}: unknown key {key!r}")
-    cfg = ExperimentConfig(**values)
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    return cfg
+    # overrides join the file values before validation, so a flag can
+    # replace a file value that would fail it
+    return ExperimentConfig(**{**values, **overrides})
 
 
 def _parse_scalar(val: str):
@@ -445,7 +451,7 @@ def _run_discrete(config, model, grid, stream, stages) -> ResultRecord:
     aux = FiniteLaw(config.aux_values, config.aux_probs or None) if model.aux_dim else None
     space = _stage(stages, "enumerate", enumerate_atoms, model, grid, noise, aux)
     relabel = witness_labels if config.erasure == "sign-terminal" else None
-    exact = dpi_verdict(space.system(relabel=relabel, tag=config.erasure))
+    exact = dpi_verdict(space.system(relabel=relabel))
 
     sim = _stage(stages, "sample", sample_quantized_ensemble, model, grid, config.paths,
                  stream, noise, aux)
@@ -550,8 +556,8 @@ def _write_paths_csv(config, filt, Z, grid):
 
 # ------------------------------------------------------------------- reporting
 
-def report(in_dir, out_curves: Optional[str] = "curves.csv") -> str:
-    """Human-readable table plus plot-ready columnar files."""
+def report(in_dir) -> str:
+    """Human-readable table; writes the plot-ready columns to curves.csv."""
     in_dir = FsPath(in_dir)
     jl = in_dir / "run.jsonl"
     if not jl.exists():
@@ -585,13 +591,12 @@ def report(in_dir, out_curves: Optional[str] = "curves.csv") -> str:
         out.append(f"stages[{i}] {rec['model']}: {_stage_line(rec['diagnostics'])}")
     text = "\n".join(out)
 
-    if out_curves:
-        cols = ["model", "n", "H_hat", "H_se", "E_hat", "E_se", "gap", "gap_se", "ess"]
-        lines = [",".join(cols)]
-        for row in curve_rows:
-            lines.append(",".join(_fmt_cell(_as_float(row.get(c))) if c != "model"
-                                  else str(row.get(c)) for c in cols))
-        (in_dir / out_curves).write_text("\n".join(lines) + "\n")
+    cols = ["model", "n", "H_hat", "H_se", "E_hat", "E_se", "gap", "gap_se", "ess"]
+    lines = [",".join(cols)]
+    for row in curve_rows:
+        lines.append(",".join(_fmt_cell(_as_float(row.get(c))) if c != "model"
+                              else str(row.get(c)) for c in cols))
+    (in_dir / "curves.csv").write_text("\n".join(lines) + "\n")
     return text
 
 

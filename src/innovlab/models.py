@@ -131,9 +131,6 @@ class DeterministicDrift(DriftModel):
     def parameters(self):
         return {"shape": self._shape, **self._coef}
 
-    def h(self, t):
-        return self._h(t)
-
     def drift(self, k, grid, U, aux, hidden, state):
         return np.full(U.shape[0], self._h(grid.left_times[k]))
 

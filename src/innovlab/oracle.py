@@ -140,6 +140,8 @@ class FiniteSystem:
     z_labels: observation classes; u_labels: trajectory classes of the
     quantity whose recoverability is being asked about; energy_terms:
     per-atom energy functional entering the energy field of the verdict.
+    A density whose total mass is off one by more than 1e-9 is a
+    configuration error; it is never rescaled.
     """
 
     probs: np.ndarray
@@ -147,7 +149,6 @@ class FiniteSystem:
     z_labels: np.ndarray
     u_labels: np.ndarray
     energy_terms: np.ndarray
-    tag: str = ""
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=float)
@@ -158,7 +159,7 @@ class FiniteSystem:
             raise ConfigurationError("density must be nonnegative")
         mass = math.fsum(p * rho)
         if abs(mass - 1.0) > 1e-9:
-            rho = rho / mass
+            raise ConfigurationError(f"density must have total mass one, got {mass:.12g}")
         object.__setattr__(self, "probs", p)
         object.__setattr__(self, "density", rho)
 
@@ -188,7 +189,6 @@ class AtomSpace:
     grid: TimeGrid
     noise: FiniteLaw
     aux: Optional[FiniteLaw]
-    model_name: str
     probs: np.ndarray
     sim: EnsembleSimulation
     uhat: np.ndarray
@@ -204,8 +204,7 @@ class AtomSpace:
     def energy_terms(self) -> np.ndarray:
         return path_energies(self.uhat, self.grid.dt)
 
-    def system(self, relabel: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-               tag: str = "") -> FiniteSystem:
+    def system(self, relabel: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> FiniteSystem:
         """View as a FiniteSystem, optionally through a lossy observation map.
 
         relabel receives the stacked innovation values (atoms, N+1) and
@@ -214,7 +213,7 @@ class AtomSpace:
         """
         z_labels = self.z_labels if relabel is None else canonical_labels(relabel(self.Z))
         return FiniteSystem(self.probs, self.density, z_labels, self.u_labels,
-                            self.energy_terms(), tag or self.model_name)
+                            self.energy_terms())
 
 
 def canonical_labels(keys: np.ndarray) -> np.ndarray:
@@ -320,8 +319,7 @@ def enumerate_atoms(model: DriftModel, grid: TimeGrid, noise: FiniteLaw,
 
     z_labels = canonical_labels(Z[:, 1:])
     u_labels = canonical_labels(sim.U[:, 1:])
-    return AtomSpace(grid, noise, aux, model.name, probs, sim, uhat, Z,
-                     density, z_labels, u_labels)
+    return AtomSpace(grid, noise, aux, probs, sim, uhat, Z, density, z_labels, u_labels)
 
 
 def exact_relative_entropy(p: np.ndarray, q: np.ndarray) -> float:
@@ -361,15 +359,10 @@ def dpi_verdict(system: FiniteSystem) -> DiscreteVerdict:
     spread = cls_max - cls_min
     measurable = bool(np.all(spread <= 1e-9 * np.maximum(1.0, cls_max)))
 
-    u_first = {}
-    recoverable = True
-    for lab, u in zip(labels.tolist(), system.u_labels.tolist()):
-        if lab in u_first:
-            if u_first[lab] != u:
-                recoverable = False
-                break
-        else:
-            u_first[lab] = u
+    # u is recoverable iff no observation class holds two u classes; bincount
+    # counts sparse labels too, without np.unique's import of numpy.ma
+    pairs = _row_classes(np.stack([labels, system.u_labels], axis=1))
+    recoverable = bool(pairs.max() + 1 == np.count_nonzero(np.bincount(labels)))
 
     return DiscreteVerdict(base, push, energy, measurable, recoverable)
 
@@ -546,10 +539,6 @@ def witness_labels(Z: np.ndarray) -> np.ndarray:
     return np.abs(Z[:, -1])
 
 
-def witness_grid() -> TimeGrid:
-    return TimeGrid(steps=2)
-
-
 def witness_space(kick: float = 1.0) -> tuple[AtomSpace, FiniteSystem]:
     """The bundled strict-gap witness: two-step one-sided feedback drift on
     two-point noise, observed only through the magnitude of the terminal
@@ -558,10 +547,10 @@ def witness_space(kick: float = 1.0) -> tuple[AtomSpace, FiniteSystem]:
     Colliding atoms carry different densities (the one-sided kick breaks
     the symmetry), so the erased observation strictly loses entropy.
     """
-    grid = witness_grid()
+    grid = TimeGrid(steps=2)
     noise = gauss_quantized(2, grid.dt)
     space = enumerate_atoms(WitnessDrift(kick), grid, noise)
-    return space, space.system(relabel=witness_labels, tag="information-erasing")
+    return space, space.system(relabel=witness_labels)
 
 
 # --------------------------------------------------------------------- battery
@@ -576,7 +565,7 @@ def random_finite_system(rng: np.random.Generator, kind: str) -> FiniteSystem:
     """
     if kind == "pipeline":
         space = _random_pipeline_space(rng)
-        return space.system(tag="pipeline")
+        return space.system()
     if kind == "erasure":
         space = _random_pipeline_space(rng, force_drift=True)
         keep = rng.integers(1, space.grid.steps + 1)
@@ -586,7 +575,7 @@ def random_finite_system(rng: np.random.Generator, kind: str) -> FiniteSystem:
             vals = Z[:, keep]
             return np.abs(vals) if sign_blind else np.round(vals, 1)
 
-        return space.system(relabel=relabel, tag="erasure")
+        return space.system(relabel=relabel)
     if kind == "abstract":
         atoms = int(rng.integers(6, 40))
         probs = rng.dirichlet(np.ones(atoms) * 2.0)
@@ -600,7 +589,7 @@ def random_finite_system(rng: np.random.Generator, kind: str) -> FiniteSystem:
             rho = rng.uniform(0.2, 3.0, size=atoms)
         rho = rho / np.sum(probs * rho)
         u_labels = np.arange(atoms)
-        return FiniteSystem(probs, rho, labels, u_labels, np.zeros(atoms), tag="abstract")
+        return FiniteSystem(probs, rho, labels, u_labels, np.zeros(atoms))
     raise UsageError(f"unknown battery kind {kind!r}")
 
 

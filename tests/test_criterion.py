@@ -123,6 +123,13 @@ def test_a_level_report_does_not_depend_on_the_other_levels():
     assert criterion_levels(Z, filt.values, grid)[0] == alone
 
 
+def test_criterion_levels_needs_the_diagnostic_minimum():
+    # every level runs the normalization diagnostic, which needs 100 paths
+    grid = TimeGrid(steps=4)
+    with pytest.raises(UsageError, match=">= 100 members"):
+        criterion_levels(_random_innovation(99, 4), np.zeros((99, 4)), grid)
+
+
 def test_entropy_jensen_zero_and_exact_deterministic():
     grid = TimeGrid(steps=4)
     h = criterion_levels(_random_innovation(100, 4), np.zeros((100, 4)), grid,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from innovlab.core import RandomStream, TimeGrid
-from innovlab.errors import ConfigurationError, ShapeError, StabilityError
+from innovlab.errors import ConfigurationError, ShapeError, StabilityError, UsageError
 from innovlab.filtering import (
     BasisSpec,
     FeatureBuilder,
@@ -166,10 +166,17 @@ def _toy_paths(m, N, seed):
     return Z, rng
 
 
+def _features(Z, basis, k):
+    """Step-k features, reached the way criterion_levels walks the steps."""
+    builder = FeatureBuilder(Z, 1.0, basis)
+    for j in range(k + 1):
+        F = builder.features_at(j)
+    return F
+
+
 def _fit(Z, y, w, k, basis):
     """The weighted second-level fit of y at step k, as criterion_levels runs it."""
-    F = FeatureBuilder(Z, 1.0, basis).features_at(k)
-    return weighted_ridge_fit(F, y[:, k], w, basis.ridge)[1]
+    return weighted_ridge_fit(_features(Z, basis, k), y[:, k], w[None], basis.ridge)[1][0]
 
 
 def test_second_level_reproduces_constants():
@@ -206,8 +213,9 @@ def test_step_features_shapes():
     Z = np.zeros((10, 5))
     spec = BasisSpec(window=3, include_squares=True)
     fb = FeatureBuilder(Z, 1.0, spec)
-    assert fb.features_at(0).shape == (1 + 2 * 1, 10)  # intercept, level, level^2
-    assert fb.features_at(4).shape == (1 + 2 * 4, 10)  # + 3 increments
+    shapes = [fb.features_at(k).shape for k in range(5)]
+    assert shapes[0] == (1 + 2 * 1, 10)  # intercept, level, level^2
+    assert shapes[4] == (1 + 2 * 4, 10)  # + 3 increments
 
 
 def _path_major_features(Z, dt, spec, k):
@@ -237,29 +245,33 @@ def test_feature_rows_equal_the_path_major_formula():
     Z, _ = _toy_paths(m, N, seed=4)
     spec = BasisSpec(window=5, include_cubes=True, ema_rates=(0.5, 3.0))
     fb = FeatureBuilder(Z, 1.0 / N, spec)
-    # block edges at 63/64/65; the final 64 goes backwards and replays
-    for k in (0, 1, spec.window, 63, 64, 65, N - 1, 64):
+    # every step, across the block edges at 64, 128 and 192
+    for k in range(N):
         G = fb.features_at(k)
         assert G.flags.c_contiguous
         assert np.array_equal(G, _path_major_features(Z, 1.0 / N, spec, k).T)
         held = [a for v in vars(fb).values() for a in (v if isinstance(v, list) else [v])
                 if isinstance(a, np.ndarray) and a is not Z]
         assert max(a.size for a in held) <= (FeatureBuilder.BLOCK + spec.window + 1) * m
+    # the steps are served in order only: neither back nor ahead
+    for k in (64, N + 1):
+        with pytest.raises(UsageError, match="step order"):
+            fb.features_at(k)
 
 
 def test_stacked_weights_fit_like_separate_sets():
     m = 2000
     Z, rng = _toy_paths(m, 12, seed=5)
-    G = FeatureBuilder(Z, 1.0, BasisSpec(window=4, include_cubes=True)).features_at(10)
+    G = _features(Z, BasisSpec(window=4, include_cubes=True), 10)
     y = np.sin(2.0 * Z[:, 10]) + 0.1 * rng.normal(size=m)
     W = rng.uniform(0.1, 2.0, size=(3, m))
     for S in (1, 2, 3):
         coef, fitted, escalations = weighted_ridge_fit(G, y, W[:S], 1e-8)
         assert coef.shape == (S, G.shape[0]) and fitted.shape == (S, m)
         for s in range(S):
-            one = weighted_ridge_fit(G, y, W[s], 1e-8)
-            assert np.array_equal(coef[s], one[0]) and np.array_equal(fitted[s], one[1])
-            assert escalations[s] == one[2] == 0
+            one = weighted_ridge_fit(G, y, W[s:s + 1], 1e-8)
+            assert np.array_equal(coef[s], one[0][0]) and np.array_equal(fitted[s], one[1][0])
+            assert escalations[s] == one[2][0] == 0
 
 
 def test_ridge_rescue_counts_its_escalations():
@@ -270,7 +282,7 @@ def test_ridge_rescue_counts_its_escalations():
     x = np.tile([1.25, -1.25], 4)
     G = np.stack([np.ones(8), x, x])
     y = 1.0 + 2.0 * x
-    coef, fitted, escalations = weighted_ridge_fit(G, y, np.ones(8), 1e-20)
+    coef, fitted, escalations = (a[0] for a in weighted_ridge_fit(G, y, np.ones((1, 8)), 1e-20))
     assert escalations == 2
     # the duplicate rows share the slope between them
     assert coef[0] == pytest.approx(1.0) and coef[1] + coef[2] == pytest.approx(2.0)

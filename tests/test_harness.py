@@ -226,7 +226,7 @@ def test_report_renders_missing_values_as_dash(tmp_path):
                "verdict": "INCONCLUSIVE", "levels": [row], "diagnostics": {},
                "wall_clock": 0.0, "version": "0"}
     (tmp_path / "run.jsonl").write_text(json.dumps(payload) + "\n")
-    text = report(tmp_path, out_curves=None)
+    text = report(tmp_path)
     assert "—" in text
 
 
@@ -239,7 +239,7 @@ def test_report_columns_align_for_every_model_name(tmp_path):
                                    "verdict": "INCONCLUSIVE", "levels": [row],
                                    "diagnostics": {}, "wall_clock": 0.0, "version": "0"}))
     (tmp_path / "run.jsonl").write_text("\n".join(records) + "\n")
-    lines = report(tmp_path, out_curves=None).splitlines()
+    lines = report(tmp_path).splitlines()
     offset = lines[0].index(" n ") + 1
     rows = lines[1:1 + len(MODEL_NAMES)]
     assert [line[:offset].rstrip() for line in rows] == list(MODEL_NAMES)
@@ -287,7 +287,7 @@ def test_run_records_stage_timings(tmp_path, cfg, stages):
     for entry in rec.diagnostics["stages"].values():
         assert set(entry) == {"seconds", "max_rss_mb"}
         assert entry["seconds"] >= 0 and entry["max_rss_mb"] > 0
-    line = report(tmp_path, out_curves=None).splitlines()[-1]
+    line = report(tmp_path).splitlines()[-1]
     assert line.startswith(f"stages[0] {cfg['model']}: configure ")
     assert all(f"{name} " in line for name in stages) and "peak RSS" in line
 
@@ -359,6 +359,52 @@ def test_cli_run_rejects_too_few_paths_in_every_mode(tmp_path, capsys, monkeypat
             assert cli_main(["run", "--config", str(cfg_file), "--paths", paths]) == 1
             assert capsys.readouterr().err == (
                 f"error: {mode} mode needs at least 100 paths, got {paths}\n")
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_flags_override_file_values_before_validation(tmp_path, capsys):
+    # a flag replaces a file value that would fail validation; a bad flag
+    # fails with the message a bad file value gives
+    cfg_file = tmp_path / "few.cfg"
+    cfg_file.write_text(f"model = zero\ngrid_n = 8\npaths = 50\noutdir = {tmp_path / 'run'}\n")
+    too_few = "error: continuous mode needs at least 100 paths, got 50\n"
+    assert cli_main(["run", "--config", str(cfg_file)]) == 1
+    assert capsys.readouterr().err == too_few
+    assert cli_main(["run", "--config", str(cfg_file), "--paths", "200"]) == 0
+    assert (tmp_path / "run" / "results.csv").exists()
+    capsys.readouterr()
+    cfg_file.write_text(f"model = zero\ngrid_n = 8\npaths = 200\noutdir = {tmp_path / 'bad'}\n")
+    assert cli_main(["run", "--config", str(cfg_file), "--paths", "50"]) == 1
+    assert capsys.readouterr().err == too_few
+    assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("levels =", "levels must be a non-empty list of positive numbers (inf allowed), got none"),
+    ("levels = 1, 0", "levels must be a non-empty list of positive numbers (inf allowed), got 1, 0"),
+    ("levels = nan, inf", "levels must be a non-empty list of positive numbers (inf allowed), "
+                          "got nan, inf"),
+    ("gap_floor = -1", "gap_floor must be finite and positive, got -1.0"),
+    ("gap_floor = nan", "gap_floor must be finite and positive, got nan"),
+    ("gap_floor = inf", "gap_floor must be finite and positive, got inf"),
+    ("crosscheck_tol = -1", "crosscheck_tol must be finite and positive, got -1.0"),
+    ("crosscheck_tol = 0", "crosscheck_tol must be finite and positive, got 0.0"),
+])
+@pytest.mark.parametrize("mode", ["continuous", "crosscheck"])
+def test_cli_run_rejects_levels_floors_and_tolerances_before_sampling(
+        tmp_path, capsys, monkeypatch, line, message, mode):
+    # each would otherwise fail after sampling, or turn a verdict or a
+    # crosscheck without an error
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("paths were drawn")
+
+    monkeypatch.setattr(harness, "simulate_ensemble", no_sampling)
+    monkeypatch.setattr(harness, "sample_quantized_ensemble", no_sampling)
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(f"model = independent\nmode = {mode}\ngrid_n = 3\n"
+                        f"aux_values = -1.5, 1.5\n{line}\noutdir = {tmp_path / 'run'}\n")
+    assert cli_main(["run", "--config", str(cfg_file)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "run").exists()
 
 
@@ -444,7 +490,7 @@ def test_run_uses_one_blas_thread_and_restores_the_count(tmp_path, monkeypatch, 
     assert rec.diagnostics["blas_threads"] == {"used": 1, "restored": outer}
     payload = json.loads((tmp_path / "run.jsonl").read_text().splitlines()[0])
     assert payload["diagnostics"]["blas_threads"] == {"used": 1, "restored": outer}
-    line = report(tmp_path, out_curves=None).splitlines()[-1]
+    line = report(tmp_path).splitlines()[-1]
     assert line.startswith("stages[0] kalman-bucy: ")
     assert line.endswith(f"; BLAS threads 1 (restored {outer})")
 
@@ -473,5 +519,5 @@ def test_results_csv_bytes_do_not_depend_on_the_blas_thread_limit(tmp_path, monk
     one = (tmp_path / "one" / "results.csv").read_bytes()
     assert (tmp_path / "default" / "results.csv").read_bytes() == one
     assert hashlib.sha256(one).hexdigest() == digest
-    line = report(tmp_path / "default", out_curves=None).splitlines()[-1]
+    line = report(tmp_path / "default").splitlines()[-1]
     assert line.endswith("; BLAS threads untouched")

@@ -200,6 +200,21 @@ def test_dpi_holds_on_arbitrary_finite_systems(atoms, classes, seed, constant):
     assert (abs(v.gap) <= 1e-12) == v.density_z_measurable
 
 
+def test_finite_system_rejects_an_unnormalized_density():
+    probs = np.full(4, 0.25)
+    with pytest.raises(ConfigurationError, match="total mass one"):
+        FiniteSystem(probs, np.full(4, 2.0), np.arange(4), np.arange(4), np.zeros(4))
+
+
+def test_recoverability_counts_sparse_observation_labels():
+    # observation labels need not be dense (the abstract battery draws them)
+    probs, rho = np.full(4, 0.25), np.ones(4)
+    z = np.array([5, 5, 9, 2])
+    for u, recoverable in (([0, 0, 1, 3], True), ([0, 1, 1, 3], False)):
+        sysm = FiniteSystem(probs, rho, z, np.array(u), np.zeros(4))
+        assert dpi_verdict(sysm).u_recoverable_from_z is recoverable
+
+
 # ------------------------------------------------------------------ witness
 
 def test_witness_exact_values_frozen():
@@ -310,7 +325,7 @@ def test_regression_fit_tracks_exact_conditional_expectation():
     num = den = 0.0
     for k in range(3):
         F = fb.features_at(k)
-        _, fitted, _ = weighted_ridge_fit(F, filt.values[:, k], ens.weights, basis.ridge)
+        fitted = weighted_ridge_fit(F, filt.values[:, k], ens.weights[None], basis.ridge)[1][0]
         exact = exact_cond[atom, k]
         num += float(ens.weights @ (fitted - exact) ** 2)
         den += float(ens.weights @ exact**2)
