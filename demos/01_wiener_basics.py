@@ -26,8 +26,8 @@ B_again = simulate_ensemble(zero, grid, 2, stream).U
 print("bit-identical resampling:", np.array_equal(B, B_again))
 
 # Row i of an ensemble draws from substream i, and substreams are independent;
-# that is what makes ensembles reproducible no matter how they are chunked
-# over workers.
+# that is what makes ensembles reproducible no matter how they are split
+# into row blocks.
 dB = np.diff(B, axis=1)
 print(f"cross-substream increment correlation: {np.corrcoef(dB)[0, 1]:+.4f}")
 

@@ -131,7 +131,12 @@ def _tsirelson_values(model: Tsirelson, sim: EnsembleSimulation) -> np.ndarray:
 
 
 def ensemble_conditional_drift(model: DriftModel, sim: EnsembleSimulation) -> EnsembleFilter:
-    """Filtered drift for a whole ensemble, via the model's exact filter."""
+    """Filtered drift for an ensemble, via the model's exact filter.
+
+    Each filter acts row by row, like a drift rule: row i of the output is
+    the same function of row i of the simulation whatever the other rows,
+    so `harness.continuous_front_end` may filter each block of rows alone.
+    """
     if model.observation_adapted:
         return EnsembleFilter(sim.drift, "identity-feedback")
     if isinstance(model, KalmanBucy):
@@ -146,7 +151,8 @@ def ensemble_conditional_drift(model: DriftModel, sim: EnsembleSimulation) -> En
 
 
 def innovation_values(U: np.ndarray, uhat: np.ndarray, dt: float) -> np.ndarray:
-    """Innovation paths Z = U - int uhat ds: U (m, N+1), uhat (m, N)."""
+    """Innovation paths Z = U - int uhat ds: U (m, N+1), uhat (m, N); row
+    by row, like the filters."""
     m = U.shape[0]
     if U.ndim != 2 or uhat.shape != (m, U.shape[1] - 1):
         raise ShapeError(f"filtered drift {uhat.shape} does not fit observation {U.shape}")

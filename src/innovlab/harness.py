@@ -56,7 +56,6 @@ from .lingauss import is_linear_model, linear_gaussian_summary
 from .models import (
     MODEL_NAMES,
     DriftModel,
-    EnsembleSimulation,
     WitnessDrift,
     make_model,
     simulate_ensemble,
@@ -82,6 +81,7 @@ __all__ = [
     "parse_config",
     "load_config",
     "run_experiment",
+    "continuous_front_end",
     "report",
     "suite",
     "resolve_outdir",
@@ -98,7 +98,7 @@ MODEL_COLUMN = max(len(name) for name in MODEL_NAMES) + 1
 
 # pipeline stages in run order; `report` prints their timings in this order
 STAGES = ("configure", "enumerate", "simulate", "sample", "filter", "innovation",
-          "criterion")
+          "criterion", "oracle")
 
 
 @dataclass(frozen=True)
@@ -287,28 +287,47 @@ def resolve_outdir(config: ExperimentConfig) -> FsPath:
     return FsPath(env) if env else FsPath(config.outdir)
 
 
-def _simulate_chunked(model, grid, size, stream, workers) -> EnsembleSimulation:
-    """Worker-count-independent ensemble simulation.
+#: rows that one block of the continuous front end simulates, filters, innovates
+PATH_BLOCK = 1024
 
-    Each path draws from its own substream, so chunk boundaries cannot
-    change any number; chunks are reassembled in path order.
+
+def continuous_front_end(model: DriftModel, grid: TimeGrid, size: int,
+                         stream: RandomStream, workers: int = 1,
+                         stages: Optional[dict] = None):
+    """Innovation Z (size, N+1), filtered drift uhat (size, N) and filter
+    method of a continuous ensemble, simulated, filtered and innovated one
+    row block [lo, lo + PATH_BLOCK) at a time from substreams
+    stream.substream + lo..  Every step acts row by row, so neither the
+    blocks nor the `workers` threads they are mapped over move a number.
+    Block stage seconds are summed into `stages`, with the largest peak RSS.
     """
-    if workers <= 1:
-        return simulate_ensemble(model, grid, size, stream)
-    bounds = np.linspace(0, size, workers + 1, dtype=int)
-    jobs = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+    stages = {} if stages is None else stages
+    Z = np.empty((size, grid.steps + 1))
+    uhat = np.empty((size, grid.steps))
 
-    def work(lo, hi):
-        return simulate_ensemble(model, grid, hi - lo,
-                                 RandomStream(stream.seed, stream.substream + lo))
+    def block(lo):
+        hi = min(lo + PATH_BLOCK, size)
+        timed: dict = {}
+        sim = _stage(timed, "simulate", simulate_ensemble, model, grid, hi - lo,
+                     RandomStream(stream.seed, stream.substream + lo))
+        filt = _stage(timed, "filter", ensemble_conditional_drift, model, sim)
+        uhat[lo:hi] = filt.values
+        U, method = sim.U, filt.method
+        del sim, filt
+        Z[lo:hi] = _stage(timed, "innovation", innovation_values, U, uhat[lo:hi], grid.dt)
+        return method, timed
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(lambda j: work(*j), jobs))
-    cat = lambda sel: np.concatenate([sel(p) for p in parts], axis=0)
-    return EnsembleSimulation(
-        grid=grid, dB=cat(lambda p: p.dB), dU=cat(lambda p: p.dU), drift=cat(lambda p: p.drift),
-        aux=cat(lambda p: p.aux), U=cat(lambda p: p.U),
-    )
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        blocks = list(pool.map(block, range(0, size, PATH_BLOCK)))
+    finally:
+        pool.shutdown(cancel_futures=True)  # a failed block stops the ones not yet begun
+    for _, timed in blocks:
+        for name, entry in timed.items():
+            total = stages.setdefault(name, {"seconds": 0.0, "max_rss_mb": 0.0})
+            total["seconds"] += entry["seconds"]
+            total["max_rss_mb"] = max(total["max_rss_mb"], entry["max_rss_mb"])
+    return Z, uhat, blocks[0][0]
 
 
 def _stage(stages, name, fn, *args, **kwargs):
@@ -412,36 +431,29 @@ def run_experiment(config: ExperimentConfig, persist: bool = True) -> ResultReco
 
 
 def _run_continuous(config, model, grid, stream, stages) -> ResultRecord:
-    sim = _stage(stages, "simulate", _simulate_chunked, model, grid, config.paths,
-                 stream, config.workers)
-    filt = _stage(stages, "filter", ensemble_conditional_drift, model, sim)
-    # both sides of the criterion read only Z and the filtered drift: let the
-    # rest of the simulation go before the innovation and criterion stages
-    U = sim.U
-    del sim
-    Z = _stage(stages, "innovation", innovation_values, U, filt.values, grid.dt)
-    del U
-    reports = _stage(stages, "criterion", criterion_levels, Z, filt.values, grid,
+    Z, uhat, method = continuous_front_end(model, grid, config.paths, stream,
+                                           config.workers, stages)
+    reports = _stage(stages, "criterion", criterion_levels, Z, uhat, grid,
                      config.levels, config.basis(), config.gap_floor,
-                     f"{filt.method}+jensen[{config.basis().describe()}]")
+                     f"{method}+jensen[{config.basis().describe()}]")
     verdict = criterion_verdict(reports)
 
     diagnostics = {
-        "filter_method": filt.method,
+        "filter_method": method,
         "paths": config.paths,
         "grid_n": config.grid_n,
         "seed": config.seed,
         "workers": config.workers,
     }
     if is_linear_model(model):
-        exact = linear_gaussian_summary(model, grid)
+        exact = _stage(stages, "oracle", linear_gaussian_summary, model, grid)
         diagnostics["gaussian_path_kl"] = exact.innovation_kl
         diagnostics["gaussian_observation_kl"] = exact.observation_kl
 
     rows = [_level_row(r, config.model) for r in reports]
     if config.write_paths:
         diagnostics["paths_file"] = "paths.csv"
-        _write_paths_csv(config, filt, Z, grid)
+        _write_paths_csv(config, uhat, Z, grid)
     return ResultRecord(config.digest(), config.model, config.mode, verdict,
                         rows, diagnostics, 0.0)
 
@@ -542,11 +554,11 @@ def _persist(config: ExperimentConfig, record: ResultRecord) -> None:
         fh.write(record.to_json() + "\n")
 
 
-def _write_paths_csv(config, filt, Z, grid):
+def _write_paths_csv(config, uhat, Z, grid):
     outdir = resolve_outdir(config)
     outdir.mkdir(parents=True, exist_ok=True)
-    e = path_energies(filt.values, grid.dt)
-    lw = log_weights_ensemble(filt.values, Z, grid.dt)
+    e = path_energies(uhat, grid.dt)
+    lw = log_weights_ensemble(uhat, Z, grid.dt)
     with (outdir / "paths.csv").open("w") as fh:
         fh.write("path,log_weight,drift_energy,terminal_innovation\n")
         for i in range(len(Z)):

@@ -56,7 +56,6 @@ class LinearGaussianSummary:
     energy_under_nu: half the expected filtered-drift energy under the
         tilted measure.
     energy_under_p: the same under the sampling measure.
-    drift_energy_under_p: half the expected raw-drift energy (sampling).
     rho_mean: expectation of the raw tilting exponential under sampling
         (exactly 1 in the continuum limit; finite grids leave an O(dt) gap).
     """
@@ -65,7 +64,6 @@ class LinearGaussianSummary:
     observation_kl: float
     energy_under_nu: float
     energy_under_p: float
-    drift_energy_under_p: float
     rho_mean: float
 
 
@@ -79,8 +77,8 @@ def _affine_rows(model, grid):
     coefficient rows (member j minus member 0) over G.
 
     Returns the (rows (N, n), const (N,)) pairs of the observation
-    increments, the drift and the filtered drift, the variances of G, and
-    the slice of G holding the Brownian increments.
+    increments and the filtered drift, the variances of G, and the slice of
+    G holding the Brownian increments.
     """
     N, dt = grid.steps, grid.dt
     hidden_n = N if model.needs_hidden() else 0
@@ -96,7 +94,7 @@ def _affine_rows(model, grid):
     def split(x):
         return (x[1:] - x[0]).T, x[0]
 
-    return split(sim.dU), split(sim.drift), split(filt.values), var, iB
+    return split(sim.dU), split(filt.values), var, iB
 
 
 def _expected_square(rows, const, cov, mean):
@@ -117,8 +115,7 @@ def linear_gaussian_summary(model: DriftModel, grid: TimeGrid) -> LinearGaussian
     N = grid.steps
     dt = grid.dt
 
-    ((dU_rows, dU_const), (drift_rows, drift_const), (uhat_rows, uhat_const),
-     var, iB) = _affine_rows(model, grid)
+    (dU_rows, dU_const), (uhat_rows, uhat_const), var, iB = _affine_rows(model, grid)
     dZ_rows = dU_rows - dt * uhat_rows
     dZ_const = dU_const - dt * uhat_const
 
@@ -167,12 +164,9 @@ def linear_gaussian_summary(model: DriftModel, grid: TimeGrid) -> LinearGaussian
         + float(dU_const @ dU_const) / dt
     )
 
-    zero_mean = np.zeros(len(var))
     energy_under_nu = 0.5 * dt * float(np.sum(_expected_square(a_rows, b, Sigma_nu, m_nu)))
-    energy_under_p = 0.5 * dt * float(np.sum(_expected_square(uhat_rows, uhat_const, V, zero_mean)))
-    drift_energy_under_p = 0.5 * dt * float(
-        np.sum(_expected_square(drift_rows, drift_const, V, zero_mean))
-    )
+    energy_under_p = 0.5 * dt * float(
+        np.sum(_expected_square(uhat_rows, uhat_const, V, np.zeros(len(var)))))
 
     # E_P[rho] by the Gaussian integral of the quadratic tilt
     sign_k, logdet_IpCA = np.linalg.slogdet(np.eye(N) + C @ A)
@@ -190,6 +184,5 @@ def linear_gaussian_summary(model: DriftModel, grid: TimeGrid) -> LinearGaussian
         observation_kl=float(observation_kl),
         energy_under_nu=float(energy_under_nu),
         energy_under_p=float(energy_under_p),
-        drift_energy_under_p=float(drift_energy_under_p),
         rho_mean=rho_mean,
     )

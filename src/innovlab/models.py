@@ -54,8 +54,8 @@ class DriftModel:
     """Base class; subclasses fill in the per-step drift rule.
 
     A drift rule acts row by row: row i of its output and state depends
-    only on row i of U, aux, hidden and state, so `run_euler` may integrate
-    any block of rows on its own.
+    only on row i of U, aux, hidden and state, so that
+    `harness.continuous_front_end` may simulate each block of rows alone.
 
     Attributes:
         name: registry identifier.
@@ -90,17 +90,16 @@ class DriftModel:
         raise NotImplementedError
 
     def start(self, grid: TimeGrid, aux: np.ndarray, hidden: Optional[np.ndarray]) -> dict:
-        """Initialize the mutable state of the Euler loop for the block of
-        rows whose aux and hidden inputs are given."""
+        """Initialize the mutable state of the Euler loop for the given rows."""
         return {}
 
     def drift(self, k: int, grid: TimeGrid, U: np.ndarray, aux: np.ndarray,
               hidden: Optional[np.ndarray], state: dict) -> np.ndarray:
         """Drift rate on [t_k, t_{k+1}), shape (m,).
 
-        U is the observation value array (m, N+1) of the block's m rows;
-        only columns 0..k may be read (adaptedness by construction).  The
-        Brownian path is not passed: a drift may depend on it only through U.
+        U is the observation value array (m, N+1); only columns 0..k may
+        be read (adaptedness by construction).  The Brownian path is not
+        passed: a drift may depend on it only through U.
         """
         raise NotImplementedError
 
@@ -324,22 +323,14 @@ class EnsembleSimulation:
         return self.dB.shape[0]
 
 
-#: rows of the ensemble that one pass of the Euler step loop integrates
-PATH_BLOCK = 4096
-
-
 def run_euler(model: DriftModel, grid: TimeGrid, dB: np.ndarray,
               aux: np.ndarray, hidden: Optional[np.ndarray] = None) -> EnsembleSimulation:
     """Integrate U = B + int u' ds for given noise increments and aux draws.
 
     dB has shape (m, N); aux has shape (m, aux_dim); hidden, when the
     model needs it, has shape (m, N).  hidden is read by the drift rule
-    only; the returned simulation does not keep it.
-
-    The ensemble is integrated in blocks of `PATH_BLOCK` rows, each from
-    its own `model.start` over all N steps, so that a column access touches
-    a cache-sized set of rows rather than every row of a (m, N) array.
-    Every drift rule works row by row, so the blocks change no number.
+    only; the returned simulation does not keep it.  One `model.start` and
+    one step loop cover all m rows.
     """
     model.validate(grid)
     if dB.ndim != 2:
@@ -351,16 +342,12 @@ def run_euler(model: DriftModel, grid: TimeGrid, dB: np.ndarray,
     U = np.zeros((m, N + 1))
     drift = np.empty((m, N))
     dU = np.empty((m, N))
-    for lo in range(0, m, PATH_BLOCK):
-        rows = slice(lo, lo + PATH_BLOCK)
-        U_b, drift_b, dU_b, dB_b, aux_b = U[rows], drift[rows], dU[rows], dB[rows], aux[rows]
-        hidden_b = None if hidden is None else hidden[rows]
-        state = model.start(grid, aux_b, hidden_b)
-        for k in range(N):
-            u = model.drift(k, grid, U_b, aux_b, hidden_b, state)
-            drift_b[:, k] = u
-            dU_b[:, k] = u * dt + dB_b[:, k]
-            U_b[:, k + 1] = U_b[:, k] + dU_b[:, k]
+    state = model.start(grid, aux, hidden)
+    for k in range(N):
+        u = model.drift(k, grid, U, aux, hidden, state)
+        drift[:, k] = u
+        dU[:, k] = u * dt + dB[:, k]
+        U[:, k + 1] = U[:, k] + dU[:, k]
     return EnsembleSimulation(grid, dB, dU, drift, aux, U)
 
 

@@ -18,10 +18,10 @@ from innovlab.criterion import (
     criterion_levels,
     criterion_verdict,
 )
-from innovlab.filtering import BasisSpec, ensemble_conditional_drift, innovation_values
-from innovlab.harness import ExperimentConfig, run_experiment
+from innovlab.filtering import BasisSpec
+from innovlab.harness import PATH_BLOCK, ExperimentConfig, continuous_front_end, run_experiment
 from innovlab.lingauss import linear_gaussian_summary
-from innovlab.models import make_model, simulate_ensemble
+from innovlab.models import make_model
 from innovlab.oracle import WitnessDrift, dpi_verdict, system_battery, witness_space
 
 SEED = 20260808
@@ -51,12 +51,10 @@ def paper_runs():
         t0 = time.time()
         grid = TimeGrid(steps=steps)
         model = make_model(name, **params)
-        sim = simulate_ensemble(model, grid, M_DEFAULT, RandomStream(seed=SEED))
-        filt = ensemble_conditional_drift(model, sim)
-        Z = innovation_values(sim.U, filt.values, grid.dt)
-        reports = criterion_levels(Z, filt.values, grid)
+        Z, uhat, _ = continuous_front_end(model, grid, M_DEFAULT, RandomStream(seed=SEED))
+        reports = criterion_levels(Z, uhat, grid)
         runs[name] = {
-            "grid": grid, "model": model, "sim": sim, "filt": filt, "Z": Z,
+            "grid": grid, "model": model, "uhat": uhat, "Z": Z,
             "reports": reports, "elapsed": time.time() - t0,
         }
     return runs
@@ -66,10 +64,8 @@ def test_criterion_1_cameron_martin_exactness():
     t0 = time.time()
     grid = TimeGrid(steps=128)
     model = make_model("deterministic", shape="constant", value=1.0)
-    sim = simulate_ensemble(model, grid, 10_000, RandomStream(seed=SEED))
-    filt = ensemble_conditional_drift(model, sim)
-    Z = innovation_values(sim.U, filt.values, grid.dt)
-    r = criterion_levels(Z, filt.values, grid, levels=(math.inf,))[0]
+    Z, uhat, _ = continuous_front_end(model, grid, 10_000, RandomStream(seed=SEED))
+    r = criterion_levels(Z, uhat, grid, levels=(math.inf,))[0]
     kl = linear_gaussian_summary(model, grid).innovation_kl
     elapsed = time.time() - t0
     ok = (
@@ -146,7 +142,7 @@ def test_criterion_5_filtration_equality_models(paper_runs):
 
     kb = paper_runs["kalman-bucy"]
     t0 = time.time()
-    r = criterion_levels(kb["Z"], kb["filt"].values, kb["grid"],
+    r = criterion_levels(kb["Z"], kb["uhat"], kb["grid"],
                          levels=(math.inf,), basis=EMA_BASIS)[0]
     elapsed += time.time() - t0
     kl = linear_gaussian_summary(kb["model"], kb["grid"]).innovation_kl
@@ -166,10 +162,8 @@ def test_criterion_6_localized_normalization():
     for name, params, steps in [("deterministic", {}, 128), ("tsirelson", {"levels": 3}, 128)]:
         grid = TimeGrid(steps=steps)
         model = make_model(name, **params)
-        sim = simulate_ensemble(model, grid, 10_000, RandomStream(seed=SEED))
-        filt = ensemble_conditional_drift(model, sim)
-        Z = innovation_values(sim.U, filt.values, grid.dt)
-        reports = criterion_levels(Z, filt.values, grid, levels=stated)
+        Z, uhat, _ = continuous_front_end(model, grid, 10_000, RandomStream(seed=SEED))
+        reports = criterion_levels(Z, uhat, grid, levels=stated)
         passed = [r.norm_passed for r in reports]
         all_ok &= all(passed)
         detail.append(f"{name}: {sum(passed)}/{len(passed)}")
@@ -219,12 +213,13 @@ def test_criterion_8_estimator_consistency():
 
 
 def test_criterion_9_determinism_across_workers(tmp_path):
+    # two full row blocks and a partial one, over one thread and over three
     base = dict(model="kalman-bucy", model_params={"beta": 1.0, "sigma": 1.0},
-                grid_n=64, paths=500, seed=SEED)
+                grid_n=64, paths=2 * PATH_BLOCK + 3, seed=SEED)
     run_experiment(ExperimentConfig(**base, workers=1, outdir=str(tmp_path / "w1")))
-    run_experiment(ExperimentConfig(**base, workers=4, outdir=str(tmp_path / "w4")))
+    run_experiment(ExperimentConfig(**base, workers=3, outdir=str(tmp_path / "w3")))
     a = (tmp_path / "w1" / "results.csv").read_bytes()
-    b = (tmp_path / "w4" / "results.csv").read_bytes()
+    b = (tmp_path / "w3" / "results.csv").read_bytes()
     ok = a == b
     assert _announce(9, ok, f"results.csv byte-identical across worker counts: {ok}")
 

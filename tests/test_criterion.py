@@ -14,10 +14,11 @@ from innovlab.criterion import (
     inequality_check,
 )
 from innovlab.errors import UnsupportedModelError, UsageError
-from innovlab.filtering import BasisSpec, ensemble_conditional_drift, innovation_values
+from innovlab.filtering import BasisSpec, innovation_values
 from innovlab.girsanov import stop_indices
+from innovlab.harness import continuous_front_end
 from innovlab.lingauss import linear_gaussian_summary
-from innovlab.models import make_model, simulate_ensemble
+from innovlab.models import make_model
 
 # frozen reference: exact innovation-law relative entropy of the discretized
 # hidden Ornstein-Uhlenbeck model (beta = sigma = 1) on 128 steps
@@ -29,21 +30,19 @@ FROZEN_SUMMARIES_N128 = {
     "independent": ({}, dict(
         innovation_kl=0.09829150165535339, observation_kl=0.15342640972005483,
         energy_under_nu=0.09651769391159695, energy_under_p=0.152447939885946,
-        drift_energy_under_p=0.5, rho_mean=1.0004886316490118)),
+        rho_mean=1.0004886316490118)),
     "linear-feedback": ({"a": 1.0}, dict(
         innovation_kl=0.248046875, observation_kl=0.14191455446882628,
         energy_under_nu=0.24804687500000022, energy_under_p=0.14191455446880596,
-        drift_energy_under_p=0.14191455446880596, rho_mean=1.0000000000000009)),
+        rho_mean=1.0000000000000009)),
 }
 
 
 def _pipeline(name, N, M, seed=11, **params):
     grid = TimeGrid(steps=N)
     model = make_model(name, **params)
-    sim = simulate_ensemble(model, grid, M, RandomStream(seed=seed))
-    filt = ensemble_conditional_drift(model, sim)
-    Z = innovation_values(sim.U, filt.values, grid.dt)
-    return grid, model, sim, filt, Z
+    Z, uhat, _ = continuous_front_end(model, grid, M, RandomStream(seed=seed))
+    return grid, model, uhat, Z
 
 
 # ------------------------------------------------------------------ estimators
@@ -80,8 +79,8 @@ def test_energy_under_nu_unit_drift_is_half_regardless_of_weights():
 
 def test_energy_under_nu_matches_gaussian_oracle_for_kalman():
     # closed-form Gaussian moments are the oracle for the tilted energy
-    grid, model, sim, filt, Z = _pipeline("kalman-bucy", 64, 20000, seed=3)
-    r = criterion_levels(Z, filt.values, grid, levels=(np.inf,))[0]
+    grid, model, uhat, Z = _pipeline("kalman-bucy", 64, 20000, seed=3)
+    r = criterion_levels(Z, uhat, grid, levels=(np.inf,))[0]
     exact = linear_gaussian_summary(model, grid).energy_under_nu
     assert abs(r.energy - exact) <= 3 * r.energy_se
 
@@ -93,16 +92,16 @@ def test_levels_with_equal_stops_share_one_regression(monkeypatch):
     # reports
     import innovlab.criterion as criterion
 
-    grid, model, sim, filt, Z = _pipeline("linear-feedback", 16, 300, a=1.0)
+    grid, model, uhat, Z = _pipeline("linear-feedback", 16, 300, a=1.0)
     weight_rows, fit = [], criterion.weighted_ridge_fit
 
     def counted(G, y, weights, ridge):
         weight_rows.append(weights.shape)
         return fit(G, y, weights, ridge)
 
-    expected = criterion_levels(Z, filt.values, grid, levels=(0.2, 50.0))
+    expected = criterion_levels(Z, uhat, grid, levels=(0.2, 50.0))
     monkeypatch.setattr(criterion, "weighted_ridge_fit", counted)
-    reports = criterion_levels(Z, filt.values, grid, levels=(0.2, 0.2, 50.0, np.inf))
+    reports = criterion_levels(Z, uhat, grid, levels=(0.2, 0.2, 50.0, np.inf))
     assert weight_rows == [(2, 300)] * grid.steps
     assert reports[0] == reports[1] == expected[0]
     for r in reports[2:]:
@@ -114,13 +113,13 @@ def test_a_level_report_does_not_depend_on_the_other_levels():
     # the 0.5 report alone equals the 0.5 report among all default levels,
     # bit for bit, although the latter shares every step's fit with other
     # weight sets
-    grid, model, sim, filt, Z = _pipeline("linear-feedback", 32, 1000, a=1.0)
-    stops = stop_indices(filt.values, grid.dt, DEFAULT_LEVELS)
+    grid, model, uhat, Z = _pipeline("linear-feedback", 32, 1000, a=1.0)
+    stops = stop_indices(uhat, grid.dt, DEFAULT_LEVELS)
     assert 0 < np.count_nonzero(stops[0] < grid.steps) < 1000  # 0.5 stops some paths
     assert len({row.tobytes() for row in stops}) > 2
-    alone = criterion_levels(Z, filt.values, grid, levels=(0.5,))[0]
+    alone = criterion_levels(Z, uhat, grid, levels=(0.5,))[0]
     assert DEFAULT_LEVELS[0] == 0.5
-    assert criterion_levels(Z, filt.values, grid)[0] == alone
+    assert criterion_levels(Z, uhat, grid)[0] == alone
 
 
 def test_criterion_levels_needs_the_diagnostic_minimum():
@@ -136,8 +135,8 @@ def test_entropy_jensen_zero_and_exact_deterministic():
                          levels=(np.inf,))[0].entropy
     assert h == 0.0
     # unit-energy deterministic drift: fits reproduce the constant exactly
-    grid, model, sim, filt, Z = _pipeline("deterministic", 128, 500)
-    reports = criterion_levels(Z, filt.values, grid, levels=(np.inf,))
+    grid, model, uhat, Z = _pipeline("deterministic", 128, 500)
+    reports = criterion_levels(Z, uhat, grid, levels=(np.inf,))
     r = reports[0]
     assert r.entropy == pytest.approx(0.5, abs=1e-12)
     assert r.energy == pytest.approx(0.5, abs=1e-12)
@@ -244,8 +243,8 @@ def test_criterion_verdict_aggregation():
 # ------------------------------------------------------------------ pipeline
 
 def test_criterion_levels_jensen_nonnegativity_and_caching():
-    grid, model, sim, filt, Z = _pipeline("independent", 32, 3000, seed=9)
-    reports = criterion_levels(Z, filt.values, grid, levels=(0.5, 4.0, 8.0, np.inf))
+    grid, model, uhat, Z = _pipeline("independent", 32, 3000, seed=9)
+    reports = criterion_levels(Z, uhat, grid, levels=(0.5, 4.0, 8.0, np.inf))
     for r in reports:
         assert r.gap >= -3 * max(r.gap_se, 1e-12)
         assert r.energy >= 0.0
@@ -259,8 +258,8 @@ def test_criterion_levels_jensen_nonnegativity_and_caching():
 def test_criterion_levels_converge_in_the_localization_level():
     # once thresholds exceed the bulk of the filtered energy, successive
     # gaps agree within twice their combined standard error
-    grid, model, sim, filt, Z = _pipeline("linear-feedback", 64, 10000, seed=17)
-    reports = criterion_levels(Z, filt.values, grid, levels=(2.0, 4.0, 8.0, np.inf))
+    grid, model, uhat, Z = _pipeline("linear-feedback", 64, 10000, seed=17)
+    reports = criterion_levels(Z, uhat, grid, levels=(2.0, 4.0, 8.0, np.inf))
     for a, b in zip(reports[:-1], reports[1:]):
         assert a.norm_passed and b.norm_passed
         tol = 2 * np.hypot(a.gap_se, b.gap_se) + 1e-12
@@ -271,8 +270,8 @@ def test_criterion_levels_oracle_agreement_with_ema_basis():
     # with exponential-moving-average features the regression spans the
     # linear filter kernels; the entropy estimate must agree with the exact
     # Gaussian value within three standard errors
-    grid, model, sim, filt, Z = _pipeline("linear-feedback", 64, 8000, seed=21)
+    grid, model, uhat, Z = _pipeline("linear-feedback", 64, 8000, seed=21)
     basis = BasisSpec(ema_rates=(0.5, 1.0, 2.0, 4.0))
-    r = criterion_levels(Z, filt.values, grid, levels=(np.inf,), basis=basis)[0]
+    r = criterion_levels(Z, uhat, grid, levels=(np.inf,), basis=basis)[0]
     kl = linear_gaussian_summary(model, grid).innovation_kl
     assert abs(r.entropy - kl) <= 3 * max(r.entropy_se, 1e-12)

@@ -7,21 +7,26 @@ import sys
 import tracemalloc
 from dataclasses import MISSING, fields
 
+import numpy as np
 import pytest
 
 from innovlab.cli import main as cli_main
 import innovlab.harness as harness
+from innovlab.core import RandomStream, TimeGrid
 from innovlab.errors import ConfigurationError, NumericalError, StageError, UsageError
+from innovlab.filtering import ensemble_conditional_drift, innovation_values
 from innovlab.harness import (
     OUTDIR_ENV,
+    PATH_BLOCK,
     RESULT_COLUMNS,
     ExperimentConfig,
+    continuous_front_end,
     parse_config,
     report,
     run_experiment,
     suite,
 )
-from innovlab.models import MODEL_NAMES
+from innovlab.models import MODEL_NAMES, make_model, simulate_ensemble
 from innovlab.oracle import WitnessDrift
 
 CFG_TEXT = """
@@ -118,7 +123,8 @@ def test_run_experiment_deterministic_cameron_martin(tmp_path):
 
 
 def test_results_csv_byte_identical_across_worker_counts(tmp_path):
-    base = dict(model="independent", grid_n=32, paths=400, seed=7)
+    # two full row blocks and a partial one, so three threads take a block each
+    base = dict(model="independent", grid_n=32, paths=2 * PATH_BLOCK + 3, seed=7)
     a = ExperimentConfig(**base, workers=1, outdir=str(tmp_path / "w1"))
     b = ExperimentConfig(**base, workers=3, outdir=str(tmp_path / "w3"))
     run_experiment(a)
@@ -127,6 +133,23 @@ def test_results_csv_byte_identical_across_worker_counts(tmp_path):
     rb = (tmp_path / "w3" / "results.csv").read_bytes()
     # the workers field itself is not part of results.csv rows
     assert ra == rb
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_front_end_blocks_match_the_whole_ensemble_reference(name):
+    # two full row blocks and a partial one, each simulated, filtered and
+    # innovated on its own: every drift rule, filter and the innovation act
+    # row by row, so no bit may differ from the whole ensemble at once
+    model = make_model(name, **({"levels": 2} if name == "tsirelson" else {}))
+    grid, size, stream = TimeGrid(steps=16), 2 * PATH_BLOCK + 3, RandomStream(seed=5, substream=9)
+    sim = simulate_ensemble(model, grid, size, stream)
+    filt = ensemble_conditional_drift(model, sim)
+    Z = innovation_values(sim.U, filt.values, grid.dt)
+    stages = {}
+    got_Z, got_uhat, method = continuous_front_end(model, grid, size, stream, 1, stages)
+    assert np.array_equal(got_Z, Z) and np.array_equal(got_uhat, filt.values)
+    assert method == filt.method
+    assert set(stages) == {"simulate", "filter", "innovation"}
 
 
 def test_results_csv_byte_identical_across_same_process_reruns(tmp_path):
@@ -272,7 +295,9 @@ def test_cli_run_and_report(tmp_path):
 
 @pytest.mark.parametrize("cfg, stages", [
     (dict(model="kalman-bucy", grid_n=16, paths=200),
-     {"configure", "simulate", "filter", "innovation", "criterion"}),
+     {"configure", "simulate", "filter", "innovation", "criterion", "oracle"}),
+    (dict(model="tsirelson", model_params={"levels": 2}, grid_n=16, paths=200),
+     {"configure", "simulate", "filter", "innovation", "criterion"}),  # no Gaussian oracle
     (dict(model="independent", mode="crosscheck", grid_n=2, paths=500, noise_nodes=2,
           aux_values=(-1.0, 1.0)),
      {"configure", "enumerate", "sample", "filter", "innovation"}),
@@ -437,16 +462,19 @@ def test_scipy_is_imported_only_by_the_stages_that_use_it(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("paths, arrays", [(2000, 6), (8000, 4.5)])
 @pytest.mark.parametrize("model, params", [
     pytest.param("kalman-bucy", {"beta": 1.0, "sigma": 1.0}, id="kalman-bucy"),
     pytest.param("independent", {}, id="independent"),
 ])
-def test_continuous_run_holds_at_most_six_ensemble_arrays(model, params):
-    # kalman-bucy's Euler loop needs five (paths, grid_n) float64 arrays
-    # live (dB, hidden noise, U, drift, dU); independent's filter runs next
-    # to the four arrays of its simulation.  No later stage may keep the
-    # simulation alive next to its own arrays
-    cfg = ExperimentConfig(model=model, model_params=params, grid_n=256, paths=2000, seed=7)
+def test_continuous_run_holds_at_most_six_ensemble_arrays(model, params, paths, arrays):
+    # the whole ensemble lives only as Z and the filtered drift, two
+    # (paths, grid_n) float64 arrays; a block's simulation (kalman-bucy's
+    # Euler loop holds dB, hidden noise, U, drift and dU of PATH_BLOCK rows)
+    # and the criterion's temporaries come on top.  At 2000 paths a block is
+    # half the ensemble; at 8000 an eighth, so a whole-ensemble simulation
+    # anywhere in the run would break the tighter bound
+    cfg = ExperimentConfig(model=model, model_params=params, grid_n=256, paths=paths, seed=7)
     run_experiment(cfg, persist=False)  # warm-up: imports and one-time caches
     tracemalloc.start()
     try:
@@ -454,7 +482,7 @@ def test_continuous_run_holds_at_most_six_ensemble_arrays(model, params):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6 * cfg.paths * cfg.grid_n * 8
+    assert peak <= arrays * cfg.paths * cfg.grid_n * 8
 
 
 @pytest.fixture
