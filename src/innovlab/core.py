@@ -33,7 +33,6 @@ used in order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -194,12 +193,7 @@ class RandomStream:
         return (words.reshape(m, 4 * blocks)[:, :n] >> _U64(11)) * 2.0**-53
 
 
-def path_energies(x: np.ndarray, dt: float, mask: Optional[np.ndarray] = None) -> np.ndarray:
-    """Per-member energy  sum_k x_k^2 dt  of stacked integrands (m, N).
-
-    mask, when given, is a boolean (m, N) array selecting the steps that count.
-    """
-    if mask is None:
-        return np.einsum("mk,mk->m", x, x) * dt
-    return np.einsum("mk,mk,mk->m", x, x, mask.astype(float)) * dt
+def path_energies(x: np.ndarray, dt: float) -> np.ndarray:
+    """Per-member energy  sum_k x_k^2 dt  of stacked integrands (m, N)."""
+    return np.einsum("mk,mk->m", x, x) * dt
 

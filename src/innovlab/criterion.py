@@ -27,7 +27,7 @@ from .core import TimeGrid, path_energies
 from .errors import UsageError
 from .filtering import BasisSpec, FeatureBuilder, weighted_ridge_fit
 from .girsanov import (
-    active_mask,
+    localize,
     log_weights_ensemble,
     normalization_diagnostic,
     reweight,
@@ -157,12 +157,14 @@ def criterion_levels(Z: np.ndarray, uhat: np.ndarray, grid: TimeGrid,
 
     weight_sets, energies, diags, ess = [], [], [], []
     for stop in distinct:
-        mask = active_mask(stop, N)  # (m, N), built and dropped per level
-        lw = log_weights_ensemble(uhat * mask, Z, dt)
+        # (m, N), built and dropped per level; its energies are the ones
+        # inside the log-weights, so E_hat averages exactly those
+        stopped = localize(uhat, stop)
+        lw = log_weights_ensemble(stopped, Z, dt)
         diags.append(normalization_diagnostic(lw))
         ens = reweight(lw)
         weight_sets.append(ens.weights)
-        energies.append(path_energies(uhat, dt, mask))
+        energies.append(path_energies(stopped, dt))
         ess.append(ens.ess)
 
     # one regression call per step: features shared, weight sets stacked

@@ -9,9 +9,10 @@ the driving noise.  Because the exponential need not integrate to one
 (that hypothesis can fail, and with quantized noise it simply is false),
 all downstream estimators use self-normalized weights, and a diagnostic
 reports how far the raw mean is from one.  Localization caps the filtered
-energy at a threshold by freezing the drift at the first grid time the
-running energy exceeds it, which restores integrability for any bounded
-threshold.
+energy at a threshold, which restores integrability for any bounded
+threshold: `stop_indices` finds the first grid time the running energy
+exceeds it, and `localize` sets the drift to zero from there on.  A level's
+log-weights and energies are both computed from that one stopped drift.
 
 Log-domain arithmetic with max subtraction throughout: raw weights span
 hundreds of nats on fine grids.
@@ -32,7 +33,7 @@ __all__ = [
     "NormalizationDiagnostic",
     "log_weights_ensemble",
     "stop_indices",
-    "active_mask",
+    "localize",
     "normalization_diagnostic",
     "reweight",
     "MIN_DIAGNOSTIC_MEMBERS",
@@ -100,9 +101,10 @@ def stop_indices(uhat: np.ndarray, dt: float, thresholds: Sequence[float]) -> np
     return out
 
 
-def active_mask(stop_idx: np.ndarray, steps: int) -> np.ndarray:
-    """Boolean (m, N) mask of steps strictly before each stopping index."""
-    return np.arange(steps)[None, :] < stop_idx[:, None]
+def localize(uhat: np.ndarray, stop_idx: np.ndarray) -> np.ndarray:
+    """The stopped drift: uhat (m, N) with each member's steps from its
+    stopping index on set to zero."""
+    return uhat * (np.arange(uhat.shape[1]) < stop_idx[:, None])
 
 
 def normalization_diagnostic(log_weights: np.ndarray) -> NormalizationDiagnostic:

@@ -138,6 +138,9 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown erasure {self.erasure!r}")
         if self.workers < 1:
             raise ConfigurationError("workers must be >= 1")
+        if self.write_paths and self.mode != "continuous":
+            raise ConfigurationError(f"write_paths needs continuous mode; "
+                                     f"{self.mode} mode has no path file")
         if not (self.levels and all(lv > 0 for lv in self.levels)):  # NaN fails `> 0`
             raise ConfigurationError(f"levels must be a non-empty list of positive numbers "
                                      f"(inf allowed), got {_fmt(self.levels) or 'none'}")
@@ -176,7 +179,7 @@ def _fmt(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
-        return "inf" if math.isinf(v) else f"{v:.12g}"
+        return f"{v:.12g}"
     return str(v)
 
 
@@ -255,7 +258,7 @@ class ResultRecord:
         def clean(x):
             if isinstance(x, float):
                 if math.isinf(x):
-                    return "inf"
+                    return str(x)  # "inf" or "-inf"; JSON has no infinities
                 if math.isnan(x):
                     return None
                 return x
@@ -402,7 +405,8 @@ def _level_row(r: LevelReport, model: str) -> dict:
 
 
 def run_experiment(config: ExperimentConfig, persist: bool = True) -> ResultRecord:
-    """Execute one experiment end to end and persist its records.
+    """Execute one experiment end to end and, when `persist`, write its
+    files (`paths.csv` too when the config asks for it).
 
     The stages run with numpy's OpenBLAS limited to one thread: the
     regressions' small Gram products gain nothing from a second thread,
@@ -418,7 +422,7 @@ def run_experiment(config: ExperimentConfig, persist: bool = True) -> ResultReco
     with _one_blas_thread() as blas_threads:
         model, grid, stream = _stage(stages, "configure", _configure, config)
         if config.mode == "continuous":
-            record = _run_continuous(config, model, grid, stream, stages)
+            record = _run_continuous(config, model, grid, stream, stages, persist)
         else:
             record = _run_discrete(config, model, grid, stream, stages)
 
@@ -430,7 +434,7 @@ def run_experiment(config: ExperimentConfig, persist: bool = True) -> ResultReco
     return record
 
 
-def _run_continuous(config, model, grid, stream, stages) -> ResultRecord:
+def _run_continuous(config, model, grid, stream, stages, persist) -> ResultRecord:
     Z, uhat, method = continuous_front_end(model, grid, config.paths, stream,
                                            config.workers, stages)
     reports = _stage(stages, "criterion", criterion_levels, Z, uhat, grid,
@@ -451,7 +455,7 @@ def _run_continuous(config, model, grid, stream, stages) -> ResultRecord:
         diagnostics["gaussian_observation_kl"] = exact.observation_kl
 
     rows = [_level_row(r, config.model) for r in reports]
-    if config.write_paths:
+    if config.write_paths and persist:
         diagnostics["paths_file"] = "paths.csv"
         _write_paths_csv(config, uhat, Z, grid)
     return ResultRecord(config.digest(), config.model, config.mode, verdict,
@@ -534,11 +538,7 @@ def _fmt_cell(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
-        if math.isinf(v):
-            return "inf"
-        if math.isnan(v):
-            return ""
-        return f"{v:.12g}"
+        return "" if math.isnan(v) else f"{v:.12g}"
     return str(v)
 
 
@@ -626,9 +626,8 @@ def _stage_line(diagnostics) -> str:
 
 
 def _as_float(v):
-    if v == "inf":
-        return float("inf")
-    return v
+    """A run.jsonl value, with the infinities it stores as strings read back."""
+    return float(v) if v in ("inf", "-inf") else v
 
 
 # ---------------------------------------------------------------------- suites

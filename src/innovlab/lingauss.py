@@ -15,6 +15,11 @@ pipeline's own Euler recursion (`models.run_euler`) and filter
 vectors of the primitive basis.  The numbers are therefore exact for the
 simulated system rather than for its continuous-time limit, and a change
 to a filter changes the oracle with it.
+
+Products with the primitive vector's diagonal covariance scale columns.
+Every log-determinant is read off a Cholesky factor the algebra needs
+anyway, log det(I + C A) as log det C + log det(C^-1 + A); a covariance
+that is not positive definite fails its factorization with `NumericalError`.
 """
 
 from __future__ import annotations
@@ -97,11 +102,14 @@ def _affine_rows(model, grid):
     return split(sim.dU), split(filt.values), var, iB
 
 
-def _expected_square(rows, const, cov, mean):
-    """E[(rows G + const)^2] rowwise for G ~ N(mean, cov)."""
-    quad = np.einsum("ki,ki->k", rows @ cov, rows)
-    lin = rows @ mean + const
-    return quad + lin**2
+def _expected_square(rows, cov_rows, mean):
+    """E[(rows G)^2] rowwise, given cov_rows = rows Cov(G) and mean = E[rows G]."""
+    return np.einsum("ki,ki->k", cov_rows, rows) + mean**2
+
+
+def _logdet(factor) -> float:
+    """log det of a positive definite matrix from its `cho_factor` output."""
+    return 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
 
 
 def linear_gaussian_summary(model: DriftModel, grid: TimeGrid) -> LinearGaussianSummary:
@@ -119,8 +127,7 @@ def linear_gaussian_summary(model: DriftModel, grid: TimeGrid) -> LinearGaussian
     dZ_rows = dU_rows - dt * uhat_rows
     dZ_const = dU_const - dt * uhat_const
 
-    V = np.diag(var)
-    C = dZ_rows @ V @ dZ_rows.T
+    C = (dZ_rows * var) @ dZ_rows.T
     C = 0.5 * (C + C.T)
     mean0 = dZ_const  # identically zero for the built-in linear models
 
@@ -137,47 +144,38 @@ def linear_gaussian_summary(model: DriftModel, grid: TimeGrid) -> LinearGaussian
     c = b + dt * (a_rows.T @ b)
     r = 0.5 * dt * float(b @ b)
 
+    C_U = (dU_rows * var) @ dU_rows.T
     try:
         Cf = cho_factor(C)
         Cinv = cho_solve(Cf, np.eye(N))
-        Kf = cho_factor(Cinv + A)
+        Kf = cho_factor(Cinv + A)  # Sigma_nu^-1
+        CUf = cho_factor(C_U)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Gaussian algebra lost positivity: {exc}")
     Sigma_nu = cho_solve(Kf, np.eye(N))
     Sigma_nu = 0.5 * (Sigma_nu + Sigma_nu.T)
-    m_nu = cho_solve(Kf, Cinv @ mean0 - c)
+    shift = Cinv @ mean0 - c
+    m_nu = cho_solve(Kf, shift)
+    logdet_K = _logdet(Kf)  # = -log det Sigma_nu
 
-    sign, logdet_Sigma = np.linalg.slogdet(Sigma_nu)
-    if sign <= 0:
-        raise NumericalError("tilted covariance lost positivity")
     innovation_kl = 0.5 * (
-        np.trace(Sigma_nu) / dt - N + N * np.log(dt) - logdet_Sigma
+        np.trace(Sigma_nu) / dt - N + N * np.log(dt) + logdet_K
         + float(m_nu @ m_nu) / dt
     )
-
-    C_U = dU_rows @ V @ dU_rows.T
-    sign_u, logdet_CU = np.linalg.slogdet(C_U)
-    if sign_u <= 0:
-        raise NumericalError("observation covariance lost positivity")
     observation_kl = 0.5 * (
-        np.trace(C_U) / dt - N + N * np.log(dt) - logdet_CU
+        np.trace(C_U) / dt - N + N * np.log(dt) - _logdet(CUf)
         + float(dU_const @ dU_const) / dt
     )
 
-    energy_under_nu = 0.5 * dt * float(np.sum(_expected_square(a_rows, b, Sigma_nu, m_nu)))
-    energy_under_p = 0.5 * dt * float(
-        np.sum(_expected_square(uhat_rows, uhat_const, V, np.zeros(len(var)))))
+    energy_under_nu = 0.5 * dt * float(np.sum(
+        _expected_square(a_rows, a_rows @ Sigma_nu, a_rows @ m_nu + b)))
+    energy_under_p = 0.5 * dt * float(np.sum(
+        _expected_square(uhat_rows, uhat_rows * var, uhat_const)))
 
     # E_P[rho] by the Gaussian integral of the quadratic tilt
-    sign_k, logdet_IpCA = np.linalg.slogdet(np.eye(N) + C @ A)
-    if sign_k <= 0:
-        rho_mean = float("inf")
-    else:
-        shift = Cinv @ mean0 - c
-        base = -0.5 * float(mean0 @ (Cinv @ mean0)) if np.any(mean0) else 0.0
-        rho_mean = float(
-            np.exp(-r - 0.5 * logdet_IpCA + 0.5 * float(shift @ (Sigma_nu @ shift)) + base)
-        )
+    logdet_IpCA = _logdet(Cf) + logdet_K
+    rho_mean = float(np.exp(-r - 0.5 * logdet_IpCA + 0.5 * float(shift @ (Sigma_nu @ shift))
+                            - 0.5 * float(mean0 @ (Cinv @ mean0))))
 
     return LinearGaussianSummary(
         innovation_kl=float(innovation_kl),

@@ -170,6 +170,21 @@ def test_criterion_6_localized_normalization():
     assert _announce(6, all_ok, f"normalization at n in {stated}: " + "; ".join(detail))
 
 
+def test_normalization_diagnostic_matches_the_exact_rho_mean(paper_runs):
+    # at level inf norm_mean estimates E_P[rho], which the Gaussian oracle
+    # gives exactly for a linear model on its grid
+    ok = True
+    detail = []
+    for name, _, _ in EQUALITY_MODELS:
+        run = paper_runs[name]
+        r = run["reports"][-1]
+        assert math.isinf(r.level)
+        exact = linear_gaussian_summary(run["model"], run["grid"]).rho_mean
+        ok &= abs(r.norm_mean - exact) <= max(3 * r.norm_se, 1e-12)
+        detail.append(f"{name}: {r.norm_mean:.6f} +- {r.norm_se:.6f} vs {exact:.6f}")
+    assert ok, "; ".join(detail)
+
+
 def test_criterion_7_innovation_brownianity(paper_runs):
     ok = True
     detail = []

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from innovlab import criterion
 from innovlab.core import RandomStream, TimeGrid, path_energies
 from innovlab.criterion import (
     DEFAULT_LEVELS,
@@ -15,7 +16,7 @@ from innovlab.criterion import (
 )
 from innovlab.errors import UnsupportedModelError, UsageError
 from innovlab.filtering import BasisSpec, innovation_values
-from innovlab.girsanov import stop_indices
+from innovlab.girsanov import localize, reweight, stop_indices
 from innovlab.harness import continuous_front_end
 from innovlab.lingauss import linear_gaussian_summary
 from innovlab.models import make_model
@@ -37,6 +38,20 @@ FROZEN_SUMMARIES_N128 = {
         rho_mean=1.0000000000000009)),
 }
 
+# the same for the two hidden-signal models on the 512-step grid of the
+# paper's kalman-bucy run (beta = sigma = 1), where the Gaussian algebra is
+# largest
+FROZEN_SUMMARIES_N512 = {
+    "kalman-bucy": ({"beta": 1.0, "sigma": 1.0}, dict(
+        innovation_kl=0.023802270498663347, observation_kl=0.028837275114256045,
+        energy_under_nu=0.023599225742999462, energy_under_p=0.028845132508446683,
+        rho_mean=1.0001058721519227)),
+    "independent": ({}, dict(
+        innovation_kl=0.09700139309006772, observation_kl=0.1534264097185769,
+        energy_under_nu=0.09655968687959687, energy_under_p=0.1531821498857945,
+        rho_mean=1.0001220925521046)),
+}
+
 
 def _pipeline(name, N, M, seed=11, **params):
     grid = TimeGrid(steps=N)
@@ -52,11 +67,42 @@ def _random_innovation(m, N, seed=0):
     return np.concatenate([np.zeros((m, 1)), np.cumsum(inc, axis=1)], axis=1)
 
 
-def test_path_energies_masked_and_unmasked():
+def test_path_energies_full_and_stopped():
     x = np.arange(6.0).reshape(2, 3)
     assert np.array_equal(path_energies(x, 0.5), [2.5, 25.0])
-    mask = np.array([[True, False, True], [False, True, False]])
-    assert np.array_equal(path_energies(x, 0.5, mask), [2.0, 8.0])
+    stopped = localize(x, np.array([2, 1]))
+    assert np.array_equal(stopped, [[0.0, 1.0, 0.0], [3.0, 0.0, 0.0]])
+    assert np.array_equal(path_energies(stopped, 0.5), [0.5, 4.5])
+
+
+def test_energy_averages_the_energies_inside_the_log_weights(monkeypatch):
+    # a level's E_hat and its se come from exactly the per-path energies
+    # that its log-weights sum, bit for bit
+    grid, _, uhat, Z = _pipeline("kalman-bucy", 64, 2000)
+    drifts, energies = [], []
+    log_weights, energy = criterion.log_weights_ensemble, criterion.path_energies
+
+    def weights_spy(stopped, Z, dt):
+        drifts.append(stopped)
+        return log_weights(stopped, Z, dt)
+
+    def energy_spy(*args):
+        energies.append(energy(*args))
+        return energies[-1]
+
+    monkeypatch.setattr(criterion, "log_weights_ensemble", weights_spy)
+    monkeypatch.setattr(criterion, "path_energies", energy_spy)
+    reports = criterion_levels(Z, uhat, grid, levels=(0.01, np.inf))
+    assert len(drifts) == len(energies) == 2 and reports[0].ess != reports[1].ess
+    for r, stopped, e in zip(reports, drifts, energies):
+        lw = log_weights(stopped, Z, grid.dt)
+        ito = np.einsum("mk,mk->m", stopped, np.diff(Z, axis=1))
+        assert np.array_equal(e, path_energies(stopped, grid.dt))
+        assert np.array_equal(-ito - 0.5 * e, lw)
+        w = reweight(lw).weights
+        mean = float(w @ (0.5 * e))
+        assert r.energy == mean
+        assert r.energy_se == float(np.sqrt(np.sum(w**2 * (0.5 * e - mean) ** 2)))
 
 
 def test_energy_under_nu_zero_drift():
@@ -187,10 +233,13 @@ def test_gaussian_path_kl_kalman_frozen_constant():
     assert got == pytest.approx(KB_KL_N128, abs=1e-10)
 
 
-@pytest.mark.parametrize("name", FROZEN_SUMMARIES_N128)
-def test_linear_gaussian_summary_frozen_fields(name):
-    params, expected = FROZEN_SUMMARIES_N128[name]
-    got = linear_gaussian_summary(make_model(name, **params), TimeGrid(steps=128))
+@pytest.mark.parametrize("name, steps", [
+    *(pytest.param(name, 128, id=name) for name in FROZEN_SUMMARIES_N128),
+    *(pytest.param(name, 512, id=f"{name}-512") for name in FROZEN_SUMMARIES_N512),
+])
+def test_linear_gaussian_summary_frozen_fields(name, steps):
+    params, expected = {128: FROZEN_SUMMARIES_N128, 512: FROZEN_SUMMARIES_N512}[steps][name]
+    got = linear_gaussian_summary(make_model(name, **params), TimeGrid(steps=steps))
     for field, value in expected.items():
         assert getattr(got, field) == pytest.approx(value, abs=1e-10), field
 

@@ -9,7 +9,7 @@ from innovlab.core import RandomStream, TimeGrid
 from innovlab.errors import DegeneracyError, NumericalError, UsageError
 from innovlab.filtering import ensemble_conditional_drift, innovation_values
 from innovlab.girsanov import (
-    active_mask,
+    localize,
     log_weights_ensemble,
     normalization_diagnostic,
     reweight,
@@ -27,8 +27,8 @@ def _zero_model_path(grid, stream):
 
 
 def _localize(uhat, dt, threshold):
-    """The drift zeroed from each stopping index on, as criterion_levels does it."""
-    return uhat * active_mask(stop_indices(uhat, dt, [threshold])[0], uhat.shape[1])
+    """The drift stopped at one threshold, as criterion_levels stops it."""
+    return localize(uhat, stop_indices(uhat, dt, [threshold])[0])
 
 
 # ---------------------------------------------------------------- log weight
@@ -104,14 +104,16 @@ def test_localize_zero_drift_unchanged():
     assert np.array_equal(out, np.zeros((1, 4)))
 
 
-def test_stop_indices_and_mask():
+def test_stop_indices_and_localize():
     g = TimeGrid(steps=4)
     uhat = np.ones((1, 4))
     # energy before steps 0..3 is 0, 0.25, 0.5, 0.75; N = 4 means never stopped
     idx = stop_indices(uhat, g.dt, [0.4, 0.1, 2.0, 0.5])
     assert idx.tolist() == [[2], [1], [4], [3]]
-    mask = active_mask(idx[0], 4)
-    assert mask.tolist() == [[True, True, False, False]]
+    assert localize(uhat, idx[0]).tolist() == [[1.0, 1.0, 0.0, 0.0]]
+    # one member per threshold: each row is kept strictly before its stop
+    assert localize(np.full((4, 4), 2.0), idx[:, 0]).tolist() == [
+        [2.0, 2.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0], [2.0, 2.0, 2.0, 2.0], [2.0, 2.0, 2.0, 0.0]]
 
 
 @settings(max_examples=40, deadline=None)

@@ -59,17 +59,20 @@ FROZEN_RESULTS_SHA256 = {
 
 def test_config_roundtrip():
     some = ExperimentConfig(model="kalman-bucy", model_params={"beta": 1.0, "sigma": 2.0},
-                            grid_n=64, levels=(1.0, math.inf), basis_ema=(0.5, 1.0))
+                            grid_n=64, levels=(1.0, math.inf), basis_ema=(0.5, 1.0),
+                            write_paths=True)
     every = ExperimentConfig(
         model="independent", model_params={"g_shape": "sine", "amplitude": 0.5}, grid_n=7,
         horizon=2.5, paths=333, levels=(0.25, 3.0), basis_window=3, basis_squares=False,
         basis_cubes=True, basis_ema=(0.5,), ridge=1e-6, gap_floor=0.03, seed=11,
         outdir="runs/every-field", mode="crosscheck", noise_nodes=2, aux_values=(1.5, -0.5),
-        aux_probs=(0.25, 0.75), erasure="sign-terminal", crosscheck_tol=0.1, workers=2,
-        write_paths=True)
-    for f in fields(ExperimentConfig):  # `every` moves each field off its default
+        aux_probs=(0.25, 0.75), erasure="sign-terminal", crosscheck_tol=0.1, workers=2)
+    # `every` moves each field off its default but write_paths, which only a
+    # continuous config such as `some` may set
+    for f in fields(ExperimentConfig):
         default = f.default_factory() if f.default is MISSING else f.default
-        assert getattr(every, f.name) != default, f.name
+        moved = some if f.name == "write_paths" else every
+        assert getattr(moved, f.name) != default, f.name
     for cfg in (some, every):
         again = parse_config(cfg.to_text())
         assert again == cfg
@@ -186,6 +189,39 @@ def test_write_paths_summaries(tmp_path):
     lines = (tmp_path / "paths.csv").read_text().splitlines()
     assert lines[0] == "path,log_weight,drift_energy,terminal_innovation"
     assert len(lines) == 121
+
+
+def test_run_without_persisting_writes_no_paths_file(tmp_path):
+    cfg = ExperimentConfig(model="deterministic", grid_n=8, paths=120,
+                           levels=(math.inf,), outdir=str(tmp_path), write_paths=True)
+    rec = run_experiment(cfg, persist=False)
+    assert list(tmp_path.iterdir()) == []
+    assert "paths_file" not in rec.diagnostics
+
+
+@pytest.mark.parametrize("mode", ["discrete", "crosscheck"])
+def test_write_paths_outside_continuous_mode_is_rejected(mode):
+    # no path file exists in these modes; the config fails before any draw
+    with pytest.raises(ConfigurationError, match="write_paths"):
+        parse_config(f"model = independent\nmode = {mode}\nwrite_paths = true\n")
+
+
+def test_negative_infinity_keeps_its_sign_in_every_file(tmp_path):
+    plus, minus = (ExperimentConfig(model="deterministic", model_params={"value": v},
+                                    outdir=str(tmp_path)) for v in (math.inf, -math.inf))
+    assert plus.digest() != minus.digest()
+    assert parse_config(minus.to_text()) == minus
+    row = {"model": "deterministic", "n": math.inf, "H_hat": -math.inf, "E_hat": 0.5}
+    harness._persist(minus, harness.ResultRecord(minus.digest(), "deterministic",
+                                                 "continuous", "INCONCLUSIVE", [row], {}, 0.0))
+    assert "model.value = -inf\n" in (tmp_path / "config.txt").read_text()
+    assert (tmp_path / "results.csv").read_text().splitlines()[1].startswith(
+        "deterministic,inf,-inf,,0.5,")
+    stored = json.loads((tmp_path / "run.jsonl").read_text())["levels"][0]
+    assert (stored["n"], stored["H_hat"]) == ("inf", "-inf")
+    report(tmp_path)  # reads run.jsonl back
+    assert (tmp_path / "curves.csv").read_text().splitlines()[1].startswith(
+        "deterministic,inf,-inf,,0.5,")
 
 
 def test_discrete_witness_run(tmp_path):
