@@ -35,7 +35,8 @@ print(f"cross-substream increment correlation: {np.corrcoef(dB)[0, 1]:+.4f}")
 # It is the stochastic part of the Girsanov log-weight
 # log rho = -sum a_k dX_k - 1/2 sum a_k^2 dt.
 ones = np.ones((1, grid.steps))
-ito = -(log_weights_ensemble(ones, B[:1], grid.dt) + 0.5 * path_energies(ones, grid.dt))
+lw, energies = log_weights_ensemble(ones, B[:1], grid.dt)
+ito = -(lw + 0.5 * energies)
 print(f"int 1 dB = {ito[0]:+.5f} vs B(1) = {B[0, -1]:+.5f}")
 
 # Energy is the squared Cameron-Martin norm of the primitive.

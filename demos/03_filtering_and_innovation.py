@@ -24,7 +24,7 @@ one = simulate_ensemble(model, grid, 1, RandomStream(seed=41, substream=0))
 
 # Exact filter: Euler Riccati gains, started from the stationary prior.
 exact = ensemble_conditional_drift(model, one)
-P = riccati_sequence(1.0, 1.0, grid)
+P = riccati_sequence(1.0, 1.0, grid, p0=0.5)
 print(f"Riccati stationary variance: {P[-1]:.5f} (sqrt(2)-1 = {np.sqrt(2)-1:.5f})")
 
 # Over an ensemble, the filter's mean-square error is the Riccati variance.

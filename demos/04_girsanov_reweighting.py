@@ -20,10 +20,10 @@ M = 50_000
 # an exact unit-mean martingale, and reweighting shifts the terminal law.
 sim = simulate_ensemble(make_model("zero"), grid, M, RandomStream(seed=21))
 h = np.ones((M, grid.steps))
-lw = log_weights_ensemble(h, sim.U, grid.dt)
-diag = normalization_diagnostic(lw)
-print(f"unit drift: mean exp(logw) = {diag.mean:.4f} +- {diag.se:.4f} pass={diag.passed}")
+lw, _ = log_weights_ensemble(h, sim.U, grid.dt)
 ens = reweight(lw)
+diag = normalization_diagnostic(ens)
+print(f"unit drift: mean exp(logw) = {diag.mean:.4f} +- {diag.se:.4f} pass={diag.passed}")
 print(f"tilted mean of U(1): {float(ens.weights @ sim.U[:, -1]):+.4f} (expect -1)")
 print(f"effective sample size: {ens.ess:.0f} of {M}")
 
@@ -36,7 +36,7 @@ Z = innovation_values(sim.U, filt.values, grid.dt)
 levels = (0.5, 2.0, 8.0)
 for n, idx in zip(levels, stop_indices(filt.values, grid.dt, levels)):
     loc = localize(filt.values, idx)
-    d = normalization_diagnostic(log_weights_ensemble(loc, Z, grid.dt))
+    d = normalization_diagnostic(reweight(log_weights_ensemble(loc, Z, grid.dt)[0]))
     stopped = int((idx < grid.steps).sum())
     print(f"n={n:4}: stopped {stopped:5d} paths, norm mean {d.mean:.4f} +- {d.se:.4f} "
           f"pass={d.passed}")

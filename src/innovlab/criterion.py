@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import TimeGrid, path_energies
+from .core import TimeGrid
 from .errors import UsageError
 from .filtering import BasisSpec, FeatureBuilder, weighted_ridge_fit
 from .girsanov import (
@@ -157,14 +157,13 @@ def criterion_levels(Z: np.ndarray, uhat: np.ndarray, grid: TimeGrid,
 
     weight_sets, energies, diags, ess = [], [], [], []
     for stop in distinct:
-        # (m, N), built and dropped per level; its energies are the ones
-        # inside the log-weights, so E_hat averages exactly those
-        stopped = localize(uhat, stop)
-        lw = log_weights_ensemble(stopped, Z, dt)
-        diags.append(normalization_diagnostic(lw))
+        # the stopped drift (m, N) is built and dropped per level; E_hat
+        # averages exactly the energies inside its log-weights
+        lw, e = log_weights_ensemble(localize(uhat, stop), Z, dt)
         ens = reweight(lw)
+        diags.append(normalization_diagnostic(ens))
         weight_sets.append(ens.weights)
-        energies.append(path_energies(stopped, dt))
+        energies.append(e)
         ess.append(ens.ess)
 
     # one regression call per step: features shared, weight sets stacked

@@ -17,7 +17,6 @@ conservative lower bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -44,20 +43,16 @@ class EnsembleFilter:
     method: str
 
 
-def riccati_sequence(beta: float, sigma: float, grid: TimeGrid,
-                     p0: Optional[float] = None) -> np.ndarray:
+def riccati_sequence(beta: float, sigma: float, grid: TimeGrid, p0: float) -> np.ndarray:
     """Error variances P_0..P_N of the discrete filter recursion.
 
     P_{k+1} = P_k + (sigma^2 - 2 beta P_k - P_k^2) dt, started from the
-    stationary value sigma^2 / (2 beta) unless p0 is given.  A negative
-    iterate means the grid is too coarse for these parameters.
+    prior variance p0 (`KalmanBucy.x0_var`, which owns the stationary
+    default).  A negative iterate means the grid is too coarse for these
+    parameters.
     """
     if sigma <= 0:
         raise ConfigurationError(f"sigma must be positive, got {sigma}")
-    if p0 is None:
-        if beta <= 0:
-            raise ConfigurationError("stationary prior undefined for beta <= 0; pass p0")
-        p0 = sigma**2 / (2 * beta)
     dt = grid.dt
     P = np.empty(grid.steps + 1)
     P[0] = p0
@@ -72,7 +67,7 @@ def riccati_sequence(beta: float, sigma: float, grid: TimeGrid,
 
 
 def _kalman_values(dU: np.ndarray, beta: float, sigma: float, grid: TimeGrid,
-                   p0: Optional[float] = None) -> np.ndarray:
+                   p0: float) -> np.ndarray:
     """Vectorized filter mean over stacked observation increments (m, N)."""
     P = riccati_sequence(beta, sigma, grid, p0)
     dt = grid.dt

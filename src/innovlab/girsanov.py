@@ -11,11 +11,15 @@ all downstream estimators use self-normalized weights, and a diagnostic
 reports how far the raw mean is from one.  Localization caps the filtered
 energy at a threshold, which restores integrability for any bounded
 threshold: `stop_indices` finds the first grid time the running energy
-exceeds it, and `localize` sets the drift to zero from there on.  A level's
-log-weights and energies are both computed from that one stopped drift.
+exceeds it, and `localize` sets the drift to zero from there on.
 
-Log-domain arithmetic with max subtraction throughout: raw weights span
-hundreds of nats on fine grids.
+`log_weights_ensemble` returns the per-path energies sum_k uhat_k^2 dt
+together with the log-weights that contain them, so a level's energy
+estimate averages exactly the energies inside its weights and nothing sums
+them twice.  `reweight` is the one place a log-weight vector is shifted by
+its maximum and exponentiated (raw weights span hundreds of nats on fine
+grids); the normalization diagnostic and the oracle's plug-in entropies
+read that one exponential from the `WeightedEnsemble` it returns.
 """
 
 from __future__ import annotations
@@ -59,18 +63,29 @@ class NormalizationDiagnostic:
 
 @dataclass(frozen=True)
 class WeightedEnsemble:
-    """Self-normalized importance weights over ensemble members."""
+    """Importance weights over ensemble members, held as the shifted
+    exponential scaled = exp(l - top) of log-weights l with top = max l.
 
-    weights: np.ndarray
+    `weights` normalizes it on each access; only `scaled` is stored.
+    """
+
+    top: float
+    scaled: np.ndarray
     ess: float
 
     @property
+    def weights(self) -> np.ndarray:
+        return self.scaled / self.scaled.sum()
+
+    @property
     def size(self) -> int:
-        return len(self.weights)
+        return len(self.scaled)
 
 
-def log_weights_ensemble(uhat: np.ndarray, Z: np.ndarray, dt: float) -> np.ndarray:
-    """Stacked log rho over an ensemble: uhat (m, N), Z (m, N+1)."""
+def log_weights_ensemble(uhat: np.ndarray, Z: np.ndarray,
+                         dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked log rho over an ensemble, uhat (m, N) and Z (m, N+1), and the
+    per-path energies sum_k uhat_k^2 dt that it contains: two (m,) arrays."""
     if uhat.ndim != 2 or Z.shape != (uhat.shape[0], uhat.shape[1] + 1):
         raise ShapeError(f"filtered drift {uhat.shape} does not fit innovation {Z.shape}")
     with np.errstate(invalid="ignore", over="ignore"):
@@ -80,7 +95,7 @@ def log_weights_ensemble(uhat: np.ndarray, Z: np.ndarray, dt: float) -> np.ndarr
         out = -ito - 0.5 * en
     if not np.all(np.isfinite(out)):
         raise NumericalError("non-finite log-weight encountered")
-    return out
+    return out, en
 
 
 def stop_indices(uhat: np.ndarray, dt: float, thresholds: Sequence[float]) -> np.ndarray:
@@ -107,16 +122,13 @@ def localize(uhat: np.ndarray, stop_idx: np.ndarray) -> np.ndarray:
     return uhat * (np.arange(uhat.shape[1]) < stop_idx[:, None])
 
 
-def normalization_diagnostic(log_weights: np.ndarray) -> NormalizationDiagnostic:
+def normalization_diagnostic(ens: WeightedEnsemble) -> NormalizationDiagnostic:
     """Check the unit-mean property of the raw Girsanov exponential."""
-    lw = np.asarray(log_weights, dtype=float)
-    if lw.size < MIN_DIAGNOSTIC_MEMBERS:
+    if ens.size < MIN_DIAGNOSTIC_MEMBERS:
         raise UsageError(f"normalization diagnostic needs >= {MIN_DIAGNOSTIC_MEMBERS} members, "
-                         f"got {lw.size}")
-    top = np.max(lw)
-    scaled = np.exp(lw - top)
-    mean = float(np.exp(top) * scaled.mean())
-    se = float(np.exp(top) * scaled.std(ddof=1) / np.sqrt(lw.size))
+                         f"got {ens.size}")
+    mean = float(np.exp(ens.top) * ens.scaled.mean())
+    se = float(np.exp(ens.top) * ens.scaled.std(ddof=1) / np.sqrt(ens.size))
     passed = bool(np.isfinite(mean) and np.isfinite(se) and abs(mean - 1.0) <= 3.0 * se)
     return NormalizationDiagnostic(mean, se, passed)
 
@@ -131,7 +143,6 @@ def reweight(log_weights: np.ndarray) -> WeightedEnsemble:
     top = np.max(lw)
     if not np.isfinite(top):
         raise DegeneracyError("all log-weights are -inf")
-    w = np.exp(lw - top)
-    w = w / w.sum()
-    ess = float(1.0 / np.sum(w**2))
-    return WeightedEnsemble(w, ess)
+    scaled = np.exp(lw - top)
+    w = scaled / scaled.sum()
+    return WeightedEnsemble(float(top), scaled, float(1.0 / np.sum(w**2)))

@@ -8,7 +8,10 @@ sampled values back to their positions.  Every (noise sequence, auxiliary
 value) combination is an atom with a known probability, conditional
 expectations are probability-weighted group means over shared prefixes,
 and relative entropies are finite sums.  The enumeration validates every
-Monte Carlo estimator.
+Monte Carlo estimator.  An atom's density is the exact, unshifted
+exponential of its log-weight, and its energy the one that log-weight
+contains; the Monte Carlo plug-in entropies read the shifted exponential
+held by `girsanov.reweight`'s ensemble.
 
 A structural fact shapes what the oracle can and cannot exhibit: on a
 discrete grid the map from the observation to its innovation is always
@@ -29,7 +32,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import LANE_AUX, LANE_NOISE, RandomStream, TimeGrid, path_energies
+from .core import LANE_AUX, LANE_NOISE, RandomStream, TimeGrid
 from .errors import (
     AbsoluteContinuityError,
     ConfigurationError,
@@ -37,7 +40,7 @@ from .errors import (
     UsageError,
 )
 from .filtering import EnsembleFilter, innovation_values
-from .girsanov import log_weights_ensemble
+from .girsanov import WeightedEnsemble, log_weights_ensemble
 from .models import DriftModel, EnsembleSimulation, WitnessDrift, run_euler
 
 __all__ = [
@@ -183,7 +186,8 @@ class DiscreteVerdict:
 class AtomSpace:
     """Exhaustive pipeline enumeration over (noise sequence, aux) atoms.
 
-    aux is the finite auxiliary law, None for a model without one.
+    aux is the finite auxiliary law, None for a model without one;
+    energies are the per-atom drift energies inside the density.
     """
 
     grid: TimeGrid
@@ -194,15 +198,13 @@ class AtomSpace:
     uhat: np.ndarray
     Z: np.ndarray
     density: np.ndarray
+    energies: np.ndarray
     z_labels: np.ndarray
     u_labels: np.ndarray
 
     @property
     def atoms(self) -> int:
         return len(self.probs)
-
-    def energy_terms(self) -> np.ndarray:
-        return path_energies(self.uhat, self.grid.dt)
 
     def system(self, relabel: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> FiniteSystem:
         """View as a FiniteSystem, optionally through a lossy observation map.
@@ -213,7 +215,7 @@ class AtomSpace:
         """
         z_labels = self.z_labels if relabel is None else canonical_labels(relabel(self.Z))
         return FiniteSystem(self.probs, self.density, z_labels, self.u_labels,
-                            self.energy_terms())
+                            self.energies)
 
 
 def canonical_labels(keys: np.ndarray) -> np.ndarray:
@@ -314,12 +316,14 @@ def enumerate_atoms(model: DriftModel, grid: TimeGrid, noise: FiniteLaw,
     uhat = _prefix_group_means(sim.U, probs, sim.drift)
     Z = innovation_values(sim.U, uhat, grid.dt)
 
-    raw = np.exp(log_weights_ensemble(uhat, Z, grid.dt))
+    lw, energies = log_weights_ensemble(uhat, Z, grid.dt)
+    raw = np.exp(lw)  # exact and unshifted: the density is normalized against probs
     density = raw / math.fsum(probs * raw)
 
     z_labels = canonical_labels(Z[:, 1:])
     u_labels = canonical_labels(sim.U[:, 1:])
-    return AtomSpace(grid, noise, aux, probs, sim, uhat, Z, density, z_labels, u_labels)
+    return AtomSpace(grid, noise, aux, probs, sim, uhat, Z, density, energies,
+                     z_labels, u_labels)
 
 
 def exact_relative_entropy(p: np.ndarray, q: np.ndarray) -> float:
@@ -443,18 +447,15 @@ def finite_bayes_filter(model: DriftModel, sim: EnsembleSimulation,
     return EnsembleFilter(out, "finite-bayes")
 
 
-def base_entropy_mc(log_weights: np.ndarray) -> tuple[float, float]:
+def base_entropy_mc(ens: WeightedEnsemble) -> tuple[float, float]:
     """Plug-in estimate of the base relative entropy E_nu[log density].
 
-    The density is self-normalized: rho_i = exp(l_i) / mean exp(l).
+    The density is self-normalized: rho_i = exp(l_i) / mean exp(l), read
+    from the ensemble's shifted exponential.
     Returns (estimate, delta-method standard error).
     """
-    lw = np.asarray(log_weights, dtype=float)
-    M = len(lw)
-    top = lw.max()
-    r = np.exp(lw - top)
-    rbar = r.mean()
-    rho = r / rbar
+    M = ens.size
+    rho = ens.scaled / ens.scaled.mean()
     est = float(np.mean(rho * np.log(np.where(rho > 0, rho, 1.0))))
     # influence function of T = E[rho log rho] under the empirical measure
     infl = rho * np.log(np.where(rho > 0, rho, 1.0)) - est - (rho - 1.0) * (est + 1.0)
@@ -462,15 +463,12 @@ def base_entropy_mc(log_weights: np.ndarray) -> tuple[float, float]:
     return est, se
 
 
-def pushforward_entropy_mc(log_weights: np.ndarray, labels: np.ndarray
+def pushforward_entropy_mc(ens: WeightedEnsemble, labels: np.ndarray
                            ) -> tuple[float, float]:
     """Plug-in estimate of the pushforward relative entropy over classes."""
-    lw = np.asarray(log_weights, dtype=float)
     labels = np.asarray(labels)
-    M = len(lw)
-    top = lw.max()
-    r = np.exp(lw - top)
-    rho = r / r.mean()
+    M = ens.size
+    rho = ens.scaled / ens.scaled.mean()
     p_hat = np.bincount(labels) / M
     q_hat = np.bincount(labels, weights=rho) / M
     good = p_hat > 0

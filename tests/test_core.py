@@ -35,7 +35,8 @@ def _path(increments):
 
 def _ito(a, x, dt):
     """Left-point sums  sum_k a_k (x_{k+1} - x_k), read off the log-weight."""
-    return -(log_weights_ensemble(a, x, dt) + 0.5 * path_energies(a, dt))
+    lw, energies = log_weights_ensemble(a, x, dt)
+    return -(lw + 0.5 * energies)
 
 
 def _primitive(a, dt):

@@ -80,22 +80,19 @@ def test_energy_averages_the_energies_inside_the_log_weights(monkeypatch):
     # that its log-weights sum, bit for bit
     grid, _, uhat, Z = _pipeline("kalman-bucy", 64, 2000)
     drifts, energies = [], []
-    log_weights, energy = criterion.log_weights_ensemble, criterion.path_energies
+    log_weights = criterion.log_weights_ensemble
 
     def weights_spy(stopped, Z, dt):
         drifts.append(stopped)
-        return log_weights(stopped, Z, dt)
-
-    def energy_spy(*args):
-        energies.append(energy(*args))
-        return energies[-1]
+        lw, e = log_weights(stopped, Z, dt)
+        energies.append(e)
+        return lw, e
 
     monkeypatch.setattr(criterion, "log_weights_ensemble", weights_spy)
-    monkeypatch.setattr(criterion, "path_energies", energy_spy)
     reports = criterion_levels(Z, uhat, grid, levels=(0.01, np.inf))
     assert len(drifts) == len(energies) == 2 and reports[0].ess != reports[1].ess
     for r, stopped, e in zip(reports, drifts, energies):
-        lw = log_weights(stopped, Z, grid.dt)
+        lw, _ = log_weights(stopped, Z, grid.dt)
         ito = np.einsum("mk,mk->m", stopped, np.diff(Z, axis=1))
         assert np.array_equal(e, path_energies(stopped, grid.dt))
         assert np.array_equal(-ito - 0.5 * e, lw)
@@ -103,6 +100,26 @@ def test_energy_averages_the_energies_inside_the_log_weights(monkeypatch):
         mean = float(w @ (0.5 * e))
         assert r.energy == mean
         assert r.energy_se == float(np.sqrt(np.sum(w**2 * (0.5 * e - mean) ** 2)))
+
+
+def test_energies_are_summed_once_per_stopping_rule(monkeypatch):
+    # the energies inside each level's log-weights are the ones E_hat
+    # averages; no second sum of the same stopped drift
+    from innovlab import girsanov
+
+    grid, _, uhat, Z = _pipeline("kalman-bucy", 64, 2000)
+    calls = []
+
+    def counting(x, dt, energy=girsanov.path_energies):
+        calls.append(x.shape)
+        return energy(x, dt)
+
+    for mod in (girsanov, criterion):
+        if hasattr(mod, "path_energies"):
+            monkeypatch.setattr(mod, "path_energies", counting)
+    reports = criterion_levels(Z, uhat, grid, levels=(0.01, np.inf))
+    assert reports[0].ess != reports[1].ess  # two distinct stopping rules
+    assert len(calls) == 2
 
 
 def test_energy_under_nu_zero_drift():

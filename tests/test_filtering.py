@@ -28,7 +28,7 @@ def test_riccati_single_step_hand_value():
 
 def test_riccati_negative_iterate_raises():
     with pytest.raises(StabilityError):
-        riccati_sequence(beta=1.0, sigma=10.0, grid=TimeGrid(steps=2))
+        riccati_sequence(beta=1.0, sigma=10.0, grid=TimeGrid(steps=2), p0=50.0)
 
 
 def test_kalman_zero_observation_gives_zero_estimate():
@@ -50,7 +50,7 @@ def test_kalman_filter_mse_matches_riccati():
     sim = simulate_ensemble(model, g, M, RandomStream(seed=31, substream=0))
     filt = ensemble_conditional_drift(model, sim)
     err = sim.drift[:, N - 1] - filt.values[:, N - 1]
-    P = riccati_sequence(1.0, 1.0, g)
+    P = riccati_sequence(1.0, 1.0, g, p0=0.5)
     assert np.mean(err**2) == pytest.approx(P[N - 1], rel=0.05)
 
 

@@ -36,16 +36,18 @@ def _localize(uhat, dt, threshold):
 def test_zero_drift_gives_zero_log_weight():
     g = TimeGrid(steps=8)
     Z = _zero_model_path(g, RandomStream(seed=1))
-    lw = log_weights_ensemble(_const_drift(g, 0.0), Z, g.dt)
+    lw, energies = log_weights_ensemble(_const_drift(g, 0.0), Z, g.dt)
     assert lw[0] == 0.0
+    assert energies[0] == 0.0
 
 
 def test_unit_drift_log_weight_formula():
     g = TimeGrid(steps=16)
     Z = _zero_model_path(g, RandomStream(seed=2))
     z1 = Z[0, -1]
-    lw = log_weights_ensemble(_const_drift(g, 1.0), Z, g.dt)
+    lw, energies = log_weights_ensemble(_const_drift(g, 1.0), Z, g.dt)
     assert lw[0] == pytest.approx(-z1 - 0.5, abs=1e-12)
+    assert energies[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_log_weight_rejects_nonfinite():
@@ -62,8 +64,8 @@ def test_exponential_has_unit_mean_under_zero_model():
     g = TimeGrid(steps=N)
     sim = simulate_ensemble(make_model("zero"), g, M, RandomStream(seed=42))
     h = 0.7 * np.ones((M, N))
-    lw = log_weights_ensemble(h, sim.U, g.dt)
-    diag = normalization_diagnostic(lw)
+    lw, _ = log_weights_ensemble(h, sim.U, g.dt)
+    diag = normalization_diagnostic(reweight(lw))
     assert abs(diag.mean - 1.0) <= 3 * diag.se
     assert diag.passed
 
@@ -74,7 +76,7 @@ def test_reweighting_shifts_terminal_mean_by_drift_integral():
     g = TimeGrid(steps=N)
     sim = simulate_ensemble(make_model("zero"), g, M, RandomStream(seed=47))
     h = np.ones((M, N))
-    lw = log_weights_ensemble(h, sim.U, g.dt)
+    lw, _ = log_weights_ensemble(h, sim.U, g.dt)
     ens = reweight(lw)
     shifted = float(ens.weights @ sim.U[:, -1]) + 1.0  # int_0^1 1 dt = 1
     spread = float(np.sqrt(np.sum(ens.weights**2 * (sim.U[:, -1] + 1.0 - shifted) ** 2)))
@@ -143,15 +145,15 @@ def test_localized_weights_normalize_on_bounded_drift():
     filt = ensemble_conditional_drift(model, sim)
     loc = _localize(filt.values, g.dt, 1.0)
     Z = innovation_values(sim.U, filt.values, g.dt)
-    lw = log_weights_ensemble(loc, Z, g.dt)
-    diag = normalization_diagnostic(lw)
+    lw, _ = log_weights_ensemble(loc, Z, g.dt)
+    diag = normalization_diagnostic(reweight(lw))
     assert diag.passed
 
 
 # ---------------------------------------------------------------- diagnostics
 
 def test_normalization_all_zero_weights():
-    d = normalization_diagnostic(np.zeros(200))
+    d = normalization_diagnostic(reweight(np.zeros(200)))
     assert d.mean == 1.0
     assert d.se == 0.0
     assert d.passed
@@ -159,14 +161,14 @@ def test_normalization_all_zero_weights():
 
 def test_normalization_cosh_example():
     lw = np.tile([10.0, -10.0], 100)
-    d = normalization_diagnostic(lw)
+    d = normalization_diagnostic(reweight(lw))
     assert d.mean == pytest.approx(math.cosh(10.0), rel=1e-12)  # ~11013.2
     assert not d.passed
 
 
 def test_normalization_needs_enough_members():
     with pytest.raises(UsageError):
-        normalization_diagnostic(np.zeros(50))
+        normalization_diagnostic(reweight(np.zeros(50)))
 
 
 # ---------------------------------------------------------------- reweight

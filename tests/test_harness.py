@@ -41,10 +41,11 @@ mode = continuous
 outdir = {out}
 """
 
-# frozen results.csv SHA-256 of two small configs: kalman-bucy as in the
-# paper suite, and the crosscheck of acceptance criterion 8.  Any change
-# that moves a printed digit fails here; a documented re-baseline of the
-# random streams updates them.
+# frozen results.csv SHA-256 of three small configs: kalman-bucy as in the
+# paper suite, the crosscheck of acceptance criterion 8, and the witness of
+# `suite oracle` observed through its sign-erasing map.  Any change that
+# moves a printed digit fails here; a documented re-baseline of the random
+# streams updates them.
 FROZEN_RESULTS_SHA256 = {
     "kalman-bucy": (
         dict(model="kalman-bucy", model_params={"beta": 1.0, "sigma": 1.0},
@@ -54,6 +55,10 @@ FROZEN_RESULTS_SHA256 = {
         dict(model="independent", mode="crosscheck", grid_n=3, paths=1000,
              noise_nodes=3, aux_values=(-1.5, 1.5), seed=1),
         "17f56505c890e3c020e9dd16cbbff1cc62c0bcae3136a6e863ddfaeff29f68a6"),
+    "witness-erasure": (
+        dict(model="witness-one-sided", mode="discrete", grid_n=2, noise_nodes=2,
+             erasure="sign-terminal", paths=1000, seed=1),
+        "7da61a823d3a127cb250e419b944a332222c0e2d5498f997cc061a56d5c4c68f"),
 }
 
 

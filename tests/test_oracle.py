@@ -279,13 +279,13 @@ def test_plugin_estimators_converge_to_enumeration():
     sim = sample_quantized_ensemble(model, g, 20000, RandomStream(seed=13), noise, aux)
     filt = finite_bayes_filter(model, sim, noise, aux)
     Z = innovation_values(sim.U, filt.values, g.dt)
-    lw = log_weights_ensemble(filt.values, Z, g.dt)
-    base, base_se = base_entropy_mc(lw)
-    push, push_se = pushforward_entropy_mc(lw, canonical_labels(Z[:, 1:]))
+    lw, energies = log_weights_ensemble(filt.values, Z, g.dt)
+    ens = reweight(lw)
+    base, base_se = base_entropy_mc(ens)
+    push, push_se = pushforward_entropy_mc(ens, canonical_labels(Z[:, 1:]))
     assert abs(base - v.base_entropy) < 5 * max(base_se, 1e-4)
     assert abs(push - v.pushforward_entropy) < 5 * max(push_se, 1e-4)
-    ens = reweight(lw)
-    e = 0.5 * float(ens.weights @ (np.einsum("mk,mk->m", filt.values, filt.values) * g.dt))
+    e = 0.5 * float(ens.weights @ energies)
     assert abs(e - v.energy) / v.energy < 0.05
 
 
@@ -293,9 +293,9 @@ def test_plugin_estimators_exact_on_zero_drift():
     g = TimeGrid(steps=3)
     noise = gauss_quantized(2, g.dt)
     sim = sample_quantized_ensemble(make_model("zero"), g, 500, RandomStream(seed=2), noise)
-    lw = log_weights_ensemble(sim.drift, sim.U, g.dt)
-    base, _ = base_entropy_mc(lw)
-    push, _ = pushforward_entropy_mc(lw, canonical_labels(sim.U[:, 1:]))
+    ens = reweight(log_weights_ensemble(sim.drift, sim.U, g.dt)[0])
+    base, _ = base_entropy_mc(ens)
+    push, _ = pushforward_entropy_mc(ens, canonical_labels(sim.U[:, 1:]))
     assert base == pytest.approx(0.0, abs=1e-14)
     assert push == pytest.approx(0.0, abs=1e-14)
 
@@ -317,7 +317,7 @@ def test_regression_fit_tracks_exact_conditional_expectation():
     sim = sample_quantized_ensemble(model, g, 20000, RandomStream(seed=5), noise, aux)
     filt = finite_bayes_filter(model, sim, noise, aux)
     Z = innovation_values(sim.U, filt.values, g.dt)
-    ens = reweight(log_weights_ensemble(filt.values, Z, g.dt))
+    ens = reweight(log_weights_ensemble(filt.values, Z, g.dt)[0])
     atom = match_atoms(space, sim)
 
     basis = BasisSpec(include_cubes=True)
