@@ -12,7 +12,10 @@ history the two agree (up to the feature-projection bias, whose direction
 is downward on the entropy side, making equality verdicts conservative);
 an information gap shows up as energy strictly above entropy.  Exact
 reference values for the linear family come from `lingauss`, which the
-estimators here do not depend on.
+estimators here do not depend on.  On the quantized lattice,
+`plugin_level` estimates level infinity by plug-in instead: the base
+relative entropy E_nu[log rho] against the pushforward relative entropy
+over the observation classes, whose exact values `oracle` enumerates.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .core import TimeGrid
 from .errors import UsageError
 from .filtering import BasisSpec, FeatureBuilder, weighted_ridge_fit
 from .girsanov import (
+    WeightedEnsemble,
     localize,
     log_weights_ensemble,
     normalization_diagnostic,
@@ -44,6 +48,9 @@ __all__ = [
     "classify_level",
     "criterion_verdict",
     "criterion_levels",
+    "base_entropy_mc",
+    "pushforward_entropy_mc",
+    "plugin_level",
     "DEFAULT_LEVELS",
 ]
 
@@ -203,3 +210,66 @@ def criterion_levels(Z: np.ndarray, uhat: np.ndarray, grid: TimeGrid,
             )
         )
     return reports
+
+
+def base_entropy_mc(ens: WeightedEnsemble) -> tuple[float, float]:
+    """Plug-in estimate of the base relative entropy E_nu[log density].
+
+    The density is self-normalized: rho_i = exp(l_i) / mean exp(l), read
+    from the ensemble's shifted exponential.
+    Returns (estimate, delta-method standard error).
+    """
+    M = ens.size
+    rho = ens.scaled / ens.scaled.mean()
+    est = float(np.mean(rho * np.log(np.where(rho > 0, rho, 1.0))))
+    # influence function of T = E[rho log rho] under the empirical measure
+    infl = rho * np.log(np.where(rho > 0, rho, 1.0)) - est - (rho - 1.0) * (est + 1.0)
+    se = float(np.std(infl, ddof=1) / np.sqrt(M))
+    return est, se
+
+
+def pushforward_entropy_mc(ens: WeightedEnsemble, labels: np.ndarray
+                           ) -> tuple[float, float]:
+    """Plug-in estimate of the pushforward relative entropy over classes."""
+    labels = np.asarray(labels)
+    M = ens.size
+    rho = ens.scaled / ens.scaled.mean()
+    p_hat = np.bincount(labels) / M
+    q_hat = np.bincount(labels, weights=rho) / M
+    good = p_hat > 0
+    ratio = np.zeros_like(p_hat)
+    ratio[good] = q_hat[good] / p_hat[good]
+    logratio = np.log(np.where(ratio > 0, ratio, 1.0))
+    est = float(np.sum(q_hat * logratio))
+    # influence: d/dF of sum_c q_c log(q_c / p_c)
+    lr_i = logratio[labels]
+    ratio_i = ratio[labels]
+    infl = rho * (lr_i + 1.0) - ratio_i - rho * (est + 1.0) + 1.0
+    se = float(np.std(infl, ddof=1) / np.sqrt(M))
+    return est, se
+
+
+def plugin_level(Z: np.ndarray, uhat: np.ndarray, labels: np.ndarray, grid: TimeGrid,
+                 floor: float = GAP_FLOOR, method: str = "plugin"
+                 ) -> tuple[LevelReport, float]:
+    """Level infinity of a quantized ensemble, Z (m, N+1) and uhat (m, N),
+    by plug-in over the observation class `labels` of each path.
+
+    `energy` is the base entropy and `entropy` the pushforward one, so
+    `gap` estimates what the observation map loses; `gap_se` treats the
+    two as independent although one ensemble gives both, so it is
+    conservative.  Also returns half the weighted mean drift energy.
+    """
+    lw, energies = log_weights_ensemble(uhat, Z, grid.dt)
+    ens = reweight(lw)
+    base, base_se = base_entropy_mc(ens)
+    push, push_se = pushforward_entropy_mc(ens, labels)
+    gap = base - push
+    gap_se = float(np.hypot(base_se, push_se))
+    diag = normalization_diagnostic(ens)
+    report = LevelReport(
+        level=math.inf, entropy=push, entropy_se=push_se, energy=base, energy_se=base_se,
+        gap=gap, gap_se=gap_se, ess=ens.ess,
+        norm_mean=diag.mean, norm_se=diag.se, norm_passed=diag.passed,
+        verdict=classify_level(gap, gap_se, floor), method=method)
+    return report, 0.5 * float(ens.weights @ energies)

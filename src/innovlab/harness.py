@@ -10,9 +10,9 @@ output directory as
 * ``paths.csv``    -- optional per-path summaries.
 
 Modes: ``continuous`` runs the Gaussian pipeline; ``discrete`` runs the
-quantized pipeline against exact enumeration (plug-in entropy estimators
-over the finite observation classes); ``crosscheck`` additionally reports
-the Monte Carlo vs enumeration deviations.
+quantized pipeline against exact enumeration (`criterion.plugin_level`);
+``crosscheck`` also reports the Monte Carlo vs enumeration deviations.
+Every mode writes its level rows from `criterion.LevelReport`s.
 """
 
 from __future__ import annotations
@@ -39,19 +39,14 @@ from .criterion import (
     DEFAULT_LEVELS,
     GAP_FLOOR,
     LevelReport,
-    classify_level,
     criterion_levels,
     criterion_verdict,
     inequality_check,
+    plugin_level,
 )
 from .errors import ConfigurationError, InnovlabError, StageError, UsageError
 from .filtering import BasisSpec, ensemble_conditional_drift, innovation_values
-from .girsanov import (
-    MIN_DIAGNOSTIC_MEMBERS,
-    log_weights_ensemble,
-    normalization_diagnostic,
-    reweight,
-)
+from .girsanov import MIN_DIAGNOSTIC_MEMBERS, log_weights_ensemble
 from .lingauss import is_linear_model, linear_gaussian_summary
 from .models import (
     MODEL_NAMES,
@@ -62,7 +57,6 @@ from .models import (
 )
 from .oracle import (
     FiniteLaw,
-    base_entropy_mc,
     canonical_labels,
     conditional_energy_by_grouping,
     dpi_verdict,
@@ -70,7 +64,6 @@ from .oracle import (
     estimator_crosscheck,
     finite_bayes_filter,
     gauss_quantized,
-    pushforward_entropy_mc,
     sample_quantized_ensemble,
     witness_labels,
 )
@@ -471,37 +464,15 @@ def _run_discrete(config, model, grid, stream, stages) -> ResultRecord:
 
     sim = _stage(stages, "sample", sample_quantized_ensemble, model, grid, config.paths,
                  stream, noise, aux)
-    if model.observation_adapted:
-        uhat = sim.drift
-        method = "identity-feedback"
-    else:
-        filt = _stage(stages, "filter", finite_bayes_filter, model, sim, noise, aux)
-        uhat, method = filt.values, filt.method
-    Z = _stage(stages, "innovation", innovation_values, sim.U, uhat, grid.dt)
+    filt = _stage(stages, "filter", finite_bayes_filter, model, sim, noise, aux)
+    Z = _stage(stages, "innovation", innovation_values, sim.U, filt.values, grid.dt)
     labels = canonical_labels(Z[:, 1:] if relabel is None else relabel(Z))
-    lw, energies = log_weights_ensemble(uhat, Z, grid.dt)
-    ens = reweight(lw)
+    level, energy_mc = _stage(stages, "criterion", plugin_level, Z, filt.values, labels,
+                              grid, config.gap_floor,
+                              f"{filt.method}+plugin[{config.erasure}]")
 
-    base, base_se = base_entropy_mc(ens)
-    push, push_se = pushforward_entropy_mc(ens, labels)
-    gap = base - push
-    gap_se = float(np.hypot(base_se, push_se))
-    diag = normalization_diagnostic(ens)
-    energy_mc = 0.5 * float(ens.weights @ energies)
-    verdict = classify_level(gap, gap_se, config.gap_floor)
-
-    row = {
-        "model": config.model, "n": float("inf"),
-        "H_hat": push, "H_se": push_se,
-        "E_hat": base, "E_se": base_se,
-        "gap": gap, "gap_se": gap_se,
-        "ess": ens.ess,
-        "norm_mean": diag.mean, "norm_se": diag.se, "norm_passed": diag.passed,
-        "verdict": verdict,
-        "method": f"{method}+plugin[{config.erasure}]",
-    }
     diagnostics = {
-        "filter_method": method,
+        "filter_method": filt.method,
         "atoms": space.atoms,
         "exact_base_entropy": exact.base_entropy,
         "exact_pushforward_entropy": exact.pushforward_entropy,
@@ -515,23 +486,17 @@ def _run_discrete(config, model, grid, stream, stages) -> ResultRecord:
     }
 
     if config.mode == "crosscheck":
-        cc = estimator_crosscheck(space, exact, sim, uhat, base, push, energy_mc,
-                                  config.crosscheck_tol)
+        cc = estimator_crosscheck(space, exact, sim, filt.values, level.energy,
+                                  level.entropy, energy_mc, config.crosscheck_tol)
         diagnostics["crosscheck"] = {
             **asdict(cc), "conditional_energy_exact": conditional_energy_by_grouping(space)}
 
-    return ResultRecord(config.digest(), config.model, config.mode, verdict,
-                        [row], diagnostics, 0.0)
+    return ResultRecord(config.digest(), config.model, config.mode, level.verdict,
+                        [_level_row(level, config.model)], diagnostics, 0.0)
 
 
 def _fmt_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return "" if math.isnan(v) else f"{v:.12g}"
-    return str(v)
+    return "" if v is None or (isinstance(v, float) and math.isnan(v)) else _fmt(v)
 
 
 def _persist(config: ExperimentConfig, record: ResultRecord) -> None:

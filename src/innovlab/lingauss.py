@@ -126,17 +126,18 @@ def linear_gaussian_summary(model: DriftModel, grid: TimeGrid) -> LinearGaussian
     (dU_rows, dU_const), (uhat_rows, uhat_const), var, iB = _affine_rows(model, grid)
     dZ_rows = dU_rows - dt * uhat_rows
     dZ_const = dU_const - dt * uhat_const
+    if np.any(dZ_const):  # the algebra below takes the innovation to be centred
+        raise NumericalError(f"model {model.name}: the innovation is not centred")
 
     C = (dZ_rows * var) @ dZ_rows.T
     C = 0.5 * (C + C.T)
-    mean0 = dZ_const  # identically zero for the built-in linear models
 
     # the filtered drift reads only the observation, which the innovation
     # determines through a unit lower-triangular map: on the Brownian block
     # uhat_B = a dZ_B, so the rows in terms of the innovation are a
     a_rows = solve_triangular(dZ_rows[:, iB], uhat_rows[:, iB].T, trans="T",
                               lower=True, unit_diagonal=True).T
-    b = uhat_const - a_rows @ dZ_const
+    b = uhat_const  # the innovation is centred, so uhat = a S + uhat_const
 
     # tilt: -log rho = 1/2 S'AS + c'S + r over S = innovation increments
     M = a_rows.T
@@ -154,8 +155,7 @@ def linear_gaussian_summary(model: DriftModel, grid: TimeGrid) -> LinearGaussian
         raise NumericalError(f"Gaussian algebra lost positivity: {exc}")
     Sigma_nu = cho_solve(Kf, np.eye(N))
     Sigma_nu = 0.5 * (Sigma_nu + Sigma_nu.T)
-    shift = Cinv @ mean0 - c
-    m_nu = cho_solve(Kf, shift)
+    m_nu = cho_solve(Kf, -c)
     logdet_K = _logdet(Kf)  # = -log det Sigma_nu
 
     innovation_kl = 0.5 * (
@@ -174,8 +174,7 @@ def linear_gaussian_summary(model: DriftModel, grid: TimeGrid) -> LinearGaussian
 
     # E_P[rho] by the Gaussian integral of the quadratic tilt
     logdet_IpCA = _logdet(Cf) + logdet_K
-    rho_mean = float(np.exp(-r - 0.5 * logdet_IpCA + 0.5 * float(shift @ (Sigma_nu @ shift))
-                            - 0.5 * float(mean0 @ (Cinv @ mean0))))
+    rho_mean = float(np.exp(-r - 0.5 * logdet_IpCA + 0.5 * float(c @ (Sigma_nu @ c))))
 
     return LinearGaussianSummary(
         innovation_kl=float(innovation_kl),

@@ -8,10 +8,9 @@ sampled values back to their positions.  Every (noise sequence, auxiliary
 value) combination is an atom with a known probability, conditional
 expectations are probability-weighted group means over shared prefixes,
 and relative entropies are finite sums.  The enumeration validates every
-Monte Carlo estimator.  An atom's density is the exact, unshifted
-exponential of its log-weight, and its energy the one that log-weight
-contains; the Monte Carlo plug-in entropies read the shifted exponential
-held by `girsanov.reweight`'s ensemble.
+Monte Carlo estimator, all of which live in `criterion`.  An atom's
+density is the exact, unshifted exponential of its log-weight, and its
+energy the one that log-weight contains.
 
 A structural fact shapes what the oracle can and cannot exhibit: on a
 discrete grid the map from the observation to its innovation is always
@@ -40,7 +39,7 @@ from .errors import (
     UsageError,
 )
 from .filtering import EnsembleFilter, innovation_values
-from .girsanov import WeightedEnsemble, log_weights_ensemble
+from .girsanov import log_weights_ensemble
 from .models import DriftModel, EnsembleSimulation, WitnessDrift, run_euler
 
 __all__ = [
@@ -60,8 +59,6 @@ __all__ = [
     "conditional_energy_by_grouping",
     "sample_quantized_ensemble",
     "finite_bayes_filter",
-    "base_entropy_mc",
-    "pushforward_entropy_mc",
     "WitnessDrift",
     "witness_space",
     "witness_labels",
@@ -405,13 +402,17 @@ def sample_quantized_ensemble(model: DriftModel, grid: TimeGrid, size: int,
 
 
 def finite_bayes_filter(model: DriftModel, sim: EnsembleSimulation,
-                        noise: FiniteLaw, aux: FiniteLaw) -> EnsembleFilter:
-    """Exact per-path conditional drift for finite-aux exogenous models.
+                        noise: FiniteLaw, aux: Optional[FiniteLaw]) -> EnsembleFilter:
+    """Exact per-path conditional drift of a quantized ensemble.
 
-    The drift must be a function of (aux, time) alone; the posterior over
-    the finite aux variable given the observation prefix then follows from
-    the quantized-noise likelihood of the residual increments.
+    An observation-adapted drift is its own conditional expectation.
+    Otherwise the drift must be a function of (aux, time) alone; the
+    posterior over the finite aux variable given the observation prefix
+    then follows from the quantized-noise likelihood of the residual
+    increments.
     """
+    if model.observation_adapted:
+        return EnsembleFilter(sim.drift, "identity-feedback")
     if model.reads_observation or model.needs_hidden():
         raise UsageError("finite Bayes filter needs an exogenous finite-aux drift")
     grid = sim.grid
@@ -445,43 +446,6 @@ def finite_bayes_filter(model: DriftModel, sim: EnsembleSimulation,
         if not np.all(np.isfinite(post.max(axis=1))):
             raise DegeneracyError("no aux hypothesis explains an observed increment", step=k)
     return EnsembleFilter(out, "finite-bayes")
-
-
-def base_entropy_mc(ens: WeightedEnsemble) -> tuple[float, float]:
-    """Plug-in estimate of the base relative entropy E_nu[log density].
-
-    The density is self-normalized: rho_i = exp(l_i) / mean exp(l), read
-    from the ensemble's shifted exponential.
-    Returns (estimate, delta-method standard error).
-    """
-    M = ens.size
-    rho = ens.scaled / ens.scaled.mean()
-    est = float(np.mean(rho * np.log(np.where(rho > 0, rho, 1.0))))
-    # influence function of T = E[rho log rho] under the empirical measure
-    infl = rho * np.log(np.where(rho > 0, rho, 1.0)) - est - (rho - 1.0) * (est + 1.0)
-    se = float(np.std(infl, ddof=1) / np.sqrt(M))
-    return est, se
-
-
-def pushforward_entropy_mc(ens: WeightedEnsemble, labels: np.ndarray
-                           ) -> tuple[float, float]:
-    """Plug-in estimate of the pushforward relative entropy over classes."""
-    labels = np.asarray(labels)
-    M = ens.size
-    rho = ens.scaled / ens.scaled.mean()
-    p_hat = np.bincount(labels) / M
-    q_hat = np.bincount(labels, weights=rho) / M
-    good = p_hat > 0
-    ratio = np.zeros_like(p_hat)
-    ratio[good] = q_hat[good] / p_hat[good]
-    logratio = np.log(np.where(ratio > 0, ratio, 1.0))
-    est = float(np.sum(q_hat * logratio))
-    # influence: d/dF of sum_c q_c log(q_c / p_c)
-    lr_i = logratio[labels]
-    ratio_i = ratio[labels]
-    infl = rho * (lr_i + 1.0) - ratio_i - rho * (est + 1.0) + 1.0
-    se = float(np.std(infl, ddof=1) / np.sqrt(M))
-    return est, se
 
 
 def match_atoms(space: AtomSpace, sim: EnsembleSimulation) -> np.ndarray:

@@ -14,7 +14,7 @@ from innovlab.criterion import (
     criterion_verdict,
     inequality_check,
 )
-from innovlab.errors import UnsupportedModelError, UsageError
+from innovlab.errors import NumericalError, UnsupportedModelError, UsageError
 from innovlab.filtering import BasisSpec, innovation_values
 from innovlab.girsanov import localize, reweight, stop_indices
 from innovlab.harness import continuous_front_end
@@ -264,6 +264,19 @@ def test_linear_gaussian_summary_frozen_fields(name, steps):
 def test_gaussian_path_kl_rejects_nonlinear():
     with pytest.raises(UnsupportedModelError):
         linear_gaussian_summary(make_model("tsirelson", levels=2), TimeGrid(steps=4))
+
+
+def test_gaussian_summary_rejects_an_innovation_with_a_constant_part():
+    # the filter of the independent model knows only theta * g(t), so a drift
+    # offset it does not see leaves a constant in every innovation increment
+    from innovlab.models import IndependentDrift
+
+    class OffsetDrift(IndependentDrift):
+        def drift(self, k, grid, U, aux, hidden, state):
+            return super().drift(k, grid, U, aux, hidden, state) + 0.5
+
+    with pytest.raises(NumericalError, match="not centred"):
+        linear_gaussian_summary(OffsetDrift(), TimeGrid(steps=4))
 
 
 def test_observation_kl_matches_energy_for_adapted_drift():

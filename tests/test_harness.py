@@ -341,9 +341,9 @@ def test_cli_run_and_report(tmp_path):
      {"configure", "simulate", "filter", "innovation", "criterion"}),  # no Gaussian oracle
     (dict(model="independent", mode="crosscheck", grid_n=2, paths=500, noise_nodes=2,
           aux_values=(-1.0, 1.0)),
-     {"configure", "enumerate", "sample", "filter", "innovation"}),
+     {"configure", "enumerate", "sample", "filter", "innovation", "criterion"}),
     (dict(model=WitnessDrift.name, mode="discrete", grid_n=2, paths=500, noise_nodes=2),
-     {"configure", "enumerate", "sample", "innovation"}),  # adapted: no filter stage
+     {"configure", "enumerate", "sample", "filter", "innovation", "criterion"}),
 ])
 def test_run_records_stage_timings(tmp_path, cfg, stages):
     rec = run_experiment(ExperimentConfig(**cfg, outdir=str(tmp_path)))
@@ -356,6 +356,21 @@ def test_run_records_stage_timings(tmp_path, cfg, stages):
     line = report(tmp_path).splitlines()[-1]
     assert line.startswith(f"stages[0] {cfg['model']}: configure ")
     assert all(f"{name} " in line for name in stages) and "peak RSS" in line
+
+
+def test_both_modes_write_level_rows_of_one_shape(tmp_path):
+    # a discrete run's row comes from the same LevelReport as a continuous
+    # run's, through the same filter, innovation and criterion stages
+    runs = [dict(model="linear-feedback", grid_n=16, paths=200),
+            dict(model=WitnessDrift.name, mode="discrete", grid_n=2, paths=500,
+                 noise_nodes=2, erasure="sign-terminal")]
+    keys = []
+    for i, cfg in enumerate(runs):
+        run_experiment(ExperimentConfig(**cfg, outdir=str(tmp_path / str(i))))
+        payload = json.loads((tmp_path / str(i) / "run.jsonl").read_text())
+        assert {"filter", "innovation", "criterion"} <= set(payload["diagnostics"]["stages"])
+        keys += [set(row) for row in payload["levels"]]
+    assert all(k == keys[0] for k in keys)
 
 
 def _src_env():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from innovlab.core import RandomStream, TimeGrid
+from innovlab.criterion import plugin_level
 from innovlab.errors import AbsoluteContinuityError, ConfigurationError, UsageError
 from innovlab.filtering import innovation_values
 from innovlab.girsanov import log_weights_ensemble, reweight
@@ -13,7 +14,6 @@ from innovlab.models import DriftModel, make_model
 from innovlab.oracle import (
     FiniteLaw,
     FiniteSystem,
-    base_entropy_mc,
     canonical_labels,
     conditional_energy_by_grouping,
     dpi_verdict,
@@ -22,7 +22,6 @@ from innovlab.oracle import (
     finite_bayes_filter,
     gauss_quantized,
     match_atoms,
-    pushforward_entropy_mc,
     sample_quantized_ensemble,
     system_battery,
     witness_labels,
@@ -279,25 +278,22 @@ def test_plugin_estimators_converge_to_enumeration():
     sim = sample_quantized_ensemble(model, g, 20000, RandomStream(seed=13), noise, aux)
     filt = finite_bayes_filter(model, sim, noise, aux)
     Z = innovation_values(sim.U, filt.values, g.dt)
-    lw, energies = log_weights_ensemble(filt.values, Z, g.dt)
-    ens = reweight(lw)
-    base, base_se = base_entropy_mc(ens)
-    push, push_se = pushforward_entropy_mc(ens, canonical_labels(Z[:, 1:]))
+    level, e = plugin_level(Z, filt.values, canonical_labels(Z[:, 1:]), g)
+    base, base_se = level.energy, level.energy_se
+    push, push_se = level.entropy, level.entropy_se
     assert abs(base - v.base_entropy) < 5 * max(base_se, 1e-4)
     assert abs(push - v.pushforward_entropy) < 5 * max(push_se, 1e-4)
-    e = 0.5 * float(ens.weights @ energies)
     assert abs(e - v.energy) / v.energy < 0.05
+    assert level.level == math.inf and level.gap == base - push
 
 
 def test_plugin_estimators_exact_on_zero_drift():
     g = TimeGrid(steps=3)
     noise = gauss_quantized(2, g.dt)
     sim = sample_quantized_ensemble(make_model("zero"), g, 500, RandomStream(seed=2), noise)
-    ens = reweight(log_weights_ensemble(sim.drift, sim.U, g.dt)[0])
-    base, _ = base_entropy_mc(ens)
-    push, _ = pushforward_entropy_mc(ens, canonical_labels(sim.U[:, 1:]))
-    assert base == pytest.approx(0.0, abs=1e-14)
-    assert push == pytest.approx(0.0, abs=1e-14)
+    level, _ = plugin_level(sim.U, sim.drift, canonical_labels(sim.U[:, 1:]), g)
+    assert level.energy == pytest.approx(0.0, abs=1e-14)
+    assert level.entropy == pytest.approx(0.0, abs=1e-14)
 
 
 def test_regression_fit_tracks_exact_conditional_expectation():
