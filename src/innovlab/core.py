@@ -43,7 +43,13 @@ __all__ = [
     "RandomStream",
     "philox4x64_10",
     "path_energies",
+    "PATH_BLOCK",
 ]
+
+#: rows that one block of a row-by-row ensemble pass holds at a time: the
+#: continuous front end's simulation, filter and innovation, and the
+#: Girsanov layer's stopping times and log-weights
+PATH_BLOCK = 1024
 
 # Lane indices carving one substream into independent channels.  Lane 3 is
 # unused; renumbering would move every quantized draw.

@@ -31,7 +31,6 @@ from .errors import UsageError
 from .filtering import BasisSpec, FeatureBuilder, weighted_ridge_fit
 from .girsanov import (
     WeightedEnsemble,
-    localize,
     log_weights_ensemble,
     normalization_diagnostic,
     reweight,
@@ -148,6 +147,10 @@ def criterion_levels(Z: np.ndarray, uhat: np.ndarray, grid: TimeGrid,
     indicator, being an innovation functional, multiplies the fit).  Every
     level runs the normalization diagnostic, so fewer than
     `girsanov.MIN_DIAGNOSTIC_MEMBERS` paths is a usage error.
+
+    The stopping times and each level's stopped log-weights are formed by
+    the Girsanov layer in row blocks, so beside Z and uhat the stage holds
+    only (m,) vectors per level and one block of the feature builder's Z.
     """
     N = uhat.shape[1]
     dt = grid.dt
@@ -164,9 +167,8 @@ def criterion_levels(Z: np.ndarray, uhat: np.ndarray, grid: TimeGrid,
 
     weight_sets, energies, diags, ess = [], [], [], []
     for stop in distinct:
-        # the stopped drift (m, N) is built and dropped per level; E_hat
-        # averages exactly the energies inside its log-weights
-        lw, e = log_weights_ensemble(localize(uhat, stop), Z, dt)
+        # E_hat averages exactly the energies inside the level's log-weights
+        lw, e = log_weights_ensemble(uhat, Z, dt, stop)
         ens = reweight(lw)
         diags.append(normalization_diagnostic(ens))
         weight_sets.append(ens.weights)

@@ -13,23 +13,28 @@ energy at a threshold, which restores integrability for any bounded
 threshold: `stop_indices` finds the first grid time the running energy
 exceeds it, and `localize` sets the drift to zero from there on.
 
-`log_weights_ensemble` returns the per-path energies sum_k uhat_k^2 dt
-together with the log-weights that contain them, so a level's energy
-estimate averages exactly the energies inside its weights and nothing sums
-them twice.  `reweight` is the one place a log-weight vector is shifted by
-its maximum and exponentiated (raw weights span hundreds of nats on fine
-grids); the normalization diagnostic and the oracle's plug-in entropies
-read that one exponential from the `WeightedEnsemble` it returns.
+`stop_indices` and `log_weights_ensemble` read an ensemble one row block
+of `core.PATH_BLOCK` rows at a time: every quantity they form is a row's
+own sum or running sum, so the blocks move no bit, and their (m, N)
+temporaries (step energies, increments dZ, a level's stopped drift) never
+cover more than one block.  `log_weights_ensemble` returns the per-path
+energies sum_k uhat_k^2 dt together with the log-weights that contain
+them, so a level's energy estimate averages exactly the energies inside
+its weights and nothing sums them twice.  `reweight` is the one place a
+log-weight vector is shifted by its maximum and exponentiated (raw
+weights span hundreds of nats on fine grids); the normalization
+diagnostic and the oracle's plug-in entropies read that one exponential
+from the `WeightedEnsemble` it returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import path_energies
+from .core import PATH_BLOCK, path_energies
 from .errors import DegeneracyError, NumericalError, ShapeError, UsageError
 
 __all__ = [
@@ -82,16 +87,29 @@ class WeightedEnsemble:
         return len(self.scaled)
 
 
-def log_weights_ensemble(uhat: np.ndarray, Z: np.ndarray,
-                         dt: float) -> tuple[np.ndarray, np.ndarray]:
+def log_weights_ensemble(uhat: np.ndarray, Z: np.ndarray, dt: float,
+                         stop: Optional[np.ndarray] = None
+                         ) -> tuple[np.ndarray, np.ndarray]:
     """Stacked log rho over an ensemble, uhat (m, N) and Z (m, N+1), and the
-    per-path energies sum_k uhat_k^2 dt that it contains: two (m,) arrays."""
+    per-path energies sum_k uhat_k^2 dt that it contains: two (m,) arrays.
+
+    With (m,) stopping indices `stop` the drift is the stopped one,
+    `localize(uhat, stop)`.  Each block of PATH_BLOCK rows forms its own
+    increments dZ and stopped drift.
+    """
     if uhat.ndim != 2 or Z.shape != (uhat.shape[0], uhat.shape[1] + 1):
         raise ShapeError(f"filtered drift {uhat.shape} does not fit innovation {Z.shape}")
+    m = len(uhat)
+    if stop is not None and np.shape(stop) != (m,):
+        raise ShapeError(f"stopping indices {np.shape(stop)} do not fit "
+                         f"filtered drift {uhat.shape}")
+    ito, en = np.empty(m), np.empty(m)
     with np.errstate(invalid="ignore", over="ignore"):
-        dZ = np.diff(Z, axis=1)
-        ito = np.einsum("mk,mk->m", uhat, dZ)
-        en = path_energies(uhat, dt)
+        for lo in range(0, m, PATH_BLOCK):
+            rows = slice(lo, lo + PATH_BLOCK)
+            x = uhat[rows] if stop is None else localize(uhat[rows], stop[rows])
+            ito[rows] = np.einsum("mk,mk->m", x, np.diff(Z[rows], axis=1))
+            en[rows] = path_energies(x, dt)
         out = -ito - 0.5 * en
     if not np.all(np.isfinite(out)):
         raise NumericalError("non-finite log-weight encountered")
@@ -102,17 +120,20 @@ def stop_indices(uhat: np.ndarray, dt: float, thresholds: Sequence[float]) -> np
     """Per-member stopping index for each threshold n: the first k with
     sum_{j<k} uhat_j^2 dt > n, or N when the running energy never exceeds n.
 
-    Returns a (len(thresholds), m) array; the running energy is summed once
-    for all thresholds.
+    Returns a (len(thresholds), m) array.  Each block of PATH_BLOCK rows
+    sums its running energy once for all thresholds.
     """
     m, N = uhat.shape
-    step_energy = np.einsum("mk,mk->mk", uhat, uhat) * dt
-    before = np.zeros((m, N))  # energy before step k, k = 0..N-1
-    np.cumsum(step_energy[:, :-1], axis=1, out=before[:, 1:])
     out = np.empty((len(thresholds), m), dtype=np.intp)
-    for i, threshold in enumerate(thresholds):
-        exceeded = before > threshold
-        out[i] = np.where(exceeded.any(axis=1), exceeded.argmax(axis=1), N)
+    for lo in range(0, m, PATH_BLOCK):
+        rows = slice(lo, lo + PATH_BLOCK)
+        x = uhat[rows]
+        step_energy = np.einsum("mk,mk->mk", x, x) * dt
+        before = np.zeros(x.shape)  # energy before step k, k = 0..N-1
+        np.cumsum(step_energy[:, :-1], axis=1, out=before[:, 1:])
+        for i, threshold in enumerate(thresholds):
+            exceeded = before > threshold
+            out[i, rows] = np.where(exceeded.any(axis=1), exceeded.argmax(axis=1), N)
     return out
 
 

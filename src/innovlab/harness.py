@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .core import RandomStream, TimeGrid
+from .core import PATH_BLOCK, RandomStream, TimeGrid
 from .criterion import (
     DEFAULT_LEVELS,
     GAP_FLOOR,
@@ -283,10 +283,6 @@ def resolve_outdir(config: ExperimentConfig) -> FsPath:
     return FsPath(env) if env else FsPath(config.outdir)
 
 
-#: rows that one block of the continuous front end simulates, filters, innovates
-PATH_BLOCK = 1024
-
-
 def continuous_front_end(model: DriftModel, grid: TimeGrid, size: int,
                          stream: RandomStream, workers: int = 1,
                          stages: Optional[dict] = None):
@@ -320,22 +316,31 @@ def continuous_front_end(model: DriftModel, grid: TimeGrid, size: int,
         pool.shutdown(cancel_futures=True)  # a failed block stops the ones not yet begun
     for _, timed in blocks:
         for name, entry in timed.items():
-            total = stages.setdefault(name, {"seconds": 0.0, "max_rss_mb": 0.0})
+            total = stages.setdefault(name, dict.fromkeys(entry, 0.0))
             total["seconds"] += entry["seconds"]
+            total["peak_rise_mb"] += entry["peak_rise_mb"]
             total["max_rss_mb"] = max(total["max_rss_mb"], entry["max_rss_mb"])
     return Z, uhat, blocks[0][0]
 
 
+def _peak_rss_mb() -> float:
+    """The process's peak resident set size so far, in MB."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
+
+
 def _stage(stages, name, fn, *args, **kwargs):
-    """Run one pipeline stage; record its wall seconds and the process's
-    peak resident set size so far (MB) in `stages`."""
+    """Run one pipeline stage; record in `stages` its wall seconds, the
+    process's peak resident set size so far (MB) and how far the stage
+    raised that peak (MB)."""
+    before = _peak_rss_mb()
     t0 = time.perf_counter()
     try:
         out = fn(*args, **kwargs)
     except InnovlabError as exc:
         raise StageError(name, exc) from exc
-    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    stages[name] = {"seconds": time.perf_counter() - t0, "max_rss_mb": peak_kb * 1024 / 1e6}
+    peak = _peak_rss_mb()
+    stages[name] = {"seconds": time.perf_counter() - t0, "max_rss_mb": peak,
+                    "peak_rise_mb": peak - before}
     return out
 
 
@@ -442,15 +447,16 @@ def _run_continuous(config, model, grid, stream, stages, persist) -> ResultRecor
         "seed": config.seed,
         "workers": config.workers,
     }
+    if config.write_paths and persist:
+        diagnostics["paths_file"] = "paths.csv"
+        _write_paths_csv(config, uhat, Z, grid)
+    del Z, uhat  # the oracle reads neither: its arrays take their memory, not add to it
     if is_linear_model(model):
         exact = _stage(stages, "oracle", linear_gaussian_summary, model, grid)
         diagnostics["gaussian_path_kl"] = exact.innovation_kl
         diagnostics["gaussian_observation_kl"] = exact.observation_kl
 
     rows = [_level_row(r, config.model) for r in reports]
-    if config.write_paths and persist:
-        diagnostics["paths_file"] = "paths.csv"
-        _write_paths_csv(config, uhat, Z, grid)
     return ResultRecord(config.digest(), config.model, config.mode, verdict,
                         rows, diagnostics, 0.0)
 
@@ -572,13 +578,18 @@ def _stage_line(diagnostics) -> str:
     stages = diagnostics.get("stages")
     if not stages:
         return "not recorded"
-    times = ", ".join(f"{name} {stages[name]['seconds']:.3f}s"
-                      for name in STAGES if name in stages)
+    times = ", ".join(_stage_cell(name, stages[name]) for name in STAGES if name in stages)
     peak = max(s["max_rss_mb"] for s in stages.values())
     blas = diagnostics.get("blas_threads")
     threads = (f"BLAS threads {blas['used']} (restored {blas['restored']})" if blas
                else "BLAS threads untouched")
     return f"{times}; peak RSS {peak:.0f} MB; {threads}"
+
+
+def _stage_cell(name, entry) -> str:
+    """One stage's seconds and, when recorded, how far it raised the peak RSS."""
+    rise = entry.get("peak_rise_mb")  # absent from records written before it was kept
+    return f"{name} {entry['seconds']:.3f}s" + ("" if rise is None else f" +{rise:.0f} MB")
 
 
 def _as_float(v):

@@ -77,22 +77,24 @@ def test_path_energies_full_and_stopped():
 
 def test_energy_averages_the_energies_inside_the_log_weights(monkeypatch):
     # a level's E_hat and its se come from exactly the per-path energies
-    # that its log-weights sum, bit for bit
+    # that its log-weights sum, bit for bit; the references stop and sum the
+    # whole ensemble at once, the pipeline one row block at a time
     grid, _, uhat, Z = _pipeline("kalman-bucy", 64, 2000)
-    drifts, energies = [], []
+    stops, outputs = [], []
     log_weights = criterion.log_weights_ensemble
 
-    def weights_spy(stopped, Z, dt):
-        drifts.append(stopped)
-        lw, e = log_weights(stopped, Z, dt)
-        energies.append(e)
+    def weights_spy(uhat_in, Z_in, dt, stop):
+        assert uhat_in is uhat and Z_in is Z  # the level stops its rows itself
+        stops.append(stop)
+        lw, e = log_weights(uhat_in, Z_in, dt, stop)
+        outputs.append((lw, e))
         return lw, e
 
     monkeypatch.setattr(criterion, "log_weights_ensemble", weights_spy)
     reports = criterion_levels(Z, uhat, grid, levels=(0.01, np.inf))
-    assert len(drifts) == len(energies) == 2 and reports[0].ess != reports[1].ess
-    for r, stopped, e in zip(reports, drifts, energies):
-        lw, _ = log_weights(stopped, Z, grid.dt)
+    assert len(stops) == 2 and reports[0].ess != reports[1].ess
+    for r, stop, (lw, e) in zip(reports, stops, outputs):
+        stopped = localize(uhat, stop)
         ito = np.einsum("mk,mk->m", stopped, np.diff(Z, axis=1))
         assert np.array_equal(e, path_energies(stopped, grid.dt))
         assert np.array_equal(-ito - 0.5 * e, lw)
@@ -104,14 +106,15 @@ def test_energy_averages_the_energies_inside_the_log_weights(monkeypatch):
 
 def test_energies_are_summed_once_per_stopping_rule(monkeypatch):
     # the energies inside each level's log-weights are the ones E_hat
-    # averages; no second sum of the same stopped drift
+    # averages; no second sum of the same stopped drift.  The sums run over
+    # row blocks, so each row is counted once per rule: 2 m rows for 2 rules
     from innovlab import girsanov
 
     grid, _, uhat, Z = _pipeline("kalman-bucy", 64, 2000)
-    calls = []
+    rows = []
 
     def counting(x, dt, energy=girsanov.path_energies):
-        calls.append(x.shape)
+        rows.append(len(x))
         return energy(x, dt)
 
     for mod in (girsanov, criterion):
@@ -119,7 +122,8 @@ def test_energies_are_summed_once_per_stopping_rule(monkeypatch):
             monkeypatch.setattr(mod, "path_energies", counting)
     reports = criterion_levels(Z, uhat, grid, levels=(0.01, np.inf))
     assert reports[0].ess != reports[1].ess  # two distinct stopping rules
-    assert len(calls) == 2
+    assert len(rows) > 2  # 2000 rows take two blocks per rule
+    assert sum(rows) == 2 * len(uhat)
 
 
 def test_energy_under_nu_zero_drift():

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from innovlab.core import RandomStream, TimeGrid
-from innovlab.errors import DegeneracyError, NumericalError, UsageError
+from innovlab.core import PATH_BLOCK, RandomStream, TimeGrid
+from innovlab.errors import DegeneracyError, NumericalError, ShapeError, UsageError
 from innovlab.filtering import ensemble_conditional_drift, innovation_values
 from innovlab.girsanov import (
     localize,
@@ -148,6 +148,64 @@ def test_localized_weights_normalize_on_bounded_drift():
     lw, _ = log_weights_ensemble(loc, Z, g.dt)
     diag = normalization_diagnostic(reweight(lw))
     assert diag.passed
+
+
+# ------------------------------------------------------------ row blocking
+
+THRESHOLDS = (0.05, 0.3, 1.0, 2.0, math.inf)
+
+
+def _drift_and_innovation(m, N=32, seed=4):
+    rng = np.random.default_rng(seed)
+    uhat = rng.normal(size=(m, N)) * np.exp(rng.uniform(-2.3, 1.1, size=(m, 1)))  # 0.1 to 3
+    inc = rng.normal(0.0, np.sqrt(1.0 / N), size=(m, N))
+    Z = np.concatenate([np.zeros((m, 1)), np.cumsum(inc, axis=1)], axis=1)
+    return uhat, Z, 1.0 / N
+
+
+def _stop_indices_reference(uhat, dt, thresholds):
+    """The stopping indices of the whole ensemble at once."""
+    m, N = uhat.shape
+    before = np.zeros((m, N))
+    np.cumsum(np.einsum("mk,mk->mk", uhat, uhat)[:, :-1] * dt, axis=1, out=before[:, 1:])
+    exceeded = before[None] > np.asarray(thresholds)[:, None, None]
+    return np.where(exceeded.any(axis=2), exceeded.argmax(axis=2), N)
+
+
+def _log_weights_reference(uhat, Z, dt):
+    """The log-weights and energies of the whole ensemble at once."""
+    ito = np.einsum("mk,mk->m", uhat, np.diff(Z, axis=1))
+    energies = np.einsum("mk,mk->m", uhat, uhat) * dt
+    return -ito - 0.5 * energies, energies
+
+
+@pytest.mark.parametrize("m", [2 * PATH_BLOCK + 3, 37])  # two blocks and a part; one part
+def test_blocked_stop_indices_match_the_unblocked_reference(m):
+    uhat, _, dt = _drift_and_innovation(m)
+    got = stop_indices(uhat, dt, THRESHOLDS)
+    assert got.shape == (len(THRESHOLDS), m)
+    assert np.array_equal(got, _stop_indices_reference(uhat, dt, THRESHOLDS))
+    # every finite threshold stops some rows and not others
+    assert all(0 < np.sum(row < uhat.shape[1]) < m for row in got[:-1])
+
+
+@pytest.mark.parametrize("m", [2 * PATH_BLOCK + 3, 37])
+def test_blocked_log_weights_match_the_unblocked_reference(m):
+    uhat, Z, dt = _drift_and_innovation(m)
+    lw, energies = log_weights_ensemble(uhat, Z, dt)
+    ref_lw, ref_energies = _log_weights_reference(uhat, Z, dt)
+    assert np.array_equal(lw, ref_lw) and np.array_equal(energies, ref_energies)
+    # the stopped sums: each block stops its own rows
+    for stop in stop_indices(uhat, dt, THRESHOLDS):
+        lw, energies = log_weights_ensemble(uhat, Z, dt, stop)
+        ref_lw, ref_energies = _log_weights_reference(localize(uhat, stop), Z, dt)
+        assert np.array_equal(lw, ref_lw) and np.array_equal(energies, ref_energies)
+
+
+def test_log_weights_reject_stopping_indices_of_another_ensemble():
+    uhat, Z, dt = _drift_and_innovation(5)
+    with pytest.raises(ShapeError):
+        log_weights_ensemble(uhat, Z, dt, np.zeros(4, dtype=int))
 
 
 # ---------------------------------------------------------------- diagnostics

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -41,16 +42,22 @@ mode = continuous
 outdir = {out}
 """
 
-# frozen results.csv SHA-256 of three small configs: kalman-bucy as in the
-# paper suite, the crosscheck of acceptance criterion 8, and the witness of
-# `suite oracle` observed through its sign-erasing map.  Any change that
-# moves a printed digit fails here; a documented re-baseline of the random
-# streams updates them.
+# frozen results.csv SHA-256 of four small configs: kalman-bucy as in the
+# paper suite, at 400 paths and at two row blocks and a part (so that the
+# front end and the Girsanov layer both cross block boundaries), the
+# crosscheck of acceptance criterion 8, and the witness of `suite oracle`
+# observed through its sign-erasing map.  Any change that moves a printed
+# digit fails here; a documented re-baseline of the random streams updates
+# them.
 FROZEN_RESULTS_SHA256 = {
     "kalman-bucy": (
         dict(model="kalman-bucy", model_params={"beta": 1.0, "sigma": 1.0},
              grid_n=32, paths=400, seed=7),
         "b1e559f48cf8554ee0b05bec9905857e9d660e2c44cc061186f1c9f53a5b5788"),
+    "kalman-bucy-blocks": (
+        dict(model="kalman-bucy", model_params={"beta": 1.0, "sigma": 1.0},
+             grid_n=32, paths=2 * PATH_BLOCK + 3, seed=7),
+        "7ad51b1937a4085b32cb64c0d4d2fc6fc98117493d1ec21967136c2b14d6669e"),
     "crosscheck": (
         dict(model="independent", mode="crosscheck", grid_n=3, paths=1000,
              noise_nodes=3, aux_values=(-1.5, 1.5), seed=1),
@@ -60,6 +67,10 @@ FROZEN_RESULTS_SHA256 = {
              erasure="sign-terminal", paths=1000, seed=1),
         "7da61a823d3a127cb250e419b944a332222c0e2d5498f997cc061a56d5c4c68f"),
 }
+
+# frozen paths.csv SHA-256 of the "kalman-bucy-blocks" config run with
+# write_paths = true: every path's log-weight, energy and terminal innovation
+FROZEN_PATHS_SHA256 = "697754444de0e580ba5114dff75ea3a498ae0943c39557dfffb10a13edf6f31c"
 
 
 def test_config_roundtrip():
@@ -174,6 +185,13 @@ def test_results_csv_byte_identical_across_same_process_reruns(tmp_path):
 def test_results_csv_matches_frozen_digest(tmp_path, name):
     cfg, digest = FROZEN_RESULTS_SHA256[name]
     run_experiment(ExperimentConfig(**cfg, outdir=str(tmp_path)))
+    assert hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest() == digest
+
+
+def test_paths_csv_matches_frozen_digest(tmp_path):
+    cfg, digest = FROZEN_RESULTS_SHA256["kalman-bucy-blocks"]
+    run_experiment(ExperimentConfig(**cfg, outdir=str(tmp_path), write_paths=True))
+    assert hashlib.sha256((tmp_path / "paths.csv").read_bytes()).hexdigest() == FROZEN_PATHS_SHA256
     assert hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest() == digest
 
 
@@ -351,11 +369,36 @@ def test_run_records_stage_timings(tmp_path, cfg, stages):
     assert payload["diagnostics"]["stages"] == rec.diagnostics["stages"]
     assert set(rec.diagnostics["stages"]) == stages
     for entry in rec.diagnostics["stages"].values():
-        assert set(entry) == {"seconds", "max_rss_mb"}
+        assert set(entry) == {"seconds", "max_rss_mb", "peak_rise_mb"}
         assert entry["seconds"] >= 0 and entry["max_rss_mb"] > 0
+        assert math.isfinite(entry["peak_rise_mb"]) and entry["peak_rise_mb"] >= 0
     line = report(tmp_path).splitlines()[-1]
     assert line.startswith(f"stages[0] {cfg['model']}: configure ")
-    assert all(f"{name} " in line for name in stages) and "peak RSS" in line
+    assert all(re.search(rf"\b{name} \d+\.\d{{3}}s \+\d+ MB", line) for name in stages)
+    assert "peak RSS" in line
+
+
+def test_front_end_sums_each_stage_peak_rise_over_its_blocks(monkeypatch):
+    # a peak that grows by 1 MB on every reading rises 1 MB per block stage
+    readings = iter(range(10**6))
+    monkeypatch.setattr(harness, "_peak_rss_mb", lambda: float(next(readings)))
+    stages = {}
+    continuous_front_end(make_model("zero"), TimeGrid(steps=4), 2 * PATH_BLOCK + 3,
+                         RandomStream(seed=1), 1, stages)
+    assert {name: entry["peak_rise_mb"] for name, entry in stages.items()} == {
+        "simulate": 3.0, "filter": 3.0, "innovation": 3.0}
+
+
+def test_report_reads_stage_records_without_a_peak_rise(tmp_path):
+    # records written before the rise was kept still print their seconds
+    run_experiment(ExperimentConfig(model="zero", grid_n=8, paths=150, outdir=str(tmp_path)))
+    jl = tmp_path / "run.jsonl"
+    payload = json.loads(jl.read_text())
+    for entry in payload["diagnostics"]["stages"].values():
+        del entry["peak_rise_mb"]
+    jl.write_text(json.dumps(payload) + "\n")
+    line = report(tmp_path).splitlines()[-1]
+    assert re.search(r"configure \d+\.\d{3}s, simulate", line) and " MB," not in line
 
 
 def test_both_modes_write_level_rows_of_one_shape(tmp_path):
@@ -518,7 +561,7 @@ def test_scipy_is_imported_only_by_the_stages_that_use_it(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("paths, arrays", [(2000, 6), (8000, 4.5)])
+@pytest.mark.parametrize("paths, arrays", [(2000, 6), (8000, 3.25)])
 @pytest.mark.parametrize("model, params", [
     pytest.param("kalman-bucy", {"beta": 1.0, "sigma": 1.0}, id="kalman-bucy"),
     pytest.param("independent", {}, id="independent"),
@@ -526,10 +569,11 @@ def test_scipy_is_imported_only_by_the_stages_that_use_it(tmp_path):
 def test_continuous_run_holds_at_most_six_ensemble_arrays(model, params, paths, arrays):
     # the whole ensemble lives only as Z and the filtered drift, two
     # (paths, grid_n) float64 arrays; a block's simulation (kalman-bucy's
-    # Euler loop holds dB, hidden noise, U, drift and dU of PATH_BLOCK rows)
-    # and the criterion's temporaries come on top.  At 2000 paths a block is
-    # half the ensemble; at 8000 an eighth, so a whole-ensemble simulation
-    # anywhere in the run would break the tighter bound
+    # Euler loop holds dB, hidden noise, U, drift and dU of PATH_BLOCK rows),
+    # the Girsanov layer's block temporaries and the feature builder's block
+    # of Z come on top.  At 2000 paths a block is half the ensemble; at 8000
+    # an eighth, so one more whole-ensemble array anywhere in the run, a
+    # simulation or a stopped drift, would break the tighter bound
     cfg = ExperimentConfig(model=model, model_params=params, grid_n=256, paths=paths, seed=7)
     run_experiment(cfg, persist=False)  # warm-up: imports and one-time caches
     tracemalloc.start()
