@@ -47,8 +47,6 @@ __all__ = [
     "classify_level",
     "criterion_verdict",
     "criterion_levels",
-    "base_entropy_mc",
-    "pushforward_entropy_mc",
     "plugin_level",
     "DEFAULT_LEVELS",
 ]
@@ -214,41 +212,30 @@ def criterion_levels(Z: np.ndarray, uhat: np.ndarray, grid: TimeGrid,
     return reports
 
 
-def base_entropy_mc(ens: WeightedEnsemble) -> tuple[float, float]:
-    """Plug-in estimate of the base relative entropy E_nu[log density].
-
-    The density is self-normalized: rho_i = exp(l_i) / mean exp(l), read
-    from the ensemble's shifted exponential.
-    Returns (estimate, delta-method standard error).
-    """
+def _plugin_entropies(ens: WeightedEnsemble, labels: np.ndarray) -> tuple:
+    """Plug-in base relative entropy E_nu[log rho] and pushforward relative
+    entropy over the classes `labels`, each with its per-path influence
+    function; the density rho_i = exp(l_i) / mean exp(l) is formed once."""
     M = ens.size
     rho = ens.scaled / ens.scaled.mean()
-    est = float(np.mean(rho * np.log(np.where(rho > 0, rho, 1.0))))
-    # influence function of T = E[rho log rho] under the empirical measure
-    infl = rho * np.log(np.where(rho > 0, rho, 1.0)) - est - (rho - 1.0) * (est + 1.0)
-    se = float(np.std(infl, ddof=1) / np.sqrt(M))
-    return est, se
-
-
-def pushforward_entropy_mc(ens: WeightedEnsemble, labels: np.ndarray
-                           ) -> tuple[float, float]:
-    """Plug-in estimate of the pushforward relative entropy over classes."""
-    labels = np.asarray(labels)
-    M = ens.size
-    rho = ens.scaled / ens.scaled.mean()
+    rho_log_rho = rho * np.log(np.where(rho > 0, rho, 1.0))
+    base = float(np.mean(rho_log_rho))
+    base_infl = rho_log_rho - base - (rho - 1.0) * (base + 1.0)
     p_hat = np.bincount(labels) / M
     q_hat = np.bincount(labels, weights=rho) / M
     good = p_hat > 0
     ratio = np.zeros_like(p_hat)
     ratio[good] = q_hat[good] / p_hat[good]
     logratio = np.log(np.where(ratio > 0, ratio, 1.0))
-    est = float(np.sum(q_hat * logratio))
-    # influence: d/dF of sum_c q_c log(q_c / p_c)
-    lr_i = logratio[labels]
-    ratio_i = ratio[labels]
-    infl = rho * (lr_i + 1.0) - ratio_i - rho * (est + 1.0) + 1.0
-    se = float(np.std(infl, ddof=1) / np.sqrt(M))
-    return est, se
+    push = float(np.sum(q_hat * logratio))
+    push_infl = rho * (logratio[labels] + 1.0) - ratio[labels] - rho * (push + 1.0) + 1.0
+    return base, base_infl, push, push_infl
+
+
+def _influence_se(infl: np.ndarray) -> float:
+    """Delta-method standard error of a plug-in estimate with these
+    per-path influence values."""
+    return float(np.std(infl, ddof=1) / np.sqrt(len(infl)))
 
 
 def plugin_level(Z: np.ndarray, uhat: np.ndarray, labels: np.ndarray, grid: TimeGrid,
@@ -258,19 +245,21 @@ def plugin_level(Z: np.ndarray, uhat: np.ndarray, labels: np.ndarray, grid: Time
     by plug-in over the observation class `labels` of each path.
 
     `energy` is the base entropy and `entropy` the pushforward one, so
-    `gap` estimates what the observation map loses; `gap_se` treats the
-    two as independent although one ensemble gives both, so it is
-    conservative.  Also returns half the weighted mean drift energy.
+    `gap` estimates what the observation map loses.  One ensemble gives
+    both, so `gap_se` is paired like a continuous level's: the se of the
+    difference of their influence functions, which is 0 to rounding when
+    the density is constant on classes.  Also returns half the weighted
+    mean drift energy.
     """
     lw, energies = log_weights_ensemble(uhat, Z, grid.dt)
     ens = reweight(lw)
-    base, base_se = base_entropy_mc(ens)
-    push, push_se = pushforward_entropy_mc(ens, labels)
+    base, base_infl, push, push_infl = _plugin_entropies(ens, np.asarray(labels))
     gap = base - push
-    gap_se = float(np.hypot(base_se, push_se))
+    gap_se = _influence_se(base_infl - push_infl)
     diag = normalization_diagnostic(ens)
     report = LevelReport(
-        level=math.inf, entropy=push, entropy_se=push_se, energy=base, energy_se=base_se,
+        level=math.inf, entropy=push, entropy_se=_influence_se(push_infl),
+        energy=base, energy_se=_influence_se(base_infl),
         gap=gap, gap_se=gap_se, ess=ens.ess,
         norm_mean=diag.mean, norm_se=diag.se, norm_passed=diag.passed,
         verdict=classify_level(gap, gap_se, floor), method=method)

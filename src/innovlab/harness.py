@@ -297,16 +297,24 @@ def continuous_front_end(model: DriftModel, grid: TimeGrid, size: int,
     Z = np.empty((size, grid.steps + 1))
     uhat = np.empty((size, grid.steps))
 
+    # each stage writes its rows, so the pages it touches count in its rise
+    def filter_rows(sim, lo, hi):
+        filt = ensemble_conditional_drift(model, sim)
+        uhat[lo:hi] = filt.values
+        return filt.method
+
+    def innovate_rows(U, lo, hi):
+        Z[lo:hi] = innovation_values(U, uhat[lo:hi], grid.dt)
+
     def block(lo):
         hi = min(lo + PATH_BLOCK, size)
         timed: dict = {}
         sim = _stage(timed, "simulate", simulate_ensemble, model, grid, hi - lo,
                      RandomStream(stream.seed, stream.substream + lo))
-        filt = _stage(timed, "filter", ensemble_conditional_drift, model, sim)
-        uhat[lo:hi] = filt.values
-        U, method = sim.U, filt.method
-        del sim, filt
-        Z[lo:hi] = _stage(timed, "innovation", innovation_values, U, uhat[lo:hi], grid.dt)
+        method = _stage(timed, "filter", filter_rows, sim, lo, hi)
+        U = sim.U
+        del sim
+        _stage(timed, "innovation", innovate_rows, U, lo, hi)
         return method, timed
 
     pool = ThreadPoolExecutor(max_workers=workers)
@@ -492,8 +500,8 @@ def _run_discrete(config, model, grid, stream, stages) -> ResultRecord:
     }
 
     if config.mode == "crosscheck":
-        cc = estimator_crosscheck(space, exact, sim, filt.values, level.energy,
-                                  level.entropy, energy_mc, config.crosscheck_tol)
+        cc = estimator_crosscheck(space, exact, sim, filt.values, level.entropy,
+                                  energy_mc, config.crosscheck_tol)
         diagnostics["crosscheck"] = {
             **asdict(cc), "conditional_energy_exact": conditional_energy_by_grouping(space)}
 

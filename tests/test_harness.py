@@ -14,6 +14,7 @@ import pytest
 from innovlab.cli import main as cli_main
 import innovlab.harness as harness
 from innovlab.core import RandomStream, TimeGrid
+from innovlab.criterion import GAP_FLOOR
 from innovlab.errors import ConfigurationError, NumericalError, StageError, UsageError
 from innovlab.filtering import ensemble_conditional_drift, innovation_values
 from innovlab.harness import (
@@ -47,8 +48,8 @@ outdir = {out}
 # front end and the Girsanov layer both cross block boundaries), the
 # crosscheck of acceptance criterion 8, and the witness of `suite oracle`
 # observed through its sign-erasing map.  Any change that moves a printed
-# digit fails here; a documented re-baseline of the random streams updates
-# them.
+# digit fails here; a documented re-baseline updates them.  The crosscheck
+# config's exact gap is 0, and its paired gap_se reads EQUALITY-CONSISTENT.
 FROZEN_RESULTS_SHA256 = {
     "kalman-bucy": (
         dict(model="kalman-bucy", model_params={"beta": 1.0, "sigma": 1.0},
@@ -61,7 +62,7 @@ FROZEN_RESULTS_SHA256 = {
     "crosscheck": (
         dict(model="independent", mode="crosscheck", grid_n=3, paths=1000,
              noise_nodes=3, aux_values=(-1.5, 1.5), seed=1),
-        "17f56505c890e3c020e9dd16cbbff1cc62c0bcae3136a6e863ddfaeff29f68a6"),
+        "17539be48fe175ea6a4cb875487dc634859133ceceec854d47bae6b7fc0f9c5b"),
     "witness-erasure": (
         dict(model="witness-one-sided", mode="discrete", grid_n=2, noise_nodes=2,
              erasure="sign-terminal", paths=1000, seed=1),
@@ -169,6 +170,31 @@ def test_front_end_blocks_match_the_whole_ensemble_reference(name):
     assert np.array_equal(got_Z, Z) and np.array_equal(got_uhat, filt.values)
     assert method == filt.method
     assert set(stages) == {"simulate", "filter", "innovation"}
+
+
+def test_front_end_stage_rises_add_up_to_the_run_rise(tmp_path):
+    # every page of Z and uhat is touched inside a stage, so the stages'
+    # peak rises sum to the front end's whole rise; in a fresh interpreter,
+    # with Z (4 blocks x 512 columns) at 16.8 MB, so that a copy left
+    # outside the stages would show
+    code = (
+        "import resource\n"
+        "from innovlab.core import PATH_BLOCK, RandomStream, TimeGrid\n"
+        "from innovlab.harness import continuous_front_end\n"
+        "from innovlab.models import make_model\n"
+        "peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6\n"
+        "grid, stages = TimeGrid(steps=511), {}\n"
+        "before = peak()\n"
+        "continuous_front_end(make_model('independent'), grid, 4 * PATH_BLOCK,\n"
+        "                     RandomStream(seed=3), 1, stages)\n"
+        "rise = peak() - before\n"
+        "summed = sum(entry['peak_rise_mb'] for entry in stages.values())\n"
+        "block = PATH_BLOCK * (grid.steps + 1) * 8 / 1e6\n"
+        "assert abs(rise - summed) <= block, (rise, summed, stages)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=_src_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_results_csv_byte_identical_across_same_process_reruns(tmp_path):
@@ -281,6 +307,28 @@ def test_crosscheck_compares_against_the_erased_observation():
     cc = run_experiment(cfg, persist=False).diagnostics["crosscheck"]
     assert cc["entropy_rel_error"] < 0.05
     assert cc["passed"]
+
+
+def test_paired_gap_se_vanishes_when_the_density_is_z_measurable():
+    # the exact gap is 0, and the base and pushforward influence functions
+    # are equal path by path, so only rounding is left of the paired se
+    rec = run_experiment(ExperimentConfig(**FROZEN_RESULTS_SHA256["crosscheck"][0]),
+                         persist=False)
+    assert rec.diagnostics["density_z_measurable"]
+    row = rec.levels[0]
+    assert row["gap_se"] <= 1e-12
+    assert row["verdict"] == "EQUALITY-CONSISTENT"
+
+
+def test_paired_gap_se_on_the_erasure_witness():
+    # the two plug-in estimates move together, so the paired se is below
+    # the one that treats them as independent, and the gap clears the floor
+    rec = run_experiment(ExperimentConfig(**FROZEN_RESULTS_SHA256["witness-erasure"][0]),
+                         persist=False)
+    assert not rec.diagnostics["density_z_measurable"]
+    row = rec.levels[0]
+    assert 0 < row["gap_se"] < math.hypot(row["E_se"], row["H_se"])
+    assert row["gap"] - 3 * row["gap_se"] > GAP_FLOOR
 
 
 def test_crosscheck_accepts_aux_values_in_any_order():

@@ -12,8 +12,10 @@ from innovlab.filtering import innovation_values
 from innovlab.girsanov import log_weights_ensemble, reweight
 from innovlab.models import DriftModel, make_model
 from innovlab.oracle import (
+    ROUND_DECIMALS,
     FiniteLaw,
     FiniteSystem,
+    WitnessDrift,
     canonical_labels,
     conditional_energy_by_grouping,
     dpi_verdict,
@@ -268,6 +270,87 @@ def test_finite_bayes_filter_matches_enumeration_exactly():
     assert np.max(np.abs(filt.values - space.uhat[atom])) < 1e-12
 
 
+def _path_major_bayes_filter(model, sim, noise, aux):
+    """The finite Bayes filter with a path-major (m, aux.count) log
+    posterior: a reference for the aux-major one."""
+    grid = sim.grid
+    N, m = grid.steps, sim.size
+    zeros = np.zeros((aux.count, N + 1))
+    state = model.start(grid, aux.values[:, None], None)
+    hypo = np.empty((aux.count, N))
+    for k in range(N):
+        hypo[:, k] = model.drift(k, grid, zeros, aux.values[:, None], None, state)
+    log_pmf = {round(float(n), ROUND_DECIMALS): math.log(p)
+               for n, p in zip(noise.values, noise.probs)}
+
+    def loglik(residual):
+        key = np.round(residual, ROUND_DECIMALS)
+        out = np.full(residual.shape, -np.inf)
+        for node, lp in log_pmf.items():
+            out = np.where(np.isclose(key, node, rtol=0, atol=10.0**-ROUND_DECIMALS), lp, out)
+        return out
+
+    post = np.tile(np.log(aux.probs), (m, 1))
+    out = np.empty((m, N))
+    for k in range(N):
+        w = np.exp(post - post.max(axis=1, keepdims=True))
+        w /= w.sum(axis=1, keepdims=True)
+        out[:, k] = w @ hypo[:, k]
+        residual = sim.dU[:, k][:, None] - hypo[:, k][None, :] * grid.dt
+        post = post + loglik(residual)
+    return out
+
+
+@pytest.mark.parametrize("count", [2, 3, 9])
+def test_aux_major_bayes_filter_is_bit_equal_to_the_path_major_one(count):
+    g = TimeGrid(steps=3)
+    noise = gauss_quantized(3, g.dt)
+    model = make_model("independent")
+    probs = np.arange(1, count + 1) * 2 / (count * (count + 1))  # unequal, summing to 1
+    aux = FiniteLaw(np.linspace(-1.5, 1.5, count), probs)
+    sim = sample_quantized_ensemble(model, g, 20000, RandomStream(seed=1), noise, aux)
+    got = finite_bayes_filter(model, sim, noise, aux).values
+    assert np.array_equal(got, _path_major_bayes_filter(model, sim, noise, aux))
+
+
+def _plugin_se_reference(lw, labels):
+    """Standard errors of the base and pushforward plug-in entropies, each
+    formed on its own: a reference for `plugin_level`'s single pass."""
+    ens = reweight(lw)
+    M = ens.size
+    rho = ens.scaled / ens.scaled.mean()
+    est = float(np.mean(rho * np.log(np.where(rho > 0, rho, 1.0))))
+    infl = rho * np.log(np.where(rho > 0, rho, 1.0)) - est - (rho - 1.0) * (est + 1.0)
+    base_se = float(np.std(infl, ddof=1) / np.sqrt(M))
+    p_hat = np.bincount(labels) / M
+    q_hat = np.bincount(labels, weights=rho) / M
+    good = p_hat > 0
+    ratio = np.zeros_like(p_hat)
+    ratio[good] = q_hat[good] / p_hat[good]
+    logratio = np.log(np.where(ratio > 0, ratio, 1.0))
+    est = float(np.sum(q_hat * logratio))
+    infl = rho * (logratio[labels] + 1.0) - ratio[labels] - rho * (est + 1.0) + 1.0
+    push_se = float(np.std(infl, ddof=1) / np.sqrt(M))
+    return base_se, push_se
+
+
+@pytest.mark.parametrize("erased", [False, True], ids=["full", "sign-terminal"])
+def test_plugin_standard_errors_match_the_separate_formulas(erased):
+    if erased:
+        g, model, aux = TimeGrid(steps=2), WitnessDrift(), None
+        noise = gauss_quantized(2, g.dt)
+    else:
+        g, model, aux = TimeGrid(steps=3), make_model("independent"), FiniteLaw([-1.5, 1.5])
+        noise = gauss_quantized(3, g.dt)
+    sim = sample_quantized_ensemble(model, g, 5000, RandomStream(seed=4), noise, aux)
+    filt = finite_bayes_filter(model, sim, noise, aux)
+    Z = innovation_values(sim.U, filt.values, g.dt)
+    labels = canonical_labels(witness_labels(Z) if erased else Z[:, 1:])
+    level, _ = plugin_level(Z, filt.values, labels, g)
+    lw, _ = log_weights_ensemble(filt.values, Z, g.dt)
+    assert (level.energy_se, level.entropy_se) == _plugin_se_reference(lw, labels)
+
+
 def test_plugin_estimators_converge_to_enumeration():
     g = TimeGrid(steps=3)
     noise = gauss_quantized(3, g.dt)
@@ -294,6 +377,7 @@ def test_plugin_estimators_exact_on_zero_drift():
     level, _ = plugin_level(sim.U, sim.drift, canonical_labels(sim.U[:, 1:]), g)
     assert level.energy == pytest.approx(0.0, abs=1e-14)
     assert level.entropy == pytest.approx(0.0, abs=1e-14)
+    assert level.gap_se == pytest.approx(0.0, abs=1e-14)
 
 
 def test_regression_fit_tracks_exact_conditional_expectation():
