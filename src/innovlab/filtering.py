@@ -162,18 +162,17 @@ class BasisSpec:
     Features at step k: an intercept, the last min(k, window) innovation
     increments, the current innovation level, optionally exponential moving
     averages of past increments at the given per-unit-time decay rates, and
-    (optionally) squares and cubes of all of those.  `ridge` is the relative
-    penalty on non-intercept coefficients; it must be finite and positive,
-    since the singular-system rescue multiplies it.
+    (optionally) cubes of all of those.  `ridge` is the relative penalty on
+    non-intercept coefficients; it must be finite and positive, since the
+    singular-system rescue multiplies it.
 
-    The default (window 8, level, squares) is deliberately lean: projecting
-    on few features can only lower the entropy estimate.  The EMA rates are
+    The default (window 8, level) is deliberately lean: projecting on few
+    features can only lower the entropy estimate.  The EMA rates are
     for oracle-agreement runs on linear models, whose filters have
     geometric kernels that a short window cannot span.
     """
 
     window: int = 8
-    include_squares: bool = True
     include_cubes: bool = False
     ema_rates: tuple = ()
     ridge: float = 1e-8
@@ -188,8 +187,6 @@ class BasisSpec:
         parts = [f"intercept+{self.window} increments+level"]
         if self.ema_rates:
             parts.append(f"ema{list(self.ema_rates)}")
-        if self.include_squares:
-            parts.append("squares")
         if self.include_cubes:
             parts.append("cubes")
         return ",".join(parts)
@@ -199,11 +196,11 @@ class FeatureBuilder:
     """Streaming feature matrices over an innovation ensemble, feature-major.
 
     `features_at(k)` returns a C-contiguous (p, m) array: one row per
-    feature (intercept, increments, level, EMAs, then their squares and
-    cubes), one column per path.  The rows are filled from `Z` (m, N+1)
-    copied time-major BLOCK steps at a time (plus the window's history), so
-    a step reads contiguous memory and the builder holds no more than one
-    block next to the caller's `Z`.
+    feature (intercept, increments, level, EMAs, then their cubes), one
+    column per path.  The rows are filled from `Z` (m, N+1) copied
+    time-major BLOCK steps at a time (plus the window's history), so a step
+    reads contiguous memory and the builder holds no more than one block
+    next to the caller's `Z`.
 
     EMA features are accumulated one increment per step, so the steps are
     served in order: k = 0, 1, 2, ...; any other k is a usage error.
@@ -245,7 +242,7 @@ class FeatureBuilder:
                 ema += inc
         w = min(k, spec.window)
         n_base = w + 1 + len(self._ema)
-        n_powers = 1 + spec.include_squares + spec.include_cubes
+        n_powers = 1 + spec.include_cubes
         G = np.empty((1 + n_powers * n_base, block.shape[1]))
         G[0] = 1.0
         base = G[1:1 + n_base]
@@ -253,12 +250,8 @@ class FeatureBuilder:
         base[w] = block[i]
         for r, ema in enumerate(self._ema):
             base[w + 1 + r] = ema
-        row = 1 + n_base
-        if spec.include_squares:
-            np.square(base, out=G[row:row + n_base])
-            row += n_base
         if spec.include_cubes:
-            np.power(base, 3, out=G[row:row + n_base])
+            np.power(base, 3, out=G[1 + n_base:])
         return G
 
 

@@ -105,7 +105,6 @@ class ExperimentConfig:
     paths: int = 20000
     levels: tuple = DEFAULT_LEVELS
     basis_window: int = 8
-    basis_squares: bool = True
     basis_cubes: bool = False
     basis_ema: tuple = ()
     ridge: float = 1e-8
@@ -144,9 +143,8 @@ class ExperimentConfig:
         self.basis()  # a basis the regressions cannot use fails here, before sampling
 
     def basis(self) -> BasisSpec:
-        return BasisSpec(window=self.basis_window, include_squares=self.basis_squares,
-                         include_cubes=self.basis_cubes, ema_rates=tuple(self.basis_ema),
-                         ridge=self.ridge)
+        return BasisSpec(window=self.basis_window, include_cubes=self.basis_cubes,
+                         ema_rates=tuple(self.basis_ema), ridge=self.ridge)
 
     def grid(self) -> TimeGrid:
         return TimeGrid(steps=self.grid_n, horizon=self.horizon)

@@ -209,13 +209,14 @@ def test_second_level_tower_property_and_jensen_ordering():
 
 
 def test_step_features_shapes():
-    # feature-major: one row per feature, one column per path
+    # feature-major: one row per feature, one column per path; the default
+    # basis has 1 + min(k, window) + 1 rows, and cubes double the rows after
+    # the intercept
     Z = np.zeros((10, 5))
-    spec = BasisSpec(window=3, include_squares=True)
-    fb = FeatureBuilder(Z, 1.0, spec)
-    shapes = [fb.features_at(k).shape for k in range(5)]
-    assert shapes[0] == (1 + 2 * 1, 10)  # intercept, level, level^2
-    assert shapes[4] == (1 + 2 * 4, 10)  # + 3 increments
+    for cubes in (False, True):
+        fb = FeatureBuilder(Z, 1.0, BasisSpec(window=3, include_cubes=cubes))
+        for k in range(5):
+            assert fb.features_at(k).shape == (1 + (1 + cubes) * (min(k, 3) + 1), 10)
 
 
 def _path_major_features(Z, dt, spec, k):
@@ -233,8 +234,6 @@ def _path_major_features(Z, dt, spec, k):
     w = min(k, spec.window)
     base = np.column_stack([dZ[:, k - w: k], Z[:, k], *emas])
     feats = [np.ones((m, 1)), base]
-    if spec.include_squares:
-        feats.append(base**2)
     if spec.include_cubes:
         feats.append(base**3)
     return np.concatenate(feats, axis=1)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import MISSING, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,11 +55,11 @@ FROZEN_RESULTS_SHA256 = {
     "kalman-bucy": (
         dict(model="kalman-bucy", model_params={"beta": 1.0, "sigma": 1.0},
              grid_n=32, paths=400, seed=7),
-        "b1e559f48cf8554ee0b05bec9905857e9d660e2c44cc061186f1c9f53a5b5788"),
+        "4f75593e19fb87f931325da8eae2448bcbb7021c0523372309cdcb92a6407c02"),
     "kalman-bucy-blocks": (
         dict(model="kalman-bucy", model_params={"beta": 1.0, "sigma": 1.0},
              grid_n=32, paths=2 * PATH_BLOCK + 3, seed=7),
-        "7ad51b1937a4085b32cb64c0d4d2fc6fc98117493d1ec21967136c2b14d6669e"),
+        "ffd36b35f219fcad20873ed3f721ada7dc288e87e90afefa1e7715b4eba0d7a8"),
     "crosscheck": (
         dict(model="independent", mode="crosscheck", grid_n=3, paths=1000,
              noise_nodes=3, aux_values=(-1.5, 1.5), seed=1),
@@ -80,8 +81,8 @@ def test_config_roundtrip():
                             write_paths=True)
     every = ExperimentConfig(
         model="independent", model_params={"g_shape": "sine", "amplitude": 0.5}, grid_n=7,
-        horizon=2.5, paths=333, levels=(0.25, 3.0), basis_window=3, basis_squares=False,
-        basis_cubes=True, basis_ema=(0.5,), ridge=1e-6, gap_floor=0.03, seed=11,
+        horizon=2.5, paths=333, levels=(0.25, 3.0), basis_window=3, basis_cubes=True,
+        basis_ema=(0.5,), ridge=1e-6, gap_floor=0.03, seed=11,
         outdir="runs/every-field", mode="crosscheck", noise_nodes=2, aux_values=(1.5, -0.5),
         aux_probs=(0.25, 0.75), erasure="sign-terminal", crosscheck_tol=0.1, workers=2)
     # `every` moves each field off its default but write_paths, which only a
@@ -115,6 +116,20 @@ def test_config_rejects_unknown_keys_and_bad_values():
         parse_config("model_params = a")  # model parameters are model.<name> keys
     with pytest.raises(ConfigurationError):
         parse_config("paths = many")
+    with pytest.raises(ConfigurationError, match="unknown key"):
+        parse_config("basis_squares = true")  # a key of older configs
+
+
+def test_readme_lists_exactly_the_config_keys():
+    # README's "Recognized keys" paragraph names each key in backticks,
+    # followed by its default in parentheses or by a comma
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = readme.index("Recognized keys")
+    paragraph = readme[start:readme.index("\n\n", start)]
+    listed = re.findall(r"`([^`]+)`(?=\s\(|,)", paragraph)
+    assert len(listed) == len(set(listed)), listed
+    keys = {f.name for f in fields(ExperimentConfig)} - {"model_params"} | {"model.<param>"}
+    assert set(listed) == keys
 
 
 def test_run_experiment_zero_model(tmp_path):
