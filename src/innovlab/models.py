@@ -14,6 +14,7 @@ discrete dynamics.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -34,20 +35,31 @@ __all__ = [
 ]
 
 
+# each time profile's coefficients, with their defaults
+TIME_PROFILES = {
+    "constant": {"value": 1.0},
+    "linear": {"intercept": 0.0, "slope": 1.0},
+    "sine": {"amplitude": 1.0, "frequency": 1.0},
+}
+
+
 def time_function(shape: str = "constant", **coef) -> Callable[[np.ndarray], np.ndarray]:
-    """Small expression set for deterministic time profiles h(t)."""
+    """Small expression set for deterministic time profiles h(t); a shape
+    takes only its own coefficients, TIME_PROFILES[shape]."""
+    if shape not in TIME_PROFILES:
+        raise ConfigurationError(f"unknown time profile {shape!r}")
+    known = TIME_PROFILES[shape]
+    for key in coef:
+        if key not in known:
+            raise ConfigurationError(f"time profile {shape!r} has no coefficient {key!r}; "
+                                     f"known: {', '.join(known)}")
+    c = {key: float(coef.get(key, default)) for key, default in known.items()}
     if shape == "constant":
-        value = float(coef.get("value", 1.0))
-        return lambda t: np.full_like(np.asarray(t, dtype=float), value)
+        return lambda t: np.full_like(np.asarray(t, dtype=float), c["value"])
     if shape == "linear":
-        intercept = float(coef.get("intercept", 0.0))
-        slope = float(coef.get("slope", 1.0))
-        return lambda t: intercept + slope * np.asarray(t, dtype=float)
-    if shape == "sine":
-        amplitude = float(coef.get("amplitude", 1.0))
-        frequency = float(coef.get("frequency", 1.0))
-        return lambda t: amplitude * np.sin(2.0 * np.pi * frequency * np.asarray(t, dtype=float))
-    raise ConfigurationError(f"unknown time profile {shape!r}")
+        return lambda t: c["intercept"] + c["slope"] * np.asarray(t, dtype=float)
+    return lambda t: c["amplitude"] * np.sin(2.0 * np.pi * c["frequency"]
+                                             * np.asarray(t, dtype=float))
 
 
 class DriftModel:
@@ -165,11 +177,11 @@ class KalmanBucy(DriftModel):
 
     def __init__(self, beta=1.0, sigma=1.0, x0_var=None):
         if beta < 0:
-            raise ConfigurationError(f"kalman-bucy needs beta >= 0, got {beta}")
+            raise ConfigurationError(f"needs beta >= 0, got {beta}")
         if sigma <= 0:
-            raise ConfigurationError(f"kalman-bucy needs sigma > 0, got {sigma}")
+            raise ConfigurationError(f"needs sigma > 0, got {sigma}")
         if beta == 0 and x0_var is None:
-            raise ConfigurationError("kalman-bucy with beta = 0 needs an explicit x0_var")
+            raise ConfigurationError("beta = 0 needs an explicit x0_var")
         self.beta = float(beta)
         self.sigma = float(sigma)
         self.x0_var = float(x0_var) if x0_var is not None else self.sigma**2 / (2 * self.beta)
@@ -238,7 +250,7 @@ class Tsirelson(DriftModel):
     def __init__(self, levels=8):
         levels = int(levels)
         if levels < 1:
-            raise ConfigurationError(f"tsirelson needs at least one level, got {levels}")
+            raise ConfigurationError(f"needs at least one level, got {levels}")
         self.levels = levels
 
     def parameters(self):
@@ -389,13 +401,25 @@ MODEL_NAMES = tuple(_REGISTRY)
 
 
 def make_model(name: str, **params) -> DriftModel:
+    """The registered model `name` built from `params`; a parameter the
+    model does not take, or a value it rejects, is a ConfigurationError
+    naming the model."""
     try:
         cls = _REGISTRY[name]
     except KeyError:
         raise ConfigurationError(
             f"unknown model {name!r}; known: {', '.join(MODEL_NAMES)}"
         ) from None
-    return cls(**params)
+    signature = inspect.signature(cls)
+    try:
+        signature.bind(**params)
+    except TypeError as exc:  # the binding's own error: no model code has run
+        raise ConfigurationError(f"model {name!r}: {exc}; parameters: "
+                                 f"{', '.join(signature.parameters) or 'none'}") from None
+    try:
+        return cls(**params)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"model {name!r}: {exc}") from None
 
 
 def list_models() -> list[dict]:

@@ -419,11 +419,7 @@ def finite_bayes_filter(model: DriftModel, sim: EnsembleSimulation,
     N, m = grid.steps, sim.size
 
     # hypothesis drift tables (aux.count, N): exogenous, so path-independent
-    zeros = np.zeros((aux.count, N + 1))
-    state = model.start(grid, aux.values[:, None], None)
-    hypo = np.empty((aux.count, N))
-    for k in range(N):
-        hypo[:, k] = model.drift(k, grid, zeros, aux.values[:, None], None, state)
+    hypo = run_euler(model, grid, np.zeros((aux.count, N)), aux.values[:, None]).drift
 
     log_pmf = {round(float(n), ROUND_DECIMALS): math.log(p)
                for n, p in zip(noise.values, noise.probs)}

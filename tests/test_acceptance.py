@@ -118,7 +118,7 @@ def test_criterion_4_positive_gap_witness(tmp_path):
     t0 = time.time()
     _, system = witness_space()
     exact = dpi_verdict(system)
-    cfg = ExperimentConfig(model=WitnessDrift.name, mode="discrete", grid_n=2,
+    cfg = ExperimentConfig(model=WitnessDrift.name, mode="crosscheck", grid_n=2,
                            paths=100_000, noise_nodes=2, erasure="sign-terminal",
                            seed=SEED, outdir=str(tmp_path))
     rec = run_experiment(cfg)

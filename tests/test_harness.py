@@ -65,7 +65,7 @@ FROZEN_RESULTS_SHA256 = {
              noise_nodes=3, aux_values=(-1.5, 1.5), seed=1),
         "17539be48fe175ea6a4cb875487dc634859133ceceec854d47bae6b7fc0f9c5b"),
     "witness-erasure": (
-        dict(model="witness-one-sided", mode="discrete", grid_n=2, noise_nodes=2,
+        dict(model="witness-one-sided", mode="crosscheck", grid_n=2, noise_nodes=2,
              erasure="sign-terminal", paths=1000, seed=1),
         "7da61a823d3a127cb250e419b944a332222c0e2d5498f997cc061a56d5c4c68f"),
 }
@@ -110,6 +110,10 @@ def test_config_rejects_unknown_keys_and_bad_values():
         parse_config("modell = zero")
     with pytest.raises(ConfigurationError):
         parse_config("mode = streaming")
+    with pytest.raises(ConfigurationError, match="unknown mode 'discrete'"):
+        parse_config("mode = discrete")  # the quantized run without its crosscheck
+    with pytest.raises(ConfigurationError, match="unknown mode 'discrete'"):
+        ExperimentConfig(mode="discrete")
     with pytest.raises(ConfigurationError):
         parse_config("model = zero\npaths = 10")  # continuous needs >= 100
     with pytest.raises(ConfigurationError):
@@ -118,6 +122,18 @@ def test_config_rejects_unknown_keys_and_bad_values():
         parse_config("paths = many")
     with pytest.raises(ConfigurationError, match="unknown key"):
         parse_config("basis_squares = true")  # a key of older configs
+
+
+def test_config_booleans_take_the_usual_spellings_in_any_case():
+    for text, value in [("true", True), ("TRUE", True), ("1", True), ("Yes", True),
+                        ("false", False), ("False", False), ("0", False), ("NO", False)]:
+        assert parse_config(f"basis_cubes = {text}").basis_cubes is value
+    # a misspelled boolean is an error, not false
+    for line in ("write_paths = ture", "basis_cubes = on", "basis_cubes ="):
+        key, val = (part.strip() for part in line.split("="))
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"line 2: bad value for {key}: {val!r}")):
+            parse_config(f"model = zero\n{line}\n")
 
 
 def test_readme_lists_exactly_the_config_keys():
@@ -263,11 +279,10 @@ def test_run_without_persisting_writes_no_paths_file(tmp_path):
     assert "paths_file" not in rec.diagnostics
 
 
-@pytest.mark.parametrize("mode", ["discrete", "crosscheck"])
-def test_write_paths_outside_continuous_mode_is_rejected(mode):
-    # no path file exists in these modes; the config fails before any draw
+def test_write_paths_outside_continuous_mode_is_rejected():
+    # no path file exists in crosscheck mode; the config fails before any draw
     with pytest.raises(ConfigurationError, match="write_paths"):
-        parse_config(f"model = independent\nmode = {mode}\nwrite_paths = true\n")
+        parse_config("model = independent\nmode = crosscheck\nwrite_paths = true\n")
 
 
 def test_negative_infinity_keeps_its_sign_in_every_file(tmp_path):
@@ -289,7 +304,7 @@ def test_negative_infinity_keeps_its_sign_in_every_file(tmp_path):
 
 
 def test_discrete_witness_run(tmp_path):
-    cfg = ExperimentConfig(model=WitnessDrift.name, mode="discrete", grid_n=2,
+    cfg = ExperimentConfig(model=WitnessDrift.name, mode="crosscheck", grid_n=2,
                            paths=20000, noise_nodes=2, erasure="sign-terminal",
                            seed=3, outdir=str(tmp_path))
     rec = run_experiment(cfg)
@@ -300,6 +315,7 @@ def test_discrete_witness_run(tmp_path):
     assert not d["u_recoverable_from_z"]
     # the MC gap should be near the enumerated one at this sample size
     assert rec.levels[0]["gap"] == pytest.approx(d["exact_gap"], rel=0.15)
+    assert d["crosscheck"]["passed"]  # every quantized run checks itself
 
 
 def test_crosscheck_mode_record(tmp_path):
@@ -380,7 +396,7 @@ def test_report_columns_align_for_every_model_name(tmp_path):
     for name in MODEL_NAMES:
         row = {"model": name, "n": 1.0, "H_hat": 0.1, "E_hat": 0.1, "gap": 0.0,
                "gap_se": 0.0, "ess": 10.0, "verdict": "INCONCLUSIVE"}
-        records.append(json.dumps({"config_digest": "d", "model": name, "mode": "discrete",
+        records.append(json.dumps({"config_digest": "d", "model": name, "mode": "crosscheck",
                                    "verdict": "INCONCLUSIVE", "levels": [row],
                                    "diagnostics": {}, "wall_clock": 0.0, "version": "0"}))
     (tmp_path / "run.jsonl").write_text("\n".join(records) + "\n")
@@ -394,6 +410,13 @@ def test_report_columns_align_for_every_model_name(tmp_path):
 def test_report_needs_records(tmp_path):
     with pytest.raises(UsageError):
         report(tmp_path)
+
+
+@pytest.mark.parametrize("name", ["smoke", "oracle"])
+def test_cheap_suites_pass(tmp_path, capsys, name):
+    assert suite(name, outdir=str(tmp_path)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines and all(line.endswith(" ok") for line in lines), lines
 
 
 def test_suite_unknown_name():
@@ -423,7 +446,7 @@ def test_cli_run_and_report(tmp_path):
     (dict(model="independent", mode="crosscheck", grid_n=2, paths=500, noise_nodes=2,
           aux_values=(-1.0, 1.0)),
      {"configure", "enumerate", "sample", "filter", "innovation", "criterion"}),
-    (dict(model=WitnessDrift.name, mode="discrete", grid_n=2, paths=500, noise_nodes=2),
+    (dict(model=WitnessDrift.name, mode="crosscheck", grid_n=2, paths=500, noise_nodes=2),
      {"configure", "enumerate", "sample", "filter", "innovation", "criterion"}),
 ])
 def test_run_records_stage_timings(tmp_path, cfg, stages):
@@ -465,10 +488,10 @@ def test_report_reads_stage_records_without_a_peak_rise(tmp_path):
 
 
 def test_both_modes_write_level_rows_of_one_shape(tmp_path):
-    # a discrete run's row comes from the same LevelReport as a continuous
+    # a crosscheck run's row comes from the same LevelReport as a continuous
     # run's, through the same filter, innovation and criterion stages
     runs = [dict(model="linear-feedback", grid_n=16, paths=200),
-            dict(model=WitnessDrift.name, mode="discrete", grid_n=2, paths=500,
+            dict(model=WitnessDrift.name, mode="crosscheck", grid_n=2, paths=500,
                  noise_nodes=2, erasure="sign-terminal")]
     keys = []
     for i, cfg in enumerate(runs):
@@ -531,14 +554,15 @@ def test_cli_run_rejects_a_ridge_the_rescue_cannot_use(tmp_path, capsys, monkeyp
 
 
 def test_cli_run_rejects_too_few_paths_in_every_mode(tmp_path, capsys, monkeypatch):
-    # the normalization diagnostic needs 100 members: a discrete or crosscheck
-    # run with fewer stops in configuration, before enumerating or sampling
+    # the normalization diagnostic needs 100 members: a run with fewer stops
+    # in configuration, before enumerating or sampling
     def no_draws(*args, **kwargs):
         raise AssertionError("atoms enumerated or paths drawn")
 
     monkeypatch.setattr(harness, "enumerate_atoms", no_draws)
     monkeypatch.setattr(harness, "sample_quantized_ensemble", no_draws)
-    for mode in ("discrete", "crosscheck"):
+    monkeypatch.setattr(harness, "simulate_ensemble", no_draws)
+    for mode in ("continuous", "crosscheck"):
         cfg_file = tmp_path / f"{mode}.cfg"
         cfg_file.write_text(f"model = independent\nmode = {mode}\ngrid_n = 3\n"
                             f"aux_values = -1.5, 1.5\noutdir = {tmp_path / 'run'}\n")
@@ -595,9 +619,21 @@ def test_cli_run_rejects_levels_floors_and_tolerances_before_sampling(
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("model, key", [("linear-feedback", "b"), ("deterministic", "valeu")])
+def test_cli_run_rejects_a_parameter_the_model_does_not_take(tmp_path, capsys, model, key):
+    # a constructor argument and a time-profile coefficient the model lacks
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(f"model = {model}\nmodel.{key} = 2\ngrid_n = 8\npaths = 200\n"
+                        f"outdir = {tmp_path / 'run'}\n")
+    assert cli_main(["run", "--config", str(cfg_file)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"model {model!r}" in err and repr(key) in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_cli_run_aligns_rows_for_every_model_name(tmp_path, capsys):
     rows = []
-    for name, extra in [(WitnessDrift.name, "mode = discrete\nnoise_nodes = 2\n"),
+    for name, extra in [(WitnessDrift.name, "mode = crosscheck\nnoise_nodes = 2\n"),
                         ("linear-feedback", "levels = inf\n")]:
         cfg_file = tmp_path / f"{name}.cfg"
         cfg_file.write_text(f"model = {name}\ngrid_n = 2\npaths = 200\n{extra}"

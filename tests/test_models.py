@@ -38,6 +38,21 @@ def test_unknown_model_rejected():
         make_model("brown")
 
 
+@pytest.mark.parametrize("name, params, key", [
+    ("zero", {"b": 2}, "b"),
+    ("linear-feedback", {"b": 2}, "b"),
+    ("kalman-bucy", {"b": 2}, "b"),
+    ("tsirelson", {"b": 2}, "b"),
+    ("witness-one-sided", {"b": 2}, "b"),
+    ("deterministic", {"valeu": 2}, "valeu"),
+    ("independent", {"valeu": 2}, "valeu"),
+    ("deterministic", {"shape": "linear", "value": 2}, "value"),  # another profile's
+])
+def test_make_model_rejects_a_parameter_the_model_does_not_take(name, params, key):
+    with pytest.raises(ConfigurationError, match=rf"^model '{name}': .*'{key}'"):
+        make_model(name, **params)
+
+
 def test_zero_drift_observation_equals_brownian():
     out = simulate_ensemble(make_model("zero"), TimeGrid(steps=32), 1, STREAM)
     assert np.array_equal(out.U, brownian(out))
