@@ -8,6 +8,12 @@ Conventions used throughout the package:
   point; a single path is m = 1;
 * adapted integrands are (m, N) arrays, one value per subinterval,
   column k being the value on [t_k, t_{k+1}) (left-point convention);
+* ensemble arrays are column-major (order="F"), so the column of one time
+  step is contiguous for every pass that walks the steps: the Euler
+  recursion, the filters, the innovation and the feature builder;
+* per-path reductions over time (log-weights, energies) run on row-major
+  copies of a few rows at a time (`row_chunks`): an einsum over
+  column-major rows adds in another order and moves the last bit;
 * every stochastic integral is the non-anticipating left-point sum.
 
 Randomness follows a counter-based contract: a (seed, substream) pair maps
@@ -44,12 +50,16 @@ __all__ = [
     "philox4x64_10",
     "path_energies",
     "PATH_BLOCK",
+    "row_chunks",
 ]
 
-#: rows that one block of a row-by-row ensemble pass holds at a time: the
-#: continuous front end's simulation, filter and innovation, and the
-#: Girsanov layer's stopping times and log-weights
+#: rows that one block of the continuous front end (simulation, filter and
+#: innovation) holds at a time
 PATH_BLOCK = 1024
+
+#: values in one chunk of rows copied between a column-major ensemble array
+#: and a row-major buffer: a block's draws, the Girsanov layer's sums
+CHUNK_VALUES = 2**15
 
 # Lane indices carving one substream into independent channels.  Lane 3 is
 # unused; renumbering would move every quantized draw.
@@ -197,6 +207,12 @@ class RandomStream:
         counter = (np.arange(1, blocks + 1, dtype=_U64), 0, low[:, None], high[:, None])
         words = np.stack(np.broadcast_arrays(*philox4x64_10(counter, (self.seed, 0))), axis=-1)
         return (words.reshape(m, 4 * blocks)[:, :n] >> _U64(11)) * 2.0**-53
+
+
+def row_chunks(m: int, n: int) -> list[slice]:
+    """Slices of about CHUNK_VALUES values (at least a row) over m rows of n."""
+    rows = max(CHUNK_VALUES // max(n, 1), 1)
+    return [slice(lo, min(lo + rows, m)) for lo in range(0, m, rows)]
 
 
 def path_energies(x: np.ndarray, dt: float) -> np.ndarray:

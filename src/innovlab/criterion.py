@@ -147,8 +147,8 @@ def criterion_levels(Z: np.ndarray, uhat: np.ndarray, grid: TimeGrid,
     `girsanov.MIN_DIAGNOSTIC_MEMBERS` paths is a usage error.
 
     The stopping times and each level's stopped log-weights are formed by
-    the Girsanov layer in row blocks, so beside Z and uhat the stage holds
-    only (m,) vectors per level and one block of the feature builder's Z.
+    the Girsanov layer in row chunks, and the feature builder reads Z in
+    place, so beside Z and uhat the stage holds only (m,) vectors per level.
     """
     N = uhat.shape[1]
     dt = grid.dt
@@ -161,23 +161,21 @@ def criterion_levels(Z: np.ndarray, uhat: np.ndarray, grid: TimeGrid,
     stops = stop_indices(uhat, dt, levels)
     slots: dict = {}
     slot_of = [slots.setdefault(stop.tobytes(), len(slots)) for stop in stops]
-    distinct = [stops[slot_of.index(s)] for s in range(len(slots))]
+    stopped = stops[[slot_of.index(s) for s in range(len(slots))]]
 
-    weight_sets, energies, diags, ess = [], [], [], []
-    for stop in distinct:
-        # E_hat averages exactly the energies inside the level's log-weights
-        lw, e = log_weights_ensemble(uhat, Z, dt, stop)
+    # E_hat averages exactly the energies inside the level's log-weights
+    log_weights, energies = log_weights_ensemble(uhat, Z, dt, stopped)
+    weight_sets, diags, ess = [], [], []
+    for lw in log_weights:
         ens = reweight(lw)
         diags.append(normalization_diagnostic(ens))
         weight_sets.append(ens.weights)
-        energies.append(e)
         ess.append(ens.ess)
 
     # one regression call per step: features shared, weight sets stacked
     stacked = np.stack(weight_sets)
-    stopped = np.stack(distinct)
     q = np.zeros(stacked.shape)
-    escalations = np.zeros(len(distinct), dtype=int)
+    escalations = np.zeros(len(stopped), dtype=int)
     builder = FeatureBuilder(Z, dt, basis)
     for k in range(N):
         G = builder.features_at(k)

@@ -17,6 +17,7 @@ conservative lower bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -67,29 +68,30 @@ def riccati_sequence(beta: float, sigma: float, grid: TimeGrid, p0: float) -> np
 
 
 def _kalman_values(dU: np.ndarray, beta: float, sigma: float, grid: TimeGrid,
-                   p0: float) -> np.ndarray:
+                   p0: float, out: np.ndarray) -> np.ndarray:
     """Vectorized filter mean over stacked observation increments (m, N)."""
     P = riccati_sequence(beta, sigma, grid, p0)
     dt = grid.dt
-    m, N = dU.shape
-    xhat = np.zeros(m)
-    out = np.empty((m, N))
-    for k in range(N):
+    xhat = np.zeros(len(dU))
+    for k in range(dU.shape[1]):
         out[:, k] = xhat
         xhat = xhat - beta * xhat * dt + P[k] * (dU[:, k] - xhat * dt)
     return out
 
 
-def _independent_values(dU: np.ndarray, g_left: np.ndarray, dt: float) -> np.ndarray:
+def _independent_values(dU: np.ndarray, g_left: np.ndarray, dt: float,
+                        out: np.ndarray) -> np.ndarray:
     """Posterior-mean drift for u' = theta g(t), theta ~ N(0,1): stacked (m, N).
 
     The running sums sum_{j<k} g_j dU_j are built in the output array
-    itself, so the filter needs no (m, N) temporary next to the simulation.
+    itself, one step at a time in np.cumsum's order, so the filter needs no
+    (m, N) temporary next to the simulation.
     """
-    out = np.zeros(dU.shape)
+    out[:, 0] = 0.0
     num = out[:, 1:]
     np.multiply(g_left[:-1], dU[:, :-1], out=num)
-    np.cumsum(num, axis=1, out=num)
+    for k in range(1, num.shape[1]):
+        num[:, k] += num[:, k - 1]
     den = 1.0 + np.concatenate([[0.0], np.cumsum(g_left**2 * dt)])
     out /= den[:-1]
     out *= g_left
@@ -112,12 +114,13 @@ def _truncnorm_mean01(mu: np.ndarray, sigma: float) -> np.ndarray:
     return mean
 
 
-def _tsirelson_values(model: Tsirelson, sim: EnsembleSimulation) -> np.ndarray:
+def _tsirelson_values(model: Tsirelson, sim: EnsembleSimulation,
+                      out: np.ndarray) -> np.ndarray:
     """Exact filtered drift: truncated-normal posterior mean on the seed
     segment, the drift itself afterwards (it is observation-adapted there)."""
     grid = sim.grid
     n0 = round(model.level_times()[0] * grid.steps)
-    out = sim.drift.copy()
+    out[:] = sim.drift
     out[:, 0] = 0.5
     for k in range(1, n0):
         t = k * grid.dt
@@ -125,34 +128,44 @@ def _tsirelson_values(model: Tsirelson, sim: EnsembleSimulation) -> np.ndarray:
     return out
 
 
-def ensemble_conditional_drift(model: DriftModel, sim: EnsembleSimulation) -> EnsembleFilter:
+def ensemble_conditional_drift(model: DriftModel, sim: EnsembleSimulation,
+                               out: Optional[np.ndarray] = None) -> EnsembleFilter:
     """Filtered drift for an ensemble, via the model's exact filter.
 
+    The values fill `out` (m, N) when given, else a new column-major
+    array, so that a caller's rows need no copy next to the simulation.
     Each filter acts row by row, like a drift rule: row i of the output is
     the same function of row i of the simulation whatever the other rows,
     so `harness.continuous_front_end` may filter each block of rows alone.
     """
+    out = np.empty(sim.drift.shape, order="F") if out is None else out
     if model.observation_adapted:
-        return EnsembleFilter(sim.drift, "identity-feedback")
+        out[:] = sim.drift
+        return EnsembleFilter(out, "identity-feedback")
     if isinstance(model, KalmanBucy):
-        vals = _kalman_values(sim.dU, model.beta, model.sigma, sim.grid, p0=model.x0_var)
+        vals = _kalman_values(sim.dU, model.beta, model.sigma, sim.grid, model.x0_var, out)
         return EnsembleFilter(vals, "exact-kalman")
     if isinstance(model, IndependentDrift):
         g_left = model.g(sim.grid.left_times)
-        return EnsembleFilter(_independent_values(sim.dU, g_left, sim.grid.dt), "exact-gaussian")
+        return EnsembleFilter(_independent_values(sim.dU, g_left, sim.grid.dt, out),
+                              "exact-gaussian")
     if isinstance(model, Tsirelson):
-        return EnsembleFilter(_tsirelson_values(model, sim), "exact-head")
+        return EnsembleFilter(_tsirelson_values(model, sim, out), "exact-head")
     raise UsageError(f"no exact filter for model {model.name}")
 
 
 def innovation_values(U: np.ndarray, uhat: np.ndarray, dt: float) -> np.ndarray:
     """Innovation paths Z = U - int uhat ds: U (m, N+1), uhat (m, N); row
-    by row, like the filters."""
-    m = U.shape[0]
-    if U.ndim != 2 or uhat.shape != (m, U.shape[1] - 1):
+    by row, like the filters.  Z has U's memory layout; the integral is
+    summed one step at a time, in np.cumsum's order."""
+    if U.ndim != 2 or uhat.shape != (U.shape[0], U.shape[1] - 1):
         raise ShapeError(f"filtered drift {uhat.shape} does not fit observation {U.shape}")
-    prim = np.concatenate([np.zeros((m, 1)), np.cumsum(uhat * dt, axis=1)], axis=1)
-    return U - prim
+    Z = U.copy(order="K")
+    for k in range(uhat.shape[1]):
+        step = uhat[:, k] * dt
+        integral = integral + step if k else step
+        Z[:, k + 1] -= integral
+    return Z
 
 
 @dataclass(frozen=True)
@@ -197,35 +210,20 @@ class FeatureBuilder:
 
     `features_at(k)` returns a C-contiguous (p, m) array: one row per
     feature (intercept, increments, level, EMAs, then their cubes), one
-    column per path.  The rows are filled from `Z` (m, N+1) copied
-    time-major BLOCK steps at a time (plus the window's history), so a step
-    reads contiguous memory and the builder holds no more than one block
-    next to the caller's `Z`.
+    column per path.  The rows are read from the step rows of `Z.T`; with
+    `Z` (m, N+1) column-major, as the continuous front end returns it,
+    each is contiguous, and the builder holds no copy of `Z`.
 
     EMA features are accumulated one increment per step, so the steps are
     served in order: k = 0, 1, 2, ...; any other k is a usage error.
     """
 
-    BLOCK = 64
-
     def __init__(self, Z: np.ndarray, dt: float, spec: BasisSpec):
         self.Z = Z
         self.dt = dt
         self.spec = spec
-        self._history = max(spec.window, 1)
-        self._lo = self._hi = 0  # the block holds Z columns lo..hi-1
-        self._block = np.empty((0, Z.shape[0]))
         self._ema = [np.zeros(Z.shape[0]) for _ in spec.ema_rates]
         self._next = 0
-
-    def _load(self, k: int) -> int:
-        """Load the block holding Z columns k - max(window, 1) .. k; return k's row."""
-        if not (self._lo <= max(k - self._history, 0) and k < self._hi):
-            start = k - k % self.BLOCK
-            self._lo = max(start - self._history, 0)
-            self._hi = min(start + self.BLOCK, self.Z.shape[1])
-            self._block = np.ascontiguousarray(self.Z[:, self._lo:self._hi].T)
-        return k - self._lo
 
     def features_at(self, k: int) -> np.ndarray:
         if k != self._next:
@@ -233,21 +231,20 @@ class FeatureBuilder:
                              f"{self._next}, got {k}")
         self._next = k + 1
         spec = self.spec
-        i = self._load(k)
-        block = self._block
+        steps = self.Z.T
         if k and self._ema:
-            inc = block[i] - block[i - 1]
+            inc = steps[k] - steps[k - 1]
             for ema, rate in zip(self._ema, spec.ema_rates):
                 ema *= 1.0 - rate * self.dt
                 ema += inc
         w = min(k, spec.window)
         n_base = w + 1 + len(self._ema)
         n_powers = 1 + spec.include_cubes
-        G = np.empty((1 + n_powers * n_base, block.shape[1]))
+        G = np.empty((1 + n_powers * n_base, steps.shape[1]))
         G[0] = 1.0
         base = G[1:1 + n_base]
-        np.subtract(block[i - w + 1:i + 1], block[i - w:i], out=base[:w])
-        base[w] = block[i]
+        np.subtract(steps[k - w + 1:k + 1], steps[k - w:k], out=base[:w])
+        base[w] = steps[k]
         for r, ema in enumerate(self._ema):
             base[w + 1 + r] = ema
         if spec.include_cubes:

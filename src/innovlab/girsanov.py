@@ -13,11 +13,12 @@ energy at a threshold, which restores integrability for any bounded
 threshold: `stop_indices` finds the first grid time the running energy
 exceeds it, and `localize` sets the drift to zero from there on.
 
-`stop_indices` and `log_weights_ensemble` read an ensemble one row block
-of `core.PATH_BLOCK` rows at a time: every quantity they form is a row's
-own sum or running sum, so the blocks move no bit, and their (m, N)
-temporaries (step energies, increments dZ, a level's stopped drift) never
-cover more than one block.  `log_weights_ensemble` returns the per-path
+`stop_indices` and `log_weights_ensemble` read an ensemble one chunk of
+rows (`core.row_chunks`) at a time, copied row-major: every quantity they
+form is a row's own sum or running sum, so neither the chunks nor the
+ensemble's layout move a bit, and their (m, N) temporaries (step
+energies, increments dZ, a level's stopped drift) never cover more than
+one chunk.  `log_weights_ensemble` returns the per-path
 energies sum_k uhat_k^2 dt together with the log-weights that contain
 them, so a level's energy estimate averages exactly the energies inside
 its weights and nothing sums them twice.  `reweight` is the one place a
@@ -34,7 +35,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import PATH_BLOCK, path_energies
+from .core import path_energies, row_chunks
 from .errors import DegeneracyError, NumericalError, ShapeError, UsageError
 
 __all__ = [
@@ -93,47 +94,59 @@ def log_weights_ensemble(uhat: np.ndarray, Z: np.ndarray, dt: float,
     """Stacked log rho over an ensemble, uhat (m, N) and Z (m, N+1), and the
     per-path energies sum_k uhat_k^2 dt that it contains: two (m,) arrays.
 
-    With (m,) stopping indices `stop` the drift is the stopped one,
-    `localize(uhat, stop)`.  Each block of PATH_BLOCK rows forms its own
-    increments dZ and stopped drift.
+    With stopping indices `stop`, (m,) for one rule or (S, m) for S rules,
+    the drift is the stopped one, `localize(uhat, stop[s])`, and both
+    outputs have stop's shape.  Each chunk of rows (`core.row_chunks`) is
+    copied row-major once for all the rules, and forms its increments dZ
+    once.
     """
     if uhat.ndim != 2 or Z.shape != (uhat.shape[0], uhat.shape[1] + 1):
         raise ShapeError(f"filtered drift {uhat.shape} does not fit innovation {Z.shape}")
-    m = len(uhat)
-    if stop is not None and np.shape(stop) != (m,):
-        raise ShapeError(f"stopping indices {np.shape(stop)} do not fit "
-                         f"filtered drift {uhat.shape}")
-    ito, en = np.empty(m), np.empty(m)
+    m, N = uhat.shape
+    stops = np.full(m, N) if stop is None else np.asarray(stop)
+    if stops.shape[-1:] != (m,) or stops.ndim > 2:
+        raise ShapeError(f"stopping indices {stops.shape} do not fit filtered drift {uhat.shape}")
+    rules = stops.reshape(-1, m)
+    ito, en = np.empty(rules.shape), np.empty(rules.shape)
     with np.errstate(invalid="ignore", over="ignore"):
-        for lo in range(0, m, PATH_BLOCK):
-            rows = slice(lo, lo + PATH_BLOCK)
-            x = uhat[rows] if stop is None else localize(uhat[rows], stop[rows])
-            ito[rows] = np.einsum("mk,mk->m", x, np.diff(Z[rows], axis=1))
-            en[rows] = path_energies(x, dt)
+        for rows in row_chunks(m, N):
+            # an einsum over column-major rows would add in another order
+            x = np.ascontiguousarray(uhat[rows])
+            dZ = np.diff(np.ascontiguousarray(Z[rows]), axis=1)
+            for s, rule in enumerate(rules[:, rows]):
+                # x * True is x: a chunk the rule never stops keeps its drift
+                xs = x if rule.min() >= N else localize(x, rule)
+                ito[s, rows] = np.einsum("mk,mk->m", xs, dZ)
+                en[s, rows] = path_energies(xs, dt)
         out = -ito - 0.5 * en
     if not np.all(np.isfinite(out)):
         raise NumericalError("non-finite log-weight encountered")
-    return out, en
+    return out.reshape(stops.shape), en.reshape(stops.shape)
 
 
 def stop_indices(uhat: np.ndarray, dt: float, thresholds: Sequence[float]) -> np.ndarray:
     """Per-member stopping index for each threshold n: the first k with
     sum_{j<k} uhat_j^2 dt > n, or N when the running energy never exceeds n.
 
-    Returns a (len(thresholds), m) array.  Each block of PATH_BLOCK rows
-    sums its running energy once for all thresholds.
+    Returns a (len(thresholds), m) array.  A running energy never falls,
+    so only rows whose energy before step N-1 (summed step by step, in
+    np.cumsum's order) exceeds some threshold, or is NaN, form theirs, a
+    chunk of rows at a time, once for all thresholds.
     """
     m, N = uhat.shape
-    out = np.empty((len(thresholds), m), dtype=np.intp)
-    for lo in range(0, m, PATH_BLOCK):
-        rows = slice(lo, lo + PATH_BLOCK)
-        x = uhat[rows]
+    last = np.zeros(m)
+    for k in range(N - 1):
+        last += uhat[:, k] * uhat[:, k] * dt
+    out = np.full((len(thresholds), m), N, dtype=np.intp)
+    live = np.flatnonzero(~(last <= min(thresholds, default=np.inf)))
+    for chunk in row_chunks(len(live), N):
+        x = uhat[live[chunk]]
         step_energy = np.einsum("mk,mk->mk", x, x) * dt
         before = np.zeros(x.shape)  # energy before step k, k = 0..N-1
         np.cumsum(step_energy[:, :-1], axis=1, out=before[:, 1:])
         for i, threshold in enumerate(thresholds):
             exceeded = before > threshold
-            out[i, rows] = np.where(exceeded.any(axis=1), exceeded.argmax(axis=1), N)
+            out[i, live[chunk]] = np.where(exceeded.any(axis=1), exceeded.argmax(axis=1), N)
     return out
 
 

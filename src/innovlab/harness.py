@@ -294,22 +294,21 @@ def resolve_outdir(config: ExperimentConfig) -> FsPath:
 def continuous_front_end(model: DriftModel, grid: TimeGrid, size: int,
                          stream: RandomStream, workers: int = 1,
                          stages: Optional[dict] = None):
-    """Innovation Z (size, N+1), filtered drift uhat (size, N) and filter
-    method of a continuous ensemble, simulated, filtered and innovated one
-    row block [lo, lo + PATH_BLOCK) at a time from substreams
-    stream.substream + lo..  Every step acts row by row, so neither the
-    blocks nor the `workers` threads they are mapped over move a number.
-    Block stage seconds are summed into `stages`, with the largest peak RSS.
+    """Innovation Z (size, N+1), filtered drift uhat (size, N), both
+    column-major, and the filter method of a continuous ensemble,
+    simulated, filtered and innovated one row block [lo, lo + PATH_BLOCK)
+    at a time from substreams stream.substream + lo..  Every step acts row
+    by row, so neither the blocks nor the `workers` threads they are
+    mapped over move a number.  Block stage seconds are summed into
+    `stages`, with the largest peak RSS.
     """
     stages = {} if stages is None else stages
-    Z = np.empty((size, grid.steps + 1))
-    uhat = np.empty((size, grid.steps))
+    Z = np.empty((size, grid.steps + 1), order="F")
+    uhat = np.empty((size, grid.steps), order="F")
 
     # each stage writes its rows, so the pages it touches count in its rise
     def filter_rows(sim, lo, hi):
-        filt = ensemble_conditional_drift(model, sim)
-        uhat[lo:hi] = filt.values
-        return filt.method
+        return ensemble_conditional_drift(model, sim, uhat[lo:hi]).method
 
     def innovate_rows(U, lo, hi):
         Z[lo:hi] = innovation_values(U, uhat[lo:hi], grid.dt)

@@ -97,6 +97,7 @@ def _affine_rows(model, grid):
     var = np.concatenate([np.ones(model.aux_dim), np.full(hidden_n + N, dt)])
 
     def split(x):
+        x = np.ascontiguousarray(x)  # the einsums below add in the row-major order
         return (x[1:] - x[0]).T, x[0]
 
     return split(sim.dU), split(filt.values), var, iB

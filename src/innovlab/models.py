@@ -15,12 +15,14 @@ discrete dynamics.
 from __future__ import annotations
 
 import inspect
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .core import LANE_AUX, LANE_BROWNIAN, LANE_HIDDEN, RandomStream, TimeGrid
+from .core import LANE_AUX, LANE_BROWNIAN, LANE_HIDDEN, RandomStream, TimeGrid, row_chunks
 from .errors import ConfigurationError, ShapeError
 
 __all__ = [
@@ -43,6 +45,15 @@ TIME_PROFILES = {
 }
 
 
+def _number(key: str, value, whole: bool = False):
+    """A model parameter's value: a finite real number, an int when `whole`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ConfigurationError(f"{key} must be a finite number, got {value!r}")
+    if whole and value != int(value):
+        raise ConfigurationError(f"{key} must be a whole number, got {value!r}")
+    return int(value) if whole else float(value)
+
+
 def time_function(shape: str = "constant", **coef) -> Callable[[np.ndarray], np.ndarray]:
     """Small expression set for deterministic time profiles h(t); a shape
     takes only its own coefficients, TIME_PROFILES[shape]."""
@@ -53,7 +64,7 @@ def time_function(shape: str = "constant", **coef) -> Callable[[np.ndarray], np.
         if key not in known:
             raise ConfigurationError(f"time profile {shape!r} has no coefficient {key!r}; "
                                      f"known: {', '.join(known)}")
-    c = {key: float(coef.get(key, default)) for key, default in known.items()}
+    c = {key: _number(key, coef.get(key, default)) for key, default in known.items()}
     if shape == "constant":
         return lambda t: np.full_like(np.asarray(t, dtype=float), c["value"])
     if shape == "linear":
@@ -155,7 +166,7 @@ class LinearFeedback(DriftModel):
     observation_adapted = True
 
     def __init__(self, a=1.0):
-        self.a = float(a)
+        self.a = _number("a", a)
 
     def parameters(self):
         return {"a": self.a}
@@ -176,15 +187,19 @@ class KalmanBucy(DriftModel):
     aux_dim = 1
 
     def __init__(self, beta=1.0, sigma=1.0, x0_var=None):
+        beta, sigma = _number("beta", beta), _number("sigma", sigma)
+        x0_var = None if x0_var is None else _number("x0_var", x0_var)
         if beta < 0:
             raise ConfigurationError(f"needs beta >= 0, got {beta}")
         if sigma <= 0:
             raise ConfigurationError(f"needs sigma > 0, got {sigma}")
         if beta == 0 and x0_var is None:
             raise ConfigurationError("beta = 0 needs an explicit x0_var")
-        self.beta = float(beta)
-        self.sigma = float(sigma)
-        self.x0_var = float(x0_var) if x0_var is not None else self.sigma**2 / (2 * self.beta)
+        if x0_var is not None and x0_var < 0:
+            raise ConfigurationError(f"needs x0_var >= 0, got {x0_var}")
+        self.beta = beta
+        self.sigma = sigma
+        self.x0_var = x0_var if x0_var is not None else sigma**2 / (2 * beta)
 
     def parameters(self):
         return {"beta": self.beta, "sigma": self.sigma, "x0_var": self.x0_var}
@@ -248,7 +263,7 @@ class Tsirelson(DriftModel):
     reads_observation = True
 
     def __init__(self, levels=8):
-        levels = int(levels)
+        levels = _number("levels", levels, whole=True)
         if levels < 1:
             raise ConfigurationError(f"needs at least one level, got {levels}")
         self.levels = levels
@@ -301,7 +316,7 @@ class WitnessDrift(DriftModel):
     observation_adapted = True
 
     def __init__(self, kick=1.0):
-        self.kick = float(kick)
+        self.kick = _number("kick", kick)
 
     def parameters(self):
         return {"kick": self.kick}
@@ -351,9 +366,9 @@ def run_euler(model: DriftModel, grid: TimeGrid, dB: np.ndarray,
         raise ConfigurationError(f"model {model.name} needs hidden driving noise")
     m, N = dB.shape
     dt = grid.dt
-    U = np.zeros((m, N + 1))
-    drift = np.empty((m, N))
-    dU = np.empty((m, N))
+    U = np.zeros((m, N + 1), order="F")
+    drift = np.empty((m, N), order="F")
+    dU = np.empty((m, N), order="F")
     state = model.start(grid, aux, hidden)
     for k in range(N):
         u = model.drift(k, grid, U, aux, hidden, state)
@@ -371,18 +386,24 @@ def simulate_ensemble(model: DriftModel, grid: TimeGrid, size: int,
     """
     model.validate(grid)
     N = grid.steps
-    dB = np.empty((size, N))
+    dB = np.empty((size, N), order="F")
     aux = np.empty((size, model.aux_dim))
-    hidden = np.empty((size, N)) if model.needs_hidden() else None
+    hidden = np.empty((size, N), order="F") if model.needs_hidden() else None
     # one generator, re-seated at each (path, lane): local to this call, so
-    # concurrent calls never share it
+    # concurrent calls never share it.  It fills contiguous rows only, so a
+    # chunk of paths draws into row-major buffers, copied over at once
     rng = stream.generator()
-    for i in range(size):
-        stream.seat(rng, LANE_BROWNIAN, i).standard_normal(out=dB[i])
-        if model.aux_dim:
-            aux[i] = model.sample_aux(stream.seat(rng, LANE_AUX, i), 1)[0]
+    for rows in row_chunks(size, N):
+        noise, hidden_noise = np.empty((2, rows.stop - rows.start, N))
+        for j, i in enumerate(range(rows.start, rows.stop)):
+            stream.seat(rng, LANE_BROWNIAN, i).standard_normal(out=noise[j])
+            if model.aux_dim:
+                aux[i] = model.sample_aux(stream.seat(rng, LANE_AUX, i), 1)[0]
+            if hidden is not None:
+                hidden_noise[j] = model.sample_hidden(stream.seat(rng, LANE_HIDDEN, i), grid)
+        dB[rows] = noise
         if hidden is not None:
-            hidden[i] = model.sample_hidden(stream.seat(rng, LANE_HIDDEN, i), grid)
+            hidden[rows] = hidden_noise
     dB *= np.sqrt(grid.dt)
     return run_euler(model, grid, dB, aux, hidden)
 

@@ -1,12 +1,14 @@
-"""The benchmark's workload configs still parse and resolve, and its
-tracer still finds the names it wraps.
+"""The benchmark's workload configs still parse and resolve, its output
+checks still hold, and its tracer still finds the names it wraps.
 
 `bench/child.py` builds every run from a workload's config text and its
 overrides, then resolves the model.  A config-layer change that rejects
-them would break every benchmark run; it fails here first.  `bench/tracing.py`
-skips a wrapped name the package no longer has, so its span silently reads
-0; a rename fails here instead.  Both files are executed from their source,
-so nothing is written under bench/.
+them would break every benchmark run; it fails here first.  So does a
+program change that would fail the benchmark's correctness gate: every
+workload runs at the self-test's scale and its checks must hold.
+`bench/tracing.py` skips a wrapped name the package no longer has, so its
+span silently reads 0; a rename fails here instead.  Both files are
+executed from their source, so nothing is written under bench/.
 """
 
 import importlib
@@ -18,7 +20,9 @@ import pytest
 from innovlab import harness
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
-WORKLOADS = runpy.run_path(str(BENCH / "workloads.py"))["WORKLOADS"]
+_WORKLOADS_PY = runpy.run_path(str(BENCH / "workloads.py"))
+WORKLOADS, CHECKS = _WORKLOADS_PY["WORKLOADS"], _WORKLOADS_PY["checks"]
+SELF_TEST_SCALE = 0.05  # the path-count scale of bench/selftest.py
 WRAPPED = runpy.run_path(str(BENCH / "tracing.py"))["WRAPPED"]
 
 # wrapped names the package no longer has, whose spans read 0 until the
@@ -31,7 +35,7 @@ STALE_WRAPPED = {("harness", "gaussian_path_kl"), ("criterion", "active_mask"),
                  ("harness", "reweight"), ("harness", "normalization_diagnostic")}
 
 
-@pytest.mark.parametrize("scale", [1.0, 0.05])  # full size and the self-test's size
+@pytest.mark.parametrize("scale", [1.0, SELF_TEST_SCALE])  # full size and the self-test's
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_benchmark_workload_configs_parse_and_resolve(name, scale, tmp_path):
     workload = WORKLOADS[name]
@@ -40,6 +44,18 @@ def test_benchmark_workload_configs_parse_and_resolve(name, scale, tmp_path):
     harness.resolve_model(cfg.model, cfg.model_params)
     assert (cfg.seed, cfg.paths, cfg.outdir) == (
         workload.default_seed, overrides["paths"], str(tmp_path))
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_benchmark_output_checks_hold_at_the_self_test_scale(name, tmp_path, monkeypatch):
+    monkeypatch.delenv(harness.OUTDIR_ENV, raising=False)  # the run writes under tmp_path
+    workload = WORKLOADS[name]
+    overrides = workload.overrides(workload.default_seed, SELF_TEST_SCALE, str(tmp_path))
+    record = harness.run_experiment(harness.parse_config(workload.config, **overrides))
+    assert (tmp_path / "results.csv").exists()
+    failed = [(check, observed, expected) for check, observed, expected in CHECKS(name, record)
+              if observed != expected]
+    assert failed == []
 
 
 def test_every_traced_name_exists_but_the_listed_stale_ones():

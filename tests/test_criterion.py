@@ -78,24 +78,26 @@ def test_path_energies_full_and_stopped():
 def test_energy_averages_the_energies_inside_the_log_weights(monkeypatch):
     # a level's E_hat and its se come from exactly the per-path energies
     # that its log-weights sum, bit for bit; the references stop and sum the
-    # whole ensemble at once, the pipeline one row block at a time
+    # whole ensemble at once, from row-major copies of the column-major
+    # arrays, the pipeline one row chunk at a time
     grid, _, uhat, Z = _pipeline("kalman-bucy", 64, 2000)
     stops, outputs = [], []
     log_weights = criterion.log_weights_ensemble
 
     def weights_spy(uhat_in, Z_in, dt, stop):
-        assert uhat_in is uhat and Z_in is Z  # the level stops its rows itself
-        stops.append(stop)
+        assert uhat_in is uhat and Z_in is Z  # the levels stop their rows themselves
+        stops.extend(stop)
         lw, e = log_weights(uhat_in, Z_in, dt, stop)
-        outputs.append((lw, e))
+        outputs.extend(zip(lw, e))
         return lw, e
 
     monkeypatch.setattr(criterion, "log_weights_ensemble", weights_spy)
     reports = criterion_levels(Z, uhat, grid, levels=(0.01, np.inf))
     assert len(stops) == 2 and reports[0].ess != reports[1].ess
+    uhat_c, Z_c = np.ascontiguousarray(uhat), np.ascontiguousarray(Z)
     for r, stop, (lw, e) in zip(reports, stops, outputs):
-        stopped = localize(uhat, stop)
-        ito = np.einsum("mk,mk->m", stopped, np.diff(Z, axis=1))
+        stopped = localize(uhat_c, stop)
+        ito = np.einsum("mk,mk->m", stopped, np.diff(Z_c, axis=1))
         assert np.array_equal(e, path_energies(stopped, grid.dt))
         assert np.array_equal(-ito - 0.5 * e, lw)
         w = reweight(lw).weights
@@ -107,7 +109,7 @@ def test_energy_averages_the_energies_inside_the_log_weights(monkeypatch):
 def test_energies_are_summed_once_per_stopping_rule(monkeypatch):
     # the energies inside each level's log-weights are the ones E_hat
     # averages; no second sum of the same stopped drift.  The sums run over
-    # row blocks, so each row is counted once per rule: 2 m rows for 2 rules
+    # row chunks, so each row is counted once per rule: 2 m rows for 2 rules
     from innovlab import girsanov
 
     grid, _, uhat, Z = _pipeline("kalman-bucy", 64, 2000)
@@ -122,7 +124,7 @@ def test_energies_are_summed_once_per_stopping_rule(monkeypatch):
             monkeypatch.setattr(mod, "path_energies", counting)
     reports = criterion_levels(Z, uhat, grid, levels=(0.01, np.inf))
     assert reports[0].ess != reports[1].ess  # two distinct stopping rules
-    assert len(rows) > 2  # 2000 rows take two blocks per rule
+    assert len(rows) > 2  # 2000 rows of 64 steps take four chunks per rule
     assert sum(rows) == 2 * len(uhat)
 
 

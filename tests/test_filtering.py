@@ -241,17 +241,19 @@ def _path_major_features(Z, dt, spec, k):
 
 def test_feature_rows_equal_the_path_major_formula():
     m, N = 300, 200
-    Z, _ = _toy_paths(m, N, seed=4)
+    Z_rows, _ = _toy_paths(m, N, seed=4)
     spec = BasisSpec(window=5, include_cubes=True, ema_rates=(0.5, 3.0))
-    fb = FeatureBuilder(Z, 1.0 / N, spec)
-    # every step, across the block edges at 64, 128 and 192
-    for k in range(N):
-        G = fb.features_at(k)
-        assert G.flags.c_contiguous
-        assert np.array_equal(G, _path_major_features(Z, 1.0 / N, spec, k).T)
-        held = [a for v in vars(fb).values() for a in (v if isinstance(v, list) else [v])
-                if isinstance(a, np.ndarray) and a is not Z]
-        assert max(a.size for a in held) <= (FeatureBuilder.BLOCK + spec.window + 1) * m
+    # the front end's column-major layout, and a row-major one
+    for Z in (np.asfortranarray(Z_rows), Z_rows):
+        fb = FeatureBuilder(Z, 1.0 / N, spec)
+        for k in range(N):
+            G = fb.features_at(k)
+            assert G.flags.c_contiguous
+            assert np.array_equal(G, _path_major_features(Z, 1.0 / N, spec, k).T)
+            # no copy of Z: beside Z the builder holds its EMA vectors only
+            held = [a for v in vars(fb).values() for a in (v if isinstance(v, list) else [v])
+                    if isinstance(a, np.ndarray) and a is not Z]
+            assert len(held) == len(spec.ema_rates) and all(a.shape == (m,) for a in held)
     # the steps are served in order only: neither back nor ahead
     for k in (64, N + 1):
         with pytest.raises(UsageError, match="step order"):

@@ -150,7 +150,7 @@ def test_localized_weights_normalize_on_bounded_drift():
     assert diag.passed
 
 
-# ------------------------------------------------------------ row blocking
+# ------------------------------------------------------------ row chunking
 
 THRESHOLDS = (0.05, 0.3, 1.0, 2.0, math.inf)
 
@@ -179,7 +179,7 @@ def _log_weights_reference(uhat, Z, dt):
     return -ito - 0.5 * energies, energies
 
 
-@pytest.mark.parametrize("m", [2 * PATH_BLOCK + 3, 37])  # two blocks and a part; one part
+@pytest.mark.parametrize("m", [2 * PATH_BLOCK + 3, 37])  # two 1024-row chunks and a part; one part
 def test_blocked_stop_indices_match_the_unblocked_reference(m):
     uhat, _, dt = _drift_and_innovation(m)
     got = stop_indices(uhat, dt, THRESHOLDS)
@@ -195,17 +195,41 @@ def test_blocked_log_weights_match_the_unblocked_reference(m):
     lw, energies = log_weights_ensemble(uhat, Z, dt)
     ref_lw, ref_energies = _log_weights_reference(uhat, Z, dt)
     assert np.array_equal(lw, ref_lw) and np.array_equal(energies, ref_energies)
-    # the stopped sums: each block stops its own rows
+    # the stopped sums: each chunk stops its own rows
     for stop in stop_indices(uhat, dt, THRESHOLDS):
         lw, energies = log_weights_ensemble(uhat, Z, dt, stop)
         ref_lw, ref_energies = _log_weights_reference(localize(uhat, stop), Z, dt)
         assert np.array_equal(lw, ref_lw) and np.array_equal(energies, ref_energies)
 
 
+def test_stacked_stopping_rules_match_one_call_per_rule():
+    uhat, Z, dt = _drift_and_innovation(2 * PATH_BLOCK + 3)
+    stops = stop_indices(uhat, dt, THRESHOLDS)
+    lw, energies = log_weights_ensemble(uhat, Z, dt, stops)
+    assert lw.shape == energies.shape == stops.shape
+    for s, stop in enumerate(stops):
+        one_lw, one_energies = log_weights_ensemble(uhat, Z, dt, stop)
+        assert np.array_equal(lw[s], one_lw) and np.array_equal(energies[s], one_energies)
+
+
+def test_column_major_ensembles_give_the_row_major_bits():
+    # the front end returns column-major arrays; an einsum over them would
+    # add in another order, so every per-path sum reads a row-major copy
+    uhat, Z, dt = _drift_and_innovation(2 * PATH_BLOCK + 3)
+    uhat_f, Z_f = np.asfortranarray(uhat), np.asfortranarray(Z)
+    stops = stop_indices(uhat, dt, THRESHOLDS)
+    assert np.array_equal(stop_indices(uhat_f, dt, THRESHOLDS), stops)
+    for stop in (None, stops[1], stops):
+        row_major = log_weights_ensemble(uhat, Z, dt, stop)
+        column_major = log_weights_ensemble(uhat_f, Z_f, dt, stop)
+        assert all(np.array_equal(c, f) for c, f in zip(row_major, column_major))
+
+
 def test_log_weights_reject_stopping_indices_of_another_ensemble():
     uhat, Z, dt = _drift_and_innovation(5)
-    with pytest.raises(ShapeError):
-        log_weights_ensemble(uhat, Z, dt, np.zeros(4, dtype=int))
+    for shape in [(4,), (2, 4), (1, 2, 5)]:
+        with pytest.raises(ShapeError):
+            log_weights_ensemble(uhat, Z, dt, np.zeros(shape, dtype=int))
 
 
 # ---------------------------------------------------------------- diagnostics

@@ -199,6 +199,7 @@ def test_front_end_blocks_match_the_whole_ensemble_reference(name):
     stages = {}
     got_Z, got_uhat, method = continuous_front_end(model, grid, size, stream, 1, stages)
     assert np.array_equal(got_Z, Z) and np.array_equal(got_uhat, filt.values)
+    assert got_Z.flags.f_contiguous and got_uhat.flags.f_contiguous  # a step is contiguous
     assert method == filt.method
     assert set(stages) == {"simulate", "filter", "innovation"}
 
@@ -628,6 +629,28 @@ def test_cli_run_rejects_a_parameter_the_model_does_not_take(tmp_path, capsys, m
     assert cli_main(["run", "--config", str(cfg_file)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"model {model!r}" in err and repr(key) in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("model, line, message", [
+    ("kalman-bucy", "model.beta = abc", "beta must be a finite number, got 'abc'"),
+    ("kalman-bucy", "model.beta = nan", "beta must be a finite number, got nan"),
+    ("tsirelson", "model.levels = 2.5", "levels must be a whole number, got 2.5"),
+])
+def test_cli_run_rejects_a_model_parameter_value_before_sampling(
+        tmp_path, capsys, monkeypatch, model, line, message):
+    # a raw TypeError traceback, a NaN that fails only in the criterion
+    # stage and a silently truncated level count all stop at configure
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("paths were drawn")
+
+    monkeypatch.setattr(harness, "simulate_ensemble", no_sampling)
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(f"model = {model}\n{line}\ngrid_n = 256\npaths = 200\n"
+                        f"outdir = {tmp_path / 'run'}\n")
+    assert cli_main(["run", "--config", str(cfg_file)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: stage 'configure' failed: model {model!r}: {message}\n")
     assert not (tmp_path / "run").exists()
 
 

@@ -53,6 +53,26 @@ def test_make_model_rejects_a_parameter_the_model_does_not_take(name, params, ke
         make_model(name, **params)
 
 
+@pytest.mark.parametrize("name, params, message", [
+    ("kalman-bucy", {"beta": "abc"}, "beta must be a finite number, got 'abc'"),
+    ("kalman-bucy", {"beta": float("nan")}, "beta must be a finite number, got nan"),
+    ("tsirelson", {"levels": 2.5}, "levels must be a whole number, got 2.5"),
+    ("linear-feedback", {"a": float("inf")}, "a must be a finite number, got inf"),
+    ("deterministic", {"value": True}, "value must be a finite number, got True"),
+    ("kalman-bucy", {"x0_var": -1.0}, "needs x0_var >= 0, got -1.0"),
+])
+def test_make_model_rejects_a_parameter_value_naming_its_key(name, params, message):
+    # a wrong type, a NaN, a fraction where a whole number belongs: each is
+    # a configuration error naming model and key, not a later failure
+    with pytest.raises(ConfigurationError) as info:
+        make_model(name, **params)
+    assert str(info.value) == f"model {name!r}: {message}"
+
+
+def test_whole_number_parameters_accept_an_integral_float():
+    assert make_model("tsirelson", levels=3.0).levels == 3
+
+
 def test_zero_drift_observation_equals_brownian():
     out = simulate_ensemble(make_model("zero"), TimeGrid(steps=32), 1, STREAM)
     assert np.array_equal(out.U, brownian(out))
