@@ -17,8 +17,6 @@ from `criterion.LevelReport`s.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import hashlib
 import json
 import math
@@ -26,7 +24,6 @@ import os
 import resource
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path as FsPath
 from typing import Optional
@@ -128,6 +125,9 @@ class ExperimentConfig:
                                      f"{MIN_DIAGNOSTIC_MEMBERS} paths, got {self.paths}")
         if self.erasure not in ("none", "sign-terminal"):
             raise ConfigurationError(f"unknown erasure {self.erasure!r}")
+        if self.erasure != "none" and self.mode != "crosscheck":
+            raise ConfigurationError(f"erasure needs crosscheck mode; "
+                                     f"{self.mode} mode observes the full path")
         if self.workers < 1:
             raise ConfigurationError("workers must be >= 1")
         if self.write_paths and self.mode != "continuous":
@@ -359,43 +359,6 @@ def _stage(stages, name, fn, *args, **kwargs):
     return out
 
 
-@functools.cache
-def _openblas_threads():
-    """The (get, set) thread-count functions of numpy's bundled OpenBLAS, or
-    None when numpy ships none (another BLAS, or a system build)."""
-    for lib in (FsPath(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"):
-        handle = ctypes.CDLL(str(lib))
-        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
-            get = getattr(handle, f"{prefix}_get_num_threads{suffix}", None)
-            set_ = getattr(handle, f"{prefix}_set_num_threads{suffix}", None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
-    return None
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run the body with numpy's OpenBLAS on one thread, then set back the
-    count it had, also when the body raises.
-
-    Yields {"used", "restored"} thread counts, or None when no OpenBLAS is
-    found and nothing is changed.  The count is process-global.
-    """
-    api = _openblas_threads()
-    if api is None:
-        yield None
-        return
-    get, set_ = api
-    before = get()
-    set_(1)
-    try:
-        yield {"used": get(), "restored": before}
-    finally:
-        set_(before)
-
-
 def _configure(config):
     return (resolve_model(config.model, config.model_params), config.grid(),
             RandomStream(seed=config.seed))
@@ -419,30 +382,17 @@ def _level_row(r: LevelReport, model: str) -> dict:
 
 def run_experiment(config: ExperimentConfig, persist: bool = True) -> ResultRecord:
     """Execute one experiment end to end and, when `persist`, write its
-    files (`paths.csv` too when the config asks for it).
-
-    The stages run with numpy's OpenBLAS limited to one thread: on two
-    cores no run measured slower under the limit, and one series of
-    quantized crosscheck runs measured faster (README, "Memory and
-    start-up").
-    OpenBLAS splits a product over its output, never over the summed
-    axis, so the thread count moves no bit.  The limit is process-global
-    and the previous count is set back when the run ends or raises; the
-    record's ``diagnostics["blas_threads"]`` holds both counts, or None
-    when no OpenBLAS was found.
-    """
+    files (`paths.csv` too when the config asks for it)."""
     t0 = time.time()
     stages: dict = {}
-    with _one_blas_thread() as blas_threads:
-        model, grid, stream = _stage(stages, "configure", _configure, config)
-        if config.mode == "continuous":
-            record = _run_continuous(config, model, grid, stream, stages, persist)
-        else:
-            record = _run_quantized(config, model, grid, stream, stages)
+    model, grid, stream = _stage(stages, "configure", _configure, config)
+    if config.mode == "continuous":
+        record = _run_continuous(config, model, grid, stream, stages, persist)
+    else:
+        record = _run_quantized(config, model, grid, stream, stages)
 
     record = replace(record, wall_clock=time.time() - t0,
-                     diagnostics={**record.diagnostics, "stages": stages,
-                                  "blas_threads": blas_threads})
+                     diagnostics={**record.diagnostics, "stages": stages})
     if persist:
         _persist(config, record)
     return record
@@ -593,10 +543,7 @@ def _stage_line(diagnostics) -> str:
         return "not recorded"
     times = ", ".join(_stage_cell(name, stages[name]) for name in STAGES if name in stages)
     peak = max(s["max_rss_mb"] for s in stages.values())
-    blas = diagnostics.get("blas_threads")
-    threads = (f"BLAS threads {blas['used']} (restored {blas['restored']})" if blas
-               else "BLAS threads untouched")
-    return f"{times}; peak RSS {peak:.0f} MB; {threads}"
+    return f"{times}; peak RSS {peak:.0f} MB"
 
 
 def _stage_cell(name, entry) -> str:

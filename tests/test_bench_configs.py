@@ -7,12 +7,15 @@ them would break every benchmark run; it fails here first.  So does a
 program change that would fail the benchmark's correctness gate: every
 workload runs at the self-test's scale and its checks must hold.
 `bench/tracing.py` skips a wrapped name the package no longer has, so its
-span silently reads 0; a rename fails here instead.  Both files are
-executed from their source, so nothing is written under bench/.
+span silently reads 0; a rename fails here instead.  The BLAS thread count
+that `bench/child.py` records with each run must be the one the run used.
+The bench files are executed from their source, so nothing is written
+under bench/.
 """
 
 import importlib
 import runpy
+import sys
 from pathlib import Path
 
 import pytest
@@ -62,3 +65,26 @@ def test_every_traced_name_exists_but_the_listed_stale_ones():
     missing = {(module, attr) for module, attr, _ in WRAPPED
                if not hasattr(importlib.import_module(f"innovlab.{module}"), attr)}
     assert missing == STALE_WRAPPED
+
+
+def test_recorded_blas_thread_count_is_the_one_the_run_used(monkeypatch):
+    # child.py reads the count after the run returns; a run leaves the
+    # count alone, so that is also the count every stage used
+    monkeypatch.syspath_prepend(str(BENCH))  # child.py imports workloads
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    try:
+        blas_info = runpy.run_path(str(BENCH / "child.py"))["blas_info"]
+    finally:
+        sys.modules.pop("workloads", None)
+    seen = []
+    innovation_values = harness.innovation_values
+
+    def counting_innovation(*args, **kwargs):
+        seen.append(blas_info()["threads"])
+        return innovation_values(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "innovation_values", counting_innovation)
+    before = blas_info()["threads"]
+    harness.run_experiment(harness.ExperimentConfig(model="kalman-bucy", grid_n=16, paths=200),
+                           persist=False)
+    assert seen == [before] and blas_info()["threads"] == before

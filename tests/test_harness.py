@@ -16,7 +16,7 @@ from innovlab.cli import main as cli_main
 import innovlab.harness as harness
 from innovlab.core import RandomStream, TimeGrid
 from innovlab.criterion import GAP_FLOOR
-from innovlab.errors import ConfigurationError, NumericalError, StageError, UsageError
+from innovlab.errors import ConfigurationError, UsageError
 from innovlab.filtering import ensemble_conditional_drift, innovation_values
 from innovlab.harness import (
     OUTDIR_ENV,
@@ -462,7 +462,8 @@ def test_run_records_stage_timings(tmp_path, cfg, stages):
     line = report(tmp_path).splitlines()[-1]
     assert line.startswith(f"stages[0] {cfg['model']}: configure ")
     assert all(re.search(rf"\b{name} \d+\.\d{{3}}s \+\d+ MB", line) for name in stages)
-    assert "peak RSS" in line
+    assert re.search(r"; peak RSS \d+ MB$", line)
+    assert "blas_threads" not in payload["diagnostics"]
 
 
 def test_front_end_sums_each_stage_peak_rise_over_its_blocks(monkeypatch):
@@ -552,6 +553,22 @@ def test_cli_run_rejects_a_ridge_the_rescue_cannot_use(tmp_path, capsys, monkeyp
         assert cli_main(["run", "--config", str(cfg_file)]) == 1
         assert capsys.readouterr().err.startswith("error: ridge must be finite and positive")
         assert not (tmp_path / "run").exists()
+
+
+def test_cli_run_rejects_an_erasure_in_continuous_mode(tmp_path, capsys, monkeypatch):
+    # the continuous pipeline observes the whole path: an erasure there would
+    # be ignored and the run would report the full observation's verdict
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("paths were drawn")
+
+    monkeypatch.setattr(harness, "simulate_ensemble", no_sampling)
+    cfg_file = tmp_path / "erased.cfg"
+    cfg_file.write_text(f"model = linear-feedback\ngrid_n = 8\npaths = 200\n"
+                        f"erasure = sign-terminal\noutdir = {tmp_path / 'run'}\n")
+    assert cli_main(["run", "--config", str(cfg_file)]) == 1
+    assert capsys.readouterr().err == (
+        "error: erasure needs crosscheck mode; continuous mode observes the full path\n")
+    assert not (tmp_path / "run").exists()
 
 
 def test_cli_run_rejects_too_few_paths_in_every_mode(tmp_path, capsys, monkeypatch):
@@ -705,69 +722,3 @@ def test_continuous_run_holds_at_most_six_ensemble_arrays(model, params, paths, 
     finally:
         tracemalloc.stop()
     assert peak <= arrays * cfg.paths * cfg.grid_n * 8
-
-
-@pytest.fixture
-def blas_threads():
-    """numpy's OpenBLAS thread-count functions, set to two threads for the
-    test so that a restored count differs from the one a run uses."""
-    api = harness._openblas_threads()
-    if api is None:
-        pytest.skip("numpy ships no OpenBLAS whose thread count can be set")
-    get, set_ = api
-    before = get()
-    set_(2)
-    try:
-        yield get
-    finally:
-        set_(before)
-
-
-def test_run_uses_one_blas_thread_and_restores_the_count(tmp_path, monkeypatch, blas_threads):
-    outer = blas_threads()
-    seen = []
-    innovation_values = harness.innovation_values
-
-    def counting_innovation(*args, **kwargs):
-        seen.append(blas_threads())
-        return innovation_values(*args, **kwargs)
-
-    monkeypatch.setattr(harness, "innovation_values", counting_innovation)
-    cfg = ExperimentConfig(model="kalman-bucy", grid_n=16, paths=200, outdir=str(tmp_path))
-    rec = run_experiment(cfg)
-    assert seen == [1]
-    assert blas_threads() == outer
-    assert rec.diagnostics["blas_threads"] == {"used": 1, "restored": outer}
-    payload = json.loads((tmp_path / "run.jsonl").read_text().splitlines()[0])
-    assert payload["diagnostics"]["blas_threads"] == {"used": 1, "restored": outer}
-    line = report(tmp_path).splitlines()[-1]
-    assert line.startswith("stages[0] kalman-bucy: ")
-    assert line.endswith(f"; BLAS threads 1 (restored {outer})")
-
-
-def test_failed_run_restores_the_blas_thread_count(monkeypatch, blas_threads):
-    outer = blas_threads()
-
-    def failing_filter(*args, **kwargs):
-        assert blas_threads() == 1
-        raise NumericalError("filter blew up")
-
-    monkeypatch.setattr(harness, "ensemble_conditional_drift", failing_filter)
-    cfg = ExperimentConfig(model="kalman-bucy", grid_n=16, paths=200)
-    with pytest.raises(StageError, match="stage 'filter'"):
-        run_experiment(cfg, persist=False)
-    assert blas_threads() == outer
-
-
-def test_results_csv_bytes_do_not_depend_on_the_blas_thread_limit(tmp_path, monkeypatch,
-                                                                  blas_threads):
-    cfg, digest = FROZEN_RESULTS_SHA256["kalman-bucy"]
-    run_experiment(ExperimentConfig(**cfg, outdir=str(tmp_path / "one")))
-    monkeypatch.setattr(harness, "_openblas_threads", lambda: None)
-    rec = run_experiment(ExperimentConfig(**cfg, outdir=str(tmp_path / "default")))
-    assert rec.diagnostics["blas_threads"] is None
-    one = (tmp_path / "one" / "results.csv").read_bytes()
-    assert (tmp_path / "default" / "results.csv").read_bytes() == one
-    assert hashlib.sha256(one).hexdigest() == digest
-    line = report(tmp_path / "default").splitlines()[-1]
-    assert line.endswith("; BLAS threads untouched")
