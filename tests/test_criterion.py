@@ -256,6 +256,18 @@ def test_gaussian_path_kl_kalman_frozen_constant():
     assert got == pytest.approx(KB_KL_N128, abs=1e-10)
 
 
+@pytest.mark.parametrize("name, steps", [("independent", 128), ("kalman-bucy", 512)])
+def test_gaussian_summary_does_not_depend_on_the_blas_thread_count(name, steps,
+                                                                   one_blas_thread):
+    # runs use OpenBLAS's default thread count: the oracle's matrix products
+    # must give the same bits at one thread
+    model, grid = make_model(name), TimeGrid(steps=steps)
+    default = linear_gaussian_summary(model, grid)
+    with one_blas_thread:
+        one = linear_gaussian_summary(model, grid)
+    assert one == default
+
+
 @pytest.mark.parametrize("name, steps", [
     *(pytest.param(name, 128, id=name) for name in FROZEN_SUMMARIES_N128),
     *(pytest.param(name, 512, id=f"{name}-512") for name in FROZEN_SUMMARIES_N512),

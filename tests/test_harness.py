@@ -246,6 +246,18 @@ def test_results_csv_matches_frozen_digest(tmp_path, name):
     assert hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest() == digest
 
 
+def test_results_csv_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, one_blas_thread):
+    # the frozen digests hold at OpenBLAS's default thread count; one thread
+    # must write the same bytes
+    cfg, digest = FROZEN_RESULTS_SHA256["kalman-bucy"]
+    run_experiment(ExperimentConfig(**cfg, outdir=str(tmp_path / "default")))
+    with one_blas_thread:
+        run_experiment(ExperimentConfig(**cfg, outdir=str(tmp_path / "one")))
+    one = (tmp_path / "one" / "results.csv").read_bytes()
+    assert (tmp_path / "default" / "results.csv").read_bytes() == one
+    assert hashlib.sha256(one).hexdigest() == digest
+
+
 def test_paths_csv_matches_frozen_digest(tmp_path):
     cfg, digest = FROZEN_RESULTS_SHA256["kalman-bucy-blocks"]
     run_experiment(ExperimentConfig(**cfg, outdir=str(tmp_path), write_paths=True))
