@@ -20,7 +20,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, default=None)
     run_p.add_argument("--paths", type=int, default=None)
     run_p.add_argument("--grid", type=int, default=None)
-    run_p.add_argument("--workers", type=int, default=None)
     run_p.add_argument("--outdir", default=None)
 
     rep_p = sub.add_parser("report", help="summarize records in a directory")
@@ -46,8 +45,6 @@ def main(argv=None) -> int:
                 overrides["paths"] = args.paths
             if args.grid is not None:
                 overrides["grid_n"] = args.grid
-            if args.workers is not None:
-                overrides["workers"] = args.workers
             if args.outdir is not None:
                 overrides["outdir"] = args.outdir
             cfg = load_config(args.config, **overrides)

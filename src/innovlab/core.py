@@ -19,7 +19,7 @@ Conventions used throughout the package:
 Randomness follows a counter-based contract: a (seed, substream) pair maps
 to an independent Philox4x64-10 stream, substream index = path index, so
 ensembles are reproducible bit-for-bit regardless of how paths are split
-into row blocks or threads.  Lane l of substream s is the stream with key
+into row blocks.  Lane l of substream s is the stream with key
 [seed, 0] and stream index j = 16*s + l held in counter words 2-3, i.e.
 `Philox(key=seed).jumped(j)`.  Like numpy's Philox, a stream increments
 counter word 0 before each block, so block b = 1, 2, ... is the Philox

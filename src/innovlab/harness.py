@@ -4,7 +4,7 @@ A run is described by a flat key = value text file.  Results land in the
 output directory as
 
 * ``results.csv``  -- fixed column order, one row per localization level,
-  byte-stable for a fixed (config, seed) regardless of worker count;
+  byte-stable for a fixed (config, seed);
 * ``run.jsonl``    -- one machine-readable record per run (appended);
 * ``config.txt``   -- the exact canonical configuration that produced them;
 * ``paths.csv``    -- optional per-path summaries.
@@ -23,7 +23,6 @@ import math
 import os
 import resource
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path as FsPath
 from typing import Optional
@@ -114,7 +113,7 @@ class ExperimentConfig:
     aux_probs: tuple = ()
     erasure: str = "none"
     crosscheck_tol: float = 0.05
-    workers: int = 1
+    workers: int = 1  # 1 only; kept so that older configs parse
     write_paths: bool = False
 
     def __post_init__(self):
@@ -128,8 +127,9 @@ class ExperimentConfig:
         if self.erasure != "none" and self.mode != "crosscheck":
             raise ConfigurationError(f"erasure needs crosscheck mode; "
                                      f"{self.mode} mode observes the full path")
-        if self.workers < 1:
-            raise ConfigurationError("workers must be >= 1")
+        if self.workers != 1:
+            raise ConfigurationError(f"workers must be 1, got {self.workers}: the front end "
+                                     f"runs its row blocks in one thread")
         if self.write_paths and self.mode != "continuous":
             raise ConfigurationError(f"write_paths needs continuous mode; "
                                      f"{self.mode} mode has no path file")
@@ -141,6 +141,9 @@ class ExperimentConfig:
             if not (math.isfinite(value) and value > 0):
                 raise ConfigurationError(f"{name} must be finite and positive, got {value}")
         self.basis()  # a basis the regressions cannot use fails here, before sampling
+        if (self.aux_values or self.aux_probs) and self.mode != "crosscheck":
+            raise ConfigurationError(f"aux_values and aux_probs need crosscheck mode; "
+                                     f"{self.mode} mode draws the model's own aux variable")
 
     def basis(self) -> BasisSpec:
         return BasisSpec(window=self.basis_window, include_cubes=self.basis_cubes,
@@ -292,15 +295,13 @@ def resolve_outdir(config: ExperimentConfig) -> FsPath:
 
 
 def continuous_front_end(model: DriftModel, grid: TimeGrid, size: int,
-                         stream: RandomStream, workers: int = 1,
-                         stages: Optional[dict] = None):
+                         stream: RandomStream, stages: Optional[dict] = None):
     """Innovation Z (size, N+1), filtered drift uhat (size, N), both
     column-major, and the filter method of a continuous ensemble,
     simulated, filtered and innovated one row block [lo, lo + PATH_BLOCK)
-    at a time from substreams stream.substream + lo..  Every step acts row
-    by row, so neither the blocks nor the `workers` threads they are
-    mapped over move a number.  Block stage seconds are summed into
-    `stages`, with the largest peak RSS.
+    at a time, in order, from substreams stream.substream + lo..  Every
+    step acts row by row, so the blocks move no number.  Each stage's
+    seconds and peak rises are summed over the blocks in `stages`.
     """
     stages = {} if stages is None else stages
     Z = np.empty((size, grid.steps + 1), order="F")
@@ -313,29 +314,16 @@ def continuous_front_end(model: DriftModel, grid: TimeGrid, size: int,
     def innovate_rows(U, lo, hi):
         Z[lo:hi] = innovation_values(U, uhat[lo:hi], grid.dt)
 
-    def block(lo):
+    for lo in range(0, size, PATH_BLOCK):
         hi = min(lo + PATH_BLOCK, size)
-        timed: dict = {}
-        sim = _stage(timed, "simulate", simulate_ensemble, model, grid, hi - lo,
+        sim = _stage(stages, "simulate", simulate_ensemble, model, grid, hi - lo,
                      RandomStream(stream.seed, stream.substream + lo))
-        method = _stage(timed, "filter", filter_rows, sim, lo, hi)
+        method = _stage(stages, "filter", filter_rows, sim, lo, hi)
         U = sim.U
         del sim
-        _stage(timed, "innovation", innovate_rows, U, lo, hi)
-        return method, timed
-
-    pool = ThreadPoolExecutor(max_workers=workers)
-    try:
-        blocks = list(pool.map(block, range(0, size, PATH_BLOCK)))
-    finally:
-        pool.shutdown(cancel_futures=True)  # a failed block stops the ones not yet begun
-    for _, timed in blocks:
-        for name, entry in timed.items():
-            total = stages.setdefault(name, dict.fromkeys(entry, 0.0))
-            total["seconds"] += entry["seconds"]
-            total["peak_rise_mb"] += entry["peak_rise_mb"]
-            total["max_rss_mb"] = max(total["max_rss_mb"], entry["max_rss_mb"])
-    return Z, uhat, blocks[0][0]
+        _stage(stages, "innovation", innovate_rows, U, lo, hi)
+        del U  # the next block's simulation takes its memory, not adds to it
+    return Z, uhat, method
 
 
 def _peak_rss_mb() -> float:
@@ -346,7 +334,8 @@ def _peak_rss_mb() -> float:
 def _stage(stages, name, fn, *args, **kwargs):
     """Run one pipeline stage; record in `stages` its wall seconds, the
     process's peak resident set size so far (MB) and how far the stage
-    raised that peak (MB)."""
+    raised that peak (MB).  A stage run again adds its seconds and rise to
+    its entry and keeps the larger peak."""
     before = _peak_rss_mb()
     t0 = time.perf_counter()
     try:
@@ -354,8 +343,10 @@ def _stage(stages, name, fn, *args, **kwargs):
     except InnovlabError as exc:
         raise StageError(name, exc) from exc
     peak = _peak_rss_mb()
-    stages[name] = {"seconds": time.perf_counter() - t0, "max_rss_mb": peak,
-                    "peak_rise_mb": peak - before}
+    entry = stages.setdefault(name, {"seconds": 0.0, "max_rss_mb": 0.0, "peak_rise_mb": 0.0})
+    entry["seconds"] += time.perf_counter() - t0
+    entry["max_rss_mb"] = max(entry["max_rss_mb"], peak)
+    entry["peak_rise_mb"] += peak - before
     return out
 
 
@@ -399,8 +390,7 @@ def run_experiment(config: ExperimentConfig, persist: bool = True) -> ResultReco
 
 
 def _run_continuous(config, model, grid, stream, stages, persist) -> ResultRecord:
-    Z, uhat, method = continuous_front_end(model, grid, config.paths, stream,
-                                           config.workers, stages)
+    Z, uhat, method = continuous_front_end(model, grid, config.paths, stream, stages)
     reports = _stage(stages, "criterion", criterion_levels, Z, uhat, grid,
                      config.levels, config.basis(), config.gap_floor,
                      f"{method}+jensen[{config.basis().describe()}]")
@@ -411,7 +401,6 @@ def _run_continuous(config, model, grid, stream, stages, persist) -> ResultRecor
         "paths": config.paths,
         "grid_n": config.grid_n,
         "seed": config.seed,
-        "workers": config.workers,
     }
     if config.write_paths and persist:
         diagnostics["paths_file"] = "paths.csv"

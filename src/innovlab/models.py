@@ -389,9 +389,9 @@ def simulate_ensemble(model: DriftModel, grid: TimeGrid, size: int,
     dB = np.empty((size, N), order="F")
     aux = np.empty((size, model.aux_dim))
     hidden = np.empty((size, N), order="F") if model.needs_hidden() else None
-    # one generator, re-seated at each (path, lane): local to this call, so
-    # concurrent calls never share it.  It fills contiguous rows only, so a
-    # chunk of paths draws into row-major buffers, copied over at once
+    # one generator, re-seated at each (path, lane).  It fills contiguous
+    # rows only, so a chunk of paths draws into row-major buffers, copied
+    # over at once
     rng = stream.generator()
     for rows in row_chunks(size, N):
         noise, hidden_noise = np.empty((2, rows.stop - rows.start, N))

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+import innovlab.harness as harness
 from innovlab.core import RandomStream, TimeGrid
 from innovlab.criterion import (
     EQUALITY_CONSISTENT,
@@ -227,16 +228,19 @@ def test_criterion_8_estimator_consistency():
                      f"mean energy err {[f'{e:.3%}' for e in me]} over 10 seeds")
 
 
-def test_criterion_9_determinism_across_workers(tmp_path):
-    # two full row blocks and a partial one, over one thread and over three
+def test_criterion_9_determinism_across_row_block_splits(tmp_path, monkeypatch):
+    # two full row blocks and a partial one, against 1000-row blocks and
+    # against the whole ensemble as one block
+    paths = 2 * PATH_BLOCK + 3
     base = dict(model="kalman-bucy", model_params={"beta": 1.0, "sigma": 1.0},
-                grid_n=64, paths=2 * PATH_BLOCK + 3, seed=SEED)
-    run_experiment(ExperimentConfig(**base, workers=1, outdir=str(tmp_path / "w1")))
-    run_experiment(ExperimentConfig(**base, workers=3, outdir=str(tmp_path / "w3")))
-    a = (tmp_path / "w1" / "results.csv").read_bytes()
-    b = (tmp_path / "w3" / "results.csv").read_bytes()
-    ok = a == b
-    assert _announce(9, ok, f"results.csv byte-identical across worker counts: {ok}")
+                grid_n=64, paths=paths, seed=SEED)
+    csv = []
+    for block in (PATH_BLOCK, 1000, paths):
+        monkeypatch.setattr(harness, "PATH_BLOCK", block)
+        run_experiment(ExperimentConfig(**base, outdir=str(tmp_path / str(block))))
+        csv.append((tmp_path / str(block) / "results.csv").read_bytes())
+    ok = csv[0] == csv[1] == csv[2]
+    assert _announce(9, ok, f"results.csv byte-identical across row-block splits: {ok}")
 
 
 def test_criterion_10_tsirelson_exploratory(paper_runs):

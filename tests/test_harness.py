@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -84,11 +85,15 @@ def test_config_roundtrip():
         horizon=2.5, paths=333, levels=(0.25, 3.0), basis_window=3, basis_cubes=True,
         basis_ema=(0.5,), ridge=1e-6, gap_floor=0.03, seed=11,
         outdir="runs/every-field", mode="crosscheck", noise_nodes=2, aux_values=(1.5, -0.5),
-        aux_probs=(0.25, 0.75), erasure="sign-terminal", crosscheck_tol=0.1, workers=2)
+        aux_probs=(0.25, 0.75), erasure="sign-terminal", crosscheck_tol=0.1)
     # `every` moves each field off its default but write_paths, which only a
-    # continuous config such as `some` may set
+    # continuous config such as `some` may set, and workers, which only
+    # older configs carry, at its default
     for f in fields(ExperimentConfig):
         default = f.default_factory() if f.default is MISSING else f.default
+        if f.name == "workers":
+            assert some.workers == every.workers == default
+            continue
         moved = some if f.name == "write_paths" else every
         assert getattr(moved, f.name) != default, f.name
     for cfg in (some, every):
@@ -173,19 +178,6 @@ def test_run_experiment_deterministic_cameron_martin(tmp_path):
     assert rec.diagnostics["gaussian_path_kl"] == pytest.approx(0.5, abs=1e-10)
 
 
-def test_results_csv_byte_identical_across_worker_counts(tmp_path):
-    # two full row blocks and a partial one, so three threads take a block each
-    base = dict(model="independent", grid_n=32, paths=2 * PATH_BLOCK + 3, seed=7)
-    a = ExperimentConfig(**base, workers=1, outdir=str(tmp_path / "w1"))
-    b = ExperimentConfig(**base, workers=3, outdir=str(tmp_path / "w3"))
-    run_experiment(a)
-    run_experiment(b)
-    ra = (tmp_path / "w1" / "results.csv").read_bytes()
-    rb = (tmp_path / "w3" / "results.csv").read_bytes()
-    # the workers field itself is not part of results.csv rows
-    assert ra == rb
-
-
 @pytest.mark.parametrize("name", MODEL_NAMES)
 def test_front_end_blocks_match_the_whole_ensemble_reference(name):
     # two full row blocks and a partial one, each simulated, filtered and
@@ -197,7 +189,7 @@ def test_front_end_blocks_match_the_whole_ensemble_reference(name):
     filt = ensemble_conditional_drift(model, sim)
     Z = innovation_values(sim.U, filt.values, grid.dt)
     stages = {}
-    got_Z, got_uhat, method = continuous_front_end(model, grid, size, stream, 1, stages)
+    got_Z, got_uhat, method = continuous_front_end(model, grid, size, stream, stages)
     assert np.array_equal(got_Z, Z) and np.array_equal(got_uhat, filt.values)
     assert got_Z.flags.f_contiguous and got_uhat.flags.f_contiguous  # a step is contiguous
     assert method == filt.method
@@ -218,7 +210,7 @@ def test_front_end_stage_rises_add_up_to_the_run_rise(tmp_path):
         "grid, stages = TimeGrid(steps=511), {}\n"
         "before = peak()\n"
         "continuous_front_end(make_model('independent'), grid, 4 * PATH_BLOCK,\n"
-        "                     RandomStream(seed=3), 1, stages)\n"
+        "                     RandomStream(seed=3), stages)\n"
         "rise = peak() - before\n"
         "summed = sum(entry['peak_rise_mb'] for entry in stages.values())\n"
         "block = PATH_BLOCK * (grid.steps + 1) * 8 / 1e6\n"
@@ -475,7 +467,7 @@ def test_run_records_stage_timings(tmp_path, cfg, stages):
     assert line.startswith(f"stages[0] {cfg['model']}: configure ")
     assert all(re.search(rf"\b{name} \d+\.\d{{3}}s \+\d+ MB", line) for name in stages)
     assert re.search(r"; peak RSS \d+ MB$", line)
-    assert "blas_threads" not in payload["diagnostics"]
+    assert not {"blas_threads", "workers"} & set(payload["diagnostics"])
 
 
 def test_front_end_sums_each_stage_peak_rise_over_its_blocks(monkeypatch):
@@ -484,9 +476,35 @@ def test_front_end_sums_each_stage_peak_rise_over_its_blocks(monkeypatch):
     monkeypatch.setattr(harness, "_peak_rss_mb", lambda: float(next(readings)))
     stages = {}
     continuous_front_end(make_model("zero"), TimeGrid(steps=4), 2 * PATH_BLOCK + 3,
-                         RandomStream(seed=1), 1, stages)
+                         RandomStream(seed=1), stages)
     assert {name: entry["peak_rise_mb"] for name, entry in stages.items()} == {
         "simulate": 3.0, "filter": 3.0, "innovation": 3.0}
+
+
+def test_run_stages_start_no_thread(monkeypatch):
+    # the front end runs its blocks in the calling thread: while a block
+    # innovates, no thread is alive that was not alive before the run
+    seen = []
+
+    def counting_innovation(*args, **kwargs):
+        seen.append(threading.active_count())
+        return innovation_values(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "innovation_values", counting_innovation)
+    before = threading.active_count()
+    run_experiment(ExperimentConfig(model="kalman-bucy", grid_n=16, paths=2 * PATH_BLOCK + 3),
+                   persist=False)
+    assert seen == [before] * 3 and threading.active_count() == before
+
+
+def test_run_stage_seconds_add_up_to_no_more_than_the_wall_clock():
+    # the stages run one after another, each block's stages too, so their
+    # seconds cannot sum past the run's own
+    rec = run_experiment(ExperimentConfig(model="kalman-bucy", grid_n=16,
+                                          paths=2 * PATH_BLOCK + 3), persist=False)
+    stages = rec.diagnostics["stages"]
+    assert {"simulate", "filter", "innovation", "criterion"} <= set(stages)
+    assert sum(entry["seconds"] for entry in stages.values()) <= rec.wall_clock
 
 
 def test_report_reads_stage_records_without_a_peak_rise(tmp_path):
@@ -580,6 +598,46 @@ def test_cli_run_rejects_an_erasure_in_continuous_mode(tmp_path, capsys, monkeyp
     assert cli_main(["run", "--config", str(cfg_file)]) == 1
     assert capsys.readouterr().err == (
         "error: erasure needs crosscheck mode; continuous mode observes the full path\n")
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_run_rejects_an_aux_law_in_continuous_mode(tmp_path, capsys, monkeypatch):
+    # a continuous run draws each model's own aux variable: a configured law
+    # there would be ignored without a word
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("paths were drawn")
+
+    monkeypatch.setattr(harness, "simulate_ensemble", no_sampling)
+    for line in ("aux_values = 5, -7", "aux_probs = 0.5, 0.5"):
+        cfg_file = tmp_path / "aux.cfg"
+        cfg_file.write_text(f"model = independent\ngrid_n = 8\npaths = 200\n{line}\n"
+                            f"outdir = {tmp_path / 'run'}\n")
+        assert cli_main(["run", "--config", str(cfg_file)]) == 1
+        assert capsys.readouterr().err == (
+            "error: aux_values and aux_probs need crosscheck mode; "
+            "continuous mode draws the model's own aux variable\n")
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_run_rejects_workers_and_the_removed_workers_flag(tmp_path, capsys, monkeypatch):
+    # the front end runs its row blocks in one thread: a config asking for
+    # more fails at configuration, and the flag is gone (a usage error)
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("paths were drawn")
+
+    monkeypatch.setattr(harness, "simulate_ensemble", no_sampling)
+    cfg_file = tmp_path / "workers.cfg"
+    cfg_file.write_text(f"model = zero\ngrid_n = 8\npaths = 200\nworkers = 2\n"
+                        f"outdir = {tmp_path / 'run'}\n")
+    assert cli_main(["run", "--config", str(cfg_file)]) == 1
+    assert capsys.readouterr().err == (
+        "error: workers must be 1, got 2: the front end runs its row blocks in one thread\n")
+    cfg_file.write_text(f"model = zero\ngrid_n = 8\npaths = 200\n"
+                        f"outdir = {tmp_path / 'run'}\n")
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["run", "--config", str(cfg_file), "--workers", "2"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 
