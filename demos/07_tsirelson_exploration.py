@@ -2,12 +2,13 @@
 
 The classical construction has an infinite past; the truncated version
 replaces it with an independent uniform seed at the first geometric level.
-Whether the truncation shows an entropy-energy gap at desk scale is an
-empirical question -- the continuum pathology needs infinitely many
-levels, while on a discrete grid the innovation is always invertible, so
-any reported gap mixes truncation effects with the documented downward
-bias of the feature regression.  The numbers below are reported, not
-gated.
+The continuum pathology needs infinitely many levels.  On a discrete grid
+the innovation is always invertible: U, and with it the filtered drift, is
+rebuilt from Z step by step, so the population gap is 0 and any gap below
+is the projection residual of the default feature basis.  At K = 8,
+N = 512 and 4000 paths that residual reads 0.04107 nats, a POSITIVE-GAP,
+and 3.3e-9 with the filtered drift as one more feature row.  The numbers
+below are reported, not gated.
 """
 
 import numpy as np

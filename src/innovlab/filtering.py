@@ -16,6 +16,7 @@ conservative lower bound.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -100,13 +101,10 @@ def _independent_values(dU: np.ndarray, g_left: np.ndarray, dt: float,
 
 def _truncnorm_mean01(mu: np.ndarray, sigma: float) -> np.ndarray:
     """Mean of N(mu, sigma^2) truncated to [0, 1]."""
-    # imported here: scipy.special is the largest part of importing the
-    # package, and only the tsirelson filter needs it
-    from scipy.special import ndtr
-
     a = (0.0 - mu) / sigma
     b = (1.0 - mu) / sigma
     phi = lambda x: np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+    ndtr = lambda x: 0.5 * np.vectorize(math.erfc, otypes=[float])(-x / np.sqrt(2.0))
     den = ndtr(b) - ndtr(a)
     safe = den > 1e-300
     mean = np.where(safe, mu + sigma * (phi(a) - phi(b)) / np.where(safe, den, 1.0),

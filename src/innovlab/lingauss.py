@@ -17,8 +17,8 @@ simulated system rather than for its continuous-time limit, and a change
 to a filter changes the oracle with it.
 
 Products with the primitive vector's diagonal covariance scale columns.
-Every log-determinant is read off a Cholesky factor the algebra needs
-anyway, log det(I + C A) as log det C + log det(C^-1 + A); a covariance
+Every log-determinant is read off the diagonal of a `numpy.linalg` Cholesky
+factor, log det(I + C A) as log det C + log det(C^-1 + A); a covariance
 that is not positive definite fails its factorization with `NumericalError`.
 """
 
@@ -108,17 +108,13 @@ def _expected_square(rows, cov_rows, mean):
     return np.einsum("ki,ki->k", cov_rows, rows) + mean**2
 
 
-def _logdet(factor) -> float:
-    """log det of a positive definite matrix from its `cho_factor` output."""
-    return 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
+def _logdet(matrix) -> float:
+    """log det of a positive definite matrix, off the diagonal of its Cholesky factor."""
+    return 2.0 * float(np.sum(np.log(np.diag(np.linalg.cholesky(matrix)))))
 
 
 def linear_gaussian_summary(model: DriftModel, grid: TimeGrid) -> LinearGaussianSummary:
     """Exact Gaussian functionals of the discretized linear model."""
-    # imported here, like scipy.special in `filtering`, so that runs which
-    # never reach the Gaussian oracle do not pay for importing scipy
-    from scipy.linalg import cho_factor, cho_solve, solve_triangular
-
     if not is_linear_model(model):
         raise UnsupportedModelError(f"model {model.name} is not in the linear family")
     N = grid.steps
@@ -136,8 +132,7 @@ def linear_gaussian_summary(model: DriftModel, grid: TimeGrid) -> LinearGaussian
     # the filtered drift reads only the observation, which the innovation
     # determines through a unit lower-triangular map: on the Brownian block
     # uhat_B = a dZ_B, so the rows in terms of the innovation are a
-    a_rows = solve_triangular(dZ_rows[:, iB], uhat_rows[:, iB].T, trans="T",
-                              lower=True, unit_diagonal=True).T
+    a_rows = np.linalg.solve(dZ_rows[:, iB].T, uhat_rows[:, iB].T).T
     b = uhat_const  # the innovation is centred, so uhat = a S + uhat_const
 
     # tilt: -log rho = 1/2 S'AS + c'S + r over S = innovation increments
@@ -148,23 +143,22 @@ def linear_gaussian_summary(model: DriftModel, grid: TimeGrid) -> LinearGaussian
 
     C_U = (dU_rows * var) @ dU_rows.T
     try:
-        Cf = cho_factor(C)
-        Cinv = cho_solve(Cf, np.eye(N))
-        Kf = cho_factor(Cinv + A)  # Sigma_nu^-1
-        CUf = cho_factor(C_U)
+        logdet_C = _logdet(C)
+        K = np.linalg.inv(C) + A  # Sigma_nu^-1
+        logdet_K = _logdet(K)  # = -log det Sigma_nu
+        logdet_CU = _logdet(C_U)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Gaussian algebra lost positivity: {exc}")
-    Sigma_nu = cho_solve(Kf, np.eye(N))
+    Sigma_nu = np.linalg.inv(K)
     Sigma_nu = 0.5 * (Sigma_nu + Sigma_nu.T)
-    m_nu = cho_solve(Kf, -c)
-    logdet_K = _logdet(Kf)  # = -log det Sigma_nu
+    m_nu = np.linalg.solve(K, -c)
 
     innovation_kl = 0.5 * (
         np.trace(Sigma_nu) / dt - N + N * np.log(dt) + logdet_K
         + float(m_nu @ m_nu) / dt
     )
     observation_kl = 0.5 * (
-        np.trace(C_U) / dt - N + N * np.log(dt) - _logdet(CUf)
+        np.trace(C_U) / dt - N + N * np.log(dt) - logdet_CU
         + float(dU_const @ dU_const) / dt
     )
 
@@ -174,7 +168,7 @@ def linear_gaussian_summary(model: DriftModel, grid: TimeGrid) -> LinearGaussian
         _expected_square(uhat_rows, uhat_rows * var, uhat_const)))
 
     # E_P[rho] by the Gaussian integral of the quadratic tilt
-    logdet_IpCA = _logdet(Cf) + logdet_K
+    logdet_IpCA = logdet_C + logdet_K
     rho_mean = float(np.exp(-r - 0.5 * logdet_IpCA + 0.5 * float(c @ (Sigma_nu @ c))))
 
     return LinearGaussianSummary(

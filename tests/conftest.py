@@ -7,6 +7,8 @@ work tree the guard does nothing.
 
 The `one_blas_thread` fixture runs a test with numpy's OpenBLAS set to one
 thread, so that it can compare a result with the one at the default count.
+That OpenBLAS is the only BLAS a run loads, so the fixture sets the threads
+of every matrix product and factorization the package runs.
 """
 
 import ctypes
@@ -67,8 +69,9 @@ def _openblas_threads():
 
 @pytest.fixture
 def one_blas_thread():
-    """Yields a context that sets OpenBLAS to one thread; the default count is
-    restored when the context ends and again after the test."""
+    """Yields a context that sets numpy's OpenBLAS, the package's only BLAS, to
+    one thread; the default count is restored when the context ends and again
+    after the test."""
     api = _openblas_threads()
     if api is None:
         pytest.skip("numpy ships no OpenBLAS whose thread count can be set")

@@ -17,8 +17,8 @@ from innovlab.criterion import (
 from innovlab.errors import NumericalError, UnsupportedModelError, UsageError
 from innovlab.filtering import BasisSpec, innovation_values
 from innovlab.girsanov import localize, reweight, stop_indices
-from innovlab.harness import continuous_front_end
-from innovlab.lingauss import linear_gaussian_summary
+from innovlab.harness import PAPER_RUNS, continuous_front_end
+from innovlab.lingauss import is_linear_model, linear_gaussian_summary
 from innovlab.models import make_model
 
 # frozen reference: exact innovation-law relative entropy of the discretized
@@ -256,12 +256,15 @@ def test_gaussian_path_kl_kalman_frozen_constant():
     assert got == pytest.approx(KB_KL_N128, abs=1e-10)
 
 
-@pytest.mark.parametrize("name, steps", [("independent", 128), ("kalman-bucy", 512)])
-def test_gaussian_summary_does_not_depend_on_the_blas_thread_count(name, steps,
+@pytest.mark.parametrize("name, params, steps", [
+    pytest.param(name, params, steps, id=name)
+    for name, params, steps in PAPER_RUNS if is_linear_model(make_model(name, **params))
+])
+def test_gaussian_summary_does_not_depend_on_the_blas_thread_count(name, params, steps,
                                                                    one_blas_thread):
     # runs use OpenBLAS's default thread count: the oracle's matrix products
-    # must give the same bits at one thread
-    model, grid = make_model(name), TimeGrid(steps=steps)
+    # and factorizations must give the same bits at one thread
+    model, grid = make_model(name, **params), TimeGrid(steps=steps)
     default = linear_gaussian_summary(model, grid)
     with one_blas_thread:
         one = linear_gaussian_summary(model, grid)
@@ -282,6 +285,13 @@ def test_linear_gaussian_summary_frozen_fields(name, steps):
 def test_gaussian_path_kl_rejects_nonlinear():
     with pytest.raises(UnsupportedModelError):
         linear_gaussian_summary(make_model("tsirelson", levels=2), TimeGrid(steps=4))
+
+
+def test_gaussian_summary_reports_a_factorization_that_loses_positivity():
+    # strongly explosive feedback: the tilted precision C^-1 + A is not
+    # positive definite on this grid, and the Cholesky failure is reported
+    with pytest.raises(NumericalError, match="lost positivity"):
+        linear_gaussian_summary(make_model("linear-feedback", a=-50.0), TimeGrid(steps=16))
 
 
 def test_gaussian_summary_rejects_an_innovation_with_a_constant_part():

@@ -12,7 +12,13 @@ from innovlab.filtering import (
     weighted_ridge_fit,
     _truncnorm_mean01,
 )
-from innovlab.models import EnsembleSimulation, make_model, simulate_ensemble
+from innovlab.models import (
+    MODEL_NAMES,
+    EnsembleSimulation,
+    make_model,
+    run_euler,
+    simulate_ensemble,
+)
 
 STREAM = RandomStream(seed=909, substream=0)
 
@@ -119,6 +125,31 @@ def test_identity_feedback_for_adapted_models():
         filt = ensemble_conditional_drift(model, sim)
         assert filt.method == "identity-feedback"
         assert np.array_equal(filt.values, sim.drift)
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_every_filter_is_predictable(name):
+    # the filtered drift on [t_k, t_k+1) reads the observation up to t_k
+    # only: redrawing dB, and kalman-bucy's hidden noise, from step k on
+    # leaves uhat[:, :k+1] bit-identical, including tsirelson's head steps
+    model = make_model(name, **({"levels": 2} if name == "tsirelson" else {}))
+    g, m = TimeGrid(steps=16), 64
+    rng = np.random.default_rng(17)
+
+    def noise():
+        return rng.normal(scale=np.sqrt(g.dt), size=(m, g.steps))
+
+    dB, aux = noise(), model.sample_aux(rng, m)
+    hidden = noise() if model.needs_hidden() else None
+    base = run_euler(model, g, dB, aux, hidden)
+    uhat = ensemble_conditional_drift(model, base).values
+    for k in [0, 2, 5, 11]:
+        dB_k = np.where(np.arange(g.steps) < k, dB, noise())
+        hidden_k = None if hidden is None else np.where(np.arange(g.steps) < k, hidden, noise())
+        sim = run_euler(model, g, dB_k, aux, hidden_k)
+        assert not np.array_equal(sim.U[:, k + 1], base.U[:, k + 1])
+        got = ensemble_conditional_drift(model, sim).values
+        assert np.array_equal(got[:, :k + 1], uhat[:, :k + 1]), k
 
 
 # ---------------------------------------------------------------- innovation

@@ -754,17 +754,25 @@ def test_cli_run_aligns_rows_for_every_model_name(tmp_path, capsys):
     assert rows[0].index(" n=") == rows[1].index(" n=")
 
 
-def test_scipy_is_imported_only_by_the_stages_that_use_it(tmp_path):
-    # importing the package and a crosscheck run (no Gaussian oracle, no
-    # tsirelson filter) never load scipy, whose import costs more than the run
-    cfg = FROZEN_RESULTS_SHA256["crosscheck"][0]
+def test_no_run_imports_scipy(tmp_path):
+    # the package needs only numpy: importing it, a crosscheck run, a
+    # kalman-bucy run (the Gaussian oracle's factorizations) and a tsirelson
+    # run (the truncated-normal head filter) leave scipy unloaded, so a run
+    # maps numpy's OpenBLAS and no second one
+    runs = {
+        "crosscheck": FROZEN_RESULTS_SHA256["crosscheck"][0],
+        "kalman-bucy": FROZEN_RESULTS_SHA256["kalman-bucy"][0],
+        "tsirelson": dict(model="tsirelson", model_params={"levels": 2}, grid_n=8,
+                          paths=200, seed=7),
+    }
     code = (
         "import sys, innovlab, innovlab.harness\n"
         "assert 'scipy' not in sys.modules, 'loaded by import'\n"
         "from innovlab.harness import ExperimentConfig, run_experiment\n"
-        f"run_experiment(ExperimentConfig(**{cfg!r}), persist=False)\n"
-        "assert 'scipy' not in sys.modules, 'loaded by the crosscheck run'\n"
     )
+    for name, cfg in runs.items():
+        code += (f"run_experiment(ExperimentConfig(**{cfg!r}), persist=False)\n"
+                 f"assert 'scipy' not in sys.modules, 'loaded by the {name} run'\n")
     proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=_src_env(),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

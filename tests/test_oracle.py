@@ -117,6 +117,22 @@ def test_enumerate_feedback_drift_is_its_own_conditional():
     assert v.density_z_measurable and v.u_recoverable_from_z
 
 
+def test_quantized_tsirelson_is_invertible_until_an_erasure():
+    # the lattice twin of the continuous tsirelson run: prefix-group means,
+    # no regression basis, give an exact gap of 0 under the full
+    # observation; only the sign-erasing map opens one
+    g = TimeGrid(steps=4)
+    space = enumerate_atoms(make_model("tsirelson", levels=2), g, gauss_quantized(3, g.dt),
+                            FiniteLaw([0.25, 0.75]))
+    assert space.atoms == 162
+    full = dpi_verdict(space.system())
+    assert abs(full.gap) <= 1e-12
+    assert full.u_recoverable_from_z and full.density_z_measurable
+    erased = dpi_verdict(space.system(relabel=witness_labels))
+    assert erased.gap == pytest.approx(0.12836, abs=1e-5)
+    assert not erased.density_z_measurable
+
+
 def test_enumerate_independent_prior_mean_before_observation():
     g = TimeGrid(steps=1)
     space = enumerate_atoms(make_model("independent"), g, gauss_quantized(2, g.dt),

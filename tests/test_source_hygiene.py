@@ -1,11 +1,13 @@
 """The package keeps no leftovers: no module-level import that the module
 never uses, and no private definition that the package never refers to.
 
-Both are what a moved or deleted function leaves behind.  The check reads
-the source with `ast`, so it runs no package code.
+Both are what a moved or deleted function leaves behind.  The package also
+imports nothing but the standard library, numpy and itself.  The checks read
+the source with `ast`, so they run no package code.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -77,3 +79,16 @@ def test_every_private_definition_is_referenced(module):
                if name.startswith("_") and not name.startswith("__")}
     assert not private - referenced, (
         f"innovlab.{module} defines {sorted(private - referenced)}, which nothing refers to")
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_imports_only_the_standard_library_numpy_and_innovlab(module):
+    # every import statement, at module level or inside a function
+    allowed = set(sys.stdlib_module_names) | {"numpy", "innovlab"}
+    imported = set()
+    for node in ast.walk(TREES[module]):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module.split(".")[0])
+    assert imported <= allowed, f"innovlab.{module} imports {sorted(imported - allowed)}"
