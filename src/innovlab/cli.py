@@ -53,6 +53,9 @@ def main(argv=None) -> int:
                 print(f"{row['model']:{MODEL_COLUMN}s} n={row['n']:>4} H={row['H_hat']:.6f} "
                       f"E={row['E_hat']:.6f} gap={row['gap']:+.6f} {row['verdict']}")
             print(f"verdict: {rec.verdict}  ({rec.wall_clock:.1f}s)")
+            if "gaussian_oracle_error" in rec.diagnostics:
+                print(f"Gaussian oracle failed: {rec.diagnostics['gaussian_oracle_error']}",
+                      file=sys.stderr)
             return 0
         if args.command == "report":
             print(report(args.in_dir))

@@ -33,7 +33,7 @@ import numpy as np
 
 from .core import TimeGrid
 from .errors import UsageError
-from .filtering import BasisSpec, FeatureBuilder, weighted_ridge_fit
+from .filtering import BasisSpec, FeatureBuilder, WeightedGram, weighted_ridge_fit
 from .girsanov import (
     WeightedEnsemble,
     log_weights_ensemble,
@@ -155,6 +155,8 @@ def criterion_levels(Z: np.ndarray, uhat: np.ndarray, grid: TimeGrid,
     The stopping times and each level's stopped log-weights are formed by
     the Girsanov layer in row chunks, and the feature builder reads Z in
     place, so beside Z and uhat the stage holds only (m,) vectors per level.
+    The weights are normalized once, and each step's fit forms only the
+    Gram entries of the feature rows that the previous step did not have.
     """
     N = uhat.shape[1]
     dt = grid.dt
@@ -178,14 +180,16 @@ def criterion_levels(Z: np.ndarray, uhat: np.ndarray, grid: TimeGrid,
         weight_sets.append(ens.weights)
         ess.append(ens.ess)
 
-    # one regression call per step: features shared, weight sets stacked
-    stacked = np.stack(weight_sets)
-    q = np.zeros(stacked.shape)
+    # one regression call per step: features shared, and each weight set's
+    # Gram kept from step to step
+    gram = WeightedGram(np.stack(weight_sets))
+    q = np.zeros(gram.weights.shape)
     escalations = np.zeros(len(stopped), dtype=int)
     builder = FeatureBuilder(Z, dt, basis)
     for k in range(N):
         G = builder.features_at(k)
-        _, fitted, raised = weighted_ridge_fit(G, uhat[:, k], stacked, basis.ridge)
+        _, fitted, raised = weighted_ridge_fit(G, uhat[:, k], gram, basis.ridge,
+                                               builder.carry_map(k))
         q += fitted * fitted * dt * (k < stopped)
         escalations += raised
 

@@ -30,6 +30,7 @@ __all__ = [
     "EnsembleFilter",
     "BasisSpec",
     "FeatureBuilder",
+    "WeightedGram",
     "riccati_sequence",
     "ensemble_conditional_drift",
     "innovation_values",
@@ -100,12 +101,18 @@ def _independent_values(dU: np.ndarray, g_left: np.ndarray, dt: float,
 
 
 def _truncnorm_mean01(mu: np.ndarray, sigma: float) -> np.ndarray:
-    """Mean of N(mu, sigma^2) truncated to [0, 1]."""
+    """Mean of N(mu, sigma^2) truncated to [0, 1].
+
+    The mass of [a, b] is a difference of two tails: the lower tails
+    Phi(b) - Phi(a), or, when a > 0, the upper ones, so that it is never a
+    difference of two numbers near 1.
+    """
     a = (0.0 - mu) / sigma
     b = (1.0 - mu) / sigma
     phi = lambda x: np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
-    ndtr = lambda x: 0.5 * np.vectorize(math.erfc, otypes=[float])(-x / np.sqrt(2.0))
-    den = ndtr(b) - ndtr(a)
+    side = np.where(a > 0, 1.0, -1.0)  # upper tails, or lower ones
+    tail = lambda x: 0.5 * np.vectorize(math.erfc, otypes=[float])(side * x / np.sqrt(2.0))
+    den = side * (tail(a) - tail(b))
     safe = den > 1e-300
     mean = np.where(safe, mu + sigma * (phi(a) - phi(b)) / np.where(safe, den, 1.0),
                     np.clip(mu, 0.0, 1.0))
@@ -214,6 +221,9 @@ class FeatureBuilder:
 
     EMA features are accumulated one increment per step, so the steps are
     served in order: k = 0, 1, 2, ...; any other k is a usage error.
+
+    Most rows of one step are rows of the step before: `carry_map(k)` says
+    which, so that a `WeightedGram` forms only the new rows' products.
     """
 
     def __init__(self, Z: np.ndarray, dt: float, spec: BasisSpec):
@@ -249,6 +259,67 @@ class FeatureBuilder:
             np.power(base, 3, out=G[1 + n_base:])
         return G
 
+    def carry_map(self, k: int) -> np.ndarray:
+        """For each row of `features_at(k)`, the row of `features_at(k - 1)`
+        that it repeats bit for bit, or -1 for a row formed anew.
+
+        The intercept, the increments still in the window and their cubes
+        carry.  The newest increment, the level, the EMAs and their cubes
+        are new, and so is every row at k = 0.  While k <= window the
+        increment block grows and keeps its rows; after that it drops its
+        oldest row and each increment moves up by one.
+        """
+        spec = self.spec
+        n_ema = len(spec.ema_rates)
+        w = min(k, spec.window)
+        base = np.full(w + 1 + n_ema, -1)
+        if k == 0:
+            return np.full(1 + (1 + spec.include_cubes) * len(base), -1)
+        w_prev = min(k - 1, spec.window)
+        kept = max(w - 1, 0)
+        base[:kept] = 1 + (w_prev - w + 1) + np.arange(kept)
+        parts = [[0], base]
+        if spec.include_cubes:
+            parts.append(np.where(base >= 0, base + w_prev + 1 + n_ema, -1))
+        return np.concatenate(parts)
+
+
+class WeightedGram:
+    """Weighted Gram matrices A_s = G diag(w_s) G^T of S weight sets, kept
+    from one step's features to the next.
+
+    The weights (S, m) are normalized once, here.  `update(G, carry)`
+    copies the entries between carried rows (`FeatureBuilder.carry_map`)
+    from the previous step and forms the new rows' entries from one thin
+    product per set, (new rows of G ∘ w_s) G^T; with no carried rows, as
+    on a first or one-step call, that product is the whole Gram.  Each set
+    is formed by itself: BLAS picks its kernel by size, so a product over
+    all sets at once would make a set's numbers depend on how many sets
+    share it.
+    """
+
+    def __init__(self, weights: np.ndarray):
+        self.weights = weights / weights.sum(axis=1, keepdims=True)
+        self.A = np.empty((len(self.weights), 0, 0))
+
+    def update(self, G: np.ndarray, carry: Optional[np.ndarray] = None) -> np.ndarray:
+        p = len(G)
+        carry = np.full(p, -1) if carry is None else np.asarray(carry)
+        if carry.shape != (p,) or carry.max(initial=-1) >= self.A.shape[1]:
+            raise UsageError(f"carry map {carry.tolist()} does not fit {p} feature rows "
+                             f"after {self.A.shape[1]}")
+        new = np.flatnonzero(carry < 0)
+        kept = np.flatnonzero(carry >= 0)
+        A = np.empty((len(self.weights), p, p))
+        A[:, kept[:, None], kept] = self.A[:, carry[kept, None], carry[kept]]
+        G_new = G[new]
+        for A_s, w in zip(A, self.weights):
+            cross = (G_new * w) @ G.T
+            A_s[new] = cross
+            A_s[:, new] = cross.T
+        self.A = A
+        return A
+
 
 def _ridge_solve(A: np.ndarray, b: np.ndarray, ridge: float) -> tuple[np.ndarray, int]:
     """Solve (A + ridge diag(A)) x = b, intercept unpenalized.
@@ -275,31 +346,28 @@ def _ridge_solve(A: np.ndarray, b: np.ndarray, ridge: float) -> tuple[np.ndarray
     raise NumericalError("normal equations singular beyond ridge rescue")
 
 
-def weighted_ridge_fit(G: np.ndarray, y: np.ndarray, weights: np.ndarray,
-                       ridge: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def weighted_ridge_fit(G: np.ndarray, y: np.ndarray, gram: WeightedGram, ridge: float,
+                       carry: Optional[np.ndarray] = None
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Weighted least squares with a relative ridge on non-intercept terms.
 
-    G: features, feature-major (p, m); y: response (m,); weights: S sets
-    stacked (S, m), one row per set (S = 1 for a single set).  The Gram
-    matrices of all sets come from one batched product G @ (G w_s)^T, which
-    runs the same (p, m) x (m, p) product for every set; a single (p, S p)
-    product would not, since BLAS picks its kernel by size, and a set's
-    numbers would then depend on how many sets share the call.  For the
-    same reason the right-hand sides and the fitted values are formed one
-    set at a time.
+    G: features, feature-major (p, m); y: response (m,); gram: the S weight
+    sets' `WeightedGram`, which this call updates to G, carrying the rows
+    that `carry` maps to the previous call's G (none when omitted).  Like
+    the Gram matrices, the right-hand sides G (w_s ∘ y) and the fitted
+    values are formed one set at a time, so a set's numbers do not depend
+    on how many sets share the call.
 
     Returns (coefficients, fitted values, ridge escalations), shaped
     (S, p), (S, m), (S,).  The intercept is unpenalized, which preserves
     the weighted mean of the response exactly.
     """
-    W = weights / weights.sum(axis=1, keepdims=True)
-    S, (p, m) = len(W), G.shape
-    Gw = G * W[:, None, :]
-    A = G @ Gw.transpose(0, 2, 1)
+    A = gram.update(G, carry)
+    S, (p, m) = len(A), G.shape
     coef = np.empty((S, p))
     fitted = np.empty((S, m))
     escalations = np.empty(S, dtype=int)
-    for s in range(S):
-        coef[s], escalations[s] = _ridge_solve(A[s], Gw[s] @ y, ridge)
+    for s, w in enumerate(gram.weights):
+        coef[s], escalations[s] = _ridge_solve(A[s], G @ (w * y), ridge)
         fitted[s] = coef[s] @ G
     return coef, fitted, escalations

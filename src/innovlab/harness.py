@@ -40,7 +40,7 @@ from .criterion import (
     inequality_check,
     plugin_level,
 )
-from .errors import ConfigurationError, InnovlabError, StageError, UsageError
+from .errors import ConfigurationError, InnovlabError, NumericalError, StageError, UsageError
 from .filtering import BasisSpec, ensemble_conditional_drift, innovation_values
 from .girsanov import MIN_DIAGNOSTIC_MEMBERS, log_weights_ensemble
 from .lingauss import is_linear_model, linear_gaussian_summary
@@ -407,9 +407,17 @@ def _run_continuous(config, model, grid, stream, stages, persist) -> ResultRecor
         _write_paths_csv(config, uhat, Z, grid)
     del Z, uhat  # the oracle reads neither: its arrays take their memory, not add to it
     if is_linear_model(model):
-        exact = _stage(stages, "oracle", linear_gaussian_summary, model, grid)
-        diagnostics["gaussian_path_kl"] = exact.innovation_kl
-        diagnostics["gaussian_observation_kl"] = exact.observation_kl
+        try:
+            exact = _stage(stages, "oracle", linear_gaussian_summary, model, grid)
+        except StageError as exc:
+            if not isinstance(exc.cause, NumericalError):
+                raise
+            # a tilt the grid cannot integrate is what the localized levels
+            # are for: keep them, and say why the exact values are missing
+            diagnostics["gaussian_oracle_error"] = str(exc.cause)
+        else:
+            diagnostics["gaussian_path_kl"] = exact.innovation_kl
+            diagnostics["gaussian_observation_kl"] = exact.observation_kl
 
     rows = [_level_row(r, config.model) for r in reports]
     return ResultRecord(config.digest(), config.model, config.mode, verdict,
@@ -515,6 +523,9 @@ def report(in_dir) -> str:
             curve_rows.append(row)
     for i, rec in enumerate(records):
         out.append(f"stages[{i}] {rec['model']}: {_stage_line(rec['diagnostics'])}")
+        if "gaussian_oracle_error" in rec["diagnostics"]:
+            out.append(f"oracle[{i}] {rec['model']}: Gaussian oracle failed: "
+                       f"{rec['diagnostics']['gaussian_oracle_error']}")
     text = "\n".join(out)
 
     cols = ["model", "n", "H_hat", "H_se", "E_hat", "E_se", "gap", "gap_se", "ess"]

@@ -7,7 +7,8 @@ them would break every benchmark run; it fails here first.  So does a
 program change that would fail the benchmark's correctness gate: every
 workload runs at the self-test's scale and its checks must hold.
 `bench/tracing.py` skips a wrapped name the package no longer has, so its
-span silently reads 0; a rename fails here instead.  The BLAS thread count
+span silently reads 0; a rename fails here instead, and so does a ridge
+fit moved out of the call that the tracer times.  The BLAS thread count
 that `bench/child.py` records with each run must be the one the run used.
 The bench files are executed from their source, so nothing is written
 under bench/.
@@ -88,3 +89,23 @@ def test_recorded_blas_thread_count_is_the_one_the_run_used(monkeypatch):
     harness.run_experiment(harness.ExperimentConfig(model="kalman-bucy", grid_n=16, paths=200),
                            persist=False)
     assert seen == [before] and blas_info()["threads"] == before
+
+
+def test_traced_ridge_fit_spans_every_step_of_the_regression(monkeypatch):
+    # filtering.ridge_fit times the criterion.weighted_ridge_fit calls; a
+    # fit that ran outside that call would leave the metric reading 0
+    from innovlab import criterion
+
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    for module, attr, _ in WRAPPED:  # restored when the test ends
+        mod = importlib.import_module(f"innovlab.{module}")
+        if hasattr(mod, attr):
+            monkeypatch.setattr(mod, attr, getattr(mod, attr))
+    monkeypatch.setattr(criterion, "FeatureBuilder", criterion.FeatureBuilder)
+    tracer = runpy.run_path(str(BENCH / "tracing.py"))["Tracer"](run_id="guard")
+    tracer.install()
+    harness.run_experiment(harness.ExperimentConfig(model="kalman-bucy", grid_n=16, paths=200),
+                           persist=False)
+    metrics = tracer.layer_metrics()
+    assert metrics["filtering.ridge_fit_calls"] == 16
+    assert metrics["filtering.ridge_fit_s"] > 0

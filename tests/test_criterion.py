@@ -15,7 +15,7 @@ from innovlab.criterion import (
     inequality_check,
 )
 from innovlab.errors import NumericalError, UnsupportedModelError, UsageError
-from innovlab.filtering import BasisSpec, innovation_values
+from innovlab.filtering import BasisSpec, FeatureBuilder, innovation_values
 from innovlab.girsanov import localize, reweight, stop_indices
 from innovlab.harness import PAPER_RUNS, continuous_front_end
 from innovlab.lingauss import is_linear_model, linear_gaussian_summary
@@ -164,9 +164,9 @@ def test_levels_with_equal_stops_share_one_regression(monkeypatch):
     grid, model, uhat, Z = _pipeline("linear-feedback", 16, 300, a=1.0)
     weight_rows, fit = [], criterion.weighted_ridge_fit
 
-    def counted(G, y, weights, ridge):
-        weight_rows.append(weights.shape)
-        return fit(G, y, weights, ridge)
+    def counted(G, y, gram, ridge, carry):
+        weight_rows.append(gram.weights.shape)
+        return fit(G, y, gram, ridge, carry)
 
     expected = criterion_levels(Z, uhat, grid, levels=(0.2, 50.0))
     monkeypatch.setattr(criterion, "weighted_ridge_fit", counted)
@@ -176,6 +176,37 @@ def test_levels_with_equal_stops_share_one_regression(monkeypatch):
     for r in reports[2:]:
         assert r.entropy == expected[1].entropy and r.energy == expected[1].energy
         assert r.gap == expected[1].gap and r.ess == expected[1].ess
+
+
+@pytest.mark.parametrize("basis", [
+    BasisSpec(), BasisSpec(window=3, include_cubes=True),
+    BasisSpec(window=4, ema_rates=(2.0, 8.0)), BasisSpec(window=0)], ids=BasisSpec.describe)
+def test_levels_from_a_kept_gram_match_grams_formed_whole(basis, monkeypatch):
+    # the fits keep each weight set's Gram from step to step; a carry map
+    # that carries nothing forms every step's Gram whole, and the reports
+    # agree to rounding, while a map that carries the level row does not
+    grid, model, uhat, Z = _pipeline("linear-feedback", 32, 400, a=1.0)
+    kept = criterion_levels(Z, uhat, grid, levels=(0.5, np.inf), basis=basis)
+    carry_map = FeatureBuilder.carry_map
+
+    def whole(self, k):
+        return np.full(len(carry_map(self, k)), -1)
+
+    def carrying_the_level(self, k):
+        carry = carry_map(self, k).copy()
+        if k:
+            carry[1 + min(k, self.spec.window)] = 1 + min(k - 1, self.spec.window)
+        return carry
+
+    monkeypatch.setattr(FeatureBuilder, "carry_map", whole)
+    formed = criterion_levels(Z, uhat, grid, levels=(0.5, np.inf), basis=basis)
+    for a, b in zip(kept, formed):
+        assert a.entropy == pytest.approx(b.entropy, rel=1e-12)
+        assert a.gap == pytest.approx(b.gap, rel=1e-10, abs=1e-14)
+        assert (a.energy, a.ess, a.ridge_escalations) == (b.energy, b.ess, b.ridge_escalations)
+    monkeypatch.setattr(FeatureBuilder, "carry_map", carrying_the_level)
+    wrong = criterion_levels(Z, uhat, grid, levels=(0.5, np.inf), basis=basis)
+    assert all(abs(a.entropy - b.entropy) > 1e-6 * a.entropy for a, b in zip(kept, wrong))
 
 
 def test_a_level_report_does_not_depend_on_the_other_levels():

@@ -6,6 +6,7 @@ from innovlab.errors import ConfigurationError, ShapeError, StabilityError, Usag
 from innovlab.filtering import (
     BasisSpec,
     FeatureBuilder,
+    WeightedGram,
     ensemble_conditional_drift,
     innovation_values,
     riccati_sequence,
@@ -95,6 +96,18 @@ def test_truncnorm_mean_against_quadrature():
         want = np.trapezoid(xi * like, xi) / np.trapezoid(like, xi)
         got = _truncnorm_mean01(np.array([mu]), sigma)[0]
         assert got == pytest.approx(want, abs=1e-6)
+
+
+def test_truncnorm_mean_far_below_the_segment():
+    # the head filter at t = 1/512 (sigma = 22.6) for U well below 0: the
+    # mass of [0, 1] is a difference of two upper tails, not of two numbers
+    # near 1; reference means from mpmath at 40 digits
+    t = 1.0 / 512
+    for U, want in [(-0.25, 0.479108567806486), (-0.30, 0.474958031551919),
+                    (-0.35, 0.470813719010519)]:
+        got = _truncnorm_mean01(np.array([U / t]), 1.0 / np.sqrt(t))[0]
+        assert 0.0 <= got <= 1.0
+        assert got == pytest.approx(want, abs=1e-10)
 
 
 def test_tsirelson_filter_head_and_tail():
@@ -207,7 +220,8 @@ def _features(Z, basis, k):
 
 def _fit(Z, y, w, k, basis):
     """The weighted second-level fit of y at step k, as criterion_levels runs it."""
-    return weighted_ridge_fit(_features(Z, basis, k), y[:, k], w[None], basis.ridge)[1][0]
+    return weighted_ridge_fit(_features(Z, basis, k), y[:, k], WeightedGram(w[None]),
+                              basis.ridge)[1][0]
 
 
 def test_second_level_reproduces_constants():
@@ -298,12 +312,115 @@ def test_stacked_weights_fit_like_separate_sets():
     y = np.sin(2.0 * Z[:, 10]) + 0.1 * rng.normal(size=m)
     W = rng.uniform(0.1, 2.0, size=(3, m))
     for S in (1, 2, 3):
-        coef, fitted, escalations = weighted_ridge_fit(G, y, W[:S], 1e-8)
+        coef, fitted, escalations = weighted_ridge_fit(G, y, WeightedGram(W[:S]), 1e-8)
         assert coef.shape == (S, G.shape[0]) and fitted.shape == (S, m)
         for s in range(S):
-            one = weighted_ridge_fit(G, y, W[s:s + 1], 1e-8)
+            one = weighted_ridge_fit(G, y, WeightedGram(W[s:s + 1]), 1e-8)
             assert np.array_equal(coef[s], one[0][0]) and np.array_equal(fitted[s], one[1][0])
             assert escalations[s] == one[2][0] == 0
+
+
+# the default basis, a short window with cubes, a window with EMAs, and no window
+GRAM_BASES = [BasisSpec(), BasisSpec(window=3, include_cubes=True),
+              BasisSpec(window=4, ema_rates=(2.0, 8.0)), BasisSpec(window=0)]
+
+
+def _true_map(builder, k):
+    return builder.carry_map(k)
+
+
+def _map_carrying_the_level(builder, k):
+    carry = builder.carry_map(k).copy()
+    if k:
+        w = min(k, builder.spec.window)
+        carry[1 + w] = 1 + min(k - 1, builder.spec.window)  # the level row of step k - 1
+    return carry
+
+
+def _map_shifting_the_increments(builder, k):
+    # the increments of a full window keep their rows instead of moving up
+    carry = builder.carry_map(k).copy()
+    rows = np.arange(1, 1 + min(k, builder.spec.window))
+    carry[rows] = np.where(carry[rows] >= 0, carry[rows] - 1, -1)
+    return carry
+
+
+def _carried_rows_repeat(Z, basis, carry_map):
+    """Whether, at every step, each carried row equals bit for bit the row
+    of the previous step that `carry_map` names."""
+    builder = FeatureBuilder(Z, 1.0 / (Z.shape[1] - 1), basis)
+    previous = None
+    for k in range(Z.shape[1] - 1):
+        G, carry = builder.features_at(k), carry_map(builder, k)
+        assert carry.shape == (len(G),)
+        kept = np.flatnonzero(carry >= 0)
+        if previous is None and len(kept):
+            return False
+        if previous is not None and not np.array_equal(G[kept], previous[carry[kept]]):
+            return False
+        previous = G
+    return True
+
+
+def _gram_deviation(Z, basis, W, carry_map):
+    """Largest |A_ij - D_ij| / sqrt(D_ii D_jj) over every step and weight
+    set, between the Gram that the fits keep and a direct product D."""
+    m, N = Z.shape[0], Z.shape[1] - 1
+    y = np.sin(3.0 * Z[:, 1:])
+    builder = FeatureBuilder(Z, 1.0 / N, basis)
+    gram = WeightedGram(W)
+    worst = 0.0
+    for k in range(N):
+        G = builder.features_at(k)
+        weighted_ridge_fit(G, y[:, k], gram, basis.ridge, carry_map(builder, k))
+        for A, w in zip(gram.A, gram.weights):
+            D = G @ (G * w).T
+            scale = np.sqrt(np.outer(np.diag(D), np.diag(D)))  # 0 only where D is
+            worst = max(worst, float(np.max(np.abs(A - D) / np.where(scale > 0, scale, 1.0))))
+    return worst
+
+
+@pytest.mark.parametrize("basis", GRAM_BASES, ids=BasisSpec.describe)
+def test_carried_feature_rows_repeat_the_rows_they_name(basis):
+    Z, _ = _toy_paths(257, 32, seed=11)
+    assert _carried_rows_repeat(np.asfortranarray(Z), basis, _true_map)
+    builder = FeatureBuilder(Z, 1.0 / 32, basis)
+    assert np.all(builder.carry_map(0) == -1)  # every row of the first step is new
+    # with the default basis, 8 of the 10 rows of a full window carry
+    if basis == BasisSpec():
+        assert np.count_nonzero(builder.carry_map(20) >= 0) == 8
+
+
+@pytest.mark.parametrize("m", [400, 2051])
+@pytest.mark.parametrize("basis", GRAM_BASES, ids=BasisSpec.describe)
+def test_kept_gram_matches_the_direct_product_at_every_step(basis, m):
+    # normwise: an entry that cancels to near 0 may differ in relative
+    # terms, which measures the cancellation rather than the update
+    Z, rng = _toy_paths(m, 32, seed=12)
+    W = rng.uniform(0.1, 2.0, size=(2, m))
+    assert _gram_deviation(np.asfortranarray(Z), basis, W, _true_map) <= 1e-12
+
+
+@pytest.mark.parametrize("wrong_map", [_map_carrying_the_level, _map_shifting_the_increments])
+def test_a_wrong_carry_map_fails_both_checks(wrong_map):
+    Z, rng = _toy_paths(400, 32, seed=12)
+    Z = np.asfortranarray(Z)
+    W = rng.uniform(0.1, 2.0, size=(2, 400))
+    for basis in GRAM_BASES[:2]:
+        assert not _carried_rows_repeat(Z, basis, wrong_map)
+        assert _gram_deviation(Z, basis, W, wrong_map) > 1e-3
+
+
+def test_gram_rejects_a_carry_map_that_does_not_fit():
+    G = np.ones((3, 8))
+    gram = WeightedGram(np.ones((1, 8)))
+    with pytest.raises(UsageError, match="carry map"):
+        gram.update(G, np.array([0, -1, -1]))  # nothing to carry from yet
+    gram.update(G)
+    with pytest.raises(UsageError, match="carry map"):
+        gram.update(G, np.array([0, -1]))  # one entry per row
+    with pytest.raises(UsageError, match="carry map"):
+        gram.update(G, np.array([0, 3, -1]))  # a row the previous G did not have
 
 
 def test_ridge_rescue_counts_its_escalations():
@@ -314,7 +431,8 @@ def test_ridge_rescue_counts_its_escalations():
     x = np.tile([1.25, -1.25], 4)
     G = np.stack([np.ones(8), x, x])
     y = 1.0 + 2.0 * x
-    coef, fitted, escalations = (a[0] for a in weighted_ridge_fit(G, y, np.ones((1, 8)), 1e-20))
+    gram = WeightedGram(np.ones((1, 8)))
+    coef, fitted, escalations = (a[0] for a in weighted_ridge_fit(G, y, gram, 1e-20))
     assert escalations == 2
     # the duplicate rows share the slope between them
     assert coef[0] == pytest.approx(1.0) and coef[1] + coef[2] == pytest.approx(2.0)

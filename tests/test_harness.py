@@ -17,7 +17,7 @@ from innovlab.cli import main as cli_main
 import innovlab.harness as harness
 from innovlab.core import RandomStream, TimeGrid
 from innovlab.criterion import GAP_FLOOR
-from innovlab.errors import ConfigurationError, UsageError
+from innovlab.errors import ConfigurationError, StageError, UnsupportedModelError, UsageError
 from innovlab.filtering import ensemble_conditional_drift, innovation_values
 from innovlab.harness import (
     OUTDIR_ENV,
@@ -434,6 +434,48 @@ def test_cli_exit_codes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "tsirelson" in out and "kalman-bucy" in out
     assert cli_main(["suite", "warp"]) == 2
+
+
+LOST_ORACLE_CFG = dict(model="linear-feedback", model_params={"a": -20.0}, grid_n=128,
+                       paths=500, seed=3)
+
+
+def test_a_failed_gaussian_oracle_keeps_every_level(tmp_path):
+    # a tilt that the grid cannot integrate makes the Gaussian algebra lose
+    # positivity; the run still writes every level and says why the exact
+    # values are missing
+    cfg = ExperimentConfig(**LOST_ORACLE_CFG, outdir=str(tmp_path))
+    rec = run_experiment(cfg)
+    error = rec.diagnostics["gaussian_oracle_error"]
+    assert error.startswith("Gaussian algebra lost positivity")
+    assert "gaussian_path_kl" not in rec.diagnostics
+    assert "gaussian_observation_kl" not in rec.diagnostics
+    assert [row["n"] for row in rec.levels] == list(cfg.levels)
+    assert len((tmp_path / "results.csv").read_text().splitlines()) == 1 + len(cfg.levels)
+    payload = json.loads((tmp_path / "run.jsonl").read_text())
+    assert payload["diagnostics"]["gaussian_oracle_error"] == error
+    assert f"oracle[0] linear-feedback: Gaussian oracle failed: {error}" in report(tmp_path)
+
+
+def test_an_oracle_failure_other_than_numerical_still_fails_the_run(tmp_path, monkeypatch):
+    def unsupported(model, grid):
+        raise UnsupportedModelError("not linear after all")
+
+    monkeypatch.setattr(harness, "linear_gaussian_summary", unsupported)
+    with pytest.raises(StageError, match="stage 'oracle' failed: not linear after all"):
+        run_experiment(ExperimentConfig(model="kalman-bucy", grid_n=16, paths=200,
+                                        outdir=str(tmp_path)))
+
+
+def test_cli_prints_a_failed_gaussian_oracle(tmp_path, capsys):
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(ExperimentConfig(**LOST_ORACLE_CFG, outdir=str(tmp_path / "run")).to_text())
+    assert cli_main(["run", "--config", str(cfg_file)]) == 0
+    out, err = capsys.readouterr()
+    assert "verdict:" in out
+    assert err.startswith("Gaussian oracle failed: Gaussian algebra lost positivity")
+    assert cli_main(["report", "--in", str(tmp_path / "run")]) == 0
+    assert "oracle[0] linear-feedback: Gaussian oracle failed: " in capsys.readouterr().out
 
 
 def test_cli_run_and_report(tmp_path):

@@ -400,7 +400,7 @@ def test_regression_fit_tracks_exact_conditional_expectation():
     # second-level regression (with cubic features) against the exact
     # enumeration conditional expectation, on the overlapping-support
     # finite instance: weighted mean-square difference below 5%
-    from innovlab.filtering import BasisSpec, FeatureBuilder, weighted_ridge_fit
+    from innovlab.filtering import BasisSpec, FeatureBuilder, WeightedGram, weighted_ridge_fit
     from innovlab.oracle import _prefix_group_means
 
     g = TimeGrid(steps=3)
@@ -418,10 +418,11 @@ def test_regression_fit_tracks_exact_conditional_expectation():
 
     basis = BasisSpec(include_cubes=True)
     fb = FeatureBuilder(Z, g.dt, basis)
+    gram = WeightedGram(ens.weights[None])
     num = den = 0.0
     for k in range(3):
         F = fb.features_at(k)
-        fitted = weighted_ridge_fit(F, filt.values[:, k], ens.weights[None], basis.ridge)[1][0]
+        fitted = weighted_ridge_fit(F, filt.values[:, k], gram, basis.ridge, fb.carry_map(k))[1][0]
         exact = exact_cond[atom, k]
         num += float(ens.weights @ (fitted - exact) ** 2)
         den += float(ens.weights @ exact**2)
