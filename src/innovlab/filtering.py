@@ -245,10 +245,8 @@ class FeatureBuilder:
             for ema, rate in zip(self._ema, spec.ema_rates):
                 ema *= 1.0 - rate * self.dt
                 ema += inc
-        w = min(k, spec.window)
-        n_base = w + 1 + len(self._ema)
-        n_powers = 1 + spec.include_cubes
-        G = np.empty((1 + n_powers * n_base, steps.shape[1]))
+        w, n_base = self._rows(k)
+        G = np.empty((1 + (1 + spec.include_cubes) * n_base, steps.shape[1]))
         G[0] = 1.0
         base = G[1:1 + n_base]
         np.subtract(steps[k - w + 1:k + 1], steps[k - w:k], out=base[:w])
@@ -258,6 +256,14 @@ class FeatureBuilder:
         if spec.include_cubes:
             np.power(base, 3, out=G[1 + n_base:])
         return G
+
+    def _rows(self, k: int) -> tuple[int, int]:
+        """Row layout of step k: the number w of window increments and the
+        number n_base of base rows.  Row 0 is the intercept, rows 1..w the
+        increments (oldest first), row w + 1 the level, then the EMAs; the
+        cubes of the n_base base rows follow from row 1 + n_base."""
+        w = min(k, self.spec.window)
+        return w, w + 1 + len(self.spec.ema_rates)
 
     def carry_map(self, k: int) -> np.ndarray:
         """For each row of `features_at(k)`, the row of `features_at(k - 1)`
@@ -269,19 +275,18 @@ class FeatureBuilder:
         increment block grows and keeps its rows; after that it drops its
         oldest row and each increment moves up by one.
         """
-        spec = self.spec
-        n_ema = len(spec.ema_rates)
-        w = min(k, spec.window)
-        base = np.full(w + 1 + n_ema, -1)
+        w, n_base = self._rows(k)
+        carry = np.full(1 + (1 + self.spec.include_cubes) * n_base, -1)
         if k == 0:
-            return np.full(1 + (1 + spec.include_cubes) * len(base), -1)
-        w_prev = min(k - 1, spec.window)
-        kept = max(w - 1, 0)
-        base[:kept] = 1 + (w_prev - w + 1) + np.arange(kept)
-        parts = [[0], base]
-        if spec.include_cubes:
-            parts.append(np.where(base >= 0, base + w_prev + 1 + n_ema, -1))
-        return np.concatenate(parts)
+            return carry
+        w_prev, n_prev = self._rows(k - 1)
+        kept = np.arange(max(w - 1, 0))  # every increment but the newest
+        prev = 1 + (w_prev - w + 1) + kept
+        carry[0] = 0
+        carry[1 + kept] = prev
+        if self.spec.include_cubes:
+            carry[1 + n_base + kept] = prev + n_prev
+        return carry
 
 
 class WeightedGram:

@@ -335,19 +335,21 @@ def _stage(stages, name, fn, *args, **kwargs):
     """Run one pipeline stage; record in `stages` its wall seconds, the
     process's peak resident set size so far (MB) and how far the stage
     raised that peak (MB).  A stage run again adds its seconds and rise to
-    its entry and keeps the larger peak."""
+    its entry and keeps the larger peak; a stage that fails records them
+    too."""
     before = _peak_rss_mb()
     t0 = time.perf_counter()
     try:
-        out = fn(*args, **kwargs)
+        return fn(*args, **kwargs)
     except InnovlabError as exc:
         raise StageError(name, exc) from exc
-    peak = _peak_rss_mb()
-    entry = stages.setdefault(name, {"seconds": 0.0, "max_rss_mb": 0.0, "peak_rise_mb": 0.0})
-    entry["seconds"] += time.perf_counter() - t0
-    entry["max_rss_mb"] = max(entry["max_rss_mb"], peak)
-    entry["peak_rise_mb"] += peak - before
-    return out
+    finally:
+        peak = _peak_rss_mb()
+        entry = stages.setdefault(name, {"seconds": 0.0, "max_rss_mb": 0.0,
+                                         "peak_rise_mb": 0.0})
+        entry["seconds"] += time.perf_counter() - t0
+        entry["max_rss_mb"] = max(entry["max_rss_mb"], peak)
+        entry["peak_rise_mb"] += peak - before
 
 
 def _configure(config):

@@ -450,11 +450,16 @@ def test_a_failed_gaussian_oracle_keeps_every_level(tmp_path):
     assert error.startswith("Gaussian algebra lost positivity")
     assert "gaussian_path_kl" not in rec.diagnostics
     assert "gaussian_observation_kl" not in rec.diagnostics
+    # the failed stage keeps its time, like one that succeeds
+    assert rec.diagnostics["stages"]["oracle"]["seconds"] > 0
     assert [row["n"] for row in rec.levels] == list(cfg.levels)
     assert len((tmp_path / "results.csv").read_text().splitlines()) == 1 + len(cfg.levels)
     payload = json.loads((tmp_path / "run.jsonl").read_text())
     assert payload["diagnostics"]["gaussian_oracle_error"] == error
-    assert f"oracle[0] linear-feedback: Gaussian oracle failed: {error}" in report(tmp_path)
+    text = report(tmp_path)
+    assert f"oracle[0] linear-feedback: Gaussian oracle failed: {error}" in text
+    stage_line = next(line for line in text.splitlines() if line.startswith("stages[0]"))
+    assert ", oracle " in stage_line
 
 
 def test_an_oracle_failure_other_than_numerical_still_fails_the_run(tmp_path, monkeypatch):
