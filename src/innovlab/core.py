@@ -19,8 +19,9 @@ Conventions used throughout the package:
 Randomness follows a counter-based contract: a (seed, substream) pair maps
 to an independent Philox4x64-10 stream, substream index = path index, so
 ensembles are reproducible bit-for-bit regardless of how paths are split
-into row blocks.  Lane l of substream s is the stream with key
-[seed, 0] and stream index j = 16*s + l held in counter words 2-3, i.e.
+into row blocks or how the blocks are shared among processes.  Lane l of
+substream s is the stream with key [seed, 0] and stream index
+j = 16*s + l held in counter words 2-3, i.e.
 `Philox(key=seed).jumped(j)`.  Like numpy's Philox, a stream increments
 counter word 0 before each block, so block b = 1, 2, ... is the Philox
 image of counter [b, 0, j mod 2^64, j >> 64]; its four output words are
@@ -53,8 +54,8 @@ __all__ = [
     "row_chunks",
 ]
 
-#: rows that one block of the continuous front end (simulation, filter and
-#: innovation) holds at a time
+#: rows in one block of the continuous front end (simulation, filter and
+#: innovation); each of its processes holds one block at a time
 PATH_BLOCK = 1024
 
 #: values in one chunk of rows copied between a column-major ensemble array

@@ -93,8 +93,10 @@ class LevelReport:
 
 
 def _weighted_mean_se(weights: np.ndarray, values: np.ndarray) -> tuple[float, float]:
-    """Self-normalized mean and delta-method standard error."""
-    mean = float(weights @ values)
+    """Self-normalized mean and delta-method standard error.  The mean is
+    the exactly rounded sum of the products: a BLAS dot product may split
+    a long sum over threads, so its last bit would depend on their count."""
+    mean = math.fsum(weights * values)
     se = float(np.sqrt(np.sum(weights**2 * (values - mean) ** 2)))
     return mean, se
 
@@ -193,12 +195,14 @@ def criterion_levels(Z: np.ndarray, uhat: np.ndarray, grid: TimeGrid,
         q += fitted * fitted * dt * (k < stopped)
         escalations += raised
 
+    # levels of one weight set share its weights, energies and fits
+    means = [(_weighted_mean_se(w, 0.5 * e), _weighted_mean_se(w, 0.5 * qi),
+              _weighted_mean_se(w, 0.5 * (e - qi)))
+             for w, e, qi in zip(weight_sets, energies, q)]
     reports = []
     for lv, s in zip(levels, slot_of):
-        w, e, qi, diag = weight_sets[s], energies[s], q[s], diags[s]
-        energy, energy_se = _weighted_mean_se(w, 0.5 * e)
-        entropy, entropy_se = _weighted_mean_se(w, 0.5 * qi)
-        gap, gap_se = _weighted_mean_se(w, 0.5 * (e - qi))
+        (energy, energy_se), (entropy, entropy_se), (gap, gap_se) = means[s]
+        diag = diags[s]
         reports.append(
             LevelReport(
                 level=lv,

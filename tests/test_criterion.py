@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -101,7 +103,7 @@ def test_energy_averages_the_energies_inside_the_log_weights(monkeypatch):
         assert np.array_equal(e, path_energies(stopped, grid.dt))
         assert np.array_equal(-ito - 0.5 * e, lw)
         w = reweight(lw).weights
-        mean = float(w @ (0.5 * e))
+        mean = math.fsum(w * (0.5 * e))
         assert r.energy == mean
         assert r.energy_se == float(np.sqrt(np.sum(w**2 * (0.5 * e - mean) ** 2)))
 

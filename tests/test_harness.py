@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -17,7 +18,13 @@ from innovlab.cli import main as cli_main
 import innovlab.harness as harness
 from innovlab.core import RandomStream, TimeGrid
 from innovlab.criterion import GAP_FLOOR
-from innovlab.errors import ConfigurationError, StageError, UnsupportedModelError, UsageError
+from innovlab.errors import (
+    ConfigurationError,
+    NumericalError,
+    StageError,
+    UnsupportedModelError,
+    UsageError,
+)
 from innovlab.filtering import ensemble_conditional_drift, innovation_values
 from innovlab.harness import (
     OUTDIR_ENV,
@@ -197,10 +204,11 @@ def test_front_end_blocks_match_the_whole_ensemble_reference(name):
 
 
 def test_front_end_stage_rises_add_up_to_the_run_rise(tmp_path):
-    # every page of Z and uhat is touched inside a stage, so the stages'
-    # peak rises sum to the front end's whole rise; in a fresh interpreter,
-    # with Z (4 blocks x 512 columns) at 16.8 MB, so that a copy left
-    # outside the stages would show
+    # every page of Z and uhat that the caller touches is touched inside
+    # one of its stages, so its stages' peak rises sum to its whole rise
+    # (a child's rows join the caller's pages only when it reads them); in a
+    # fresh interpreter, with Z (4 blocks x 512 columns) at 16.8 MB, so
+    # that a copy left outside the stages would show
     code = (
         "import resource\n"
         "from innovlab.core import PATH_BLOCK, RandomStream, TimeGrid\n"
@@ -517,31 +525,141 @@ def test_run_records_stage_timings(tmp_path, cfg, stages):
     assert not {"blas_threads", "workers"} & set(payload["diagnostics"])
 
 
+def _two_processes(monkeypatch):
+    """Share the front end's blocks between the caller and one child,
+    whatever the machine's CPU count."""
+    monkeypatch.setattr(harness, "_front_end_processes", lambda blocks: min(2, blocks))
+
+
 def test_front_end_sums_each_stage_peak_rise_over_its_blocks(monkeypatch):
-    # a peak that grows by 1 MB on every reading rises 1 MB per block stage
+    # a peak that grows by 1 MB on every reading rises 1 MB per block stage:
+    # blocks 0 and 2 in the caller, block 1 in the child
+    _two_processes(monkeypatch)
     readings = iter(range(10**6))
     monkeypatch.setattr(harness, "_peak_rss_mb", lambda: float(next(readings)))
-    stages = {}
+    stages, front_end = {}, {}
     continuous_front_end(make_model("zero"), TimeGrid(steps=4), 2 * PATH_BLOCK + 3,
-                         RandomStream(seed=1), stages)
+                         RandomStream(seed=1), stages, front_end)
+    (child,) = front_end["children"]
+    assert front_end["processes"] == 2 and child["blocks"] == 1
     assert {name: entry["peak_rise_mb"] for name, entry in stages.items()} == {
+        "simulate": 2.0, "filter": 2.0, "innovation": 2.0}
+    assert {name: stages[name]["peak_rise_mb"] + entry["peak_rise_mb"]
+            for name, entry in child["stages"].items()} == {
         "simulate": 3.0, "filter": 3.0, "innovation": 3.0}
 
 
-def test_run_stages_start_no_thread(monkeypatch):
-    # the front end runs its blocks in the calling thread: while a block
-    # innovates, no thread is alive that was not alive before the run
-    seen = []
+def test_run_stages_start_no_thread(tmp_path, monkeypatch):
+    # the front end's blocks run in the calling thread and in a forked
+    # child's only thread: while a block innovates, the caller has no thread
+    # that was not alive before the run, and the child no thread but its own
+    _two_processes(monkeypatch)
+    log = tmp_path / "threads"
 
     def counting_innovation(*args, **kwargs):
-        seen.append(threading.active_count())
+        with log.open("a") as fh:
+            fh.write(f"{os.getpid()} {threading.active_count()}\n")
         return innovation_values(*args, **kwargs)
 
     monkeypatch.setattr(harness, "innovation_values", counting_innovation)
     before = threading.active_count()
     run_experiment(ExperimentConfig(model="kalman-bucy", grid_n=16, paths=2 * PATH_BLOCK + 3),
                    persist=False)
-    assert seen == [before] * 3 and threading.active_count() == before
+    seen = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+    caller = [count for pid, count in seen if pid == os.getpid()]
+    child = [count for pid, count in seen if pid != os.getpid()]
+    assert caller == [before] * 2 and child == [1]
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("model, params", [
+    pytest.param("kalman-bucy", {"beta": 1.0, "sigma": 1.0}, id="kalman-bucy"),
+    pytest.param("tsirelson", {"levels": 2}, id="tsirelson"),  # reads U at level boundaries
+])
+def test_results_csv_bytes_do_not_depend_on_the_front_end_processes(tmp_path, monkeypatch,
+                                                                    model, params):
+    # two full row blocks and a part, run by 1, 2 and 3 processes
+    cfg = dict(model=model, model_params=params, grid_n=32, paths=2 * PATH_BLOCK + 3, seed=7)
+    csv = []
+    for processes in (1, 2, 3):
+        monkeypatch.setattr(harness, "_front_end_processes",
+                            lambda blocks, p=processes: min(p, blocks))
+        rec = run_experiment(ExperimentConfig(**cfg, outdir=str(tmp_path / str(processes))))
+        assert rec.diagnostics["front_end"]["processes"] == processes
+        assert [c["blocks"] for c in rec.diagnostics["front_end"]["children"]] == \
+            [1] * (processes - 1)
+        csv.append((tmp_path / str(processes) / "results.csv").read_bytes())
+    assert csv[0] == csv[1] == csv[2]
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_front_end_leaves_no_child_after_a_run(monkeypatch):
+    _two_processes(monkeypatch)
+    run_experiment(ExperimentConfig(model="zero", grid_n=8, paths=2 * PATH_BLOCK + 3),
+                   persist=False)
+    _assert_no_child_left()
+
+
+def _failing_innovation(where):
+    """`innovation_values` that raises in the caller's blocks ("caller") or
+    in the child's block, rows PATH_BLOCK.. ("child")."""
+    caller = os.getpid()
+
+    def innovation(*args, **kwargs):
+        if (os.getpid() == caller) == (where == "caller"):
+            raise NumericalError(f"innovation failed in the {where}")
+        return innovation_values(*args, **kwargs)
+    return innovation
+
+
+def test_front_end_raises_a_childs_stage_error_as_its_own(monkeypatch):
+    _two_processes(monkeypatch)
+    monkeypatch.setattr(harness, "innovation_values", _failing_innovation("child"))
+    with pytest.raises(StageError) as info:
+        continuous_front_end(make_model("zero"), TimeGrid(steps=4), 2 * PATH_BLOCK + 3,
+                             RandomStream(seed=1))
+    assert info.value.stage == "innovation"
+    assert type(info.value.cause) is NumericalError
+    assert str(info.value.cause) == "innovation failed in the child"
+    assert str(info.value) == "stage 'innovation' failed: innovation failed in the child"
+    _assert_no_child_left()
+
+
+def test_front_end_kills_and_reaps_the_child_when_its_own_block_fails(monkeypatch):
+    # the child would sleep for a minute in its block; the caller's block 0
+    # fails at once, and the call returns well before the minute is up
+    _two_processes(monkeypatch)
+    fail = _failing_innovation("caller")
+    caller = os.getpid()
+
+    def innovation(*args, **kwargs):
+        if os.getpid() != caller:
+            time.sleep(60)
+        return fail(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "innovation_values", innovation)
+    t0 = time.monotonic()
+    with pytest.raises(StageError, match="innovation failed in the caller"):
+        continuous_front_end(make_model("zero"), TimeGrid(steps=4), 2 * PATH_BLOCK + 3,
+                             RandomStream(seed=1))
+    assert time.monotonic() - t0 < 30
+    _assert_no_child_left()
+
+
+def test_cli_run_that_fails_in_the_front_end_leaves_no_child(tmp_path, capsys, monkeypatch):
+    _two_processes(monkeypatch)
+    monkeypatch.setattr(harness, "innovation_values", _failing_innovation("child"))
+    cfg_file = tmp_path / "fail.cfg"
+    cfg_file.write_text(f"model = zero\ngrid_n = 8\npaths = {2 * PATH_BLOCK + 3}\n"
+                        f"outdir = {tmp_path / 'run'}\n")
+    assert cli_main(["run", "--config", str(cfg_file)]) == 1
+    assert capsys.readouterr().err == (
+        "error: stage 'innovation' failed: innovation failed in the child\n")
+    _assert_no_child_left()
 
 
 def test_run_stage_seconds_add_up_to_no_more_than_the_wall_clock():
@@ -552,6 +670,24 @@ def test_run_stage_seconds_add_up_to_no_more_than_the_wall_clock():
     stages = rec.diagnostics["stages"]
     assert {"simulate", "filter", "innovation", "criterion"} <= set(stages)
     assert sum(entry["seconds"] for entry in stages.values()) <= rec.wall_clock
+
+
+def test_run_records_and_reports_the_front_end_children(tmp_path, monkeypatch):
+    # the child's blocks, stage entries and peak RSS land in run.jsonl, and
+    # `report` prints them on one line before the run's own stage line
+    _two_processes(monkeypatch)
+    run_experiment(ExperimentConfig(model="zero", grid_n=8, paths=2 * PATH_BLOCK + 3,
+                                    outdir=str(tmp_path)))
+    payload = json.loads((tmp_path / "run.jsonl").read_text())
+    front_end = payload["diagnostics"]["front_end"]
+    (child,) = front_end["children"]
+    assert front_end["processes"] == 2 and child["blocks"] == 1 and child["peak_rss_mb"] > 0
+    assert set(child["stages"]) == {"simulate", "filter", "innovation"}
+    lines = report(tmp_path).splitlines()
+    assert re.fullmatch(r"front_end\[0\] zero: processes 2; child 1: blocks 1, "
+                        r"simulate \d+\.\d{3}s \+\d+ MB, filter \d+\.\d{3}s \+\d+ MB, "
+                        r"innovation \d+\.\d{3}s \+\d+ MB, peak RSS \d+ MB", lines[-2])
+    assert lines[-1].startswith("stages[0] zero: configure ")
 
 
 def test_report_reads_stage_records_without_a_peak_rise(tmp_path):
@@ -667,8 +803,9 @@ def test_cli_run_rejects_an_aux_law_in_continuous_mode(tmp_path, capsys, monkeyp
 
 
 def test_cli_run_rejects_workers_and_the_removed_workers_flag(tmp_path, capsys, monkeypatch):
-    # the front end runs its row blocks in one thread: a config asking for
-    # more fails at configuration, and the flag is gone (a usage error)
+    # the front end shares its row blocks among the CPUs by itself: a config
+    # asking for workers fails at configuration, and the flag is gone (a
+    # usage error)
     def no_sampling(*args, **kwargs):
         raise AssertionError("paths were drawn")
 
@@ -678,7 +815,8 @@ def test_cli_run_rejects_workers_and_the_removed_workers_flag(tmp_path, capsys, 
                         f"outdir = {tmp_path / 'run'}\n")
     assert cli_main(["run", "--config", str(cfg_file)]) == 1
     assert capsys.readouterr().err == (
-        "error: workers must be 1, got 2: the front end runs its row blocks in one thread\n")
+        "error: workers must be 1, got 2: the front end shares its row blocks among "
+        "the CPUs by itself\n")
     cfg_file.write_text(f"model = zero\ngrid_n = 8\npaths = 200\n"
                         f"outdir = {tmp_path / 'run'}\n")
     with pytest.raises(SystemExit) as exit_info:
@@ -846,4 +984,6 @@ def test_continuous_run_holds_at_most_six_ensemble_arrays(model, params, paths, 
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= arrays * cfg.paths * cfg.grid_n * 8
+    # Z and uhat live in shared memory, which tracemalloc does not see
+    shared = cfg.paths * (2 * cfg.grid_n + 1) * 8
+    assert peak + shared <= arrays * cfg.paths * cfg.grid_n * 8
