@@ -35,10 +35,19 @@ used in order.
   [0, 0, j mod 2^64, j >> 64], key [seed, 0], with an empty buffer
   (buffer_pos = 4, has_uint32 = 0), which is the state of a fresh
   `Philox(key=seed).jumped(j)`.
+
+Independent pieces of work (the front end's row blocks, the criterion's
+weight sets) are dealt over one forked process per CPU by `fork_map`, the
+package's one place that forks and reaps.
 """
 
 from __future__ import annotations
 
+import math
+import mmap
+import os
+import pickle
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +61,8 @@ __all__ = [
     "path_energies",
     "PATH_BLOCK",
     "row_chunks",
+    "shared_array",
+    "fork_map",
 ]
 
 #: rows in one block of the continuous front end (simulation, filter and
@@ -220,3 +231,106 @@ def path_energies(x: np.ndarray, dt: float) -> np.ndarray:
     """Per-member energy  sum_k x_k^2 dt  of stacked integrands (m, N)."""
     return np.einsum("mk,mk->m", x, x) * dt
 
+
+
+def shared_array(shape) -> np.ndarray:
+    """A column-major float64 array in anonymous shared memory, so that the
+    rows a forked child writes are the caller's rows too."""
+    return np.ndarray(shape, order="F", buffer=mmap.mmap(-1, 8 * math.prod(shape)))
+
+
+def _fork_processes(items: int) -> int:
+    """Processes that share `items` independent items: one per CPU this
+    process may run on, and no more than there are items."""
+    return min(len(os.sched_getaffinity(0)), items)
+
+
+def fork_map(fn, items, entries=None, meanwhile=None) -> tuple[list, list]:
+    """`[fn(item, entries) for item in items]`, the items dealt over
+    P = `_fork_processes(len(items))` processes.
+
+    The caller runs items 0, P, 2P, .. with `entries`, and each of P - 1
+    forked children runs items i, i + P, .. with a dict of its own.  Then
+    `meanwhile()`, when given, runs in the caller while the children may
+    still run.  A child sends back, pickled on a pipe, its results, its
+    entries, its seconds and the error it raised; so a result must pickle,
+    and an item's result must not depend on which process ran it.
+
+    Returns the results in item order and, per child, a dict of its item
+    count (`items`), its `entries`, its `seconds` and its peak RSS in MB
+    (`peak_rss_mb`).  A child's error is raised here as itself.  Every
+    child is reaped before this returns or raises, and killed first when the
+    caller's own items or `meanwhile` raise.  With P = 1 nothing forks.
+    """
+    items = list(items)
+    entries = {} if entries is None else entries
+    processes = max(_fork_processes(len(items)), 1)
+    children = []
+    try:
+        for i in range(1, processes):
+            children.append(_fork(fn, items[i::processes]))
+        own = [fn(item, entries) for item in items[::processes]]
+        if meanwhile is not None:
+            meanwhile()
+    except BaseException:
+        import signal  # only a failed run needs it; a run's set-up does not load it
+
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        reports = [_reap(*child) for child in children]
+
+    results = [None] * len(items)
+    results[::processes] = own
+    record = []
+    for i, ((pid, _), (report, status, peak)) in enumerate(zip(children, reports), 1):
+        try:
+            values, child_entries, seconds, error = pickle.loads(report)
+        except Exception:  # empty or cut short: the child died before it reported
+            raise RuntimeError(f"forked child {pid} ended without a report "
+                               f"(wait status {status})") from None
+        if error is not None:
+            raise error
+        results[i::processes] = values
+        record.append({"items": len(values), "entries": child_entries, "seconds": seconds,
+                       "peak_rss_mb": peak})
+    return results, record
+
+
+def _fork(fn, items):
+    """Fork a child that runs `fn(item, entries)` on each of `items` and
+    sends back, pickled on a pipe, its results, its `entries`, its seconds
+    and the error it raised, or None.  The child always leaves by
+    `os._exit`, with status 0 once its report is sent.  Returns (pid, read
+    end)."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            t0 = time.perf_counter()
+            os.close(read)
+            entries: dict = {}
+            results = []
+            try:
+                results = [fn(item, entries) for item in items]
+                error = None
+            except BaseException as exc:  # sent to the caller, which raises it
+                error = exc
+            with os.fdopen(write, "wb") as fh:
+                pickle.dump((results, entries, time.perf_counter() - t0, error), fh)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    return pid, read
+
+
+def _reap(pid, read):
+    """Read a child's whole report, then wait for it; returns the report,
+    the child's wait status and its peak RSS in MB."""
+    with os.fdopen(read, "rb") as fh:
+        report = fh.read()
+    _, status, usage = os.wait4(pid, 0)
+    return report, status, usage.ru_maxrss * 1024 / 1e6

@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import TimeGrid
+from .core import TimeGrid, fork_map
 from .errors import UsageError
 from .filtering import BasisSpec, FeatureBuilder, WeightedGram, weighted_ridge_fit
 from .girsanov import (
@@ -143,7 +143,8 @@ def criterion_levels(Z: np.ndarray, uhat: np.ndarray, grid: TimeGrid,
                      levels: Sequence[float] = DEFAULT_LEVELS,
                      basis: BasisSpec = BasisSpec(),
                      floor: float = GAP_FLOOR,
-                     method: str = "") -> list[LevelReport]:
+                     method: str = "",
+                     forks: Optional[dict] = None) -> list[LevelReport]:
     """Run the per-level criterion over a filtered ensemble.
 
     Z: stacked innovation values (m, N+1); uhat: stacked filtered drift
@@ -154,55 +155,39 @@ def criterion_levels(Z: np.ndarray, uhat: np.ndarray, grid: TimeGrid,
     level runs the normalization diagnostic, so fewer than
     `girsanov.MIN_DIAGNOSTIC_MEMBERS` paths is a usage error.
 
-    The stopping times and each level's stopped log-weights are formed by
+    Levels whose stopping indices agree share one weight set.  The
+    distinct sets are dealt over one process per CPU (`core.fork_map`),
+    and one process runs each set's whole chain, `_weight_set`, which
+    returns only the set's means and diagnostics; so no number depends on
+    how many processes share the sets.  `forks`, when given, receives
+    `processes` and, per forked child, its set count (`sets`), its seconds
+    and its peak RSS in MB.
+
+    The stopping times and each set's stopped log-weights are formed by
     the Girsanov layer in row chunks, and the feature builder reads Z in
-    place, so beside Z and uhat the stage holds only (m,) vectors per level.
-    The weights are normalized once, and each step's fit forms only the
-    Gram entries of the feature rows that the previous step did not have.
+    place, so beside Z and uhat each process holds only (m,) vectors per
+    set.
     """
-    N = uhat.shape[1]
-    dt = grid.dt
     levels = list(levels)
     if not levels:
         raise UsageError("need at least one localization level")
 
     # per level: (m,) stopping indices, N where never stopped (every path at
-    # level inf); levels with the same stops share weights and regressions
-    stops = stop_indices(uhat, dt, levels)
+    # level inf)
+    stops = stop_indices(uhat, grid.dt, levels)
     slots: dict = {}
     slot_of = [slots.setdefault(stop.tobytes(), len(slots)) for stop in stops]
-    stopped = stops[[slot_of.index(s) for s in range(len(slots))]]
+    sets, children = fork_map(
+        lambda stop, _: _weight_set(Z, uhat, grid.dt, stop, basis),
+        stops[[slot_of.index(s) for s in range(len(slots))]])
+    if forks is not None:
+        forks.update(processes=len(children) + 1, children=[
+            {"sets": c["items"], "seconds": c["seconds"], "peak_rss_mb": c["peak_rss_mb"]}
+            for c in children])
 
-    # E_hat averages exactly the energies inside the level's log-weights
-    log_weights, energies = log_weights_ensemble(uhat, Z, dt, stopped)
-    weight_sets, diags, ess = [], [], []
-    for lw in log_weights:
-        ens = reweight(lw)
-        diags.append(normalization_diagnostic(ens))
-        weight_sets.append(ens.weights)
-        ess.append(ens.ess)
-
-    # one regression call per step: features shared, and each weight set's
-    # Gram kept from step to step
-    gram = WeightedGram(np.stack(weight_sets))
-    q = np.zeros(gram.weights.shape)
-    escalations = np.zeros(len(stopped), dtype=int)
-    builder = FeatureBuilder(Z, dt, basis)
-    for k in range(N):
-        G = builder.features_at(k)
-        _, fitted, raised = weighted_ridge_fit(G, uhat[:, k], gram, basis.ridge,
-                                               builder.carry_map(k))
-        q += fitted * fitted * dt * (k < stopped)
-        escalations += raised
-
-    # levels of one weight set share its weights, energies and fits
-    means = [(_weighted_mean_se(w, 0.5 * e), _weighted_mean_se(w, 0.5 * qi),
-              _weighted_mean_se(w, 0.5 * (e - qi)))
-             for w, e, qi in zip(weight_sets, energies, q)]
     reports = []
     for lv, s in zip(levels, slot_of):
-        (energy, energy_se), (entropy, entropy_se), (gap, gap_se) = means[s]
-        diag = diags[s]
+        (energy, energy_se), (entropy, entropy_se), (gap, gap_se), diag, ess, raised = sets[s]
         reports.append(
             LevelReport(
                 level=lv,
@@ -212,16 +197,44 @@ def criterion_levels(Z: np.ndarray, uhat: np.ndarray, grid: TimeGrid,
                 energy_se=energy_se,
                 gap=gap,
                 gap_se=gap_se,
-                ess=ess[s],
+                ess=ess,
                 norm_mean=diag.mean,
                 norm_se=diag.se,
                 norm_passed=diag.passed,
                 verdict=classify_level(gap, gap_se, floor),
                 method=method or f"jensen[{basis.describe()}]",
-                ridge_escalations=int(escalations[s]),
+                ridge_escalations=raised,
             )
         )
     return reports
+
+
+def _weight_set(Z: np.ndarray, uhat: np.ndarray, dt: float, stop: np.ndarray,
+                basis: BasisSpec) -> tuple:
+    """The levels of one stopping rule `stop` (m,): the means and standard
+    errors of the energy, the entropy and the gap, the normalization
+    diagnostic, the ESS and the ridge escalations of the N per-step fits.
+
+    E_hat averages exactly the energies inside the rule's log-weights.
+    Each step's fit keeps the set's Gram from the step before and forms
+    only the entries of the feature rows that step did not have.
+    """
+    log_weights, energies = log_weights_ensemble(uhat, Z, dt, stop)
+    ens = reweight(log_weights)
+    diag = normalization_diagnostic(ens)
+    weights = ens.weights
+    gram = WeightedGram(weights)
+    q = np.zeros(len(weights))
+    escalations = 0
+    builder = FeatureBuilder(Z, dt, basis)
+    for k in range(uhat.shape[1]):
+        G = builder.features_at(k)
+        _, fitted, raised = weighted_ridge_fit(G, uhat[:, k], gram, basis.ridge,
+                                               builder.carry_map(k))
+        q += fitted * fitted * dt * (k < stop)
+        escalations += raised
+    return (_weighted_mean_se(weights, 0.5 * energies), _weighted_mean_se(weights, 0.5 * q),
+            _weighted_mean_se(weights, 0.5 * (energies - q)), diag, ens.ess, escalations)
 
 
 def _plugin_entropies(ens: WeightedEnsemble, labels: np.ndarray) -> tuple:
@@ -275,4 +288,4 @@ def plugin_level(Z: np.ndarray, uhat: np.ndarray, labels: np.ndarray, grid: Time
         gap=gap, gap_se=gap_se, ess=ens.ess,
         norm_mean=diag.mean, norm_se=diag.se, norm_passed=diag.passed,
         verdict=classify_level(gap, gap_se, floor), method=method)
-    return report, 0.5 * float(ens.weights @ energies)
+    return report, 0.5 * math.fsum(ens.weights * energies)

@@ -48,3 +48,8 @@ class StageError(InnovlabError):
         super().__init__(f"stage '{stage}' failed: {cause}")
         self.stage = stage
         self.cause = cause
+
+    def __reduce__(self):
+        # rebuilt from its stage and cause, so that it pickles: a forked
+        # child sends its error to the caller that way
+        return type(self), (self.stage, self.cause)

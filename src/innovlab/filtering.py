@@ -290,38 +290,33 @@ class FeatureBuilder:
 
 
 class WeightedGram:
-    """Weighted Gram matrices A_s = G diag(w_s) G^T of S weight sets, kept
+    """The weighted Gram matrix A = G diag(w) G^T of one weight set, kept
     from one step's features to the next.
 
-    The weights (S, m) are normalized once, here.  `update(G, carry)`
-    copies the entries between carried rows (`FeatureBuilder.carry_map`)
-    from the previous step and forms the new rows' entries from one thin
-    product per set, (new rows of G ∘ w_s) G^T; with no carried rows, as
-    on a first or one-step call, that product is the whole Gram.  Each set
-    is formed by itself: BLAS picks its kernel by size, so a product over
-    all sets at once would make a set's numbers depend on how many sets
-    share it.
+    The weights (m,) are normalized once, here.  `update(G, carry)` copies
+    the entries between carried rows (`FeatureBuilder.carry_map`) from the
+    previous step and forms the new rows' entries from one thin product,
+    (new rows of G ∘ w) G^T; with no carried rows, as on a first or
+    one-step call, that product is the whole Gram.
     """
 
     def __init__(self, weights: np.ndarray):
-        self.weights = weights / weights.sum(axis=1, keepdims=True)
-        self.A = np.empty((len(self.weights), 0, 0))
+        self.weights = weights / weights.sum()
+        self.A = np.empty((0, 0))
 
     def update(self, G: np.ndarray, carry: Optional[np.ndarray] = None) -> np.ndarray:
         p = len(G)
         carry = np.full(p, -1) if carry is None else np.asarray(carry)
-        if carry.shape != (p,) or carry.max(initial=-1) >= self.A.shape[1]:
+        if carry.shape != (p,) or carry.max(initial=-1) >= len(self.A):
             raise UsageError(f"carry map {carry.tolist()} does not fit {p} feature rows "
-                             f"after {self.A.shape[1]}")
+                             f"after {len(self.A)}")
         new = np.flatnonzero(carry < 0)
         kept = np.flatnonzero(carry >= 0)
-        A = np.empty((len(self.weights), p, p))
-        A[:, kept[:, None], kept] = self.A[:, carry[kept, None], carry[kept]]
-        G_new = G[new]
-        for A_s, w in zip(A, self.weights):
-            cross = (G_new * w) @ G.T
-            A_s[new] = cross
-            A_s[:, new] = cross.T
+        A = np.empty((p, p))
+        A[kept[:, None], kept] = self.A[carry[kept, None], carry[kept]]
+        cross = (G[new] * self.weights) @ G.T
+        A[new] = cross
+        A[:, new] = cross.T
         self.A = A
         return A
 
@@ -353,26 +348,17 @@ def _ridge_solve(A: np.ndarray, b: np.ndarray, ridge: float) -> tuple[np.ndarray
 
 def weighted_ridge_fit(G: np.ndarray, y: np.ndarray, gram: WeightedGram, ridge: float,
                        carry: Optional[np.ndarray] = None
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                       ) -> tuple[np.ndarray, np.ndarray, int]:
     """Weighted least squares with a relative ridge on non-intercept terms.
 
-    G: features, feature-major (p, m); y: response (m,); gram: the S weight
-    sets' `WeightedGram`, which this call updates to G, carrying the rows
-    that `carry` maps to the previous call's G (none when omitted).  Like
-    the Gram matrices, the right-hand sides G (w_s ∘ y) and the fitted
-    values are formed one set at a time, so a set's numbers do not depend
-    on how many sets share the call.
+    G: features, feature-major (p, m); y: response (m,); gram: the weight
+    set's `WeightedGram`, which this call updates to G, carrying the rows
+    that `carry` maps to the previous call's G (none when omitted).
 
-    Returns (coefficients, fitted values, ridge escalations), shaped
-    (S, p), (S, m), (S,).  The intercept is unpenalized, which preserves
-    the weighted mean of the response exactly.
+    Returns the coefficients (p,), the fitted values (m,) and the number of
+    ridge escalations.  The intercept is unpenalized, which preserves the
+    weighted mean of the response exactly.
     """
     A = gram.update(G, carry)
-    S, (p, m) = len(A), G.shape
-    coef = np.empty((S, p))
-    fitted = np.empty((S, m))
-    escalations = np.empty(S, dtype=int)
-    for s, w in enumerate(gram.weights):
-        coef[s], escalations[s] = _ridge_solve(A[s], G @ (w * y), ridge)
-        fitted[s] = coef[s] @ G
-    return coef, fitted, escalations
+    coef, escalations = _ridge_solve(A, G @ (gram.weights * y), ridge)
+    return coef, coef @ G, escalations

@@ -94,34 +94,30 @@ def log_weights_ensemble(uhat: np.ndarray, Z: np.ndarray, dt: float,
     """Stacked log rho over an ensemble, uhat (m, N) and Z (m, N+1), and the
     per-path energies sum_k uhat_k^2 dt that it contains: two (m,) arrays.
 
-    With stopping indices `stop`, (m,) for one rule or (S, m) for S rules,
-    the drift is the stopped one, `localize(uhat, stop[s])`, and both
-    outputs have stop's shape.  Each chunk of rows (`core.row_chunks`) is
-    copied row-major once for all the rules, and forms its increments dZ
-    once.
+    With stopping indices `stop` (m,), the drift is the stopped one,
+    `localize(uhat, stop)`.  Each chunk of rows (`core.row_chunks`) is
+    copied row-major once.
     """
     if uhat.ndim != 2 or Z.shape != (uhat.shape[0], uhat.shape[1] + 1):
         raise ShapeError(f"filtered drift {uhat.shape} does not fit innovation {Z.shape}")
     m, N = uhat.shape
-    stops = np.full(m, N) if stop is None else np.asarray(stop)
-    if stops.shape[-1:] != (m,) or stops.ndim > 2:
-        raise ShapeError(f"stopping indices {stops.shape} do not fit filtered drift {uhat.shape}")
-    rules = stops.reshape(-1, m)
-    ito, en = np.empty(rules.shape), np.empty(rules.shape)
+    stop = np.full(m, N) if stop is None else np.asarray(stop)
+    if stop.shape != (m,):
+        raise ShapeError(f"stopping indices {stop.shape} do not fit filtered drift {uhat.shape}")
+    ito, en = np.empty(m), np.empty(m)
     with np.errstate(invalid="ignore", over="ignore"):
         for rows in row_chunks(m, N):
             # an einsum over column-major rows would add in another order
             x = np.ascontiguousarray(uhat[rows])
+            if stop[rows].min() < N:  # x * True is x: a chunk never stopped keeps its drift
+                x = localize(x, stop[rows])
             dZ = np.diff(np.ascontiguousarray(Z[rows]), axis=1)
-            for s, rule in enumerate(rules[:, rows]):
-                # x * True is x: a chunk the rule never stops keeps its drift
-                xs = x if rule.min() >= N else localize(x, rule)
-                ito[s, rows] = np.einsum("mk,mk->m", xs, dZ)
-                en[s, rows] = path_energies(xs, dt)
+            ito[rows] = np.einsum("mk,mk->m", x, dZ)
+            en[rows] = path_energies(x, dt)
         out = -ito - 0.5 * en
     if not np.all(np.isfinite(out)):
         raise NumericalError("non-finite log-weight encountered")
-    return out.reshape(stops.shape), en.reshape(stops.shape)
+    return out, en
 
 
 def stop_indices(uhat: np.ndarray, dt: float, thresholds: Sequence[float]) -> np.ndarray:

@@ -13,8 +13,10 @@ Modes: ``continuous`` runs the Gaussian pipeline; ``crosscheck`` runs the
 quantized pipeline (`criterion.plugin_level`) and checks its Monte Carlo
 estimates against exact enumeration.  Both modes write their level rows
 from `criterion.LevelReport`s.  A continuous run's front end shares its
-row blocks among one process per CPU (`continuous_front_end`); every
-other stage runs in the calling process.
+row blocks, and the criterion its weight sets, among one process per CPU
+through `core.fork_map`; the Gaussian oracle runs in the calling process
+while the front end's children finish their blocks, and every other stage
+runs in the calling process alone.
 """
 
 from __future__ import annotations
@@ -22,19 +24,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import mmap
 import os
-import pickle
 import resource
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path as FsPath
 from typing import Optional
 
-import numpy as np
-
 from . import __version__
-from .core import PATH_BLOCK, RandomStream, TimeGrid
+from .core import PATH_BLOCK, RandomStream, TimeGrid, fork_map, shared_array
 from .criterion import (
     DEFAULT_LEVELS,
     GAP_FLOOR,
@@ -91,7 +89,7 @@ MODEL_COLUMN = max(len(name) for name in MODEL_NAMES) + 1
 
 # pipeline stages in run order; `report` prints their timings in this order
 STAGES = ("configure", "enumerate", "simulate", "sample", "filter", "innovation",
-          "criterion", "oracle")
+          "oracle", "criterion")
 
 
 @dataclass(frozen=True)
@@ -300,26 +298,25 @@ def resolve_outdir(config: ExperimentConfig) -> FsPath:
 
 def continuous_front_end(model: DriftModel, grid: TimeGrid, size: int,
                          stream: RandomStream, stages: Optional[dict] = None,
-                         front_end: Optional[dict] = None):
+                         front_end: Optional[dict] = None, meanwhile=None):
     """Innovation Z (size, N+1), filtered drift uhat (size, N), both
     column-major, and the filter method of a continuous ensemble,
     simulated, filtered and innovated one row block [lo, lo + PATH_BLOCK)
     at a time from substreams stream.substream + lo..  Every step acts row
     by row, so the blocks move no number.
 
-    Z and uhat live in anonymous shared memory, and the blocks are dealt
-    out over P = `_front_end_processes` processes: the caller runs blocks
-    0, P, 2P, .. and each of P - 1 forked children runs its own share, all
-    writing their rows in place.  Each stage's seconds and peak rises are
-    summed over the caller's blocks in `stages`; `front_end`, when given,
-    receives `processes` and, per child, its block count, its stage
-    entries and its peak RSS in MB.  A stage that fails in a child raises
-    here as the same `StageError`.  Every child is reaped before this
-    returns or raises, and killed first when the caller's own blocks fail.
+    Z and uhat live in anonymous shared memory, and `core.fork_map` deals
+    the blocks out over one process per CPU, each writing its rows in
+    place; `meanwhile()`, when given, runs in the caller after its own
+    blocks, while the children may still run theirs.  Each stage's seconds
+    and peak rises are summed over the caller's blocks in `stages`;
+    `front_end`, when given, receives `processes` and, per child, its
+    block count, its stage entries and its peak RSS in MB.  A stage that
+    fails in a child raises here as the same `StageError`.
     """
     stages = {} if stages is None else stages
-    Z = _shared_array((size, grid.steps + 1))
-    uhat = _shared_array((size, grid.steps))
+    Z = shared_array((size, grid.steps + 1))
+    uhat = shared_array((size, grid.steps))
 
     # each stage writes its rows, so the pages it touches count in its rise
     def filter_rows(sim, lo, hi):
@@ -328,99 +325,22 @@ def continuous_front_end(model: DriftModel, grid: TimeGrid, size: int,
     def innovate_rows(U, lo, hi):
         Z[lo:hi] = innovation_values(U, uhat[lo:hi], grid.dt)
 
-    def run_blocks(starts, entries):
-        for lo in starts:
-            hi = min(lo + PATH_BLOCK, size)
-            sim = _stage(entries, "simulate", simulate_ensemble, model, grid, hi - lo,
-                         RandomStream(stream.seed, stream.substream + lo))
-            method = _stage(entries, "filter", filter_rows, sim, lo, hi)
-            U = sim.U
-            del sim
-            _stage(entries, "innovation", innovate_rows, U, lo, hi)
-            del U  # the next block's simulation takes its memory, not adds to it
+    def run_block(lo, entries):
+        hi = min(lo + PATH_BLOCK, size)
+        sim = _stage(entries, "simulate", simulate_ensemble, model, grid, hi - lo,
+                     RandomStream(stream.seed, stream.substream + lo))
+        method = _stage(entries, "filter", filter_rows, sim, lo, hi)
+        U = sim.U
+        del sim  # the block keeps only U while it innovates
+        _stage(entries, "innovation", innovate_rows, U, lo, hi)
         return method
 
-    starts = range(0, size, PATH_BLOCK)
-    processes = _front_end_processes(len(starts))
-    children = []
-    try:
-        for i in range(1, processes):
-            children.append(_fork_blocks(run_blocks, starts[i::processes]))
-        method = run_blocks(starts[::processes], stages)
-    except BaseException:
-        import signal  # only a failed run needs it; a run's set-up does not load it
-
-        for pid, _, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        reports = [_reap(*child) for child in children]
-
-    record = []
-    for (pid, _, blocks), (report, status, peak) in zip(children, reports):
-        try:
-            entries, error = pickle.loads(report)
-        except Exception:  # empty or cut short: the child died before it reported
-            raise RuntimeError(f"front-end child {pid} ended without a report "
-                               f"(wait status {status})") from None
-        if isinstance(error, tuple):
-            raise StageError(*error) from error[1]
-        if error is not None:
-            raise error
-        record.append({"blocks": blocks, "stages": entries, "peak_rss_mb": peak})
+    methods, children = fork_map(run_block, range(0, size, PATH_BLOCK), stages, meanwhile)
     if front_end is not None:
-        front_end.update(processes=processes, children=record)
-    return Z, uhat, method
-
-
-def _shared_array(shape) -> np.ndarray:
-    """A column-major float64 array in anonymous shared memory, so that the
-    rows a forked child writes are the caller's rows too."""
-    return np.ndarray(shape, order="F", buffer=mmap.mmap(-1, 8 * math.prod(shape)))
-
-
-def _front_end_processes(blocks: int) -> int:
-    """Processes that share the front end's row blocks: one per CPU this
-    process may run on, and no more than there are blocks."""
-    return min(len(os.sched_getaffinity(0)), blocks)
-
-
-def _fork_blocks(run_blocks, starts):
-    """Fork a child that runs `run_blocks(starts, entries)` and sends back,
-    pickled on a pipe, its stage `entries` and the error it raised: None,
-    (stage, cause) for a `StageError`, or any other exception.  The child
-    always leaves by `os._exit`, with status 0 once its report is sent.
-    Returns (pid, read end, block count)."""
-    read, write = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read)
-            entries: dict = {}
-            try:
-                run_blocks(starts, entries)
-                error = None
-            except StageError as exc:
-                error = (exc.stage, exc.cause)
-            except BaseException as exc:  # sent to the caller, which raises it
-                error = exc
-            with os.fdopen(write, "wb") as fh:
-                pickle.dump((entries, error), fh)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write)
-    return pid, read, len(starts)
-
-
-def _reap(pid, read, blocks):
-    """Read a child's whole report, then wait for it; returns the report,
-    the child's wait status and its peak RSS in MB."""
-    with os.fdopen(read, "rb") as fh:
-        report = fh.read()
-    _, status, usage = os.wait4(pid, 0)
-    return report, status, usage.ru_maxrss * 1024 / 1e6
+        front_end.update(processes=len(children) + 1, children=[
+            {"blocks": c["items"], "stages": c["entries"], "peak_rss_mb": c["peak_rss_mb"]}
+            for c in children])
+    return Z, uhat, methods[0]
 
 
 def _peak_rss_mb() -> float:
@@ -489,26 +409,9 @@ def run_experiment(config: ExperimentConfig, persist: bool = True) -> ResultReco
 
 
 def _run_continuous(config, model, grid, stream, stages, persist) -> ResultRecord:
-    front_end: dict = {}
-    Z, uhat, method = continuous_front_end(model, grid, config.paths, stream, stages,
-                                           front_end)
-    reports = _stage(stages, "criterion", criterion_levels, Z, uhat, grid,
-                     config.levels, config.basis(), config.gap_floor,
-                     f"{method}+jensen[{config.basis().describe()}]")
-    verdict = criterion_verdict(reports)
+    diagnostics = {"paths": config.paths, "grid_n": config.grid_n, "seed": config.seed}
 
-    diagnostics = {
-        "filter_method": method,
-        "paths": config.paths,
-        "grid_n": config.grid_n,
-        "seed": config.seed,
-        "front_end": front_end,
-    }
-    if config.write_paths and persist:
-        diagnostics["paths_file"] = "paths.csv"
-        _write_paths_csv(config, uhat, Z, grid)
-    del Z, uhat  # the oracle reads neither: its arrays take their memory, not add to it
-    if is_linear_model(model):
+    def oracle():
         try:
             exact = _stage(stages, "oracle", linear_gaussian_summary, model, grid)
         except StageError as exc:
@@ -520,6 +423,22 @@ def _run_continuous(config, model, grid, stream, stages, persist) -> ResultRecor
         else:
             diagnostics["gaussian_path_kl"] = exact.innovation_kl
             diagnostics["gaussian_observation_kl"] = exact.observation_kl
+
+    # the oracle reads neither Z nor uhat: it runs while the caller would
+    # wait for the front end's children
+    front_end: dict = {}
+    Z, uhat, method = continuous_front_end(model, grid, config.paths, stream, stages,
+                                           front_end,
+                                           oracle if is_linear_model(model) else None)
+    criterion: dict = {}
+    reports = _stage(stages, "criterion", criterion_levels, Z, uhat, grid,
+                     config.levels, config.basis(), config.gap_floor,
+                     f"{method}+jensen[{config.basis().describe()}]", criterion)
+    verdict = criterion_verdict(reports)
+    diagnostics.update(filter_method=method, front_end=front_end, criterion=criterion)
+    if config.write_paths and persist:
+        diagnostics["paths_file"] = "paths.csv"
+        _write_paths_csv(config, uhat, Z, grid)
 
     rows = [_level_row(r, config.model) for r in reports]
     return ResultRecord(config.digest(), config.model, config.mode, verdict,
@@ -626,7 +545,11 @@ def report(in_dir) -> str:
     for i, rec in enumerate(records):
         if "front_end" in rec["diagnostics"]:
             out.append(f"front_end[{i}] {rec['model']}: "
-                       f"{_front_end_line(rec['diagnostics']['front_end'])}")
+                       f"{_children_line(rec['diagnostics']['front_end'], _front_end_cells)}")
+        if "criterion" in rec["diagnostics"]:
+            out.append(f"criterion[{i}] {rec['model']}: " + _children_line(
+                rec["diagnostics"]["criterion"],
+                lambda child: f"sets {child['sets']}, {child['seconds']:.3f}s"))
         out.append(f"stages[{i}] {rec['model']}: {_stage_line(rec['diagnostics'])}")
         if "gaussian_oracle_error" in rec["diagnostics"]:
             out.append(f"oracle[{i}] {rec['model']}: Gaussian oracle failed: "
@@ -651,16 +574,18 @@ def _stage_line(diagnostics) -> str:
     return f"{times}; peak RSS {peak:.0f} MB"
 
 
-def _front_end_line(front_end) -> str:
-    """The front end's process count and each child's blocks, stage cells
-    and peak RSS."""
-    parts = [f"processes {front_end['processes']}"]
-    for i, child in enumerate(front_end["children"], 1):
-        cells = [_stage_cell(name, child["stages"][name])
-                 for name in STAGES if name in child["stages"]]
-        parts.append(f"child {i}: blocks {child['blocks']}, {', '.join(cells)}, "
-                     f"peak RSS {child['peak_rss_mb']:.0f} MB")
-    return "; ".join(parts)
+def _children_line(record, cells) -> str:
+    """A forked stage's process count and, per child, `cells(child)` and its
+    peak RSS."""
+    return "; ".join([f"processes {record['processes']}"] + [
+        f"child {i}: {cells(child)}, peak RSS {child['peak_rss_mb']:.0f} MB"
+        for i, child in enumerate(record["children"], 1)])
+
+
+def _front_end_cells(child) -> str:
+    """A front-end child's block count and stage cells."""
+    return ", ".join([f"blocks {child['blocks']}"] + [
+        _stage_cell(name, child["stages"][name]) for name in STAGES if name in child["stages"]])
 
 
 def _stage_cell(name, entry) -> str:

@@ -9,6 +9,10 @@ The `one_blas_thread` fixture runs a test with numpy's OpenBLAS set to one
 thread, so that it can compare a result with the one at the default count.
 That OpenBLAS is the only BLAS a run loads, so the fixture sets the threads
 of every matrix product and factorization the package runs.
+
+The `max_processes` fixture caps the processes that `core.fork_map` deals
+its items over, whatever the machine's CPU count: 1 runs everything in the
+calling process, where a test's spies see every call.
 """
 
 import ctypes
@@ -90,3 +94,14 @@ def one_blas_thread():
         yield OneThread()
     finally:
         set_(default)
+
+
+@pytest.fixture
+def max_processes(monkeypatch):
+    """A function p -> None that makes `core.fork_map` use min(p, items)
+    processes until the test ends."""
+    from innovlab import core
+
+    def cap(p):
+        monkeypatch.setattr(core, "_fork_processes", lambda items: min(p, items))
+    return cap

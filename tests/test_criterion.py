@@ -77,20 +77,21 @@ def test_path_energies_full_and_stopped():
     assert np.array_equal(path_energies(stopped, 0.5), [0.5, 4.5])
 
 
-def test_energy_averages_the_energies_inside_the_log_weights(monkeypatch):
+def test_energy_averages_the_energies_inside_the_log_weights(monkeypatch, max_processes):
     # a level's E_hat and its se come from exactly the per-path energies
     # that its log-weights sum, bit for bit; the references stop and sum the
     # whole ensemble at once, from row-major copies of the column-major
     # arrays, the pipeline one row chunk at a time
+    max_processes(1)  # the spy sees every weight set
     grid, _, uhat, Z = _pipeline("kalman-bucy", 64, 2000)
     stops, outputs = [], []
     log_weights = criterion.log_weights_ensemble
 
     def weights_spy(uhat_in, Z_in, dt, stop):
         assert uhat_in is uhat and Z_in is Z  # the levels stop their rows themselves
-        stops.extend(stop)
+        stops.append(stop)
         lw, e = log_weights(uhat_in, Z_in, dt, stop)
-        outputs.extend(zip(lw, e))
+        outputs.append((lw, e))
         return lw, e
 
     monkeypatch.setattr(criterion, "log_weights_ensemble", weights_spy)
@@ -108,12 +109,13 @@ def test_energy_averages_the_energies_inside_the_log_weights(monkeypatch):
         assert r.energy_se == float(np.sqrt(np.sum(w**2 * (0.5 * e - mean) ** 2)))
 
 
-def test_energies_are_summed_once_per_stopping_rule(monkeypatch):
+def test_energies_are_summed_once_per_stopping_rule(monkeypatch, max_processes):
     # the energies inside each level's log-weights are the ones E_hat
     # averages; no second sum of the same stopped drift.  The sums run over
     # row chunks, so each row is counted once per rule: 2 m rows for 2 rules
     from innovlab import girsanov
 
+    max_processes(1)  # the spy sees every weight set
     grid, _, uhat, Z = _pipeline("kalman-bucy", 64, 2000)
     rows = []
 
@@ -156,13 +158,13 @@ def test_energy_under_nu_matches_gaussian_oracle_for_kalman():
     assert abs(r.energy - exact) <= 3 * r.energy_se
 
 
-def test_levels_with_equal_stops_share_one_regression(monkeypatch):
+def test_levels_with_equal_stops_share_one_regression(monkeypatch, max_processes):
     # levels whose stopping indices agree (here the repeated 0.2, and 50 and
-    # inf, which stop no path) are one computation: one ridge-fit call per
-    # step, stacking one weight row per distinct stop row, and identical
-    # reports
+    # inf, which stop no path) are one computation: one single-set ridge fit
+    # per step for each distinct stop row, and identical reports
     import innovlab.criterion as criterion
 
+    max_processes(1)  # the spy sees every weight set
     grid, model, uhat, Z = _pipeline("linear-feedback", 16, 300, a=1.0)
     weight_rows, fit = [], criterion.weighted_ridge_fit
 
@@ -173,7 +175,7 @@ def test_levels_with_equal_stops_share_one_regression(monkeypatch):
     expected = criterion_levels(Z, uhat, grid, levels=(0.2, 50.0))
     monkeypatch.setattr(criterion, "weighted_ridge_fit", counted)
     reports = criterion_levels(Z, uhat, grid, levels=(0.2, 0.2, 50.0, np.inf))
-    assert weight_rows == [(2, 300)] * grid.steps
+    assert weight_rows == [(300,)] * (2 * grid.steps)
     assert reports[0] == reports[1] == expected[0]
     for r in reports[2:]:
         assert r.entropy == expected[1].entropy and r.energy == expected[1].energy

@@ -220,8 +220,8 @@ def _features(Z, basis, k):
 
 def _fit(Z, y, w, k, basis):
     """The weighted second-level fit of y at step k, as criterion_levels runs it."""
-    return weighted_ridge_fit(_features(Z, basis, k), y[:, k], WeightedGram(w[None]),
-                              basis.ridge)[1][0]
+    return weighted_ridge_fit(_features(Z, basis, k), y[:, k], WeightedGram(w),
+                              basis.ridge)[1]
 
 
 def test_second_level_reproduces_constants():
@@ -305,21 +305,6 @@ def test_feature_rows_equal_the_path_major_formula():
             fb.features_at(k)
 
 
-def test_stacked_weights_fit_like_separate_sets():
-    m = 2000
-    Z, rng = _toy_paths(m, 12, seed=5)
-    G = _features(Z, BasisSpec(window=4, include_cubes=True), 10)
-    y = np.sin(2.0 * Z[:, 10]) + 0.1 * rng.normal(size=m)
-    W = rng.uniform(0.1, 2.0, size=(3, m))
-    for S in (1, 2, 3):
-        coef, fitted, escalations = weighted_ridge_fit(G, y, WeightedGram(W[:S]), 1e-8)
-        assert coef.shape == (S, G.shape[0]) and fitted.shape == (S, m)
-        for s in range(S):
-            one = weighted_ridge_fit(G, y, WeightedGram(W[s:s + 1]), 1e-8)
-            assert np.array_equal(coef[s], one[0][0]) and np.array_equal(fitted[s], one[1][0])
-            assert escalations[s] == one[2][0] == 0
-
-
 # the default basis, a short window with cubes, a window with EMAs, and no window
 GRAM_BASES = [BasisSpec(), BasisSpec(window=3, include_cubes=True),
               BasisSpec(window=4, ema_rates=(2.0, 8.0)), BasisSpec(window=0)]
@@ -367,16 +352,17 @@ def _gram_deviation(Z, basis, W, carry_map):
     set, between the Gram that the fits keep and a direct product D."""
     m, N = Z.shape[0], Z.shape[1] - 1
     y = np.sin(3.0 * Z[:, 1:])
-    builder = FeatureBuilder(Z, 1.0 / N, basis)
-    gram = WeightedGram(W)
     worst = 0.0
-    for k in range(N):
-        G = builder.features_at(k)
-        weighted_ridge_fit(G, y[:, k], gram, basis.ridge, carry_map(builder, k))
-        for A, w in zip(gram.A, gram.weights):
-            D = G @ (G * w).T
+    for w in W:
+        builder = FeatureBuilder(Z, 1.0 / N, basis)
+        gram = WeightedGram(w)
+        for k in range(N):
+            G = builder.features_at(k)
+            weighted_ridge_fit(G, y[:, k], gram, basis.ridge, carry_map(builder, k))
+            D = G @ (G * gram.weights).T
             scale = np.sqrt(np.outer(np.diag(D), np.diag(D)))  # 0 only where D is
-            worst = max(worst, float(np.max(np.abs(A - D) / np.where(scale > 0, scale, 1.0))))
+            worst = max(worst,
+                        float(np.max(np.abs(gram.A - D) / np.where(scale > 0, scale, 1.0))))
     return worst
 
 
@@ -413,7 +399,7 @@ def test_a_wrong_carry_map_fails_both_checks(wrong_map):
 
 def test_gram_rejects_a_carry_map_that_does_not_fit():
     G = np.ones((3, 8))
-    gram = WeightedGram(np.ones((1, 8)))
+    gram = WeightedGram(np.ones(8))
     with pytest.raises(UsageError, match="carry map"):
         gram.update(G, np.array([0, -1, -1]))  # nothing to carry from yet
     gram.update(G)
@@ -431,8 +417,7 @@ def test_ridge_rescue_counts_its_escalations():
     x = np.tile([1.25, -1.25], 4)
     G = np.stack([np.ones(8), x, x])
     y = 1.0 + 2.0 * x
-    gram = WeightedGram(np.ones((1, 8)))
-    coef, fitted, escalations = (a[0] for a in weighted_ridge_fit(G, y, gram, 1e-20))
+    coef, fitted, escalations = weighted_ridge_fit(G, y, WeightedGram(np.ones(8)), 1e-20)
     assert escalations == 2
     # the duplicate rows share the slope between them
     assert coef[0] == pytest.approx(1.0) and coef[1] + coef[2] == pytest.approx(2.0)

@@ -202,16 +202,6 @@ def test_blocked_log_weights_match_the_unblocked_reference(m):
         assert np.array_equal(lw, ref_lw) and np.array_equal(energies, ref_energies)
 
 
-def test_stacked_stopping_rules_match_one_call_per_rule():
-    uhat, Z, dt = _drift_and_innovation(2 * PATH_BLOCK + 3)
-    stops = stop_indices(uhat, dt, THRESHOLDS)
-    lw, energies = log_weights_ensemble(uhat, Z, dt, stops)
-    assert lw.shape == energies.shape == stops.shape
-    for s, stop in enumerate(stops):
-        one_lw, one_energies = log_weights_ensemble(uhat, Z, dt, stop)
-        assert np.array_equal(lw[s], one_lw) and np.array_equal(energies[s], one_energies)
-
-
 def test_column_major_ensembles_give_the_row_major_bits():
     # the front end returns column-major arrays; an einsum over them would
     # add in another order, so every per-path sum reads a row-major copy
@@ -219,7 +209,7 @@ def test_column_major_ensembles_give_the_row_major_bits():
     uhat_f, Z_f = np.asfortranarray(uhat), np.asfortranarray(Z)
     stops = stop_indices(uhat, dt, THRESHOLDS)
     assert np.array_equal(stop_indices(uhat_f, dt, THRESHOLDS), stops)
-    for stop in (None, stops[1], stops):
+    for stop in (None, *stops):
         row_major = log_weights_ensemble(uhat, Z, dt, stop)
         column_major = log_weights_ensemble(uhat_f, Z_f, dt, stop)
         assert all(np.array_equal(c, f) for c, f in zip(row_major, column_major))

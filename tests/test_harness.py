@@ -15,6 +15,8 @@ import numpy as np
 import pytest
 
 from innovlab.cli import main as cli_main
+import innovlab.core as core
+import innovlab.criterion as criterion
 import innovlab.harness as harness
 from innovlab.core import RandomStream, TimeGrid
 from innovlab.criterion import GAP_FLOOR
@@ -256,6 +258,18 @@ def test_results_csv_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, one_
     one = (tmp_path / "one" / "results.csv").read_bytes()
     assert (tmp_path / "default" / "results.csv").read_bytes() == one
     assert hashlib.sha256(one).hexdigest() == digest
+
+
+def test_crosscheck_energy_does_not_depend_on_the_blas_thread_count(one_blas_thread):
+    # acceptance criterion 8's config at its largest size: the plug-in
+    # level's mean drift energy (`energy_mc`, which results.csv does not
+    # print) is an exactly rounded sum, so one thread gives the same bits
+    cfg = ExperimentConfig(model="independent", mode="crosscheck", grid_n=3, paths=100_000,
+                           noise_nodes=3, aux_values=(-1.5, 1.5), seed=1)
+    default = run_experiment(cfg, persist=False).diagnostics["energy_mc"]
+    with one_blas_thread:
+        one = run_experiment(cfg, persist=False).diagnostics["energy_mc"]
+    assert one == default
 
 
 def test_paths_csv_matches_frozen_digest(tmp_path):
@@ -526,9 +540,9 @@ def test_run_records_stage_timings(tmp_path, cfg, stages):
 
 
 def _two_processes(monkeypatch):
-    """Share the front end's blocks between the caller and one child,
-    whatever the machine's CPU count."""
-    monkeypatch.setattr(harness, "_front_end_processes", lambda blocks: min(2, blocks))
+    """Share the front end's blocks and the criterion's weight sets between
+    the caller and one child, whatever the machine's CPU count."""
+    monkeypatch.setattr(core, "_fork_processes", lambda items: min(2, items))
 
 
 def test_front_end_sums_each_stage_peak_rise_over_its_blocks(monkeypatch):
@@ -582,8 +596,7 @@ def test_results_csv_bytes_do_not_depend_on_the_front_end_processes(tmp_path, mo
     cfg = dict(model=model, model_params=params, grid_n=32, paths=2 * PATH_BLOCK + 3, seed=7)
     csv = []
     for processes in (1, 2, 3):
-        monkeypatch.setattr(harness, "_front_end_processes",
-                            lambda blocks, p=processes: min(p, blocks))
+        monkeypatch.setattr(core, "_fork_processes", lambda items, p=processes: min(p, items))
         rec = run_experiment(ExperimentConfig(**cfg, outdir=str(tmp_path / str(processes))))
         assert rec.diagnostics["front_end"]["processes"] == processes
         assert [c["blocks"] for c in rec.diagnostics["front_end"]["children"]] == \
@@ -662,6 +675,104 @@ def test_cli_run_that_fails_in_the_front_end_leaves_no_child(tmp_path, capsys, m
     _assert_no_child_left()
 
 
+# three row blocks, and default levels with 4 distinct stopping rules
+SPLIT_CFG = dict(model="independent", grid_n=32, paths=2 * PATH_BLOCK + 3, seed=7)
+
+
+def test_results_csv_bytes_do_not_depend_on_the_criterion_processes(tmp_path, max_processes):
+    # the criterion runs min(P, weight sets) processes, so 3 processes
+    # running it means at least 3 distinct weight sets
+    csv = []
+    for processes in (1, 2, 3):
+        max_processes(processes)
+        out = tmp_path / str(processes)
+        rec = run_experiment(ExperimentConfig(**SPLIT_CFG, outdir=str(out)))
+        _assert_no_child_left()
+        forks = rec.diagnostics["criterion"]
+        assert forks["processes"] == processes
+        assert [c["sets"] for c in forks["children"]] == {1: [], 2: [2], 3: [1, 1]}[processes]
+        csv.append((out / "results.csv").read_bytes())
+    assert csv[0] == csv[1] == csv[2]
+
+
+def test_run_records_and_reports_the_criterion_children(tmp_path, max_processes):
+    max_processes(2)
+    run_experiment(ExperimentConfig(**SPLIT_CFG, outdir=str(tmp_path)))
+    (child,) = json.loads((tmp_path / "run.jsonl").read_text())["diagnostics"]["criterion"][
+        "children"]
+    assert set(child) == {"sets", "seconds", "peak_rss_mb"}
+    assert child["sets"] == 2 and child["seconds"] > 0 and child["peak_rss_mb"] > 0
+    lines = report(tmp_path).splitlines()
+    assert lines[-3].startswith("front_end[0] independent: processes 2; ")
+    assert re.fullmatch(r"criterion\[0\] independent: processes 2; child 1: sets 2, "
+                        r"\d+\.\d{3}s, peak RSS \d+ MB", lines[-2])
+
+
+def _reweight_failing_in(where, stall=False):
+    """`criterion.reweight` that raises in the caller ("caller") or in a
+    forked child ("child"); with `stall`, everywhere else it sleeps for a
+    minute first."""
+    caller, reweight = os.getpid(), criterion.reweight
+
+    def failing(log_weights):
+        if (os.getpid() == caller) == (where == "caller"):
+            raise NumericalError(f"reweight failed in the {where}")
+        if stall:
+            time.sleep(60)
+        return reweight(log_weights)
+    return failing
+
+
+def test_criterion_raises_a_childs_error_as_its_own_stage_error(max_processes, monkeypatch):
+    max_processes(2)
+    monkeypatch.setattr(criterion, "reweight", _reweight_failing_in("child"))
+    with pytest.raises(StageError) as info:
+        run_experiment(ExperimentConfig(**SPLIT_CFG), persist=False)
+    assert info.value.stage == "criterion"
+    assert type(info.value.cause) is NumericalError
+    assert str(info.value.cause) == "reweight failed in the child"
+    _assert_no_child_left()
+
+
+def test_criterion_kills_and_reaps_the_child_when_its_own_set_fails(max_processes,
+                                                                    monkeypatch):
+    # the child would sleep for a minute in its first set; the caller's
+    # first set fails at once, and the run ends well before the minute is up
+    max_processes(2)
+    monkeypatch.setattr(criterion, "reweight", _reweight_failing_in("caller", stall=True))
+    t0 = time.monotonic()
+    with pytest.raises(StageError, match="stage 'criterion' failed: reweight failed in the "
+                                         "caller"):
+        run_experiment(ExperimentConfig(**SPLIT_CFG), persist=False)
+    assert time.monotonic() - t0 < 30
+    _assert_no_child_left()
+
+
+def test_an_oracle_failure_kills_and_reaps_the_front_end_child(max_processes, monkeypatch):
+    # the Gaussian oracle runs in the caller while the front end's child may
+    # still run its blocks; a failed oracle ends the child, which would
+    # sleep for a minute, at once
+    max_processes(2)
+    caller = os.getpid()
+
+    def innovation(*args, **kwargs):
+        if os.getpid() != caller:
+            time.sleep(60)
+        return innovation_values(*args, **kwargs)
+
+    def unsupported(model, grid):
+        raise UnsupportedModelError("not linear after all")
+
+    monkeypatch.setattr(harness, "innovation_values", innovation)
+    monkeypatch.setattr(harness, "linear_gaussian_summary", unsupported)
+    t0 = time.monotonic()
+    with pytest.raises(StageError, match="stage 'oracle' failed: not linear after all"):
+        run_experiment(ExperimentConfig(model="kalman-bucy", grid_n=8,
+                                        paths=2 * PATH_BLOCK + 3), persist=False)
+    assert time.monotonic() - t0 < 30
+    _assert_no_child_left()
+
+
 def test_run_stage_seconds_add_up_to_no_more_than_the_wall_clock():
     # the stages run one after another, each block's stages too, so their
     # seconds cannot sum past the run's own
@@ -686,7 +797,10 @@ def test_run_records_and_reports_the_front_end_children(tmp_path, monkeypatch):
     lines = report(tmp_path).splitlines()
     assert re.fullmatch(r"front_end\[0\] zero: processes 2; child 1: blocks 1, "
                         r"simulate \d+\.\d{3}s \+\d+ MB, filter \d+\.\d{3}s \+\d+ MB, "
-                        r"innovation \d+\.\d{3}s \+\d+ MB, peak RSS \d+ MB", lines[-2])
+                        r"innovation \d+\.\d{3}s \+\d+ MB, peak RSS \d+ MB", lines[-3])
+    # the zero drift stops no path: one weight set, run by the caller alone
+    assert payload["diagnostics"]["criterion"] == {"processes": 1, "children": []}
+    assert lines[-2] == "criterion[0] zero: processes 1"
     assert lines[-1].startswith("stages[0] zero: configure ")
 
 

@@ -418,11 +418,11 @@ def test_regression_fit_tracks_exact_conditional_expectation():
 
     basis = BasisSpec(include_cubes=True)
     fb = FeatureBuilder(Z, g.dt, basis)
-    gram = WeightedGram(ens.weights[None])
+    gram = WeightedGram(ens.weights)
     num = den = 0.0
     for k in range(3):
         F = fb.features_at(k)
-        fitted = weighted_ridge_fit(F, filt.values[:, k], gram, basis.ridge, fb.carry_map(k))[1][0]
+        fitted = weighted_ridge_fit(F, filt.values[:, k], gram, basis.ridge, fb.carry_map(k))[1]
         exact = exact_cond[atom, k]
         num += float(ens.weights @ (fitted - exact) ** 2)
         den += float(ens.weights @ exact**2)

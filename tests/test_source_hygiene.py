@@ -92,3 +92,21 @@ def test_imports_only_the_standard_library_numpy_and_innovlab(module):
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             imported.add(node.module.split(".")[0])
     assert imported <= allowed, f"innovlab.{module} imports {sorted(imported - allowed)}"
+
+
+def test_only_the_fork_helper_forks_and_reaps():
+    # `core.fork_map` is the package's one fork path: it kills, reaps and
+    # hands back errors on every path, which a second path would have to
+    # get right again
+    calls = {"fork", "wait4", "_exit"}
+    seen = {}
+    for module, tree in TREES.items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in calls
+                    and isinstance(node.value, ast.Name) and node.value.id == "os"):
+                seen.setdefault(module, set()).add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                for alias in node.names:
+                    if alias.name in calls:
+                        seen.setdefault(module, set()).add(alias.name)
+    assert seen == {"core": calls}
