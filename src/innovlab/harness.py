@@ -63,6 +63,7 @@ from .oracle import (
     finite_bayes_filter,
     gauss_quantized,
     sample_quantized_ensemble,
+    system_battery,
     witness_labels,
 )
 
@@ -90,6 +91,19 @@ MODEL_COLUMN = max(len(name) for name in MODEL_NAMES) + 1
 # pipeline stages in run order; `report` prints their timings in this order
 STAGES = ("configure", "enumerate", "simulate", "sample", "filter", "innovation",
           "oracle", "criterion")
+
+
+# the one mode that reads each key not every mode reads (None: no mode
+# does); both modes read every other key.  A key set off its default in a
+# mode that does not read it is a configuration error, so a config says
+# nothing its run ignores.
+READ_ONLY_IN = {
+    **dict.fromkeys(("levels", "basis_window", "basis_cubes", "basis_ema", "ridge",
+                     "write_paths"), "continuous"),
+    **dict.fromkeys(("noise_nodes", "aux_values", "aux_probs", "erasure", "crosscheck_tol"),
+                    "crosscheck"),
+    "workers": None,
+}
 
 
 @dataclass(frozen=True)
@@ -126,15 +140,6 @@ class ExperimentConfig:
                                      f"{MIN_DIAGNOSTIC_MEMBERS} paths, got {self.paths}")
         if self.erasure not in ("none", "sign-terminal"):
             raise ConfigurationError(f"unknown erasure {self.erasure!r}")
-        if self.erasure != "none" and self.mode != "crosscheck":
-            raise ConfigurationError(f"erasure needs crosscheck mode; "
-                                     f"{self.mode} mode observes the full path")
-        if self.workers != 1:
-            raise ConfigurationError(f"workers must be 1, got {self.workers}: the front end "
-                                     f"shares its row blocks among the CPUs by itself")
-        if self.write_paths and self.mode != "continuous":
-            raise ConfigurationError(f"write_paths needs continuous mode; "
-                                     f"{self.mode} mode has no path file")
         if not (self.levels and all(lv > 0 for lv in self.levels)):  # NaN fails `> 0`
             raise ConfigurationError(f"levels must be a non-empty list of positive numbers "
                                      f"(inf allowed), got {_fmt(self.levels) or 'none'}")
@@ -143,9 +148,12 @@ class ExperimentConfig:
             if not (math.isfinite(value) and value > 0):
                 raise ConfigurationError(f"{name} must be finite and positive, got {value}")
         self.basis()  # a basis the regressions cannot use fails here, before sampling
-        if (self.aux_values or self.aux_probs) and self.mode != "crosscheck":
-            raise ConfigurationError(f"aux_values and aux_probs need crosscheck mode; "
-                                     f"{self.mode} mode draws the model's own aux variable")
+        for name, reader in READ_ONLY_IN.items():
+            value = getattr(self, name)
+            if reader != self.mode and value != _DEFAULTS[name]:
+                raise ConfigurationError(
+                    f"{name} = {_fmt(value)} would be ignored: {self.mode} mode does not "
+                    f"read it ({f'only {reader} mode does' if reader else 'no mode does'})")
 
     def basis(self) -> BasisSpec:
         return BasisSpec(window=self.basis_window, include_cubes=self.basis_cubes,
@@ -201,6 +209,8 @@ def _converter(default):
     return None
 
 
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
+
 _CONVERTERS = {f.name: conv for f in fields(ExperimentConfig)
                if (conv := _converter(f.default)) is not None}
 
@@ -208,6 +218,7 @@ _CONVERTERS = {f.name: conv for f in fields(ExperimentConfig)
 def parse_config(text: str, **overrides) -> ExperimentConfig:
     """Parse the flat key = value format; overrides win over file values."""
     values: dict = {"model_params": {}}
+    first_line: dict = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -215,6 +226,10 @@ def parse_config(text: str, **overrides) -> ExperimentConfig:
         if "=" not in line:
             raise ConfigurationError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, val = (s.strip() for s in line.split("=", 1))
+        if key in first_line:
+            raise ConfigurationError(f"line {lineno}: {key} is given again "
+                                     f"(first on line {first_line[key]})")
+        first_line[key] = lineno
         if key.startswith("model."):
             values["model_params"][key[6:]] = _parse_scalar(val)
         elif key in _CONVERTERS:
@@ -370,8 +385,11 @@ def _stage(stages, name, fn, *args, **kwargs):
 
 
 def _configure(config):
-    return (resolve_model(config.model, config.model_params), config.grid(),
-            RandomStream(seed=config.seed))
+    model = resolve_model(config.model, config.model_params)
+    if (config.aux_values or config.aux_probs) and not model.aux_dim:
+        raise ConfigurationError(f"aux_values and aux_probs would be ignored: model "
+                                 f"{config.model} has no auxiliary variable")
+    return model, config.grid(), RandomStream(seed=config.seed)
 
 
 def _level_row(r: LevelReport, model: str) -> dict:
@@ -652,8 +670,6 @@ def _suite_paper(outdir: FsPath, seed: int) -> int:
 
 
 def _suite_oracle(outdir: FsPath, seed: int) -> int:
-    from .oracle import system_battery, witness_space
-
     battery = system_battery(100, seed=7)
     dpi_ok = equiv_ok = 0
     equal_cnt = strict_cnt = 0
@@ -671,21 +687,21 @@ def _suite_oracle(outdir: FsPath, seed: int) -> int:
     print(f"oracle battery: dpi {dpi_ok}/100, equivalence {equiv_ok}/100, "
           f"equality {equal_cnt}, strict {strict_cnt} {'ok' if battery_ok else 'FAIL'}")
 
-    space, system = witness_space()
-    v = dpi_verdict(system)
-    witness_ok = (v.gap > 1e-6 and not v.density_z_measurable
-                  and not v.u_recoverable_from_z)
-    print(f"oracle witness: exact gap={v.gap:.6f} measurable={v.density_z_measurable} "
-          f"recoverable={v.u_recoverable_from_z} {'ok' if witness_ok else 'FAIL'}")
-
+    # the witness run enumerates the witness's atoms: its diagnostics hold
+    # the exact verdict that `oracle.witness_space` would give
     cfg = ExperimentConfig(model=WitnessDrift.name, mode="crosscheck", grid_n=2,
                            paths=20000, noise_nodes=2, erasure="sign-terminal",
                            seed=seed, outdir=str(outdir / "witness"))
     rec = run_experiment(cfg)
+    d = rec.diagnostics
+    witness_ok = (d["exact_gap"] > 1e-6 and not d["density_z_measurable"]
+                  and not d["u_recoverable_from_z"])
+    print(f"oracle witness: exact gap={d['exact_gap']:.6f} "
+          f"measurable={d['density_z_measurable']} "
+          f"recoverable={d['u_recoverable_from_z']} {'ok' if witness_ok else 'FAIL'}")
     mc_ok = rec.verdict == "POSITIVE-GAP"
     print(f"oracle witness MC: verdict={rec.verdict} gap={rec.levels[0]['gap']:.5f} "
-          f"(exact {rec.diagnostics['exact_gap']:.5f}) "
-          f"crosscheck passed={rec.diagnostics['crosscheck']['passed']} "
+          f"(exact {d['exact_gap']:.5f}) crosscheck passed={d['crosscheck']['passed']} "
           f"{'ok' if mc_ok else 'FAIL'}")
     return 0 if battery_ok and witness_ok and mc_ok else 1
 

@@ -40,7 +40,14 @@ from .errors import (
 )
 from .filtering import EnsembleFilter, innovation_values
 from .girsanov import log_weights_ensemble
-from .models import DriftModel, EnsembleSimulation, WitnessDrift, run_euler
+from .models import (
+    DeterministicDrift,
+    DriftModel,
+    EnsembleSimulation,
+    LinearFeedback,
+    WitnessDrift,
+    run_euler,
+)
 
 __all__ = [
     "ROUND_DECIMALS",
@@ -273,23 +280,30 @@ def _prefix_group_means(columns: np.ndarray, weights: np.ndarray,
     return out
 
 
+def _check_aux_law(model: DriftModel, aux: Optional[FiniteLaw]) -> None:
+    """A finite aux law stands in for the model's auxiliary variable, so it
+    is given exactly when the model has one."""
+    if model.aux_dim and aux is None:
+        raise ConfigurationError(f"model {model.name} needs a finite aux law")
+    if not model.aux_dim and aux is not None:
+        raise ConfigurationError(f"model {model.name} has no auxiliary variable "
+                                 f"for a finite aux law to replace")
+
+
 def enumerate_atoms(model: DriftModel, grid: TimeGrid, noise: FiniteLaw,
                     aux: Optional[FiniteLaw] = None,
                     max_atoms: int = MAX_ATOMS) -> AtomSpace:
     """Enumerate the quantized pipeline exactly.
 
-    The model's auxiliary randomness, if any, is replaced by the finite law
-    aux.  The filtered drift is the exact conditional expectation, computed
-    by grouping atoms on identical observation prefixes and
-    probability-averaging the drift.
+    The model's auxiliary randomness is replaced by the finite law aux,
+    given exactly when the model has an auxiliary variable.  The filtered
+    drift is the exact conditional expectation, computed by grouping atoms
+    on identical observation prefixes and probability-averaging the drift.
     """
     if model.needs_hidden():
         raise ConfigurationError(f"model {model.name} has a continuous hidden signal; "
                                  "enumeration needs finitely many scenarios")
-    if not model.aux_dim:
-        aux = None
-    elif aux is None:
-        raise ConfigurationError(f"model {model.name} needs a finite aux law to enumerate")
+    _check_aux_law(model, aux)
     n_aux = aux.count if aux is not None else 1
     N = grid.steps
     atoms = noise.count**N * n_aux
@@ -391,11 +405,11 @@ def conditional_energy_by_grouping(space: AtomSpace) -> float:
 def sample_quantized_ensemble(model: DriftModel, grid: TimeGrid, size: int,
                               stream: RandomStream, noise: FiniteLaw,
                               aux: Optional[FiniteLaw] = None) -> EnsembleSimulation:
-    """Monte Carlo sampling of the quantized pipeline (same Euler recursion)."""
+    """Monte Carlo sampling of the quantized pipeline (same Euler recursion);
+    aux is given exactly when the model has an auxiliary variable."""
+    _check_aux_law(model, aux)
     aux_draws = np.empty((size, model.aux_dim))
-    if model.aux_dim:
-        if aux is None:
-            raise ConfigurationError(f"model {model.name} needs a finite aux law")
+    if aux is not None:
         aux_draws[:] = aux.draw(stream.uniforms(LANE_AUX, size, 1))
     dB = noise.draw(stream.uniforms(LANE_NOISE, size, grid.steps))
     return run_euler(model, grid, dB, aux_draws)
@@ -552,8 +566,6 @@ def random_finite_system(rng: np.random.Generator, kind: str) -> FiniteSystem:
 
 
 def _random_pipeline_space(rng: np.random.Generator, force_drift: bool = False) -> AtomSpace:
-    from .models import DeterministicDrift, LinearFeedback  # local to avoid cycle noise
-
     N = int(rng.integers(2, 4))
     grid = TimeGrid(steps=N)
     m = int(rng.integers(2, 4))

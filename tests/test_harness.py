@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from innovlab.cli import main as cli_main
-import innovlab.core as core
 import innovlab.criterion as criterion
 import innovlab.harness as harness
 from innovlab.core import RandomStream, TimeGrid
@@ -86,26 +85,23 @@ FROZEN_PATHS_SHA256 = "697754444de0e580ba5114dff75ea3a498ae0943c39557dfffb10a13e
 
 
 def test_config_roundtrip():
-    some = ExperimentConfig(model="kalman-bucy", model_params={"beta": 1.0, "sigma": 2.0},
-                            grid_n=64, levels=(1.0, math.inf), basis_ema=(0.5, 1.0),
-                            write_paths=True)
-    every = ExperimentConfig(
+    # one config per mode, so that each sets only keys its mode reads;
+    # between them every field but workers, which no mode reads, is moved
+    # off its default
+    continuous = ExperimentConfig(
+        model="kalman-bucy", model_params={"beta": 1.0, "sigma": 2.0}, grid_n=64,
+        horizon=2.5, paths=333, levels=(0.25, 3.0, math.inf), basis_window=3,
+        basis_cubes=True, basis_ema=(0.5, 1.0), ridge=1e-6, gap_floor=0.03, seed=11,
+        outdir="runs/every-field", write_paths=True)
+    crosscheck = ExperimentConfig(
         model="independent", model_params={"g_shape": "sine", "amplitude": 0.5}, grid_n=7,
-        horizon=2.5, paths=333, levels=(0.25, 3.0), basis_window=3, basis_cubes=True,
-        basis_ema=(0.5,), ridge=1e-6, gap_floor=0.03, seed=11,
-        outdir="runs/every-field", mode="crosscheck", noise_nodes=2, aux_values=(1.5, -0.5),
-        aux_probs=(0.25, 0.75), erasure="sign-terminal", crosscheck_tol=0.1)
-    # `every` moves each field off its default but write_paths, which only a
-    # continuous config such as `some` may set, and workers, which only
-    # older configs carry, at its default
+        mode="crosscheck", noise_nodes=2, aux_values=(1.5, -0.5), aux_probs=(0.25, 0.75),
+        erasure="sign-terminal", crosscheck_tol=0.1)
     for f in fields(ExperimentConfig):
         default = f.default_factory() if f.default is MISSING else f.default
-        if f.name == "workers":
-            assert some.workers == every.workers == default
-            continue
-        moved = some if f.name == "write_paths" else every
-        assert getattr(moved, f.name) != default, f.name
-    for cfg in (some, every):
+        moved = any(getattr(cfg, f.name) != default for cfg in (continuous, crosscheck))
+        assert moved == (f.name != "workers"), f.name
+    for cfg in (continuous, crosscheck):
         again = parse_config(cfg.to_text())
         assert again == cfg
         assert again.to_text() == cfg.to_text() and again.digest() == cfg.digest()
@@ -136,6 +132,16 @@ def test_config_rejects_unknown_keys_and_bad_values():
         parse_config("paths = many")
     with pytest.raises(ConfigurationError, match="unknown key"):
         parse_config("basis_squares = true")  # a key of older configs
+
+
+def test_config_rejects_a_key_given_twice():
+    # the later line would silently win; a flag still overrides a file value
+    for key, first, again in [("grid_n", "8", "16"), ("model.a", "1", "2")]:
+        text = f"model = linear-feedback\n{key} = {first}\n# comment\n{key} = {again}\n"
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"line 4: {key} is given again (first on line 2)")):
+            parse_config(text)
+    assert parse_config("grid_n = 8\n", grid_n=16).grid_n == 16
 
 
 def test_config_booleans_take_the_usual_spellings_in_any_case():
@@ -304,12 +310,6 @@ def test_run_without_persisting_writes_no_paths_file(tmp_path):
     rec = run_experiment(cfg, persist=False)
     assert list(tmp_path.iterdir()) == []
     assert "paths_file" not in rec.diagnostics
-
-
-def test_write_paths_outside_continuous_mode_is_rejected():
-    # no path file exists in crosscheck mode; the config fails before any draw
-    with pytest.raises(ConfigurationError, match="write_paths"):
-        parse_config("model = independent\nmode = crosscheck\nwrite_paths = true\n")
 
 
 def test_negative_infinity_keeps_its_sign_in_every_file(tmp_path):
@@ -539,16 +539,10 @@ def test_run_records_stage_timings(tmp_path, cfg, stages):
     assert not {"blas_threads", "workers"} & set(payload["diagnostics"])
 
 
-def _two_processes(monkeypatch):
-    """Share the front end's blocks and the criterion's weight sets between
-    the caller and one child, whatever the machine's CPU count."""
-    monkeypatch.setattr(core, "_fork_processes", lambda items: min(2, items))
-
-
-def test_front_end_sums_each_stage_peak_rise_over_its_blocks(monkeypatch):
+def test_front_end_sums_each_stage_peak_rise_over_its_blocks(max_processes, monkeypatch):
     # a peak that grows by 1 MB on every reading rises 1 MB per block stage:
     # blocks 0 and 2 in the caller, block 1 in the child
-    _two_processes(monkeypatch)
+    max_processes(2)
     readings = iter(range(10**6))
     monkeypatch.setattr(harness, "_peak_rss_mb", lambda: float(next(readings)))
     stages, front_end = {}, {}
@@ -563,11 +557,11 @@ def test_front_end_sums_each_stage_peak_rise_over_its_blocks(monkeypatch):
         "simulate": 3.0, "filter": 3.0, "innovation": 3.0}
 
 
-def test_run_stages_start_no_thread(tmp_path, monkeypatch):
+def test_run_stages_start_no_thread(tmp_path, max_processes, monkeypatch):
     # the front end's blocks run in the calling thread and in a forked
     # child's only thread: while a block innovates, the caller has no thread
     # that was not alive before the run, and the child no thread but its own
-    _two_processes(monkeypatch)
+    max_processes(2)
     log = tmp_path / "threads"
 
     def counting_innovation(*args, **kwargs):
@@ -590,13 +584,13 @@ def test_run_stages_start_no_thread(tmp_path, monkeypatch):
     pytest.param("kalman-bucy", {"beta": 1.0, "sigma": 1.0}, id="kalman-bucy"),
     pytest.param("tsirelson", {"levels": 2}, id="tsirelson"),  # reads U at level boundaries
 ])
-def test_results_csv_bytes_do_not_depend_on_the_front_end_processes(tmp_path, monkeypatch,
+def test_results_csv_bytes_do_not_depend_on_the_front_end_processes(tmp_path, max_processes,
                                                                     model, params):
     # two full row blocks and a part, run by 1, 2 and 3 processes
     cfg = dict(model=model, model_params=params, grid_n=32, paths=2 * PATH_BLOCK + 3, seed=7)
     csv = []
     for processes in (1, 2, 3):
-        monkeypatch.setattr(core, "_fork_processes", lambda items, p=processes: min(p, items))
+        max_processes(processes)
         rec = run_experiment(ExperimentConfig(**cfg, outdir=str(tmp_path / str(processes))))
         assert rec.diagnostics["front_end"]["processes"] == processes
         assert [c["blocks"] for c in rec.diagnostics["front_end"]["children"]] == \
@@ -610,8 +604,8 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_front_end_leaves_no_child_after_a_run(monkeypatch):
-    _two_processes(monkeypatch)
+def test_front_end_leaves_no_child_after_a_run(max_processes):
+    max_processes(2)
     run_experiment(ExperimentConfig(model="zero", grid_n=8, paths=2 * PATH_BLOCK + 3),
                    persist=False)
     _assert_no_child_left()
@@ -629,8 +623,8 @@ def _failing_innovation(where):
     return innovation
 
 
-def test_front_end_raises_a_childs_stage_error_as_its_own(monkeypatch):
-    _two_processes(monkeypatch)
+def test_front_end_raises_a_childs_stage_error_as_its_own(max_processes, monkeypatch):
+    max_processes(2)
     monkeypatch.setattr(harness, "innovation_values", _failing_innovation("child"))
     with pytest.raises(StageError) as info:
         continuous_front_end(make_model("zero"), TimeGrid(steps=4), 2 * PATH_BLOCK + 3,
@@ -642,10 +636,10 @@ def test_front_end_raises_a_childs_stage_error_as_its_own(monkeypatch):
     _assert_no_child_left()
 
 
-def test_front_end_kills_and_reaps_the_child_when_its_own_block_fails(monkeypatch):
+def test_front_end_kills_and_reaps_the_child_when_its_own_block_fails(max_processes, monkeypatch):
     # the child would sleep for a minute in its block; the caller's block 0
     # fails at once, and the call returns well before the minute is up
-    _two_processes(monkeypatch)
+    max_processes(2)
     fail = _failing_innovation("caller")
     caller = os.getpid()
 
@@ -663,8 +657,9 @@ def test_front_end_kills_and_reaps_the_child_when_its_own_block_fails(monkeypatc
     _assert_no_child_left()
 
 
-def test_cli_run_that_fails_in_the_front_end_leaves_no_child(tmp_path, capsys, monkeypatch):
-    _two_processes(monkeypatch)
+def test_cli_run_that_fails_in_the_front_end_leaves_no_child(tmp_path, capsys,
+                                                             max_processes, monkeypatch):
+    max_processes(2)
     monkeypatch.setattr(harness, "innovation_values", _failing_innovation("child"))
     cfg_file = tmp_path / "fail.cfg"
     cfg_file.write_text(f"model = zero\ngrid_n = 8\npaths = {2 * PATH_BLOCK + 3}\n"
@@ -783,10 +778,10 @@ def test_run_stage_seconds_add_up_to_no_more_than_the_wall_clock():
     assert sum(entry["seconds"] for entry in stages.values()) <= rec.wall_clock
 
 
-def test_run_records_and_reports_the_front_end_children(tmp_path, monkeypatch):
+def test_run_records_and_reports_the_front_end_children(tmp_path, max_processes):
     # the child's blocks, stage entries and peak RSS land in run.jsonl, and
     # `report` prints them on one line before the run's own stage line
-    _two_processes(monkeypatch)
+    max_processes(2)
     run_experiment(ExperimentConfig(model="zero", grid_n=8, paths=2 * PATH_BLOCK + 3,
                                     outdir=str(tmp_path)))
     payload = json.loads((tmp_path / "run.jsonl").read_text())
@@ -882,44 +877,71 @@ def test_cli_run_rejects_a_ridge_the_rescue_cannot_use(tmp_path, capsys, monkeyp
         assert not (tmp_path / "run").exists()
 
 
-def test_cli_run_rejects_an_erasure_in_continuous_mode(tmp_path, capsys, monkeypatch):
-    # the continuous pipeline observes the whole path: an erasure there would
-    # be ignored and the run would report the full observation's verdict
-    def no_sampling(*args, **kwargs):
-        raise AssertionError("paths were drawn")
+CONFIG_OF_MODE = {
+    "continuous": "model = independent\ngrid_n = 8\npaths = 200\n",
+    "crosscheck": "model = independent\nmode = crosscheck\ngrid_n = 3\npaths = 200\n"
+                  "aux_values = -1.5, 1.5\n",
+}
 
-    monkeypatch.setattr(harness, "simulate_ensemble", no_sampling)
-    cfg_file = tmp_path / "erased.cfg"
-    cfg_file.write_text(f"model = linear-feedback\ngrid_n = 8\npaths = 200\n"
-                        f"erasure = sign-terminal\noutdir = {tmp_path / 'run'}\n")
+
+@pytest.mark.parametrize("mode, line, reader", [
+    ("crosscheck", "levels = 1", "only continuous mode does"),
+    ("crosscheck", "basis_window = 2", "only continuous mode does"),
+    ("crosscheck", "basis_cubes = true", "only continuous mode does"),
+    ("crosscheck", "basis_ema = 0.5", "only continuous mode does"),
+    ("crosscheck", "ridge = 0.001", "only continuous mode does"),
+    ("crosscheck", "write_paths = true", "only continuous mode does"),
+    ("continuous", "noise_nodes = 2", "only crosscheck mode does"),
+    ("continuous", "aux_values = 5, -7", "only crosscheck mode does"),
+    ("continuous", "aux_probs = 0.5, 0.5", "only crosscheck mode does"),
+    ("continuous", "erasure = sign-terminal", "only crosscheck mode does"),
+    ("continuous", "crosscheck_tol = 0.1", "only crosscheck mode does"),
+    ("continuous", "workers = 2", "no mode does"),
+    ("crosscheck", "workers = 2", "no mode does"),
+])
+def test_cli_run_rejects_a_key_its_mode_does_not_read(tmp_path, capsys, monkeypatch,
+                                                      mode, line, reader):
+    # the run would ignore the key, yet it would move the config digest:
+    # the config fails before any atom is enumerated or path drawn
+    def no_draws(*args, **kwargs):
+        raise AssertionError("atoms enumerated or paths drawn")
+
+    monkeypatch.setattr(harness, "enumerate_atoms", no_draws)
+    monkeypatch.setattr(harness, "sample_quantized_ensemble", no_draws)
+    monkeypatch.setattr(harness, "simulate_ensemble", no_draws)
+    cfg_file = tmp_path / "ignored.cfg"
+    cfg_file.write_text(f"{CONFIG_OF_MODE[mode]}{line}\noutdir = {tmp_path / 'run'}\n")
     assert cli_main(["run", "--config", str(cfg_file)]) == 1
     assert capsys.readouterr().err == (
-        "error: erasure needs crosscheck mode; continuous mode observes the full path\n")
+        f"error: {line} would be ignored: {mode} mode does not read it ({reader})\n")
     assert not (tmp_path / "run").exists()
 
 
-def test_cli_run_rejects_an_aux_law_in_continuous_mode(tmp_path, capsys, monkeypatch):
-    # a continuous run draws each model's own aux variable: a configured law
-    # there would be ignored without a word
-    def no_sampling(*args, **kwargs):
-        raise AssertionError("paths were drawn")
+@pytest.mark.parametrize("line", ["aux_values = 5, -7\naux_probs = 0.3, 0.3",
+                                  "aux_probs = 0.5, 0.5"])
+def test_cli_run_rejects_an_aux_law_for_a_model_without_an_aux_variable(
+        tmp_path, capsys, monkeypatch, line):
+    # the zero drift has no aux variable for the law to replace; the law
+    # fails in configure, before it is even checked for summing to one
+    def no_draws(*args, **kwargs):
+        raise AssertionError("atoms enumerated or paths drawn")
 
-    monkeypatch.setattr(harness, "simulate_ensemble", no_sampling)
-    for line in ("aux_values = 5, -7", "aux_probs = 0.5, 0.5"):
-        cfg_file = tmp_path / "aux.cfg"
-        cfg_file.write_text(f"model = independent\ngrid_n = 8\npaths = 200\n{line}\n"
-                            f"outdir = {tmp_path / 'run'}\n")
-        assert cli_main(["run", "--config", str(cfg_file)]) == 1
-        assert capsys.readouterr().err == (
-            "error: aux_values and aux_probs need crosscheck mode; "
-            "continuous mode draws the model's own aux variable\n")
+    monkeypatch.setattr(harness, "enumerate_atoms", no_draws)
+    monkeypatch.setattr(harness, "sample_quantized_ensemble", no_draws)
+    cfg_file = tmp_path / "zero.cfg"
+    cfg_file.write_text(f"model = zero\nmode = crosscheck\ngrid_n = 3\npaths = 200\n"
+                        f"{line}\noutdir = {tmp_path / 'run'}\n")
+    assert cli_main(["run", "--config", str(cfg_file)]) == 1
+    assert capsys.readouterr().err == (
+        "error: stage 'configure' failed: aux_values and aux_probs would be ignored: "
+        "model zero has no auxiliary variable\n")
     assert not (tmp_path / "run").exists()
 
 
 def test_cli_run_rejects_workers_and_the_removed_workers_flag(tmp_path, capsys, monkeypatch):
     # the front end shares its row blocks among the CPUs by itself: a config
-    # asking for workers fails at configuration, and the flag is gone (a
-    # usage error)
+    # asking for workers fails at configuration, as a key no mode reads, and
+    # the flag is gone (a usage error)
     def no_sampling(*args, **kwargs):
         raise AssertionError("paths were drawn")
 
@@ -929,8 +951,8 @@ def test_cli_run_rejects_workers_and_the_removed_workers_flag(tmp_path, capsys, 
                         f"outdir = {tmp_path / 'run'}\n")
     assert cli_main(["run", "--config", str(cfg_file)]) == 1
     assert capsys.readouterr().err == (
-        "error: workers must be 1, got 2: the front end shares its row blocks among "
-        "the CPUs by itself\n")
+        "error: workers = 2 would be ignored: continuous mode does not read it "
+        "(no mode does)\n")
     cfg_file.write_text(f"model = zero\ngrid_n = 8\npaths = 200\n"
                         f"outdir = {tmp_path / 'run'}\n")
     with pytest.raises(SystemExit) as exit_info:

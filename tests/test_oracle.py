@@ -152,6 +152,22 @@ def test_enumerate_rejects_hidden_signal_models():
         enumerate_atoms(make_model("kalman-bucy"), g, gauss_quantized(2, g.dt))
 
 
+@pytest.mark.parametrize("model, aux, message", [
+    ("independent", None, "model independent needs a finite aux law"),
+    ("zero", FiniteLaw([5.0, -7.0]), "model zero has no auxiliary variable"),
+])
+def test_a_finite_aux_law_is_given_exactly_when_the_model_has_an_aux_variable(
+        model, aux, message):
+    # a law the model cannot use would be dropped without a word, and a
+    # missing one leaves nothing to draw the aux variable from
+    g = TimeGrid(steps=2)
+    noise = gauss_quantized(2, g.dt)
+    with pytest.raises(ConfigurationError, match=message):
+        enumerate_atoms(make_model(model), g, noise, aux)
+    with pytest.raises(ConfigurationError, match=message):
+        sample_quantized_ensemble(make_model(model), g, 10, RandomStream(seed=1), noise, aux)
+
+
 # ------------------------------------------------------------------ entropies
 
 def test_exact_relative_entropy_examples():

@@ -2,8 +2,9 @@
 never uses, and no private definition that the package never refers to.
 
 Both are what a moved or deleted function leaves behind.  The package also
-imports nothing but the standard library, numpy and itself.  The checks read
-the source with `ast`, so they run no package code.
+imports nothing but the standard library, numpy and itself, and no function
+imports from a package module that its module imports at the top.  The
+checks read the source with `ast`, so they run no package code.
 """
 
 import ast
@@ -110,3 +111,26 @@ def test_only_the_fork_helper_forks_and_reaps():
                     if alias.name in calls:
                         seen.setdefault(module, set()).add(alias.name)
     assert seen == {"core": calls}
+
+
+def _package_module(node):
+    """The package module that a `from ... import` statement reads from, or
+    None for another statement or a module outside the package."""
+    if not isinstance(node, ast.ImportFrom):
+        return None
+    if node.level:  # `from .models import x` and `from . import x`
+        return "innovlab" + (f".{node.module}" if node.module else "")
+    return node.module if node.module.split(".")[0] == "innovlab" else None
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_no_function_imports_from_a_module_imported_at_the_top(module):
+    # a local import of a module that is loaded anyway avoids no cycle and
+    # no start-up cost; it only hides a dependency from the import block
+    tree = TREES[module]
+    top = {_package_module(node) for node in tree.body} - {None}
+    local = [f"{function.name}: {_package_module(node)}"
+             for function in ast.walk(tree)
+             if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(function) if _package_module(node) in top]
+    assert not local, f"innovlab.{module} imports locally what it imports at the top: {local}"
