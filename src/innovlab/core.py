@@ -38,7 +38,8 @@ used in order.
 
 Independent pieces of work (the front end's row blocks, the criterion's
 weight sets) are dealt over one forked process per CPU by `fork_map`, the
-package's one place that forks and reaps.
+package's one place that forks and reaps and that builds the record of
+what each child did.
 """
 
 from __future__ import annotations
@@ -245,31 +246,32 @@ def _fork_processes(items: int) -> int:
     return min(len(os.sched_getaffinity(0)), items)
 
 
-def fork_map(fn, items, entries=None, meanwhile=None) -> tuple[list, list]:
-    """`[fn(item, entries) for item in items]`, the items dealt over
+def fork_map(fn, items, stages=None, meanwhile=None) -> tuple[list, dict]:
+    """`[fn(item, stages) for item in items]`, the items dealt over
     P = `_fork_processes(len(items))` processes.
 
-    The caller runs items 0, P, 2P, .. with `entries`, and each of P - 1
+    The caller runs items 0, P, 2P, .. with `stages`, and each of P - 1
     forked children runs items i, i + P, .. with a dict of its own.  Then
     `meanwhile()`, when given, runs in the caller while the children may
     still run.  A child sends back, pickled on a pipe, its results, its
-    entries, its seconds and the error it raised; so a result must pickle,
+    stages, its seconds and the error it raised; so a result must pickle,
     and an item's result must not depend on which process ran it.
 
-    Returns the results in item order and, per child, a dict of its item
-    count (`items`), its `entries`, its `seconds` and its peak RSS in MB
+    Returns the results in item order and the stage's fork record:
+    `{"processes": P, "children": [...]}`, per child its item count
+    (`items`), its `seconds`, its `stages` dict and its peak RSS in MB
     (`peak_rss_mb`).  A child's error is raised here as itself.  Every
     child is reaped before this returns or raises, and killed first when the
     caller's own items or `meanwhile` raise.  With P = 1 nothing forks.
     """
     items = list(items)
-    entries = {} if entries is None else entries
+    stages = {} if stages is None else stages
     processes = max(_fork_processes(len(items)), 1)
     children = []
     try:
         for i in range(1, processes):
             children.append(_fork(fn, items[i::processes]))
-        own = [fn(item, entries) for item in items[::processes]]
+        own = [fn(item, stages) for item in items[::processes]]
         if meanwhile is not None:
             meanwhile()
     except BaseException:
@@ -283,24 +285,24 @@ def fork_map(fn, items, entries=None, meanwhile=None) -> tuple[list, list]:
 
     results = [None] * len(items)
     results[::processes] = own
-    record = []
+    record = {"processes": processes, "children": []}
     for i, ((pid, _), (report, status, peak)) in enumerate(zip(children, reports), 1):
         try:
-            values, child_entries, seconds, error = pickle.loads(report)
+            values, child_stages, seconds, error = pickle.loads(report)
         except Exception:  # empty or cut short: the child died before it reported
             raise RuntimeError(f"forked child {pid} ended without a report "
                                f"(wait status {status})") from None
         if error is not None:
             raise error
         results[i::processes] = values
-        record.append({"items": len(values), "entries": child_entries, "seconds": seconds,
-                       "peak_rss_mb": peak})
+        record["children"].append({"items": len(values), "seconds": seconds,
+                                   "stages": child_stages, "peak_rss_mb": peak})
     return results, record
 
 
 def _fork(fn, items):
-    """Fork a child that runs `fn(item, entries)` on each of `items` and
-    sends back, pickled on a pipe, its results, its `entries`, its seconds
+    """Fork a child that runs `fn(item, stages)` on each of `items` and
+    sends back, pickled on a pipe, its results, its `stages`, its seconds
     and the error it raised, or None.  The child always leaves by
     `os._exit`, with status 0 once its report is sent.  Returns (pid, read
     end)."""
@@ -311,15 +313,15 @@ def _fork(fn, items):
         try:
             t0 = time.perf_counter()
             os.close(read)
-            entries: dict = {}
+            stages: dict = {}
             results = []
             try:
-                results = [fn(item, entries) for item in items]
+                results = [fn(item, stages) for item in items]
                 error = None
             except BaseException as exc:  # sent to the caller, which raises it
                 error = exc
             with os.fdopen(write, "wb") as fh:
-                pickle.dump((results, entries, time.perf_counter() - t0, error), fh)
+                pickle.dump((results, stages, time.perf_counter() - t0, error), fh)
             status = 0
         finally:
             os._exit(status)

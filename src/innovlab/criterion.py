@@ -88,7 +88,6 @@ class LevelReport:
     norm_se: float
     norm_passed: bool
     verdict: str
-    method: str
     ridge_escalations: int = 0
 
 
@@ -143,7 +142,6 @@ def criterion_levels(Z: np.ndarray, uhat: np.ndarray, grid: TimeGrid,
                      levels: Sequence[float] = DEFAULT_LEVELS,
                      basis: BasisSpec = BasisSpec(),
                      floor: float = GAP_FLOOR,
-                     method: str = "",
                      forks: Optional[dict] = None) -> list[LevelReport]:
     """Run the per-level criterion over a filtered ensemble.
 
@@ -159,9 +157,8 @@ def criterion_levels(Z: np.ndarray, uhat: np.ndarray, grid: TimeGrid,
     distinct sets are dealt over one process per CPU (`core.fork_map`),
     and one process runs each set's whole chain, `_weight_set`, which
     returns only the set's means and diagnostics; so no number depends on
-    how many processes share the sets.  `forks`, when given, receives
-    `processes` and, per forked child, its set count (`sets`), its seconds
-    and its peak RSS in MB.
+    how many processes share the sets.  `forks`, when given, receives the
+    record `fork_map` returns; a child's `stages` there is empty.
 
     The stopping times and each set's stopped log-weights are formed by
     the Girsanov layer in row chunks, and the feature builder reads Z in
@@ -177,13 +174,11 @@ def criterion_levels(Z: np.ndarray, uhat: np.ndarray, grid: TimeGrid,
     stops = stop_indices(uhat, grid.dt, levels)
     slots: dict = {}
     slot_of = [slots.setdefault(stop.tobytes(), len(slots)) for stop in stops]
-    sets, children = fork_map(
+    sets, record = fork_map(
         lambda stop, _: _weight_set(Z, uhat, grid.dt, stop, basis),
         stops[[slot_of.index(s) for s in range(len(slots))]])
     if forks is not None:
-        forks.update(processes=len(children) + 1, children=[
-            {"sets": c["items"], "seconds": c["seconds"], "peak_rss_mb": c["peak_rss_mb"]}
-            for c in children])
+        forks.update(record)
 
     reports = []
     for lv, s in zip(levels, slot_of):
@@ -202,7 +197,6 @@ def criterion_levels(Z: np.ndarray, uhat: np.ndarray, grid: TimeGrid,
                 norm_se=diag.se,
                 norm_passed=diag.passed,
                 verdict=classify_level(gap, gap_se, floor),
-                method=method or f"jensen[{basis.describe()}]",
                 ridge_escalations=raised,
             )
         )
@@ -264,8 +258,7 @@ def _influence_se(infl: np.ndarray) -> float:
 
 
 def plugin_level(Z: np.ndarray, uhat: np.ndarray, labels: np.ndarray, grid: TimeGrid,
-                 floor: float = GAP_FLOOR, method: str = "plugin"
-                 ) -> tuple[LevelReport, float]:
+                 floor: float = GAP_FLOOR) -> tuple[LevelReport, float]:
     """Level infinity of a quantized ensemble, Z (m, N+1) and uhat (m, N),
     by plug-in over the observation class `labels` of each path.
 
@@ -287,5 +280,5 @@ def plugin_level(Z: np.ndarray, uhat: np.ndarray, labels: np.ndarray, grid: Time
         energy=base, energy_se=_influence_se(base_infl),
         gap=gap, gap_se=gap_se, ess=ens.ess,
         norm_mean=diag.mean, norm_se=diag.se, norm_passed=diag.passed,
-        verdict=classify_level(gap, gap_se, floor), method=method)
+        verdict=classify_level(gap, gap_se, floor))
     return report, 0.5 * math.fsum(ens.weights * energies)

@@ -90,7 +90,7 @@ MODEL_COLUMN = max(len(name) for name in MODEL_NAMES) + 1
 
 # pipeline stages in run order; `report` prints their timings in this order
 STAGES = ("configure", "enumerate", "simulate", "sample", "filter", "innovation",
-          "oracle", "criterion")
+          "oracle", "criterion", "crosscheck")
 
 
 # the one mode that reads each key not every mode reads (None: no mode
@@ -289,17 +289,7 @@ class ResultRecord:
                 return [clean(v) for v in x]
             return x
 
-        payload = {
-            "config_digest": self.config_digest,
-            "model": self.model,
-            "mode": self.mode,
-            "verdict": self.verdict,
-            "levels": clean(self.levels),
-            "diagnostics": clean(self.diagnostics),
-            "wall_clock": self.wall_clock,
-            "version": self.version,
-        }
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(clean(asdict(self)), sort_keys=True)
 
 
 def resolve_model(name: str, params: dict) -> DriftModel:
@@ -325,9 +315,9 @@ def continuous_front_end(model: DriftModel, grid: TimeGrid, size: int,
     place; `meanwhile()`, when given, runs in the caller after its own
     blocks, while the children may still run theirs.  Each stage's seconds
     and peak rises are summed over the caller's blocks in `stages`;
-    `front_end`, when given, receives `processes` and, per child, its
-    block count, its stage entries and its peak RSS in MB.  A stage that
-    fails in a child raises here as the same `StageError`.
+    `front_end`, when given, receives the record `fork_map` returns, whose
+    children carry their own stage entries.  A stage that fails in a child
+    raises here as the same `StageError`.
     """
     stages = {} if stages is None else stages
     Z = shared_array((size, grid.steps + 1))
@@ -350,11 +340,9 @@ def continuous_front_end(model: DriftModel, grid: TimeGrid, size: int,
         _stage(entries, "innovation", innovate_rows, U, lo, hi)
         return method
 
-    methods, children = fork_map(run_block, range(0, size, PATH_BLOCK), stages, meanwhile)
+    methods, record = fork_map(run_block, range(0, size, PATH_BLOCK), stages, meanwhile)
     if front_end is not None:
-        front_end.update(processes=len(children) + 1, children=[
-            {"blocks": c["items"], "stages": c["entries"], "peak_rss_mb": c["peak_rss_mb"]}
-            for c in children])
+        front_end.update(record)
     return Z, uhat, methods[0]
 
 
@@ -403,7 +391,6 @@ def _level_row(r: LevelReport, model: str) -> dict:
         "norm_mean": r.norm_mean, "norm_se": r.norm_se,
         "norm_passed": r.norm_passed,
         "verdict": r.verdict,
-        "method": r.method,
         "ridge_escalations": r.ridge_escalations,
     }
 
@@ -450,10 +437,10 @@ def _run_continuous(config, model, grid, stream, stages, persist) -> ResultRecor
                                            oracle if is_linear_model(model) else None)
     criterion: dict = {}
     reports = _stage(stages, "criterion", criterion_levels, Z, uhat, grid,
-                     config.levels, config.basis(), config.gap_floor,
-                     f"{method}+jensen[{config.basis().describe()}]", criterion)
+                     config.levels, config.basis(), config.gap_floor, criterion)
     verdict = criterion_verdict(reports)
-    diagnostics.update(filter_method=method, front_end=front_end, criterion=criterion)
+    diagnostics.update(filter_method=method, estimator=f"jensen[{config.basis().describe()}]",
+                       front_end=front_end, criterion=criterion)
     if config.write_paths and persist:
         diagnostics["paths_file"] = "paths.csv"
         _write_paths_csv(config, uhat, Z, grid)
@@ -464,23 +451,30 @@ def _run_continuous(config, model, grid, stream, stages, persist) -> ResultRecor
 
 
 def _run_quantized(config, model, grid, stream, stages) -> ResultRecord:
-    noise = gauss_quantized(config.noise_nodes, grid.dt)
-    aux = FiniteLaw(config.aux_values, config.aux_probs or None) if model.aux_dim else None
-    space = _stage(stages, "enumerate", enumerate_atoms, model, grid, noise, aux)
+    # every step runs inside a stage, so a failure names its stage and the
+    # stage seconds account for the whole run
+    noise, aux = _stage(stages, "configure", lambda: (
+        gauss_quantized(config.noise_nodes, grid.dt),
+        FiniteLaw(config.aux_values, config.aux_probs or None) if model.aux_dim else None))
     relabel = witness_labels if config.erasure == "sign-terminal" else None
-    exact = dpi_verdict(space.system(relabel=relabel))
+    space = _stage(stages, "enumerate", enumerate_atoms, model, grid, noise, aux)
+    exact = _stage(stages, "enumerate", lambda: dpi_verdict(space.system(relabel=relabel)))
 
     sim = _stage(stages, "sample", sample_quantized_ensemble, model, grid, config.paths,
                  stream, noise, aux)
     filt = _stage(stages, "filter", finite_bayes_filter, model, sim, noise, aux)
     Z = _stage(stages, "innovation", innovation_values, sim.U, filt.values, grid.dt)
-    labels = canonical_labels(Z[:, 1:] if relabel is None else relabel(Z))
-    level, energy_mc = _stage(stages, "criterion", plugin_level, Z, filt.values, labels,
-                              grid, config.gap_floor,
-                              f"{filt.method}+plugin[{config.erasure}]")
+    level, energy_mc = _stage(stages, "criterion", lambda: plugin_level(
+        Z, filt.values, canonical_labels(Z[:, 1:] if relabel is None else relabel(Z)),
+        grid, config.gap_floor))
+    crosscheck = _stage(stages, "crosscheck", lambda: {
+        **asdict(estimator_crosscheck(space, exact, sim, filt.values, level.entropy,
+                                      energy_mc, config.crosscheck_tol)),
+        "conditional_energy_exact": conditional_energy_by_grouping(space)})
 
     diagnostics = {
         "filter_method": filt.method,
+        "estimator": f"plugin[{config.erasure}]",
         "atoms": space.atoms,
         "exact_base_entropy": exact.base_entropy,
         "exact_pushforward_entropy": exact.pushforward_entropy,
@@ -491,10 +485,7 @@ def _run_quantized(config, model, grid, stream, stages) -> ResultRecord:
         "energy_mc": energy_mc,
         "paths": config.paths,
         "seed": config.seed,
-        "crosscheck": {
-            **asdict(estimator_crosscheck(space, exact, sim, filt.values, level.entropy,
-                                          energy_mc, config.crosscheck_tol)),
-            "conditional_energy_exact": conditional_energy_by_grouping(space)},
+        "crosscheck": crosscheck,
     }
     return ResultRecord(config.digest(), config.model, config.mode, level.verdict,
                         [_level_row(level, config.model)], diagnostics, 0.0)
@@ -561,13 +552,10 @@ def report(in_dir) -> str:
             out.append(" ".join(cell(v, w) for v, w in zip(vals, widths)))
             curve_rows.append(row)
     for i, rec in enumerate(records):
-        if "front_end" in rec["diagnostics"]:
-            out.append(f"front_end[{i}] {rec['model']}: "
-                       f"{_children_line(rec['diagnostics']['front_end'], _front_end_cells)}")
-        if "criterion" in rec["diagnostics"]:
-            out.append(f"criterion[{i}] {rec['model']}: " + _children_line(
-                rec["diagnostics"]["criterion"],
-                lambda child: f"sets {child['sets']}, {child['seconds']:.3f}s"))
+        for forked in ("front_end", "criterion"):
+            if forked in rec["diagnostics"]:
+                out.append(f"{forked}[{i}] {rec['model']}: "
+                           f"{_children_line(rec['diagnostics'][forked])}")
         out.append(f"stages[{i}] {rec['model']}: {_stage_line(rec['diagnostics'])}")
         if "gaussian_oracle_error" in rec["diagnostics"]:
             out.append(f"oracle[{i}] {rec['model']}: Gaussian oracle failed: "
@@ -587,29 +575,35 @@ def _stage_line(diagnostics) -> str:
     stages = diagnostics.get("stages")
     if not stages:
         return "not recorded"
-    times = ", ".join(_stage_cell(name, stages[name]) for name in STAGES if name in stages)
     peak = max(s["max_rss_mb"] for s in stages.values())
-    return f"{times}; peak RSS {peak:.0f} MB"
+    return f"{', '.join(_stage_cells(stages))}; peak RSS {peak:.0f} MB"
 
 
-def _children_line(record, cells) -> str:
-    """A forked stage's process count and, per child, `cells(child)` and its
-    peak RSS."""
-    return "; ".join([f"processes {record['processes']}"] + [
-        f"child {i}: {cells(child)}, peak RSS {child['peak_rss_mb']:.0f} MB"
-        for i, child in enumerate(record["children"], 1)])
+def _children_line(record) -> str:
+    """A forked stage's process count and, per child, its item count, its
+    seconds, its stage cells and its peak RSS.  Records written before both
+    stages kept `fork_map`'s record count a child's `blocks` or `sets`, and
+    a front-end child there has no seconds."""
+    cells = [f"processes {record['processes']}"]
+    for i, child in enumerate(record["children"], 1):
+        items = child.get("items", child.get("blocks", child.get("sets")))
+        seconds = [f"{child['seconds']:.3f}s"] if "seconds" in child else []
+        cells.append(", ".join([f"child {i}: items {items}", *seconds,
+                                *_stage_cells(child.get("stages", {})),
+                                f"peak RSS {child['peak_rss_mb']:.0f} MB"]))
+    return "; ".join(cells)
 
 
-def _front_end_cells(child) -> str:
-    """A front-end child's block count and stage cells."""
-    return ", ".join([f"blocks {child['blocks']}"] + [
-        _stage_cell(name, child["stages"][name]) for name in STAGES if name in child["stages"]])
-
-
-def _stage_cell(name, entry) -> str:
-    """One stage's seconds and, when recorded, how far it raised the peak RSS."""
-    rise = entry.get("peak_rise_mb")  # absent from records written before it was kept
-    return f"{name} {entry['seconds']:.3f}s" + ("" if rise is None else f" +{rise:.0f} MB")
+def _stage_cells(stages) -> list:
+    """Per recorded stage, in run order, its seconds and, when recorded, how
+    far it raised the peak RSS."""
+    cells = []
+    for name in STAGES:
+        if name in stages:
+            rise = stages[name].get("peak_rise_mb")  # absent from records before it was kept
+            cells.append(f"{name} {stages[name]['seconds']:.3f}s"
+                         + ("" if rise is None else f" +{rise:.0f} MB"))
+    return cells
 
 
 def _as_float(v):

@@ -78,6 +78,11 @@ ROUND_DECIMALS = 12
 
 MAX_ATOMS = 1_000_000
 
+# the most Gauss-Hermite nodes whose probabilities numpy 2.4's `hermegauss`
+# still gives finite and positive (371 gives NaN); the quadrature builds an
+# m x m companion matrix, so a larger count is refused before it is formed
+MAX_NOISE_NODES = 370
+
 
 @dataclass(frozen=True)
 class FiniteLaw:
@@ -132,8 +137,8 @@ def gauss_quantized(m: int, dt: float) -> FiniteLaw:
     """Moment-matched m-point quantization of an N(0, dt) increment: the
     Gauss-Hermite nodes scaled by sqrt(dt) match Gaussian moments up to
     order 2m-1."""
-    if m < 2:
-        raise ConfigurationError(f"need at least two nodes, got {m}")
+    if not 2 <= m <= MAX_NOISE_NODES:
+        raise ConfigurationError(f"need between 2 and {MAX_NOISE_NODES} nodes, got {m}")
     x, w = np.polynomial.hermite_e.hermegauss(m)
     probs = w / w.sum()
     return FiniteLaw(x * np.sqrt(dt), probs)

@@ -368,7 +368,7 @@ def test_classify_level_examples():
 
 def _report(gap, gap_se, verdict):
     return LevelReport(1.0, 0.0, 0.0, gap, 0.0, gap, gap_se, 100.0,
-                       1.0, 0.0, True, verdict, "test")
+                       1.0, 0.0, True, verdict)
 
 
 def test_criterion_verdict_aggregation():

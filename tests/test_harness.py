@@ -396,6 +396,23 @@ def test_crosscheck_accepts_aux_values_in_any_order():
     assert cc["passed"]
 
 
+def test_result_record_serializes_infinities_nans_and_tuples_as_before():
+    # JSON has no infinities: they are stored as strings, NaN as null, and
+    # tuples as lists; the string is the one the field-by-field copy gave
+    rec = harness.ResultRecord(
+        "0123abcd", "independent", "crosscheck", "POSITIVE-GAP",
+        [{"n": math.inf, "gap": math.nan, "verdict": "POSITIVE-GAP"}],
+        {"levels": (0.5, math.inf), "stages": {"sample": {"seconds": 0.25}},
+         "extremes": [-math.inf, (math.nan, 2)], "passed": True, "note": None},
+        1.5, "0.1.0")
+    assert rec.to_json() == (
+        '{"config_digest": "0123abcd", "diagnostics": {"extremes": ["-inf", [null, 2]], '
+        '"levels": [0.5, "inf"], "note": null, "passed": true, "stages": {"sample": '
+        '{"seconds": 0.25}}}, "levels": [{"gap": null, "n": "inf", "verdict": '
+        '"POSITIVE-GAP"}], "mode": "crosscheck", "model": "independent", "verdict": '
+        '"POSITIVE-GAP", "version": "0.1.0", "wall_clock": 1.5}')
+
+
 def test_report_renders_table_and_curves(tmp_path):
     cfg = ExperimentConfig(model="zero", grid_n=8, paths=150, levels=(1.0, math.inf),
                            outdir=str(tmp_path))
@@ -519,9 +536,9 @@ def test_cli_run_and_report(tmp_path):
      {"configure", "simulate", "filter", "innovation", "criterion"}),  # no Gaussian oracle
     (dict(model="independent", mode="crosscheck", grid_n=2, paths=500, noise_nodes=2,
           aux_values=(-1.0, 1.0)),
-     {"configure", "enumerate", "sample", "filter", "innovation", "criterion"}),
+     {"configure", "enumerate", "sample", "filter", "innovation", "criterion", "crosscheck"}),
     (dict(model=WitnessDrift.name, mode="crosscheck", grid_n=2, paths=500, noise_nodes=2),
-     {"configure", "enumerate", "sample", "filter", "innovation", "criterion"}),
+     {"configure", "enumerate", "sample", "filter", "innovation", "criterion", "crosscheck"}),
 ])
 def test_run_records_stage_timings(tmp_path, cfg, stages):
     rec = run_experiment(ExperimentConfig(**cfg, outdir=str(tmp_path)))
@@ -539,6 +556,23 @@ def test_run_records_stage_timings(tmp_path, cfg, stages):
     assert not {"blas_threads", "workers"} & set(payload["diagnostics"])
 
 
+def test_every_recorded_stage_is_one_report_prints(tmp_path, max_processes):
+    # `report` prints only the stages STAGES names: every stage a run
+    # records, in the caller and in each forked child, must be among them
+    max_processes(2)
+    recorded = set()
+    for cfg in (dict(model="kalman-bucy", grid_n=16, paths=2 * PATH_BLOCK + 3),
+                dict(model="independent", mode="crosscheck", grid_n=2, paths=500,
+                     noise_nodes=2, aux_values=(-1.0, 1.0))):
+        d = run_experiment(ExperimentConfig(**cfg), persist=False).diagnostics
+        recorded |= set(d["stages"])
+        for forked in ("front_end", "criterion"):
+            for child in d.get(forked, {}).get("children", []):
+                recorded |= set(child["stages"])
+    assert {"oracle", "crosscheck", "simulate", "sample"} <= recorded
+    assert recorded <= set(harness.STAGES)
+
+
 def test_front_end_sums_each_stage_peak_rise_over_its_blocks(max_processes, monkeypatch):
     # a peak that grows by 1 MB on every reading rises 1 MB per block stage:
     # blocks 0 and 2 in the caller, block 1 in the child
@@ -549,7 +583,7 @@ def test_front_end_sums_each_stage_peak_rise_over_its_blocks(max_processes, monk
     continuous_front_end(make_model("zero"), TimeGrid(steps=4), 2 * PATH_BLOCK + 3,
                          RandomStream(seed=1), stages, front_end)
     (child,) = front_end["children"]
-    assert front_end["processes"] == 2 and child["blocks"] == 1
+    assert front_end["processes"] == 2 and child["items"] == 1
     assert {name: entry["peak_rise_mb"] for name, entry in stages.items()} == {
         "simulate": 2.0, "filter": 2.0, "innovation": 2.0}
     assert {name: stages[name]["peak_rise_mb"] + entry["peak_rise_mb"]
@@ -593,7 +627,7 @@ def test_results_csv_bytes_do_not_depend_on_the_front_end_processes(tmp_path, ma
         max_processes(processes)
         rec = run_experiment(ExperimentConfig(**cfg, outdir=str(tmp_path / str(processes))))
         assert rec.diagnostics["front_end"]["processes"] == processes
-        assert [c["blocks"] for c in rec.diagnostics["front_end"]["children"]] == \
+        assert [c["items"] for c in rec.diagnostics["front_end"]["children"]] == \
             [1] * (processes - 1)
         csv.append((tmp_path / str(processes) / "results.csv").read_bytes())
     assert csv[0] == csv[1] == csv[2]
@@ -685,22 +719,9 @@ def test_results_csv_bytes_do_not_depend_on_the_criterion_processes(tmp_path, ma
         _assert_no_child_left()
         forks = rec.diagnostics["criterion"]
         assert forks["processes"] == processes
-        assert [c["sets"] for c in forks["children"]] == {1: [], 2: [2], 3: [1, 1]}[processes]
+        assert [c["items"] for c in forks["children"]] == {1: [], 2: [2], 3: [1, 1]}[processes]
         csv.append((out / "results.csv").read_bytes())
     assert csv[0] == csv[1] == csv[2]
-
-
-def test_run_records_and_reports_the_criterion_children(tmp_path, max_processes):
-    max_processes(2)
-    run_experiment(ExperimentConfig(**SPLIT_CFG, outdir=str(tmp_path)))
-    (child,) = json.loads((tmp_path / "run.jsonl").read_text())["diagnostics"]["criterion"][
-        "children"]
-    assert set(child) == {"sets", "seconds", "peak_rss_mb"}
-    assert child["sets"] == 2 and child["seconds"] > 0 and child["peak_rss_mb"] > 0
-    lines = report(tmp_path).splitlines()
-    assert lines[-3].startswith("front_end[0] independent: processes 2; ")
-    assert re.fullmatch(r"criterion\[0\] independent: processes 2; child 1: sets 2, "
-                        r"\d+\.\d{3}s, peak RSS \d+ MB", lines[-2])
 
 
 def _reweight_failing_in(where, stall=False):
@@ -778,25 +799,37 @@ def test_run_stage_seconds_add_up_to_no_more_than_the_wall_clock():
     assert sum(entry["seconds"] for entry in stages.values()) <= rec.wall_clock
 
 
-def test_run_records_and_reports_the_front_end_children(tmp_path, max_processes):
-    # the child's blocks, stage entries and peak RSS land in run.jsonl, and
-    # `report` prints them on one line before the run's own stage line
-    max_processes(2)
-    run_experiment(ExperimentConfig(model="zero", grid_n=8, paths=2 * PATH_BLOCK + 3,
-                                    outdir=str(tmp_path)))
-    payload = json.loads((tmp_path / "run.jsonl").read_text())
-    front_end = payload["diagnostics"]["front_end"]
-    (child,) = front_end["children"]
-    assert front_end["processes"] == 2 and child["blocks"] == 1 and child["peak_rss_mb"] > 0
-    assert set(child["stages"]) == {"simulate", "filter", "innovation"}
+# what a forked stage's child records beside its items, seconds and peak
+FORKED_CHILD_STAGES = {"front_end": ("simulate", "filter", "innovation"), "criterion": ()}
+
+
+@pytest.mark.parametrize("processes", [1, 2])
+@pytest.mark.parametrize("forked", sorted(FORKED_CHILD_STAGES))
+def test_run_records_and_reports_a_forked_stages_children(tmp_path, max_processes,
+                                                          forked, processes):
+    # each forked stage keeps the record `core.fork_map` returns, and
+    # `report` prints it on one line, front end first, before the run's own
+    # stage line; with 2 processes the child runs 1 of the 3 row blocks and
+    # 2 of the 4 weight sets
+    max_processes(processes)
+    run_experiment(ExperimentConfig(**SPLIT_CFG, outdir=str(tmp_path)))
+    record = json.loads((tmp_path / "run.jsonl").read_text())["diagnostics"][forked]
     lines = report(tmp_path).splitlines()
-    assert re.fullmatch(r"front_end\[0\] zero: processes 2; child 1: blocks 1, "
-                        r"simulate \d+\.\d{3}s \+\d+ MB, filter \d+\.\d{3}s \+\d+ MB, "
-                        r"innovation \d+\.\d{3}s \+\d+ MB, peak RSS \d+ MB", lines[-3])
-    # the zero drift stops no path: one weight set, run by the caller alone
-    assert payload["diagnostics"]["criterion"] == {"processes": 1, "children": []}
-    assert lines[-2] == "criterion[0] zero: processes 1"
-    assert lines[-1].startswith("stages[0] zero: configure ")
+    line = lines[{"front_end": -3, "criterion": -2}[forked]]
+    assert lines[-1].startswith("stages[0] independent: configure ")
+    if processes == 1:
+        assert record == {"processes": 1, "children": []}
+        assert line == f"{forked}[0] independent: processes 1"
+        return
+    (child,) = record["children"]
+    items = {"front_end": 1, "criterion": 2}[forked]
+    assert record["processes"] == 2 and set(child) == {"items", "seconds", "stages",
+                                                       "peak_rss_mb"}
+    assert child["items"] == items and child["seconds"] > 0 and child["peak_rss_mb"] > 0
+    assert set(child["stages"]) == set(FORKED_CHILD_STAGES[forked])
+    cells = "".join(rf"{name} \d+\.\d{{3}}s \+\d+ MB, " for name in FORKED_CHILD_STAGES[forked])
+    assert re.fullmatch(rf"{forked}\[0\] independent: processes 2; child 1: items {items}, "
+                        rf"\d+\.\d{{3}}s, {cells}peak RSS \d+ MB", line)
 
 
 def test_report_reads_stage_records_without_a_peak_rise(tmp_path):
@@ -809,6 +842,23 @@ def test_report_reads_stage_records_without_a_peak_rise(tmp_path):
     jl.write_text(json.dumps(payload) + "\n")
     line = report(tmp_path).splitlines()[-1]
     assert re.search(r"configure \d+\.\d{3}s, simulate", line) and " MB," not in line
+
+
+def test_report_reads_forked_children_of_the_older_shapes(tmp_path):
+    # records written before both forked stages kept `fork_map`'s record
+    # counted a child's `blocks` or `sets`, and a front-end child had no seconds
+    run_experiment(ExperimentConfig(model="zero", grid_n=8, paths=150, outdir=str(tmp_path)))
+    jl = tmp_path / "run.jsonl"
+    payload = json.loads(jl.read_text())
+    payload["diagnostics"]["front_end"] = {"processes": 2, "children": [
+        {"blocks": 1, "stages": {"filter": {"seconds": 0.5}}, "peak_rss_mb": 40.0}]}
+    payload["diagnostics"]["criterion"] = {"processes": 2, "children": [
+        {"sets": 2, "seconds": 0.25, "peak_rss_mb": 60.0}]}
+    jl.write_text(json.dumps(payload) + "\n")
+    lines = report(tmp_path).splitlines()
+    assert lines[-3:-1] == [
+        "front_end[0] zero: processes 2; child 1: items 1, filter 0.500s, peak RSS 40 MB",
+        "criterion[0] zero: processes 2; child 1: items 2, 0.250s, peak RSS 60 MB"]
 
 
 def test_both_modes_write_level_rows_of_one_shape(tmp_path):
@@ -935,6 +985,44 @@ def test_cli_run_rejects_an_aux_law_for_a_model_without_an_aux_variable(
     assert capsys.readouterr().err == (
         "error: stage 'configure' failed: aux_values and aux_probs would be ignored: "
         "model zero has no auxiliary variable\n")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("name, stage", [
+    ("gauss_quantized", "configure"),
+    ("FiniteLaw", "configure"),
+    ("dpi_verdict", "enumerate"),
+    ("canonical_labels", "criterion"),
+    ("estimator_crosscheck", "crosscheck"),
+    ("conditional_energy_by_grouping", "crosscheck"),
+])
+def test_cli_run_names_the_stage_of_every_crosscheck_step(tmp_path, capsys, monkeypatch,
+                                                          name, stage):
+    # every step of a crosscheck run runs inside a stage, so a failure names it
+    def failing(*args, **kwargs):
+        raise NumericalError(f"{name} failed")
+
+    monkeypatch.setattr(harness, name, failing)
+    cfg_file = tmp_path / "crosscheck.cfg"
+    cfg_file.write_text(f"model = independent\nmode = crosscheck\ngrid_n = 2\npaths = 500\n"
+                        f"noise_nodes = 2\naux_values = -1, 1\noutdir = {tmp_path / 'run'}\n")
+    assert cli_main(["run", "--config", str(cfg_file)]) == 1
+    assert capsys.readouterr().err == f"error: stage '{stage}' failed: {name} failed\n"
+
+
+def test_cli_run_refuses_too_many_noise_nodes_before_building_the_quadrature(
+        tmp_path, capsys, monkeypatch):
+    # the quadrature's companion matrix would take 80 GB at 100 000 nodes
+    def no_quadrature(m):
+        raise AssertionError("the quadrature was built")
+
+    monkeypatch.setattr(np.polynomial.hermite_e, "hermegauss", no_quadrature)
+    cfg_file = tmp_path / "nodes.cfg"
+    cfg_file.write_text(f"model = zero\nmode = crosscheck\ngrid_n = 1\npaths = 200\n"
+                        f"noise_nodes = 100000\noutdir = {tmp_path / 'run'}\n")
+    assert cli_main(["run", "--config", str(cfg_file)]) == 1
+    assert capsys.readouterr().err == (
+        "error: stage 'configure' failed: need between 2 and 370 nodes, got 100000\n")
     assert not (tmp_path / "run").exists()
 
 

@@ -12,6 +12,7 @@ from innovlab.filtering import innovation_values
 from innovlab.girsanov import log_weights_ensemble, reweight
 from innovlab.models import DriftModel, make_model
 from innovlab.oracle import (
+    MAX_NOISE_NODES,
     ROUND_DECIMALS,
     FiniteLaw,
     FiniteSystem,
@@ -51,9 +52,21 @@ def test_quantized_noise_matches_gaussian_moments(m):
         assert got == pytest.approx(want, abs=1e-12)
 
 
-def test_quantized_noise_guards():
+def test_quantized_noise_guards(monkeypatch):
     with pytest.raises(ConfigurationError):
         gauss_quantized(1, 0.5)
+    # the bound is the largest count whose probabilities are finite and positive
+    assert np.all(gauss_quantized(MAX_NOISE_NODES, 0.5).probs > 0)
+    with np.errstate(all="ignore"):
+        _, w = np.polynomial.hermite_e.hermegauss(MAX_NOISE_NODES + 1)
+        assert not np.all(w / w.sum() > 0)
+
+    def no_quadrature(m):
+        raise AssertionError("the quadrature was built")
+
+    monkeypatch.setattr(np.polynomial.hermite_e, "hermegauss", no_quadrature)
+    with pytest.raises(ConfigurationError, match=f"between 2 and {MAX_NOISE_NODES} nodes"):
+        gauss_quantized(MAX_NOISE_NODES + 1, 0.5)
 
 
 def test_finite_law_defaults_to_uniform_and_looks_values_up():
