@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ChildProcessLost, ConfigurationError
 
 __all__ = [
     "TimeGrid",
@@ -246,23 +246,23 @@ def _fork_processes(items: int) -> int:
     return min(len(os.sched_getaffinity(0)), items)
 
 
-def fork_map(fn, items, stages=None, meanwhile=None) -> tuple[list, dict]:
+def fork_map(fn, items, stages=None) -> tuple[list, dict]:
     """`[fn(item, stages) for item in items]`, the items dealt over
     P = `_fork_processes(len(items))` processes.
 
     The caller runs items 0, P, 2P, .. with `stages`, and each of P - 1
-    forked children runs items i, i + P, .. with a dict of its own.  Then
-    `meanwhile()`, when given, runs in the caller while the children may
-    still run.  A child sends back, pickled on a pipe, its results, its
-    stages, its seconds and the error it raised; so a result must pickle,
-    and an item's result must not depend on which process ran it.
+    forked children runs items i, i + P, .. with a dict of its own.  A
+    child sends back, pickled on a pipe, its results, its stages, its
+    seconds and the error it raised; so a result must pickle, and an item's
+    result must not depend on which process ran it.
 
     Returns the results in item order and the stage's fork record:
     `{"processes": P, "children": [...]}`, per child its item count
     (`items`), its `seconds`, its `stages` dict and its peak RSS in MB
-    (`peak_rss_mb`).  A child's error is raised here as itself.  Every
-    child is reaped before this returns or raises, and killed first when the
-    caller's own items or `meanwhile` raise.  With P = 1 nothing forks.
+    (`peak_rss_mb`).  A child's error is raised here as itself, and a child
+    that ended without a report as a `ChildProcessLost`.  Every child is
+    reaped before this returns or raises, and killed first when the
+    caller's own items raise.  With P = 1 nothing forks.
     """
     items = list(items)
     stages = {} if stages is None else stages
@@ -272,8 +272,6 @@ def fork_map(fn, items, stages=None, meanwhile=None) -> tuple[list, dict]:
         for i in range(1, processes):
             children.append(_fork(fn, items[i::processes]))
         own = [fn(item, stages) for item in items[::processes]]
-        if meanwhile is not None:
-            meanwhile()
     except BaseException:
         import signal  # only a failed run needs it; a run's set-up does not load it
 
@@ -290,8 +288,9 @@ def fork_map(fn, items, stages=None, meanwhile=None) -> tuple[list, dict]:
         try:
             values, child_stages, seconds, error = pickle.loads(report)
         except Exception:  # empty or cut short: the child died before it reported
-            raise RuntimeError(f"forked child {pid} ended without a report "
-                               f"(wait status {status})") from None
+            code = os.waitstatus_to_exitcode(status)
+            how = f"exit status {code}" if code >= 0 else f"killed by signal {-code}"
+            raise ChildProcessLost(f"forked child {pid} ended without a report ({how})") from None
         if error is not None:
             raise error
         results[i::processes] = values

@@ -20,10 +20,6 @@ class StabilityError(InnovlabError):
 class DegeneracyError(InnovlabError):
     """A weighted ensemble collapsed (all weights vanished or underflowed)."""
 
-    def __init__(self, message, step=None):
-        super().__init__(message)
-        self.step = step
-
 
 class NumericalError(InnovlabError):
     """Non-finite inputs or linear algebra beyond rescue."""
@@ -39,6 +35,10 @@ class AbsoluteContinuityError(InnovlabError):
 
 class UnsupportedModelError(InnovlabError):
     """A closed-form oracle was asked for a model outside its family."""
+
+
+class ChildProcessLost(InnovlabError):
+    """A forked child ended without sending back its results."""
 
 
 class StageError(InnovlabError):

@@ -14,9 +14,8 @@ quantized pipeline (`criterion.plugin_level`) and checks its Monte Carlo
 estimates against exact enumeration.  Both modes write their level rows
 from `criterion.LevelReport`s.  A continuous run's front end shares its
 row blocks, and the criterion its weight sets, among one process per CPU
-through `core.fork_map`; the Gaussian oracle runs in the calling process
-while the front end's children finish their blocks, and every other stage
-runs in the calling process alone.
+through `core.fork_map`; every other stage runs in the calling process
+alone, one after another.
 """
 
 from __future__ import annotations
@@ -89,8 +88,8 @@ RESULT_COLUMNS = ["model", "n", "H_hat", "H_se", "E_hat", "E_se", "gap",
 MODEL_COLUMN = max(len(name) for name in MODEL_NAMES) + 1
 
 # pipeline stages in run order; `report` prints their timings in this order
-STAGES = ("configure", "enumerate", "simulate", "sample", "filter", "innovation",
-          "oracle", "criterion", "crosscheck")
+STAGES = ("configure", "enumerate", "oracle", "simulate", "sample", "filter",
+          "innovation", "criterion", "crosscheck")
 
 
 # the one mode that reads each key not every mode reads (None: no mode
@@ -303,7 +302,7 @@ def resolve_outdir(config: ExperimentConfig) -> FsPath:
 
 def continuous_front_end(model: DriftModel, grid: TimeGrid, size: int,
                          stream: RandomStream, stages: Optional[dict] = None,
-                         front_end: Optional[dict] = None, meanwhile=None):
+                         front_end: Optional[dict] = None):
     """Innovation Z (size, N+1), filtered drift uhat (size, N), both
     column-major, and the filter method of a continuous ensemble,
     simulated, filtered and innovated one row block [lo, lo + PATH_BLOCK)
@@ -312,12 +311,11 @@ def continuous_front_end(model: DriftModel, grid: TimeGrid, size: int,
 
     Z and uhat live in anonymous shared memory, and `core.fork_map` deals
     the blocks out over one process per CPU, each writing its rows in
-    place; `meanwhile()`, when given, runs in the caller after its own
-    blocks, while the children may still run theirs.  Each stage's seconds
-    and peak rises are summed over the caller's blocks in `stages`;
-    `front_end`, when given, receives the record `fork_map` returns, whose
-    children carry their own stage entries.  A stage that fails in a child
-    raises here as the same `StageError`.
+    place.  Each stage's seconds and peak rises are summed over the
+    caller's blocks in `stages`; `front_end`, when given, receives the
+    record `fork_map` returns, whose children carry their own stage
+    entries.  A stage that fails in a child raises here as the same
+    `StageError`.
     """
     stages = {} if stages is None else stages
     Z = shared_array((size, grid.steps + 1))
@@ -340,7 +338,7 @@ def continuous_front_end(model: DriftModel, grid: TimeGrid, size: int,
         _stage(entries, "innovation", innovate_rows, U, lo, hi)
         return method
 
-    methods, record = fork_map(run_block, range(0, size, PATH_BLOCK), stages, meanwhile)
+    methods, record = fork_map(run_block, range(0, size, PATH_BLOCK), stages)
     if front_end is not None:
         front_end.update(record)
     return Z, uhat, methods[0]
@@ -373,11 +371,12 @@ def _stage(stages, name, fn, *args, **kwargs):
 
 
 def _configure(config):
-    model = resolve_model(config.model, config.model_params)
+    model, grid = resolve_model(config.model, config.model_params), config.grid()
+    model.validate(grid)  # a grid the model cannot use fails before anything forks
     if (config.aux_values or config.aux_probs) and not model.aux_dim:
         raise ConfigurationError(f"aux_values and aux_probs would be ignored: model "
                                  f"{config.model} has no auxiliary variable")
-    return model, config.grid(), RandomStream(seed=config.seed)
+    return model, grid, RandomStream(seed=config.seed)
 
 
 def _level_row(r: LevelReport, model: str) -> dict:
@@ -415,8 +414,7 @@ def run_experiment(config: ExperimentConfig, persist: bool = True) -> ResultReco
 
 def _run_continuous(config, model, grid, stream, stages, persist) -> ResultRecord:
     diagnostics = {"paths": config.paths, "grid_n": config.grid_n, "seed": config.seed}
-
-    def oracle():
+    if is_linear_model(model):
         try:
             exact = _stage(stages, "oracle", linear_gaussian_summary, model, grid)
         except StageError as exc:
@@ -429,12 +427,8 @@ def _run_continuous(config, model, grid, stream, stages, persist) -> ResultRecor
             diagnostics["gaussian_path_kl"] = exact.innovation_kl
             diagnostics["gaussian_observation_kl"] = exact.observation_kl
 
-    # the oracle reads neither Z nor uhat: it runs while the caller would
-    # wait for the front end's children
     front_end: dict = {}
-    Z, uhat, method = continuous_front_end(model, grid, config.paths, stream, stages,
-                                           front_end,
-                                           oracle if is_linear_model(model) else None)
+    Z, uhat, method = continuous_front_end(model, grid, config.paths, stream, stages, front_end)
     criterion: dict = {}
     reports = _stage(stages, "criterion", criterion_levels, Z, uhat, grid,
                      config.levels, config.basis(), config.gap_floor, criterion)

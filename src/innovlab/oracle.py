@@ -462,7 +462,7 @@ def finite_bayes_filter(model: DriftModel, sim: EnsembleSimulation,
         residual = sim.dU[:, k] - hypo[:, k][:, None] * grid.dt
         post = post + loglik(residual)
         if not np.all(np.isfinite(post.max(axis=0))):
-            raise DegeneracyError("no aux hypothesis explains an observed increment", step=k)
+            raise DegeneracyError(f"no aux hypothesis explains an observed increment at step {k}")
     return EnsembleFilter(out, "finite-bayes")
 
 

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 from innovlab.cli import main as cli_main
+import innovlab.core as core
 import innovlab.criterion as criterion
 import innovlab.harness as harness
 from innovlab.core import RandomStream, TimeGrid
@@ -531,20 +533,21 @@ def test_cli_run_and_report(tmp_path):
 
 @pytest.mark.parametrize("cfg, stages", [
     (dict(model="kalman-bucy", grid_n=16, paths=200),
-     {"configure", "simulate", "filter", "innovation", "criterion", "oracle"}),
+     ["configure", "oracle", "simulate", "filter", "innovation", "criterion"]),
     (dict(model="tsirelson", model_params={"levels": 2}, grid_n=16, paths=200),
-     {"configure", "simulate", "filter", "innovation", "criterion"}),  # no Gaussian oracle
+     ["configure", "simulate", "filter", "innovation", "criterion"]),  # no Gaussian oracle
     (dict(model="independent", mode="crosscheck", grid_n=2, paths=500, noise_nodes=2,
           aux_values=(-1.0, 1.0)),
-     {"configure", "enumerate", "sample", "filter", "innovation", "criterion", "crosscheck"}),
+     ["configure", "enumerate", "sample", "filter", "innovation", "criterion", "crosscheck"]),
     (dict(model=WitnessDrift.name, mode="crosscheck", grid_n=2, paths=500, noise_nodes=2),
-     {"configure", "enumerate", "sample", "filter", "innovation", "criterion", "crosscheck"}),
+     ["configure", "enumerate", "sample", "filter", "innovation", "criterion", "crosscheck"]),
 ])
 def test_run_records_stage_timings(tmp_path, cfg, stages):
+    # the caller records its stages in the order they first run
     rec = run_experiment(ExperimentConfig(**cfg, outdir=str(tmp_path)))
     payload = json.loads((tmp_path / "run.jsonl").read_text().splitlines()[0])
     assert payload["diagnostics"]["stages"] == rec.diagnostics["stages"]
-    assert set(rec.diagnostics["stages"]) == stages
+    assert list(rec.diagnostics["stages"]) == stages
     for entry in rec.diagnostics["stages"].values():
         assert set(entry) == {"seconds", "max_rss_mb", "peak_rise_mb"}
         assert entry["seconds"] >= 0 and entry["max_rss_mb"] > 0
@@ -557,14 +560,17 @@ def test_run_records_stage_timings(tmp_path, cfg, stages):
 
 
 def test_every_recorded_stage_is_one_report_prints(tmp_path, max_processes):
-    # `report` prints only the stages STAGES names: every stage a run
-    # records, in the caller and in each forked child, must be among them
+    # `report` prints only the stages STAGES names, in its order: every
+    # stage a run records, in the caller and in each forked child, must be
+    # among them, and the caller records its stages in STAGES order
     max_processes(2)
     recorded = set()
     for cfg in (dict(model="kalman-bucy", grid_n=16, paths=2 * PATH_BLOCK + 3),
                 dict(model="independent", mode="crosscheck", grid_n=2, paths=500,
                      noise_nodes=2, aux_values=(-1.0, 1.0))):
         d = run_experiment(ExperimentConfig(**cfg), persist=False).diagnostics
+        in_order = iter(harness.STAGES)
+        assert all(name in in_order for name in d["stages"]), list(d["stages"])
         recorded |= set(d["stages"])
         for forked in ("front_end", "criterion"):
             for child in d.get(forked, {}).get("children", []):
@@ -764,28 +770,89 @@ def test_criterion_kills_and_reaps_the_child_when_its_own_set_fails(max_processe
     _assert_no_child_left()
 
 
-def test_an_oracle_failure_kills_and_reaps_the_front_end_child(max_processes, monkeypatch):
-    # the Gaussian oracle runs in the caller while the front end's child may
-    # still run its blocks; a failed oracle ends the child, which would
-    # sleep for a minute, at once
+def _no_fork(fn, items):
+    """A `core._fork` that fails the test: nothing may fork."""
+    raise AssertionError("a process forked")
+
+
+def test_a_linear_run_computes_the_gaussian_oracle_before_it_forks(max_processes, monkeypatch):
     max_processes(2)
-    caller = os.getpid()
+    calls = []
+    fork, summary = core._fork, harness.linear_gaussian_summary
 
-    def innovation(*args, **kwargs):
-        if os.getpid() != caller:
-            time.sleep(60)
-        return innovation_values(*args, **kwargs)
+    def spy(name, fn):
+        def called(*args):
+            calls.append(name)
+            return fn(*args)
+        return called
 
+    monkeypatch.setattr(core, "_fork", spy("fork", fork))
+    monkeypatch.setattr(harness, "linear_gaussian_summary", spy("oracle", summary))
+    rec = run_experiment(ExperimentConfig(model="kalman-bucy", grid_n=16,
+                                          paths=2 * PATH_BLOCK + 3), persist=False)
+    assert calls[:2] == ["oracle", "fork"] and calls.count("oracle") == 1
+    assert list(rec.diagnostics["stages"]) == ["configure", "oracle", "simulate", "filter",
+                                               "innovation", "criterion"]
+    _assert_no_child_left()
+
+
+def test_an_oracle_failure_forks_no_child(max_processes, monkeypatch):
     def unsupported(model, grid):
         raise UnsupportedModelError("not linear after all")
 
-    monkeypatch.setattr(harness, "innovation_values", innovation)
+    max_processes(2)
+    monkeypatch.setattr(core, "_fork", _no_fork)
     monkeypatch.setattr(harness, "linear_gaussian_summary", unsupported)
-    t0 = time.monotonic()
     with pytest.raises(StageError, match="stage 'oracle' failed: not linear after all"):
         run_experiment(ExperimentConfig(model="kalman-bucy", grid_n=8,
                                         paths=2 * PATH_BLOCK + 3), persist=False)
-    assert time.monotonic() - t0 < 30
+
+
+@pytest.mark.parametrize("grid_n, horizon, cause", [
+    (100, 1.0, "grid with 100 steps cannot represent level times 2^-8; use a multiple of 256"),
+    (256, 2.0, "tsirelson is defined on horizon 1"),
+])
+def test_cli_rejects_a_grid_the_model_cannot_use_before_anything_forks(
+        tmp_path, capsys, max_processes, monkeypatch, grid_n, horizon, cause):
+    max_processes(2)
+    monkeypatch.setattr(core, "_fork", _no_fork)
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(f"model = tsirelson\ngrid_n = {grid_n}\nhorizon = {horizon}\n"
+                        f"paths = {2 * PATH_BLOCK + 3}\noutdir = {tmp_path / 'run'}\n")
+    assert cli_main(["run", "--config", str(cfg_file)]) == 1
+    assert capsys.readouterr().err == f"error: stage 'configure' failed: {cause}\n"
+    assert not (tmp_path / "run").exists()
+
+
+def _dying_in_the_child(fn, die):
+    """`fn`, which calls `die()` first when a forked child calls it."""
+    caller = os.getpid()
+
+    def dying(*args, **kwargs):
+        if os.getpid() != caller:
+            die()
+        return fn(*args, **kwargs)
+    return dying
+
+
+@pytest.mark.parametrize("module, name, die, cfg, message", [
+    pytest.param(harness, "innovation_values", lambda: os._exit(3),
+                 dict(model="kalman-bucy", grid_n=16, paths=2 * PATH_BLOCK + 3),
+                 r"forked child \d+ ended without a report \(exit status 3\)", id="front-end"),
+    pytest.param(criterion, "reweight", lambda: os.kill(os.getpid(), signal.SIGKILL), SPLIT_CFG,
+                 r"stage 'criterion' failed: forked child \d+ ended without a report "
+                 r"\(killed by signal 9\)", id="criterion"),
+])
+def test_cli_reports_a_forked_child_that_ends_without_a_report(tmp_path, capsys, max_processes,
+                                                               monkeypatch, module, name, die,
+                                                               cfg, message):
+    # one error line, no traceback, and every child reaped
+    max_processes(2)
+    monkeypatch.setattr(module, name, _dying_in_the_child(getattr(module, name), die))
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(ExperimentConfig(**cfg, outdir=str(tmp_path / "run")).to_text())
+    assert cli_main(["run", "--config", str(cfg_file)]) == 1
+    assert re.fullmatch(rf"error: {message}\n", capsys.readouterr().err)
     _assert_no_child_left()
 
 
@@ -841,7 +908,8 @@ def test_report_reads_stage_records_without_a_peak_rise(tmp_path):
         del entry["peak_rise_mb"]
     jl.write_text(json.dumps(payload) + "\n")
     line = report(tmp_path).splitlines()[-1]
-    assert re.search(r"configure \d+\.\d{3}s, simulate", line) and " MB," not in line
+    assert re.search(r"configure \d+\.\d{3}s, oracle \d+\.\d{3}s, simulate", line)
+    assert " MB," not in line
 
 
 def test_report_reads_forked_children_of_the_older_shapes(tmp_path):

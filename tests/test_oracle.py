@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 from innovlab.core import RandomStream, TimeGrid
 from innovlab.criterion import plugin_level
-from innovlab.errors import AbsoluteContinuityError, ConfigurationError, UsageError
+from innovlab.errors import (
+    AbsoluteContinuityError,
+    ConfigurationError,
+    DegeneracyError,
+    UsageError,
+)
 from innovlab.filtering import innovation_values
 from innovlab.girsanov import log_weights_ensemble, reweight
 from innovlab.models import DriftModel, make_model
@@ -313,6 +318,17 @@ def test_finite_bayes_filter_matches_enumeration_exactly():
     # locate each sampled path's atom and compare the conditional drift
     atom = match_atoms(space, sim)
     assert np.max(np.abs(filt.values - space.uhat[atom])) < 1e-12
+
+
+def test_finite_bayes_filter_names_the_step_no_hypothesis_explains():
+    # an increment of the 3-node law off the 2-node law's lattice
+    g = TimeGrid(steps=3)
+    aux = FiniteLaw([-1.5, 1.5])
+    model = make_model("independent")
+    sim = sample_quantized_ensemble(model, g, 200, RandomStream(seed=8),
+                                    gauss_quantized(3, g.dt), aux)
+    with pytest.raises(DegeneracyError, match=r"observed increment at step 0$"):
+        finite_bayes_filter(model, sim, gauss_quantized(2, g.dt), aux)
 
 
 def _path_major_bayes_filter(model, sim, noise, aux):
