@@ -62,7 +62,7 @@ __all__ = [
     "path_energies",
     "PATH_BLOCK",
     "row_chunks",
-    "shared_array",
+    "mapped_array",
     "fork_map",
 ]
 
@@ -234,10 +234,13 @@ def path_energies(x: np.ndarray, dt: float) -> np.ndarray:
 
 
 
-def shared_array(shape) -> np.ndarray:
-    """A column-major float64 array in anonymous shared memory, so that the
-    rows a forked child writes are the caller's rows too."""
-    return np.ndarray(shape, order="F", buffer=mmap.mmap(-1, 8 * math.prod(shape)))
+def mapped_array(shape, shared: bool = False) -> np.ndarray:
+    """A column-major float64 array in an anonymous memory map of its own,
+    unmapped when the array goes: its pages leave the resident set then,
+    whatever the allocator's heap would keep.  With `shared`, the rows a
+    forked child writes are the caller's rows too."""
+    flags = mmap.MAP_SHARED if shared else mmap.MAP_PRIVATE
+    return np.ndarray(shape, order="F", buffer=mmap.mmap(-1, 8 * math.prod(shape), flags=flags))
 
 
 def _fork_processes(items: int) -> int:

@@ -162,8 +162,8 @@ def criterion_levels(Z: np.ndarray, uhat: np.ndarray, grid: TimeGrid,
 
     The stopping times and each set's stopped log-weights are formed by
     the Girsanov layer in row chunks, and the feature builder reads Z in
-    place, so beside Z and uhat each process holds only (m,) vectors per
-    set.
+    place, so beside Z and uhat each process holds (m,) vectors per set
+    and the builder's two (p, m) feature buffers.
     """
     levels = list(levels)
     if not levels:
@@ -211,21 +211,29 @@ def _weight_set(Z: np.ndarray, uhat: np.ndarray, dt: float, stop: np.ndarray,
 
     E_hat averages exactly the energies inside the rule's log-weights.
     Each step's fit keeps the set's Gram from the step before and forms
-    only the entries of the feature rows that step did not have.
+    only the entries of the feature rows that step did not have.  The
+    step's energy term is formed in one held vector, and masked by the
+    stopping rule only from the first step at which a path stops: before
+    that the mask would multiply by 1.0, which is exact.
     """
     log_weights, energies = log_weights_ensemble(uhat, Z, dt, stop)
     ens = reweight(log_weights)
     diag = normalization_diagnostic(ens)
     weights = ens.weights
     gram = WeightedGram(weights)
-    q = np.zeros(len(weights))
+    q, term = np.zeros((2, len(weights)))
+    first_stop = stop.min(initial=uhat.shape[1])
     escalations = 0
     builder = FeatureBuilder(Z, dt, basis)
     for k in range(uhat.shape[1]):
         G = builder.features_at(k)
         _, fitted, raised = weighted_ridge_fit(G, uhat[:, k], gram, basis.ridge,
                                                builder.carry_map(k))
-        q += fitted * fitted * dt * (k < stop)
+        np.multiply(fitted, fitted, out=term)
+        term *= dt
+        if k >= first_stop:
+            term *= k < stop
+        q += term
         escalations += raised
     return (_weighted_mean_se(weights, 0.5 * energies), _weighted_mean_se(weights, 0.5 * q),
             _weighted_mean_se(weights, 0.5 * (energies - q)), diag, ens.ess, escalations)

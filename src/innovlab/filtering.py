@@ -125,7 +125,8 @@ def _tsirelson_values(model: Tsirelson, sim: EnsembleSimulation,
     segment, the drift itself afterwards (it is observation-adapted there)."""
     grid = sim.grid
     n0 = round(model.level_times()[0] * grid.steps)
-    out[:] = sim.drift
+    if out is not sim.drift:
+        out[:] = sim.drift
     out[:, 0] = 0.5
     for k in range(1, n0):
         t = k * grid.dt
@@ -139,13 +140,16 @@ def ensemble_conditional_drift(model: DriftModel, sim: EnsembleSimulation,
 
     The values fill `out` (m, N) when given, else a new column-major
     array, so that a caller's rows need no copy next to the simulation.
+    `out` may be `sim.drift` itself: every filter reads the drift record
+    before it writes the values over it.
     Each filter acts row by row, like a drift rule: row i of the output is
     the same function of row i of the simulation whatever the other rows,
     so `harness.continuous_front_end` may filter each block of rows alone.
     """
     out = np.empty(sim.drift.shape, order="F") if out is None else out
     if model.observation_adapted:
-        out[:] = sim.drift
+        if out is not sim.drift:
+            out[:] = sim.drift
         return EnsembleFilter(out, "identity-feedback")
     if isinstance(model, KalmanBucy):
         vals = _kalman_values(sim.dU, model.beta, model.sigma, sim.grid, model.x0_var, out)
@@ -159,16 +163,25 @@ def ensemble_conditional_drift(model: DriftModel, sim: EnsembleSimulation,
     raise UsageError(f"no exact filter for model {model.name}")
 
 
-def innovation_values(U: np.ndarray, uhat: np.ndarray, dt: float) -> np.ndarray:
+def innovation_values(U: np.ndarray, uhat: np.ndarray, dt: float,
+                      out: Optional[np.ndarray] = None) -> np.ndarray:
     """Innovation paths Z = U - int uhat ds: U (m, N+1), uhat (m, N); row
-    by row, like the filters.  Z has U's memory layout; the integral is
+    by row, like the filters.  Z fills `out` (m, N+1) when given, which
+    may be U itself, else a copy of U in U's memory layout; the integral is
     summed one step at a time, in np.cumsum's order."""
     if U.ndim != 2 or uhat.shape != (U.shape[0], U.shape[1] - 1):
         raise ShapeError(f"filtered drift {uhat.shape} does not fit observation {U.shape}")
-    Z = U.copy(order="K")
+    if out is None:
+        Z = U.copy(order="K")
+    else:
+        Z = out
+        if out is not U:
+            Z[:] = U
+    step, integral = np.empty((2, U.shape[0]))
     for k in range(uhat.shape[1]):
-        step = uhat[:, k] * dt
-        integral = integral + step if k else step
+        np.multiply(uhat[:, k], dt, out=step if k else integral)
+        if k:
+            integral += step
         Z[:, k + 1] -= integral
     return Z
 
@@ -223,7 +236,10 @@ class FeatureBuilder:
     served in order: k = 0, 1, 2, ...; any other k is a usage error.
 
     Most rows of one step are rows of the step before: `carry_map(k)` says
-    which, so that a `WeightedGram` forms only the new rows' products.
+    which, so that a `WeightedGram` forms only the new rows' products.  The
+    builder writes the steps into two (p_max, m) buffers by turns and
+    copies those rows from the step before; so the array of step k is a
+    view that stays valid until step k + 2 is built.
     """
 
     def __init__(self, Z: np.ndarray, dt: float, spec: BasisSpec):
@@ -231,6 +247,11 @@ class FeatureBuilder:
         self.dt = dt
         self.spec = spec
         self._ema = [np.zeros(Z.shape[0]) for _ in spec.ema_rates]
+        _, n_base = self._rows(spec.window)
+        shape = (1 + (1 + spec.include_cubes) * n_base, Z.shape[0])
+        self._buffers = (np.empty(shape), np.empty(shape))
+        for buffer in self._buffers:
+            buffer[0] = 1.0  # the intercept row of every step
         self._next = 0
 
     def features_at(self, k: int) -> np.ndarray:
@@ -246,15 +267,23 @@ class FeatureBuilder:
                 ema *= 1.0 - rate * self.dt
                 ema += inc
         w, n_base = self._rows(k)
-        G = np.empty((1 + (1 + spec.include_cubes) * n_base, steps.shape[1]))
-        G[0] = 1.0
+        G = self._buffers[k % 2][:1 + (1 + spec.include_cubes) * n_base]
         base = G[1:1 + n_base]
-        np.subtract(steps[k - w + 1:k + 1], steps[k - w:k], out=base[:w])
+        kept = max(w - 1, 0)  # the increments of step k - 1 still in the window
+        if kept:
+            w_prev, n_prev = self._rows(k - 1)
+            previous = self._buffers[(k - 1) % 2]
+            first = 2 + w_prev - w  # the oldest one's row at step k - 1
+            base[:kept] = previous[first:first + kept]
+            if spec.include_cubes:
+                G[1 + n_base:1 + n_base + kept] = previous[first + n_prev:first + n_prev + kept]
+        if w:
+            np.subtract(steps[k], steps[k - 1], out=base[w - 1])
         base[w] = steps[k]
         for r, ema in enumerate(self._ema):
             base[w + 1 + r] = ema
         if spec.include_cubes:
-            np.power(base, 3, out=G[1 + n_base:])
+            np.power(base[kept:], 3, out=G[1 + n_base + kept:])
         return G
 
     def _rows(self, k: int) -> tuple[int, int]:
@@ -291,18 +320,25 @@ class FeatureBuilder:
 
 class WeightedGram:
     """The weighted Gram matrix A = G diag(w) G^T of one weight set, kept
-    from one step's features to the next.
+    from one step's features to the next, and the work vectors of the
+    fits on that set.
 
     The weights (m,) are normalized once, here.  `update(G, carry)` copies
     the entries between carried rows (`FeatureBuilder.carry_map`) from the
     previous step and forms the new rows' entries from one thin product,
     (new rows of G ∘ w) G^T; with no carried rows, as on a first or
-    one-step call, that product is the whole Gram.
+    one-step call, that product is the whole Gram.  The weighted new rows
+    are formed in a buffer held from call to call, and the kept and new
+    row indices of each distinct carry map are worked out once.
     """
 
     def __init__(self, weights: np.ndarray):
         self.weights = weights / weights.sum()
         self.A = np.empty((0, 0))
+        self._weighted_rows = np.empty((0, len(weights)))
+        self._indices: dict = {}
+        # weighted_ridge_fit's response w y and fitted values
+        self.wy, self.fitted = np.empty((2, len(weights)))
 
     def update(self, G: np.ndarray, carry: Optional[np.ndarray] = None) -> np.ndarray:
         p = len(G)
@@ -310,11 +346,20 @@ class WeightedGram:
         if carry.shape != (p,) or carry.max(initial=-1) >= len(self.A):
             raise UsageError(f"carry map {carry.tolist()} does not fit {p} feature rows "
                              f"after {len(self.A)}")
-        new = np.flatnonzero(carry < 0)
-        kept = np.flatnonzero(carry >= 0)
+        key = carry.tobytes()
+        if key not in self._indices:
+            kept = np.flatnonzero(carry >= 0)
+            self._indices[key] = (np.flatnonzero(carry < 0), kept[:, None], kept,
+                                  carry[kept, None], carry[kept])
+        new, rows, cols, from_rows, from_cols = self._indices[key]
+        if len(self._weighted_rows) < len(new):
+            self._weighted_rows = np.empty((len(new), G.shape[1]))
+        weighted = self._weighted_rows[:len(new)]
+        for row, i in zip(weighted, new):
+            np.multiply(G[i], self.weights, out=row)
         A = np.empty((p, p))
-        A[kept[:, None], kept] = self.A[carry[kept, None], carry[kept]]
-        cross = (G[new] * self.weights) @ G.T
+        A[rows, cols] = self.A[from_rows, from_cols]
+        cross = weighted @ G.T
         A[new] = cross
         A[:, new] = cross.T
         self.A = A
@@ -328,13 +373,13 @@ def _ridge_solve(A: np.ndarray, b: np.ndarray, ridge: float) -> tuple[np.ndarray
     at most three times; returns the solution and how many times the ridge
     was raised.
     """
-    diag = np.diag(A).copy()
+    p = len(A)
+    diag = A.diagonal()[1:]
     scale = np.where(diag > 0, diag, 1.0)
-    inner = np.arange(1, len(diag))
     lam = ridge
     for escalations in range(4):
         Areg = A.copy()
-        Areg[inner, inner] += lam * scale[1:]
+        Areg.reshape(-1)[p + 1::p + 1] += lam * scale  # the diagonal after the intercept
         try:
             coef = np.linalg.solve(Areg, b)
         except np.linalg.LinAlgError:
@@ -357,8 +402,10 @@ def weighted_ridge_fit(G: np.ndarray, y: np.ndarray, gram: WeightedGram, ridge: 
 
     Returns the coefficients (p,), the fitted values (m,) and the number of
     ridge escalations.  The intercept is unpenalized, which preserves the
-    weighted mean of the response exactly.
+    weighted mean of the response exactly.  The fitted values are the
+    gram's vector `fitted`, valid until its next fit.
     """
     A = gram.update(G, carry)
-    coef, escalations = _ridge_solve(A, G @ (gram.weights * y), ridge)
-    return coef, coef @ G, escalations
+    np.multiply(gram.weights, y, out=gram.wy)
+    coef, escalations = _ridge_solve(A, G @ gram.wy, ridge)
+    return coef, np.matmul(coef, G, out=gram.fitted), escalations

@@ -31,7 +31,7 @@ from pathlib import Path as FsPath
 from typing import Optional
 
 from . import __version__
-from .core import PATH_BLOCK, RandomStream, TimeGrid, fork_map, shared_array
+from .core import PATH_BLOCK, RandomStream, TimeGrid, fork_map, mapped_array
 from .criterion import (
     DEFAULT_LEVELS,
     GAP_FLOOR,
@@ -51,6 +51,7 @@ from .models import (
     WitnessDrift,
     make_model,
     simulate_ensemble,
+    workspace,
 )
 from .oracle import (
     FiniteLaw,
@@ -311,31 +312,31 @@ def continuous_front_end(model: DriftModel, grid: TimeGrid, size: int,
 
     Z and uhat live in anonymous shared memory, and `core.fork_map` deals
     the blocks out over one process per CPU, each writing its rows in
-    place.  Each stage's seconds and peak rises are summed over the
-    caller's blocks in `stages`; `front_end`, when given, receives the
-    record `fork_map` returns, whose children carry their own stage
-    entries.  A stage that fails in a child raises here as the same
-    `StageError`.
+    place: a block's observation and drift are simulated in its rows of Z
+    and uhat, and the innovation and the filter overwrite them there.  The
+    rest of a block's simulation fills the process's workspace
+    (`models.workspace`), made at its first block.  Each stage's seconds
+    and peak rises are summed over the caller's blocks in `stages`;
+    `front_end`, when given, receives the record `fork_map` returns, whose
+    children carry their own stage entries.  A stage that fails in a child
+    raises here as the same `StageError`.
     """
     stages = {} if stages is None else stages
-    Z = shared_array((size, grid.steps + 1))
-    uhat = shared_array((size, grid.steps))
-
-    # each stage writes its rows, so the pages it touches count in its rise
-    def filter_rows(sim, lo, hi):
-        return ensemble_conditional_drift(model, sim, uhat[lo:hi]).method
-
-    def innovate_rows(U, lo, hi):
-        Z[lo:hi] = innovation_values(U, uhat[lo:hi], grid.dt)
+    Z = mapped_array((size, grid.steps + 1), shared=True)
+    uhat = mapped_array((size, grid.steps), shared=True)
+    work = {}  # each process's block workspace, made at its first block
 
     def run_block(lo, entries):
         hi = min(lo + PATH_BLOCK, size)
+        if not work:  # after the fork: no child copies the caller's pages
+            work.update(workspace(model, grid, hi - lo))
+        work.update(U=Z[lo:hi], drift=uhat[lo:hi])
         sim = _stage(entries, "simulate", simulate_ensemble, model, grid, hi - lo,
-                     RandomStream(stream.seed, stream.substream + lo))
-        method = _stage(entries, "filter", filter_rows, sim, lo, hi)
-        U = sim.U
-        del sim  # the block keeps only U while it innovates
-        _stage(entries, "innovation", innovate_rows, U, lo, hi)
+                     RandomStream(stream.seed, stream.substream + lo), work)
+        method = _stage(entries, "filter", lambda: ensemble_conditional_drift(
+            model, sim, sim.drift).method)
+        _stage(entries, "innovation", lambda: innovation_values(sim.U, uhat[lo:hi], grid.dt,
+                                                                out=sim.U))
         return method
 
     methods, record = fork_map(run_block, range(0, size, PATH_BLOCK), stages)

@@ -22,7 +22,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import LANE_AUX, LANE_BROWNIAN, LANE_HIDDEN, RandomStream, TimeGrid, row_chunks
+from .core import (LANE_AUX, LANE_BROWNIAN, LANE_HIDDEN, RandomStream, TimeGrid, mapped_array,
+                   row_chunks)
 from .errors import ConfigurationError, ShapeError
 
 __all__ = [
@@ -30,6 +31,7 @@ __all__ = [
     "EnsembleSimulation",
     "simulate_ensemble",
     "run_euler",
+    "workspace",
     "make_model",
     "list_models",
     "time_function",
@@ -350,14 +352,34 @@ class EnsembleSimulation:
         return self.dB.shape[0]
 
 
+def workspace(model: DriftModel, grid: TimeGrid, size: int) -> dict:
+    """Column-major arrays for up to `size` paths that `simulate_ensemble`
+    fills in place of new ones: dB and dU (size, N), and hidden (size, N)
+    only when the model needs it.  A caller may add U (size, N+1) and
+    drift (size, N).  Each array is mapped on its own, so that its pages
+    leave the process when the workspace goes."""
+    names = ["dB", "dU"] + ["hidden"] * model.needs_hidden()
+    return {name: mapped_array((size, grid.steps)) for name in names}
+
+
+def _rows_of(work: Optional[dict], name: str, shape: tuple) -> np.ndarray:
+    """The first shape[0] rows of the array `work` holds under `name`, or a
+    new column-major array of `shape` when it holds none."""
+    held = None if work is None else work.get(name)
+    return np.empty(shape, order="F") if held is None else held[:shape[0]]
+
+
 def run_euler(model: DriftModel, grid: TimeGrid, dB: np.ndarray,
-              aux: np.ndarray, hidden: Optional[np.ndarray] = None) -> EnsembleSimulation:
+              aux: np.ndarray, hidden: Optional[np.ndarray] = None,
+              work: Optional[dict] = None) -> EnsembleSimulation:
     """Integrate U = B + int u' ds for given noise increments and aux draws.
 
     dB has shape (m, N); aux has shape (m, aux_dim); hidden, when the
     model needs it, has shape (m, N).  hidden is read by the drift rule
     only; the returned simulation does not keep it.  One `model.start` and
-    one step loop cover all m rows.
+    one step loop cover all m rows.  U, drift and dU fill the first m rows
+    of the arrays `work` holds under those names (`workspace`), so that
+    the simulation is valid until they are filled again.
     """
     model.validate(grid)
     if dB.ndim != 2:
@@ -366,9 +388,10 @@ def run_euler(model: DriftModel, grid: TimeGrid, dB: np.ndarray,
         raise ConfigurationError(f"model {model.name} needs hidden driving noise")
     m, N = dB.shape
     dt = grid.dt
-    U = np.zeros((m, N + 1), order="F")
-    drift = np.empty((m, N), order="F")
-    dU = np.empty((m, N), order="F")
+    U = _rows_of(work, "U", (m, N + 1))
+    U[:, 0] = 0.0
+    drift = _rows_of(work, "drift", (m, N))
+    dU = _rows_of(work, "dU", (m, N))
     state = model.start(grid, aux, hidden)
     for k in range(N):
         u = model.drift(k, grid, U, aux, hidden, state)
@@ -379,22 +402,25 @@ def run_euler(model: DriftModel, grid: TimeGrid, dB: np.ndarray,
 
 
 def simulate_ensemble(model: DriftModel, grid: TimeGrid, size: int,
-                      stream: RandomStream) -> EnsembleSimulation:
+                      stream: RandomStream, work: Optional[dict] = None) -> EnsembleSimulation:
     """Simulate `size` paths; path i draws from substream stream.substream + i.
 
-    A single path is the ensemble of size 1.
+    A single path is the ensemble of size 1.  With `work` (`workspace`),
+    the noise and the simulation fill its arrays, as in `run_euler`.
     """
     model.validate(grid)
     N = grid.steps
-    dB = np.empty((size, N), order="F")
+    dB = _rows_of(work, "dB", (size, N))
     aux = np.empty((size, model.aux_dim))
-    hidden = np.empty((size, N), order="F") if model.needs_hidden() else None
+    hidden = _rows_of(work, "hidden", (size, N)) if model.needs_hidden() else None
     # one generator, re-seated at each (path, lane).  It fills contiguous
     # rows only, so a chunk of paths draws into row-major buffers, copied
     # over at once
     rng = stream.generator()
-    for rows in row_chunks(size, N):
-        noise, hidden_noise = np.empty((2, rows.stop - rows.start, N))
+    chunks = row_chunks(size, N)
+    buffers = np.empty((2, chunks[0].stop if chunks else 0, N))
+    for rows in chunks:
+        noise, hidden_noise = buffers[:, :rows.stop - rows.start]
         for j, i in enumerate(range(rows.start, rows.stop)):
             stream.seat(rng, LANE_BROWNIAN, i).standard_normal(out=noise[j])
             if model.aux_dim:
@@ -405,7 +431,7 @@ def simulate_ensemble(model: DriftModel, grid: TimeGrid, size: int,
         if hidden is not None:
             hidden[rows] = hidden_noise
     dB *= np.sqrt(grid.dt)
-    return run_euler(model, grid, dB, aux, hidden)
+    return run_euler(model, grid, dB, aux, hidden, work)
 
 
 _REGISTRY = {

@@ -11,6 +11,7 @@ from innovlab.filtering import (
     innovation_values,
     riccati_sequence,
     weighted_ridge_fit,
+    _ridge_solve,
     _truncnorm_mean01,
 )
 from innovlab.models import (
@@ -295,10 +296,14 @@ def test_feature_rows_equal_the_path_major_formula():
             G = fb.features_at(k)
             assert G.flags.c_contiguous
             assert np.array_equal(G, _path_major_features(Z, 1.0 / N, spec, k).T)
-            # no copy of Z: beside Z the builder holds its EMA vectors only
-            held = [a for v in vars(fb).values() for a in (v if isinstance(v, list) else [v])
+            # no held array has Z's size, so there is no copy of Z; beside
+            # its EMA vectors the builder holds exactly two feature buffers
+            held = [a for v in vars(fb).values()
+                    for a in (v if isinstance(v, (list, tuple)) else [v])
                     if isinstance(a, np.ndarray) and a is not Z]
-            assert len(held) == len(spec.ema_rates) and all(a.shape == (m,) for a in held)
+            assert all(a.size != Z.size for a in held)
+            shapes = sorted(a.shape for a in held)
+            assert shapes == sorted([(m,)] * len(spec.ema_rates) + [(1 + 2 * (5 + 1 + 2), m)] * 2)
     # the steps are served in order only: neither back nor ahead
     for k in (64, N + 1):
         with pytest.raises(UsageError, match="step order"):
@@ -308,6 +313,93 @@ def test_feature_rows_equal_the_path_major_formula():
 # the default basis, a short window with cubes, a window with EMAs, and no window
 GRAM_BASES = [BasisSpec(), BasisSpec(window=3, include_cubes=True),
               BasisSpec(window=4, ema_rates=(2.0, 8.0)), BasisSpec(window=0)]
+
+
+@pytest.mark.parametrize("basis", GRAM_BASES, ids=BasisSpec.describe)
+def test_feature_steps_alternate_between_two_buffers(basis):
+    # step k is written over step k - 2, never over step k - 1, whose rows
+    # the next step copies and the fits of step k may still hold
+    Z, _ = _toy_paths(64, 12, seed=5)
+    fb = FeatureBuilder(np.asfortranarray(Z), 1.0 / 12, basis)
+    steps = [fb.features_at(0)]
+    for k in range(1, 12):
+        before = steps[-1].copy()
+        steps.append(fb.features_at(k))
+        assert np.array_equal(steps[-2], before)
+        assert not np.shares_memory(steps[-1], steps[-2])
+        if k >= 2:
+            assert np.shares_memory(steps[-1], steps[-3])
+            assert steps[-1].base is steps[-3].base
+
+
+def test_fitted_values_fill_one_held_vector_per_gram():
+    Z, rng = _toy_paths(50, 4, seed=6)
+    basis = BasisSpec(window=2)
+    fb = FeatureBuilder(Z, 0.25, basis)
+    gram = WeightedGram(rng.uniform(0.5, 1.5, size=50))
+    fitted = [weighted_ridge_fit(fb.features_at(k), np.sin(Z[:, k]), gram, basis.ridge,
+                                 fb.carry_map(k))[1] for k in range(4)]
+    assert all(f is gram.fitted for f in fitted)
+
+
+def _reference_ridge_solve(A, b, ridge):
+    """`_ridge_solve`'s formula written plainly, with a diagonal copy, an
+    index range and fancy indexing: the reference the lean one must match
+    bit for bit."""
+    diag = np.diag(A).copy()
+    scale = np.where(diag > 0, diag, 1.0)
+    inner = np.arange(1, len(diag))
+    lam = ridge
+    for escalations in range(4):
+        Areg = A.copy()
+        Areg[inner, inner] += lam * scale[1:]
+        try:
+            coef = np.linalg.solve(Areg, b)
+        except np.linalg.LinAlgError:
+            lam *= 100.0
+            continue
+        if np.all(np.isfinite(coef)):
+            return coef, escalations
+        lam *= 100.0
+    raise AssertionError("the reference formula found no solution")
+
+
+def _basis_row_counts():
+    """Every feature row count p that the default, cubes and EMA bases
+    produce, over all their steps."""
+    counts = set()
+    for basis in GRAM_BASES[:3]:
+        builder = FeatureBuilder(np.zeros((2, basis.window + 3)), 1.0, basis)
+        counts |= {len(builder.features_at(k)) for k in range(basis.window + 2)}
+    return sorted(counts)
+
+
+@pytest.mark.parametrize("p", _basis_row_counts())
+def test_lean_ridge_solve_is_bit_identical_to_the_formula(p):
+    rng = np.random.default_rng(100 + p)
+    for trial in range(20):
+        X = rng.normal(size=(p, 60)) * rng.uniform(0.01, 100.0, size=(p, 1))
+        X[0] = 1.0
+        if trial % 5 == 4:  # a feature that is 0 on every path: a zero diagonal
+            X[-1] = 0.0
+        A = (X * rng.uniform(0.1, 2.0, size=60)) @ X.T
+        b = rng.normal(size=p)
+        coef, raised = _ridge_solve(A, b, 1e-8)
+        ref, ref_raised = _reference_ridge_solve(A, b, 1e-8)
+        assert raised == ref_raised
+        assert coef.tobytes() == ref.tobytes()
+
+
+def test_lean_ridge_solve_rescues_like_the_formula():
+    # the singular system of the rescue test below: two escalations either way
+    x = np.tile([1.25, -1.25], 4)
+    G = np.stack([np.ones(8), x, x])
+    A = WeightedGram(np.ones(8)).update(G)
+    b = G @ (np.full(8, 1.0 / 8) * (1.0 + 2.0 * x))
+    coef, raised = _ridge_solve(A, b, 1e-20)
+    ref, ref_raised = _reference_ridge_solve(A, b, 1e-20)
+    assert raised == ref_raised == 2
+    assert coef.tobytes() == ref.tobytes()
 
 
 def _true_map(builder, k):

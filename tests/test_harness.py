@@ -40,7 +40,7 @@ from innovlab.harness import (
     run_experiment,
     suite,
 )
-from innovlab.models import MODEL_NAMES, make_model, simulate_ensemble
+from innovlab.models import MODEL_NAMES, make_model, simulate_ensemble, workspace
 from innovlab.oracle import WitnessDrift
 
 CFG_TEXT = """
@@ -637,6 +637,40 @@ def test_results_csv_bytes_do_not_depend_on_the_front_end_processes(tmp_path, ma
             [1] * (processes - 1)
         csv.append((tmp_path / str(processes) / "results.csv").read_bytes())
     assert csv[0] == csv[1] == csv[2]
+
+
+def test_each_front_end_process_fills_one_workspace(tmp_path, max_processes, monkeypatch):
+    # four blocks over two processes: each process makes one workspace at
+    # its first block, in its own process and so after the fork, and its
+    # second block fills the same arrays
+    max_processes(2)
+    log = tmp_path / "work"
+    make, simulate = harness.workspace, harness.simulate_ensemble
+
+    def write(kind, work):
+        held = " ".join(str(work[name].ctypes.data) for name in ("dB", "dU", "hidden"))
+        with log.open("a") as fh:
+            fh.write(f"{kind} {os.getpid()} {held}\n")
+
+    def logged_workspace(*args):
+        work = make(*args)
+        write("made", work)
+        return work
+
+    def logged_simulate(*args):
+        write("block", args[-1])
+        return simulate(*args)
+
+    monkeypatch.setattr(harness, "workspace", logged_workspace)
+    monkeypatch.setattr(harness, "simulate_ensemble", logged_simulate)
+    continuous_front_end(make_model("kalman-bucy"), TimeGrid(steps=4), 3 * PATH_BLOCK + 3,
+                         RandomStream(seed=1))
+    lines = [line.split(" ", 2) for line in log.read_text().splitlines()]
+    made = {pid: held for kind, pid, held in lines if kind == "made"}
+    assert len(made) == 2 and str(os.getpid()) in made
+    assert sum(kind == "made" for kind, _, _ in lines) == 2
+    blocks = [(pid, held) for kind, pid, held in lines if kind == "block"]
+    assert sorted(blocks) == sorted((pid, held) for pid, held in made.items() for _ in (0, 1))
 
 
 def _assert_no_child_left():
@@ -1260,22 +1294,41 @@ def test_no_run_imports_scipy(tmp_path):
     pytest.param("kalman-bucy", {"beta": 1.0, "sigma": 1.0}, id="kalman-bucy"),
     pytest.param("independent", {}, id="independent"),
 ])
-def test_continuous_run_holds_at_most_six_ensemble_arrays(model, params, paths, arrays):
+def test_continuous_run_holds_at_most_six_ensemble_arrays(model, params, paths, arrays,
+                                                         monkeypatch):
     # the whole ensemble lives only as Z and the filtered drift, two
-    # (paths, grid_n) float64 arrays; a block's simulation (kalman-bucy's
-    # Euler loop holds dB, hidden noise, U, drift and dU of PATH_BLOCK rows),
-    # the Girsanov layer's block temporaries and the feature builder's block
-    # of Z come on top.  At 2000 paths a block is half the ensemble; at 8000
-    # an eighth, so one more whole-ensemble array anywhere in the run, a
-    # simulation or a stopped drift, would break the tighter bound
+    # (paths, grid_n) float64 arrays; a block's workspace (kalman-bucy's
+    # holds dB, hidden noise and dU of PATH_BLOCK rows; U and drift are
+    # simulated in the block's rows of Z and uhat), the Girsanov layer's
+    # block temporaries and the feature builder's buffers come on top.  At
+    # 2000 paths a block is half the ensemble; at 8000 an eighth, so one
+    # more whole-ensemble array anywhere in the run, a simulation or a
+    # stopped drift, would break the tighter bound
     cfg = ExperimentConfig(model=model, model_params=params, grid_n=256, paths=paths, seed=7)
     run_experiment(cfg, persist=False)  # warm-up: imports and one-time caches
+    peaks = {}
+    stage = harness._stage
+
+    def traced_stage(stages, name, *args, **kwargs):
+        tracemalloc.reset_peak()
+        try:
+            return stage(stages, name, *args, **kwargs)
+        finally:
+            peaks[name] = max(peaks.get(name, 0), tracemalloc.get_traced_memory()[1])
+
+    monkeypatch.setattr(harness, "_stage", traced_stage)
     tracemalloc.start()
     try:
         run_experiment(cfg, persist=False)
-        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # Z and uhat live in shared memory, which tracemalloc does not see
+    # tracemalloc does not see memory maps: Z and uhat, from the front end
+    # on, and the caller's block workspace in the front end's stages
     shared = cfg.paths * (2 * cfg.grid_n + 1) * 8
-    assert peak + shared <= arrays * cfg.paths * cfg.grid_n * 8
+    work = (len(workspace(make_model(model, **params), cfg.grid(), 1))
+            * min(PATH_BLOCK, cfg.paths) * cfg.grid_n * 8)
+    mapped = {"simulate": shared + work, "filter": shared + work,
+              "innovation": shared + work, "criterion": shared}
+    assert set(peaks) == {"configure", "oracle", *mapped}
+    assert max(peak + mapped.get(name, 0) for name, peak in peaks.items()) \
+        <= arrays * cfg.paths * cfg.grid_n * 8

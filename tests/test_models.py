@@ -3,7 +3,7 @@ import pytest
 
 from innovlab.core import LANE_HIDDEN, RandomStream, TimeGrid
 from innovlab.errors import ConfigurationError, ShapeError
-from innovlab.models import list_models, make_model, run_euler, simulate_ensemble
+from innovlab.models import list_models, make_model, run_euler, simulate_ensemble, workspace
 
 STREAM = RandomStream(seed=606, substream=0)
 
@@ -125,6 +125,22 @@ def test_ensemble_paths_match_single_path_runs():
         lone = simulate_ensemble(model, g, 1, RandomStream(seed=11, substream=3))
         assert np.array_equal(ens.U[3], lone.U[0]), model.name
         assert np.array_equal(ens.drift[3], lone.drift[0]), model.name
+
+
+def test_a_simulation_in_a_workspace_equals_a_fresh_one():
+    # a workspace of 5 rows serves a block of 5 and then one of 3; hidden
+    # noise is held only for a model that needs it
+    g = TimeGrid(steps=8)
+    for model in all_models():
+        work = workspace(model, g, 5)
+        assert set(work) == {"dB", "dU"} | ({"hidden"} if model.needs_hidden() else set())
+        for size, substream in ((5, 0), (3, 9)):
+            stream = RandomStream(seed=12, substream=substream)
+            held = simulate_ensemble(model, g, size, stream, work)
+            fresh = simulate_ensemble(model, g, size, stream)
+            for name in ("dB", "dU", "drift", "U", "aux"):
+                assert np.array_equal(getattr(held, name), getattr(fresh, name)), model.name
+            assert np.shares_memory(held.dB, work["dB"]) and np.shares_memory(held.dU, work["dU"])
 
 
 def _hidden_draws(model, grid, size, stream):
