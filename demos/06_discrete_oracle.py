@@ -16,8 +16,8 @@ import numpy as np
 from innovlab import ExperimentConfig, FiniteLaw, RandomStream, TimeGrid, dpi_verdict, enumerate_atoms, gauss_quantized, make_model, run_experiment, witness_space
 from innovlab.oracle import (
     WitnessDrift,
+    filter_deviation,
     finite_bayes_filter,
-    match_atoms,
     sample_quantized_ensemble,
     system_battery,
 )
@@ -42,7 +42,7 @@ noise, aux = gauss_quantized(3, grid.dt), FiniteLaw([1.5, -1.5], [0.25, 0.75])
 space = enumerate_atoms(model, grid, noise, aux)
 sim = sample_quantized_ensemble(model, grid, 2000, RandomStream(seed=1), noise, aux)
 filt = finite_bayes_filter(model, sim, noise, aux)
-dev = np.max(np.abs(filt.values - space.uhat[match_atoms(space, sim)]))
+dev = filter_deviation(space, sim, filt.values)
 print(f"independent model, aux {aux.values} w.p. {aux.probs}: {space.atoms} atoms, "
       f"filter vs enumeration max deviation {dev:.1e}")
 

@@ -27,19 +27,20 @@ counter word 0 before each block, so block b = 1, 2, ... is the Philox
 image of counter [b, 0, j mod 2^64, j >> 64]; its four output words are
 used in order.
 
-* Uniform lanes are computed for many paths at once by `philox4x64_10`
-  (`RandomStream.uniforms`): a uniform is (word >> 11) * 2^-53, numpy's
-  `Generator.random`.
+* Uniform lanes are computed by `philox4x64_10` a row chunk of paths at
+  a time (`RandomStream.uniforms`): a uniform is (word >> 11) * 2^-53,
+  numpy's `Generator.random`.
 * Gaussian lanes keep numpy's ziggurat.  One generator per call is
   re-seated (`RandomStream.seat`) before each draw to counter
   [0, 0, j mod 2^64, j >> 64], key [seed, 0], with an empty buffer
   (buffer_pos = 4, has_uint32 = 0), which is the state of a fresh
   `Philox(key=seed).jumped(j)`.
 
-Independent pieces of work (the front end's row blocks, the criterion's
-weight sets) are dealt over one forked process per CPU by `fork_map`, the
-package's one place that forks and reaps and that builds the record of
-what each child did.
+Independent pieces of work (the continuous front end's row blocks, the
+criterion's weight sets, and the quantized front end's row ranges, one
+per process, `process_ranges`) are dealt over one forked process per CPU,
+each started on a CPU of its own, by `fork_map`, the package's one place
+that forks and reaps and that builds the record of what each child did.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ import mmap
 import os
 import pickle
 import time
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +64,7 @@ __all__ = [
     "path_energies",
     "PATH_BLOCK",
     "row_chunks",
+    "process_ranges",
     "mapped_array",
     "fork_map",
 ]
@@ -173,8 +176,8 @@ class RandomStream:
     from counters [b, 0, j mod 2^64, j >> 64], b = 1, 2, ..., where
     j = 16*s + l; this is `Philox(key=seed).jumped(j)`, which pre-increments
     word 0 before each block.  `uniforms` computes uniform lanes of many
-    substreams at once; `seat` points one shared generator at a Gaussian
-    lane.  Both give the draws of `generator()` bit for bit.
+    substreams, a row chunk at a time; `seat` points one shared generator
+    at a Gaussian lane.  Both give the draws of `generator()` bit for bit.
     """
 
     seed: int
@@ -210,16 +213,24 @@ class RandomStream:
     def uniforms(self, lane: int, m: int, n: int) -> np.ndarray:
         """(m, n) uniforms on [0, 1): row i equals, bit for bit,
         `RandomStream(seed, substream + i).lane(lane).generator().random(n)`.
+        The Philox words are formed a `row_chunks` chunk of rows at a time
+        and written into the one output array, so the kernel's temporaries
+        are the size of a chunk, not of the ensemble.
         """
         j = _stream_index(self.substream, lane)
         _stream_index(self.substream + max(m - 1, 0), lane)  # the last row fits too
-        # stream index of each row as counter words 2 (low) and 3 (high, plus carry)
-        low = _U64(j % _WORD) + _U64(_LANES) * np.arange(m, dtype=_U64)
-        high = _U64(j // _WORD) + (low < _U64(j % _WORD))
         blocks = -(-n // 4)
-        counter = (np.arange(1, blocks + 1, dtype=_U64), 0, low[:, None], high[:, None])
-        words = np.stack(np.broadcast_arrays(*philox4x64_10(counter, (self.seed, 0))), axis=-1)
-        return (words.reshape(m, 4 * blocks)[:, :n] >> _U64(11)) * 2.0**-53
+        block = np.arange(1, blocks + 1, dtype=_U64)  # counter word 0
+        out = np.empty((m, n))
+        for rows in row_chunks(m, 4 * blocks):
+            # stream index of each row as counter words 2 (low) and 3 (high, plus carry)
+            index = np.arange(rows.start, rows.stop, dtype=_U64)
+            low = _U64(j % _WORD) + _U64(_LANES) * index
+            high = _U64(j // _WORD) + (low < _U64(j % _WORD))
+            counter = (block, 0, low[:, None], high[:, None])
+            words = np.stack(np.broadcast_arrays(*philox4x64_10(counter, (self.seed, 0))), axis=-1)
+            out[rows] = (words.reshape(len(index), 4 * blocks)[:, :n] >> _U64(11)) * 2.0**-53
+        return out
 
 
 def row_chunks(m: int, n: int) -> list[slice]:
@@ -249,6 +260,16 @@ def _fork_processes(items: int) -> int:
     return min(len(os.sched_getaffinity(0)), items)
 
 
+def process_ranges(m: int) -> list[slice]:
+    """Slices of m rows, one contiguous range per process that `fork_map`
+    deals them over: P = `_fork_processes` of the m rows' PATH_BLOCK blocks,
+    and each range a whole number of blocks, ceil(blocks / P), but the last.
+    With m <= PATH_BLOCK, or one CPU, it is one range, which does not fork."""
+    blocks = max(-(-m // PATH_BLOCK), 1)
+    step = PATH_BLOCK * -(-blocks // max(_fork_processes(blocks), 1))
+    return [slice(lo, min(lo + step, m)) for lo in range(0, m, step)]
+
+
 def fork_map(fn, items, stages=None) -> tuple[list, dict]:
     """`[fn(item, stages) for item in items]`, the items dealt over
     P = `_fork_processes(len(items))` processes.
@@ -257,23 +278,31 @@ def fork_map(fn, items, stages=None) -> tuple[list, dict]:
     forked children runs items i, i + P, .. with a dict of its own.  A
     child sends back, pickled on a pipe, its results, its stages, its
     seconds and the error it raised; so a result must pickle, and an item's
-    result must not depend on which process ran it.
+    result must not depend on which process ran it.  Each process starts
+    on a CPU of its own (`_settle`): the caller on the first CPU it may run
+    on, child i on the next.
 
     Returns the results in item order and the stage's fork record:
     `{"processes": P, "children": [...]}`, per child its item count
     (`items`), its `seconds`, its `stages` dict and its peak RSS in MB
-    (`peak_rss_mb`).  A child's error is raised here as itself, and a child
-    that ended without a report as a `ChildProcessLost`.  Every child is
-    reaped before this returns or raises, and killed first when the
-    caller's own items raise.  With P = 1 nothing forks.
+    (`peak_rss_mb`); while `tracemalloc` traces, also the child's own
+    traced peak in MB (`traced_peak_mb`): the most it held traced above
+    what it held at the fork, which it shares with the caller.  A child's
+    error is raised here as itself, and a child that ended without a
+    report as a `ChildProcessLost`.  Every child is reaped before this
+    returns or raises, and killed first when the caller's own items raise.
+    With P = 1 nothing forks.
     """
     items = list(items)
     stages = {} if stages is None else stages
     processes = max(_fork_processes(len(items)), 1)
     children = []
     try:
+        if processes > 1:
+            cpus = sorted(os.sched_getaffinity(0))
+            _settle(cpus[0])
         for i in range(1, processes):
-            children.append(_fork(fn, items[i::processes]))
+            children.append(_fork(fn, items[i::processes], cpus[i % len(cpus)]))
         own = [fn(item, stages) for item in items[::processes]]
     except BaseException:
         import signal  # only a failed run needs it; a run's set-up does not load it
@@ -289,7 +318,7 @@ def fork_map(fn, items, stages=None) -> tuple[list, dict]:
     record = {"processes": processes, "children": []}
     for i, ((pid, _), (report, status, peak)) in enumerate(zip(children, reports), 1):
         try:
-            values, child_stages, seconds, error = pickle.loads(report)
+            values, child_stages, seconds, error, traced = pickle.loads(report)
         except Exception:  # empty or cut short: the child died before it reported
             code = os.waitstatus_to_exitcode(status)
             how = f"exit status {code}" if code >= 0 else f"killed by signal {-code}"
@@ -298,14 +327,26 @@ def fork_map(fn, items, stages=None) -> tuple[list, dict]:
             raise error
         results[i::processes] = values
         record["children"].append({"items": len(values), "seconds": seconds,
-                                   "stages": child_stages, "peak_rss_mb": peak})
+                                   "stages": child_stages, "peak_rss_mb": peak,
+                                   **({} if traced is None else {"traced_peak_mb": traced})})
     return results, record
 
 
-def _fork(fn, items):
-    """Fork a child that runs `fn(item, stages)` on each of `items` and
-    sends back, pickled on a pipe, its results, its `stages`, its seconds
-    and the error it raised, or None.  The child always leaves by
+def _settle(cpu: int) -> None:
+    """Move the calling process onto `cpu`, then let it run on every CPU it
+    could before.  Left alone, a forked child often shares its parent's
+    CPU for hundreds of milliseconds while another CPU idles."""
+    allowed = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {cpu})
+    os.sched_setaffinity(0, allowed)
+
+
+def _fork(fn, items, cpu):
+    """Fork a child that settles on `cpu` (`_settle`), runs `fn(item,
+    stages)` on each of `items` and sends back, pickled on a pipe, its
+    results, its `stages`, its seconds, the error it raised, or None, and
+    its traced peak in MB above its traced memory at the start, or None
+    when `tracemalloc` does not trace.  The child always leaves by
     `os._exit`, with status 0 once its report is sent.  Returns (pid, read
     end)."""
     read, write = os.pipe()
@@ -315,6 +356,11 @@ def _fork(fn, items):
         try:
             t0 = time.perf_counter()
             os.close(read)
+            _settle(cpu)
+            tracing = tracemalloc.is_tracing()
+            if tracing:
+                tracemalloc.reset_peak()
+                inherited = tracemalloc.get_traced_memory()[0]
             stages: dict = {}
             results = []
             try:
@@ -322,8 +368,9 @@ def _fork(fn, items):
                 error = None
             except BaseException as exc:  # sent to the caller, which raises it
                 error = exc
+            traced = (tracemalloc.get_traced_memory()[1] - inherited) / 1e6 if tracing else None
             with os.fdopen(write, "wb") as fh:
-                pickle.dump((results, stages, time.perf_counter() - t0, error), fh)
+                pickle.dump((results, stages, time.perf_counter() - t0, error, traced), fh)
             status = 0
         finally:
             os._exit(status)

@@ -12,10 +12,12 @@ output directory as
 Modes: ``continuous`` runs the Gaussian pipeline; ``crosscheck`` runs the
 quantized pipeline (`criterion.plugin_level`) and checks its Monte Carlo
 estimates against exact enumeration.  Both modes write their level rows
-from `criterion.LevelReport`s.  A continuous run's front end shares its
-row blocks, and the criterion its weight sets, among one process per CPU
-through `core.fork_map`; every other stage runs in the calling process
-alone, one after another.
+from `criterion.LevelReport`s.  Three stages share their pieces among one
+process per CPU through `core.fork_map`: a continuous run's front end its
+row blocks and its criterion its weight sets, and a crosscheck run's
+front end (sampling, filter, innovation and atom match) one row range
+per process.  Every other stage runs in the calling process alone, one
+after another.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from pathlib import Path as FsPath
 from typing import Optional
 
 from . import __version__
-from .core import PATH_BLOCK, RandomStream, TimeGrid, fork_map, mapped_array
+from .core import PATH_BLOCK, RandomStream, TimeGrid, fork_map, mapped_array, process_ranges
 from .criterion import (
     DEFAULT_LEVELS,
     GAP_FLOOR,
@@ -60,6 +62,7 @@ from .oracle import (
     dpi_verdict,
     enumerate_atoms,
     estimator_crosscheck,
+    filter_deviation,
     finite_bayes_filter,
     gauss_quantized,
     sample_quantized_ensemble,
@@ -446,8 +449,8 @@ def _run_continuous(config, model, grid, stream, stages, persist) -> ResultRecor
 
 
 def _run_quantized(config, model, grid, stream, stages) -> ResultRecord:
-    # every step runs inside a stage, so a failure names its stage and the
-    # stage seconds account for the whole run
+    # every step runs inside a stage, so a failure names its stage; the
+    # caller's wait for its front-end child is the one time outside them
     noise, aux = _stage(stages, "configure", lambda: (
         gauss_quantized(config.noise_nodes, grid.dt),
         FiniteLaw(config.aux_values, config.aux_probs or None) if model.aux_dim else None))
@@ -455,20 +458,18 @@ def _run_quantized(config, model, grid, stream, stages) -> ResultRecord:
     space = _stage(stages, "enumerate", enumerate_atoms, model, grid, noise, aux)
     exact = _stage(stages, "enumerate", lambda: dpi_verdict(space.system(relabel=relabel)))
 
-    sim = _stage(stages, "sample", sample_quantized_ensemble, model, grid, config.paths,
-                 stream, noise, aux)
-    filt = _stage(stages, "filter", finite_bayes_filter, model, sim, noise, aux)
-    Z = _stage(stages, "innovation", innovation_values, sim.U, filt.values, grid.dt)
+    Z, uhat, method, deviations, front_end = _quantized_front_end(
+        model, grid, config.paths, stream, noise, aux, space, stages)
     level, energy_mc = _stage(stages, "criterion", lambda: plugin_level(
-        Z, filt.values, canonical_labels(Z[:, 1:] if relabel is None else relabel(Z)),
+        Z, uhat, canonical_labels(Z[:, 1:] if relabel is None else relabel(Z)),
         grid, config.gap_floor))
     crosscheck = _stage(stages, "crosscheck", lambda: {
-        **asdict(estimator_crosscheck(space, exact, sim, filt.values, level.entropy,
-                                      energy_mc, config.crosscheck_tol)),
+        **asdict(estimator_crosscheck(exact, deviations, level.entropy, energy_mc,
+                                      config.crosscheck_tol)),
         "conditional_energy_exact": conditional_energy_by_grouping(space)})
 
     diagnostics = {
-        "filter_method": filt.method,
+        "filter_method": method,
         "estimator": f"plugin[{config.erasure}]",
         "atoms": space.atoms,
         "exact_base_entropy": exact.base_entropy,
@@ -480,10 +481,48 @@ def _run_quantized(config, model, grid, stream, stages) -> ResultRecord:
         "energy_mc": energy_mc,
         "paths": config.paths,
         "seed": config.seed,
+        "front_end": front_end,
         "crosscheck": crosscheck,
     }
     return ResultRecord(config.digest(), config.model, config.mode, level.verdict,
                         [_level_row(level, config.model)], diagnostics, 0.0)
+
+
+def _quantized_front_end(model, grid, size, stream, noise, aux, space, stages):
+    """Innovation Z (size, N+1) and filtered drift uhat (size, N), both
+    column-major in anonymous shared memory, the filter method, the
+    `oracle.filter_deviation` of each row range and the `core.fork_map`
+    record of a quantized ensemble.
+
+    `fork_map` deals one contiguous row range per process
+    (`core.process_ranges`).  A range samples its rows from substreams
+    stream.substream + lo.. (`sample`), filters them into its rows of uhat
+    and matches them to their atoms of `space`, enumerated before the
+    fork (`filter`), and writes their innovation into its rows of Z
+    (`innovation`).  Every step acts row by row, so the ranges move no
+    number.  The caller's stage entries sum over its ranges, as
+    `continuous_front_end`'s do over its blocks.
+    """
+    Z = mapped_array((size, grid.steps + 1), shared=True)
+    uhat = mapped_array((size, grid.steps), shared=True)
+
+    def run_range(rows, entries):
+        sim = _stage(entries, "sample", sample_quantized_ensemble, model, grid,
+                     rows.stop - rows.start,
+                     RandomStream(stream.seed, stream.substream + rows.start), noise, aux)
+
+        def filter_rows():
+            filt = finite_bayes_filter(model, sim, noise, aux)
+            uhat[rows] = filt.values
+            return filt.method, filter_deviation(space, sim, filt.values)
+
+        method, deviation = _stage(entries, "filter", filter_rows)
+        _stage(entries, "innovation", innovation_values, sim.U, uhat[rows], grid.dt, out=Z[rows])
+        return method, deviation
+
+    results, record = fork_map(run_range, process_ranges(size), stages)
+    methods, deviations = zip(*results)
+    return Z, uhat, methods[0], deviations, record
 
 
 def _fmt_cell(v) -> str:

@@ -61,6 +61,7 @@ __all__ = [
     "enumerate_atoms",
     "estimator_crosscheck",
     "match_atoms",
+    "filter_deviation",
     "exact_relative_entropy",
     "dpi_verdict",
     "conditional_energy_by_grouping",
@@ -487,8 +488,14 @@ class CrosscheckReport:
     passed: bool
 
 
-def estimator_crosscheck(space: AtomSpace, exact: DiscreteVerdict,
-                         sim: EnsembleSimulation, uhat: np.ndarray,
+def filter_deviation(space: AtomSpace, sim: EnsembleSimulation, uhat: np.ndarray) -> float:
+    """Largest deviation of the per-path filter values uhat (m, N) of the
+    sampled paths `sim` from the grouped conditional expectations of their
+    matched atoms."""
+    return float(np.max(np.abs(uhat - space.uhat[match_atoms(space, sim)])))
+
+
+def estimator_crosscheck(exact: DiscreteVerdict, filter_deviations,
                          mc_push: float, mc_energy: float,
                          tolerance: float = 0.05) -> CrosscheckReport:
     """Deviation report of a quantized Monte Carlo run against enumeration.
@@ -497,10 +504,12 @@ def estimator_crosscheck(space: AtomSpace, exact: DiscreteVerdict,
     computed for (``space.system()``, or a lossy view of it).  Compares the
     plug-in pushforward entropy and the weighted energy with its values,
     both within `tolerance`, and the per-path filter values with the
-    grouped conditional expectations on matched atoms, within 1e-8.
+    grouped conditional expectations on matched atoms, within 1e-8:
+    `filter_deviations` holds the `filter_deviation` of each range of the
+    sampled rows, and the largest of them, whatever their order, is the
+    run's.
     """
-    atom = match_atoms(space, sim)
-    filter_dev = float(np.max(np.abs(uhat - space.uhat[atom])))
+    filter_dev = float(np.max(filter_deviations))
     rel = lambda got, want: abs(got - want) / max(abs(want), 1e-12)
     push_rel = rel(mc_push, exact.pushforward_entropy)
     energy_rel = rel(mc_energy, exact.energy)

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,10 +10,14 @@ from innovlab.core import (
     LANE_BROWNIAN,
     LANE_HIDDEN,
     LANE_NOISE,
+    PATH_BLOCK,
     RandomStream,
     TimeGrid,
+    fork_map,
     path_energies,
     philox4x64_10,
+    process_ranges,
+    row_chunks,
 )
 from innovlab.errors import ConfigurationError, ShapeError
 from innovlab.filtering import innovation_values
@@ -222,14 +228,29 @@ def test_philox_kernel_matches_numpy_raw_words():
                     assert np.array_equal(words, ref), (seed, sub, lane, n)
 
 
-@pytest.mark.parametrize("sub", KAT_SUBSTREAMS + [2**60 - 2])  # the last one carries into word 3
+# row 8200 of this substream carries into counter word 3, past the first
+# row chunk of every length but the longest, which it leaves out
+CHUNK_CARRY_SUBSTREAM = 2**60 - 8200
+
+
+# the last two substreams carry into counter word 3
+@pytest.mark.parametrize("sub", KAT_SUBSTREAMS + [2**60 - 2, CHUNK_CARRY_SUBSTREAM])
 def test_uniforms_match_fresh_generators_row_by_row(sub):
+    # three rows; at CHUNK_CARRY_SUBSTREAM, more rows than one chunk, compared
+    # at and beside each chunk boundary, at and beside the carry, and last
+    chunked = sub == CHUNK_CARRY_SUBSTREAM
+    m = 2 * 8192 + 9 if chunked else 3
     for seed in KAT_SEEDS:
         for lane in KAT_LANES:
-            for n in KAT_LENGTHS:
-                u = RandomStream(seed, sub).uniforms(lane, 3, n)
-                assert u.shape == (3, n)
-                for i in range(3):
+            for n in KAT_LENGTHS[:-1] if chunked else KAT_LENGTHS:
+                u = RandomStream(seed, sub).uniforms(lane, m, n)
+                assert u.shape == (m, n)
+                rows = {0, 1, 2, m - 1}
+                if chunked:
+                    chunks = row_chunks(m, 4 * -(-n // 4))
+                    assert chunks[1].start <= 8200 < chunks[-1].start
+                    rows |= {8199, 8200, 8201} | {c.start + d for c in chunks[1:] for d in (-1, 0)}
+                for i in sorted(rows):
                     ref = RandomStream(seed, sub + i).lane(lane).generator().random(n)
                     assert np.array_equal(u[i], ref), (seed, sub, lane, n, i)
 
@@ -267,6 +288,33 @@ def test_random_stream_accepts_the_full_seed_range():
         RandomStream(seed=1).uniforms(16, 2, 3)
     with pytest.raises(ConfigurationError):
         RandomStream(seed=1).seat(RandomStream(seed=1).generator(), -1)
+
+
+@pytest.mark.parametrize("m, processes, lengths", [
+    (1, 2, [1]),
+    (PATH_BLOCK, 2, [PATH_BLOCK]),  # one block does not fork
+    (PATH_BLOCK + 1, 2, [PATH_BLOCK, 1]),
+    (6 * PATH_BLOCK + 5, 1, [6 * PATH_BLOCK + 5]),
+    (6 * PATH_BLOCK + 5, 2, [4 * PATH_BLOCK, 2 * PATH_BLOCK + 5]),
+    (6 * PATH_BLOCK + 5, 3, [3 * PATH_BLOCK, 3 * PATH_BLOCK, 5]),
+    (100000, 2, [49 * PATH_BLOCK, 100000 - 49 * PATH_BLOCK]),
+])
+def test_process_ranges_give_each_process_one_range_of_whole_blocks(max_processes, m,
+                                                                    processes, lengths):
+    max_processes(processes)
+    ranges = process_ranges(m)
+    assert [r.stop - r.start for r in ranges] == lengths
+    assert ranges[0].start == 0 and ranges[-1].stop == m
+    assert all(a.stop == b.start for a, b in zip(ranges, ranges[1:]))
+
+
+def test_fork_map_leaves_every_process_free_to_run_on_every_cpu(max_processes):
+    # each process starts on a CPU of its own, then may run on all of them again
+    max_processes(2)
+    allowed = os.sched_getaffinity(0)
+    seen, record = fork_map(lambda item, stages: os.sched_getaffinity(0), range(2))
+    assert record["processes"] == 2
+    assert seen == [allowed, allowed] and os.sched_getaffinity(0) == allowed
 
 
 def _reference_simulation(model, grid, size, stream):

@@ -764,6 +764,24 @@ def test_results_csv_bytes_do_not_depend_on_the_criterion_processes(tmp_path, ma
     assert csv[0] == csv[1] == csv[2]
 
 
+# the criterion-8 config at six row blocks and a part: 1, 2 and 3
+# processes each run one contiguous range of it
+CROSSCHECK_SPLIT_CFG = {**FROZEN_RESULTS_SHA256["crosscheck"][0], "paths": 6 * PATH_BLOCK + 5}
+
+
+def test_crosscheck_does_not_depend_on_the_front_end_processes(tmp_path, max_processes):
+    runs = []
+    for processes in (1, 2, 3):
+        max_processes(processes)
+        out = tmp_path / str(processes)
+        d = run_experiment(ExperimentConfig(**CROSSCHECK_SPLIT_CFG, outdir=str(out))).diagnostics
+        _assert_no_child_left()
+        assert d["front_end"]["processes"] == processes
+        assert [c["items"] for c in d["front_end"]["children"]] == [1] * (processes - 1)
+        runs.append(((out / "results.csv").read_bytes(), d["crosscheck"], d["energy_mc"]))
+    assert runs[0] == runs[1] == runs[2]
+
+
 def _reweight_failing_in(where, stall=False):
     """`criterion.reweight` that raises in the caller ("caller") or in a
     forked child ("child"); with `stall`, everywhere else it sleeps for a
@@ -804,7 +822,7 @@ def test_criterion_kills_and_reaps_the_child_when_its_own_set_fails(max_processe
     _assert_no_child_left()
 
 
-def _no_fork(fn, items):
+def _no_fork(fn, items, cpu):
     """A `core._fork` that fails the test: nothing may fork."""
     raise AssertionError("a process forked")
 
@@ -900,35 +918,44 @@ def test_run_stage_seconds_add_up_to_no_more_than_the_wall_clock():
     assert sum(entry["seconds"] for entry in stages.values()) <= rec.wall_clock
 
 
-# what a forked stage's child records beside its items, seconds and peak
-FORKED_CHILD_STAGES = {"front_end": ("simulate", "filter", "innovation"), "criterion": ()}
+# per forked stage: its run's config, its record in the diagnostics, how
+# many pieces its child runs with 2 processes, the stages that child
+# records, and the line of `report` that prints the record
+FORKED_STAGES = {
+    "front_end": (SPLIT_CFG, "front_end", 1, ("simulate", "filter", "innovation"), -3),
+    "criterion": (SPLIT_CFG, "criterion", 2, (), -2),
+    "crosscheck": (dict(model="independent", mode="crosscheck", grid_n=2, paths=2 * PATH_BLOCK + 3,
+                        noise_nodes=2, aux_values=(-1.0, 1.0)),
+                   "front_end", 1, ("sample", "filter", "innovation"), -2),
+}
 
 
 @pytest.mark.parametrize("processes", [1, 2])
-@pytest.mark.parametrize("forked", sorted(FORKED_CHILD_STAGES))
+@pytest.mark.parametrize("stage", sorted(FORKED_STAGES))
 def test_run_records_and_reports_a_forked_stages_children(tmp_path, max_processes,
-                                                          forked, processes):
+                                                          stage, processes):
     # each forked stage keeps the record `core.fork_map` returns, and
     # `report` prints it on one line, front end first, before the run's own
     # stage line; with 2 processes the child runs 1 of the 3 row blocks and
-    # 2 of the 4 weight sets
+    # 2 of the 4 weight sets of a continuous run, and 1 of the 2 row ranges
+    # of a crosscheck
+    cfg, forked, items, child_stages, at = FORKED_STAGES[stage]
     max_processes(processes)
-    run_experiment(ExperimentConfig(**SPLIT_CFG, outdir=str(tmp_path)))
+    run_experiment(ExperimentConfig(**cfg, outdir=str(tmp_path)))
     record = json.loads((tmp_path / "run.jsonl").read_text())["diagnostics"][forked]
     lines = report(tmp_path).splitlines()
-    line = lines[{"front_end": -3, "criterion": -2}[forked]]
+    line = lines[at]
     assert lines[-1].startswith("stages[0] independent: configure ")
     if processes == 1:
         assert record == {"processes": 1, "children": []}
         assert line == f"{forked}[0] independent: processes 1"
         return
     (child,) = record["children"]
-    items = {"front_end": 1, "criterion": 2}[forked]
     assert record["processes"] == 2 and set(child) == {"items", "seconds", "stages",
                                                        "peak_rss_mb"}
     assert child["items"] == items and child["seconds"] > 0 and child["peak_rss_mb"] > 0
-    assert set(child["stages"]) == set(FORKED_CHILD_STAGES[forked])
-    cells = "".join(rf"{name} \d+\.\d{{3}}s \+\d+ MB, " for name in FORKED_CHILD_STAGES[forked])
+    assert set(child["stages"]) == set(child_stages)
+    cells = "".join(rf"{name} \d+\.\d{{3}}s \+\d+ MB, " for name in child_stages)
     assert re.fullmatch(rf"{forked}\[0\] independent: processes 2; child 1: items {items}, "
                         rf"\d+\.\d{{3}}s, {cells}peak RSS \d+ MB", line)
 
@@ -1297,13 +1324,14 @@ def test_no_run_imports_scipy(tmp_path):
 def test_continuous_run_holds_at_most_six_ensemble_arrays(model, params, paths, arrays,
                                                          monkeypatch):
     # the whole ensemble lives only as Z and the filtered drift, two
-    # (paths, grid_n) float64 arrays; a block's workspace (kalman-bucy's
-    # holds dB, hidden noise and dU of PATH_BLOCK rows; U and drift are
-    # simulated in the block's rows of Z and uhat), the Girsanov layer's
-    # block temporaries and the feature builder's buffers come on top.  At
-    # 2000 paths a block is half the ensemble; at 8000 an eighth, so one
-    # more whole-ensemble array anywhere in the run, a simulation or a
-    # stopped drift, would break the tighter bound
+    # (paths, grid_n) float64 arrays; each front-end process's workspace
+    # (kalman-bucy's holds dB, hidden noise and dU of PATH_BLOCK rows; U and
+    # drift are simulated in the block's rows of Z and uhat), the Girsanov
+    # layer's block temporaries and the feature builder's buffers, in the
+    # caller and in each forked child, come on top.  At 2000 paths a block
+    # is half the ensemble; at 8000 an eighth, so one more whole-ensemble
+    # array anywhere in the run, a simulation or a stopped drift, in the
+    # caller or in a child, would break the tighter bound
     cfg = ExperimentConfig(model=model, model_params=params, grid_n=256, paths=paths, seed=7)
     run_experiment(cfg, persist=False)  # warm-up: imports and one-time caches
     peaks = {}
@@ -1319,14 +1347,21 @@ def test_continuous_run_holds_at_most_six_ensemble_arrays(model, params, paths, 
     monkeypatch.setattr(harness, "_stage", traced_stage)
     tracemalloc.start()
     try:
-        run_experiment(cfg, persist=False)
+        d = run_experiment(cfg, persist=False).diagnostics
     finally:
         tracemalloc.stop()
+    # a forked child holds its own arrays beside the caller's: its traced
+    # peak above what it shares with the caller adds to each of its stages
+    for forked, names in (("front_end", ("simulate", "filter", "innovation")),
+                          ("criterion", ("criterion",))):
+        children = sum(child["traced_peak_mb"] for child in d[forked]["children"]) * 1e6
+        for name in names:
+            peaks[name] += children
     # tracemalloc does not see memory maps: Z and uhat, from the front end
-    # on, and the caller's block workspace in the front end's stages
+    # on, and each front-end process's block workspace in the front end's stages
     shared = cfg.paths * (2 * cfg.grid_n + 1) * 8
     work = (len(workspace(make_model(model, **params), cfg.grid(), 1))
-            * min(PATH_BLOCK, cfg.paths) * cfg.grid_n * 8)
+            * min(PATH_BLOCK, cfg.paths) * cfg.grid_n * 8) * d["front_end"]["processes"]
     mapped = {"simulate": shared + work, "filter": shared + work,
               "innovation": shared + work, "criterion": shared}
     assert set(peaks) == {"configure", "oracle", *mapped}
