@@ -283,7 +283,9 @@ def fork_map(fn, items, stages=None) -> tuple[list, dict]:
     on, child i on the next.
 
     Returns the results in item order and the stage's fork record:
-    `{"processes": P, "children": [...]}`, per child its item count
+    `{"processes": P, "wait_s": ..., "children": [...]}`: the caller's
+    seconds from finishing its own items to reaping its last child, and
+    per child its item count
     (`items`), its `seconds`, its `stages` dict and its peak RSS in MB
     (`peak_rss_mb`); while `tracemalloc` traces, also the child's own
     traced peak in MB (`traced_peak_mb`): the most it held traced above
@@ -304,6 +306,7 @@ def fork_map(fn, items, stages=None) -> tuple[list, dict]:
         for i in range(1, processes):
             children.append(_fork(fn, items[i::processes], cpus[i % len(cpus)]))
         own = [fn(item, stages) for item in items[::processes]]
+        done = time.perf_counter()
     except BaseException:
         import signal  # only a failed run needs it; a run's set-up does not load it
 
@@ -315,7 +318,7 @@ def fork_map(fn, items, stages=None) -> tuple[list, dict]:
 
     results = [None] * len(items)
     results[::processes] = own
-    record = {"processes": processes, "children": []}
+    record = {"processes": processes, "wait_s": time.perf_counter() - done, "children": []}
     for i, ((pid, _), (report, status, peak)) in enumerate(zip(children, reports), 1):
         try:
             values, child_stages, seconds, error, traced = pickle.loads(report)

@@ -25,6 +25,7 @@ over the observation classes, whose exact values `oracle` enumerates.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -91,11 +92,20 @@ class LevelReport:
     ridge_escalations: int = 0
 
 
+def _exact_sum(x: np.ndarray) -> float:
+    """`math.fsum` of x, which reads a list of floats faster than numpy
+    scalars one at a time; lists of 2048 values at a time, as one whole-array
+    list would hold 32 bytes per value at once.  fsum is exactly rounded,
+    so neither moves a bit."""
+    return math.fsum(itertools.chain.from_iterable(
+        x[lo:lo + 2048].tolist() for lo in range(0, len(x), 2048)))
+
+
 def _weighted_mean_se(weights: np.ndarray, values: np.ndarray) -> tuple[float, float]:
     """Self-normalized mean and delta-method standard error.  The mean is
     the exactly rounded sum of the products: a BLAS dot product may split
     a long sum over threads, so its last bit would depend on their count."""
-    mean = math.fsum(weights * values)
+    mean = _exact_sum(weights * values)
     se = float(np.sqrt(np.sum(weights**2 * (values - mean) ** 2)))
     return mean, se
 
@@ -265,20 +275,20 @@ def _influence_se(infl: np.ndarray) -> float:
     return float(np.std(infl, ddof=1) / np.sqrt(len(infl)))
 
 
-def plugin_level(Z: np.ndarray, uhat: np.ndarray, labels: np.ndarray, grid: TimeGrid,
+def plugin_level(log_weights: np.ndarray, energies: np.ndarray, labels: np.ndarray,
                  floor: float = GAP_FLOOR) -> tuple[LevelReport, float]:
-    """Level infinity of a quantized ensemble, Z (m, N+1) and uhat (m, N),
-    by plug-in over the observation class `labels` of each path.
+    """Level infinity of a quantized ensemble by plug-in over the
+    observation class `labels` of each path, from its (m,) log-weights and
+    the drift energies inside them (`girsanov.log_weights_ensemble`).
 
     `energy` is the base entropy and `entropy` the pushforward one, so
     `gap` estimates what the observation map loses.  One ensemble gives
     both, so `gap_se` is paired like a continuous level's: the se of the
     difference of their influence functions, which is 0 to rounding when
     the density is constant on classes.  Also returns half the weighted
-    mean drift energy.
+    mean drift energy, an exactly rounded sum as `_weighted_mean_se`'s.
     """
-    lw, energies = log_weights_ensemble(uhat, Z, grid.dt)
-    ens = reweight(lw)
+    ens = reweight(log_weights)
     base, base_infl, push, push_infl = _plugin_entropies(ens, np.asarray(labels))
     gap = base - push
     gap_se = _influence_se(base_infl - push_infl)
@@ -289,4 +299,4 @@ def plugin_level(Z: np.ndarray, uhat: np.ndarray, labels: np.ndarray, grid: Time
         gap=gap, gap_se=gap_se, ess=ens.ess,
         norm_mean=diag.mean, norm_se=diag.se, norm_passed=diag.passed,
         verdict=classify_level(gap, gap_se, floor))
-    return report, 0.5 * math.fsum(ens.weights * energies)
+    return report, 0.5 * _exact_sum(ens.weights * energies)

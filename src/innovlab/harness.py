@@ -15,9 +15,9 @@ estimates against exact enumeration.  Both modes write their level rows
 from `criterion.LevelReport`s.  Three stages share their pieces among one
 process per CPU through `core.fork_map`: a continuous run's front end its
 row blocks and its criterion its weight sets, and a crosscheck run's
-front end (sampling, filter, innovation and atom match) one row range
-per process.  Every other stage runs in the calling process alone, one
-after another.
+front end (sampling, filter, atom match, innovation, observation classes
+and log-weights) one row range per process.  Every other stage runs in
+the calling process alone, one after another.
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path as FsPath
 from typing import Optional
+
+import numpy as np
 
 from . import __version__
 from .core import PATH_BLOCK, RandomStream, TimeGrid, fork_map, mapped_array, process_ranges
@@ -57,7 +59,7 @@ from .models import (
 )
 from .oracle import (
     FiniteLaw,
-    canonical_labels,
+    canonical_classes,
     conditional_energy_by_grouping,
     dpi_verdict,
     enumerate_atoms,
@@ -65,6 +67,7 @@ from .oracle import (
     filter_deviation,
     finite_bayes_filter,
     gauss_quantized,
+    merge_classes,
     sample_quantized_ensemble,
     system_battery,
     witness_labels,
@@ -450,7 +453,8 @@ def _run_continuous(config, model, grid, stream, stages, persist) -> ResultRecor
 
 def _run_quantized(config, model, grid, stream, stages) -> ResultRecord:
     # every step runs inside a stage, so a failure names its stage; the
-    # caller's wait for its front-end child is the one time outside them
+    # caller's wait for its front-end child (`wait_s`) is the one time
+    # outside them
     noise, aux = _stage(stages, "configure", lambda: (
         gauss_quantized(config.noise_nodes, grid.dt),
         FiniteLaw(config.aux_values, config.aux_probs or None) if model.aux_dim else None))
@@ -458,18 +462,19 @@ def _run_quantized(config, model, grid, stream, stages) -> ResultRecord:
     space = _stage(stages, "enumerate", enumerate_atoms, model, grid, noise, aux)
     exact = _stage(stages, "enumerate", lambda: dpi_verdict(space.system(relabel=relabel)))
 
-    Z, uhat, method, deviations, front_end = _quantized_front_end(
-        model, grid, config.paths, stream, noise, aux, space, stages)
+    ranges, front_end = _quantized_front_end(model, grid, config.paths, stream, noise, aux,
+                                             space, relabel, stages)
+    methods, deviations, classes, log_weights, energies = zip(*ranges)
     level, energy_mc = _stage(stages, "criterion", lambda: plugin_level(
-        Z, uhat, canonical_labels(Z[:, 1:] if relabel is None else relabel(Z)),
-        grid, config.gap_floor))
+        np.concatenate(log_weights), np.concatenate(energies), merge_classes(classes),
+        config.gap_floor))
     crosscheck = _stage(stages, "crosscheck", lambda: {
         **asdict(estimator_crosscheck(exact, deviations, level.entropy, energy_mc,
                                       config.crosscheck_tol)),
         "conditional_energy_exact": conditional_energy_by_grouping(space)})
 
     diagnostics = {
-        "filter_method": method,
+        "filter_method": methods[0],
         "estimator": f"plugin[{config.erasure}]",
         "atoms": space.atoms,
         "exact_base_entropy": exact.base_entropy,
@@ -488,41 +493,35 @@ def _run_quantized(config, model, grid, stream, stages) -> ResultRecord:
                         [_level_row(level, config.model)], diagnostics, 0.0)
 
 
-def _quantized_front_end(model, grid, size, stream, noise, aux, space, stages):
-    """Innovation Z (size, N+1) and filtered drift uhat (size, N), both
-    column-major in anonymous shared memory, the filter method, the
-    `oracle.filter_deviation` of each row range and the `core.fork_map`
-    record of a quantized ensemble.
+def _quantized_front_end(model, grid, size, stream, noise, aux, space, relabel, stages):
+    """Per row range of a quantized ensemble: its filter method, its
+    `oracle.filter_deviation`, the `oracle.canonical_classes` of its
+    observations (Z[:, 1:], or `relabel(Z)`) and its log-weights and
+    energies; and the `core.fork_map` record.
 
     `fork_map` deals one contiguous row range per process
     (`core.process_ranges`).  A range samples its rows from substreams
-    stream.substream + lo.. (`sample`), filters them into its rows of uhat
-    and matches them to their atoms of `space`, enumerated before the
-    fork (`filter`), and writes their innovation into its rows of Z
-    (`innovation`).  Every step acts row by row, so the ranges move no
-    number.  The caller's stage entries sum over its ranges, as
-    `continuous_front_end`'s do over its blocks.
+    stream.substream + lo.. (`sample`), filters them and matches them to
+    their atoms of `space`, enumerated before the fork (`filter`), forms
+    their innovation (`innovation`), then their classes and log-weights
+    (`criterion`), all in arrays of its own.  Every step acts row by row
+    and a class table holds exact rounded values, so the ranges move no
+    number.  The caller's stage entries sum over its ranges.
     """
-    Z = mapped_array((size, grid.steps + 1), shared=True)
-    uhat = mapped_array((size, grid.steps), shared=True)
-
     def run_range(rows, entries):
         sim = _stage(entries, "sample", sample_quantized_ensemble, model, grid,
                      rows.stop - rows.start,
                      RandomStream(stream.seed, stream.substream + rows.start), noise, aux)
+        filt = _stage(entries, "filter", finite_bayes_filter, model, sim, noise, aux)
+        deviation = _stage(entries, "filter", filter_deviation, space, sim, filt.values)
+        Z = _stage(entries, "innovation", innovation_values, sim.U, filt.values, grid.dt,
+                   out=sim.U)
+        classes = _stage(entries, "criterion", lambda: canonical_classes(
+            Z[:, 1:] if relabel is None else relabel(Z)))
+        return (filt.method, deviation, classes,
+                *_stage(entries, "criterion", log_weights_ensemble, filt.values, Z, grid.dt))
 
-        def filter_rows():
-            filt = finite_bayes_filter(model, sim, noise, aux)
-            uhat[rows] = filt.values
-            return filt.method, filter_deviation(space, sim, filt.values)
-
-        method, deviation = _stage(entries, "filter", filter_rows)
-        _stage(entries, "innovation", innovation_values, sim.U, uhat[rows], grid.dt, out=Z[rows])
-        return method, deviation
-
-    results, record = fork_map(run_range, process_ranges(size), stages)
-    methods, deviations = zip(*results)
-    return Z, uhat, methods[0], deviations, record
+    return fork_map(run_range, process_ranges(size), stages)
 
 
 def _fmt_cell(v) -> str:
@@ -614,11 +613,13 @@ def _stage_line(diagnostics) -> str:
 
 
 def _children_line(record) -> str:
-    """A forked stage's process count and, per child, its item count, its
-    seconds, its stage cells and its peak RSS.  Records written before both
-    stages kept `fork_map`'s record count a child's `blocks` or `sets`, and
-    a front-end child there has no seconds."""
-    cells = [f"processes {record['processes']}"]
+    """A forked stage's process count, the caller's wait for its children
+    and, per child, its item count, its seconds, its stage cells and its
+    peak RSS.  Records written before both stages kept `fork_map`'s record
+    count a child's `blocks` or `sets`, a front-end child there has no
+    seconds, and no record before the wait was kept has one."""
+    cells = [f"processes {record['processes']}"
+             + (f", wait {record['wait_s']:.3f}s" if "wait_s" in record else "")]
     for i, child in enumerate(record["children"], 1):
         items = child.get("items", child.get("blocks", child.get("sets")))
         seconds = [f"{child['seconds']:.3f}s"] if "seconds" in child else []

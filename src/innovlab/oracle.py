@@ -58,6 +58,8 @@ __all__ = [
     "CrosscheckReport",
     "gauss_quantized",
     "canonical_labels",
+    "canonical_classes",
+    "merge_classes",
     "enumerate_atoms",
     "estimator_crosscheck",
     "match_atoms",
@@ -230,31 +232,57 @@ class AtomSpace:
 
 def canonical_labels(keys: np.ndarray) -> np.ndarray:
     """Class index per row of keys (atoms, ...) after rounding; 1-D keys are one column."""
+    return canonical_classes(keys)[0]
+
+
+def canonical_classes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`canonical_labels` of keys and the table of their classes: the
+    distinct rounded key rows in lexicographic order, row ``labels[i]``
+    being row i of the rounded keys.  `merge_classes` merges the tables of
+    ranges of rows into the labels of all of them."""
     keys = np.asarray(keys)
     return _row_classes(np.round(keys.reshape(len(keys), -1), ROUND_DECIMALS))
+
+
+def merge_classes(parts) -> np.ndarray:
+    """The `canonical_labels` of consecutive ranges of rows from their
+    `canonical_classes`, (labels, table) per range in row order.  A label
+    is the rank of its rounded row among the distinct rows, so ranking the
+    ranges' tables together gives each range's classes their rank over all
+    rows, element for element."""
+    parts = list(parts)
+    ranks, _ = _row_classes(np.concatenate([table for _, table in parts]))
+    ends = np.cumsum([len(table) for _, table in parts])
+    return np.concatenate([ranks[end - len(table):end][labels]
+                           for (labels, table), end in zip(parts, ends)])
 
 
 def _refine_labels(labels: np.ndarray, column: np.ndarray) -> np.ndarray:
     """Refine a partition by one more (rounded) coordinate."""
     col = np.round(column, ROUND_DECIMALS)
-    return _row_classes(np.stack([labels.astype(float), col], axis=1))
+    return _row_classes(np.stack([labels.astype(float), col], axis=1))[0]
 
 
-def _row_classes(rows: np.ndarray) -> np.ndarray:
-    """Class index of each row of a 2-D array: the rank of its value among
-    the distinct rows in lexicographic order, the labels that
+def _row_classes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Class index of each row of a 2-D array, the rank of its value among
+    the distinct rows in lexicographic order, and those distinct rows in
+    that order: the labels and values that
     ``np.unique(rows, axis=0, return_inverse=True)`` gives.
 
-    One lexsort of the columns; np.unique(axis=0) argsorts a structured
-    view of the rows instead, which is several times slower.
+    One lexsort of the columns, then one pass over each column in sorted
+    order, which reads a column-major array a column at a time;
+    np.unique(axis=0) argsorts a structured view of the rows instead, which
+    is several times slower.
     """
     order = np.lexsort(rows.T[::-1])  # the first column is the primary key
-    ordered = rows[order]
-    starts = np.ones(len(rows), dtype=bool)
-    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    starts = np.zeros(len(rows), dtype=bool)
+    starts[:1] = True
+    for column in rows.T:
+        ordered = column[order]
+        starts[1:] |= ordered[1:] != ordered[:-1]
     labels = np.empty(len(rows), dtype=np.intp)
     labels[order] = np.cumsum(starts) - 1
-    return labels
+    return labels, rows[order[starts]]
 
 
 def _group_mean_safe(labels: np.ndarray, weights: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -382,7 +410,7 @@ def dpi_verdict(system: FiniteSystem) -> DiscreteVerdict:
 
     # u is recoverable iff no observation class holds two u classes; bincount
     # counts sparse labels too, without np.unique's import of numpy.ma
-    pairs = _row_classes(np.stack([labels, system.u_labels], axis=1))
+    pairs, _ = _row_classes(np.stack([labels, system.u_labels], axis=1))
     recoverable = bool(pairs.max() + 1 == np.count_nonzero(np.bincount(labels)))
 
     return DiscreteVerdict(base, push, energy, measurable, recoverable)

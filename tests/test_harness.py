@@ -19,6 +19,7 @@ from innovlab.cli import main as cli_main
 import innovlab.core as core
 import innovlab.criterion as criterion
 import innovlab.harness as harness
+import innovlab.models as models
 from innovlab.core import RandomStream, TimeGrid
 from innovlab.criterion import GAP_FLOOR
 from innovlab.errors import (
@@ -764,22 +765,40 @@ def test_results_csv_bytes_do_not_depend_on_the_criterion_processes(tmp_path, ma
     assert csv[0] == csv[1] == csv[2]
 
 
-# the criterion-8 config at six row blocks and a part: 1, 2 and 3
-# processes each run one contiguous range of it
-CROSSCHECK_SPLIT_CFG = {**FROZEN_RESULTS_SHA256["crosscheck"][0], "paths": 6 * PATH_BLOCK + 5}
-
-
-def test_crosscheck_does_not_depend_on_the_front_end_processes(tmp_path, max_processes):
+# the criterion-8 config and the sign-erasing witness at six row blocks and
+# a part: 1, 2 and 3 processes each run one contiguous range of it, and
+# each range forms the observation classes of its own rows
+@pytest.mark.parametrize("name", ["crosscheck", "witness-erasure"])
+def test_crosscheck_does_not_depend_on_the_front_end_processes(tmp_path, max_processes, name):
+    cfg = {**FROZEN_RESULTS_SHA256[name][0], "paths": 6 * PATH_BLOCK + 5}
     runs = []
     for processes in (1, 2, 3):
         max_processes(processes)
         out = tmp_path / str(processes)
-        d = run_experiment(ExperimentConfig(**CROSSCHECK_SPLIT_CFG, outdir=str(out))).diagnostics
+        d = run_experiment(ExperimentConfig(**cfg, outdir=str(out))).diagnostics
         _assert_no_child_left()
         assert d["front_end"]["processes"] == processes
         assert [c["items"] for c in d["front_end"]["children"]] == [1] * (processes - 1)
         runs.append(((out / "results.csv").read_bytes(), d["crosscheck"], d["energy_mc"]))
     assert runs[0] == runs[1] == runs[2]
+
+
+def test_a_crosscheck_run_maps_no_array(max_processes, monkeypatch):
+    # each row range forms its rows in arrays of its own and returns (m,)
+    # vectors, so nothing is mapped, shared or not; in one process the spy
+    # sees every range
+    real, calls = core.mapped_array, []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (core, harness, models):
+        monkeypatch.setattr(module, "mapped_array", spy)
+    max_processes(1)
+    cfg = {**FROZEN_RESULTS_SHA256["crosscheck"][0], "paths": 2 * PATH_BLOCK + 3}
+    run_experiment(ExperimentConfig(**cfg), persist=False)
+    assert calls == []
 
 
 def _reweight_failing_in(where, stall=False):
@@ -926,7 +945,7 @@ FORKED_STAGES = {
     "criterion": (SPLIT_CFG, "criterion", 2, (), -2),
     "crosscheck": (dict(model="independent", mode="crosscheck", grid_n=2, paths=2 * PATH_BLOCK + 3,
                         noise_nodes=2, aux_values=(-1.0, 1.0)),
-                   "front_end", 1, ("sample", "filter", "innovation"), -2),
+                   "front_end", 1, ("sample", "filter", "innovation", "criterion"), -2),
 }
 
 
@@ -935,20 +954,28 @@ FORKED_STAGES = {
 def test_run_records_and_reports_a_forked_stages_children(tmp_path, max_processes,
                                                           stage, processes):
     # each forked stage keeps the record `core.fork_map` returns, and
-    # `report` prints it on one line, front end first, before the run's own
-    # stage line; with 2 processes the child runs 1 of the 3 row blocks and
-    # 2 of the 4 weight sets of a continuous run, and 1 of the 2 row ranges
-    # of a crosscheck
+    # `report` prints it on one line with the caller's wait, front end
+    # first, before the run's own stage line; with 2 processes the child
+    # runs 1 of the 3 row blocks and 2 of the 4 weight sets of a continuous
+    # run, and 1 of the 2 row ranges of a crosscheck
     cfg, forked, items, child_stages, at = FORKED_STAGES[stage]
     max_processes(processes)
-    run_experiment(ExperimentConfig(**cfg, outdir=str(tmp_path)))
+    rec = run_experiment(ExperimentConfig(**cfg, outdir=str(tmp_path)))
     record = json.loads((tmp_path / "run.jsonl").read_text())["diagnostics"][forked]
     lines = report(tmp_path).splitlines()
     line = lines[at]
     assert lines[-1].startswith("stages[0] independent: configure ")
+    # the caller's wait for its children lies inside the criterion stage,
+    # and in no stage of the front ends
+    stages = rec.diagnostics["stages"]
+    assert set(record) == {"processes", "wait_s", "children"}
+    assert 0 <= record["wait_s"] <= (
+        stages["criterion"]["seconds"] if stage == "criterion"
+        else rec.wall_clock - sum(entry["seconds"] for entry in stages.values()))
+    wait = f", wait {record['wait_s']:.3f}s"
     if processes == 1:
-        assert record == {"processes": 1, "children": []}
-        assert line == f"{forked}[0] independent: processes 1"
+        assert record["processes"] == 1 and record["children"] == []
+        assert line == f"{forked}[0] independent: processes 1{wait}"
         return
     (child,) = record["children"]
     assert record["processes"] == 2 and set(child) == {"items", "seconds", "stages",
@@ -956,8 +983,8 @@ def test_run_records_and_reports_a_forked_stages_children(tmp_path, max_processe
     assert child["items"] == items and child["seconds"] > 0 and child["peak_rss_mb"] > 0
     assert set(child["stages"]) == set(child_stages)
     cells = "".join(rf"{name} \d+\.\d{{3}}s \+\d+ MB, " for name in child_stages)
-    assert re.fullmatch(rf"{forked}\[0\] independent: processes 2; child 1: items {items}, "
-                        rf"\d+\.\d{{3}}s, {cells}peak RSS \d+ MB", line)
+    assert re.fullmatch(rf"{forked}\[0\] independent: processes 2{re.escape(wait)}; child 1: "
+                        rf"items {items}, \d+\.\d{{3}}s, {cells}peak RSS \d+ MB", line)
 
 
 def test_report_reads_stage_records_without_a_peak_rise(tmp_path):
@@ -1121,7 +1148,8 @@ def test_cli_run_rejects_an_aux_law_for_a_model_without_an_aux_variable(
     ("gauss_quantized", "configure"),
     ("FiniteLaw", "configure"),
     ("dpi_verdict", "enumerate"),
-    ("canonical_labels", "criterion"),
+    ("canonical_classes", "criterion"),
+    ("merge_classes", "criterion"),
     ("estimator_crosscheck", "crosscheck"),
     ("conditional_energy_by_grouping", "crosscheck"),
 ])

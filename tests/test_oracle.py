@@ -22,6 +22,7 @@ from innovlab.oracle import (
     FiniteLaw,
     FiniteSystem,
     WitnessDrift,
+    canonical_classes,
     canonical_labels,
     conditional_energy_by_grouping,
     dpi_verdict,
@@ -30,6 +31,7 @@ from innovlab.oracle import (
     finite_bayes_filter,
     gauss_quantized,
     match_atoms,
+    merge_classes,
     sample_quantized_ensemble,
     system_battery,
     witness_labels,
@@ -407,8 +409,8 @@ def test_plugin_standard_errors_match_the_separate_formulas(erased):
     filt = finite_bayes_filter(model, sim, noise, aux)
     Z = innovation_values(sim.U, filt.values, g.dt)
     labels = canonical_labels(witness_labels(Z) if erased else Z[:, 1:])
-    level, _ = plugin_level(Z, filt.values, labels, g)
-    lw, _ = log_weights_ensemble(filt.values, Z, g.dt)
+    lw, energies = log_weights_ensemble(filt.values, Z, g.dt)
+    level, _ = plugin_level(lw, energies, labels)
     assert (level.energy_se, level.entropy_se) == _plugin_se_reference(lw, labels)
 
 
@@ -422,7 +424,8 @@ def test_plugin_estimators_converge_to_enumeration():
     sim = sample_quantized_ensemble(model, g, 20000, RandomStream(seed=13), noise, aux)
     filt = finite_bayes_filter(model, sim, noise, aux)
     Z = innovation_values(sim.U, filt.values, g.dt)
-    level, e = plugin_level(Z, filt.values, canonical_labels(Z[:, 1:]), g)
+    level, e = plugin_level(*log_weights_ensemble(filt.values, Z, g.dt),
+                            canonical_labels(Z[:, 1:]))
     base, base_se = level.energy, level.energy_se
     push, push_se = level.entropy, level.entropy_se
     assert abs(base - v.base_entropy) < 5 * max(base_se, 1e-4)
@@ -435,7 +438,8 @@ def test_plugin_estimators_exact_on_zero_drift():
     g = TimeGrid(steps=3)
     noise = gauss_quantized(2, g.dt)
     sim = sample_quantized_ensemble(make_model("zero"), g, 500, RandomStream(seed=2), noise)
-    level, _ = plugin_level(sim.U, sim.drift, canonical_labels(sim.U[:, 1:]), g)
+    level, _ = plugin_level(*log_weights_ensemble(sim.drift, sim.U, g.dt),
+                            canonical_labels(sim.U[:, 1:]))
     assert level.energy == pytest.approx(0.0, abs=1e-14)
     assert level.entropy == pytest.approx(0.0, abs=1e-14)
     assert level.gap_se == pytest.approx(0.0, abs=1e-14)
@@ -498,3 +502,27 @@ def test_class_labels_match_numpy_unique_rows():
     _, expected = np.unique(np.stack([coarse.astype(float), np.round(keys[:, 2], ROUND_DECIMALS)], axis=1),
                             axis=0, return_inverse=True)
     assert np.array_equal(_refine_labels(coarse, keys[:, 2]), expected.reshape(-1))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_merged_range_classes_are_the_labels_of_all_rows(seed):
+    # a crosscheck's ranges each form the classes of their own rows; the
+    # ranks of their merged tables must be the labels of the whole array,
+    # for row keys and for 1-D keys such as `witness_labels` gives
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(40, 400))
+    keys = rng.integers(-3, 4, size=(m, 3)) * 0.25
+    keys[rng.random(keys.shape) < 0.1] = -0.0        # -0.0 and 0.0 are one value
+    keys[rng.random(m) < 0.3, 0] = 0.1 + 0.2         # equal to 0.3 after rounding
+    keys[0], keys[-1] = -7.5, 7.5                    # classes of the first or last range alone
+    cuts = np.sort(rng.choice(np.arange(1, m - 1), int(rng.integers(0, 5)), replace=False))
+    for k in (keys, keys[:, 1]):
+        ranges = np.split(k, cuts)
+        parts = [canonical_classes(part) for part in ranges]
+        assert np.array_equal(merge_classes(parts), canonical_labels(k))
+        for part, (labels, table) in zip(ranges, parts):
+            rounded = np.round(part.reshape(len(part), -1), ROUND_DECIMALS)
+            assert np.array_equal(table[labels], rounded)
+        if len(parts) > 1:  # each range's own labels are not the classes of all rows
+            assert not np.array_equal(np.concatenate([labels for labels, _ in parts]),
+                                      canonical_labels(k))

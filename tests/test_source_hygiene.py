@@ -134,3 +134,22 @@ def test_no_function_imports_from_a_module_imported_at_the_top(module):
              if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
              for node in ast.walk(function) if _package_module(node) in top]
     assert not local, f"innovlab.{module} imports locally what it imports at the top: {local}"
+
+
+def test_only_the_continuous_front_end_maps_shared_arrays():
+    # shared pages are for a caller that reads the rows its children
+    # wrote: the continuous criterion reads every row of Z and û, where a
+    # crosscheck's ranges hand back (m,) vectors instead
+    shared = []
+    for module, tree in TREES.items():
+        for function in ast.walk(tree):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(function):
+                if not (isinstance(node, ast.Call)
+                        and getattr(node.func, "id", None) == "mapped_array"):
+                    continue
+                flag = node.args[1:] + [kw.value for kw in node.keywords if kw.arg == "shared"]
+                if any(not (isinstance(f, ast.Constant) and f.value is False) for f in flag):
+                    shared.append((module, function.name))
+    assert sorted(set(shared)) == [("harness", "continuous_front_end")]
