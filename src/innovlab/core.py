@@ -36,11 +36,11 @@ used in order.
   (buffer_pos = 4, has_uint32 = 0), which is the state of a fresh
   `Philox(key=seed).jumped(j)`.
 
-Independent pieces of work (the continuous front end's row blocks, the
-criterion's weight sets, and the quantized front end's row ranges, one
-per process, `process_ranges`) are dealt over one forked process per CPU,
-each started on a CPU of its own, by `fork_map`, the package's one place
-that forks and reaps and that builds the record of what each child did.
+Independent pieces of work (the front ends' row blocks and the
+criterion's weight sets) are dealt over one forked process per CPU, one
+contiguous run of pieces each, every process started on a CPU of its own,
+by `fork_map`, the package's one place that decides the process count,
+forks and reaps, and builds the record of what each child did.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ __all__ = [
     "path_energies",
     "PATH_BLOCK",
     "row_chunks",
-    "process_ranges",
     "mapped_array",
     "fork_map",
 ]
@@ -260,52 +259,47 @@ def _fork_processes(items: int) -> int:
     return min(len(os.sched_getaffinity(0)), items)
 
 
-def process_ranges(m: int) -> list[slice]:
-    """Slices of m rows, one contiguous range per process that `fork_map`
-    deals them over: P = `_fork_processes` of the m rows' PATH_BLOCK blocks,
-    and each range a whole number of blocks, ceil(blocks / P), but the last.
-    With m <= PATH_BLOCK, or one CPU, it is one range, which does not fork."""
-    blocks = max(-(-m // PATH_BLOCK), 1)
-    step = PATH_BLOCK * -(-blocks // max(_fork_processes(blocks), 1))
-    return [slice(lo, min(lo + step, m)) for lo in range(0, m, step)]
-
-
 def fork_map(fn, items, stages=None) -> tuple[list, dict]:
-    """`[fn(item, stages) for item in items]`, the items dealt over
-    P = `_fork_processes(len(items))` processes.
+    """The lists `fn(run, stages)`, concatenated, over one contiguous run of
+    `items` per process, P = `_fork_processes(len(items))` processes.  Of
+    n items, run i is items[ceil(n i / P) : ceil(n (i + 1) / P)]: the runs
+    differ in length by at most one, and run 0, the caller's, is a longest.
 
-    The caller runs items 0, P, 2P, .. with `stages`, and each of P - 1
-    forked children runs items i, i + P, .. with a dict of its own.  A
-    child sends back, pickled on a pipe, its results, its stages, its
-    seconds and the error it raised; so a result must pickle, and an item's
-    result must not depend on which process ran it.  Each process starts
-    on a CPU of its own (`_settle`): the caller on the first CPU it may run
-    on, child i on the next.
+    Each process calls `fn` once: the caller on run 0 with `stages`, and
+    each of P - 1 forked children on run i with a dict of its own
+    (`_fork`).  A child sends back, pickled on a pipe, its list, its
+    stages, its seconds and the error it raised; so a result must pickle,
+    and a run's results must not depend on which process ran it.  Each
+    process starts on a CPU of its own (`_settle`): the caller on the
+    first CPU it may run on, child i on the next.
 
-    Returns the results in item order and the stage's fork record:
-    `{"processes": P, "wait_s": ..., "children": [...]}`: the caller's
-    seconds from finishing its own items to reaping its last child, and
-    per child its item count
-    (`items`), its `seconds`, its `stages` dict and its peak RSS in MB
-    (`peak_rss_mb`); while `tracemalloc` traces, also the child's own
-    traced peak in MB (`traced_peak_mb`): the most it held traced above
-    what it held at the fork, which it shares with the caller.  A child's
-    error is raised here as itself, and a child that ended without a
-    report as a `ChildProcessLost`.  Every child is reaped before this
-    returns or raises, and killed first when the caller's own items raise.
-    With P = 1 nothing forks.
+    Returns the runs' results concatenated in item order and the stage's
+    fork record: `{"processes": P, "wait_s": ..., "children": [...]}`: the
+    caller's seconds from finishing its own run to reaping its last child,
+    and per child the count of items in its run (`items`), its `seconds`,
+    its `stages` dict and its peak RSS in MB (`peak_rss_mb`); while
+    `tracemalloc` traces, also the child's own traced peak in MB
+    (`traced_peak_mb`): the most it held traced above what it held at the
+    fork, which it shares with the caller.  A child's error is raised here
+    as itself, and a child that ended without a report as a
+    `ChildProcessLost`.  Every child is reaped before this returns or
+    raises, and killed first when the caller's own run raises.  With P = 1
+    nothing forks.
     """
     items = list(items)
+    n = len(items)
+    processes = max(_fork_processes(n), 1)
+    cuts = [-(-n * i // processes) for i in range(processes + 1)]  # ceil(n i / P)
+    runs = [items[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
     stages = {} if stages is None else stages
-    processes = max(_fork_processes(len(items)), 1)
     children = []
     try:
         if processes > 1:
             cpus = sorted(os.sched_getaffinity(0))
             _settle(cpus[0])
         for i in range(1, processes):
-            children.append(_fork(fn, items[i::processes], cpus[i % len(cpus)]))
-        own = [fn(item, stages) for item in items[::processes]]
+            children.append(_fork(fn, runs[i], cpus[i % len(cpus)]))
+        results = fn(runs[0], stages)
         done = time.perf_counter()
     except BaseException:
         import signal  # only a failed run needs it; a run's set-up does not load it
@@ -316,10 +310,8 @@ def fork_map(fn, items, stages=None) -> tuple[list, dict]:
     finally:
         reports = [_reap(*child) for child in children]
 
-    results = [None] * len(items)
-    results[::processes] = own
     record = {"processes": processes, "wait_s": time.perf_counter() - done, "children": []}
-    for i, ((pid, _), (report, status, peak)) in enumerate(zip(children, reports), 1):
+    for run, (pid, _), (report, status, peak) in zip(runs[1:], children, reports):
         try:
             values, child_stages, seconds, error, traced = pickle.loads(report)
         except Exception:  # empty or cut short: the child died before it reported
@@ -328,8 +320,8 @@ def fork_map(fn, items, stages=None) -> tuple[list, dict]:
             raise ChildProcessLost(f"forked child {pid} ended without a report ({how})") from None
         if error is not None:
             raise error
-        results[i::processes] = values
-        record["children"].append({"items": len(values), "seconds": seconds,
+        results += values
+        record["children"].append({"items": len(run), "seconds": seconds,
                                    "stages": child_stages, "peak_rss_mb": peak,
                                    **({} if traced is None else {"traced_peak_mb": traced})})
     return results, record
@@ -344,14 +336,13 @@ def _settle(cpu: int) -> None:
     os.sched_setaffinity(0, allowed)
 
 
-def _fork(fn, items, cpu):
-    """Fork a child that settles on `cpu` (`_settle`), runs `fn(item,
-    stages)` on each of `items` and sends back, pickled on a pipe, its
-    results, its `stages`, its seconds, the error it raised, or None, and
-    its traced peak in MB above its traced memory at the start, or None
-    when `tracemalloc` does not trace.  The child always leaves by
-    `os._exit`, with status 0 once its report is sent.  Returns (pid, read
-    end)."""
+def _fork(fn, run, cpu):
+    """Fork a child that settles on `cpu` (`_settle`), calls `fn(run,
+    stages)` once and sends back, pickled on a pipe, the list it returns,
+    its `stages`, its seconds, the error it raised, or None, and its traced
+    peak in MB above its traced memory at the start, or None when
+    `tracemalloc` does not trace.  The child always leaves by `os._exit`,
+    with status 0 once its report is sent.  Returns (pid, read end)."""
     read, write = os.pipe()
     pid = os.fork()
     if pid == 0:
@@ -367,7 +358,7 @@ def _fork(fn, items, cpu):
             stages: dict = {}
             results = []
             try:
-                results = [fn(item, stages) for item in items]
+                results = fn(run, stages)
                 error = None
             except BaseException as exc:  # sent to the caller, which raises it
                 error = exc

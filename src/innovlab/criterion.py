@@ -185,7 +185,7 @@ def criterion_levels(Z: np.ndarray, uhat: np.ndarray, grid: TimeGrid,
     slots: dict = {}
     slot_of = [slots.setdefault(stop.tobytes(), len(slots)) for stop in stops]
     sets, record = fork_map(
-        lambda stop, _: _weight_set(Z, uhat, grid.dt, stop, basis),
+        lambda run, _: [_weight_set(Z, uhat, grid.dt, stop, basis) for stop in run],
         stops[[slot_of.index(s) for s in range(len(slots))]])
     if forks is not None:
         forks.update(record)

@@ -13,11 +13,12 @@ Modes: ``continuous`` runs the Gaussian pipeline; ``crosscheck`` runs the
 quantized pipeline (`criterion.plugin_level`) and checks its Monte Carlo
 estimates against exact enumeration.  Both modes write their level rows
 from `criterion.LevelReport`s.  Three stages share their pieces among one
-process per CPU through `core.fork_map`: a continuous run's front end its
-row blocks and its criterion its weight sets, and a crosscheck run's
-front end (sampling, filter, atom match, innovation, observation classes
-and log-weights) one row range per process.  Every other stage runs in
-the calling process alone, one after another.
+process per CPU through `core.fork_map`, one contiguous run of pieces per
+process: a continuous run's front end its row blocks and its criterion
+its weight sets, and a crosscheck run's front end (sampling, filter, atom
+match, innovation, observation classes and log-weights) its row blocks,
+each run of them as one row range.  Every other stage runs in the calling
+process alone, one after another.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .core import PATH_BLOCK, RandomStream, TimeGrid, fork_map, mapped_array, process_ranges
+from .core import PATH_BLOCK, RandomStream, TimeGrid, fork_map, mapped_array
 from .criterion import (
     DEFAULT_LEVELS,
     GAP_FLOOR,
@@ -317,35 +318,36 @@ def continuous_front_end(model: DriftModel, grid: TimeGrid, size: int,
     by row, so the blocks move no number.
 
     Z and uhat live in anonymous shared memory, and `core.fork_map` deals
-    the blocks out over one process per CPU, each writing its rows in
-    place: a block's observation and drift are simulated in its rows of Z
-    and uhat, and the innovation and the filter overwrite them there.  The
-    rest of a block's simulation fills the process's workspace
-    (`models.workspace`), made at its first block.  Each stage's seconds
-    and peak rises are summed over the caller's blocks in `stages`;
-    `front_end`, when given, receives the record `fork_map` returns, whose
-    children carry their own stage entries.  A stage that fails in a child
-    raises here as the same `StageError`.
+    the blocks out over one process per CPU, a contiguous run of blocks
+    each, every process writing its rows in place: a block's observation
+    and drift are simulated in its rows of Z and uhat, and the innovation
+    and the filter overwrite them there.  The rest of a block's simulation
+    fills the process's workspace (`models.workspace`), made at the top of
+    its run, after the fork.  Each stage's seconds and peak rises are
+    summed over the caller's blocks in `stages`; `front_end`, when given,
+    receives the record `fork_map` returns, whose children carry their own
+    stage entries.  A stage that fails in a child raises here as the same
+    `StageError`.
     """
     stages = {} if stages is None else stages
     Z = mapped_array((size, grid.steps + 1), shared=True)
     uhat = mapped_array((size, grid.steps), shared=True)
-    work = {}  # each process's block workspace, made at its first block
 
-    def run_block(lo, entries):
-        hi = min(lo + PATH_BLOCK, size)
-        if not work:  # after the fork: no child copies the caller's pages
-            work.update(workspace(model, grid, hi - lo))
-        work.update(U=Z[lo:hi], drift=uhat[lo:hi])
-        sim = _stage(entries, "simulate", simulate_ensemble, model, grid, hi - lo,
-                     RandomStream(stream.seed, stream.substream + lo), work)
-        method = _stage(entries, "filter", lambda: ensemble_conditional_drift(
-            model, sim, sim.drift).method)
-        _stage(entries, "innovation", lambda: innovation_values(sim.U, uhat[lo:hi], grid.dt,
-                                                                out=sim.U))
-        return method
+    def run_blocks(starts, entries):
+        work = workspace(model, grid, min(PATH_BLOCK, size - starts[0]))
+        methods = []
+        for lo in starts:
+            hi = min(lo + PATH_BLOCK, size)
+            work.update(U=Z[lo:hi], drift=uhat[lo:hi])
+            sim = _stage(entries, "simulate", simulate_ensemble, model, grid, hi - lo,
+                         RandomStream(stream.seed, stream.substream + lo), work)
+            methods.append(_stage(entries, "filter", lambda: ensemble_conditional_drift(
+                model, sim, sim.drift).method))
+            _stage(entries, "innovation", lambda: innovation_values(sim.U, uhat[lo:hi],
+                                                                    grid.dt, out=sim.U))
+        return methods
 
-    methods, record = fork_map(run_block, range(0, size, PATH_BLOCK), stages)
+    methods, record = fork_map(run_blocks, range(0, size, PATH_BLOCK), stages)
     if front_end is not None:
         front_end.update(record)
     return Z, uhat, methods[0]
@@ -432,7 +434,6 @@ def _run_continuous(config, model, grid, stream, stages, persist) -> ResultRecor
             diagnostics["gaussian_oracle_error"] = str(exc.cause)
         else:
             diagnostics["gaussian_path_kl"] = exact.innovation_kl
-            diagnostics["gaussian_observation_kl"] = exact.observation_kl
 
     front_end: dict = {}
     Z, uhat, method = continuous_front_end(model, grid, config.paths, stream, stages, front_end)
@@ -499,29 +500,30 @@ def _quantized_front_end(model, grid, size, stream, noise, aux, space, relabel, 
     observations (Z[:, 1:], or `relabel(Z)`) and its log-weights and
     energies; and the `core.fork_map` record.
 
-    `fork_map` deals one contiguous row range per process
-    (`core.process_ranges`).  A range samples its rows from substreams
+    `fork_map` deals the PATH_BLOCK row blocks, one contiguous run of them
+    per process, and a process's run is one row range: a block has a fixed
+    cost that a range pays once.  A range samples its rows from substreams
     stream.substream + lo.. (`sample`), filters them and matches them to
     their atoms of `space`, enumerated before the fork (`filter`), forms
     their innovation (`innovation`), then their classes and log-weights
     (`criterion`), all in arrays of its own.  Every step acts row by row
     and a class table holds exact rounded values, so the ranges move no
-    number.  The caller's stage entries sum over its ranges.
+    number.  The caller's stage entries are its one range's.
     """
-    def run_range(rows, entries):
-        sim = _stage(entries, "sample", sample_quantized_ensemble, model, grid,
-                     rows.stop - rows.start,
-                     RandomStream(stream.seed, stream.substream + rows.start), noise, aux)
+    def run_range(starts, entries):
+        lo, hi = starts[0], min(starts[-1] + PATH_BLOCK, size)
+        sim = _stage(entries, "sample", sample_quantized_ensemble, model, grid, hi - lo,
+                     RandomStream(stream.seed, stream.substream + lo), noise, aux)
         filt = _stage(entries, "filter", finite_bayes_filter, model, sim, noise, aux)
         deviation = _stage(entries, "filter", filter_deviation, space, sim, filt.values)
         Z = _stage(entries, "innovation", innovation_values, sim.U, filt.values, grid.dt,
                    out=sim.U)
         classes = _stage(entries, "criterion", lambda: canonical_classes(
             Z[:, 1:] if relabel is None else relabel(Z)))
-        return (filt.method, deviation, classes,
-                *_stage(entries, "criterion", log_weights_ensemble, filt.values, Z, grid.dt))
+        return [(filt.method, deviation, classes,
+                 *_stage(entries, "criterion", log_weights_ensemble, filt.values, Z, grid.dt))]
 
-    return fork_map(run_range, process_ranges(size), stages)
+    return fork_map(run_range, range(0, size, PATH_BLOCK), stages)
 
 
 def _fmt_cell(v) -> str:

@@ -123,8 +123,9 @@ class FiniteLaw:
         return len(self.values)
 
     def draw(self, u: np.ndarray) -> np.ndarray:
-        """Inverse-CDF draw: the law's value for each uniform in u."""
-        return self.values[np.searchsorted(np.cumsum(self.probs), u)]
+        """Inverse-CDF draw: the law's value for each uniform in u; a u above
+        the rounded sum of the probabilities draws the last value."""
+        return self.values[np.searchsorted(np.cumsum(self.probs)[:-1], u)]
 
     def index(self, x: np.ndarray) -> np.ndarray:
         """Position in `values` of each entry of x, which must all be values."""

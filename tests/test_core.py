@@ -1,3 +1,4 @@
+import itertools
 import os
 
 import numpy as np
@@ -16,7 +17,6 @@ from innovlab.core import (
     fork_map,
     path_energies,
     philox4x64_10,
-    process_ranges,
     row_chunks,
 )
 from innovlab.errors import ConfigurationError, ShapeError
@@ -296,23 +296,35 @@ def test_random_stream_accepts_the_full_seed_range():
     (PATH_BLOCK + 1, 2, [PATH_BLOCK, 1]),
     (6 * PATH_BLOCK + 5, 1, [6 * PATH_BLOCK + 5]),
     (6 * PATH_BLOCK + 5, 2, [4 * PATH_BLOCK, 2 * PATH_BLOCK + 5]),
-    (6 * PATH_BLOCK + 5, 3, [3 * PATH_BLOCK, 3 * PATH_BLOCK, 5]),
+    (6 * PATH_BLOCK + 5, 3, [3 * PATH_BLOCK, 2 * PATH_BLOCK, PATH_BLOCK + 5]),
     (100000, 2, [49 * PATH_BLOCK, 100000 - 49 * PATH_BLOCK]),
 ])
-def test_process_ranges_give_each_process_one_range_of_whole_blocks(max_processes, m,
-                                                                    processes, lengths):
+def test_fork_map_calls_each_process_once_on_one_contiguous_run(max_processes, m,
+                                                              processes, lengths):
+    # the blocks of m rows, dealt as the front ends deal them: each process
+    # calls fn once, on a run of blocks that follows the run before it
     max_processes(processes)
-    ranges = process_ranges(m)
-    assert [r.stop - r.start for r in ranges] == lengths
-    assert ranges[0].start == 0 and ranges[-1].stop == m
-    assert all(a.stop == b.start for a, b in zip(ranges, ranges[1:]))
+    calls = []
+
+    def spy(run, stages):
+        calls.append(run)
+        return [(os.getpid(), len(calls), lo) for lo in run]
+
+    results, record = fork_map(spy, range(0, m, PATH_BLOCK))
+    assert [lo for *_, lo in results] == list(range(0, m, PATH_BLOCK))
+    runs = [[lo for *_, lo in run] for _, run in itertools.groupby(results, lambda r: r[0])]
+    assert len({pid for pid, *_ in results}) == len(runs) == record["processes"]
+    assert {call for _, call, _ in results} == {1} and calls == [runs[0]]
+    assert results[0][0] == os.getpid()
+    assert [min(run[-1] + PATH_BLOCK, m) - run[0] for run in runs] == lengths
+    assert [c["items"] for c in record["children"]] == [len(run) for run in runs[1:]]
 
 
 def test_fork_map_leaves_every_process_free_to_run_on_every_cpu(max_processes):
     # each process starts on a CPU of its own, then may run on all of them again
     max_processes(2)
     allowed = os.sched_getaffinity(0)
-    seen, record = fork_map(lambda item, stages: os.sched_getaffinity(0), range(2))
+    seen, record = fork_map(lambda run, stages: [os.sched_getaffinity(0) for _ in run], range(2))
     assert record["processes"] == 2
     assert seen == [allowed, allowed] and os.sched_getaffinity(0) == allowed
 

@@ -491,7 +491,6 @@ def test_a_failed_gaussian_oracle_keeps_every_level(tmp_path):
     error = rec.diagnostics["gaussian_oracle_error"]
     assert error.startswith("Gaussian algebra lost positivity")
     assert "gaussian_path_kl" not in rec.diagnostics
-    assert "gaussian_observation_kl" not in rec.diagnostics
     # the failed stage keeps its time, like one that succeeds
     assert rec.diagnostics["stages"]["oracle"]["seconds"] > 0
     assert [row["n"] for row in rec.levels] == list(cfg.levels)
@@ -778,7 +777,8 @@ def test_crosscheck_does_not_depend_on_the_front_end_processes(tmp_path, max_pro
         d = run_experiment(ExperimentConfig(**cfg, outdir=str(out))).diagnostics
         _assert_no_child_left()
         assert d["front_end"]["processes"] == processes
-        assert [c["items"] for c in d["front_end"]["children"]] == [1] * (processes - 1)
+        children = d["front_end"]["children"]  # a child's items: its range's blocks
+        assert [c["items"] for c in children] == {1: [], 2: [3], 3: [2, 2]}[processes]
         runs.append(((out / "results.csv").read_bytes(), d["crosscheck"], d["energy_mc"]))
     assert runs[0] == runs[1] == runs[2]
 
@@ -957,7 +957,7 @@ def test_run_records_and_reports_a_forked_stages_children(tmp_path, max_processe
     # `report` prints it on one line with the caller's wait, front end
     # first, before the run's own stage line; with 2 processes the child
     # runs 1 of the 3 row blocks and 2 of the 4 weight sets of a continuous
-    # run, and 1 of the 2 row ranges of a crosscheck
+    # run, and 1 of the 3 row blocks of a crosscheck, as one row range
     cfg, forked, items, child_stages, at = FORKED_STAGES[stage]
     max_processes(processes)
     rec = run_experiment(ExperimentConfig(**cfg, outdir=str(tmp_path)))

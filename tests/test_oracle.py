@@ -85,6 +85,20 @@ def test_finite_law_defaults_to_uniform_and_looks_values_up():
         law.index(np.array([1.0]))
 
 
+@pytest.mark.parametrize("law, u", [
+    (gauss_quantized(22, 0.37), 1 - 2**-53),
+    (FiniteLaw([0.0, 1.0], [0.5, 0.5 - 5e-13]), 1 - 2**-45),
+])
+def test_finite_law_draws_its_last_value_above_the_rounded_sum(law, u):
+    # the cumulative sum of the probabilities can round below a uniform;
+    # such a uniform draws the last value, and every other keeps its value
+    cdf = np.cumsum(law.probs)
+    assert u > cdf[-1]
+    assert law.draw(np.array([u])).tolist() == [law.values[-1]]
+    below = np.linspace(0.0, cdf[-1], 1001)
+    assert np.array_equal(law.draw(below), law.values[np.searchsorted(cdf, below)])
+
+
 @pytest.mark.parametrize("values, probs", [
     ([-1.5, 1.5], [1.0]),           # lengths differ
     ([], None),                      # empty

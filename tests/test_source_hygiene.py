@@ -153,3 +153,19 @@ def test_only_the_continuous_front_end_maps_shared_arrays():
                 if any(not (isinstance(f, ast.Constant) and f.value is False) for f in flag):
                     shared.append((module, function.name))
     assert sorted(set(shared)) == [("harness", "continuous_front_end")]
+
+
+def test_only_the_fork_helper_counts_the_processes():
+    # `core.fork_map` decides both the process count and how the pieces are
+    # split among the processes; a second caller of the count would split
+    # pieces of its own that agree with it only while the counts agree
+    callers = set()
+    for module, tree in TREES.items():
+        for function in ast.walk(tree):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(function):
+                if isinstance(node, ast.Call) and "_fork_processes" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    callers.add((module, function.name))
+    assert callers == {("core", "fork_map")}
