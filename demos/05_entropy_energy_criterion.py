@@ -14,7 +14,7 @@ import numpy as np
 
 from innovlab import BasisSpec, RandomStream, TimeGrid, criterion_levels, criterion_verdict, make_model, simulate_ensemble
 from innovlab.filtering import ensemble_conditional_drift, innovation_values
-from innovlab.lingauss import linear_gaussian_summary
+from innovlab.lingauss import gaussian_tilt
 
 M = 10_000
 
@@ -33,7 +33,7 @@ for name, params, steps in [
     for r in reports:
         print(f"    n={r.level:>4}: H={r.entropy:.5f}+-{r.entropy_se:.5f} "
               f"E={r.energy:.5f}+-{r.energy_se:.5f} gap={r.gap:+.5f} [{r.verdict}]")
-    kl = linear_gaussian_summary(model, grid).innovation_kl
+    kl = gaussian_tilt(model, grid).innovation_kl()
     print(f"    exact innovation relative entropy: {kl:.5f}")
 
 # Oracle-agreement mode: exponential-moving-average features span the
@@ -45,6 +45,6 @@ filt = ensemble_conditional_drift(model, sim)
 Z = innovation_values(sim.U, filt.values, grid.dt)
 r = criterion_levels(Z, filt.values, grid, levels=(float("inf"),),
                      basis=BasisSpec(ema_rates=(0.5, 1.0, 2.0, 4.0)))[0]
-kl = linear_gaussian_summary(model, grid).innovation_kl
+kl = gaussian_tilt(model, grid).innovation_kl()
 print(f"\nkalman with EMA features: |H - exact| = {abs(r.entropy - kl):.2e} "
       f"vs 3se = {3 * r.entropy_se:.2e}")

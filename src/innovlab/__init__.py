@@ -16,8 +16,8 @@ Module map:
 * ``filtering`` -- exact filters, innovations, second-level regressions
 * ``girsanov``  -- log-weights, stopping-time localization, reweighting
 * ``criterion`` -- entropy and energy estimators, verdicts
-* ``lingauss``  -- closed-form Gaussian path laws and exact KL for the
-                   linear family
+* ``lingauss``  -- the Gaussian tilt of a linear model on its grid and
+                   its exact functionals (relative entropies, energies)
 * ``oracle``    -- finite laws (quantized noise, finite aux), exact atom
                    enumeration, entropy identities, the witness
 * ``harness``   -- configs, experiment runs, persistence, suites

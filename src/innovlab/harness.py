@@ -49,7 +49,7 @@ from .criterion import (
 from .errors import ConfigurationError, InnovlabError, NumericalError, StageError, UsageError
 from .filtering import BasisSpec, ensemble_conditional_drift, innovation_values
 from .girsanov import MIN_DIAGNOSTIC_MEMBERS, log_weights_ensemble
-from .lingauss import is_linear_model, linear_gaussian_summary
+from .lingauss import gaussian_path_kl, is_linear_model
 from .models import (
     MODEL_NAMES,
     DriftModel,
@@ -97,7 +97,7 @@ MODEL_COLUMN = max(len(name) for name in MODEL_NAMES) + 1
 
 # pipeline stages in run order; `report` prints their timings in this order
 STAGES = ("configure", "enumerate", "oracle", "simulate", "sample", "filter",
-          "innovation", "criterion", "crosscheck")
+          "innovation", "weights", "criterion", "crosscheck")
 
 
 # the one mode that reads each key not every mode reads (None: no mode
@@ -136,7 +136,7 @@ class ExperimentConfig:
     aux_probs: tuple = ()
     erasure: str = "none"
     crosscheck_tol: float = 0.05
-    workers: int = 1  # 1 only; kept so that older configs parse
+    workers: int = 1  # 1 only; kept while the three configs of bench/workloads.py set it
     write_paths: bool = False
 
     def __post_init__(self):
@@ -425,7 +425,7 @@ def _run_continuous(config, model, grid, stream, stages, persist) -> ResultRecor
     diagnostics = {"paths": config.paths, "grid_n": config.grid_n, "seed": config.seed}
     if is_linear_model(model):
         try:
-            exact = _stage(stages, "oracle", linear_gaussian_summary, model, grid)
+            kl = _stage(stages, "oracle", gaussian_path_kl, model, grid)
         except StageError as exc:
             if not isinstance(exc.cause, NumericalError):
                 raise
@@ -433,7 +433,7 @@ def _run_continuous(config, model, grid, stream, stages, persist) -> ResultRecor
             # are for: keep them, and say why the exact values are missing
             diagnostics["gaussian_oracle_error"] = str(exc.cause)
         else:
-            diagnostics["gaussian_path_kl"] = exact.innovation_kl
+            diagnostics["gaussian_path_kl"] = kl
 
     front_end: dict = {}
     Z, uhat, method = continuous_front_end(model, grid, config.paths, stream, stages, front_end)
@@ -506,7 +506,7 @@ def _quantized_front_end(model, grid, size, stream, noise, aux, space, relabel, 
     stream.substream + lo.. (`sample`), filters them and matches them to
     their atoms of `space`, enumerated before the fork (`filter`), forms
     their innovation (`innovation`), then their classes and log-weights
-    (`criterion`), all in arrays of its own.  Every step acts row by row
+    (`weights`), all in arrays of its own.  Every step acts row by row
     and a class table holds exact rounded values, so the ranges move no
     number.  The caller's stage entries are its one range's.
     """
@@ -518,10 +518,10 @@ def _quantized_front_end(model, grid, size, stream, noise, aux, space, relabel, 
         deviation = _stage(entries, "filter", filter_deviation, space, sim, filt.values)
         Z = _stage(entries, "innovation", innovation_values, sim.U, filt.values, grid.dt,
                    out=sim.U)
-        classes = _stage(entries, "criterion", lambda: canonical_classes(
+        classes = _stage(entries, "weights", lambda: canonical_classes(
             Z[:, 1:] if relabel is None else relabel(Z)))
         return [(filt.method, deviation, classes,
-                 *_stage(entries, "criterion", log_weights_ensemble, filt.values, Z, grid.dt))]
+                 *_stage(entries, "weights", log_weights_ensemble, filt.values, Z, grid.dt))]
 
     return fork_map(run_range, range(0, size, PATH_BLOCK), stages)
 

@@ -21,7 +21,7 @@ from innovlab.criterion import (
 )
 from innovlab.filtering import BasisSpec
 from innovlab.harness import PATH_BLOCK, ExperimentConfig, continuous_front_end, run_experiment
-from innovlab.lingauss import linear_gaussian_summary
+from innovlab.lingauss import gaussian_tilt
 from innovlab.models import make_model
 from innovlab.oracle import WitnessDrift, dpi_verdict, system_battery, witness_space
 
@@ -67,7 +67,7 @@ def test_criterion_1_cameron_martin_exactness():
     model = make_model("deterministic", shape="constant", value=1.0)
     Z, uhat, _ = continuous_front_end(model, grid, 10_000, RandomStream(seed=SEED))
     r = criterion_levels(Z, uhat, grid, levels=(math.inf,))[0]
-    kl = linear_gaussian_summary(model, grid).innovation_kl
+    kl = gaussian_tilt(model, grid).innovation_kl()
     elapsed = time.time() - t0
     ok = (
         abs(r.entropy - 0.5) <= max(3 * r.entropy_se, 1e-12)
@@ -146,7 +146,7 @@ def test_criterion_5_filtration_equality_models(paper_runs):
     r = criterion_levels(kb["Z"], kb["uhat"], kb["grid"],
                          levels=(math.inf,), basis=EMA_BASIS)[0]
     elapsed += time.time() - t0
-    kl = linear_gaussian_summary(kb["model"], kb["grid"]).innovation_kl
+    kl = gaussian_tilt(kb["model"], kb["grid"]).innovation_kl()
     kb_ok = abs(r.entropy - kl) <= 3 * r.entropy_se
 
     ok = all(v == EQUALITY_CONSISTENT for v in verdicts.values()) and kb_ok and elapsed < 900
@@ -180,7 +180,7 @@ def test_normalization_diagnostic_matches_the_exact_rho_mean(paper_runs):
         run = paper_runs[name]
         r = run["reports"][-1]
         assert math.isinf(r.level)
-        exact = linear_gaussian_summary(run["model"], run["grid"]).rho_mean
+        exact = gaussian_tilt(run["model"], run["grid"]).rho_mean()
         ok &= abs(r.norm_mean - exact) <= max(3 * r.norm_se, 1e-12)
         detail.append(f"{name}: {r.norm_mean:.6f} +- {r.norm_se:.6f} vs {exact:.6f}")
     assert ok, "; ".join(detail)

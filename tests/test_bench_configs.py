@@ -30,11 +30,10 @@ SELF_TEST_SCALE = 0.05  # the path-count scale of bench/selftest.py
 WRAPPED = runpy.run_path(str(BENCH / "tracing.py"))["WRAPPED"]
 
 # wrapped names the package no longer has, whose spans read 0 until the
-# tracer is re-pointed (ROADMAP item 5): the Gaussian oracle is called as
-# harness.linear_gaussian_summary, a level's stopped drift is built by
-# girsanov.localize inside log_weights_ensemble, and the quantized level's
-# plug-in entropies and weights are formed by criterion.plugin_level
-STALE_WRAPPED = {("harness", "gaussian_path_kl"), ("criterion", "active_mask"),
+# tracer is re-pointed (ROADMAP item 5): a level's stopped drift is built
+# by girsanov.localize inside log_weights_ensemble, and the quantized
+# level's plug-in entropies and weights are formed by criterion.plugin_level
+STALE_WRAPPED = {("criterion", "active_mask"),
                  ("harness", "base_entropy_mc"), ("harness", "pushforward_entropy_mc"),
                  ("harness", "reweight"), ("harness", "normalization_diagnostic")}
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -20,12 +21,15 @@ from innovlab.errors import NumericalError, UnsupportedModelError, UsageError
 from innovlab.filtering import BasisSpec, FeatureBuilder, innovation_values
 from innovlab.girsanov import localize, reweight, stop_indices
 from innovlab.harness import PAPER_RUNS, continuous_front_end
-from innovlab.lingauss import is_linear_model, linear_gaussian_summary
+from innovlab.lingauss import GaussianTilt, gaussian_path_kl, gaussian_tilt, is_linear_model
 from innovlab.models import make_model
 
 # frozen reference: exact innovation-law relative entropy of the discretized
 # hidden Ornstein-Uhlenbeck model (beta = sigma = 1) on 128 steps
 KB_KL_N128 = 0.0245120405313628
+
+TILT_FUNCTIONALS = ("innovation_kl", "observation_kl", "energy_under_nu", "energy_under_p",
+                    "rho_mean")
 
 # frozen references: every exact functional of two more linear models on 128
 # steps (independent with constant g = 1, linear-feedback with a = 1)
@@ -154,7 +158,7 @@ def test_energy_under_nu_matches_gaussian_oracle_for_kalman():
     # closed-form Gaussian moments are the oracle for the tilted energy
     grid, model, uhat, Z = _pipeline("kalman-bucy", 64, 20000, seed=3)
     r = criterion_levels(Z, uhat, grid, levels=(np.inf,))[0]
-    exact = linear_gaussian_summary(model, grid).energy_under_nu
+    exact = gaussian_tilt(model, grid).energy_under_nu()
     assert abs(r.energy - exact) <= 3 * r.energy_se
 
 
@@ -272,7 +276,7 @@ def test_jensen_estimator_tracks_enumeration_kl_on_quantized_instance():
 # ------------------------------------------------------------------ exact KL
 
 def test_gaussian_path_kl_zero_model():
-    kl = linear_gaussian_summary(make_model("zero"), TimeGrid(steps=64)).innovation_kl
+    kl = gaussian_path_kl(make_model("zero"), TimeGrid(steps=64))
     assert abs(kl) < 1e-10
 
 
@@ -281,13 +285,13 @@ def test_gaussian_path_kl_deterministic_exact(value):
     g = TimeGrid(steps=128)
     model = make_model("deterministic", shape="constant", value=value)
     discrete_energy = value**2 * g.horizon
-    kl = linear_gaussian_summary(model, g).innovation_kl
+    kl = gaussian_path_kl(model, g)
     assert kl == pytest.approx(discrete_energy / 2, abs=1e-10)
 
 
 def test_gaussian_path_kl_kalman_frozen_constant():
     model = make_model("kalman-bucy", beta=1.0, sigma=1.0)
-    got = linear_gaussian_summary(model, TimeGrid(steps=128)).innovation_kl
+    got = gaussian_path_kl(model, TimeGrid(steps=128))
     assert got == pytest.approx(KB_KL_N128, abs=1e-10)
 
 
@@ -298,35 +302,52 @@ def test_gaussian_path_kl_kalman_frozen_constant():
 def test_gaussian_summary_does_not_depend_on_the_blas_thread_count(name, params, steps,
                                                                    one_blas_thread):
     # runs use OpenBLAS's default thread count: the oracle's matrix products
-    # and factorizations must give the same bits at one thread
+    # and factorizations must give the same bits at one thread, in every
+    # functional and in every field of the tilt but Sigma_nu.  numpy's
+    # inverse of K follows the thread count in the last bits, by at most a
+    # rounding of the largest entry per step of its N-term sums
     model, grid = make_model(name, **params), TimeGrid(steps=steps)
-    default = linear_gaussian_summary(model, grid)
+    default = gaussian_tilt(model, grid)
     with one_blas_thread:
-        one = linear_gaussian_summary(model, grid)
-    assert one == default
+        one = gaussian_tilt(model, grid)
+        one_values = [getattr(one, f)() for f in TILT_FUNCTIONALS]
+    assert one_values == [getattr(default, f)() for f in TILT_FUNCTIONALS]
+    for f in fields(GaussianTilt):
+        if f.name != "Sigma_nu":
+            assert np.array_equal(getattr(one, f.name), getattr(default, f.name)), f.name
+    scale = steps * np.finfo(float).eps * np.max(np.abs(default.Sigma_nu))
+    assert np.max(np.abs(one.Sigma_nu - default.Sigma_nu)) <= scale
 
 
 @pytest.mark.parametrize("name, steps", [
     *(pytest.param(name, 128, id=name) for name in FROZEN_SUMMARIES_N128),
     *(pytest.param(name, 512, id=f"{name}-512") for name in FROZEN_SUMMARIES_N512),
 ])
-def test_linear_gaussian_summary_frozen_fields(name, steps):
+def test_gaussian_tilt_frozen_functionals(name, steps):
     params, expected = {128: FROZEN_SUMMARIES_N128, 512: FROZEN_SUMMARIES_N512}[steps][name]
-    got = linear_gaussian_summary(make_model(name, **params), TimeGrid(steps=steps))
-    for field, value in expected.items():
-        assert getattr(got, field) == pytest.approx(value, abs=1e-10), field
+    got = gaussian_tilt(make_model(name, **params), TimeGrid(steps=steps))
+    for functional, value in expected.items():
+        assert getattr(got, functional)() == pytest.approx(value, abs=1e-10), functional
 
 
 def test_gaussian_path_kl_rejects_nonlinear():
     with pytest.raises(UnsupportedModelError):
-        linear_gaussian_summary(make_model("tsirelson", levels=2), TimeGrid(steps=4))
+        gaussian_path_kl(make_model("tsirelson", levels=2), TimeGrid(steps=4))
 
 
-def test_gaussian_summary_reports_a_factorization_that_loses_positivity():
+@pytest.mark.parametrize("a, steps", [
     # strongly explosive feedback: the tilted precision C^-1 + A is not
-    # positive definite on this grid, and the Cholesky failure is reported
+    # positive definite on this grid
+    (-50.0, 16),
+    # C and C^-1 + A still factor, but the innovation side they give, 98.85,
+    # misses the exact value of an adapted drift, 1/2 a^2 dt^2 N (N - 1) / 2
+    # = 99.22 (under the tilt the observation increments are independent
+    # N(0, dt)); the formed observation covariance is what fails
+    (-20.0, 128),
+])
+def test_gaussian_summary_reports_a_factorization_that_loses_positivity(a, steps):
     with pytest.raises(NumericalError, match="lost positivity"):
-        linear_gaussian_summary(make_model("linear-feedback", a=-50.0), TimeGrid(steps=16))
+        gaussian_tilt(make_model("linear-feedback", a=a), TimeGrid(steps=steps))
 
 
 def test_gaussian_summary_rejects_an_innovation_with_a_constant_part():
@@ -339,7 +360,7 @@ def test_gaussian_summary_rejects_an_innovation_with_a_constant_part():
             return super().drift(k, grid, U, aux, hidden, state) + 0.5
 
     with pytest.raises(NumericalError, match="not centred"):
-        linear_gaussian_summary(OffsetDrift(), TimeGrid(steps=4))
+        gaussian_tilt(OffsetDrift(), TimeGrid(steps=4))
 
 
 def test_observation_kl_matches_energy_for_adapted_drift():
@@ -348,8 +369,8 @@ def test_observation_kl_matches_energy_for_adapted_drift():
     # agree for feedback because the innovation is the driving noise
     g = TimeGrid(steps=64)
     model = make_model("linear-feedback", a=1.0)
-    s = linear_gaussian_summary(model, g)
-    assert s.observation_kl == pytest.approx(s.energy_under_p, abs=1e-10)
+    tilt = gaussian_tilt(model, g)
+    assert tilt.observation_kl() == pytest.approx(tilt.energy_under_p(), abs=1e-10)
 
 
 # ------------------------------------------------------------------ verdicts
@@ -415,5 +436,5 @@ def test_criterion_levels_oracle_agreement_with_ema_basis():
     grid, model, uhat, Z = _pipeline("linear-feedback", 64, 8000, seed=21)
     basis = BasisSpec(ema_rates=(0.5, 1.0, 2.0, 4.0))
     r = criterion_levels(Z, uhat, grid, levels=(np.inf,), basis=basis)[0]
-    kl = linear_gaussian_summary(model, grid).innovation_kl
+    kl = gaussian_tilt(model, grid).innovation_kl()
     assert abs(r.entropy - kl) <= 3 * max(r.entropy_se, 1e-12)

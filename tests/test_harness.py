@@ -9,6 +9,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from innovlab.cli import main as cli_main
 import innovlab.core as core
 import innovlab.criterion as criterion
 import innovlab.harness as harness
+import innovlab.lingauss as lingauss
 import innovlab.models as models
 from innovlab.core import RandomStream, TimeGrid
 from innovlab.criterion import GAP_FLOOR
@@ -507,7 +509,7 @@ def test_an_oracle_failure_other_than_numerical_still_fails_the_run(tmp_path, mo
     def unsupported(model, grid):
         raise UnsupportedModelError("not linear after all")
 
-    monkeypatch.setattr(harness, "linear_gaussian_summary", unsupported)
+    monkeypatch.setattr(harness, "gaussian_path_kl", unsupported)
     with pytest.raises(StageError, match="stage 'oracle' failed: not linear after all"):
         run_experiment(ExperimentConfig(model="kalman-bucy", grid_n=16, paths=200,
                                         outdir=str(tmp_path)))
@@ -538,9 +540,11 @@ def test_cli_run_and_report(tmp_path):
      ["configure", "simulate", "filter", "innovation", "criterion"]),  # no Gaussian oracle
     (dict(model="independent", mode="crosscheck", grid_n=2, paths=500, noise_nodes=2,
           aux_values=(-1.0, 1.0)),
-     ["configure", "enumerate", "sample", "filter", "innovation", "criterion", "crosscheck"]),
+     ["configure", "enumerate", "sample", "filter", "innovation", "weights", "criterion",
+      "crosscheck"]),
     (dict(model=WitnessDrift.name, mode="crosscheck", grid_n=2, paths=500, noise_nodes=2),
-     ["configure", "enumerate", "sample", "filter", "innovation", "criterion", "crosscheck"]),
+     ["configure", "enumerate", "sample", "filter", "innovation", "weights", "criterion",
+      "crosscheck"]),
 ])
 def test_run_records_stage_timings(tmp_path, cfg, stages):
     # the caller records its stages in the order they first run
@@ -849,7 +853,7 @@ def _no_fork(fn, items, cpu):
 def test_a_linear_run_computes_the_gaussian_oracle_before_it_forks(max_processes, monkeypatch):
     max_processes(2)
     calls = []
-    fork, summary = core._fork, harness.linear_gaussian_summary
+    fork, oracle = core._fork, harness.gaussian_path_kl
 
     def spy(name, fn):
         def called(*args):
@@ -858,12 +862,50 @@ def test_a_linear_run_computes_the_gaussian_oracle_before_it_forks(max_processes
         return called
 
     monkeypatch.setattr(core, "_fork", spy("fork", fork))
-    monkeypatch.setattr(harness, "linear_gaussian_summary", spy("oracle", summary))
+    monkeypatch.setattr(harness, "gaussian_path_kl", spy("oracle", oracle))
     rec = run_experiment(ExperimentConfig(model="kalman-bucy", grid_n=16,
                                           paths=2 * PATH_BLOCK + 3), persist=False)
     assert calls[:2] == ["oracle", "fork"] and calls.count("oracle") == 1
     assert list(rec.diagnostics["stages"]) == ["configure", "oracle", "simulate", "filter",
                                                "innovation", "criterion"]
+    _assert_no_child_left()
+
+
+def test_a_linear_run_reads_one_functional_of_a_tilt_it_frees_before_it_forks(
+        max_processes, monkeypatch):
+    # a run records only the innovation side, so it evaluates that one
+    # functional, once; and no tilt outlives the oracle stage, so its
+    # matrices are not held through the forked stages
+    max_processes(2)
+    calls, tilts, alive_at_fork = [], [], []
+    fork, tilt = core._fork, lingauss.gaussian_tilt
+
+    def made(*args):
+        made_tilt = tilt(*args)
+        tilts.append(weakref.ref(made_tilt))
+        return made_tilt
+
+    def forked(*args):
+        if not alive_at_fork:
+            alive_at_fork.append([ref() is not None for ref in tilts])
+        return fork(*args)
+
+    def counted(name, functional):
+        def call(self):
+            calls.append(name)
+            return functional(self)
+        return call
+
+    for name, value in vars(lingauss.GaussianTilt).copy().items():
+        if callable(value) and not name.startswith("_"):
+            monkeypatch.setattr(lingauss.GaussianTilt, name, counted(name, value))
+    monkeypatch.setattr(lingauss, "gaussian_tilt", made)
+    monkeypatch.setattr(core, "_fork", forked)
+    rec = run_experiment(ExperimentConfig(model="kalman-bucy", grid_n=16,
+                                          paths=2 * PATH_BLOCK + 3), persist=False)
+    assert calls == ["innovation_kl"]
+    assert alive_at_fork == [[False]]
+    assert rec.diagnostics["gaussian_path_kl"] > 0
     _assert_no_child_left()
 
 
@@ -873,7 +915,7 @@ def test_an_oracle_failure_forks_no_child(max_processes, monkeypatch):
 
     max_processes(2)
     monkeypatch.setattr(core, "_fork", _no_fork)
-    monkeypatch.setattr(harness, "linear_gaussian_summary", unsupported)
+    monkeypatch.setattr(harness, "gaussian_path_kl", unsupported)
     with pytest.raises(StageError, match="stage 'oracle' failed: not linear after all"):
         run_experiment(ExperimentConfig(model="kalman-bucy", grid_n=8,
                                         paths=2 * PATH_BLOCK + 3), persist=False)
@@ -945,7 +987,7 @@ FORKED_STAGES = {
     "criterion": (SPLIT_CFG, "criterion", 2, (), -2),
     "crosscheck": (dict(model="independent", mode="crosscheck", grid_n=2, paths=2 * PATH_BLOCK + 3,
                         noise_nodes=2, aux_values=(-1.0, 1.0)),
-                   "front_end", 1, ("sample", "filter", "innovation", "criterion"), -2),
+                   "front_end", 1, ("sample", "filter", "innovation", "weights"), -2),
 }
 
 
@@ -1148,7 +1190,8 @@ def test_cli_run_rejects_an_aux_law_for_a_model_without_an_aux_variable(
     ("gauss_quantized", "configure"),
     ("FiniteLaw", "configure"),
     ("dpi_verdict", "enumerate"),
-    ("canonical_classes", "criterion"),
+    ("canonical_classes", "weights"),
+    ("log_weights_ensemble", "weights"),
     ("merge_classes", "criterion"),
     ("estimator_crosscheck", "crosscheck"),
     ("conditional_energy_by_grouping", "crosscheck"),
