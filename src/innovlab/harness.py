@@ -15,10 +15,11 @@ estimates against exact enumeration.  Both modes write their level rows
 from `criterion.LevelReport`s.  Three stages share their pieces among one
 process per CPU through `core.fork_map`, one contiguous run of pieces per
 process: a continuous run's front end its row blocks and its criterion
-its weight sets, and a crosscheck run's front end (sampling, filter, atom
-match, innovation, observation classes and log-weights) its row blocks,
-each run of them as one row range.  Every other stage runs in the calling
-process alone, one after another.
+its weight sets, and a crosscheck run's front end, which draws each
+path's atom, its row blocks, each run of them as one row range.  Every
+other stage runs in the calling process alone, one after another; a
+crosscheck's filter, innovation, observation classes and log-weights run
+there once per sampled atom.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from .models import (
 )
 from .oracle import (
     FiniteLaw,
-    canonical_classes,
+    canonical_labels,
     conditional_energy_by_grouping,
     dpi_verdict,
     enumerate_atoms,
@@ -68,8 +69,7 @@ from .oracle import (
     filter_deviation,
     finite_bayes_filter,
     gauss_quantized,
-    merge_classes,
-    sample_quantized_ensemble,
+    sample_atoms,
     system_battery,
     witness_labels,
 )
@@ -463,21 +463,29 @@ def _run_quantized(config, model, grid, stream, stages) -> ResultRecord:
     space = _stage(stages, "enumerate", enumerate_atoms, model, grid, noise, aux)
     exact = _stage(stages, "enumerate", lambda: dpi_verdict(space.system(relabel=relabel)))
 
-    ranges, front_end = _quantized_front_end(model, grid, config.paths, stream, noise, aux,
-                                             space, relabel, stages)
-    methods, deviations, classes, log_weights, energies = zip(*ranges)
+    atom, front_end = _quantized_front_end(config.paths, stream, space, stages)
+    # a path's filter, innovation, class and log-weight are those of its
+    # atom: each is formed once per sampled atom and gathered per path
+    sampled, path_row, sim = _stage(stages, "sample", _sampled_rows, space, atom)
+    filt = _stage(stages, "filter", finite_bayes_filter, model, sim, noise, aux)
+    deviation = _stage(stages, "filter", filter_deviation, space, sampled, filt.values)
+    Z = _stage(stages, "innovation", innovation_values, sim.U, filt.values, grid.dt)
+    labels = _stage(stages, "weights", lambda: canonical_labels(
+        Z[:, 1:] if relabel is None else relabel(Z)))
+    log_weights, energies = _stage(stages, "weights", log_weights_ensemble, filt.values, Z,
+                                   grid.dt)
     level, energy_mc = _stage(stages, "criterion", lambda: plugin_level(
-        np.concatenate(log_weights), np.concatenate(energies), merge_classes(classes),
-        config.gap_floor))
+        log_weights[path_row], energies[path_row], labels[path_row], config.gap_floor))
     crosscheck = _stage(stages, "crosscheck", lambda: {
-        **asdict(estimator_crosscheck(exact, deviations, level.entropy, energy_mc,
+        **asdict(estimator_crosscheck(exact, deviation, level.entropy, energy_mc,
                                       config.crosscheck_tol)),
         "conditional_energy_exact": conditional_energy_by_grouping(space)})
 
     diagnostics = {
-        "filter_method": methods[0],
+        "filter_method": filt.method,
         "estimator": f"plugin[{config.erasure}]",
         "atoms": space.atoms,
+        "atoms_sampled": len(sampled),
         "exact_base_entropy": exact.base_entropy,
         "exact_pushforward_entropy": exact.pushforward_entropy,
         "exact_gap": exact.gap,
@@ -494,36 +502,36 @@ def _run_quantized(config, model, grid, stream, stages) -> ResultRecord:
                         [_level_row(level, config.model)], diagnostics, 0.0)
 
 
-def _quantized_front_end(model, grid, size, stream, noise, aux, space, relabel, stages):
-    """Per row range of a quantized ensemble: its filter method, its
-    `oracle.filter_deviation`, the `oracle.canonical_classes` of its
-    observations (Z[:, 1:], or `relabel(Z)`) and its log-weights and
-    energies; and the `core.fork_map` record.
+def _quantized_front_end(size, stream, space, stages):
+    """The atom of `space` of each of `size` quantized paths, drawn from
+    substreams stream.substream + i.. (`oracle.sample_atoms`), and the
+    `core.fork_map` record.
 
     `fork_map` deals the PATH_BLOCK row blocks, one contiguous run of them
     per process, and a process's run is one row range: a block has a fixed
-    cost that a range pays once.  A range samples its rows from substreams
-    stream.substream + lo.. (`sample`), filters them and matches them to
-    their atoms of `space`, enumerated before the fork (`filter`), forms
-    their innovation (`innovation`), then their classes and log-weights
-    (`weights`), all in arrays of its own.  Every step acts row by row
-    and a class table holds exact rounded values, so the ranges move no
-    number.  The caller's stage entries are its one range's.
+    cost that a range pays once.  A range draws its rows' atom indices
+    (`sample`) and returns them as one integer array; the draws are row by
+    row, so the ranges move no number.  The caller's stage entries are its
+    one range's.
     """
     def run_range(starts, entries):
         lo, hi = starts[0], min(starts[-1] + PATH_BLOCK, size)
-        sim = _stage(entries, "sample", sample_quantized_ensemble, model, grid, hi - lo,
-                     RandomStream(stream.seed, stream.substream + lo), noise, aux)
-        filt = _stage(entries, "filter", finite_bayes_filter, model, sim, noise, aux)
-        deviation = _stage(entries, "filter", filter_deviation, space, sim, filt.values)
-        Z = _stage(entries, "innovation", innovation_values, sim.U, filt.values, grid.dt,
-                   out=sim.U)
-        classes = _stage(entries, "weights", lambda: canonical_classes(
-            Z[:, 1:] if relabel is None else relabel(Z)))
-        return [(filt.method, deviation, classes,
-                 *_stage(entries, "weights", log_weights_ensemble, filt.values, Z, grid.dt))]
+        return [_stage(entries, "sample", sample_atoms, space, hi - lo,
+                       RandomStream(stream.seed, stream.substream + lo))]
 
-    return fork_map(run_range, range(0, size, PATH_BLOCK), stages)
+    ranges, record = fork_map(run_range, range(0, size, PATH_BLOCK), stages)
+    return _stage(stages, "sample", np.concatenate, ranges), record
+
+
+def _sampled_rows(space, atom):
+    """The atoms of `space` that the paths' atoms `atom` hit, in index
+    order, the position among them of each path's atom, and their rows of
+    `space.sim`."""
+    hit = np.bincount(atom, minlength=space.atoms) > 0
+    sampled = np.flatnonzero(hit)
+    sim = replace(space.sim, **{name: getattr(space.sim, name)[sampled]
+                                for name in ("dB", "dU", "drift", "aux", "U")})
+    return sampled, (np.cumsum(hit) - 1)[atom], sim
 
 
 def _fmt_cell(v) -> str:
@@ -617,16 +625,11 @@ def _stage_line(diagnostics) -> str:
 def _children_line(record) -> str:
     """A forked stage's process count, the caller's wait for its children
     and, per child, its item count, its seconds, its stage cells and its
-    peak RSS.  Records written before both stages kept `fork_map`'s record
-    count a child's `blocks` or `sets`, a front-end child there has no
-    seconds, and no record before the wait was kept has one."""
-    cells = [f"processes {record['processes']}"
-             + (f", wait {record['wait_s']:.3f}s" if "wait_s" in record else "")]
+    peak RSS."""
+    cells = [f"processes {record['processes']}, wait {record['wait_s']:.3f}s"]
     for i, child in enumerate(record["children"], 1):
-        items = child.get("items", child.get("blocks", child.get("sets")))
-        seconds = [f"{child['seconds']:.3f}s"] if "seconds" in child else []
-        cells.append(", ".join([f"child {i}: items {items}", *seconds,
-                                *_stage_cells(child.get("stages", {})),
+        cells.append(", ".join([f"child {i}: items {child['items']}", f"{child['seconds']:.3f}s",
+                                *_stage_cells(child["stages"]),
                                 f"peak RSS {child['peak_rss_mb']:.0f} MB"]))
     return "; ".join(cells)
 

@@ -12,6 +12,12 @@ Monte Carlo estimator, all of which live in `criterion`.  An atom's
 density is the exact, unshifted exponential of its log-weight, and its
 energy the one that log-weight contains.
 
+A sampled quantized path is a draw of an atom, and every value of the
+pipeline is a function of the atom: `sample_atoms` draws the atom
+indices that `sample_quantized_ensemble`'s paths land on, from the same
+uniforms, so the Monte Carlo side can run the per-path pipeline once per
+sampled atom.
+
 A structural fact shapes what the oracle can and cannot exhibit: on a
 discrete grid the map from the observation to its innovation is always
 invertible (reconstruct U step by step from Z and the known filter
@@ -58,8 +64,6 @@ __all__ = [
     "CrosscheckReport",
     "gauss_quantized",
     "canonical_labels",
-    "canonical_classes",
-    "merge_classes",
     "enumerate_atoms",
     "estimator_crosscheck",
     "match_atoms",
@@ -68,6 +72,7 @@ __all__ = [
     "dpi_verdict",
     "conditional_energy_by_grouping",
     "sample_quantized_ensemble",
+    "sample_atoms",
     "finite_bayes_filter",
     "WitnessDrift",
     "witness_space",
@@ -122,10 +127,15 @@ class FiniteLaw:
     def count(self) -> int:
         return len(self.values)
 
+    def draw_index(self, u: np.ndarray) -> np.ndarray:
+        """Inverse-CDF draw: the position in `values` of the law's value for
+        each uniform in u; a u above the rounded sum of the probabilities
+        draws the last position."""
+        return np.searchsorted(np.cumsum(self.probs)[:-1], u)
+
     def draw(self, u: np.ndarray) -> np.ndarray:
-        """Inverse-CDF draw: the law's value for each uniform in u; a u above
-        the rounded sum of the probabilities draws the last value."""
-        return self.values[np.searchsorted(np.cumsum(self.probs)[:-1], u)]
+        """The law's value for each uniform in u (`draw_index`)."""
+        return self.values[self.draw_index(u)]
 
     def index(self, x: np.ndarray) -> np.ndarray:
         """Position in `values` of each entry of x, which must all be values."""
@@ -232,42 +242,21 @@ class AtomSpace:
 
 
 def canonical_labels(keys: np.ndarray) -> np.ndarray:
-    """Class index per row of keys (atoms, ...) after rounding; 1-D keys are one column."""
-    return canonical_classes(keys)[0]
-
-
-def canonical_classes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`canonical_labels` of keys and the table of their classes: the
-    distinct rounded key rows in lexicographic order, row ``labels[i]``
-    being row i of the rounded keys.  `merge_classes` merges the tables of
-    ranges of rows into the labels of all of them."""
+    """Class index per row of keys (atoms, ...) after rounding, the rank of
+    its rounded row among the distinct rounded rows; 1-D keys are one column."""
     keys = np.asarray(keys)
     return _row_classes(np.round(keys.reshape(len(keys), -1), ROUND_DECIMALS))
-
-
-def merge_classes(parts) -> np.ndarray:
-    """The `canonical_labels` of consecutive ranges of rows from their
-    `canonical_classes`, (labels, table) per range in row order.  A label
-    is the rank of its rounded row among the distinct rows, so ranking the
-    ranges' tables together gives each range's classes their rank over all
-    rows, element for element."""
-    parts = list(parts)
-    ranks, _ = _row_classes(np.concatenate([table for _, table in parts]))
-    ends = np.cumsum([len(table) for _, table in parts])
-    return np.concatenate([ranks[end - len(table):end][labels]
-                           for (labels, table), end in zip(parts, ends)])
 
 
 def _refine_labels(labels: np.ndarray, column: np.ndarray) -> np.ndarray:
     """Refine a partition by one more (rounded) coordinate."""
     col = np.round(column, ROUND_DECIMALS)
-    return _row_classes(np.stack([labels.astype(float), col], axis=1))[0]
+    return _row_classes(np.stack([labels.astype(float), col], axis=1))
 
 
-def _row_classes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _row_classes(rows: np.ndarray) -> np.ndarray:
     """Class index of each row of a 2-D array, the rank of its value among
-    the distinct rows in lexicographic order, and those distinct rows in
-    that order: the labels and values that
+    the distinct rows in lexicographic order: the labels that
     ``np.unique(rows, axis=0, return_inverse=True)`` gives.
 
     One lexsort of the columns, then one pass over each column in sorted
@@ -283,7 +272,7 @@ def _row_classes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         starts[1:] |= ordered[1:] != ordered[:-1]
     labels = np.empty(len(rows), dtype=np.intp)
     labels[order] = np.cumsum(starts) - 1
-    return labels, rows[order[starts]]
+    return labels
 
 
 def _group_mean_safe(labels: np.ndarray, weights: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -411,7 +400,7 @@ def dpi_verdict(system: FiniteSystem) -> DiscreteVerdict:
 
     # u is recoverable iff no observation class holds two u classes; bincount
     # counts sparse labels too, without np.unique's import of numpy.ma
-    pairs, _ = _row_classes(np.stack([labels, system.u_labels], axis=1))
+    pairs = _row_classes(np.stack([labels, system.u_labels], axis=1))
     recoverable = bool(pairs.max() + 1 == np.count_nonzero(np.bincount(labels)))
 
     return DiscreteVerdict(base, push, energy, measurable, recoverable)
@@ -441,13 +430,36 @@ def sample_quantized_ensemble(model: DriftModel, grid: TimeGrid, size: int,
                               stream: RandomStream, noise: FiniteLaw,
                               aux: Optional[FiniteLaw] = None) -> EnsembleSimulation:
     """Monte Carlo sampling of the quantized pipeline (same Euler recursion);
-    aux is given exactly when the model has an auxiliary variable."""
+    aux is given exactly when the model has an auxiliary variable.  Path i
+    is on atom i of `sample_atoms` for the same stream and size."""
     _check_aux_law(model, aux)
     aux_draws = np.empty((size, model.aux_dim))
     if aux is not None:
         aux_draws[:] = aux.draw(stream.uniforms(LANE_AUX, size, 1))
     dB = noise.draw(stream.uniforms(LANE_NOISE, size, grid.steps))
     return run_euler(model, grid, dB, aux_draws)
+
+
+def sample_atoms(space: AtomSpace, size: int, stream: RandomStream) -> np.ndarray:
+    """Atom index of each of `size` quantized paths drawn from substreams
+    stream.substream + i..: the atoms of the paths
+    `sample_quantized_ensemble` draws from the same uniforms, with no Euler
+    recursion.  A path's values are the rows of its atom in `space`."""
+    noise = space.noise.draw_index(stream.uniforms(LANE_NOISE, size, space.grid.steps))
+    aux = (None if space.aux is None
+           else space.aux.draw_index(stream.uniforms(LANE_AUX, size, 1)[:, 0]))
+    return _atom_index(space, noise, aux)
+
+
+def _atom_index(space: AtomSpace, noise: np.ndarray, aux: Optional[np.ndarray]) -> np.ndarray:
+    """Flat index, in `enumerate_atoms`'s order, of the atoms with noise
+    positions noise (m, N) and aux positions aux (m,), None without an aux
+    law: the first step is the most significant digit, the aux position
+    the least."""
+    flat = np.zeros(len(noise), dtype=np.intp)
+    for k in range(space.grid.steps):
+        flat = flat * space.noise.count + noise[:, k]
+    return flat if aux is None else flat * space.aux.count + aux
 
 
 def finite_bayes_filter(model: DriftModel, sim: EnsembleSimulation,
@@ -498,12 +510,8 @@ def finite_bayes_filter(model: DriftModel, sim: EnsembleSimulation,
 
 def match_atoms(space: AtomSpace, sim: EnsembleSimulation) -> np.ndarray:
     """Atom index of each sampled quantized path (exact lattice lookup)."""
-    noise = space.noise
-    powers = noise.count ** np.arange(space.grid.steps - 1, -1, -1)
-    flat = (noise.index(sim.dB) * powers).sum(axis=1)
-    if space.aux is None:
-        return flat
-    return flat * space.aux.count + space.aux.index(sim.aux[:, 0])
+    aux = None if space.aux is None else space.aux.index(sim.aux[:, 0])
+    return _atom_index(space, space.noise.index(sim.dB), aux)
 
 
 @dataclass(frozen=True)
@@ -517,14 +525,14 @@ class CrosscheckReport:
     passed: bool
 
 
-def filter_deviation(space: AtomSpace, sim: EnsembleSimulation, uhat: np.ndarray) -> float:
-    """Largest deviation of the per-path filter values uhat (m, N) of the
-    sampled paths `sim` from the grouped conditional expectations of their
-    matched atoms."""
-    return float(np.max(np.abs(uhat - space.uhat[match_atoms(space, sim)])))
+def filter_deviation(space: AtomSpace, atoms: np.ndarray, uhat: np.ndarray) -> float:
+    """Largest deviation of the filter values uhat (m, N) of paths on the
+    atoms `atoms` (m,) from the grouped conditional expectations of those
+    atoms."""
+    return float(np.max(np.abs(uhat - space.uhat[atoms])))
 
 
-def estimator_crosscheck(exact: DiscreteVerdict, filter_deviations,
+def estimator_crosscheck(exact: DiscreteVerdict, filter_dev: float,
                          mc_push: float, mc_energy: float,
                          tolerance: float = 0.05) -> CrosscheckReport:
     """Deviation report of a quantized Monte Carlo run against enumeration.
@@ -532,13 +540,9 @@ def estimator_crosscheck(exact: DiscreteVerdict, filter_deviations,
     exact is the verdict of the observation the Monte Carlo estimates were
     computed for (``space.system()``, or a lossy view of it).  Compares the
     plug-in pushforward entropy and the weighted energy with its values,
-    both within `tolerance`, and the per-path filter values with the
-    grouped conditional expectations on matched atoms, within 1e-8:
-    `filter_deviations` holds the `filter_deviation` of each range of the
-    sampled rows, and the largest of them, whatever their order, is the
-    run's.
+    both within `tolerance`, and requires `filter_dev`, the
+    `filter_deviation` of the sampled paths' filter values, below 1e-8.
     """
-    filter_dev = float(np.max(filter_deviations))
     rel = lambda got, want: abs(got - want) / max(abs(want), 1e-12)
     push_rel = rel(mc_push, exact.pushforward_entropy)
     energy_rel = rel(mc_energy, exact.energy)

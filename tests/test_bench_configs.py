@@ -31,11 +31,13 @@ WRAPPED = runpy.run_path(str(BENCH / "tracing.py"))["WRAPPED"]
 
 # wrapped names the package no longer has, whose spans read 0 until the
 # tracer is re-pointed (ROADMAP item 5): a level's stopped drift is built
-# by girsanov.localize inside log_weights_ensemble, and the quantized
-# level's plug-in entropies and weights are formed by criterion.plugin_level
+# by girsanov.localize inside log_weights_ensemble, the quantized level's
+# plug-in entropies and weights are formed by criterion.plugin_level, and a
+# crosscheck draws atom indices with oracle.sample_atoms, not paths
 STALE_WRAPPED = {("criterion", "active_mask"),
                  ("harness", "base_entropy_mc"), ("harness", "pushforward_entropy_mc"),
-                 ("harness", "reweight"), ("harness", "normalization_diagnostic")}
+                 ("harness", "reweight"), ("harness", "normalization_diagnostic"),
+                 ("harness", "sample_quantized_ensemble")}
 
 
 @pytest.mark.parametrize("scale", [1.0, SELF_TEST_SCALE])  # full size and the self-test's

@@ -32,6 +32,7 @@ from innovlab.errors import (
     UsageError,
 )
 from innovlab.filtering import ensemble_conditional_drift, innovation_values
+from innovlab.girsanov import log_weights_ensemble
 from innovlab.harness import (
     OUTDIR_ENV,
     PATH_BLOCK,
@@ -44,7 +45,18 @@ from innovlab.harness import (
     suite,
 )
 from innovlab.models import MODEL_NAMES, make_model, simulate_ensemble, workspace
-from innovlab.oracle import WitnessDrift
+from innovlab.oracle import (
+    FiniteLaw,
+    WitnessDrift,
+    canonical_labels,
+    enumerate_atoms,
+    filter_deviation,
+    finite_bayes_filter,
+    gauss_quantized,
+    match_atoms,
+    sample_quantized_ensemble,
+    witness_labels,
+)
 
 CFG_TEXT = """
 # demo experiment
@@ -769,8 +781,8 @@ def test_results_csv_bytes_do_not_depend_on_the_criterion_processes(tmp_path, ma
 
 
 # the criterion-8 config and the sign-erasing witness at six row blocks and
-# a part: 1, 2 and 3 processes each run one contiguous range of it, and
-# each range forms the observation classes of its own rows
+# a part: 1, 2 and 3 processes each draw the atoms of one contiguous range
+# of it
 @pytest.mark.parametrize("name", ["crosscheck", "witness-erasure"])
 def test_crosscheck_does_not_depend_on_the_front_end_processes(tmp_path, max_processes, name):
     cfg = {**FROZEN_RESULTS_SHA256[name][0], "paths": 6 * PATH_BLOCK + 5}
@@ -788,9 +800,9 @@ def test_crosscheck_does_not_depend_on_the_front_end_processes(tmp_path, max_pro
 
 
 def test_a_crosscheck_run_maps_no_array(max_processes, monkeypatch):
-    # each row range forms its rows in arrays of its own and returns (m,)
-    # vectors, so nothing is mapped, shared or not; in one process the spy
-    # sees every range
+    # each row range returns its rows' atom indices, and the caller forms
+    # the rest on the sampled atoms' rows, so nothing is mapped, shared or
+    # not; in one process the spy sees every range
     real, calls = core.mapped_array, []
 
     def spy(*args, **kwargs):
@@ -803,6 +815,61 @@ def test_a_crosscheck_run_maps_no_array(max_processes, monkeypatch):
     cfg = {**FROZEN_RESULTS_SHA256["crosscheck"][0], "paths": 2 * PATH_BLOCK + 3}
     run_experiment(ExperimentConfig(**cfg), persist=False)
     assert calls == []
+
+
+def _per_path_crosscheck(cfg):
+    """The quantized pipeline run on every sampled path, the reference for
+    a crosscheck run's pipeline over its sampled atoms: each path's
+    log-weight, energy and observation class, the filter deviation, and the
+    paths' atoms."""
+    model, grid = make_model(cfg.model, **cfg.model_params), cfg.grid()
+    noise = gauss_quantized(cfg.noise_nodes, grid.dt)
+    aux = FiniteLaw(cfg.aux_values, cfg.aux_probs or None) if cfg.aux_values else None
+    sim = sample_quantized_ensemble(model, grid, cfg.paths, RandomStream(seed=cfg.seed),
+                                    noise, aux)
+    filt = finite_bayes_filter(model, sim, noise, aux)
+    Z = innovation_values(sim.U, filt.values, grid.dt)
+    labels = canonical_labels(Z[:, 1:] if cfg.erasure == "none" else witness_labels(Z))
+    log_weights, energies = log_weights_ensemble(filt.values, Z, grid.dt)
+    space = enumerate_atoms(model, grid, noise, aux)
+    atoms = match_atoms(space, sim)
+    return log_weights, energies, labels, filter_deviation(space, atoms, filt.values), atoms
+
+
+@pytest.mark.parametrize("name, paths, change", [
+    ("crosscheck", 2 * PATH_BLOCK + 3, {}),
+    ("crosscheck", 100, {}),
+    ("witness-erasure", 2 * PATH_BLOCK + 3, {}),
+    ("crosscheck", 2 * PATH_BLOCK + 3, dict(aux_probs=(0.2, 0.8), erasure="sign-terminal")),
+], ids=["criterion-8", "criterion-8-unsampled-atoms", "witness", "skewed-aux-erased"])
+def test_a_crosscheck_run_gathers_the_per_path_pipeline_bit_for_bit(max_processes, monkeypatch,
+                                                                    name, paths, change):
+    # every step is row by row, so forming each value once per sampled atom
+    # and gathering it per path gives the per-path pipeline's bits; at 100
+    # paths some of the 54 atoms go unsampled, and they must not count
+    seen = {}
+
+    def spy(fn, key):
+        def wrapped(*args, **kwargs):
+            seen[key] = args
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(harness, "plugin_level", spy(harness.plugin_level, "level"))
+    monkeypatch.setattr(harness, "estimator_crosscheck",
+                        spy(harness.estimator_crosscheck, "crosscheck"))
+    max_processes(2)
+    cfg = ExperimentConfig(**{**FROZEN_RESULTS_SHA256[name][0], "paths": paths, **change})
+    d = run_experiment(cfg, persist=False).diagnostics
+    log_weights, energies, labels, deviation, atoms = _per_path_crosscheck(cfg)
+    got_lw, got_energies, got_labels, _ = seen["level"]
+    assert got_lw.tobytes() == log_weights.tobytes()
+    assert got_energies.tobytes() == energies.tobytes()
+    assert np.array_equal(got_labels, labels)
+    assert seen["crosscheck"][1] == deviation == d["crosscheck"]["filter_deviation"]
+    assert d["atoms_sampled"] == len(set(atoms.tolist()))
+    if paths == 100:
+        assert d["atoms_sampled"] < d["atoms"] == 54
 
 
 def _reweight_failing_in(where, stall=False):
@@ -987,7 +1054,7 @@ FORKED_STAGES = {
     "criterion": (SPLIT_CFG, "criterion", 2, (), -2),
     "crosscheck": (dict(model="independent", mode="crosscheck", grid_n=2, paths=2 * PATH_BLOCK + 3,
                         noise_nodes=2, aux_values=(-1.0, 1.0)),
-                   "front_end", 1, ("sample", "filter", "innovation", "weights"), -2),
+                   "front_end", 1, ("sample",), -2),
 }
 
 
@@ -1040,23 +1107,6 @@ def test_report_reads_stage_records_without_a_peak_rise(tmp_path):
     line = report(tmp_path).splitlines()[-1]
     assert re.search(r"configure \d+\.\d{3}s, oracle \d+\.\d{3}s, simulate", line)
     assert " MB," not in line
-
-
-def test_report_reads_forked_children_of_the_older_shapes(tmp_path):
-    # records written before both forked stages kept `fork_map`'s record
-    # counted a child's `blocks` or `sets`, and a front-end child had no seconds
-    run_experiment(ExperimentConfig(model="zero", grid_n=8, paths=150, outdir=str(tmp_path)))
-    jl = tmp_path / "run.jsonl"
-    payload = json.loads(jl.read_text())
-    payload["diagnostics"]["front_end"] = {"processes": 2, "children": [
-        {"blocks": 1, "stages": {"filter": {"seconds": 0.5}}, "peak_rss_mb": 40.0}]}
-    payload["diagnostics"]["criterion"] = {"processes": 2, "children": [
-        {"sets": 2, "seconds": 0.25, "peak_rss_mb": 60.0}]}
-    jl.write_text(json.dumps(payload) + "\n")
-    lines = report(tmp_path).splitlines()
-    assert lines[-3:-1] == [
-        "front_end[0] zero: processes 2; child 1: items 1, filter 0.500s, peak RSS 40 MB",
-        "criterion[0] zero: processes 2; child 1: items 2, 0.250s, peak RSS 60 MB"]
 
 
 def test_both_modes_write_level_rows_of_one_shape(tmp_path):
@@ -1155,7 +1205,7 @@ def test_cli_run_rejects_a_key_its_mode_does_not_read(tmp_path, capsys, monkeypa
         raise AssertionError("atoms enumerated or paths drawn")
 
     monkeypatch.setattr(harness, "enumerate_atoms", no_draws)
-    monkeypatch.setattr(harness, "sample_quantized_ensemble", no_draws)
+    monkeypatch.setattr(harness, "sample_atoms", no_draws)
     monkeypatch.setattr(harness, "simulate_ensemble", no_draws)
     cfg_file = tmp_path / "ignored.cfg"
     cfg_file.write_text(f"{CONFIG_OF_MODE[mode]}{line}\noutdir = {tmp_path / 'run'}\n")
@@ -1175,7 +1225,7 @@ def test_cli_run_rejects_an_aux_law_for_a_model_without_an_aux_variable(
         raise AssertionError("atoms enumerated or paths drawn")
 
     monkeypatch.setattr(harness, "enumerate_atoms", no_draws)
-    monkeypatch.setattr(harness, "sample_quantized_ensemble", no_draws)
+    monkeypatch.setattr(harness, "sample_atoms", no_draws)
     cfg_file = tmp_path / "zero.cfg"
     cfg_file.write_text(f"model = zero\nmode = crosscheck\ngrid_n = 3\npaths = 200\n"
                         f"{line}\noutdir = {tmp_path / 'run'}\n")
@@ -1190,9 +1240,10 @@ def test_cli_run_rejects_an_aux_law_for_a_model_without_an_aux_variable(
     ("gauss_quantized", "configure"),
     ("FiniteLaw", "configure"),
     ("dpi_verdict", "enumerate"),
-    ("canonical_classes", "weights"),
+    ("sample_atoms", "sample"),
+    ("finite_bayes_filter", "filter"),
+    ("canonical_labels", "weights"),
     ("log_weights_ensemble", "weights"),
-    ("merge_classes", "criterion"),
     ("estimator_crosscheck", "crosscheck"),
     ("conditional_energy_by_grouping", "crosscheck"),
 ])
@@ -1257,7 +1308,7 @@ def test_cli_run_rejects_too_few_paths_in_every_mode(tmp_path, capsys, monkeypat
         raise AssertionError("atoms enumerated or paths drawn")
 
     monkeypatch.setattr(harness, "enumerate_atoms", no_draws)
-    monkeypatch.setattr(harness, "sample_quantized_ensemble", no_draws)
+    monkeypatch.setattr(harness, "sample_atoms", no_draws)
     monkeypatch.setattr(harness, "simulate_ensemble", no_draws)
     for mode in ("continuous", "crosscheck"):
         cfg_file = tmp_path / f"{mode}.cfg"
@@ -1307,7 +1358,7 @@ def test_cli_run_rejects_levels_floors_and_tolerances_before_sampling(
         raise AssertionError("paths were drawn")
 
     monkeypatch.setattr(harness, "simulate_ensemble", no_sampling)
-    monkeypatch.setattr(harness, "sample_quantized_ensemble", no_sampling)
+    monkeypatch.setattr(harness, "sample_atoms", no_sampling)
     cfg_file = tmp_path / "bad.cfg"
     cfg_file.write_text(f"model = independent\nmode = {mode}\ngrid_n = 3\n"
                         f"aux_values = -1.5, 1.5\n{line}\noutdir = {tmp_path / 'run'}\n")

@@ -22,7 +22,6 @@ from innovlab.oracle import (
     FiniteLaw,
     FiniteSystem,
     WitnessDrift,
-    canonical_classes,
     canonical_labels,
     conditional_energy_by_grouping,
     dpi_verdict,
@@ -31,7 +30,7 @@ from innovlab.oracle import (
     finite_bayes_filter,
     gauss_quantized,
     match_atoms,
-    merge_classes,
+    sample_atoms,
     sample_quantized_ensemble,
     system_battery,
     witness_labels,
@@ -81,6 +80,7 @@ def test_finite_law_defaults_to_uniform_and_looks_values_up():
     assert np.array_equal(law.probs, np.full(3, 1.0 / 3))
     assert np.array_equal(law.index(np.array([[0.5, 1.5], [-1.5, 0.5]])), [[2, 0], [1, 2]])
     assert np.array_equal(law.draw(np.array([0.1, 0.5, 0.9])), [1.5, -1.5, 0.5])
+    assert np.array_equal(law.draw_index(np.array([0.1, 0.5, 0.9])), [0, 1, 2])
     with pytest.raises(UsageError):
         law.index(np.array([1.0]))
 
@@ -323,6 +323,22 @@ def test_quantized_sampler_reproducible_and_on_lattice():
     assert set(np.unique(a.dB)) <= set(noise.values)
 
 
+@pytest.mark.parametrize("model, nodes, aux", [
+    ("independent", 3, FiniteLaw([1.5, -1.5], [0.25, 0.75])),
+    ("linear-feedback", 3, None),
+    (WitnessDrift.name, 2, None),
+])
+def test_atom_sampler_draws_the_atoms_of_the_sampled_paths(model, nodes, aux):
+    # the same uniforms and the same draw rule: path i of the sampled
+    # ensemble lies on atom i of the sampler, from any substream
+    g = TimeGrid(steps=3)
+    noise = gauss_quantized(nodes, g.dt)
+    space = enumerate_atoms(make_model(model), g, noise, aux)
+    stream = RandomStream(seed=5, substream=17)
+    sim = sample_quantized_ensemble(make_model(model), g, 500, stream, noise, aux)
+    assert np.array_equal(sample_atoms(space, 500, stream), match_atoms(space, sim))
+
+
 def test_finite_bayes_filter_matches_enumeration_exactly():
     g = TimeGrid(steps=3)
     noise = gauss_quantized(3, g.dt)
@@ -516,27 +532,3 @@ def test_class_labels_match_numpy_unique_rows():
     _, expected = np.unique(np.stack([coarse.astype(float), np.round(keys[:, 2], ROUND_DECIMALS)], axis=1),
                             axis=0, return_inverse=True)
     assert np.array_equal(_refine_labels(coarse, keys[:, 2]), expected.reshape(-1))
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_merged_range_classes_are_the_labels_of_all_rows(seed):
-    # a crosscheck's ranges each form the classes of their own rows; the
-    # ranks of their merged tables must be the labels of the whole array,
-    # for row keys and for 1-D keys such as `witness_labels` gives
-    rng = np.random.default_rng(seed)
-    m = int(rng.integers(40, 400))
-    keys = rng.integers(-3, 4, size=(m, 3)) * 0.25
-    keys[rng.random(keys.shape) < 0.1] = -0.0        # -0.0 and 0.0 are one value
-    keys[rng.random(m) < 0.3, 0] = 0.1 + 0.2         # equal to 0.3 after rounding
-    keys[0], keys[-1] = -7.5, 7.5                    # classes of the first or last range alone
-    cuts = np.sort(rng.choice(np.arange(1, m - 1), int(rng.integers(0, 5)), replace=False))
-    for k in (keys, keys[:, 1]):
-        ranges = np.split(k, cuts)
-        parts = [canonical_classes(part) for part in ranges]
-        assert np.array_equal(merge_classes(parts), canonical_labels(k))
-        for part, (labels, table) in zip(ranges, parts):
-            rounded = np.round(part.reshape(len(part), -1), ROUND_DECIMALS)
-            assert np.array_equal(table[labels], rounded)
-        if len(parts) > 1:  # each range's own labels are not the classes of all rows
-            assert not np.array_equal(np.concatenate([labels for labels, _ in parts]),
-                                      canonical_labels(k))
