@@ -22,17 +22,19 @@ grid = TimeGrid(steps=128)
 model = make_model("kalman-bucy", beta=1.0, sigma=1.0)
 one = simulate_ensemble(model, grid, 1, RandomStream(seed=41, substream=0))
 
-# Exact filter: Euler Riccati gains, started from the stationary prior.
+# Exact filter: the discrete Kalman predict/update of the simulated Euler
+# scheme, started from the stationary prior.
 exact = ensemble_conditional_drift(model, one)
 P = riccati_sequence(1.0, 1.0, grid, p0=0.5)
-print(f"Riccati stationary variance: {P[-1]:.5f} (sqrt(2)-1 = {np.sqrt(2)-1:.5f})")
+print(f"Kalman error variance at t=1: {P[-1]:.5f} (continuum limit sqrt(2)-1 = "
+      f"{np.sqrt(2)-1:.5f})")
 
-# Over an ensemble, the filter's mean-square error is the Riccati variance.
+# Over an ensemble, the filter's mean-square error is that error variance.
 sim = simulate_ensemble(model, grid, 5_000, RandomStream(seed=42))
 filt = ensemble_conditional_drift(model, sim)
 mse = np.mean((sim.drift[:, -1] - filt.values[:, -1]) ** 2)
 print(f"filter mean-square error at the last step over 5000 paths: {mse:.5f} "
-      f"(Riccati {P[grid.steps - 1]:.5f})")
+      f"(Kalman {P[grid.steps - 1]:.5f})")
 
 # The innovation: observation minus the integrated filtered drift.
 Z = innovation_values(one.U, exact.values, grid.dt)

@@ -36,6 +36,7 @@ from .core import TimeGrid, fork_map
 from .errors import UsageError
 from .filtering import BasisSpec, FeatureBuilder, WeightedGram, weighted_ridge_fit
 from .girsanov import (
+    MIN_DIAGNOSTIC_MEMBERS,
     WeightedEnsemble,
     log_weights_ensemble,
     normalization_diagnostic,
@@ -120,14 +121,17 @@ def inequality_check(entropy: float, entropy_se: float, energy: float,
     return entropy <= energy + 3.0 * math.hypot(entropy_se, energy_se) + 1e-12
 
 
-def classify_level(gap: float, gap_se: float, floor: float = GAP_FLOOR) -> str:
+def classify_level(gap: float, gap_se: float, ess: float, floor: float = GAP_FLOOR) -> str:
     """Classify one level's gap.
 
     POSITIVE-GAP needs the gap to clear both the statistical band and the
     absolute floor.  EQUALITY-CONSISTENT needs the gap inside the band and
     the band itself narrow enough (3 se <= 2 floor) to mean something.
-    Everything else is INCONCLUSIVE.
+    Everything else, and any level with fewer effective samples `ess` than
+    `MIN_DIAGNOSTIC_MEMBERS`, whose band may be empty, is INCONCLUSIVE.
     """
+    if ess < MIN_DIAGNOSTIC_MEMBERS:
+        return INCONCLUSIVE
     band = 3.0 * gap_se
     if gap > max(band, floor):
         return POSITIVE_GAP
@@ -206,7 +210,7 @@ def criterion_levels(Z: np.ndarray, uhat: np.ndarray, grid: TimeGrid,
                 norm_mean=diag.mean,
                 norm_se=diag.se,
                 norm_passed=diag.passed,
-                verdict=classify_level(gap, gap_se, floor),
+                verdict=classify_level(gap, gap_se, ess, floor),
                 ridge_escalations=raised,
             )
         )
@@ -298,5 +302,5 @@ def plugin_level(log_weights: np.ndarray, energies: np.ndarray, labels: np.ndarr
         energy=base, energy_se=_influence_se(base_infl),
         gap=gap, gap_se=gap_se, ess=ens.ess,
         norm_mean=diag.mean, norm_se=diag.se, norm_passed=diag.passed,
-        verdict=classify_level(gap, gap_se, floor))
+        verdict=classify_level(gap, gap_se, ens.ess, floor))
     return report, 0.5 * _exact_sum(ens.weights * energies)

@@ -13,10 +13,6 @@ class ShapeError(InnovlabError):
     """Operands live on different grids or have incompatible dimensions."""
 
 
-class StabilityError(InnovlabError):
-    """A recursion left its stability region (typically: grid too coarse)."""
-
-
 class DegeneracyError(InnovlabError):
     """A weighted ensemble collapsed (all weights vanished or underflowed)."""
 

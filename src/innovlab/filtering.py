@@ -2,10 +2,10 @@
 
 The filtered drift is the conditional expectation of the drift rate given
 the observation history.  Models whose drift already reads only the
-observation get it for free; the linear-Gaussian hidden model has an exact
-Kalman filter; a single Gaussian factor has a conjugate closed form; the
-uniform-seed head of the iterated-fractional-part model has a truncated
-normal posterior.  Every built-in model has one of these exact filters.
+observation get it for free; the hidden Ornstein-Uhlenbeck model has the
+discrete Kalman filter of its Euler scheme; a single Gaussian factor has a
+conjugate closed form; the uniform-seed head of the iterated-fractional-part
+model has a truncated normal posterior.  Each is exact on any grid.
 
 The second-level machinery regresses filtered drift values on features of
 the innovation history under ensemble weights.  Projecting on a feature
@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .core import TimeGrid
-from .errors import ConfigurationError, NumericalError, ShapeError, StabilityError, UsageError
+from .errors import ConfigurationError, NumericalError, ShapeError, UsageError
 from .models import DriftModel, EnsembleSimulation, IndependentDrift, KalmanBucy, Tsirelson
 
 __all__ = [
@@ -47,37 +47,31 @@ class EnsembleFilter:
 
 
 def riccati_sequence(beta: float, sigma: float, grid: TimeGrid, p0: float) -> np.ndarray:
-    """Error variances P_0..P_N of the discrete filter recursion.
-
-    P_{k+1} = P_k + (sigma^2 - 2 beta P_k - P_k^2) dt, started from the
-    prior variance p0 (`KalmanBucy.x0_var`, which owns the stationary
-    default).  A negative iterate means the grid is too coarse for these
-    parameters.
+    """Variances P_k of X_k given dU_{<k} for the simulated system
+    X_{k+1} = (1 - beta dt) X_k + sigma dV_k, dU_k = X_k dt + dB_k:
+    P_{k+1} = (1 - beta dt)^2 P_k / (1 + P_k dt) + sigma^2 dt, the update
+    then the prediction, from the prior variance p0 (`KalmanBucy.x0_var`,
+    which owns the stationary default and the parameter checks).
     """
-    if sigma <= 0:
-        raise ConfigurationError(f"sigma must be positive, got {sigma}")
     dt = grid.dt
     P = np.empty(grid.steps + 1)
     P[0] = p0
     for k in range(grid.steps):
-        P[k + 1] = P[k] + (sigma**2 - 2 * beta * P[k] - P[k] ** 2) * dt
-        if P[k + 1] < 0:
-            raise StabilityError(
-                f"error variance went negative at step {k + 1}; refine the grid "
-                f"(dt = {dt:g} is too coarse for beta = {beta:g}, sigma = {sigma:g})"
-            )
+        P[k + 1] = (1.0 - beta * dt) ** 2 * P[k] / (1.0 + P[k] * dt) + sigma**2 * dt
     return P
 
 
 def _kalman_values(dU: np.ndarray, beta: float, sigma: float, grid: TimeGrid,
                    p0: float, out: np.ndarray) -> np.ndarray:
-    """Vectorized filter mean over stacked observation increments (m, N)."""
+    """E[X_k | dU_{<k}] over stacked observation increments (m, N): the gain
+    P_k / (1 + P_k dt) acts on the innovation, then 1 - beta dt predicts."""
     P = riccati_sequence(beta, sigma, grid, p0)
     dt = grid.dt
+    gain = P / (1.0 + P * dt)
     xhat = np.zeros(len(dU))
     for k in range(dU.shape[1]):
         out[:, k] = xhat
-        xhat = xhat - beta * xhat * dt + P[k] * (dU[:, k] - xhat * dt)
+        xhat = (1.0 - beta * dt) * (xhat + gain[k] * (dU[:, k] - xhat * dt))
     return out
 
 

@@ -635,15 +635,10 @@ def _children_line(record) -> str:
 
 
 def _stage_cells(stages) -> list:
-    """Per recorded stage, in run order, its seconds and, when recorded, how
-    far it raised the peak RSS."""
-    cells = []
-    for name in STAGES:
-        if name in stages:
-            rise = stages[name].get("peak_rise_mb")  # absent from records before it was kept
-            cells.append(f"{name} {stages[name]['seconds']:.3f}s"
-                         + ("" if rise is None else f" +{rise:.0f} MB"))
-    return cells
+    """Per recorded stage, in run order, its seconds and how far it raised
+    the peak RSS."""
+    return [f"{name} {stages[name]['seconds']:.3f}s +{stages[name]['peak_rise_mb']:.0f} MB"
+            for name in STAGES if name in stages]
 
 
 def _as_float(v):

@@ -13,8 +13,9 @@ The affine maps are not re-derived here: they are read off by running the
 pipeline's own Euler recursion (`models.run_euler`) and filter
 (`filtering.ensemble_conditional_drift`) on the zero vector and the unit
 vectors of the primitive basis.  The numbers are therefore exact for the
-simulated system rather than for its continuous-time limit, and a change
-to a filter changes the oracle with it.
+simulated system rather than for its continuous-time limit.  A filter
+changes the oracle with it, so `tests/test_filtering.py` checks every
+filter against Gaussian conditioning on the past observation increments.
 
 `gaussian_tilt` forms that algebra once for one model on one grid and
 keeps it in a `GaussianTilt`.  Each exact functional -- `innovation_kl`,

@@ -19,14 +19,14 @@ from innovlab.criterion import (
 )
 from innovlab.errors import NumericalError, UnsupportedModelError, UsageError
 from innovlab.filtering import BasisSpec, FeatureBuilder, innovation_values
-from innovlab.girsanov import localize, reweight, stop_indices
+from innovlab.girsanov import MIN_DIAGNOSTIC_MEMBERS, localize, reweight, stop_indices
 from innovlab.harness import PAPER_RUNS, continuous_front_end
 from innovlab.lingauss import GaussianTilt, gaussian_path_kl, gaussian_tilt, is_linear_model
 from innovlab.models import make_model
 
 # frozen reference: exact innovation-law relative entropy of the discretized
 # hidden Ornstein-Uhlenbeck model (beta = sigma = 1) on 128 steps
-KB_KL_N128 = 0.0245120405313628
+KB_KL_N128 = 0.023905060475897244
 
 TILT_FUNCTIONALS = ("innovation_kl", "observation_kl", "energy_under_nu", "energy_under_p",
                     "rho_mean")
@@ -49,9 +49,9 @@ FROZEN_SUMMARIES_N128 = {
 # largest
 FROZEN_SUMMARIES_N512 = {
     "kalman-bucy": ({"beta": 1.0, "sigma": 1.0}, dict(
-        innovation_kl=0.023802270498663347, observation_kl=0.028837275114256045,
-        energy_under_nu=0.023599225742999462, energy_under_p=0.028845132508446683,
-        rho_mean=1.0001058721519227)),
+        innovation_kl=0.023652584160572587, observation_kl=0.028837275114256045,
+        energy_under_nu=0.023520319227240002, energy_under_p=0.028741362655436902,
+        rho_mean=1.0000200051647543)),
     "independent": ({}, dict(
         innovation_kl=0.09700139309006772, observation_kl=0.1534264097185769,
         energy_under_nu=0.09655968687959687, energy_under_p=0.1531821498857945,
@@ -330,6 +330,19 @@ def test_gaussian_tilt_frozen_functionals(name, steps):
         assert getattr(got, functional)() == pytest.approx(value, abs=1e-10), functional
 
 
+@pytest.mark.parametrize("name, params, steps", [
+    pytest.param(name, params, steps, id=f"{name}-{steps}")
+    for name, params, _ in PAPER_RUNS if is_linear_model(make_model(name, **params))
+    for steps in (32, 128, 512)
+])
+def test_observation_entropy_bounds_the_filter_energy(name, params, steps):
+    # the chain rule on the grid: observation_kl - energy_under_p is a sum of
+    # terms x - 1 - log x >= 0 over the steps' conditional variances when the
+    # filter is the exact conditional mean; 0 to rounding for adapted models
+    tilt = gaussian_tilt(make_model(name, **params), TimeGrid(steps=steps))
+    assert tilt.observation_kl() >= tilt.energy_under_p() - 1e-12
+
+
 def test_gaussian_path_kl_rejects_nonlinear():
     with pytest.raises(UnsupportedModelError):
         gaussian_path_kl(make_model("tsirelson", levels=2), TimeGrid(steps=4))
@@ -382,9 +395,17 @@ def test_inequality_check_examples():
 
 
 def test_classify_level_examples():
-    assert classify_level(0.0, 1e-6) == EQUALITY_CONSISTENT
-    assert classify_level(0.4, 0.02) == POSITIVE_GAP
-    assert classify_level(0.05, 0.04) == INCONCLUSIVE
+    assert classify_level(0.0, 1e-6, 1000.0) == EQUALITY_CONSISTENT
+    assert classify_level(0.4, 0.02, 1000.0) == POSITIVE_GAP
+    assert classify_level(0.05, 0.04, 1000.0) == INCONCLUSIVE
+
+
+def test_classify_level_needs_effective_samples():
+    # too few effective samples leave no band to read, whatever the gap
+    few = MIN_DIAGNOSTIC_MEMBERS - 0.5
+    assert classify_level(0.0, 1e-6, MIN_DIAGNOSTIC_MEMBERS) == EQUALITY_CONSISTENT
+    assert classify_level(0.0, 1e-6, few) == INCONCLUSIVE
+    assert classify_level(0.4, 0.02, few) == INCONCLUSIVE
 
 
 def _report(gap, gap_se, verdict):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from innovlab import lingauss
 from innovlab.core import RandomStream, TimeGrid
-from innovlab.errors import ConfigurationError, ShapeError, StabilityError, UsageError
+from innovlab.errors import ConfigurationError, ShapeError, UsageError
 from innovlab.filtering import (
     BasisSpec,
     FeatureBuilder,
@@ -14,6 +15,7 @@ from innovlab.filtering import (
     _ridge_solve,
     _truncnorm_mean01,
 )
+from innovlab.harness import PAPER_RUNS
 from innovlab.models import (
     MODEL_NAMES,
     EnsembleSimulation,
@@ -28,15 +30,11 @@ STREAM = RandomStream(seed=909, substream=0)
 # ---------------------------------------------------------------- kalman
 
 def test_riccati_single_step_hand_value():
+    # the discrete predict/update: (1 - beta dt)^2 P_0 / (1 + P_0 dt) + sigma^2 dt
     g = TimeGrid(steps=10)
     P = riccati_sequence(beta=1.0, sigma=1.0, grid=g, p0=0.5)
     assert P[0] == 0.5
-    assert P[1] == pytest.approx(0.5 + (1.0 - 1.0 - 0.25) * 0.1)  # 0.475
-
-
-def test_riccati_negative_iterate_raises():
-    with pytest.raises(StabilityError):
-        riccati_sequence(beta=1.0, sigma=10.0, grid=TimeGrid(steps=2), p0=50.0)
+    assert P[1] == pytest.approx(0.81 * 0.5 / 1.05 + 0.1)  # 0.4857142857...
 
 
 def test_kalman_zero_observation_gives_zero_estimate():
@@ -51,7 +49,7 @@ def test_kalman_zero_observation_gives_zero_estimate():
 
 def test_kalman_filter_mse_matches_riccati():
     # Monte Carlo mean-square error of the filter at the last step should
-    # reproduce the Riccati variance within 5%.
+    # reproduce the filter's error variance within 5%.
     M, N = 10_000, 64
     g = TimeGrid(steps=N)
     model = make_model("kalman-bucy", beta=1.0, sigma=1.0)
@@ -63,6 +61,50 @@ def test_kalman_filter_mse_matches_riccati():
 
 
 # ---------------------------------------------------------------- exact filters
+
+def _conditional_mean_rows(model, grid, monkeypatch):
+    """E[u_k | dU_{<k}] of the simulated system by Gaussian conditioning, and
+    the pipeline's filter, both as (rows over the primitive vector, const).
+
+    `lingauss._affine_rows` gives the observation and filter rows and the
+    primitive variances; the true drift's rows come from the `run_euler`
+    call that it makes.
+    """
+    sims = []
+
+    def recording_run_euler(*args):
+        sims.append(run_euler(*args))
+        return sims[-1]
+
+    monkeypatch.setattr(lingauss, "run_euler", recording_run_euler)
+    (dU_rows, _), filt, var, _ = lingauss._affine_rows(model, grid)
+    (sim,) = sims
+    drift_rows, drift_const = (sim.drift[1:] - sim.drift[0]).T, sim.drift[0]
+    cov_dU = (dU_rows * var) @ dU_rows.T
+    cross = (dU_rows * var) @ drift_rows.T  # cross[j, k] = Cov(dU_j, u_k)
+    rows = np.zeros_like(drift_rows)
+    for k in range(1, grid.steps):
+        rows[k] = np.linalg.solve(cov_dU[:k, :k], cross[:k, k]) @ dU_rows[:k]
+    return (rows, drift_const), filt
+
+
+@pytest.mark.parametrize("name, params, steps", [
+    *(pytest.param(name, params, steps, id=f"{name}-{steps}")
+      for name, params, _ in PAPER_RUNS if lingauss.is_linear_model(make_model(name, **params))
+      for steps in (32, 128)),
+    # a loud signal on a coarse grid: sigma^2 dt = 3.125
+    pytest.param("kalman-bucy", {"beta": 1.0, "sigma": 10.0}, 32, id="kalman-bucy-sigma10-32"),
+    # 1 - beta dt < 0: the simulated signal flips sign at every step
+    pytest.param("kalman-bucy", {"beta": 40.0, "sigma": 1.0}, 32, id="kalman-bucy-beta40-32"),
+])
+def test_every_linear_filter_is_the_conditional_mean_of_the_simulated_system(
+        name, params, steps, monkeypatch):
+    (rows, const), (filt_rows, filt_const) = _conditional_mean_rows(
+        make_model(name, **params), TimeGrid(steps=steps), monkeypatch)
+    scale = max(np.max(np.abs(rows)), np.max(np.abs(const)))
+    assert np.max(np.abs(filt_rows - rows)) <= 1e-12 * scale
+    assert np.max(np.abs(filt_const - const)) <= 1e-12 * scale
+
 
 def test_independent_closed_form_matches_sufficient_statistic():
     g = TimeGrid(steps=16)

@@ -1,10 +1,11 @@
 """The package keeps no leftovers: no module-level import that the module
-never uses, and no private definition that the package never refers to.
+never uses, no private definition that the package never refers to, and no
+error class that nothing raises.
 
-Both are what a moved or deleted function leaves behind.  The package also
-imports nothing but the standard library, numpy and itself, and no function
-imports from a package module that its module imports at the top.  The
-checks read the source with `ast`, so they run no package code.
+All three are what a moved or deleted function leaves behind.  The package
+also imports nothing but the standard library, numpy and itself, and no
+function imports from a package module that its module imports at the top.
+The checks read the source with `ast`, so they run no package code.
 """
 
 import ast
@@ -169,3 +170,26 @@ def test_only_the_fork_helper_counts_the_processes():
                         getattr(node.func, "id", None), getattr(node.func, "attr", None)):
                     callers.add((module, function.name))
     assert callers == {("core", "fork_map")}
+
+
+def _raised_names(tree) -> set:
+    """Names of the exceptions a module raises: `raise X(...)`, `raise X`,
+    and the same through a module attribute."""
+    raised = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                raised.add(exc.id)
+            elif isinstance(exc, ast.Attribute):
+                raised.add(exc.attr)
+    return raised
+
+
+def test_every_error_class_has_a_raiser():
+    # an error class whose raiser is gone documents a failure that cannot
+    # happen; the base class is only caught, never raised
+    errors = {node.name for node in TREES["errors"].body if isinstance(node, ast.ClassDef)}
+    raised = set().union(*(_raised_names(tree) for tree in TREES.values()))
+    unraised = errors - {"InnovlabError"} - raised
+    assert not unraised, f"innovlab.errors defines {sorted(unraised)}, which nothing raises"
