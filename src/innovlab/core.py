@@ -64,6 +64,7 @@ __all__ = [
     "path_energies",
     "PATH_BLOCK",
     "row_chunks",
+    "philox_chunks",
     "mapped_array",
     "fork_map",
 ]
@@ -212,7 +213,7 @@ class RandomStream:
     def uniforms(self, lane: int, m: int, n: int) -> np.ndarray:
         """(m, n) uniforms on [0, 1): row i equals, bit for bit,
         `RandomStream(seed, substream + i).lane(lane).generator().random(n)`.
-        The Philox words are formed a `row_chunks` chunk of rows at a time
+        The Philox words are formed a `philox_chunks` chunk of rows at a time
         and written into the one output array, so the kernel's temporaries
         are the size of a chunk, not of the ensemble.
         """
@@ -221,7 +222,7 @@ class RandomStream:
         blocks = -(-n // 4)
         block = np.arange(1, blocks + 1, dtype=_U64)  # counter word 0
         out = np.empty((m, n))
-        for rows in row_chunks(m, 4 * blocks):
+        for rows in philox_chunks(m, n):
             # stream index of each row as counter words 2 (low) and 3 (high, plus carry)
             index = np.arange(rows.start, rows.stop, dtype=_U64)
             low = _U64(j % _WORD) + _U64(_LANES) * index
@@ -236,6 +237,12 @@ def row_chunks(m: int, n: int) -> list[slice]:
     """Slices of about CHUNK_VALUES values (at least a row) over m rows of n."""
     rows = max(CHUNK_VALUES // max(n, 1), 1)
     return [slice(lo, min(lo + rows, m)) for lo in range(0, m, rows)]
+
+
+def philox_chunks(m: int, n: int) -> list[slice]:
+    """The chunks of rows in which `RandomStream.uniforms` forms (m, n)
+    uniforms: `row_chunks` over each row's Philox words, four per block."""
+    return row_chunks(m, 4 * -(-n // 4))
 
 
 def path_energies(x: np.ndarray, dt: float) -> np.ndarray:

@@ -37,7 +37,6 @@ from .errors import UsageError
 from .filtering import BasisSpec, FeatureBuilder, WeightedGram, weighted_ridge_fit
 from .girsanov import (
     MIN_DIAGNOSTIC_MEMBERS,
-    WeightedEnsemble,
     log_weights_ensemble,
     normalization_diagnostic,
     reweight,
@@ -253,54 +252,71 @@ def _weight_set(Z: np.ndarray, uhat: np.ndarray, dt: float, stop: np.ndarray,
             _weighted_mean_se(weights, 0.5 * (energies - q)), diag, ens.ess, escalations)
 
 
-def _plugin_entropies(ens: WeightedEnsemble, labels: np.ndarray) -> tuple:
-    """Plug-in base relative entropy E_nu[log rho] and pushforward relative
-    entropy over the classes `labels`, each with its per-path influence
-    function; the density rho_i = exp(l_i) / mean exp(l) is formed once."""
-    M = ens.size
-    rho = ens.scaled / ens.scaled.mean()
-    rho_log_rho = rho * np.log(np.where(rho > 0, rho, 1.0))
-    base = float(np.mean(rho_log_rho))
-    base_infl = rho_log_rho - base - (rho - 1.0) * (base + 1.0)
-    p_hat = np.bincount(labels) / M
-    q_hat = np.bincount(labels, weights=rho) / M
-    good = p_hat > 0
-    ratio = np.zeros_like(p_hat)
-    ratio[good] = q_hat[good] / p_hat[good]
-    logratio = np.log(np.where(ratio > 0, ratio, 1.0))
-    push = float(np.sum(q_hat * logratio))
-    push_infl = rho * (logratio[labels] + 1.0) - ratio[labels] - rho * (push + 1.0) + 1.0
-    return base, base_infl, push, push_infl
-
-
-def _influence_se(infl: np.ndarray) -> float:
-    """Delta-method standard error of a plug-in estimate with these
-    per-path influence values."""
-    return float(np.std(infl, ddof=1) / np.sqrt(len(infl)))
+def _multiplicity_sum(x: np.ndarray, counts: np.ndarray) -> float:
+    """The exactly rounded sum of each x[a] repeated counts[a] times,
+    `math.fsum(np.repeat(x, counts))`, from 2 len(x) terms: each x splits
+    into its top 27 significant bits and the rest (at most 26), so a count
+    below 2**26 times either half is exact, barring overflow.  A count at
+    or above 2**26 is a usage error."""
+    counts = np.asarray(counts)
+    if counts.size and counts.max() >= 2**26:
+        raise UsageError(f"a multiplicity of {counts.max()} is not below 2**26")
+    frac, exp = np.frexp(x)
+    high = np.ldexp(np.trunc(np.ldexp(frac, 27)), exp - 27)
+    return math.fsum(np.concatenate([counts * high, counts * (x - high)]).tolist())
 
 
 def plugin_level(log_weights: np.ndarray, energies: np.ndarray, labels: np.ndarray,
+                 path_row: Optional[np.ndarray] = None,
                  floor: float = GAP_FLOOR) -> tuple[LevelReport, float]:
-    """Level infinity of a quantized ensemble by plug-in over the
-    observation class `labels` of each path, from its (m,) log-weights and
-    the drift energies inside them (`girsanov.log_weights_ensemble`).
+    """Level infinity of a quantized ensemble by plug-in over observation
+    classes, from the sampled atoms' log-weights, the drift energies
+    inside them (`girsanov.log_weights_ensemble`) and their class
+    `labels`, and each path's atom `path_row` (m,); without it each path
+    is an atom of its own.
 
     `energy` is the base entropy and `entropy` the pushforward one, so
     `gap` estimates what the observation map loses.  One ensemble gives
     both, so `gap_se` is paired like a continuous level's: the se of the
     difference of their influence functions, which is 0 to rounding when
     the density is constant on classes.  Also returns half the weighted
-    mean drift energy, an exactly rounded sum as `_weighted_mean_se`'s.
+    mean drift energy, an exactly rounded sum as `_weighted_mean_se`'s,
+    over the atoms with their path counts (`_multiplicity_sum`).
+
+    Every elementwise step (the density rho_i = exp(l_i) / mean exp(l),
+    rho log rho and the influence functions) runs once per atom.  A
+    per-path vector is formed only as a gathered operand of a sum whose
+    order fixes its bits (`WeightedEnsemble.member_sum`) or of the class
+    sums of rho, so the results are the per-path ones bit for bit and no
+    more than two (m,) vectors exist at once.
     """
-    ens = reweight(log_weights)
-    base, base_infl, push, push_infl = _plugin_entropies(ens, np.asarray(labels))
+    rows = np.arange(len(log_weights)) if path_row is None else np.asarray(path_row)
+    ens = reweight(log_weights, rows)
+    labels = np.asarray(labels)
+    M = ens.size
+    rho = ens.scaled / (ens.total / M)
+    rho_log_rho = rho * np.log(np.where(rho > 0, rho, 1.0))
+    base = float(ens.member_sum(rho_log_rho) / M)
+    base_infl = rho_log_rho - base - (rho - 1.0) * (base + 1.0)
+    p_hat = np.bincount(labels, weights=ens.counts) / M
+    q_hat = np.bincount(labels[rows], weights=rho[rows]) / M
+    good = p_hat > 0
+    ratio = np.zeros_like(p_hat)
+    ratio[good] = q_hat[good] / p_hat[good]
+    logratio = np.log(np.where(ratio > 0, ratio, 1.0))
+    push = float(np.sum(q_hat * logratio))
+    push_infl = rho * (logratio[labels] + 1.0) - ratio[labels] - rho * (push + 1.0) + 1.0
+
+    def influence_se(infl):
+        return float(ens.member_std(infl) / np.sqrt(M))
+
     gap = base - push
-    gap_se = _influence_se(base_infl - push_infl)
+    gap_se = influence_se(base_infl - push_infl)
     diag = normalization_diagnostic(ens)
     report = LevelReport(
-        level=math.inf, entropy=push, entropy_se=_influence_se(push_infl),
-        energy=base, energy_se=_influence_se(base_infl),
+        level=math.inf, entropy=push, entropy_se=influence_se(push_infl),
+        energy=base, energy_se=influence_se(base_infl),
         gap=gap, gap_se=gap_se, ess=ens.ess,
         norm_mean=diag.mean, norm_se=diag.se, norm_passed=diag.passed,
         verdict=classify_level(gap, gap_se, ens.ess, floor))
-    return report, 0.5 * _exact_sum(ens.weights * energies)
+    return report, 0.5 * _multiplicity_sum(ens.weights * energies, ens.counts)

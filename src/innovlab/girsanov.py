@@ -25,7 +25,10 @@ its weights and nothing sums them twice.  `reweight` is the one place a
 log-weight vector is shifted by its maximum and exponentiated (raw
 weights span hundreds of nats on fine grids); the normalization
 diagnostic and the oracle's plug-in entropies read that one exponential
-from the `WeightedEnsemble` it returns.
+from the `WeightedEnsemble` it returns.  Given each member's atom, it
+exponentiates one log-weight per atom, and a sum over the members
+gathers the atoms' values member by member: numpy's pairwise order over
+the members fixes its bits, which a count-weighted sum would not keep.
 """
 
 from __future__ import annotations
@@ -70,22 +73,40 @@ class NormalizationDiagnostic:
 @dataclass(frozen=True)
 class WeightedEnsemble:
     """Importance weights over ensemble members, held as the shifted
-    exponential scaled = exp(l - top) of log-weights l with top = max l.
+    exponential scaled = exp(l - top) of log-weights l with top = max l,
+    and its sum over the members, `total`.
 
-    `weights` normalizes it on each access; only `scaled` is stored.
+    With `rows`, `scaled` holds one value per atom, member i is on atom
+    rows[i], and `counts` holds each atom's number of members; without,
+    each member is its own atom.  `weights` normalizes `scaled` on each
+    access, one weight per atom.
     """
 
     top: float
     scaled: np.ndarray
+    total: float
     ess: float
+    rows: Optional[np.ndarray] = None
+    counts: Optional[np.ndarray] = None
 
     @property
     def weights(self) -> np.ndarray:
-        return self.scaled / self.scaled.sum()
+        return self.scaled / self.total
 
     @property
     def size(self) -> int:
-        return len(self.scaled)
+        return len(self.scaled if self.rows is None else self.rows)
+
+    def member_sum(self, values: np.ndarray) -> float:
+        """Sum over the members of per-atom values, in numpy's pairwise
+        order over the gathered vector."""
+        return _gathered(values, self.rows).sum()
+
+    def member_std(self, values: np.ndarray) -> float:
+        """`np.std(self.members(values), ddof=1)`, the deviations from the
+        mean formed once per atom."""
+        mean = self.member_sum(values) / self.size
+        return np.sqrt(self.member_sum((values - mean) ** 2) / (self.size - 1))
 
 
 def log_weights_ensemble(uhat: np.ndarray, Z: np.ndarray, dt: float,
@@ -157,22 +178,37 @@ def normalization_diagnostic(ens: WeightedEnsemble) -> NormalizationDiagnostic:
     if ens.size < MIN_DIAGNOSTIC_MEMBERS:
         raise UsageError(f"normalization diagnostic needs >= {MIN_DIAGNOSTIC_MEMBERS} members, "
                          f"got {ens.size}")
-    mean = float(np.exp(ens.top) * ens.scaled.mean())
-    se = float(np.exp(ens.top) * ens.scaled.std(ddof=1) / np.sqrt(ens.size))
+    mean = float(np.exp(ens.top) * (ens.total / ens.size))
+    se = float(np.exp(ens.top) * ens.member_std(ens.scaled) / np.sqrt(ens.size))
     passed = bool(np.isfinite(mean) and np.isfinite(se) and abs(mean - 1.0) <= 3.0 * se)
     return NormalizationDiagnostic(mean, se, passed)
 
 
-def reweight(log_weights: np.ndarray) -> WeightedEnsemble:
-    """Self-normalized weights w_i = exp(l_i - max l) / sum_j exp(l_j - max l)."""
+def reweight(log_weights: np.ndarray, rows: Optional[np.ndarray] = None) -> WeightedEnsemble:
+    """Self-normalized weights w_i = exp(l_i - max l) / sum_j exp(l_j - max l).
+
+    With `rows`, log_weights holds one value per atom and member i is on
+    atom rows[i]; every atom needs a member.  The checks count members.
+    """
     lw = np.asarray(log_weights, dtype=float)
-    if lw.size < 2:
-        raise UsageError(f"need at least two members, got {lw.size}")
+    size = lw.size if rows is None else len(rows)
+    if size < 2:
+        raise UsageError(f"need at least two members, got {size}")
+    counts = None if rows is None else np.bincount(rows, minlength=lw.size)
+    if counts is not None and (len(counts) > lw.size or not counts.all()):
+        raise UsageError(f"members must lie on the {lw.size} atoms, each atom on a member")
     if np.any(np.isnan(lw)):
         raise NumericalError("NaN log-weight")
     top = np.max(lw)
     if not np.isfinite(top):
         raise DegeneracyError("all log-weights are -inf")
     scaled = np.exp(lw - top)
-    w = scaled / scaled.sum()
-    return WeightedEnsemble(float(top), scaled, float(1.0 / np.sum(w**2)))
+    total = float(_gathered(scaled, rows).sum())
+    ess = float(1.0 / _gathered((scaled / total) ** 2, rows).sum())
+    return WeightedEnsemble(float(top), scaled, total, ess, rows, counts)
+
+
+def _gathered(values: np.ndarray, rows: Optional[np.ndarray]) -> np.ndarray:
+    """Per-atom values gathered onto the members on atoms `rows`; the
+    values themselves without rows."""
+    return values if rows is None else values[rows]

@@ -19,7 +19,8 @@ its weight sets, and a crosscheck run's front end, which draws each
 path's atom, its row blocks, each run of them as one row range.  Every
 other stage runs in the calling process alone, one after another; a
 crosscheck's filter, innovation, observation classes and log-weights run
-there once per sampled atom.
+there once per sampled atom, and its plug-in level reads those per-atom
+values with each path's atom row.
 """
 
 from __future__ import annotations
@@ -465,7 +466,8 @@ def _run_quantized(config, model, grid, stream, stages) -> ResultRecord:
 
     atom, front_end = _quantized_front_end(config.paths, stream, space, stages)
     # a path's filter, innovation, class and log-weight are those of its
-    # atom: each is formed once per sampled atom and gathered per path
+    # atom: each is formed once per sampled atom, and the plug-in level
+    # reads them with each path's atom row
     sampled, path_row, sim = _stage(stages, "sample", _sampled_rows, space, atom)
     filt = _stage(stages, "filter", finite_bayes_filter, model, sim, noise, aux)
     deviation = _stage(stages, "filter", filter_deviation, space, sampled, filt.values)
@@ -474,8 +476,8 @@ def _run_quantized(config, model, grid, stream, stages) -> ResultRecord:
         Z[:, 1:] if relabel is None else relabel(Z)))
     log_weights, energies = _stage(stages, "weights", log_weights_ensemble, filt.values, Z,
                                    grid.dt)
-    level, energy_mc = _stage(stages, "criterion", lambda: plugin_level(
-        log_weights[path_row], energies[path_row], labels[path_row], config.gap_floor))
+    level, energy_mc = _stage(stages, "criterion", plugin_level, log_weights, energies, labels,
+                              path_row, config.gap_floor)
     crosscheck = _stage(stages, "crosscheck", lambda: {
         **asdict(estimator_crosscheck(exact, deviation, level.entropy, energy_mc,
                                       config.crosscheck_tol)),

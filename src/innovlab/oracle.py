@@ -37,7 +37,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import LANE_AUX, LANE_NOISE, RandomStream, TimeGrid
+from .core import LANE_AUX, LANE_NOISE, RandomStream, TimeGrid, philox_chunks
 from .errors import (
     AbsoluteContinuityError,
     ConfigurationError,
@@ -444,11 +444,21 @@ def sample_atoms(space: AtomSpace, size: int, stream: RandomStream) -> np.ndarra
     """Atom index of each of `size` quantized paths drawn from substreams
     stream.substream + i..: the atoms of the paths
     `sample_quantized_ensemble` draws from the same uniforms, with no Euler
-    recursion.  A path's values are the rows of its atom in `space`."""
-    noise = space.noise.draw_index(stream.uniforms(LANE_NOISE, size, space.grid.steps))
-    aux = (None if space.aux is None
-           else space.aux.draw_index(stream.uniforms(LANE_AUX, size, 1)[:, 0]))
-    return _atom_index(space, noise, aux)
+    recursion.  A path's values are the rows of its atom in `space`.
+
+    The uniforms, their draw positions and the atom indices are formed one
+    chunk of rows at a time, the chunks `RandomStream.uniforms` forms its
+    own in (`core.philox_chunks`), so each lane's draw of a chunk is one
+    Philox kernel call and only the returned indices span every row.
+    """
+    atoms = np.empty(size, dtype=np.intp)
+    for rows in philox_chunks(size, space.grid.steps):
+        chunk, n = RandomStream(stream.seed, stream.substream + rows.start), rows.stop - rows.start
+        noise = space.noise.draw_index(chunk.uniforms(LANE_NOISE, n, space.grid.steps))
+        aux = (None if space.aux is None
+               else space.aux.draw_index(chunk.uniforms(LANE_AUX, n, 1)[:, 0]))
+        atoms[rows] = _atom_index(space, noise, aux)
+    return atoms
 
 
 def _atom_index(space: AtomSpace, noise: np.ndarray, aux: Optional[np.ndarray]) -> np.ndarray:

@@ -268,3 +268,24 @@ def test_reweight_shift_invariance(shift, seed):
     a = reweight(lw).weights
     b = reweight(lw + shift).weights
     assert np.max(np.abs(a - b)) < 1e-12
+
+
+def test_reweight_on_atoms_counts_members():
+    # three atoms under 150 members: the diagnostic's minimum, the ESS and
+    # the weights' total are those of the members, each on its atom's value
+    lw, rows = np.array([0.0, math.log(3.0), -1.0]), np.repeat([0, 1, 2], [100, 30, 20])
+    ens, per_member = reweight(lw, rows), reweight(lw[rows])
+    assert ens.size == 150 and list(ens.counts) == [100, 30, 20]
+    assert (ens.total, ens.ess) == (per_member.total, per_member.ess)
+    assert normalization_diagnostic(ens) == normalization_diagnostic(per_member)
+    assert np.array_equal(ens.weights[rows], per_member.weights)
+
+
+@pytest.mark.parametrize("rows, error", [
+    ([0, 0], "on the 2 atoms, each atom on a member"),  # atom 1 has no member
+    ([0, 1, 2], "on the 2 atoms, each atom on a member"),  # a member off the atoms
+    ([1], "two members"),
+])
+def test_reweight_on_atoms_refuses_malformed_rows(rows, error):
+    with pytest.raises(UsageError, match=error):
+        reweight(np.zeros(2), np.array(rows))

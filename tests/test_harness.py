@@ -857,17 +857,23 @@ def _per_path_crosscheck(cfg):
     return log_weights, energies, labels, filter_deviation(space, atoms, filt.values), atoms
 
 
-@pytest.mark.parametrize("name, paths, change", [
+# crosscheck configs, by frozen config, path count and changed keys
+CROSSCHECK_CASES = [
     ("crosscheck", 2 * PATH_BLOCK + 3, {}),
     ("crosscheck", 100, {}),
     ("witness-erasure", 2 * PATH_BLOCK + 3, {}),
     ("crosscheck", 2 * PATH_BLOCK + 3, dict(aux_probs=(0.2, 0.8), erasure="sign-terminal")),
-], ids=["criterion-8", "criterion-8-unsampled-atoms", "witness", "skewed-aux-erased"])
+]
+CROSSCHECK_IDS = ["criterion-8", "criterion-8-unsampled-atoms", "witness", "skewed-aux-erased"]
+
+
+@pytest.mark.parametrize("name, paths, change", CROSSCHECK_CASES, ids=CROSSCHECK_IDS)
 def test_a_crosscheck_run_gathers_the_per_path_pipeline_bit_for_bit(max_processes, monkeypatch,
                                                                     name, paths, change):
     # every step is row by row, so forming each value once per sampled atom
-    # and gathering it per path gives the per-path pipeline's bits; at 100
-    # paths some of the 54 atoms go unsampled, and they must not count
+    # and gathering it by each path's atom row gives the per-path pipeline's
+    # bits; at 100 paths some of the 54 atoms go unsampled, and they must
+    # not count
     seen = {}
 
     def spy(fn, key):
@@ -883,14 +889,75 @@ def test_a_crosscheck_run_gathers_the_per_path_pipeline_bit_for_bit(max_processe
     cfg = ExperimentConfig(**{**FROZEN_RESULTS_SHA256[name][0], "paths": paths, **change})
     d = run_experiment(cfg, persist=False).diagnostics
     log_weights, energies, labels, deviation, atoms = _per_path_crosscheck(cfg)
-    got_lw, got_energies, got_labels, _ = seen["level"]
-    assert got_lw.tobytes() == log_weights.tobytes()
-    assert got_energies.tobytes() == energies.tobytes()
-    assert np.array_equal(got_labels, labels)
+    got_lw, got_energies, got_labels, rows, _ = seen["level"]
+    assert got_lw[rows].tobytes() == log_weights.tobytes()
+    assert got_energies[rows].tobytes() == energies.tobytes()
+    assert np.array_equal(got_labels[rows], labels)
     assert seen["crosscheck"][1] == deviation == d["crosscheck"]["filter_deviation"]
     assert d["atoms_sampled"] == len(set(atoms.tolist()))
     if paths == 100:
         assert d["atoms_sampled"] < d["atoms"] == 54
+
+
+def _plugin_level_inputs(name, paths, change):
+    """The per-atom arguments a crosscheck run hands `plugin_level`."""
+    seen = []
+    plugin_level = harness.plugin_level
+
+    def spy(*args):
+        seen.append(args)
+        return plugin_level(*args)
+
+    cfg = ExperimentConfig(**{**FROZEN_RESULTS_SHA256[name][0], "paths": paths, **change})
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "plugin_level", spy)
+        run_experiment(cfg, persist=False)
+    return seen[0][:4]
+
+
+def _synthetic_plugin_inputs(seed):
+    # log-weights N(0, 3^2) over 50 atoms spread the weights over orders of
+    # magnitude, so a count-weighted sum over the atoms rounds otherwise
+    # than the pairwise sum over 100 000 paths
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, 50, size=100_000)
+    return rng.normal(0.0, 3.0, 50), rng.exponential(1.0, 50), rng.integers(0, 7, 50), rows
+
+
+@pytest.mark.parametrize("inputs", [
+    *(pytest.param(lambda case=case: _plugin_level_inputs(*case), id=case_id)
+      for case, case_id in zip(CROSSCHECK_CASES, CROSSCHECK_IDS)),
+    # at seeds 6 and 19 a count-weighted mean inside a standard error moves
+    # norm_se and energy_se; at the others it happens to round the same
+    *(pytest.param(lambda seed=seed: _synthetic_plugin_inputs(seed), id=f"synthetic-{seed}")
+      for seed in (0, 1, 2, 3, 6, 19)),
+])
+def test_the_per_atom_plugin_level_is_the_per_path_one_bit_for_bit(inputs):
+    log_weights, energies, labels, rows = inputs()
+    level, energy_mc = criterion.plugin_level(log_weights, energies, labels, rows)
+    per_path, per_path_energy = criterion.plugin_level(log_weights[rows], energies[rows],
+                                                       labels[rows])
+    assert {f.name: getattr(level, f.name) for f in fields(level)} \
+        == {f.name: getattr(per_path, f.name) for f in fields(per_path)}
+    assert energy_mc == per_path_energy
+
+
+def test_plugin_level_holds_no_more_than_two_per_path_vectors():
+    # the criterion-8 config at 100 000 paths: the level is formed from its
+    # 54 atoms and each path's (m,) atom row.  The bound admits two gathered
+    # (m,) vectors of 0.8 MB each; forming the elementwise steps per path
+    # takes 4.8 MB
+    args = _plugin_level_inputs("crosscheck", 100_000, {})
+    criterion.plugin_level(*args)  # warm-up: one-time caches
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        criterion.plugin_level(*args)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0e6
 
 
 def _reweight_failing_in(where, stall=False):

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from innovlab.core import RandomStream, TimeGrid
+from innovlab.core import RandomStream, TimeGrid, philox_chunks
 from innovlab.criterion import plugin_level
 from innovlab.errors import (
     AbsoluteContinuityError,
@@ -330,13 +331,36 @@ def test_quantized_sampler_reproducible_and_on_lattice():
 ])
 def test_atom_sampler_draws_the_atoms_of_the_sampled_paths(model, nodes, aux):
     # the same uniforms and the same draw rule: path i of the sampled
-    # ensemble lies on atom i of the sampler, from any substream
+    # ensemble lies on atom i of the sampler, from any substream; the
+    # sampler's chunks are 8192 rows at three steps, so the paths cross two
+    # chunk seams
     g = TimeGrid(steps=3)
     noise = gauss_quantized(nodes, g.dt)
     space = enumerate_atoms(make_model(model), g, noise, aux)
     stream = RandomStream(seed=5, substream=17)
-    sim = sample_quantized_ensemble(make_model(model), g, 500, stream, noise, aux)
-    assert np.array_equal(sample_atoms(space, 500, stream), match_atoms(space, sim))
+    size = 2 * 8192 + 5
+    assert len(philox_chunks(size, g.steps)) == 3
+    sim = sample_quantized_ensemble(make_model(model), g, size, stream, noise, aux)
+    assert np.array_equal(sample_atoms(space, size, stream), match_atoms(space, sim))
+
+
+def test_atom_sampler_holds_one_chunk_of_uniforms_at_a_time():
+    # one process's range of the criterion-8 config at 100 000 paths: its
+    # (50 176, 3) noise uniforms alone are 1.2 MB, and drawing the whole
+    # range at once peaked at 3.1 MB
+    g = TimeGrid(steps=3)
+    space = enumerate_atoms(make_model("independent"), g, gauss_quantized(3, g.dt),
+                            FiniteLaw([-1.5, 1.5]))
+    sample_atoms(space, 50_176, RandomStream(seed=1))  # warm-up: one-time caches
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        sample_atoms(space, 50_176, RandomStream(seed=1))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5e6
 
 
 def test_finite_bayes_filter_matches_enumeration_exactly():
