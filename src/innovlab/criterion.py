@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import TimeGrid, fork_map
+from .core import TimeGrid, fork_map, row_chunks
 from .errors import UsageError
 from .filtering import BasisSpec, FeatureBuilder, WeightedGram, weighted_ridge_fit
 from .girsanov import (
@@ -266,6 +266,18 @@ def _multiplicity_sum(x: np.ndarray, counts: np.ndarray) -> float:
     return math.fsum(np.concatenate([counts * high, counts * (x - high)]).tolist())
 
 
+def _class_sums(values: np.ndarray, labels: np.ndarray, rows: np.ndarray,
+                classes: int) -> np.ndarray:
+    """`np.bincount(labels[rows], weights=values[rows], minlength=classes)`
+    bit for bit: per-atom values summed over the members on atoms `rows`
+    by their atoms' class `labels`, one chunk of members at a time.
+    `np.add.at` adds them in member order, as bincount does."""
+    sums = np.zeros(classes)
+    for chunk in row_chunks(len(rows), 2):  # a label and a value per member
+        np.add.at(sums, labels.take(rows[chunk]), values.take(rows[chunk]))
+    return sums
+
+
 def plugin_level(log_weights: np.ndarray, energies: np.ndarray, labels: np.ndarray,
                  path_row: Optional[np.ndarray] = None,
                  floor: float = GAP_FLOOR) -> tuple[LevelReport, float]:
@@ -284,11 +296,13 @@ def plugin_level(log_weights: np.ndarray, energies: np.ndarray, labels: np.ndarr
     over the atoms with their path counts (`_multiplicity_sum`).
 
     Every elementwise step (the density rho_i = exp(l_i) / mean exp(l),
-    rho log rho and the influence functions) runs once per atom.  A
-    per-path vector is formed only as a gathered operand of a sum whose
-    order fixes its bits (`WeightedEnsemble.member_sum`) or of the class
-    sums of rho, so the results are the per-path ones bit for bit and no
-    more than two (m,) vectors exist at once.
+    rho log rho and the influence functions) runs once per atom.  A sum
+    over the paths gathers its per-atom operand one leaf of paths at a
+    time, in the order that fixes its bits: numpy's pairwise order for
+    `WeightedEnsemble.member_sum`, path order for the class sums of rho,
+    which `np.add.at` accumulates as `np.bincount` would.  So the results
+    are the per-path ones bit for bit, and beside `path_row` no per-path
+    vector is formed.
     """
     rows = np.arange(len(log_weights)) if path_row is None else np.asarray(path_row)
     ens = reweight(log_weights, rows)
@@ -299,23 +313,21 @@ def plugin_level(log_weights: np.ndarray, energies: np.ndarray, labels: np.ndarr
     base = float(ens.member_sum(rho_log_rho) / M)
     base_infl = rho_log_rho - base - (rho - 1.0) * (base + 1.0)
     p_hat = np.bincount(labels, weights=ens.counts) / M
-    q_hat = np.bincount(labels[rows], weights=rho[rows]) / M
+    q_hat = _class_sums(rho, labels, rows, len(p_hat)) / M
     good = p_hat > 0
     ratio = np.zeros_like(p_hat)
     ratio[good] = q_hat[good] / p_hat[good]
     logratio = np.log(np.where(ratio > 0, ratio, 1.0))
     push = float(np.sum(q_hat * logratio))
     push_infl = rho * (logratio[labels] + 1.0) - ratio[labels] - rho * (push + 1.0) + 1.0
-
-    def influence_se(infl):
-        return float(ens.member_std(infl) / np.sqrt(M))
+    energy_se, entropy_se, gap_se = (ens.member_std(np.stack(
+        [base_infl, push_infl, base_infl - push_infl])) / np.sqrt(M)).tolist()
 
     gap = base - push
-    gap_se = influence_se(base_infl - push_infl)
     diag = normalization_diagnostic(ens)
     report = LevelReport(
-        level=math.inf, entropy=push, entropy_se=influence_se(push_infl),
-        energy=base, energy_se=influence_se(base_infl),
+        level=math.inf, entropy=push, entropy_se=entropy_se,
+        energy=base, energy_se=energy_se,
         gap=gap, gap_se=gap_se, ess=ens.ess,
         norm_mean=diag.mean, norm_se=diag.se, norm_passed=diag.passed,
         verdict=classify_level(gap, gap_se, ens.ess, floor))

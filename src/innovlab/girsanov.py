@@ -26,19 +26,23 @@ log-weight vector is shifted by its maximum and exponentiated (raw
 weights span hundreds of nats on fine grids); the normalization
 diagnostic and the oracle's plug-in entropies read that one exponential
 from the `WeightedEnsemble` it returns.  Given each member's atom, it
-exponentiates one log-weight per atom, and a sum over the members
-gathers the atoms' values member by member: numpy's pairwise order over
-the members fixes its bits, which a count-weighted sum would not keep.
+exponentiates one log-weight per atom, and a sum over the members is the
+sum of the atoms' values gathered member by member: numpy's pairwise
+order over the members fixes its bits, which a count-weighted sum would
+not keep.  The sum follows that order one leaf of at most CHUNK_VALUES
+gathered values at a time (`_gathered_sum`), so no per-member vector is
+formed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import path_energies, row_chunks
+from .core import CHUNK_VALUES, chunked_bincount, path_energies, row_chunks
 from .errors import DegeneracyError, NumericalError, ShapeError, UsageError
 
 __all__ = [
@@ -79,7 +83,8 @@ class WeightedEnsemble:
     With `rows`, `scaled` holds one value per atom, member i is on atom
     rows[i], and `counts` holds each atom's number of members; without,
     each member is its own atom.  `weights` normalizes `scaled` on each
-    access, one weight per atom.
+    access, one weight per atom.  A sum over the members holds one leaf
+    of gathered values at a time (`_gathered_sum`).
     """
 
     top: float
@@ -97,16 +102,16 @@ class WeightedEnsemble:
     def size(self) -> int:
         return len(self.scaled if self.rows is None else self.rows)
 
-    def member_sum(self, values: np.ndarray) -> float:
-        """Sum over the members of per-atom values, in numpy's pairwise
-        order over the gathered vector."""
-        return _gathered(values, self.rows).sum()
+    def member_sum(self, values: np.ndarray):
+        """Sum over the members of per-atom values along the last axis,
+        `values[..., rows].sum(axis=-1)` bit for bit."""
+        return _gathered_sum(values, self.rows)
 
-    def member_std(self, values: np.ndarray) -> float:
-        """`np.std(self.members(values), ddof=1)`, the deviations from the
-        mean formed once per atom."""
+    def member_std(self, values: np.ndarray):
+        """`np.std(values[..., rows], axis=-1, ddof=1)`, the deviations from
+        the mean formed once per atom."""
         mean = self.member_sum(values) / self.size
-        return np.sqrt(self.member_sum((values - mean) ** 2) / (self.size - 1))
+        return np.sqrt(self.member_sum((values - mean[..., None]) ** 2) / (self.size - 1))
 
 
 def log_weights_ensemble(uhat: np.ndarray, Z: np.ndarray, dt: float,
@@ -194,7 +199,7 @@ def reweight(log_weights: np.ndarray, rows: Optional[np.ndarray] = None) -> Weig
     size = lw.size if rows is None else len(rows)
     if size < 2:
         raise UsageError(f"need at least two members, got {size}")
-    counts = None if rows is None else np.bincount(rows, minlength=lw.size)
+    counts = None if rows is None else chunked_bincount(rows, lw.size)
     if counts is not None and (len(counts) > lw.size or not counts.all()):
         raise UsageError(f"members must lie on the {lw.size} atoms, each atom on a member")
     if np.any(np.isnan(lw)):
@@ -203,12 +208,37 @@ def reweight(log_weights: np.ndarray, rows: Optional[np.ndarray] = None) -> Weig
     if not np.isfinite(top):
         raise DegeneracyError("all log-weights are -inf")
     scaled = np.exp(lw - top)
-    total = float(_gathered(scaled, rows).sum())
-    ess = float(1.0 / _gathered((scaled / total) ** 2, rows).sum())
+    total = float(_gathered_sum(scaled, rows))
+    ess = float(1.0 / _gathered_sum((scaled / total) ** 2, rows))
     return WeightedEnsemble(float(top), scaled, total, ess, rows, counts)
 
 
-def _gathered(values: np.ndarray, rows: Optional[np.ndarray]) -> np.ndarray:
-    """Per-atom values gathered onto the members on atoms `rows`; the
-    values themselves without rows."""
-    return values if rows is None else values[rows]
+def _gathered_sum(values: np.ndarray, rows: Optional[np.ndarray]):
+    """`values[..., rows].sum(axis=-1)` bit for bit, one leaf of the gather
+    at a time; `values.sum(axis=-1)` without rows.
+
+    numpy sums n > 128 float64 values along a contiguous axis as the sum
+    of the first n2 = n // 2 - (n // 2) % 8 and the sum of the other
+    n - n2, each formed the same way.  Down that tree, a part whose gather
+    holds at most CHUNK_VALUES values (or 128 members, below which numpy
+    does not split) is a leaf: numpy sums its gather, and the leaves are
+    added back up the tree.  Each leaf's rows are widened once into an
+    intp buffer, which numpy gathers from faster than from narrow indices,
+    and every row of values gathers from it.
+    """
+    if rows is None:
+        return values.sum(axis=-1)
+    leaf = max(CHUNK_VALUES // math.prod(values.shape[:-1]), 128)
+    index = np.empty(min(len(rows), leaf), dtype=np.intp)
+    return _tree_sum(values, rows, index, 0, len(rows))
+
+
+def _tree_sum(values: np.ndarray, rows: np.ndarray, index: np.ndarray, lo: int, n: int):
+    """`_gathered_sum` over the members lo..lo + n, a part of numpy's tree
+    whose leaves have at most len(index) members."""
+    if n <= len(index):
+        index[:n] = rows[lo:lo + n]
+        return values.take(index[:n], axis=-1).sum(axis=-1)
+    n2 = n // 2 - n // 2 % 8
+    return (_tree_sum(values, rows, index, lo, n2)
+            + _tree_sum(values, rows, index, lo + n2, n - n2))

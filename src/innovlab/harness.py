@@ -38,7 +38,15 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .core import PATH_BLOCK, RandomStream, TimeGrid, fork_map, mapped_array
+from .core import (
+    PATH_BLOCK,
+    RandomStream,
+    TimeGrid,
+    chunked_bincount,
+    fork_map,
+    mapped_array,
+    row_chunks,
+)
 from .criterion import (
     DEFAULT_LEVELS,
     GAP_FLOOR,
@@ -98,7 +106,7 @@ MODEL_COLUMN = max(len(name) for name in MODEL_NAMES) + 1
 
 # pipeline stages in run order; `report` prints their timings in this order
 STAGES = ("configure", "enumerate", "oracle", "simulate", "sample", "filter",
-          "innovation", "weights", "criterion", "crosscheck")
+          "innovation", "weights", "criterion", "crosscheck", "release")
 
 
 # the one mode that reads each key not every mode reads (None: no mode
@@ -447,6 +455,10 @@ def _run_continuous(config, model, grid, stream, stages, persist) -> ResultRecor
     if config.write_paths and persist:
         diagnostics["paths_file"] = "paths.csv"
         _write_paths_csv(config, uhat, Z, grid)
+    # the last references to the shared maps: unmapping them takes time
+    shared = [Z, uhat]
+    del Z, uhat
+    _stage(stages, "release", shared.clear)
 
     rows = [_level_row(r, config.model) for r in reports]
     return ResultRecord(config.digest(), config.model, config.mode, verdict,
@@ -469,6 +481,7 @@ def _run_quantized(config, model, grid, stream, stages) -> ResultRecord:
     # atom: each is formed once per sampled atom, and the plug-in level
     # reads them with each path's atom row
     sampled, path_row, sim = _stage(stages, "sample", _sampled_rows, space, atom)
+    del atom
     filt = _stage(stages, "filter", finite_bayes_filter, model, sim, noise, aux)
     deviation = _stage(stages, "filter", filter_deviation, space, sampled, filt.values)
     Z = _stage(stages, "innovation", innovation_values, sim.U, filt.values, grid.dt)
@@ -512,9 +525,9 @@ def _quantized_front_end(size, stream, space, stages):
     `fork_map` deals the PATH_BLOCK row blocks, one contiguous run of them
     per process, and a process's run is one row range: a block has a fixed
     cost that a range pays once.  A range draws its rows' atom indices
-    (`sample`) and returns them as one integer array; the draws are row by
-    row, so the ranges move no number.  The caller's stage entries are its
-    one range's.
+    (`sample`) and returns them as one array, one byte per path up to 256
+    atoms; the draws are row by row, so the ranges move no number.  The
+    caller's stage entries are its one range's.
     """
     def run_range(starts, entries):
         lo, hi = starts[0], min(starts[-1] + PATH_BLOCK, size)
@@ -527,13 +540,17 @@ def _quantized_front_end(size, stream, space, stages):
 
 def _sampled_rows(space, atom):
     """The atoms of `space` that the paths' atoms `atom` hit, in index
-    order, the position among them of each path's atom, and their rows of
-    `space.sim`."""
-    hit = np.bincount(atom, minlength=space.atoms) > 0
+    order, the position among them of each path's atom, of atom's type,
+    and their rows of `space.sim`.  No path-long vector is widened."""
+    hit = chunked_bincount(atom, space.atoms) > 0
     sampled = np.flatnonzero(hit)
     sim = replace(space.sim, **{name: getattr(space.sim, name)[sampled]
                                 for name in ("dB", "dU", "drift", "aux", "U")})
-    return sampled, (np.cumsum(hit) - 1)[atom], sim
+    position = (np.cumsum(hit) - 1).astype(atom.dtype)
+    path_row = np.empty_like(atom)
+    for chunk in row_chunks(len(atom), 1):
+        path_row[chunk] = position.take(atom[chunk])
+    return sampled, path_row, sim
 
 
 def _fmt_cell(v) -> str:

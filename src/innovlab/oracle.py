@@ -449,9 +449,11 @@ def sample_atoms(space: AtomSpace, size: int, stream: RandomStream) -> np.ndarra
     The uniforms, their draw positions and the atom indices are formed one
     chunk of rows at a time, the chunks `RandomStream.uniforms` forms its
     own in (`core.philox_chunks`), so each lane's draw of a chunk is one
-    Philox kernel call and only the returned indices span every row.
+    Philox kernel call and only the returned indices span every row.  They
+    are of the narrowest unsigned type that holds every atom index: one
+    byte per path for up to 256 atoms.
     """
-    atoms = np.empty(size, dtype=np.intp)
+    atoms = np.empty(size, dtype=np.min_scalar_type(space.atoms - 1))
     for rows in philox_chunks(size, space.grid.steps):
         chunk, n = RandomStream(stream.seed, stream.substream + rows.start), rows.stop - rows.start
         noise = space.noise.draw_index(chunk.uniforms(LANE_NOISE, n, space.grid.steps))

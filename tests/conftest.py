@@ -5,10 +5,11 @@ the session starts and compared when it ends; any difference fails the
 session and names the entries that changed.  Without git or outside a git
 work tree the guard does nothing.
 
-The `one_blas_thread` fixture runs a test with numpy's OpenBLAS set to one
-thread, so that it can compare a result with the one at the default count.
-That OpenBLAS is the only BLAS a run loads, so the fixture sets the threads
-of every matrix product and factorization the package runs.
+The `other_blas_threads` fixture runs a test with numpy's OpenBLAS set to a
+thread count other than its default, one thread or two when the default is
+one, so that it can compare a result at two real thread counts.  That
+OpenBLAS is the only BLAS a run loads, so the fixture sets the threads of
+every matrix product and factorization the package runs.
 
 The `max_processes` fixture caps the processes that `core.fork_map` deals
 its items over, whatever the machine's CPU count: 1 runs everything in the
@@ -72,26 +73,30 @@ def _openblas_threads():
 
 
 @pytest.fixture
-def one_blas_thread():
+def other_blas_threads():
     """Yields a context that sets numpy's OpenBLAS, the package's only BLAS, to
-    one thread; the default count is restored when the context ends and again
-    after the test."""
+    one thread, or to two when its default is one; the default count is
+    restored when the context ends and again after the test.  Skips when
+    OpenBLAS cannot be set to that count."""
     api = _openblas_threads()
     if api is None:
         pytest.skip("numpy ships no OpenBLAS whose thread count can be set")
     get, set_ = api
     default = get()
+    other = 2 if default == 1 else 1
 
-    class OneThread:
+    class OtherThreads:
         def __enter__(self):
-            set_(1)
-            assert get() == 1
+            set_(other)
 
         def __exit__(self, *exc):
             set_(default)
 
     try:
-        yield OneThread()
+        with OtherThreads():
+            if get() != other:
+                pytest.skip(f"OpenBLAS stays at {get()} threads when set to {other}")
+        yield OtherThreads()
     finally:
         set_(default)
 

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import _openblas_threads
 
 from innovlab import criterion
 from innovlab.core import RandomStream, TimeGrid, path_energies
@@ -29,9 +28,6 @@ from innovlab.models import make_model
 # frozen reference: exact innovation-law relative entropy of the discretized
 # hidden Ornstein-Uhlenbeck model (beta = sigma = 1) on 128 steps
 KB_KL_N128 = 0.023905060475897244
-
-# numpy's OpenBLAS runs more than one thread by default
-BLAS_THREADED = (api := _openblas_threads()) is not None and api[0]() > 1
 
 TILT_FUNCTIONALS = ("innovation_kl", "observation_kl", "energy_under_nu", "energy_under_p",
                     "rho_mean")
@@ -169,6 +165,20 @@ def _multiplicity_cases():
     yield "all-zero-counts", wide, np.zeros(len(wide), dtype=np.intp)
     yield "counts-to-2**16", wide[::8], rng.integers(2**15, 2**16, size=len(wide[::8]))
     yield "near-cancelling", *_near_cancelling(rng, 1000)
+
+
+@pytest.mark.parametrize("dtype, atoms", [(np.uint8, 256), (np.uint16, 3000),
+                                          (np.uint32, 70_000)])
+def test_class_sums_are_bincounts_of_the_gathered_values_bit_for_bit(dtype, atoms):
+    # each class adds its members' values in member order, one chunk of
+    # members at a time, as np.bincount adds the gathered vector
+    rng = np.random.default_rng(atoms)
+    values = rng.normal(size=atoms) * np.exp(rng.normal(0.0, 5.0, atoms))
+    labels = rng.integers(0, 7, atoms)
+    for n in (1, 129, 2**15 + 9, 150_001):
+        rows = rng.integers(0, atoms, n).astype(dtype)
+        want = np.bincount(labels[rows], weights=values[rows], minlength=7)
+        assert np.array_equal(criterion._class_sums(values, labels, rows, 7), want), n
 
 
 @pytest.mark.parametrize("x, counts", [pytest.param(x, c, id=name)
@@ -363,30 +373,29 @@ def test_gaussian_path_kl_kalman_frozen_constant():
       for name, params, steps in PAPER_RUNS if is_linear_model(make_model(name, **params))),
     # at N = 128 linear-feedback's functionals are bit-equal; on finer grids
     # innovation_kl and rho_mean (and at N = 256 observation_kl) follow the
-    # thread count in their last bits, which shows when it is above one
+    # thread count in their last bits
     *(pytest.param("linear-feedback", {"a": 1.0}, steps, id=f"linear-feedback-{steps}",
-                   marks=pytest.mark.xfail(BLAS_THREADED, strict=True,
-                                           reason="ROADMAP item 23"))
+                   marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 23"))
       for steps in (256, 512)),
 ])
 def test_gaussian_summary_does_not_depend_on_the_blas_thread_count(name, params, steps,
-                                                                   one_blas_thread):
+                                                                   other_blas_threads):
     # runs use OpenBLAS's default thread count: the oracle's matrix products
-    # and factorizations must give the same bits at one thread, in every
+    # and factorizations must give the same bits at another count, in every
     # functional and in every field of the tilt but Sigma_nu.  numpy's
     # inverse of K follows the thread count in the last bits, by at most a
     # rounding of the largest entry per step of its N-term sums
     model, grid = make_model(name, **params), TimeGrid(steps=steps)
     default = gaussian_tilt(model, grid)
-    with one_blas_thread:
-        one = gaussian_tilt(model, grid)
-        one_values = [getattr(one, f)() for f in TILT_FUNCTIONALS]
-    assert one_values == [getattr(default, f)() for f in TILT_FUNCTIONALS]
+    with other_blas_threads:
+        other = gaussian_tilt(model, grid)
+        other_values = [getattr(other, f)() for f in TILT_FUNCTIONALS]
+    assert other_values == [getattr(default, f)() for f in TILT_FUNCTIONALS]
     for f in fields(GaussianTilt):
         if f.name != "Sigma_nu":
-            assert np.array_equal(getattr(one, f.name), getattr(default, f.name)), f.name
+            assert np.array_equal(getattr(other, f.name), getattr(default, f.name)), f.name
     scale = steps * np.finfo(float).eps * np.max(np.abs(default.Sigma_nu))
-    assert np.max(np.abs(one.Sigma_nu - default.Sigma_nu)) <= scale
+    assert np.max(np.abs(other.Sigma_nu - default.Sigma_nu)) <= scale
 
 
 @pytest.mark.parametrize("name, steps", [

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from innovlab.core import PATH_BLOCK, RandomStream, TimeGrid
+from innovlab.core import CHUNK_VALUES, PATH_BLOCK, RandomStream, TimeGrid
 from innovlab.errors import DegeneracyError, NumericalError, ShapeError, UsageError
 from innovlab.filtering import ensemble_conditional_drift, innovation_values
 from innovlab.girsanov import (
+    WeightedEnsemble,
     localize,
     log_weights_ensemble,
     normalization_diagnostic,
@@ -289,3 +290,33 @@ def test_reweight_on_atoms_counts_members():
 def test_reweight_on_atoms_refuses_malformed_rows(rows, error):
     with pytest.raises(UsageError, match=error):
         reweight(np.zeros(2), np.array(rows))
+
+
+# lengths at which numpy's pairwise tree and a leaf-wise sum could part:
+# below and at its 8-value blocks and 128-value leaves, and one 8-value step
+# either side of one and two chunks, where the leaf-wise sum splits
+MEMBER_SUM_LENGTHS = [*range(1, 10), 127, 128, 129,
+                      *(k * CHUNK_VALUES + d for k in (1, 2)
+                        for d in (-9, -8, -7, -1, 0, 1, 7, 8, 9))]
+
+
+def _spread_values(rng, shape):
+    # signed values over some 40 orders of magnitude: any other order of
+    # addition rounds otherwise
+    return rng.normal(size=shape) * np.exp(rng.normal(0.0, 5.0, shape))
+
+
+@pytest.mark.parametrize("dtype, atoms", [(np.uint8, 256), (np.uint16, 3000),
+                                          (np.uint32, 70_000)])
+def test_member_sum_is_the_sum_of_the_gathered_values_bit_for_bit(dtype, atoms):
+    # the sum over the members, formed one leaf of the gather at a time,
+    # is numpy's pairwise sum of the whole gathered vector, for one row of
+    # per-atom values and for three
+    rng = np.random.default_rng(atoms)
+    values = _spread_values(rng, (3, atoms))
+    lengths = MEMBER_SUM_LENGTHS + sorted(rng.integers(1, 300_000, 12).tolist())
+    for n in lengths:
+        rows = rng.integers(0, atoms, n).astype(dtype)
+        ens = WeightedEnsemble(0.0, values[0], 1.0, 1.0, rows)
+        assert ens.member_sum(values[0]) == values[0][rows].sum(), n
+        assert ens.member_sum(values).tolist() == [v[rows].sum() for v in values], n

@@ -356,11 +356,29 @@ def test_atom_sampler_holds_one_chunk_of_uniforms_at_a_time():
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        sample_atoms(space, 50_176, RandomStream(seed=1))
+        atoms = sample_atoms(space, 50_176, RandomStream(seed=1))
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
     assert peak <= 2.5e6
+    assert atoms.nbytes == 50_176  # one byte per path for the 54 atoms
+
+
+@pytest.mark.parametrize("model, aux, atoms, dtype", [
+    ("linear-feedback", None, 256, np.uint8),
+    ("independent", FiniteLaw([-1.0, 1.0]), 512, np.uint16),
+])
+def test_atom_sampler_returns_the_narrowest_type_that_holds_every_atom(model, aux, atoms,
+                                                                       dtype):
+    # 2 nodes on 8 steps: 256 atoms fit a byte, twice as many do not; the
+    # narrow indices are still those of the sampled paths
+    g = TimeGrid(steps=8)
+    noise = gauss_quantized(2, g.dt)
+    space = enumerate_atoms(make_model(model), g, noise, aux)
+    sampled = sample_atoms(space, 3000, RandomStream(seed=2))
+    assert space.atoms == atoms and sampled.dtype == dtype
+    sim = sample_quantized_ensemble(make_model(model), g, 3000, RandomStream(seed=2), noise, aux)
+    assert np.array_equal(sampled, match_atoms(space, sim))
 
 
 def test_finite_bayes_filter_matches_enumeration_exactly():
