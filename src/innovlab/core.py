@@ -27,9 +27,9 @@ counter word 0 before each block, so block b = 1, 2, ... is the Philox
 image of counter [b, 0, j mod 2^64, j >> 64]; its four output words are
 used in order.
 
-* Uniform lanes are computed by `philox4x64_10` a row chunk of paths at
-  a time (`RandomStream.uniforms`): a uniform is (word >> 11) * 2^-53,
-  numpy's `Generator.random`.
+* A quantized path draws its uniforms, noise first and aux last, from
+  `LANE_NOISE`; `RandomStream.uniforms` computes them by `philox4x64_10`,
+  a row chunk of paths at a time, as (word >> 11) * 2^-53.
 * Gaussian lanes keep numpy's ziggurat.  One generator per call is
   re-seated (`RandomStream.seat`) before each draw to counter
   [0, 0, j mod 2^64, j >> 64], key [seed, 0], with an empty buffer
@@ -78,8 +78,8 @@ PATH_BLOCK = 1024
 #: and a row-major buffer: a block's draws, the Girsanov layer's sums
 CHUNK_VALUES = 2**15
 
-# Lane indices carving one substream into independent channels.  Lane 3 is
-# unused; renumbering would move every quantized draw.
+# Lanes of one substream.  A quantized path draws only from LANE_NOISE;
+# lane 3 is unused, and moving LANE_NOISE would move every quantized draw.
 LANE_AUX = 0
 LANE_BROWNIAN = 1
 LANE_HIDDEN = 2

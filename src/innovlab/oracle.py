@@ -13,10 +13,11 @@ density is the exact, unshifted exponential of its log-weight, and its
 energy the one that log-weight contains.
 
 A sampled quantized path is a draw of an atom, and every value of the
-pipeline is a function of the atom: `sample_atoms` draws the atom
-indices that `sample_quantized_ensemble`'s paths land on, from the same
-uniforms, so the Monte Carlo side can run the per-path pipeline once per
-sampled atom.
+pipeline is a function of the atom.  A path draws a uniform per step,
+then one for the aux value under an aux law, all from `LANE_NOISE`:
+`sample_atoms` draws the atom indices that `sample_quantized_ensemble`'s
+paths land on, from the same uniforms, so the Monte Carlo side can run
+the per-path pipeline once per sampled atom.
 
 A structural fact shapes what the oracle can and cannot exhibit: on a
 discrete grid the map from the observation to its innovation is always
@@ -37,7 +38,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import LANE_AUX, LANE_NOISE, RandomStream, TimeGrid, philox_chunks
+from .core import LANE_NOISE, RandomStream, TimeGrid, philox_chunks
 from .errors import (
     AbsoluteContinuityError,
     ConfigurationError,
@@ -431,13 +432,16 @@ def sample_quantized_ensemble(model: DriftModel, grid: TimeGrid, size: int,
                               aux: Optional[FiniteLaw] = None) -> EnsembleSimulation:
     """Monte Carlo sampling of the quantized pipeline (same Euler recursion);
     aux is given exactly when the model has an auxiliary variable.  Path i
-    is on atom i of `sample_atoms` for the same stream and size."""
+    draws its N noise uniforms, then its aux uniform, from `LANE_NOISE` of
+    substream stream.substream + i, and is on atom i of `sample_atoms` for
+    the same stream and size."""
     _check_aux_law(model, aux)
+    N = grid.steps
+    u = stream.uniforms(LANE_NOISE, size, N + (aux is not None))
     aux_draws = np.empty((size, model.aux_dim))
     if aux is not None:
-        aux_draws[:] = aux.draw(stream.uniforms(LANE_AUX, size, 1))
-    dB = noise.draw(stream.uniforms(LANE_NOISE, size, grid.steps))
-    return run_euler(model, grid, dB, aux_draws)
+        aux_draws[:] = aux.draw(u[:, N:])
+    return run_euler(model, grid, noise.draw(u[:, :N]), aux_draws)
 
 
 def sample_atoms(space: AtomSpace, size: int, stream: RandomStream) -> np.ndarray:
@@ -446,32 +450,39 @@ def sample_atoms(space: AtomSpace, size: int, stream: RandomStream) -> np.ndarra
     `sample_quantized_ensemble` draws from the same uniforms, with no Euler
     recursion.  A path's values are the rows of its atom in `space`.
 
-    The uniforms, their draw positions and the atom indices are formed one
-    chunk of rows at a time, the chunks `RandomStream.uniforms` forms its
-    own in (`core.philox_chunks`), so each lane's draw of a chunk is one
-    Philox kernel call and only the returned indices span every row.  They
-    are of the narrowest unsigned type that holds every atom index: one
-    byte per path for up to 256 atoms.
+    A path's uniforms are one `LANE_NOISE` row, a uniform per digit of its
+    atom index (`_digit_laws`).  A chunk of rows, as `RandomStream.uniforms`
+    forms its own (`core.philox_chunks`), is one Philox kernel call, and its
+    atom indices are formed one uniform column at a time, so only the
+    returned indices span every row.  They are of the narrowest unsigned
+    type that holds every atom index: one byte per path for up to 256 atoms.
     """
+    laws = _digit_laws(space)
     atoms = np.empty(size, dtype=np.min_scalar_type(space.atoms - 1))
-    for rows in philox_chunks(size, space.grid.steps):
+    for rows in philox_chunks(size, len(laws)):
         chunk, n = RandomStream(stream.seed, stream.substream + rows.start), rows.stop - rows.start
-        noise = space.noise.draw_index(chunk.uniforms(LANE_NOISE, n, space.grid.steps))
-        aux = (None if space.aux is None
-               else space.aux.draw_index(chunk.uniforms(LANE_AUX, n, 1)[:, 0]))
-        atoms[rows] = _atom_index(space, noise, aux)
+        u = chunk.uniforms(LANE_NOISE, n, len(laws))
+        atoms[rows] = _atom_index(space, n, (law.draw_index(u[:, k]) for k, law in enumerate(laws)))
     return atoms
 
 
-def _atom_index(space: AtomSpace, noise: np.ndarray, aux: Optional[np.ndarray]) -> np.ndarray:
-    """Flat index, in `enumerate_atoms`'s order, of the atoms with noise
-    positions noise (m, N) and aux positions aux (m,), None without an aux
-    law: the first step is the most significant digit, the aux position
-    the least."""
-    flat = np.zeros(len(noise), dtype=np.intp)
-    for k in range(space.grid.steps):
-        flat = flat * space.noise.count + noise[:, k]
-    return flat if aux is None else flat * space.aux.count + aux
+def _digit_laws(space: AtomSpace) -> list[FiniteLaw]:
+    """The law of each digit of an atom's flat index in `enumerate_atoms`'s
+    order, most significant first: the noise law once per step, then the
+    aux law when `space` has one.  A sampled path draws one uniform per
+    digit, in this order."""
+    return [space.noise] * space.grid.steps + ([] if space.aux is None else [space.aux])
+
+
+def _atom_index(space: AtomSpace, m: int, positions) -> np.ndarray:
+    """Flat index, in `enumerate_atoms`'s order, of m atoms whose positions
+    in their digits' laws (`_digit_laws`) `positions` yields one (m,) column
+    per digit, into one (m,) accumulator."""
+    flat = np.zeros(m, dtype=np.intp)
+    for law, column in zip(_digit_laws(space), positions, strict=True):
+        flat *= law.count
+        flat += column
+    return flat
 
 
 def finite_bayes_filter(model: DriftModel, sim: EnsembleSimulation,
@@ -522,8 +533,8 @@ def finite_bayes_filter(model: DriftModel, sim: EnsembleSimulation,
 
 def match_atoms(space: AtomSpace, sim: EnsembleSimulation) -> np.ndarray:
     """Atom index of each sampled quantized path (exact lattice lookup)."""
-    aux = None if space.aux is None else space.aux.index(sim.aux[:, 0])
-    return _atom_index(space, space.noise.index(sim.dB), aux)
+    aux = [] if space.aux is None else [space.aux.index(sim.aux[:, 0])]
+    return _atom_index(space, sim.size, [*space.noise.index(sim.dB).T, *aux])
 
 
 @dataclass(frozen=True)

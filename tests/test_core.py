@@ -347,17 +347,19 @@ def _reference_simulation(model, grid, size, stream):
 
 
 def _reference_quantized(model, grid, size, stream, noise, aux_values=None):
-    """Per-path loop of the quantized sampler with fresh generators."""
-    dB = np.empty((size, grid.steps))
+    """Per-path loop of the quantized sampler with fresh generators: path i
+    draws N + 1 uniforms from its `LANE_NOISE` stream with an aux law, N
+    without, the noise first and the aux last."""
+    N = grid.steps
+    dB = np.empty((size, N))
     aux = np.empty((size, model.aux_dim))
     for i in range(size):
         s = RandomStream(stream.seed, stream.substream + i)
-        u = s.lane(LANE_NOISE).generator().random(grid.steps)
-        dB[i] = noise.values[np.searchsorted(np.cumsum(noise.probs), u)]
+        u = s.lane(LANE_NOISE).generator().random(N + (aux_values is not None))
+        dB[i] = noise.values[np.searchsorted(np.cumsum(noise.probs), u[:N])]
         if model.aux_dim:
-            ua = s.lane(LANE_AUX).generator().random()
             cum = np.cumsum(np.full(len(aux_values), 1.0 / len(aux_values)))
-            aux[i] = np.asarray(aux_values)[np.searchsorted(cum, ua)]
+            aux[i] = np.asarray(aux_values)[np.searchsorted(cum, u[N])]
     return dB, aux
 
 
@@ -391,11 +393,14 @@ def test_simulate_ensemble_matches_fresh_generator_loop(name, params, steps):
     _assert_concatenation(sim, head, tail)
 
 
-@pytest.mark.parametrize("name, aux_values", [("independent", [-1.5, 0.5, 1.5]),
-                                              ("zero", None)])
-def test_quantized_sampler_matches_fresh_generator_loop(name, aux_values):
+@pytest.mark.parametrize("name, aux_values, steps", [
+    ("independent", [-1.5, 0.5, 1.5], 3),  # noise and aux fill one Philox block
+    ("independent", [-1.5, 1.5], 4),       # the aux uniform opens a second block
+    ("zero", None, 3),
+])
+def test_quantized_sampler_matches_fresh_generator_loop(name, aux_values, steps):
     model = make_model(name)
-    g = TimeGrid(steps=3)
+    g = TimeGrid(steps=steps)
     noise = gauss_quantized(3, g.dt)
     law = FiniteLaw(aux_values) if aux_values else None
     stream = RandomStream(seed=2**64 - 1, substream=2**60 - 20)  # word 2 wraps mid-batch

@@ -331,15 +331,16 @@ def test_quantized_sampler_reproducible_and_on_lattice():
 ])
 def test_atom_sampler_draws_the_atoms_of_the_sampled_paths(model, nodes, aux):
     # the same uniforms and the same draw rule: path i of the sampled
-    # ensemble lies on atom i of the sampler, from any substream; the
-    # sampler's chunks are 8192 rows at three steps, so the paths cross two
-    # chunk seams
+    # ensemble lies on atom i of the sampler, from any substream; a path's
+    # row is its three noise uniforms and, with an aux law, its aux uniform,
+    # one Philox block either way, so the sampler's chunks are 8192 rows
+    # and the paths cross two chunk seams
     g = TimeGrid(steps=3)
     noise = gauss_quantized(nodes, g.dt)
     space = enumerate_atoms(make_model(model), g, noise, aux)
     stream = RandomStream(seed=5, substream=17)
     size = 2 * 8192 + 5
-    assert len(philox_chunks(size, g.steps)) == 3
+    assert len(philox_chunks(size, g.steps + (aux is not None))) == 3
     sim = sample_quantized_ensemble(make_model(model), g, size, stream, noise, aux)
     assert np.array_equal(sample_atoms(space, size, stream), match_atoms(space, sim))
 

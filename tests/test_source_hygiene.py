@@ -172,6 +172,14 @@ def test_only_the_fork_helper_counts_the_processes():
     assert callers == {("core", "fork_map")}
 
 
+def test_only_the_continuous_sampler_reads_the_aux_lane():
+    # a quantized path draws its aux uniform from its noise lane, after its
+    # noise uniforms; `LANE_AUX` serves the continuous models' aux draws
+    readers = {module for module, tree in TREES.items()
+               if "LANE_AUX" in _used_names(tree) | _imported_names(tree)}
+    assert readers == {"models"}
+
+
 def _raised_names(tree) -> set:
     """Names of the exceptions a module raises: `raise X(...)`, `raise X`,
     and the same through a module attribute."""
