@@ -65,7 +65,6 @@ __all__ = [
     "PATH_BLOCK",
     "row_chunks",
     "philox_chunks",
-    "chunked_bincount",
     "mapped_array",
     "fork_map",
 ]
@@ -75,7 +74,8 @@ __all__ = [
 PATH_BLOCK = 1024
 
 #: values in one chunk of rows copied between a column-major ensemble array
-#: and a row-major buffer: a block's draws, the Girsanov layer's sums
+#: and a row-major buffer: a block's draws, the Girsanov layer's log-weights
+#: and stopping times
 CHUNK_VALUES = 2**15
 
 # Lanes of one substream.  A quantized path draws only from LANE_NOISE;
@@ -238,17 +238,6 @@ def row_chunks(m: int, n: int) -> list[slice]:
     """Slices of about CHUNK_VALUES values (at least a row) over m rows of n."""
     rows = max(CHUNK_VALUES // max(n, 1), 1)
     return [slice(lo, min(lo + rows, m)) for lo in range(0, m, rows)]
-
-
-def chunked_bincount(x: np.ndarray, minlength: int) -> np.ndarray:
-    """`np.bincount(x, minlength=minlength)`, one `row_chunks` slice of x at
-    a time: bincount widens a narrow x to intp whole."""
-    counts = np.zeros(minlength, dtype=np.intp)
-    for chunk in row_chunks(len(x), 1):
-        part = np.bincount(x[chunk], minlength=len(counts))
-        part[:len(counts)] += counts
-        counts = part
-    return counts
 
 
 def philox_chunks(m: int, n: int) -> list[slice]:

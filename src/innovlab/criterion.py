@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import TimeGrid, fork_map, row_chunks
+from .core import TimeGrid, fork_map
 from .errors import UsageError
 from .filtering import BasisSpec, FeatureBuilder, WeightedGram, weighted_ridge_fit
 from .girsanov import (
@@ -252,60 +252,28 @@ def _weight_set(Z: np.ndarray, uhat: np.ndarray, dt: float, stop: np.ndarray,
             _weighted_mean_se(weights, 0.5 * (energies - q)), diag, ens.ess, escalations)
 
 
-def _multiplicity_sum(x: np.ndarray, counts: np.ndarray) -> float:
-    """The exactly rounded sum of each x[a] repeated counts[a] times,
-    `math.fsum(np.repeat(x, counts))`, from 2 len(x) terms: each x splits
-    into its top 27 significant bits and the rest (at most 26), so a count
-    below 2**26 times either half is exact, barring overflow.  A count at
-    or above 2**26 is a usage error."""
-    counts = np.asarray(counts)
-    if counts.size and counts.max() >= 2**26:
-        raise UsageError(f"a multiplicity of {counts.max()} is not below 2**26")
-    frac, exp = np.frexp(x)
-    high = np.ldexp(np.trunc(np.ldexp(frac, 27)), exp - 27)
-    return math.fsum(np.concatenate([counts * high, counts * (x - high)]).tolist())
-
-
-def _class_sums(values: np.ndarray, labels: np.ndarray, rows: np.ndarray,
-                classes: int) -> np.ndarray:
-    """`np.bincount(labels[rows], weights=values[rows], minlength=classes)`
-    bit for bit: per-atom values summed over the members on atoms `rows`
-    by their atoms' class `labels`, one chunk of members at a time.
-    `np.add.at` adds them in member order, as bincount does."""
-    sums = np.zeros(classes)
-    for chunk in row_chunks(len(rows), 2):  # a label and a value per member
-        np.add.at(sums, labels.take(rows[chunk]), values.take(rows[chunk]))
-    return sums
-
-
 def plugin_level(log_weights: np.ndarray, energies: np.ndarray, labels: np.ndarray,
-                 path_row: Optional[np.ndarray] = None,
+                 counts: Optional[np.ndarray] = None,
                  floor: float = GAP_FLOOR) -> tuple[LevelReport, float]:
     """Level infinity of a quantized ensemble by plug-in over observation
     classes, from the sampled atoms' log-weights, the drift energies
     inside them (`girsanov.log_weights_ensemble`) and their class
-    `labels`, and each path's atom `path_row` (m,); without it each path
-    is an atom of its own.
+    `labels`, and each atom's path `counts`; without them each path is an
+    atom of its own.
 
     `energy` is the base entropy and `entropy` the pushforward one, so
     `gap` estimates what the observation map loses.  One ensemble gives
     both, so `gap_se` is paired like a continuous level's: the se of the
     difference of their influence functions, which is 0 to rounding when
     the density is constant on classes.  Also returns half the weighted
-    mean drift energy, an exactly rounded sum as `_weighted_mean_se`'s,
-    over the atoms with their path counts (`_multiplicity_sum`).
+    mean drift energy.
 
     Every elementwise step (the density rho_i = exp(l_i) / mean exp(l),
-    rho log rho and the influence functions) runs once per atom.  A sum
-    over the paths gathers its per-atom operand one leaf of paths at a
-    time, in the order that fixes its bits: numpy's pairwise order for
-    `WeightedEnsemble.member_sum`, path order for the class sums of rho,
-    which `np.add.at` accumulates as `np.bincount` would.  So the results
-    are the per-path ones bit for bit, and beside `path_row` no per-path
-    vector is formed.
+    rho log rho and the influence functions) runs once per atom, and every
+    sum over the paths, the class sums of rho included, is a count-weighted
+    sum over the atoms, so no per-path vector is formed.
     """
-    rows = np.arange(len(log_weights)) if path_row is None else np.asarray(path_row)
-    ens = reweight(log_weights, rows)
+    ens = reweight(log_weights, counts)
     labels = np.asarray(labels)
     M = ens.size
     rho = ens.scaled / (ens.total / M)
@@ -313,7 +281,7 @@ def plugin_level(log_weights: np.ndarray, energies: np.ndarray, labels: np.ndarr
     base = float(ens.member_sum(rho_log_rho) / M)
     base_infl = rho_log_rho - base - (rho - 1.0) * (base + 1.0)
     p_hat = np.bincount(labels, weights=ens.counts) / M
-    q_hat = _class_sums(rho, labels, rows, len(p_hat)) / M
+    q_hat = np.bincount(labels, weights=rho if ens.counts is None else ens.counts * rho) / M
     good = p_hat > 0
     ratio = np.zeros_like(p_hat)
     ratio[good] = q_hat[good] / p_hat[good]
@@ -331,4 +299,4 @@ def plugin_level(log_weights: np.ndarray, energies: np.ndarray, labels: np.ndarr
         gap=gap, gap_se=gap_se, ess=ens.ess,
         norm_mean=diag.mean, norm_se=diag.se, norm_passed=diag.passed,
         verdict=classify_level(gap, gap_se, ens.ess, floor))
-    return report, 0.5 * _multiplicity_sum(ens.weights * energies, ens.counts)
+    return report, 0.5 * float(ens.member_sum(ens.weights * energies))

@@ -25,24 +25,19 @@ its weights and nothing sums them twice.  `reweight` is the one place a
 log-weight vector is shifted by its maximum and exponentiated (raw
 weights span hundreds of nats on fine grids); the normalization
 diagnostic and the oracle's plug-in entropies read that one exponential
-from the `WeightedEnsemble` it returns.  Given each member's atom, it
-exponentiates one log-weight per atom, and a sum over the members is the
-sum of the atoms' values gathered member by member: numpy's pairwise
-order over the members fixes its bits, which a count-weighted sum would
-not keep.  The sum follows that order one leaf of at most CHUNK_VALUES
-gathered values at a time (`_gathered_sum`), so no per-member vector is
-formed.
+from the `WeightedEnsemble` it returns.  Given each atom's member count,
+it exponentiates one log-weight per atom, and a sum over the members is
+the count-weighted sum over the atoms.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import CHUNK_VALUES, chunked_bincount, path_energies, row_chunks
+from .core import path_energies, row_chunks
 from .errors import DegeneracyError, NumericalError, ShapeError, UsageError
 
 __all__ = [
@@ -80,18 +75,15 @@ class WeightedEnsemble:
     exponential scaled = exp(l - top) of log-weights l with top = max l,
     and its sum over the members, `total`.
 
-    With `rows`, `scaled` holds one value per atom, member i is on atom
-    rows[i], and `counts` holds each atom's number of members; without,
-    each member is its own atom.  `weights` normalizes `scaled` on each
-    access, one weight per atom.  A sum over the members holds one leaf
-    of gathered values at a time (`_gathered_sum`).
+    With `counts`, `scaled` holds one value per atom and counts[a] is the
+    number of members on atom a; without, each member is its own atom.
+    `weights` normalizes `scaled` on each access, one weight per atom.
     """
 
     top: float
     scaled: np.ndarray
     total: float
     ess: float
-    rows: Optional[np.ndarray] = None
     counts: Optional[np.ndarray] = None
 
     @property
@@ -100,16 +92,16 @@ class WeightedEnsemble:
 
     @property
     def size(self) -> int:
-        return len(self.scaled if self.rows is None else self.rows)
+        return len(self.scaled) if self.counts is None else int(self.counts.sum())
 
     def member_sum(self, values: np.ndarray):
-        """Sum over the members of per-atom values along the last axis,
-        `values[..., rows].sum(axis=-1)` bit for bit."""
-        return _gathered_sum(values, self.rows)
+        """Sum over the members of per-atom values along the last axis."""
+        return _member_sum(values, self.counts)
 
     def member_std(self, values: np.ndarray):
-        """`np.std(values[..., rows], axis=-1, ddof=1)`, the deviations from
-        the mean formed once per atom."""
+        """Standard deviation (ddof=1) over the members of per-atom values
+        along the last axis, the deviations from the mean formed once per
+        atom."""
         mean = self.member_sum(values) / self.size
         return np.sqrt(self.member_sum((values - mean[..., None]) ** 2) / (self.size - 1))
 
@@ -189,56 +181,35 @@ def normalization_diagnostic(ens: WeightedEnsemble) -> NormalizationDiagnostic:
     return NormalizationDiagnostic(mean, se, passed)
 
 
-def reweight(log_weights: np.ndarray, rows: Optional[np.ndarray] = None) -> WeightedEnsemble:
+def reweight(log_weights: np.ndarray, counts: Optional[np.ndarray] = None) -> WeightedEnsemble:
     """Self-normalized weights w_i = exp(l_i - max l) / sum_j exp(l_j - max l).
 
-    With `rows`, log_weights holds one value per atom and member i is on
-    atom rows[i]; every atom needs a member.  The checks count members.
+    With `counts`, log_weights holds one value per atom and counts[a] is
+    the number of members on atom a, at least one.  The checks count
+    members.
     """
     lw = np.asarray(log_weights, dtype=float)
-    size = lw.size if rows is None else len(rows)
+    if counts is not None:
+        counts = np.asarray(counts)
+        if counts.shape != lw.shape or counts.min(initial=1) < 1:
+            raise UsageError(f"member counts {counts.shape} must give each of the "
+                             f"{lw.size} atoms at least one member")
+    size = lw.size if counts is None else int(counts.sum())
     if size < 2:
         raise UsageError(f"need at least two members, got {size}")
-    counts = None if rows is None else chunked_bincount(rows, lw.size)
-    if counts is not None and (len(counts) > lw.size or not counts.all()):
-        raise UsageError(f"members must lie on the {lw.size} atoms, each atom on a member")
     if np.any(np.isnan(lw)):
         raise NumericalError("NaN log-weight")
     top = np.max(lw)
     if not np.isfinite(top):
         raise DegeneracyError("all log-weights are -inf")
     scaled = np.exp(lw - top)
-    total = float(_gathered_sum(scaled, rows))
-    ess = float(1.0 / _gathered_sum((scaled / total) ** 2, rows))
-    return WeightedEnsemble(float(top), scaled, total, ess, rows, counts)
+    total = float(_member_sum(scaled, counts))
+    ess = float(1.0 / _member_sum((scaled / total) ** 2, counts))
+    return WeightedEnsemble(float(top), scaled, total, ess, counts)
 
 
-def _gathered_sum(values: np.ndarray, rows: Optional[np.ndarray]):
-    """`values[..., rows].sum(axis=-1)` bit for bit, one leaf of the gather
-    at a time; `values.sum(axis=-1)` without rows.
-
-    numpy sums n > 128 float64 values along a contiguous axis as the sum
-    of the first n2 = n // 2 - (n // 2) % 8 and the sum of the other
-    n - n2, each formed the same way.  Down that tree, a part whose gather
-    holds at most CHUNK_VALUES values (or 128 members, below which numpy
-    does not split) is a leaf: numpy sums its gather, and the leaves are
-    added back up the tree.  Each leaf's rows are widened once into an
-    intp buffer, which numpy gathers from faster than from narrow indices,
-    and every row of values gathers from it.
-    """
-    if rows is None:
-        return values.sum(axis=-1)
-    leaf = max(CHUNK_VALUES // math.prod(values.shape[:-1]), 128)
-    index = np.empty(min(len(rows), leaf), dtype=np.intp)
-    return _tree_sum(values, rows, index, 0, len(rows))
-
-
-def _tree_sum(values: np.ndarray, rows: np.ndarray, index: np.ndarray, lo: int, n: int):
-    """`_gathered_sum` over the members lo..lo + n, a part of numpy's tree
-    whose leaves have at most len(index) members."""
-    if n <= len(index):
-        index[:n] = rows[lo:lo + n]
-        return values.take(index[:n], axis=-1).sum(axis=-1)
-    n2 = n // 2 - n // 2 % 8
-    return (_tree_sum(values, rows, index, lo, n2)
-            + _tree_sum(values, rows, index, lo + n2, n - n2))
+def _member_sum(values: np.ndarray, counts: Optional[np.ndarray]):
+    """Sum over the members of per-atom values along the last axis: each
+    atom's value times its member count, summed over the atoms;
+    `values.sum(axis=-1)` without counts."""
+    return values.sum(axis=-1) if counts is None else (values * counts).sum(axis=-1)

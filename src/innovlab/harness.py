@@ -15,12 +15,12 @@ estimates against exact enumeration.  Both modes write their level rows
 from `criterion.LevelReport`s.  Three stages share their pieces among one
 process per CPU through `core.fork_map`, one contiguous run of pieces per
 process: a continuous run's front end its row blocks and its criterion
-its weight sets, and a crosscheck run's front end, which draws each
-path's atom, its row blocks, each run of them as one row range.  Every
-other stage runs in the calling process alone, one after another; a
+its weight sets, and a crosscheck run's front end, which counts the
+paths on each atom, its row blocks, each run of them as one row range.
+Every other stage runs in the calling process alone, one after another; a
 crosscheck's filter, innovation, observation classes and log-weights run
 there once per sampled atom, and its plug-in level reads those per-atom
-values with each path's atom row.
+values with each atom's path count.
 """
 
 from __future__ import annotations
@@ -42,10 +42,8 @@ from .core import (
     PATH_BLOCK,
     RandomStream,
     TimeGrid,
-    chunked_bincount,
     fork_map,
     mapped_array,
-    row_chunks,
 )
 from .criterion import (
     DEFAULT_LEVELS,
@@ -476,12 +474,11 @@ def _run_quantized(config, model, grid, stream, stages) -> ResultRecord:
     space = _stage(stages, "enumerate", enumerate_atoms, model, grid, noise, aux)
     exact = _stage(stages, "enumerate", lambda: dpi_verdict(space.system(relabel=relabel)))
 
-    atom, front_end = _quantized_front_end(config.paths, stream, space, stages)
+    histogram, front_end = _quantized_front_end(config.paths, stream, space, stages)
     # a path's filter, innovation, class and log-weight are those of its
     # atom: each is formed once per sampled atom, and the plug-in level
-    # reads them with each path's atom row
-    sampled, path_row, sim = _stage(stages, "sample", _sampled_rows, space, atom)
-    del atom
+    # weights them by the atom's path count
+    sampled, counts, sim = _stage(stages, "sample", _sampled_rows, space, histogram)
     filt = _stage(stages, "filter", finite_bayes_filter, model, sim, noise, aux)
     deviation = _stage(stages, "filter", filter_deviation, space, sampled, filt.values)
     Z = _stage(stages, "innovation", innovation_values, sim.U, filt.values, grid.dt)
@@ -490,7 +487,7 @@ def _run_quantized(config, model, grid, stream, stages) -> ResultRecord:
     log_weights, energies = _stage(stages, "weights", log_weights_ensemble, filt.values, Z,
                                    grid.dt)
     level, energy_mc = _stage(stages, "criterion", plugin_level, log_weights, energies, labels,
-                              path_row, config.gap_floor)
+                              counts, config.gap_floor)
     crosscheck = _stage(stages, "crosscheck", lambda: {
         **asdict(estimator_crosscheck(exact, deviation, level.entropy, energy_mc,
                                       config.crosscheck_tol)),
@@ -518,16 +515,16 @@ def _run_quantized(config, model, grid, stream, stages) -> ResultRecord:
 
 
 def _quantized_front_end(size, stream, space, stages):
-    """The atom of `space` of each of `size` quantized paths, drawn from
-    substreams stream.substream + i.. (`oracle.sample_atoms`), and the
-    `core.fork_map` record.
+    """The number of paths on each atom of `space` over `size` quantized
+    paths drawn from substreams stream.substream + i.. (`oracle.sample_atoms`),
+    and the `core.fork_map` record.
 
     `fork_map` deals the PATH_BLOCK row blocks, one contiguous run of them
     per process, and a process's run is one row range: a block has a fixed
-    cost that a range pays once.  A range draws its rows' atom indices
-    (`sample`) and returns them as one array, one byte per path up to 256
-    atoms; the draws are row by row, so the ranges move no number.  The
-    caller's stage entries are its one range's.
+    cost that a range pays once.  A range counts its rows' atoms (`sample`)
+    and the caller adds the ranges' counts; the draws are row by row and
+    the counts integers, so the ranges move no number.  The caller's stage
+    entries are its one range's.
     """
     def run_range(starts, entries):
         lo, hi = starts[0], min(starts[-1] + PATH_BLOCK, size)
@@ -535,22 +532,16 @@ def _quantized_front_end(size, stream, space, stages):
                        RandomStream(stream.seed, stream.substream + lo))]
 
     ranges, record = fork_map(run_range, range(0, size, PATH_BLOCK), stages)
-    return _stage(stages, "sample", np.concatenate, ranges), record
+    return _stage(stages, "sample", sum, ranges), record
 
 
-def _sampled_rows(space, atom):
-    """The atoms of `space` that the paths' atoms `atom` hit, in index
-    order, the position among them of each path's atom, of atom's type,
-    and their rows of `space.sim`.  No path-long vector is widened."""
-    hit = chunked_bincount(atom, space.atoms) > 0
-    sampled = np.flatnonzero(hit)
+def _sampled_rows(space, counts):
+    """The atoms of `space` that some path is on, given each atom's path
+    `counts`, in index order, their counts and their rows of `space.sim`."""
+    sampled = np.flatnonzero(counts)
     sim = replace(space.sim, **{name: getattr(space.sim, name)[sampled]
                                 for name in ("dB", "dU", "drift", "aux", "U")})
-    position = (np.cumsum(hit) - 1).astype(atom.dtype)
-    path_row = np.empty_like(atom)
-    for chunk in row_chunks(len(atom), 1):
-        path_row[chunk] = position.take(atom[chunk])
-    return sampled, path_row, sim
+    return sampled, counts[sampled], sim
 
 
 def _fmt_cell(v) -> str:

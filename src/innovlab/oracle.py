@@ -13,11 +13,12 @@ density is the exact, unshifted exponential of its log-weight, and its
 energy the one that log-weight contains.
 
 A sampled quantized path is a draw of an atom, and every value of the
-pipeline is a function of the atom.  A path draws a uniform per step,
-then one for the aux value under an aux law, all from `LANE_NOISE`:
-`sample_atoms` draws the atom indices that `sample_quantized_ensemble`'s
-paths land on, from the same uniforms, so the Monte Carlo side can run
-the per-path pipeline once per sampled atom.
+pipeline is a function of the atom, so a sampled ensemble is its atom
+histogram.  A path draws a uniform per step, then one for the aux value
+under an aux law, all from `LANE_NOISE`: `sample_atoms` counts the paths
+of `sample_quantized_ensemble` on each atom, from the same uniforms, so
+the Monte Carlo side runs the per-path pipeline once per sampled atom and
+sums over the paths as count-weighted sums over the atoms.
 
 A structural fact shapes what the oracle can and cannot exhibit: on a
 discrete grid the map from the observation to its innovation is always
@@ -433,8 +434,8 @@ def sample_quantized_ensemble(model: DriftModel, grid: TimeGrid, size: int,
     """Monte Carlo sampling of the quantized pipeline (same Euler recursion);
     aux is given exactly when the model has an auxiliary variable.  Path i
     draws its N noise uniforms, then its aux uniform, from `LANE_NOISE` of
-    substream stream.substream + i, and is on atom i of `sample_atoms` for
-    the same stream and size."""
+    substream stream.substream + i, and is one of the paths `sample_atoms`
+    counts for the same stream and size."""
     _check_aux_law(model, aux)
     N = grid.steps
     u = stream.uniforms(LANE_NOISE, size, N + (aux is not None))
@@ -445,25 +446,25 @@ def sample_quantized_ensemble(model: DriftModel, grid: TimeGrid, size: int,
 
 
 def sample_atoms(space: AtomSpace, size: int, stream: RandomStream) -> np.ndarray:
-    """Atom index of each of `size` quantized paths drawn from substreams
-    stream.substream + i..: the atoms of the paths
-    `sample_quantized_ensemble` draws from the same uniforms, with no Euler
-    recursion.  A path's values are the rows of its atom in `space`.
+    """Number of paths on each atom of `space`, an (atoms,) intp vector,
+    over `size` quantized paths drawn from substreams stream.substream + i..:
+    the paths `sample_quantized_ensemble` draws from the same uniforms, with
+    no Euler recursion.  A path's values are the rows of its atom in `space`.
 
     A path's uniforms are one `LANE_NOISE` row, a uniform per digit of its
     atom index (`_digit_laws`).  A chunk of rows, as `RandomStream.uniforms`
     forms its own (`core.philox_chunks`), is one Philox kernel call, and its
-    atom indices are formed one uniform column at a time, so only the
-    returned indices span every row.  They are of the narrowest unsigned
-    type that holds every atom index: one byte per path for up to 256 atoms.
+    atom indices are formed one uniform column at a time and counted, so no
+    vector spans every row.
     """
     laws = _digit_laws(space)
-    atoms = np.empty(size, dtype=np.min_scalar_type(space.atoms - 1))
+    counts = np.zeros(space.atoms, dtype=np.intp)
     for rows in philox_chunks(size, len(laws)):
         chunk, n = RandomStream(stream.seed, stream.substream + rows.start), rows.stop - rows.start
         u = chunk.uniforms(LANE_NOISE, n, len(laws))
-        atoms[rows] = _atom_index(space, n, (law.draw_index(u[:, k]) for k, law in enumerate(laws)))
-    return atoms
+        atoms = _atom_index(space, n, (law.draw_index(u[:, k]) for k, law in enumerate(laws)))
+        counts += np.bincount(atoms, minlength=space.atoms)
+    return counts
 
 
 def _digit_laws(space: AtomSpace) -> list[FiniteLaw]:

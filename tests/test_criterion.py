@@ -1,6 +1,5 @@
 import math
 from dataclasses import fields
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -135,78 +134,6 @@ def test_energies_are_summed_once_per_stopping_rule(monkeypatch, max_processes):
     assert reports[0].ess != reports[1].ess  # two distinct stopping rules
     assert len(rows) > 2  # 2000 rows of 64 steps take four chunks per rule
     assert sum(rows) == 2 * len(uhat)
-
-
-# ------------------------------------------------------- multiplicity sums
-
-def _signed(rng, values):
-    return values * rng.choice([-1.0, 1.0], size=len(values))
-
-
-def _near_cancelling(rng, high):
-    """Values of one magnitude and counts below `high` whose total nearly
-    cancels: the last value is minus the others' mean, so a rounded product
-    would show in the total."""
-    x = _signed(rng, rng.uniform(1.0, 2.0, size=50))
-    counts = rng.integers(high // 2, high, size=50)
-    x[-1] = -math.fsum((counts[:-1] * x[:-1]).tolist()) / counts[-1]
-    return x, counts
-
-
-def _multiplicity_cases():
-    rng = np.random.default_rng(11)
-    subnormal = np.array([5e-324, 1e-320, 2.5e-310, np.nextafter(2.2250738585072014e-308, 0)])
-    wide = _signed(rng, np.concatenate([np.logspace(-300, 300, 61), subnormal]))
-    yield "wide", wide, rng.integers(0, 50, size=len(wide))
-    pairs = np.array([1e300, -1e300, 0.1, -0.1, 3e-310, -3e-310, 1e-300])
-    yield "cancelling", pairs, np.array([7, 7, 1000, 1000, 3, 3, 1])
-    yield "cancelling-to-zero", pairs[:6], np.array([5, 5, 2, 2, 9, 9])
-    yield "some-zero-counts", wide, np.where(rng.random(len(wide)) < 0.5, 0, 3)
-    yield "all-zero-counts", wide, np.zeros(len(wide), dtype=np.intp)
-    yield "counts-to-2**16", wide[::8], rng.integers(2**15, 2**16, size=len(wide[::8]))
-    yield "near-cancelling", *_near_cancelling(rng, 1000)
-
-
-@pytest.mark.parametrize("dtype, atoms", [(np.uint8, 256), (np.uint16, 3000),
-                                          (np.uint32, 70_000)])
-def test_class_sums_are_bincounts_of_the_gathered_values_bit_for_bit(dtype, atoms):
-    # each class adds its members' values in member order, one chunk of
-    # members at a time, as np.bincount adds the gathered vector
-    rng = np.random.default_rng(atoms)
-    values = rng.normal(size=atoms) * np.exp(rng.normal(0.0, 5.0, atoms))
-    labels = rng.integers(0, 7, atoms)
-    for n in (1, 129, 2**15 + 9, 150_001):
-        rows = rng.integers(0, atoms, n).astype(dtype)
-        want = np.bincount(labels[rows], weights=values[rows], minlength=7)
-        assert np.array_equal(criterion._class_sums(values, labels, rows, 7), want), n
-
-
-@pytest.mark.parametrize("x, counts", [pytest.param(x, c, id=name)
-                                       for name, x, c in _multiplicity_cases()])
-def test_multiplicity_sum_is_the_fsum_of_the_repeated_values(x, counts):
-    got = criterion._multiplicity_sum(x, counts)
-    assert got.hex() == math.fsum(np.repeat(x, counts).tolist()).hex()
-
-
-@pytest.mark.parametrize("spread", ["wide", "near-cancelling"])
-def test_multiplicity_sum_is_exact_up_to_the_count_bound(spread):
-    # np.repeat of counts near 2**26 would not fit in memory: the rational
-    # sum, rounded once, is the value fsum of the repeated values rounds to
-    rng = np.random.default_rng(12)
-    if spread == "wide":
-        x = _signed(rng, np.concatenate([np.logspace(-300, 299, 40), [5e-324, 2.5e-310]])
-                    * rng.uniform(1.0, 2.0, size=42))
-        counts = rng.integers(2**25, 2**26, size=len(x))
-    else:
-        x, counts = _near_cancelling(rng, 2**26)
-    counts[[0, -1, 20]] = 2**26 - 1
-    exact = sum(Fraction(v) * int(c) for v, c in zip(x.tolist(), counts.tolist()))
-    assert criterion._multiplicity_sum(x, counts).hex() == float(exact).hex()
-
-
-def test_multiplicity_sum_refuses_a_count_at_the_bound():
-    with pytest.raises(UsageError, match="not below 2"):
-        criterion._multiplicity_sum(np.array([1.0, 2.0]), np.array([1, 2**26]))
 
 
 def test_energy_under_nu_zero_drift():

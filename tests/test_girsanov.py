@@ -1,11 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from innovlab.core import CHUNK_VALUES, PATH_BLOCK, RandomStream, TimeGrid
+from innovlab.core import PATH_BLOCK, RandomStream, TimeGrid
 from innovlab.errors import DegeneracyError, NumericalError, ShapeError, UsageError
 from innovlab.filtering import ensemble_conditional_drift, innovation_values
 from innovlab.girsanov import (
@@ -273,50 +274,72 @@ def test_reweight_shift_invariance(shift, seed):
 
 def test_reweight_on_atoms_counts_members():
     # three atoms under 150 members: the diagnostic's minimum, the ESS and
-    # the weights' total are those of the members, each on its atom's value
-    lw, rows = np.array([0.0, math.log(3.0), -1.0]), np.repeat([0, 1, 2], [100, 30, 20])
-    ens, per_member = reweight(lw, rows), reweight(lw[rows])
+    # the weights' total are those of the members, each on its atom's value,
+    # to the rounding of a count-weighted sum
+    lw, counts = np.array([0.0, math.log(3.0), -1.0]), np.array([100, 30, 20])
+    ens, per_member = reweight(lw, counts), reweight(np.repeat(lw, counts))
     assert ens.size == 150 and list(ens.counts) == [100, 30, 20]
-    assert (ens.total, ens.ess) == (per_member.total, per_member.ess)
-    assert normalization_diagnostic(ens) == normalization_diagnostic(per_member)
-    assert np.array_equal(ens.weights[rows], per_member.weights)
+    assert ens.total == pytest.approx(per_member.total, rel=1e-15)
+    assert ens.ess == pytest.approx(per_member.ess, rel=1e-15)
+    diag, per_member_diag = normalization_diagnostic(ens), normalization_diagnostic(per_member)
+    assert diag.mean == pytest.approx(per_member_diag.mean, rel=1e-15)
+    assert diag.se == pytest.approx(per_member_diag.se, rel=1e-14)
+    assert diag.passed == per_member_diag.passed
+    assert np.allclose(np.repeat(ens.weights, counts), per_member.weights, rtol=1e-15, atol=0)
 
 
-@pytest.mark.parametrize("rows, error", [
-    ([0, 0], "on the 2 atoms, each atom on a member"),  # atom 1 has no member
-    ([0, 1, 2], "on the 2 atoms, each atom on a member"),  # a member off the atoms
-    ([1], "two members"),
+@pytest.mark.parametrize("atoms, counts, error", [
+    (2, [5, 0], "at least one member"),  # atom 1 has no member
+    (2, [5, -1], "at least one member"),
+    (2, [5, 5, 5], "at least one member"),  # a count off the atoms
+    (2, [[5, 5]], "at least one member"),
+    (1, [1], "two members"),
 ])
-def test_reweight_on_atoms_refuses_malformed_rows(rows, error):
+def test_reweight_on_atoms_refuses_malformed_counts(atoms, counts, error):
     with pytest.raises(UsageError, match=error):
-        reweight(np.zeros(2), np.array(rows))
+        reweight(np.zeros(atoms), np.array(counts))
 
 
-# lengths at which numpy's pairwise tree and a leaf-wise sum could part:
-# below and at its 8-value blocks and 128-value leaves, and one 8-value step
-# either side of one and two chunks, where the leaf-wise sum splits
-MEMBER_SUM_LENGTHS = [*range(1, 10), 127, 128, 129,
-                      *(k * CHUNK_VALUES + d for k in (1, 2)
-                        for d in (-9, -8, -7, -1, 0, 1, 7, 8, 9))]
+def _signed(rng, values):
+    return values * rng.choice([-1.0, 1.0], size=len(values))
 
 
-def _spread_values(rng, shape):
-    # signed values over some 40 orders of magnitude: any other order of
-    # addition rounds otherwise
-    return rng.normal(size=shape) * np.exp(rng.normal(0.0, 5.0, shape))
+def _near_cancelling(rng, high):
+    """Values of one magnitude and counts below `high` whose total nearly
+    cancels: the last value is minus the others' mean."""
+    x = _signed(rng, rng.uniform(1.0, 2.0, size=50))
+    counts = rng.integers(high // 2, high, size=50)
+    x[-1] = -math.fsum((counts[:-1] * x[:-1]).tolist()) / counts[-1]
+    return x, counts
 
 
-@pytest.mark.parametrize("dtype, atoms", [(np.uint8, 256), (np.uint16, 3000),
-                                          (np.uint32, 70_000)])
-def test_member_sum_is_the_sum_of_the_gathered_values_bit_for_bit(dtype, atoms):
-    # the sum over the members, formed one leaf of the gather at a time,
-    # is numpy's pairwise sum of the whole gathered vector, for one row of
-    # per-atom values and for three
-    rng = np.random.default_rng(atoms)
-    values = _spread_values(rng, (3, atoms))
-    lengths = MEMBER_SUM_LENGTHS + sorted(rng.integers(1, 300_000, 12).tolist())
-    for n in lengths:
-        rows = rng.integers(0, atoms, n).astype(dtype)
-        ens = WeightedEnsemble(0.0, values[0], 1.0, 1.0, rows)
-        assert ens.member_sum(values[0]) == values[0][rows].sum(), n
-        assert ens.member_sum(values).tolist() == [v[rows].sum() for v in values], n
+def _member_sum_cases():
+    rng = np.random.default_rng(11)
+    subnormal = np.array([5e-324, 1e-320, 2.5e-310, np.nextafter(2.2250738585072014e-308, 0)])
+    wide = _signed(rng, np.concatenate([np.logspace(-300, 300, 61), subnormal]))
+    yield "wide", wide, rng.integers(0, 50, size=len(wide))
+    pairs = np.array([1e300, -1e300, 0.1, -0.1, 3e-310, -3e-310, 1e-300])
+    yield "cancelling", pairs, np.array([7, 7, 1000, 1000, 3, 3, 1])
+    yield "cancelling-to-zero", pairs[:6], np.array([5, 5, 2, 2, 9, 9])
+    yield "some-zero-counts", wide, np.where(rng.random(len(wide)) < 0.5, 0, 3)
+    yield "all-zero-counts", wide, np.zeros(len(wide), dtype=np.intp)
+    yield "counts-to-2**16", wide[::8], rng.integers(2**15, 2**16, size=len(wide[::8]))
+    yield "near-cancelling", *_near_cancelling(rng, 1000)
+
+
+@pytest.mark.parametrize("x, counts", [pytest.param(x, c, id=name)
+                                       for name, x, c in _member_sum_cases()])
+def test_member_sum_is_the_sum_of_the_repeated_values_to_rounding(x, counts):
+    # a sum over members, each on its atom's value, is the exact sum of every
+    # atom's value repeated counts times, within gamma_n = n u / (1 - n u)
+    # of the sum of |value| * count (n per-atom products and at most n - 1
+    # additions; Higham, Accuracy and Stability, section 3.1), for one row of
+    # per-atom values and for each of three
+    ens = WeightedEnsemble(0.0, x, 1.0, 1.0, counts)
+    rows = np.stack([x, -x, 2.0 * x])
+    n, u = len(x), Fraction(2) ** -53
+    gamma = n * u / (1 - n * u)
+    for got, row in zip([ens.member_sum(x), *ens.member_sum(rows)], [x, *rows]):
+        terms = [Fraction(v) * int(c) for v, c in zip(row.tolist(), counts.tolist())]
+        exact, scale = sum(terms), sum(abs(t) for t in terms)
+        assert abs(Fraction(float(got)) - exact) <= gamma * scale, (float(got), float(exact))

@@ -324,14 +324,17 @@ def test_quantized_sampler_reproducible_and_on_lattice():
     assert set(np.unique(a.dB)) <= set(noise.values)
 
 
-@pytest.mark.parametrize("model, nodes, aux", [
+ATOM_SAMPLER_CASES = [
     ("independent", 3, FiniteLaw([1.5, -1.5], [0.25, 0.75])),
     ("linear-feedback", 3, None),
     (WitnessDrift.name, 2, None),
-])
+]
+
+
+@pytest.mark.parametrize("model, nodes, aux", ATOM_SAMPLER_CASES)
 def test_atom_sampler_draws_the_atoms_of_the_sampled_paths(model, nodes, aux):
-    # the same uniforms and the same draw rule: path i of the sampled
-    # ensemble lies on atom i of the sampler, from any substream; a path's
+    # the same uniforms and the same draw rule: the sampler counts the
+    # atoms of the sampled ensemble's paths, from any substream; a path's
     # row is its three noise uniforms and, with an aux law, its aux uniform,
     # one Philox block either way, so the sampler's chunks are 8192 rows
     # and the paths cross two chunk seams
@@ -342,7 +345,41 @@ def test_atom_sampler_draws_the_atoms_of_the_sampled_paths(model, nodes, aux):
     size = 2 * 8192 + 5
     assert len(philox_chunks(size, g.steps + (aux is not None))) == 3
     sim = sample_quantized_ensemble(make_model(model), g, size, stream, noise, aux)
-    assert np.array_equal(sample_atoms(space, size, stream), match_atoms(space, sim))
+    counts = sample_atoms(space, size, stream)
+    assert counts.dtype == np.intp
+    assert np.array_equal(counts, np.bincount(match_atoms(space, sim), minlength=space.atoms))
+
+
+@pytest.mark.parametrize("model, nodes, aux", ATOM_SAMPLER_CASES)
+def test_atom_sampler_puts_each_path_on_its_own_atom(model, nodes, aux):
+    # a histogram alone would not see two paths trade atoms: one path
+    # drawn from each substream lands on the atom of that path
+    g = TimeGrid(steps=3)
+    noise = gauss_quantized(nodes, g.dt)
+    space = enumerate_atoms(make_model(model), g, noise, aux)
+    for substream in range(17, 17 + 21):
+        stream = RandomStream(seed=5, substream=substream)
+        sim = sample_quantized_ensemble(make_model(model), g, 1, stream, noise, aux)
+        one_hot = np.zeros(space.atoms, dtype=np.intp)
+        one_hot[match_atoms(space, sim)] = 1
+        assert np.array_equal(sample_atoms(space, 1, stream), one_hot), substream
+
+
+@pytest.mark.parametrize("split", [1, 8191, 8192, 8193, 2 * 8192 + 4])
+def test_atom_sampler_counts_add_over_a_split_of_the_paths(split):
+    # the crosscheck front end adds the counts of its processes' row ranges:
+    # the counts of paths [0, split) and of [split, size), each range drawn
+    # from its own first substream, are those of [0, size), whatever chunk
+    # seams the split moves
+    g = TimeGrid(steps=3)
+    space = enumerate_atoms(make_model("independent"), g, gauss_quantized(3, g.dt),
+                            FiniteLaw([-1.5, 1.5]))
+    size = 2 * 8192 + 5
+    whole = sample_atoms(space, size, RandomStream(seed=5, substream=17))
+    head = sample_atoms(space, split, RandomStream(seed=5, substream=17))
+    tail = sample_atoms(space, size - split, RandomStream(seed=5, substream=17 + split))
+    assert np.array_equal(head + tail, whole)
+    assert head.sum() == split and whole.sum() == size
 
 
 def test_atom_sampler_holds_one_chunk_of_uniforms_at_a_time():
@@ -357,29 +394,12 @@ def test_atom_sampler_holds_one_chunk_of_uniforms_at_a_time():
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        atoms = sample_atoms(space, 50_176, RandomStream(seed=1))
+        counts = sample_atoms(space, 50_176, RandomStream(seed=1))
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
     assert peak <= 2.5e6
-    assert atoms.nbytes == 50_176  # one byte per path for the 54 atoms
-
-
-@pytest.mark.parametrize("model, aux, atoms, dtype", [
-    ("linear-feedback", None, 256, np.uint8),
-    ("independent", FiniteLaw([-1.0, 1.0]), 512, np.uint16),
-])
-def test_atom_sampler_returns_the_narrowest_type_that_holds_every_atom(model, aux, atoms,
-                                                                       dtype):
-    # 2 nodes on 8 steps: 256 atoms fit a byte, twice as many do not; the
-    # narrow indices are still those of the sampled paths
-    g = TimeGrid(steps=8)
-    noise = gauss_quantized(2, g.dt)
-    space = enumerate_atoms(make_model(model), g, noise, aux)
-    sampled = sample_atoms(space, 3000, RandomStream(seed=2))
-    assert space.atoms == atoms and sampled.dtype == dtype
-    sim = sample_quantized_ensemble(make_model(model), g, 3000, RandomStream(seed=2), noise, aux)
-    assert np.array_equal(sampled, match_atoms(space, sim))
+    assert counts.shape == (54,) and counts.sum() == 50_176
 
 
 def test_finite_bayes_filter_matches_enumeration_exactly():
